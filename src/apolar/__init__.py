@@ -4,10 +4,9 @@ Gorenstein ideals given by Macaulay inverse systems in k[x, y, z]."""
 from .scalars import (DEFAULT_PRIME, FieldMismatchError, FpElement, PrimeField,
                       QQ, RationalField, binomial, field_from_tag, multinomial)
 from .poly import (Basis, DUAL_U, DUAL_U0, DualElement, Monomial, Polynomial,
-                   SYM_U, SYM_U0, contract, enumerate_basis, evaluate,
-                   format_terms, monomials_of_degree, multiply,
-                   parse_linear_form, parse_polynomial, random_dual_element,
-                   substitute)
+                   SYM_U, SYM_U0, contract, evaluate, format_terms,
+                   monomials_of_degree, parse_linear_form, parse_polynomial,
+                   random_dual_element, substitute)
 from .linalg import (FieldMatrix, InversionResult, PolyMatrix, as_poly_matrix,
                      assert_alternating, block, congruence_pfaffian_check,
                      denominator_lcm, det, hstack, invert, is_alternating,

@@ -140,7 +140,13 @@ def _check(name: str, ok: bool, lines: list) -> bool:
     return ok
 
 
+def _check_max_degree(args) -> None:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise CliError(f"--max-degree must be nonnegative, got {args.max_degree}")
+
+
 def cmd_verify(args) -> int:
+    _check_max_degree(args)
     phi = _load_phi(args.phi)
     try:
         lin = resolution.build_linear_presentation(phi)
@@ -160,15 +166,14 @@ def cmd_verify(args) -> int:
                                             for row in lin.b2.entries for e in row),
                  lines)
     ok &= _check("b1 . b2 = 0", (lin.b1 @ lin.b2).is_zero(), lines)
-    explicit = resolution.explicit_generators(phi, lin.p_inv)
     try:
-        resolution.proportionality_unit(explicit, lin.b1.entries[0])
+        resolution.proportionality_unit(lin.generators, lin.b1.entries[0])
         prop_ok = True
     except resolution.ProportionalityError:
         prop_ok = False
     ok &= _check("explicit generators = unit x Pfaffian row", prop_ok, lines)
     lin_tilde = resolution.build_linear_presentation(
-        resolution.reduced_inverse_system(phi))
+        resolution.reduced_inverse_system(phi), with_pfaffian_row=False)
     ok &= _check("conjugation by the reduction change of basis",
                  resolution.theta_conjugation_check(lin, lin_tilde, phi), lines)
     quad = resolution.build_quadratic_presentation(lin)
@@ -220,6 +225,7 @@ def cmd_wlp(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_max_degree(args)
     phi = _load_phi(args.phi)
     try:
         summary = oracle.summarize_ideal(phi, args.max_degree)

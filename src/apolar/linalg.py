@@ -1,9 +1,11 @@
 """Dense exact matrices over a field and over the polynomial ring.
 
 FieldMatrix holds scalars; PolyMatrix holds homogeneous polynomials that all
-share one declared degree.  Inverse, rank, kernel and determinant use
-Gaussian elimination with the first nonzero pivot in column order, so results
-are deterministic.  Pfaffians use the recursive first-row expansion
+share one declared degree.  Rank, kernel, determinant and inverse all come
+from one Gauss-Jordan routine that takes the first nonzero pivot in column
+order, so results are deterministic: the determinant is the product of the
+pivots times the sign of the row swaps, and the inverse is the right half of
+the reduced [m | I].  Pfaffians use the recursive first-row expansion
 Pf(M) = sum_{j>=2} (-1)^j M[1,j] Pf(M with rows/cols 1, j removed),
 memoized on index subsets; the same code path serves scalar and polynomial
 entries.  Every Pfaffian call first checks that the matrix is strictly
@@ -12,6 +14,7 @@ alternating (zero diagonal, M + M^T = 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -183,11 +186,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.field, deg, out)
 
-    def __rmatmul__(self, other):
-        if isinstance(other, FieldMatrix):
-            return as_poly_matrix(other) @ self
-        return NotImplemented
-
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.field != other.field:
             raise FieldMismatchError("matrices live in different fields")
@@ -301,11 +299,15 @@ def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
 # ---------------------------------------------------------------------------
 # Gaussian elimination: rank, kernel, determinant, inverse.
 
-def _rref(entries: List[List[Scalar]], field: Field) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+def _rref(entries: List[List[Scalar]], field: Field
+          ) -> Tuple[List[List[Scalar]], List[int], Scalar]:
+    """Reduced row echelon form in place; returns (rows, pivot columns, d),
+    where d is the product of the pivots times the sign of the row swaps.
+    For a square matrix of full rank, d is its determinant."""
     rows = len(entries)
     cols = len(entries[0]) if rows else 0
     zero = field.zero
+    d = field.one
     pivots: List[int] = []
     r = 0
     for c in range(cols):
@@ -316,6 +318,8 @@ def _rref(entries: List[List[Scalar]], field: Field) -> Tuple[List[List[Scalar]]
             continue
         if pr != r:
             entries[r], entries[pr] = entries[pr], entries[r]
+            d = -d
+        d = d * entries[r][c]
         inv = field.one / entries[r][c]
         entries[r] = [e * inv for e in entries[r]]
         for i in range(rows):
@@ -324,11 +328,11 @@ def _rref(entries: List[List[Scalar]], field: Field) -> Tuple[List[List[Scalar]]
                 entries[i] = [a - f * b for a, b in zip(entries[i], entries[r])]
         pivots.append(c)
         r += 1
-    return entries, pivots
+    return entries, pivots, d
 
 
 def rank(m: FieldMatrix) -> int:
-    _, pivots = _rref([list(r) for r in m.entries], m.field)
+    _, pivots, _ = _rref([list(r) for r in m.entries], m.field)
     return len(pivots)
 
 
@@ -341,7 +345,7 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
     if m.rows == 0:
         return [[m.field.one if j == i else m.field.zero for j in range(m.cols)]
                 for i in range(m.cols)]
-    red, pivots = _rref([list(r) for r in m.entries], m.field)
+    red, pivots, _ = _rref([list(r) for r in m.entries], m.field)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -357,26 +361,8 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
 def det(m: FieldMatrix) -> Scalar:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    a = [list(r) for r in m.entries]
-    field = m.field
-    zero = field.zero
-    sign = field.one
-    result = field.one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != zero), None)
-        if pr is None:
-            return zero
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            sign = -sign
-        pivot = a[c][c]
-        result = result * pivot
-        for i in range(c + 1, n):
-            if a[i][c] != zero:
-                f = a[i][c] / pivot
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result * sign
+    _, pivots, d = _rref([list(r) for r in m.entries], m.field)
+    return d if len(pivots) == m.rows else m.field.zero
 
 
 @dataclass
@@ -393,30 +379,18 @@ class InversionResult:
 
 
 def invert(m: FieldMatrix) -> InversionResult:
+    """Gauss-Jordan on [m | I]: the right half of the result is m^{-1}."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     field = m.field
     aug = [list(r) + [field.one if j == i else field.zero for j in range(n)]
            for i, r in enumerate(m.entries)]
-    zero = field.zero
-    pivots = 0
-    for c in range(n):
-        pr = next((i for i in range(pivots, n) if aug[i][c] != zero), None)
-        if pr is None:
-            continue
-        if pr != pivots:
-            aug[pivots], aug[pr] = aug[pr], aug[pivots]
-        inv = field.one / aug[pivots][c]
-        aug[pivots] = [e * inv for e in aug[pivots]]
-        for i in range(n):
-            if i != pivots and aug[i][c] != zero:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[pivots])]
-        pivots += 1
-    if pivots < n:
-        return InversionResult(None, pivots)
-    return InversionResult(FieldMatrix(field, [r[n:] for r in aug]), n)
+    red, pivots, _ = _rref(aug, field)
+    r = sum(1 for c in pivots if c < n)
+    if r < n:
+        return InversionResult(None, r)
+    return InversionResult(FieldMatrix(field, [row[n:] for row in red]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +502,13 @@ def congruence_pfaffian_check(a: FieldMatrix, m: FieldMatrix) -> bool:
 
 def denominator_lcm(m: Matrix) -> int:
     """LCM of all rational coefficient denominators (1 for prime fields)."""
-    import math as _math
     L = 1
     for row in m.entries:
         for e in row:
             if isinstance(m, PolyMatrix):
                 for c in e.coeffs.values():
                     if hasattr(c, "denominator"):
-                        L = _math.lcm(L, c.denominator)
+                        L = math.lcm(L, c.denominator)
             elif hasattr(e, "denominator"):
-                L = _math.lcm(L, e.denominator)
+                L = math.lcm(L, e.denominator)
     return L

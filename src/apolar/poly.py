@@ -111,10 +111,6 @@ class Basis:
         return f"Basis({self.space}, {self.degree}, {len(self)} monomials)"
 
 
-def enumerate_basis(space: str, degree: int) -> Basis:
-    return Basis(space, degree)
-
-
 class _CoeffMap:
     """Shared plumbing for Polynomial and DualElement: a homogeneous
     coefficient map over monomials of one degree."""
@@ -301,10 +297,6 @@ class DualElement(_CoeffMap):
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
-
-
-def multiply(u: Polynomial, v: Polynomial) -> Polynomial:
-    return u * v
 
 
 def contract(u: Polynomial, w: DualElement) -> DualElement:

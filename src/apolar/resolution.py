@@ -23,11 +23,12 @@ instance, since off-by-one deletions are the dominant bug risk.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .linalg import FieldMatrix, PolyMatrix, as_poly_matrix, block, hstack, times_variable
+from .linalg import FieldMatrix, PolyMatrix, block, hstack, times_variable
 from .poly import (Basis, DUAL_U, DUAL_U0, DualElement, Monomial, Polynomial,
                    SYM_U, SYM_U0, X, contract)
 from .scalars import Field, Scalar
@@ -42,20 +43,6 @@ def _infer_n(phi: DualElement) -> int:
         raise ValueError(
             f"inverse system must have odd degree 2n-1, got degree {phi.degree}")
     return (phi.degree + 1) // 2
-
-
-def _mat_vec(m: FieldMatrix, vec: List[Scalar]) -> List[Scalar]:
-    if m.cols != len(vec):
-        raise ValueError("matrix-vector shape mismatch")
-    z = m.field.zero
-    out = []
-    for row in m.entries:
-        acc = z
-        for a, v in zip(row, vec):
-            if a != z and v != z:
-                acc = acc + a * v
-        out.append(acc)
-    return out
 
 
 def build_p_r(phi: DualElement, n: int) -> Tuple[FieldMatrix, FieldMatrix]:
@@ -96,6 +83,11 @@ class LinearPresentation:
     D: Optional[PolyMatrix] = None
     b2: Optional[PolyMatrix] = None
     b1: Optional[PolyMatrix] = None
+
+    @functools.cached_property
+    def generators(self) -> List[Polynomial]:
+        """The explicit generator row, built on first use and then kept."""
+        return explicit_generators(self.phi, self.p_inv)
 
 
 def _b2_lower_shift(field: Field, n: int) -> PolyMatrix:
@@ -161,7 +153,8 @@ def explicit_generators(phi: DualElement,
 
     The matrix p^{-1} acts through the coordinate identification of the
     degree-(n-1) dual with degree-(n-1) polynomials given by the shared
-    monomial order.
+    monomial order, so the first n images are columns of p^{-1} and the rest
+    are one matrix product.  ``LinearPresentation.generators`` keeps this row.
     """
     n = _infer_n(phi)
     fld = phi.field
@@ -174,15 +167,15 @@ def explicit_generators(phi: DualElement,
         p_inv = res.inverse
     mid = Basis(SYM_U, n - 1)
     x = Polynomial.variable(fld, "x")
-    gens: List[Polynomial] = []
-    for mono in Basis(DUAL_U0, n - 1):
-        e = [fld.one if m == mono else fld.zero for m in mid]
-        gens.append(x * Polynomial.from_coords(fld, mid, _mat_vec(p_inv, e)))
-    for mono in Basis(SYM_U0, n):
-        mu = Polynomial.monomial(fld, mono)
-        w = contract(mu, phi)
-        coords = _mat_vec(p_inv, w.to_coords(Basis(DUAL_U, n - 1)))
-        gens.append(mu - x * Polynomial.from_coords(fld, mid, coords))
+    nus = p_inv.take_cols([mid.position[m] for m in Basis(DUAL_U0, n - 1)])
+    mus = [Polynomial.monomial(fld, m) for m in Basis(SYM_U0, n)]
+    dual = Basis(DUAL_U, n - 1)
+    w = FieldMatrix(fld, [contract(mu, phi).to_coords(dual) for mu in mus])
+    images = p_inv @ w.transpose()
+    gens = [x * Polynomial.from_coords(fld, mid, col)
+            for col in nus.transpose().entries]
+    gens += [mu - x * Polynomial.from_coords(fld, mid, col)
+             for mu, col in zip(mus, images.transpose().entries)]
     return gens
 
 
@@ -218,30 +211,19 @@ def theta_conjugation_check(lin_phi: LinearPresentation,
                             phi: DualElement) -> bool:
     """Verify that the two presentations built from phi and from its
     reduction are conjugate: Theta1 . b2 = b2~ . Theta2, and the explicit
-    generator row of phi equals the reduced row composed with Theta1."""
-    if lin_phi.n != lin_phitilde.n or lin_phi.field != lin_phitilde.field:
-        raise ValueError("presentations do not match")
-    if lin_phi.p != lin_phitilde.p:
+    generator row of phi equals the reduced row composed with Theta1.
+    Raises ValueError unless the presentations were built from phi and from
+    its reduction."""
+    if lin_phi.phi != phi or lin_phitilde.phi != reduced_inverse_system(phi):
         raise ValueError("presentations were not built from phi and its reduction")
     if not (lin_phi.linearly_presented and lin_phitilde.linearly_presented):
         raise ValueError("both presentations must have invertible p")
     theta1, theta2 = theta_matrices(phi)
-    lhs = as_poly_matrix(theta1) @ lin_phi.b2
-    rhs = lin_phitilde.b2 @ as_poly_matrix(theta2)
-    if lhs != rhs:
+    if theta1 @ lin_phi.b2 != lin_phitilde.b2 @ theta2:
         return False
-    row = explicit_generators(phi, lin_phi.p_inv)
-    row_tilde = explicit_generators(reduced_inverse_system(phi), lin_phitilde.p_inv)
-    m = len(row)
-    for j in range(m):
-        acc = Polynomial.zero(phi.field, lin_phi.n)
-        for k in range(m):
-            t = theta1.entries[k][j]
-            if t != phi.field.zero:
-                acc = acc + row_tilde[k].scaled(t)
-        if acc != row[j]:
-            return False
-    return True
+    fld, n = lin_phi.field, lin_phi.n
+    return (PolyMatrix(fld, n, [lin_phitilde.generators]) @ theta1
+            == PolyMatrix(fld, n, [lin_phi.generators]))
 
 
 @dataclass
@@ -282,10 +264,10 @@ def build_quadratic_presentation(lin: LinearPresentation) -> QuadraticPresentati
             n, fld, False, res.rank,
             note="A' is singular: not quadratically presented provided the "
                  "socle-degree and Lefschetz hypotheses hold (not checked here)")
-    c2 = (lin.B.transpose() @ as_poly_matrix(res.inverse) @ lin.B) \
+    c2 = (lin.B.transpose() @ res.inverse @ lin.B) \
         + lin.D.times_monomial(Monomial(1, 0, 0))
     c1 = PolyMatrix(fld, n, [linalg.signed_maximal_pfaffians(c2)])
-    gens = explicit_generators(lin.phi, lin.p_inv)[n:]
+    gens = lin.generators[n:]
     unit = proportionality_unit(c1.entries[0], gens)
     return QuadraticPresentation(n, fld, True, n, "", c2, c1, gens, unit,
                                  linalg.pfaffian(lin.A_prime))
@@ -316,17 +298,17 @@ def claim_factorization_check(lin: LinearPresentation,
                               quad: QuadraticPresentation) -> bool:
     """For each i, the Pfaffian of b2 with row/column n+i removed must equal
     Pf(A') times the Pfaffian of c2 with row/column i removed, as an identity
-    of degree-n forms."""
+    of degree-n forms.  The signs (-1)^(n+i) and (-1)^i of the Pfaffian rows
+    agree because n is even, so this reads b1[n+i] = Pf(A') * c1[i] off the
+    rows already built; no Pfaffian is recomputed."""
     if quad.c2 is None:
         raise ValueError("quadratic presentation was not assembled")
+    if lin.b1 is None:
+        raise ValueError("linear presentation was built without its Pfaffian row")
     n = lin.n
-    pf_a = linalg.pfaffian(lin.A_prime)
-    for i in range(n + 1):
-        lhs = linalg.pfaffian(lin.b2.deleted(rows=[n + i], cols=[n + i]))
-        rhs = linalg.pfaffian(quad.c2.deleted(rows=[i], cols=[i])).scaled(pf_a)
-        if lhs != rhs:
-            return False
-    return True
+    b1, c1 = lin.b1.entries[0], quad.c1.entries[0]
+    return all(b1[n + i] == c1[i].scaled(quad.a_prime_pfaffian)
+               for i in range(n + 1))
 
 
 def linear_betti(n: int) -> List[List[int]]:
@@ -370,7 +352,7 @@ def resolution_report(lin: LinearPresentation,
     blocks["b2"] = lin.b2.to_strings()
     if lin.b1 is not None:
         blocks["b1"] = lin.b1.to_strings()
-    explicit = explicit_generators(lin.phi, lin.p_inv)
+    explicit = lin.generators
     out["generators"] = {"explicit": [str(g) for g in explicit]}
     if lin.b1 is not None:
         out["units"] = {

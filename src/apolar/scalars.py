@@ -15,16 +15,23 @@ from typing import Union
 
 DEFAULT_PRIME = 32003
 
+# psi_13, the least strong pseudoprime to all 13 prime bases 2..41
+# (Sorenson and Webster, Math. Comp. 2017): Miller-Rabin on those bases is
+# exact below it.
+MILLER_RABIN_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 class FieldMismatchError(TypeError):
     """Operands belong to different fields."""
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin on the bases 2..41; exact for
+    n < MILLER_RABIN_BOUND, not a proof above it."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -32,7 +39,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -60,7 +67,7 @@ class FpElement:
                 raise FieldMismatchError(
                     f"cannot combine residues mod {self.p} and mod {other.p}")
             return other.value
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return other % self.p
         return None
 
@@ -178,9 +185,13 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for an odd prime p (default 32003)."""
+    """GF(p) for an odd prime p (default 32003) below MILLER_RABIN_BOUND,
+    where primality is proven."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        if p >= MILLER_RABIN_BOUND:
+            raise ValueError(f"modulus {p} is not below {MILLER_RABIN_BOUND}, "
+                             "where primality can be proven")
         if p == 2 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
         self.p = p

@@ -118,6 +118,12 @@ def test_verify_singular_p_exits_2(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
 
 
+def test_verify_negative_max_degree_exits_1(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    assert main(["verify", str(path), "--max-degree", "-1"]) == 1
+    assert "--max-degree" in capsys.readouterr().err
+
+
 def test_wlp_command(tmp_path, capsys):
     path = write_family(tmp_path, 4)
     assert main(["wlp", str(path), "--ell", "x"]) == 0
@@ -154,6 +160,12 @@ def test_oracle_include_kernels(tmp_path):
                  "--include-kernels"]) == 0
     report = json.loads(rp.read_text())
     assert len(report["kernels"][2]) == 3
+
+
+def test_oracle_negative_max_degree_exits_1(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    assert main(["oracle", str(path), "--max-degree", "-1"]) == 1
+    assert "--max-degree" in capsys.readouterr().err
 
 
 def test_family_field_flag_misuse(tmp_path):

@@ -82,6 +82,26 @@ def test_det():
     assert det(qm([[1, 2], [2, 4]])) == 0
 
 
+@pytest.mark.parametrize("field", [QQ, GF])
+def test_det_invert_rank_agree(field):
+    rng = random.Random(8)
+    mats = [FieldMatrix.zeros(field, 0, 0)]
+    for n in range(1, 6):
+        mats += [random_matrix(field, n, n, rng) for _ in range(3)]
+        mats.append(FieldMatrix.zeros(field, n, n))
+        if n > 1:
+            # rank at most n - 1: a product through an n x (n-1) matrix
+            mats.append(random_matrix(field, n, n - 1, rng)
+                        @ random_matrix(field, n - 1, n, rng))
+    for m in mats:
+        d = det(m)
+        res = invert(m)
+        assert (d == field.zero) == (not res.invertible)
+        assert res.rank == rank(m)
+        if res.invertible:
+            assert d * det(res.inverse) == field.one
+
+
 def test_pfaffian_base_cases():
     a = Fraction(7, 2)
     assert pfaffian(qm([[0, a], [-a, 0]])) == a

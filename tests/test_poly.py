@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from apolar import (DualElement, FieldMatrix, Monomial, Polynomial,
-                    PrimeField, QQ, SYM_U, SYM_U0, contract, enumerate_basis,
+from apolar import (Basis, DualElement, FieldMatrix, Monomial, Polynomial,
+                    PrimeField, QQ, SYM_U, SYM_U0, contract,
                     evaluate, monomials_of_degree, parse_linear_form,
                     parse_polynomial, random_dual_element, substitute)
 
@@ -16,26 +16,26 @@ def mono(a, b, c):
 
 
 def test_basis_degree_two():
-    b = enumerate_basis(SYM_U, 2)
+    b = Basis(SYM_U, 2)
     assert list(b) == [mono(2, 0, 0), mono(1, 1, 0), mono(1, 0, 1),
                        mono(0, 2, 0), mono(0, 1, 1), mono(0, 0, 2)]
-    b0 = enumerate_basis(SYM_U0, 2)
+    b0 = Basis(SYM_U0, 2)
     assert list(b0) == [mono(0, 2, 0), mono(0, 1, 1), mono(0, 0, 2)]
-    assert list(enumerate_basis(SYM_U, 0)) == [mono(0, 0, 0)]
+    assert list(Basis(SYM_U, 0)) == [mono(0, 0, 0)]
 
 
 @pytest.mark.parametrize("d", range(8))
 def test_basis_sizes(d):
-    assert len(enumerate_basis(SYM_U, d)) == (d + 2) * (d + 1) // 2
-    assert len(enumerate_basis(SYM_U0, d)) == d + 1
+    assert len(Basis(SYM_U, d)) == (d + 2) * (d + 1) // 2
+    assert len(Basis(SYM_U0, d)) == d + 1
 
 
 def test_basis_order_is_strict_total_and_stable():
     for d in range(7):
-        ms = list(enumerate_basis(SYM_U, d))
+        ms = list(Basis(SYM_U, d))
         assert len(set(ms)) == len(ms)
         assert ms == sorted(ms, key=lambda m: m.sort_key())
-        assert ms == list(enumerate_basis(SYM_U, d))
+        assert ms == list(Basis(SYM_U, d))
         # x-divisible monomials all precede the x-free ones
         first_xfree = next((i for i, m in enumerate(ms) if m.a == 0), len(ms))
         assert all(m.a == 0 for m in ms[first_xfree:])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -37,9 +38,9 @@ def test_catalecticants_n2(n2):
 
 def test_p_entries_come_from_products(n2):
     # wiring check: entry (i, j) really is phi evaluated on x * m_i * m_j
-    from apolar import SYM_U, enumerate_basis, evaluate
+    from apolar import Basis, SYM_U, evaluate
     phi, lin, _ = n2
-    mid = enumerate_basis(SYM_U, 1)
+    mid = Basis(SYM_U, 1)
     x = Polynomial.variable(QQ, "x")
     for i, mi in enumerate(mid):
         for j, mj in enumerate(mid):
@@ -202,6 +203,32 @@ def test_quadratic_n2(n2):
     assert (quad.c1 @ quad.c2).is_zero()
     assert quad.a_prime_pfaffian == 6
     assert claim_factorization_check(lin, quad)
+
+
+def test_generators_are_the_explicit_row(n2):
+    phi, lin, _ = n2
+    assert lin.generators == explicit_generators(phi, lin.p_inv)
+    assert lin.generators is lin.generators
+
+
+def test_claim_factorization_catches_scaled_c1(n2):
+    phi, lin, quad = n2
+    assert not claim_factorization_check(
+        lin, dataclasses.replace(quad, c1=quad.c1.scaled(2)))
+    bare = build_linear_presentation(phi, with_pfaffian_row=False)
+    with pytest.raises(ValueError):
+        claim_factorization_check(bare, quad)
+
+
+def test_theta_conjugation_needs_the_phi_of_its_presentation(n2):
+    phi, lin, _ = n2
+    tilde = reduced_inverse_system(phi)
+    lin_tilde = build_linear_presentation(tilde, with_pfaffian_row=False)
+    assert theta_conjugation_check(lin, lin_tilde, phi)
+    with pytest.raises(ValueError):
+        theta_conjugation_check(lin, lin_tilde, tilde)
+    with pytest.raises(ValueError):
+        theta_conjugation_check(lin, lin, phi)
 
 
 def test_quadratic_refuses_odd_n():

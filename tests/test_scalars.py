@@ -1,10 +1,12 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from apolar import (FieldMismatchError, PrimeField, QQ, binomial,
+from apolar import (FieldMismatchError, FpElement, PrimeField, QQ, binomial,
                     field_from_tag, multinomial)
+from apolar.scalars import is_prime
 
 
 def test_rational_arithmetic():
@@ -52,6 +54,28 @@ def test_modulus_must_be_odd_prime():
     with pytest.raises(ValueError):
         PrimeField(9)
     PrimeField(32003)
+
+
+def test_primality_is_proven_or_refused():
+    # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and
+    # 13 prime bases.
+    psi12 = 318665857834031151167461
+    psi13 = 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    for p in (psi12, psi13):
+        with pytest.raises(ValueError):
+            PrimeField(p)
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+
+
+def test_bool_does_not_mix_with_residues():
+    a = FpElement(3, 7)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(a, True)
+        with pytest.raises(TypeError):
+            op(False, a)
 
 
 def test_parse_print_round_trip():

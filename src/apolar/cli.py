@@ -24,8 +24,8 @@ from typing import Optional
 
 from . import linalg, oracle, resolution
 from .linalg import denominator_lcm
-from .poly import (DualElement, Polynomial, contract, parse_linear_form,
-                   random_dual_element)
+from .poly import (MAX_DEGREE, DualElement, Polynomial, contract,
+                   parse_linear_form, random_dual_element)
 from .scalars import DEFAULT_PRIME, PrimeField, field_from_tag
 
 
@@ -73,10 +73,15 @@ def _print_matrix(name: str, m, clear_denominators: bool) -> None:
 
 def cmd_example_family(args) -> int:
     n = args.n
-    if n < 1:
-        raise CliError("--n must be a positive integer")
+    if not 1 <= n <= (MAX_DEGREE + 1) // 2:
+        raise CliError(f"--n must be in 1..{(MAX_DEGREE + 1) // 2}, so that the "
+                       f"degree 2n-1 is at most {MAX_DEGREE}")
     if args.random:
-        fld = field_from_tag(args.field) if args.field else PrimeField(DEFAULT_PRIME)
+        try:
+            fld = (field_from_tag(args.field) if args.field
+                   else PrimeField(DEFAULT_PRIME))
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         rng = random.Random(args.seed)
         phi = random_dual_element(fld, 2 * n - 1, rng)
     else:

@@ -5,35 +5,66 @@ share one declared degree.  Rank, kernel, determinant and inverse all come
 from one Gauss-Jordan routine that takes the first nonzero pivot in column
 order, so results are deterministic: the determinant is the product of the
 pivots times the sign of the row swaps, and the inverse is the right half of
-the reduced [m | I].  Pfaffians use the recursive first-row expansion
-Pf(M) = sum_{j>=2} (-1)^j M[1,j] Pf(M with rows/cols 1, j removed),
-memoized on index subsets; the same code path serves scalar and polynomial
-entries.  Every Pfaffian call first checks that the matrix is strictly
-alternating (zero diagonal, M + M^T = 0).
+the reduced [m | I].  Over GF(p) the routine runs on plain int residues
+(``_rref_mod``, which the Pfaffian kernel shares); over Q, on Fractions.  A
+zero-row matrix keeps its column count.
+
+Pfaffians take one polynomial-time path for scalar and polynomial entries.
+Every call first checks that the matrix is strictly alternating (zero
+diagonal, M + M^T = 0).  For an m x m matrix of degree-d forms, the Pfaffian
+(m even) and each maximal-order Pfaffian (m odd) is a form of degree
+D = (m // 2) d, scalars being forms of degree 0.  The kernel works on plain
+ints mod a prime q > D:
+
+- it evaluates the entries at the lattice points (1, a, b), a + b <= D, which
+  are unisolvent for degree-D forms because 0, ..., D are distinct mod q;
+- at each point, skew-symmetric elimination with 2 x 2 pivots (O(m^3))
+  gives the Pfaffian; for odd m, one kernel vector and one Pfaffian of size
+  m - 1 give the whole signed row;
+- one Gauss-Jordan pass over [V | values], V the Vandermonde matrix of the
+  points, interpolates all the forms at once.
+
+Over GF(p) with p > D, q = p.  Over Q, and over GF(p) with p <= D, the kernel
+runs on the integer matrix L M (L the denominator LCM; residues above the
+diagonal lifted to (-p/2, p/2)) modulo primes below 2^61, combined by the
+CRT until their product exceeds twice sqrt(prod_i max(1, r_i)), r_i being
+the sum of the coefficient 1-norms of row i, which bounds every
+coefficient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .poly import Monomial, ONE, Polynomial, X, parse_polynomial
-from .scalars import Field, FieldMismatchError, Scalar
+from .poly import (Monomial, ONE, Polynomial, X, monomials_of_degree,
+                   parse_polynomial)
+from .scalars import (Field, FieldMismatchError, FpElement, PrimeField, Scalar,
+                      is_prime)
+
+
+def _width(rows: List[list], cols: Optional[int]) -> int:
+    width = cols if cols is not None else len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged matrix")
+    return width
 
 
 class FieldMatrix:
     """A rectangular matrix of scalars from one field."""
 
-    def __init__(self, field: Field, entries: Sequence[Sequence]):
+    def __init__(self, field: Field, entries: Sequence[Sequence],
+                 cols: Optional[int] = None):
+        """``cols`` fixes the width; it is needed only when there are no
+        rows, and is otherwise the length of the first row."""
         rows = [list(r) for r in entries]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
         self.field = field
         self.entries: List[List[Scalar]] = [
             [e if field.contains(e) else field.of(e) for e in r] for r in rows]
         self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+        self.cols = _width(rows, cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "FieldMatrix":
@@ -42,7 +73,7 @@ class FieldMatrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, [[field.zero] * cols for _ in range(rows)])
+        return cls(field, [[field.zero] * cols for _ in range(rows)], cols)
 
     def _check_field(self, other):
         if self.field != other.field:
@@ -51,7 +82,7 @@ class FieldMatrix:
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.field,
                            [[self.entries[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
+                            for j in range(self.cols)], self.rows)
 
     def __matmul__(self, other):
         if isinstance(other, PolyMatrix):
@@ -72,7 +103,7 @@ class FieldMatrix:
                         acc = acc + a * other.entries[k][j]
                 row.append(acc)
             out.append(row)
-        return FieldMatrix(self.field, out)
+        return FieldMatrix(self.field, out, other.cols)
 
     def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_field(other)
@@ -80,35 +111,43 @@ class FieldMatrix:
             raise ValueError("shape mismatch in matrix sum")
         return FieldMatrix(self.field,
                            [[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.entries, other.entries)])
+                            for r1, r2 in zip(self.entries, other.entries)],
+                           self.cols)
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         return self + (-other)
 
     def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, [[-e for e in r] for r in self.entries])
+        return FieldMatrix(self.field, [[-e for e in r] for r in self.entries],
+                           self.cols)
 
     def scaled(self, s) -> "FieldMatrix":
         s = s if self.field.contains(s) else self.field.of(s)
-        return FieldMatrix(self.field, [[e * s for e in r] for r in self.entries])
+        return FieldMatrix(self.field, [[e * s for e in r] for r in self.entries],
+                           self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, FieldMatrix) and other.field == self.field
-                and other.entries == self.entries)
+                and other.cols == self.cols and other.entries == self.entries)
 
     def deleted(self, rows: Sequence[int] = (), cols: Sequence[int] = ()) -> "FieldMatrix":
         """Copy with the given 0-based rows and columns removed."""
         rs, cs = set(rows), set(cols)
+        keep = [j for j in range(self.cols) if j not in cs]
         return FieldMatrix(self.field,
-                           [[e for j, e in enumerate(r) if j not in cs]
-                            for i, r in enumerate(self.entries) if i not in rs])
+                           [[r[j] for j in keep]
+                            for i, r in enumerate(self.entries) if i not in rs],
+                           len(keep))
 
     def take_cols(self, indices: Sequence[int]) -> "FieldMatrix":
+        indices = list(indices)
         return FieldMatrix(self.field,
-                           [[r[j] for j in indices] for r in self.entries])
+                           [[r[j] for j in indices] for r in self.entries],
+                           len(indices))
 
     def take_rows(self, indices: Sequence[int]) -> "FieldMatrix":
-        return FieldMatrix(self.field, [self.entries[i] for i in indices])
+        return FieldMatrix(self.field, [self.entries[i] for i in indices],
+                           self.cols)
 
     def is_zero(self) -> bool:
         z = self.field.zero
@@ -128,10 +167,12 @@ class FieldMatrix:
 class PolyMatrix:
     """A rectangular matrix of homogeneous polynomials sharing one degree."""
 
-    def __init__(self, field: Field, degree: int, entries: Sequence[Sequence[Polynomial]]):
+    def __init__(self, field: Field, degree: int,
+                 entries: Sequence[Sequence[Polynomial]],
+                 cols: Optional[int] = None):
+        """``cols`` fixes the width, as for ``FieldMatrix``."""
         rows = [list(r) for r in entries]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
+        self.cols = _width(rows, cols)
         fixed: List[List[Polynomial]] = []
         for r in rows:
             row = []
@@ -151,17 +192,16 @@ class PolyMatrix:
         self.degree = degree
         self.entries = fixed
         self.rows = len(fixed)
-        self.cols = len(fixed[0]) if fixed else 0
 
     @classmethod
     def zeros(cls, field: Field, degree: int, rows: int, cols: int) -> "PolyMatrix":
         z = Polynomial.zero(field, degree)
-        return cls(field, degree, [[z] * cols for _ in range(rows)])
+        return cls(field, degree, [[z] * cols for _ in range(rows)], cols)
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.field, self.degree,
                           [[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)])
+                           for j in range(self.cols)], self.rows)
 
     def __matmul__(self, other):
         if isinstance(other, FieldMatrix):
@@ -184,7 +224,7 @@ class PolyMatrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return PolyMatrix(self.field, deg, out)
+        return PolyMatrix(self.field, deg, out, other.cols)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.field != other.field:
@@ -195,33 +235,39 @@ class PolyMatrix:
             raise ValueError("degree mismatch in matrix sum")
         return PolyMatrix(self.field, self.degree,
                           [[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
+                           for r1, r2 in zip(self.entries, other.entries)],
+                          self.cols)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self + (-other)
 
     def __neg__(self) -> "PolyMatrix":
         return PolyMatrix(self.field, self.degree,
-                          [[-e for e in r] for r in self.entries])
+                          [[-e for e in r] for r in self.entries], self.cols)
 
     def scaled(self, s) -> "PolyMatrix":
         return PolyMatrix(self.field, self.degree,
-                          [[e.scaled(s) for e in r] for r in self.entries])
+                          [[e.scaled(s) for e in r] for r in self.entries],
+                          self.cols)
 
     def times_monomial(self, m: Monomial) -> "PolyMatrix":
         factor = Polynomial.monomial(self.field, m)
         return PolyMatrix(self.field, self.degree + m.degree,
-                          [[e * factor for e in r] for r in self.entries])
+                          [[e * factor for e in r] for r in self.entries],
+                          self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix) and other.field == self.field
-                and other.degree == self.degree and other.entries == self.entries)
+                and other.degree == self.degree and other.cols == self.cols
+                and other.entries == self.entries)
 
     def deleted(self, rows: Sequence[int] = (), cols: Sequence[int] = ()) -> "PolyMatrix":
         rs, cs = set(rows), set(cols)
+        keep = [j for j in range(self.cols) if j not in cs]
         return PolyMatrix(self.field, self.degree,
-                          [[e for j, e in enumerate(r) if j not in cs]
-                           for i, r in enumerate(self.entries) if i not in rs])
+                          [[r[j] for j in keep]
+                           for i, r in enumerate(self.entries) if i not in rs],
+                          len(keep))
 
     def is_zero(self) -> bool:
         return all(e.is_zero for r in self.entries for e in r)
@@ -255,11 +301,18 @@ def as_poly_matrix(m: FieldMatrix) -> PolyMatrix:
     """Promote a scalar matrix to a degree-0 polynomial matrix."""
     f = m.field
     return PolyMatrix(f, 0, [[Polynomial(f, 0, {ONE: e}) for e in r]
-                             for r in m.entries])
+                             for r in m.entries], m.cols)
 
 
 def times_variable(m: FieldMatrix, var: Monomial = X) -> PolyMatrix:
     return as_poly_matrix(m).times_monomial(var)
+
+
+def _like(first: Matrix, rows, cols: int) -> Matrix:
+    """A matrix of the same kind, field and degree as ``first``."""
+    if isinstance(first, PolyMatrix):
+        return PolyMatrix(first.field, first.degree, rows, cols)
+    return FieldMatrix(first.field, rows, cols)
 
 
 def _stack_kind(mats: Sequence[Matrix]):
@@ -277,19 +330,14 @@ def hstack(*mats: Matrix) -> Matrix:
     if any(m.rows != first.rows for m in mats):
         raise ValueError("row count mismatch in hstack")
     rows = [[e for m in mats for e in m.entries[i]] for i in range(first.rows)]
-    if isinstance(first, PolyMatrix):
-        return PolyMatrix(first.field, first.degree, rows)
-    return FieldMatrix(first.field, rows)
+    return _like(first, rows, sum(m.cols for m in mats))
 
 
 def vstack(*mats: Matrix) -> Matrix:
     first = _stack_kind(mats)
     if any(m.cols != first.cols for m in mats):
         raise ValueError("column count mismatch in vstack")
-    rows = [r for m in mats for r in m.entries]
-    if isinstance(first, PolyMatrix):
-        return PolyMatrix(first.field, first.degree, rows)
-    return FieldMatrix(first.field, rows)
+    return _like(first, [r for m in mats for r in m.entries], first.cols)
 
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -299,11 +347,43 @@ def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
 # ---------------------------------------------------------------------------
 # Gaussian elimination: rank, kernel, determinant, inverse.
 
+def _rref_mod(rows: List[List[int]], q: int
+              ) -> Tuple[List[List[int]], List[int], int]:
+    """``_rref`` on plain residues mod q: (rows, pivot columns, d mod q)."""
+    pivots: List[int] = []
+    d = 1
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            d = -d
+        d = d * rows[r][c] % q
+        inv = pow(rows[r][c], -1, q)
+        pivot_row = rows[r] = [e * inv % q for e in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(a - f * b) % q for a, b in zip(row, pivot_row)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots, d % q
+
+
 def _rref(entries: List[List[Scalar]], field: Field
           ) -> Tuple[List[List[Scalar]], List[int], Scalar]:
-    """Reduced row echelon form in place; returns (rows, pivot columns, d),
-    where d is the product of the pivots times the sign of the row swaps.
-    For a square matrix of full rank, d is its determinant."""
+    """Reduced row echelon form; returns (rows, pivot columns, d), where d is
+    the product of the pivots times the sign of the row swaps.  For a square
+    matrix of full rank, d is its determinant.  Over GF(p) the work runs on
+    plain residues in ``_rref_mod``; over Q it runs in place on Fractions."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        red, pivots, d = _rref_mod([[e.value for e in r] for r in entries], p)
+        return [[FpElement(e, p) for e in r] for r in red], pivots, FpElement(d, p)
     rows = len(entries)
     cols = len(entries[0]) if rows else 0
     zero = field.zero
@@ -423,53 +503,179 @@ def is_alternating(m: Matrix) -> bool:
     return True
 
 
-def _ring_one(m: Matrix):
+def _crt_primes():
+    """Proven primes counting down from 2^61 - 1, itself prime."""
+    q = 2 ** 61 - 1
+    while True:
+        if is_prime(q):
+            yield q
+        q -= 2
+
+
+def _pf_mod(a: List[List[int]], q: int) -> int:
+    """Pfaffian of an even-size alternating matrix of residues mod q by skew
+    elimination (destroys a).  Step k pivots on a[k][k+1], after moving the
+    first j > k with a[k][j] != 0 to index k+1 (a swap flips the sign), and
+    replaces the trailing block by its Schur complement
+    a[i][j] - (a[i][k+1] a[k][j] - a[i][k] a[k+1][j]) / a[k][k+1], so that
+    Pf(a) = a[k][k+1] Pf(complement).  A zero row ends it with Pf = 0."""
+    m = len(a)
+    pf = 1
+    for k in range(0, m, 2):
+        j = next((j for j in range(k + 1, m) if a[k][j]), None)
+        if j is None:
+            return 0
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            pf = -pf
+        p = a[k][k + 1]
+        pf = pf * p % q
+        inv = pow(p, -1, q)
+        rk, rk1 = a[k][k + 2:], a[k + 1][k + 2:]
+        for i in range(k + 2, m):
+            row = a[i]
+            u, w = row[k + 1] * inv % q, row[k] * inv % q
+            if u or w:
+                row[k + 2:] = [(x - u * y + w * z) % q
+                               for x, y, z in zip(row[k + 2:], rk, rk1)]
+    return pf % q
+
+
+def _signed_row_mod(a: List[List[int]], q: int) -> List[int]:
+    """The signed maximal-order Pfaffians of an odd-size alternating matrix
+    of residues mod q.  The row annihilates a, so when a has rank m - 1 it is
+    lambda times the kernel vector v with a 1 at the free column f, and
+    lambda is its f-th entry (-1)^f Pf(a without row/column f).  At lower
+    rank every maximal Pfaffian vanishes."""
+    m = len(a)
+    red, pivots, _ = _rref_mod([list(r) for r in a], q)
+    if len(pivots) < m - 1:
+        return [0] * m
+    f = next(c for c in range(m) if c not in pivots)
+    v = [0] * m
+    v[f] = 1
+    for r, c in enumerate(pivots):
+        v[c] = -red[r][f]
+    lam = _pf_mod([[e for j, e in enumerate(row) if j != f]
+                   for i, row in enumerate(a) if i != f], q)
+    if f % 2:
+        lam = -lam
+    return [lam * e % q for e in v]
+
+
+def _pfaffians_mod(terms, size: int, degree: int, q: int) -> List[List[int]]:
+    """Coefficient vectors mod q, on the degree-D monomials in the fixed
+    order, of the Pfaffian (even size) or the signed maximal Pfaffians (odd
+    size) of the alternating matrix whose entry (i, j), i < j, has the value
+    sum k y^e z^f at the point (1, y, z), over the triples (e, f, k) in
+    terms[i, j]: the y and z exponents and the coefficient of each term.
+
+    The values at the points (1, s_b, s_c), s running over the degree-D
+    monomials x^a y^(s_b) z^(s_c), are V times the coefficients, where
+    V[s][t] = s_b^(t_b) s_c^(t_c).  These points are unisolvent whenever
+    q > D, which the caller guarantees, so one Gauss-Jordan pass over
+    [V | values] leaves the coefficients of every form on the right."""
+    monos = monomials_of_degree(degree)
+    rows = []
+    for s in monos:
+        pb = [pow(s.b, e, q) for e in range(degree + 1)]
+        pc = [pow(s.c, e, q) for e in range(degree + 1)]
+        a = [[0] * size for _ in range(size)]
+        for (i, j), ts in terms.items():
+            v = sum(c * pb[eb] * pc[ec] for eb, ec, c in ts) % q
+            a[i][j], a[j][i] = v, -v % q
+        values = _signed_row_mod(a, q) if size % 2 else [_pf_mod(a, q)]
+        rows.append([pb[t.b] * pc[t.c] % q for t in monos] + values)
+    red, _, _ = _rref_mod(rows, q)
+    n = len(monos)
+    return [[row[n + r] for row in red] for r in range(len(rows[0]) - n)]
+
+
+def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[List[Scalar]]]:
+    """(D, vectors): the coefficient vectors, on the degree-D monomials, of
+    Pf(m) for even size or of its signed maximal Pfaffians for odd size,
+    where D = (size // 2) * degree.
+
+    Over GF(p) with p > D this is ``_pfaffians_mod`` with q = p.  Otherwise
+    the integer matrix L m runs modulo primes below 2^61.  L clears the
+    denominators; over GF(p), residues are lifted to (-p/2, p/2), which
+    keeps the bound below small.  Only entries above the diagonal are lifted
+    and the kernel negates them below it, so the integer matrix is
+    alternating and reduces to m mod p.  The primes run until their product
+    exceeds twice the bound sqrt(prod_i max(1, r_i)), r_i the sum of the
+    coefficient 1-norms of row i.  No coefficient can exceed it:
+    ||Pf||_1 <= haf(B) <= sqrt(per(B)) <= sqrt(prod r_i) for B the matrix of
+    entry 1-norms, and the same holds for every maximal minor.  The
+    symmetric residues, over L^(size // 2), are the exact coefficients."""
+    field = m.field
+    size = m.rows
+    poly = isinstance(m, PolyMatrix)
+    degree = (size // 2) * m.degree if poly else 0
+    terms = {}
+    for i in range(size):
+        for j in range(i + 1, size):
+            e = m.entries[i][j]
+            ts = ([(mon.b, mon.c, c) for mon, c in e.coeffs.items()] if poly
+                  else [(0, 0, e)] if e else [])
+            if ts:
+                terms[i, j] = ts
+    p = getattr(field, "p", None)
+    if p is not None and p > degree:
+        lifted = {ij: [(b, c, x.value) for b, c, x in ts]
+                  for ij, ts in terms.items()}
+        return degree, [[FpElement(x, p) for x in vec]
+                        for vec in _pfaffians_mod(lifted, size, degree, p)]
+    L = denominator_lcm(m)
+
+    def lift(x) -> int:
+        if p is None:
+            return x.numerator * (L // x.denominator)
+        return x.value if 2 * x.value < p else x.value - p
+
+    lifted = {ij: [(b, c, lift(x)) for b, c, x in ts] for ij, ts in terms.items()}
+    norms = [0] * size
+    for (i, j), ts in lifted.items():
+        s = sum(abs(x) for _, _, x in ts)
+        norms[i] += s
+        norms[j] += s
+    bound = math.prod(max(1, r) for r in norms)
+    residues: List[List[int]] = []
+    modulus = 1
+    primes = _crt_primes()
+    while modulus * modulus <= 4 * bound:
+        q = next(primes)
+        vecs = _pfaffians_mod(lifted, size, degree, q)
+        if modulus == 1:
+            residues = vecs
+        else:
+            u = pow(modulus, -1, q)
+            residues = [[x + modulus * ((y - x) * u % q) for x, y in zip(xs, ys)]
+                        for xs, ys in zip(residues, vecs)]
+        modulus *= q
+    scale = L ** (size // 2)
+    return degree, [[field.of(Fraction(x - modulus if 2 * x > modulus else x,
+                                       scale)) for x in vec] for vec in residues]
+
+
+def _as_ring_element(m: Matrix, degree: int, coeffs: List[Scalar]):
     if isinstance(m, PolyMatrix):
-        return Polynomial(m.field, 0, {ONE: m.field.one})
-    return m.field.one
-
-
-def _ring_zero(m: Matrix, degree: int):
-    if isinstance(m, PolyMatrix):
-        return Polynomial.zero(m.field, degree)
-    return m.field.zero
-
-
-def _pfaffian_on(m: Matrix, indices: Tuple[int, ...],
-                 memo: Dict[Tuple[int, ...], object]):
-    """Pfaffian of the submatrix on the given (even-length) index tuple."""
-    if not indices:
-        return _ring_one(m)
-    cached = memo.get(indices)
-    if cached is not None:
-        return cached
-    i0 = indices[0]
-    rest = indices[1:]
-    target_degree = (len(indices) // 2) * getattr(m, "degree", 0)
-    acc = None
-    for k, j in enumerate(rest):
-        e = m.entries[i0][j]
-        if _entry_is_zero(e, m.field):
-            continue
-        sub = tuple(i for i in rest if i != j)
-        term = e * _pfaffian_on(m, sub, memo)
-        if k % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = _ring_zero(m, target_degree)
-    memo[indices] = acc
-    return acc
+        return Polynomial(m.field, degree,
+                          dict(zip(monomials_of_degree(degree), coeffs)))
+    return coeffs[0]
 
 
 def pfaffian(m: Matrix):
     """Exact Pfaffian; sign fixed by Pf([[0, a], [-a, 0]]) = a.  Odd sizes
     give 0.  Raises on non-alternating input."""
     assert_alternating(m)
-    n = m.rows
-    if n % 2 == 1:
-        return _ring_zero(m, (n // 2) * getattr(m, "degree", 0))
-    return _pfaffian_on(m, tuple(range(n)), {})
+    if m.rows % 2:
+        if isinstance(m, PolyMatrix):
+            return Polynomial.zero(m.field, (m.rows // 2) * m.degree)
+        return m.field.zero
+    degree, (coeffs,) = _pfaffian_coefficients(m)
+    return _as_ring_element(m, degree, coeffs)
 
 
 def signed_maximal_pfaffians(m: Matrix) -> list:
@@ -477,16 +683,10 @@ def signed_maximal_pfaffians(m: Matrix) -> list:
     M_j = (-1)^(j+1) Pf(M with row and column j removed).  This row
     annihilates M."""
     assert_alternating(m)
-    n = m.rows
-    if n % 2 == 0:
+    if m.rows % 2 == 0:
         raise ValueError("signed maximal-order Pfaffians need odd size")
-    memo: Dict[Tuple[int, ...], object] = {}
-    out = []
-    for j in range(n):
-        idx = tuple(i for i in range(n) if i != j)
-        val = _pfaffian_on(m, idx, memo)
-        out.append(val if j % 2 == 0 else -val)
-    return out
+    degree, vectors = _pfaffian_coefficients(m)
+    return [_as_ring_element(m, degree, v) for v in vectors]
 
 
 def congruence_pfaffian_check(a: FieldMatrix, m: FieldMatrix) -> bool:

@@ -30,6 +30,12 @@ DUAL_U = "DualU"
 DUAL_U0 = "DualU0"
 _SPACES = (SYM_U, SYM_U0, DUAL_U, DUAL_U0)
 
+# The largest degree an inverse-system record may declare, checked before any
+# basis is built.  Socle degree 63 is n = 32, where the catalecticant p of the
+# linear path is already 528 x 528; an absurd degree is refused at once
+# instead of exhausting memory.
+MAX_DEGREE = 63
+
 
 class Monomial(NamedTuple):
     a: int
@@ -270,12 +276,22 @@ class DualElement(_CoeffMap):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DualElement":
+        """Validate and build a record; every defect raises ValueError, and
+        the degree is checked against MAX_DEGREE before anything is built."""
+        if not isinstance(data, dict):
+            raise ValueError("malformed dual-element record: not a JSON object")
         try:
-            field = field_from_tag(data["field"])
-            degree = int(data["degree"])
-            raw = data["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed dual-element record: {exc}") from exc
+            field, degree, raw = data["field"], data["degree"], data["coeffs"]
+        except KeyError as exc:
+            raise ValueError(
+                f"malformed dual-element record: missing {exc}") from exc
+        field = field_from_tag(field)
+        if type(degree) is not int:
+            raise ValueError(f"degree must be an integer, got {degree!r}")
+        if not 0 <= degree <= MAX_DEGREE:
+            raise ValueError(f"degree {degree} is outside 0..{MAX_DEGREE}")
+        if not isinstance(raw, dict):
+            raise ValueError("coeffs must be a JSON object")
         coeffs: Dict[Monomial, Scalar] = {}
         for key, val in raw.items():
             parts = key.split(",")
@@ -287,6 +303,8 @@ class DualElement(_CoeffMap):
                 raise ValueError(f"bad exponent triple {key!r}") from exc
             if min(m) < 0:
                 raise ValueError(f"negative exponent in {key!r}")
+            if not isinstance(val, str):
+                raise ValueError(f"coefficient of {key!r} must be a string")
             coeffs[m] = field.parse(val)
         return cls(field, degree, coeffs)
 
@@ -294,7 +312,7 @@ class DualElement(_CoeffMap):
     def from_json(cls, text: str) -> "DualElement":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 

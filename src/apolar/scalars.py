@@ -163,6 +163,10 @@ class RationalField:
         return Fraction(1)
 
     def parse(self, text: str) -> Fraction:
+        """Integers, num/den and decimals; exponent notation is refused,
+        since "1e999999999" would build a billion-digit integer."""
+        if "e" in text.lower():
+            raise ValueError(f"cannot parse rational scalar {text!r}")
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -245,6 +249,8 @@ QQ = RationalField()
 
 def field_from_tag(tag: str) -> Field:
     """Resolve a field declaration string: "Q" or "Fp:<p>"."""
+    if not isinstance(tag, str):
+        raise ValueError(f"field tag must be a string, got {tag!r}")
     tag = tag.strip()
     if tag == "Q":
         return QQ

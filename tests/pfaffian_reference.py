@@ -1,0 +1,75 @@
+"""Reference Pfaffians by memoized first-row expansion,
+Pf(M) = sum_{j>=2} (-1)^j M[1,j] Pf(M with rows/cols 1, j removed),
+for checking ``apolar.linalg`` against an independent algorithm.  The cost
+grows exponentially with the size, so it is meant for Pfaffians of order up
+to 12: even matrices up to 12 x 12, odd ones up to 13 x 13.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Tuple
+
+from apolar import PolyMatrix, Polynomial, assert_alternating
+from apolar.poly import ONE
+
+MAX_ORDER = 12
+
+
+def _is_zero(e) -> bool:
+    return e.is_zero if isinstance(e, Polynomial) else not e
+
+
+def _ring_one(m):
+    if isinstance(m, PolyMatrix):
+        return Polynomial(m.field, 0, {ONE: m.field.one})
+    return m.field.one
+
+
+def _ring_zero(m, degree: int):
+    if isinstance(m, PolyMatrix):
+        return Polynomial.zero(m.field, degree)
+    return m.field.zero
+
+
+def _pfaffian_on(m, indices: Tuple[int, ...], memo: Dict[Tuple[int, ...], object]):
+    """Pfaffian of the submatrix on the given (even-length) index tuple."""
+    if not indices:
+        return _ring_one(m)
+    cached = memo.get(indices)
+    if cached is not None:
+        return cached
+    i0, rest = indices[0], indices[1:]
+    acc = _ring_zero(m, (len(indices) // 2) * getattr(m, "degree", 0))
+    for k, j in enumerate(rest):
+        e = m.entries[i0][j]
+        if _is_zero(e):
+            continue
+        term = e * _pfaffian_on(m, tuple(i for i in rest if i != j), memo)
+        acc = acc - term if k % 2 else acc + term
+    memo[indices] = acc
+    return acc
+
+
+def _check(m, order: int) -> None:
+    assert_alternating(m)
+    if order > MAX_ORDER:
+        raise ValueError(f"reference Pfaffian is for orders up to {MAX_ORDER}")
+
+
+def reference_pfaffian(m):
+    _check(m, m.rows)
+    if m.rows % 2:
+        return _ring_zero(m, (m.rows // 2) * getattr(m, "degree", 0))
+    return _pfaffian_on(m, tuple(range(m.rows)), {})
+
+
+def reference_signed_maximal_pfaffians(m) -> list:
+    _check(m, m.rows - 1)
+    if m.rows % 2 == 0:
+        raise ValueError("signed maximal-order Pfaffians need odd size")
+    memo: Dict[Tuple[int, ...], object] = {}
+    out = []
+    for j in range(m.rows):
+        val = _pfaffian_on(m, tuple(i for i in range(m.rows) if i != j), memo)
+        out.append(-val if j % 2 else val)
+    return out

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from apolar import DualElement, family_phi
 from apolar.cli import main
+from apolar.poly import MAX_DEGREE
 
 
 def write_family(tmp_path, n):
@@ -171,3 +174,20 @@ def test_oracle_negative_max_degree_exits_1(tmp_path, capsys):
 def test_family_field_flag_misuse(tmp_path):
     assert main(["example-family", "--n", "2", "--field", "Fp:7",
                  "--out", str(tmp_path / "x.json")]) == 1
+
+
+@pytest.mark.parametrize("command", ["resolve", "verify", "oracle"])
+def test_absurd_degree_exits_1_before_building_anything(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    path.write_text('{"field": "Q", "degree": 1000000001, "coeffs": {}}')
+    assert main([command, str(path)]) == 1
+    assert f"outside 0..{MAX_DEGREE}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--n", str(MAX_DEGREE)],
+                                  ["--n", "2", "--random", "--field", "Fp:4"]])
+def test_example_family_rejects_bad_arguments(tmp_path, capsys, argv):
+    out = tmp_path / "phi.json"
+    assert main(["example-family", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()

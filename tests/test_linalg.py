@@ -230,3 +230,37 @@ def test_denominator_lcm():
     m = qm([[Fraction(1, 6), Fraction(1, 4)], [1, Fraction(2, 3)]])
     assert denominator_lcm(m) == 12
     assert denominator_lcm(FieldMatrix.identity(GF, 2)) == 1
+
+
+def test_zero_row_matrices_keep_their_column_count():
+    z = FieldMatrix.zeros(QQ, 0, 3)
+    assert (z.rows, z.cols) == (0, 3)
+    assert (z.transpose().rows, z.transpose().cols) == (3, 0)
+    assert z != FieldMatrix.zeros(QQ, 0, 0)
+    prod = FieldMatrix.zeros(QQ, 1, 0) @ FieldMatrix.zeros(QQ, 0, 1)
+    assert prod == qm([[0]])
+    assert (z.transpose() @ z).cols == 3 and (z @ qm([[1]] * 3)).cols == 1
+    assert (FieldMatrix.zeros(GF, 2, 0) @ FieldMatrix.zeros(GF, 0, 4)
+            == FieldMatrix.zeros(GF, 2, 4))
+    assert FieldMatrix.identity(QQ, 3).deleted(rows=[0, 1, 2]).cols == 3
+    assert FieldMatrix.identity(QQ, 3).take_rows([]).cols == 3
+    assert (hstack(z, z).cols, vstack(z, z).cols) == (6, 3)
+    assert (z + z).cols == 3 and (-z).cols == 3 and z.scaled(2).cols == 3
+    assert len(kernel(z)) == 3
+    with pytest.raises(ValueError):
+        FieldMatrix(QQ, [[1, 2]], cols=3)
+
+
+def test_zero_row_poly_matrices_keep_their_column_count():
+    z = PolyMatrix.zeros(QQ, 1, 0, 3)
+    assert (z.rows, z.cols) == (0, 3)
+    assert (z.transpose().rows, z.transpose().cols) == (3, 0)
+    assert as_poly_matrix(FieldMatrix.zeros(QQ, 0, 2)).cols == 2
+    prod = PolyMatrix.zeros(QQ, 1, 2, 0) @ PolyMatrix.zeros(QQ, 1, 0, 2)
+    assert prod == PolyMatrix.zeros(QQ, 2, 2, 2)
+    assert (z @ PolyMatrix.zeros(QQ, 1, 3, 4)).cols == 4
+    assert (FieldMatrix.zeros(QQ, 1, 0) @ z) == PolyMatrix.zeros(QQ, 1, 1, 3)
+    assert z.deleted(cols=[0]).cols == 2
+    assert z.times_monomial(Monomial(1, 0, 0)).cols == 3
+    assert (z + z).cols == 3 and (-z).cols == 3 and z.scaled(2).cols == 3
+    assert z != PolyMatrix.zeros(QQ, 1, 0, 0)

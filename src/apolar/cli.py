@@ -37,7 +37,7 @@ def _load_phi(path: str) -> DualElement:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         return DualElement.from_json(text)
@@ -146,8 +146,11 @@ def _check(name: str, ok: bool, lines: list) -> bool:
 
 
 def _check_max_degree(args) -> None:
-    if args.max_degree is not None and args.max_degree < 0:
-        raise CliError(f"--max-degree must be nonnegative, got {args.max_degree}")
+    """Above socle degree + 1 every degree is known, and the socle degree is
+    at most MAX_DEGREE, so larger bounds would only build bigger bases."""
+    if args.max_degree is not None and not 0 <= args.max_degree <= MAX_DEGREE + 1:
+        raise CliError(f"--max-degree must be in 0..{MAX_DEGREE + 1}, "
+                       f"got {args.max_degree}")
 
 
 def cmd_verify(args) -> int:

@@ -2,21 +2,90 @@
 minimal generator counts, ideal-equality certificates, and the determinant
 test for weak Lefschetz elements.
 
-Everything here is degree-by-degree exact linear algebra.  Nothing uses the
+Everything here is degree-by-degree linear algebra.  Nothing uses the
 structured presentation machinery, so these routines serve as an independent
 check of it.
+
+Over Q, the ideal-equality certificate first ranks its matrices modulo one
+prime, ``CERTIFICATE_PRIME``, on integer rows: scaling a row by a nonzero
+rational keeps the rank over Q, and reducing an integer matrix mod a prime
+can only lose rank.  So a modular rank is a lower bound for the rational
+one, and where the bounds meet, the degree is proven.  Any prime is sound; an
+unlucky one only sends that degree to the exact rational path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import FieldMatrix
 from .poly import (Basis, DualElement, Monomial, Polynomial, SYM_U,
                    contract, evaluate, monomials_of_degree)
 from .scalars import QQ, Field, RationalField, Scalar
+
+# The prime of the modular ranks over Q: 2^61 - 1, the first of
+# linalg._crt_primes.
+CERTIFICATE_PRIME = 2 ** 61 - 1
+
+
+def _catalecticant(coeffs: Dict[Monomial, Scalar], zero, s: int,
+                   d: int) -> List[List[Scalar]]:
+    """Rows of the degree-d catalecticant of the degree-s functional with
+    coefficients ``coeffs`` (``zero`` where a monomial is missing): the
+    entry (mr, mc), mr of degree s - d and mc of degree d, is the
+    coefficient of mr * mc.  Its kernel is the degree-d annihilator; above
+    s it has no rows."""
+    if d > s:
+        return []
+    cols = monomials_of_degree(d)
+    return [[coeffs.get(mr * mc, zero) for mc in cols]
+            for mr in monomials_of_degree(s - d)]
+
+
+Terms = List[Tuple[Monomial, Scalar]]
+
+
+def _multiple_rows(gens: Sequence[Tuple[int, Terms]], basis: Basis,
+                   zero) -> List[List[Scalar]]:
+    """Coordinates on ``basis`` of every monomial multiple m * g, for each
+    (degree, terms) pair g of degree at most the basis degree: rows g by g,
+    m in the fixed monomial order."""
+    rows = []
+    for deg, terms in gens:
+        if deg > basis.degree:
+            continue
+        for m in monomials_of_degree(basis.degree - deg):
+            row = [zero] * len(basis)
+            for mon, c in terms:
+                row[basis.position[mon * m]] = c
+            rows.append(row)
+    return rows
+
+
+def _integer_terms(coeffs: Dict[Monomial, Scalar], q: int) -> Terms:
+    """The rational coefficients times their common denominator, mod q.
+    Every row built from one such list is scaled by the same nonzero
+    integer, which keeps its rank over Q; the scaled rows are integers, so
+    their rank mod q is at most that rank, and no prime is bad for a
+    denominator."""
+    L = math.lcm(*(c.denominator for c in coeffs.values()))
+    return [(m, c.numerator * (L // c.denominator) % q)
+            for m, c in coeffs.items()]
+
+
+def _exact_terms(polys: Sequence[Polynomial]) -> List[Tuple[int, Terms]]:
+    return [(f.degree, list(f.coeffs.items())) for f in polys]
+
+
+def _rank_mod(rows: List[List[int]], q: int) -> int:
+    return len(linalg._rref_mod(rows, q)[1])
+
+
+def _exact_rank(fld: Field, rows: List[List[Scalar]]) -> int:
+    return linalg.rank(FieldMatrix(fld, rows)) if rows else 0
 
 
 def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
@@ -27,12 +96,10 @@ def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
         raise ValueError("degree must be nonnegative")
     fld = phi.field
     cols = Basis(SYM_U, d)
-    s = phi.degree
-    if d > s:
+    if d > phi.degree:
         return [Polynomial.monomial(fld, m) for m in cols]
-    rows = Basis(SYM_U, s - d)
-    matrix = FieldMatrix(fld, [[phi.coefficient(mr * mc) for mc in cols]
-                               for mr in rows])
+    matrix = FieldMatrix(fld, _catalecticant(phi.coeffs, fld.zero,
+                                             phi.degree, d))
     return [Polynomial.from_coords(fld, cols, v) for v in linalg.kernel(matrix)]
 
 
@@ -78,7 +145,9 @@ def summarize_ideal(phi: DualElement,
     degree by degree up to max_degree (default: socle degree + 1).
 
     The number of minimal generators in degree d is dim I_d minus the rank of
-    the span of x*f, y*f, z*f over a basis f of I_{d-1}.
+    the span of x*f, y*f, z*f over a basis f of I_{d-1}.  That span lies in
+    I_d, so the count is 0, with no rank taken, when I_{d-1} is the whole of
+    degree d - 1, as it is for every d >= s + 2.
     """
     if phi.is_zero:
         raise ValueError("the zero functional has no annihilator summary")
@@ -86,25 +155,28 @@ def summarize_ideal(phi: DualElement,
     s = phi.degree
     if max_degree is None:
         max_degree = s + 1
-    variables = [Polynomial.variable(fld, v) for v in ("x", "y", "z")]
+    if max_degree < s:
+        raise ValueError(f"the summary needs degrees up to the socle degree "
+                         f"{s}, got a bound of {max_degree}")
     ideal_dims: List[int] = []
     quotient_dims: List[int] = []
     generator_counts: List[int] = []
     kernels: List[List[Polynomial]] = []
     for d in range(max_degree + 1):
         ker = annihilator_degree(phi, d)
-        total = len(Basis(SYM_U, d))
+        basis = Basis(SYM_U, d)
         kernels.append(ker)
         ideal_dims.append(len(ker))
-        quotient_dims.append(total - len(ker))
-        if d == 0 or not kernels[d - 1]:
-            generator_counts.append(len(ker))
-            continue
-        basis = Basis(SYM_U, d)
-        stacked = [(v * f).to_coords(basis)
-                   for f in kernels[d - 1] for v in variables]
-        old_rank = linalg.rank(FieldMatrix(fld, stacked))
-        generator_counts.append(len(ker) - old_rank)
+        quotient_dims.append(len(basis) - len(ker))
+        prev = kernels[d - 1] if d else []
+        if not prev:
+            count = len(ker)
+        elif quotient_dims[d - 1] == 0:
+            count = 0
+        else:
+            count = len(ker) - _exact_rank(
+                fld, _multiple_rows(_exact_terms(prev), basis, fld.zero))
+        generator_counts.append(count)
     return GradedIdealSummary(s, max_degree, ideal_dims, quotient_dims,
                               generator_counts, kernels)
 
@@ -123,9 +195,19 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
     """Compare the ideal generated by gens with ann(phi) degree by degree.
 
     For each degree d the span of all monomial multiples of the generators is
-    ranked against dim ann(phi)_d, and containment is checked by contracting
-    each generator against phi once (a multiple m*g then annihilates too,
+    ranked against dim ann(phi)_d = N - rank(catalecticant), N the number of
+    degree-d monomials, and containment is checked by contracting each
+    generator against phi once (a multiple m*g then annihilates too,
     because (m*g)(phi) = m(g(phi))).
+
+    Over Q, a degree whose generators are all contained first ranks both
+    matrices mod q = ``CERTIFICATE_PRIME``.  Containment gives
+    rank_q(span) <= rank_Q(span) <= dim ann_Q = N - rank_Q(cat)
+    <= N - rank_q(cat), so when the two ends agree the degree is "equal"
+    and both numbers are exact.  Every other degree, and every degree over
+    GF(p), takes the exact ranks, so the verdicts do not depend on q.  Once
+    the span fills a degree it fills every higher one (x, y and z times it
+    lie in the next span), and no rank is taken for it.
 
     The default bound is socle degree + 1.  That bound certifies equality of
     the two ideals outright for generator degrees <= socle degree + 1: both
@@ -144,20 +226,35 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
         if g.field != fld:
             raise ValueError("generator field does not match phi")
     annihilates = [g.degree > s or contract(g, phi).is_zero for g in gens]
+    gens_exact = _exact_terms(gens)
+    q = CERTIFICATE_PRIME
+    modular = isinstance(fld, RationalField)
+    if modular:
+        gens_q = [(g.degree, _integer_terms(g.coeffs, q)) for g in gens]
+        phi_q = dict(_integer_terms(phi.coeffs, q))
     verdicts: List[DegreeVerdict] = []
+    full = False
     for d in range(max_degree + 1):
         basis = Basis(SYM_U, d)
-        stacked = []
-        contained = True
-        for g, ok in zip(gens, annihilates):
-            if g.degree > d:
-                continue
-            if not ok:
-                contained = False
-            for m in monomials_of_degree(d - g.degree):
-                stacked.append((Polynomial.monomial(fld, m) * g).to_coords(basis))
-        dim_span = linalg.rank(FieldMatrix(fld, stacked)) if stacked else 0
-        dim_ann = len(annihilator_degree(phi, d))
+        total = len(basis)
+        contained = all(ok for g, ok in zip(gens, annihilates) if g.degree <= d)
+        dim_span = dim_ann = None
+        if full:
+            dim_span = total
+            if contained:
+                dim_ann = total
+        elif modular and contained:
+            span_q = _rank_mod(_multiple_rows(gens_q, basis, 0), q)
+            ann_q = total - _rank_mod(_catalecticant(phi_q, 0, s, d), q)
+            if span_q == ann_q:
+                dim_span = dim_ann = span_q
+        if dim_span is None:
+            dim_span = _exact_rank(fld, _multiple_rows(gens_exact, basis,
+                                                       fld.zero))
+        if dim_ann is None:
+            dim_ann = total - _exact_rank(
+                fld, _catalecticant(phi.coeffs, fld.zero, s, d))
+        full = dim_span == total
         verdicts.append(DegreeVerdict(d, dim_span, dim_ann, contained,
                                       contained and dim_span == dim_ann))
     return verdicts

@@ -6,6 +6,9 @@ from apolar import DualElement, family_phi
 from apolar.cli import main
 from apolar.poly import MAX_DEGREE
 
+# phi free of x: its catalecticant p is singular
+XFREE_PHI = '{"field": "Q", "degree": 3, "coeffs": {"0,2,1": "1", "0,3,0": "2"}}'
+
 
 def write_family(tmp_path, n):
     path = tmp_path / f"phi{n}.json"
@@ -117,7 +120,7 @@ def test_verify_odd_n_runs_linear_path(tmp_path, capsys):
 
 def test_verify_singular_p_exits_2(tmp_path, capsys):
     path = tmp_path / "xfree.json"
-    path.write_text('{"field": "Q", "degree": 3, "coeffs": {"0,2,1": "1", "0,3,0": "2"}}')
+    path.write_text(XFREE_PHI)
     assert main(["verify", str(path)]) == 2
 
 
@@ -191,3 +194,60 @@ def test_example_family_rejects_bad_arguments(tmp_path, capsys, argv):
     assert main(["example-family", *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def _argv(command, path):
+    return [command, str(path)] + (["--ell", "x"] if command == "wlp" else [])
+
+
+@pytest.mark.parametrize("command", ["resolve", "verify", "oracle", "wlp"])
+def test_unreadable_file_exits_1(tmp_path, capsys, command):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"field": "Q", "degree": 1, "coeffs": {"1,0,0": "\xe9"}}')
+    for path in (tmp_path, not_utf8):
+        assert main(_argv(command, path)) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("command", ["resolve", "verify", "oracle", "wlp"])
+@pytest.mark.parametrize("text", ["{broken", "[1, 2]",
+                                  '{"field": "Fp:4", "degree": 1, "coeffs": {}}',
+                                  '{"field": "R", "degree": 1, "coeffs": {}}'])
+def test_malformed_json_or_bad_field_tag_exits_1(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(_argv(command, path)) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_max_degree_above_the_bound_exits_1(tmp_path, capsys, command):
+    path = write_family(tmp_path, 2)
+    assert main([command, str(path), "--max-degree", str(MAX_DEGREE + 2)]) == 1
+    assert f"0..{MAX_DEGREE + 1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_max_degree_at_the_bound_runs(tmp_path, capsys, command):
+    path = write_family(tmp_path, 2)
+    assert main([command, str(path), "--max-degree", str(MAX_DEGREE + 1)]) == 0
+    out = capsys.readouterr().out
+    if command == "verify":
+        assert f"(degrees 0..{MAX_DEGREE + 1})" in out
+        assert "all checks passed" in out
+    else:
+        assert "3 in degree 2" in out and "Hilbert function: 1,3,3,1" in out
+
+
+def test_oracle_max_degree_below_the_socle_degree_exits_1(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    assert main(["oracle", str(path), "--max-degree", "2"]) == 1
+    assert "socle degree 3" in capsys.readouterr().err
+    assert main(["oracle", str(path), "--max-degree", "3"]) == 0
+
+
+def test_resolve_singular_p_exits_2(tmp_path, capsys):
+    path = tmp_path / "xfree.json"
+    path.write_text(XFREE_PHI)
+    assert main(["resolve", str(path)]) == 2
+    assert "p is singular" in capsys.readouterr().out

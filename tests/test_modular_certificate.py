@@ -1,0 +1,158 @@
+"""The one-prime certificate over Q: ranks mod CERTIFICATE_PRIME where they
+prove the answer, the exact rational path everywhere else.  Whatever the
+prime, the verdicts must equal the exact reference."""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from apolar import (DualElement, Monomial, Polynomial, QQ, family_phi, linalg,
+                    monomials_of_degree, oracle, resolution)
+
+import ideal_reference as reference
+
+DEFAULT_PRIME = 2 ** 61 - 1
+
+
+@pytest.fixture(scope="module")
+def family():
+    """phi and the Pfaffian generators of c2 for the family at n = 2, 4."""
+    out = {}
+    for n in (2, 4):
+        phi = family_phi(n)
+        lin = resolution.build_linear_presentation(phi)
+        out[n] = phi, resolution.build_quadratic_presentation(lin).generators
+    return out
+
+
+class Eliminations:
+    """Records the field of each linalg.rank matrix and the modulus of each
+    linalg._rref_mod call."""
+
+    def __init__(self, monkeypatch):
+        self.fields = []
+        self.moduli = []
+        rank, rref_mod = linalg.rank, linalg._rref_mod
+
+        def counted_rank(m):
+            self.fields.append(m.field)
+            return rank(m)
+
+        def counted_rref_mod(rows, q):
+            self.moduli.append(q)
+            return rref_mod(rows, q)
+        monkeypatch.setattr(linalg, "rank", counted_rank)
+        monkeypatch.setattr(linalg, "_rref_mod", counted_rref_mod)
+
+    @property
+    def rational(self):
+        return sum(1 for f in self.fields if f == QQ)
+
+    @property
+    def total(self):
+        return len(self.fields) + len(self.moduli)
+
+
+def test_default_prime_is_the_first_crt_prime():
+    assert oracle.CERTIFICATE_PRIME == DEFAULT_PRIME == next(linalg._crt_primes())
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_bad_prime_falls_back_to_the_exact_path(family, monkeypatch, n):
+    phi, gens = family[n]
+    exact = reference.ideal_equality_check(gens, phi)
+    monkeypatch.setattr(oracle, "CERTIFICATE_PRIME", 2)
+    calls = Eliminations(monkeypatch)
+    assert oracle.ideal_equality_check(gens, phi) == exact
+    assert all(v.equal for v in exact)
+    assert calls.rational > 0
+
+
+def test_default_prime_makes_no_rational_rank_call(family, monkeypatch):
+    phi, gens = family[4]
+    calls = Eliminations(monkeypatch)
+    verdicts = oracle.ideal_equality_check(gens, phi)
+    assert all(v.equal for v in verdicts)
+    assert calls.fields == []
+    assert calls.moduli == [DEFAULT_PRIME] * 2 * len(verdicts)
+
+
+def test_a_non_member_never_takes_the_modular_path(monkeypatch):
+    # mod 2 the catalecticants of 2 (x^2)* vanish, so dim ann_2(1) = 3 would
+    # match the span of y, z and the non-member x; that span fills degree 1,
+    # and degree 2 must still take the exact annihilator
+    phi = DualElement.dual_monomial(QQ, Monomial(2, 0, 0), 2)
+    gens = [Polynomial.variable(QQ, v) for v in ("y", "z", "x")]
+    monkeypatch.setattr(oracle, "CERTIFICATE_PRIME", 2)
+    verdicts = oracle.ideal_equality_check(gens, phi)
+    assert verdicts == reference.ideal_equality_check(gens, phi)
+    assert [(v.dim_span, v.dim_annihilator) for v in verdicts] == [
+        (0, 0), (3, 2), (6, 5), (10, 10)]
+    assert [v.contained for v in verdicts] == [True, False, False, False]
+
+
+def test_denominators_are_cleared_before_reduction(monkeypatch):
+    # every coefficient has the denominator 2 or 3, which q = 2 and q = 3
+    # divide; row scaling must make them units first
+    phi = DualElement(QQ, 3, {Monomial(2, 1, 0): Fraction(1, 2),
+                              Monomial(1, 1, 1): Fraction(2, 3),
+                              Monomial(0, 0, 3): Fraction(5, 6)})
+    gens = [f.scaled(Fraction(1, 6)) for d in range(1, 5)
+            for f in reference.annihilator_degree(phi, d)]
+    exact = reference.ideal_equality_check(gens, phi)
+    for q in (2, 3):
+        monkeypatch.setattr(oracle, "CERTIFICATE_PRIME", q)
+        assert oracle.ideal_equality_check(gens, phi) == exact
+
+
+def test_a_filled_degree_fills_every_higher_one_without_ranks(family, monkeypatch):
+    phi, gens = family[2]
+    monkeypatch.setattr(oracle, "CERTIFICATE_PRIME", 2)
+    calls = Eliminations(monkeypatch)
+    oracle.ideal_equality_check(gens, phi)
+    oracle.summarize_ideal(phi)
+    at_default = calls.total
+    assert calls.rational > 0
+    high = oracle.ideal_equality_check(gens, phi, max_degree=12)
+    summary = oracle.summarize_ideal(phi, max_degree=12)
+    assert calls.total == 2 * at_default
+    assert high[:5] == reference.ideal_equality_check(gens, phi)
+    assert all(v.equal and v.dim_span == len(monomials_of_degree(v.degree))
+               for v in high[5:])
+    assert summary.generator_counts[5:] == [0] * 8
+
+
+coefficient = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def phi_and_generators(draw):
+    s = draw(st.integers(3, 5))
+    monos = monomials_of_degree(s)
+    coeffs = draw(st.lists(coefficient, min_size=len(monos), max_size=len(monos)))
+    phi = DualElement(QQ, s, dict(zip(monos, coeffs)))
+    if phi.is_zero:
+        phi = DualElement.dual_monomial(QQ, monos[draw(st.integers(0, len(monos) - 1))])
+    bases = [reference.annihilator_degree(phi, d) for d in range(1, s + 2)]
+    # at most ten basis elements keep the exact reference fast; the whole
+    # lowest basis, when drawn, makes some degrees "equal"
+    gens = draw(st.lists(st.sampled_from([f for b in bases for f in b]),
+                         max_size=10, unique=True))
+    if draw(st.booleans()):
+        gens += next(b for b in bases if b)
+    if draw(st.booleans()):
+        m = draw(st.sampled_from(monomials_of_degree(draw(st.integers(1, s)))))
+        gens.append(Polynomial.monomial(QQ, m, draw(coefficient.filter(bool))))
+    return phi, draw(st.permutations(gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi_and_generators())
+def test_verdicts_equal_the_exact_reference_for_any_prime(case):
+    phi, gens = case
+    exact = reference.ideal_equality_check(gens, phi)
+    for q in (DEFAULT_PRIME, 2, 3):
+        with mock.patch.object(oracle, "CERTIFICATE_PRIME", q):
+            assert oracle.ideal_equality_check(gens, phi) == exact

@@ -7,11 +7,11 @@ from .poly import (Basis, DUAL_U, DUAL_U0, DualElement, Monomial, Polynomial,
                    SYM_U, SYM_U0, contract, evaluate, format_terms,
                    monomials_of_degree, parse_linear_form, parse_polynomial,
                    random_dual_element, substitute)
-from .linalg import (FieldMatrix, InversionResult, PolyMatrix, as_poly_matrix,
-                     assert_alternating, block, congruence_pfaffian_check,
-                     denominator_lcm, det, hstack, invert, is_alternating,
-                     kernel, pfaffian, rank, signed_maximal_pfaffians,
-                     times_variable, vstack)
+from .linalg import (FieldMatrix, InversionResult, Matrix, PolyMatrix,
+                     as_poly_matrix, assert_alternating, block,
+                     congruence_pfaffian_check, denominator_lcm, det, hstack,
+                     invert, is_alternating, kernel, pfaffian, rank,
+                     signed_maximal_pfaffians, vstack)
 from .resolution import (LinearPresentation, ProportionalityError,
                          QuadraticPresentation, build_linear_presentation,
                          build_p_r, build_quadratic_presentation,

@@ -1,20 +1,26 @@
 """Dense exact matrices over a field and over the polynomial ring.
 
-FieldMatrix holds scalars; PolyMatrix holds homogeneous polynomials that all
-share one declared degree.  Rank, kernel, determinant and inverse all come
-from one Gauss-Jordan routine that takes the first nonzero pivot in column
-order, so results are deterministic: the determinant is the product of the
-pivots times the sign of the row swaps, and the inverse is the right half of
-the reduced [m | I].  Over GF(p) the routine runs on plain int residues
-(``_rref_mod``, which the Pfaffian kernel shares); over Q, on Fractions.  A
-zero-row matrix keeps its column count.
+``Matrix`` holds the matrix algebra once: transpose, sum, difference,
+negation, product, equality, row and column selection, the zero test, the
+text form and stacking.  Its two kinds differ only in their entries.  A
+FieldMatrix holds scalars, which count as forms of degree 0; a PolyMatrix
+holds homogeneous polynomials that all share one declared degree.  A sum or
+product that meets both kinds promotes the scalar operand with
+``as_poly_matrix``; stacking refuses to mix them.
 
-Pfaffians take one polynomial-time path for scalar and polynomial entries.
+Rank, kernel, determinant and inverse all come from one Gauss-Jordan routine
+that takes the first nonzero pivot in column order, so results are
+deterministic: the determinant is the product of the pivots times the sign
+of the row swaps, and the inverse is the right half of the reduced [m | I].
+Over GF(p) the routine runs on plain int residues (``_rref_mod``, which the
+Pfaffian kernel shares); over Q, on Fractions.  A zero-row matrix keeps its
+column count.
+
+Pfaffians take one polynomial-time path for both kinds.
 Every call first checks that the matrix is strictly alternating (zero
 diagonal, M + M^T = 0).  For an m x m matrix of degree-d forms, the Pfaffian
 (m even) and each maximal-order Pfaffian (m odd) is a form of degree
-D = (m // 2) d, scalars being forms of degree 0.  The kernel works on plain
-ints mod a prime q > D:
+D = (m // 2) d.  The kernel works on plain ints mod a prime q > D:
 
 - it evaluates the entries at the lattice points (1, a, b), a + b <= D, which
   are unisolvent for degree-D forms because 0, ..., D are distinct mod q;
@@ -37,9 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from .poly import (Monomial, ONE, Polynomial, X, monomials_of_degree,
+from .poly import (Monomial, ONE, Polynomial, monomials_of_degree,
                    parse_polynomial)
 from .scalars import (Field, FieldMismatchError, FpElement, PrimeField, Scalar,
                       is_prime)
@@ -52,8 +58,102 @@ def _width(rows: List[list], cols: Optional[int]) -> int:
     return width
 
 
-class FieldMatrix:
+class Matrix:
+    """A rectangular matrix over one field whose entries are forms of one
+    degree.  Each kind supplies four hooks:
+
+    - ``_like(rows, cols, degree=self.degree)``: a matrix of the same kind;
+    - ``_zero(degree)``: the zero entry of that degree;
+    - ``_terms(entry)``: the entry's (monomial, coefficient) pairs;
+    - ``_element(degree, coeffs)``: the entry with the given coefficients on
+      the degree-``degree`` monomials in the fixed order.
+
+    Entries are zero exactly when they are falsy."""
+
+    field: Field
+    degree: int
+    entries: list
+    rows: int
+    cols: int
+
+    def _promoted(self, other: "Matrix") -> Tuple["Matrix", "Matrix"]:
+        if self.field != other.field:
+            raise FieldMismatchError("matrices live in different fields")
+        if type(self) is not type(other):
+            return as_poly_matrix(self), as_poly_matrix(other)
+        return self, other
+
+    def transpose(self) -> "Matrix":
+        return self._like([[self.entries[i][j] for i in range(self.rows)]
+                           for j in range(self.cols)], self.rows)
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        a, b = self._promoted(other)
+        if a.cols != b.rows:
+            raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ "
+                             f"{b.rows}x{b.cols}")
+        degree = a.degree + b.degree
+        zero = a._zero(degree)
+        out = []
+        for row in a.entries:
+            out_row = []
+            for j in range(b.cols):
+                acc = zero
+                for x, b_row in zip(row, b.entries):
+                    y = b_row[j]
+                    if x and y:
+                        acc = acc + x * y
+                out_row.append(acc)
+            out.append(out_row)
+        return a._like(out, b.cols, degree)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        a, b = self._promoted(other)
+        if (a.rows, a.cols) != (b.rows, b.cols):
+            raise ValueError("shape mismatch in matrix sum")
+        if a.degree != b.degree:
+            raise ValueError("degree mismatch in matrix sum")
+        return a._like([[x + y for x, y in zip(r1, r2)]
+                        for r1, r2 in zip(a.entries, b.entries)], a.cols)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self + (-other)
+
+    def __neg__(self) -> "Matrix":
+        return self._like([[-e for e in r] for r in self.entries], self.cols)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.field == self.field
+                and other.degree == self.degree and other.cols == self.cols
+                and other.entries == self.entries)
+
+    def deleted(self, rows: Sequence[int] = (), cols: Sequence[int] = ()) -> "Matrix":
+        """Copy with the given 0-based rows and columns removed."""
+        rs, cs = set(rows), set(cols)
+        keep = [j for j in range(self.cols) if j not in cs]
+        return self._like([[r[j] for j in keep]
+                           for i, r in enumerate(self.entries) if i not in rs],
+                          len(keep))
+
+    def take_cols(self, indices: Sequence[int]) -> "Matrix":
+        indices = list(indices)
+        return self._like([[r[j] for j in indices] for r in self.entries],
+                          len(indices))
+
+    def take_rows(self, indices: Sequence[int]) -> "Matrix":
+        return self._like([self.entries[i] for i in indices], self.cols)
+
+    def is_zero(self) -> bool:
+        return not any(e for r in self.entries for e in r)
+
+    def to_strings(self) -> List[List[str]]:
+        return [[str(e) for e in r] for r in self.entries]
+
+
+class FieldMatrix(Matrix):
     """A rectangular matrix of scalars from one field."""
+
+    degree = 0
 
     def __init__(self, field: Field, entries: Sequence[Sequence],
                  cols: Optional[int] = None):
@@ -75,86 +175,22 @@ class FieldMatrix:
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
         return cls(field, [[field.zero] * cols for _ in range(rows)], cols)
 
-    def _check_field(self, other):
-        if self.field != other.field:
-            raise FieldMismatchError("matrices live in different fields")
+    def _like(self, rows, cols: int, degree: int = 0) -> "FieldMatrix":
+        return FieldMatrix(self.field, rows, cols)
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field,
-                           [[self.entries[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)], self.rows)
+    def _zero(self, degree: int) -> Scalar:
+        return self.field.zero
 
-    def __matmul__(self, other):
-        if isinstance(other, PolyMatrix):
-            return as_poly_matrix(self) @ other
-        self._check_field(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
-                             f"{other.rows}x{other.cols}")
-        z = self.field.zero
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a != z:
-                        acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return FieldMatrix(self.field, out, other.cols)
+    def _terms(self, e: Scalar) -> List[Tuple[Monomial, Scalar]]:
+        return [(ONE, e)] if e else []
 
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return FieldMatrix(self.field,
-                           [[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.entries, other.entries)],
-                           self.cols)
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, [[-e for e in r] for r in self.entries],
-                           self.cols)
+    def _element(self, degree: int, coeffs: List[Scalar]) -> Scalar:
+        return coeffs[0]
 
     def scaled(self, s) -> "FieldMatrix":
         s = s if self.field.contains(s) else self.field.of(s)
         return FieldMatrix(self.field, [[e * s for e in r] for r in self.entries],
                            self.cols)
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldMatrix) and other.field == self.field
-                and other.cols == self.cols and other.entries == self.entries)
-
-    def deleted(self, rows: Sequence[int] = (), cols: Sequence[int] = ()) -> "FieldMatrix":
-        """Copy with the given 0-based rows and columns removed."""
-        rs, cs = set(rows), set(cols)
-        keep = [j for j in range(self.cols) if j not in cs]
-        return FieldMatrix(self.field,
-                           [[r[j] for j in keep]
-                            for i, r in enumerate(self.entries) if i not in rs],
-                           len(keep))
-
-    def take_cols(self, indices: Sequence[int]) -> "FieldMatrix":
-        indices = list(indices)
-        return FieldMatrix(self.field,
-                           [[r[j] for j in indices] for r in self.entries],
-                           len(indices))
-
-    def take_rows(self, indices: Sequence[int]) -> "FieldMatrix":
-        return FieldMatrix(self.field, [self.entries[i] for i in indices],
-                           self.cols)
-
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(e == z for r in self.entries for e in r)
-
-    def to_strings(self) -> List[List[str]]:
-        return [[self.field.format(e) for e in r] for r in self.entries]
 
     @classmethod
     def from_strings(cls, field: Field, rows: Sequence[Sequence[str]]) -> "FieldMatrix":
@@ -164,7 +200,7 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols} over {self.field!r})"
 
 
-class PolyMatrix:
+class PolyMatrix(Matrix):
     """A rectangular matrix of homogeneous polynomials sharing one degree."""
 
     def __init__(self, field: Field, degree: int,
@@ -198,82 +234,28 @@ class PolyMatrix:
         z = Polynomial.zero(field, degree)
         return cls(field, degree, [[z] * cols for _ in range(rows)], cols)
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, self.degree,
-                          [[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)], self.rows)
+    def _like(self, rows, cols: int, degree: Optional[int] = None) -> "PolyMatrix":
+        return PolyMatrix(self.field, self.degree if degree is None else degree,
+                          rows, cols)
 
-    def __matmul__(self, other):
-        if isinstance(other, FieldMatrix):
-            other = as_poly_matrix(other)
-        if self.field != other.field:
-            raise FieldMismatchError("matrices live in different fields")
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
-                             f"{other.rows}x{other.cols}")
-        deg = self.degree + other.degree
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Polynomial.zero(self.field, deg)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero and not b.is_zero:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.field, deg, out, other.cols)
+    def _zero(self, degree: int) -> Polynomial:
+        return Polynomial.zero(self.field, degree)
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("matrices live in different fields")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in matrix sum")
-        return PolyMatrix(self.field, self.degree,
-                          [[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)],
-                          self.cols)
+    def _terms(self, e: Polynomial):
+        return e.coeffs.items()
 
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, self.degree,
-                          [[-e for e in r] for r in self.entries], self.cols)
+    def _element(self, degree: int, coeffs: List[Scalar]) -> Polynomial:
+        return Polynomial(self.field, degree,
+                          dict(zip(monomials_of_degree(degree), coeffs)))
 
     def scaled(self, s) -> "PolyMatrix":
-        return PolyMatrix(self.field, self.degree,
-                          [[e.scaled(s) for e in r] for r in self.entries],
+        return self._like([[e.scaled(s) for e in r] for r in self.entries],
                           self.cols)
 
     def times_monomial(self, m: Monomial) -> "PolyMatrix":
         factor = Polynomial.monomial(self.field, m)
-        return PolyMatrix(self.field, self.degree + m.degree,
-                          [[e * factor for e in r] for r in self.entries],
-                          self.cols)
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyMatrix) and other.field == self.field
-                and other.degree == self.degree and other.cols == self.cols
-                and other.entries == self.entries)
-
-    def deleted(self, rows: Sequence[int] = (), cols: Sequence[int] = ()) -> "PolyMatrix":
-        rs, cs = set(rows), set(cols)
-        keep = [j for j in range(self.cols) if j not in cs]
-        return PolyMatrix(self.field, self.degree,
-                          [[r[j] for j in keep]
-                           for i, r in enumerate(self.entries) if i not in rs],
-                          len(keep))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero for r in self.entries for e in r)
-
-    def to_strings(self) -> List[List[str]]:
-        return [[str(e) for e in r] for r in self.entries]
+        return self._like([[e * factor for e in r] for r in self.entries],
+                          self.cols, self.degree + m.degree)
 
     @classmethod
     def from_strings(cls, field: Field, degree: int,
@@ -294,33 +276,22 @@ class PolyMatrix:
                 f"over {self.field!r})")
 
 
-Matrix = Union[FieldMatrix, PolyMatrix]
-
-
-def as_poly_matrix(m: FieldMatrix) -> PolyMatrix:
-    """Promote a scalar matrix to a degree-0 polynomial matrix."""
+def as_poly_matrix(m: Matrix) -> PolyMatrix:
+    """Promote a scalar matrix to a degree-0 polynomial matrix; a
+    PolyMatrix passes through unchanged."""
+    if isinstance(m, PolyMatrix):
+        return m
     f = m.field
     return PolyMatrix(f, 0, [[Polynomial(f, 0, {ONE: e}) for e in r]
                              for r in m.entries], m.cols)
 
 
-def times_variable(m: FieldMatrix, var: Monomial = X) -> PolyMatrix:
-    return as_poly_matrix(m).times_monomial(var)
-
-
-def _like(first: Matrix, rows, cols: int) -> Matrix:
-    """A matrix of the same kind, field and degree as ``first``."""
-    if isinstance(first, PolyMatrix):
-        return PolyMatrix(first.field, first.degree, rows, cols)
-    return FieldMatrix(first.field, rows, cols)
-
-
-def _stack_kind(mats: Sequence[Matrix]):
+def _stack_kind(mats: Sequence[Matrix]) -> Matrix:
     first = mats[0]
     for m in mats[1:]:
         if type(m) is not type(first) or m.field != first.field:
             raise TypeError("cannot stack matrices of different kinds/fields")
-        if isinstance(first, PolyMatrix) and m.degree != first.degree:
+        if m.degree != first.degree:
             raise ValueError("cannot stack polynomial matrices of different degrees")
     return first
 
@@ -330,14 +301,14 @@ def hstack(*mats: Matrix) -> Matrix:
     if any(m.rows != first.rows for m in mats):
         raise ValueError("row count mismatch in hstack")
     rows = [[e for m in mats for e in m.entries[i]] for i in range(first.rows)]
-    return _like(first, rows, sum(m.cols for m in mats))
+    return first._like(rows, sum(m.cols for m in mats))
 
 
 def vstack(*mats: Matrix) -> Matrix:
     first = _stack_kind(mats)
     if any(m.cols != first.cols for m in mats):
         raise ValueError("column count mismatch in vstack")
-    return _like(first, [r for m in mats for r in m.entries], first.cols)
+    return first._like([r for m in mats for r in m.entries], first.cols)
 
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -411,6 +382,16 @@ def _rref(entries: List[List[Scalar]], field: Field
     return entries, pivots, d
 
 
+def _null_vector(red: List[list], pivots: List[int], f: int, zero, one) -> list:
+    """The null vector of a reduced matrix for its free column f: a 1 at f
+    and -red[r][f] at the r-th pivot column, zero elsewhere."""
+    v = [zero] * len(red[0])
+    v[f] = one
+    for r, c in enumerate(pivots):
+        v[c] = -red[r][f]
+    return v
+
+
 def rank(m: FieldMatrix) -> int:
     _, pivots, _ = _rref([list(r) for r in m.entries], m.field)
     return len(pivots)
@@ -427,15 +408,8 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
                 for i in range(m.cols)]
     red, pivots, _ = _rref([list(r) for r in m.entries], m.field)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [m.field.zero] * m.cols
-        v[f] = m.field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f]
-        basis.append(v)
-    return basis
+    return [_null_vector(red, pivots, f, m.field.zero, m.field.one)
+            for f in range(m.cols) if f not in pivot_set]
 
 
 def det(m: FieldMatrix) -> Scalar:
@@ -476,22 +450,15 @@ def invert(m: FieldMatrix) -> InversionResult:
 # ---------------------------------------------------------------------------
 # Pfaffians.
 
-def _entry_is_zero(e, field: Field) -> bool:
-    if isinstance(e, Polynomial):
-        return e.is_zero
-    return e == field.zero
-
-
 def assert_alternating(m: Matrix) -> None:
     """Strict check: zero diagonal and M + M^T = 0."""
     if m.rows != m.cols:
         raise ValueError("alternating matrix must be square")
     for i in range(m.rows):
-        if not _entry_is_zero(m.entries[i][i], m.field):
+        if m.entries[i][i]:
             raise ValueError(f"nonzero diagonal entry at ({i},{i})")
         for j in range(i + 1, m.cols):
-            s = m.entries[i][j] + m.entries[j][i]
-            if not _entry_is_zero(s, m.field):
+            if m.entries[i][j] + m.entries[j][i]:
                 raise ValueError(f"entries ({i},{j}) and ({j},{i}) do not cancel")
 
 
@@ -554,10 +521,7 @@ def _signed_row_mod(a: List[List[int]], q: int) -> List[int]:
     if len(pivots) < m - 1:
         return [0] * m
     f = next(c for c in range(m) if c not in pivots)
-    v = [0] * m
-    v[f] = 1
-    for r, c in enumerate(pivots):
-        v[c] = -red[r][f]
+    v = _null_vector(red, pivots, f, 0, 1)
     lam = _pf_mod([[e for j, e in enumerate(row) if j != f]
                    for i, row in enumerate(a) if i != f], q)
     if f % 2:
@@ -611,14 +575,11 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[List[Scalar]]]:
     symmetric residues, over L^(size // 2), are the exact coefficients."""
     field = m.field
     size = m.rows
-    poly = isinstance(m, PolyMatrix)
-    degree = (size // 2) * m.degree if poly else 0
+    degree = (size // 2) * m.degree
     terms = {}
     for i in range(size):
         for j in range(i + 1, size):
-            e = m.entries[i][j]
-            ts = ([(mon.b, mon.c, c) for mon, c in e.coeffs.items()] if poly
-                  else [(0, 0, e)] if e else [])
+            ts = [(mon.b, mon.c, c) for mon, c in m._terms(m.entries[i][j])]
             if ts:
                 terms[i, j] = ts
     p = getattr(field, "p", None)
@@ -659,23 +620,14 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[List[Scalar]]]:
                                        scale)) for x in vec] for vec in residues]
 
 
-def _as_ring_element(m: Matrix, degree: int, coeffs: List[Scalar]):
-    if isinstance(m, PolyMatrix):
-        return Polynomial(m.field, degree,
-                          dict(zip(monomials_of_degree(degree), coeffs)))
-    return coeffs[0]
-
-
 def pfaffian(m: Matrix):
     """Exact Pfaffian; sign fixed by Pf([[0, a], [-a, 0]]) = a.  Odd sizes
     give 0.  Raises on non-alternating input."""
     assert_alternating(m)
     if m.rows % 2:
-        if isinstance(m, PolyMatrix):
-            return Polynomial.zero(m.field, (m.rows // 2) * m.degree)
-        return m.field.zero
+        return m._zero((m.rows // 2) * m.degree)
     degree, (coeffs,) = _pfaffian_coefficients(m)
-    return _as_ring_element(m, degree, coeffs)
+    return m._element(degree, coeffs)
 
 
 def signed_maximal_pfaffians(m: Matrix) -> list:
@@ -686,7 +638,7 @@ def signed_maximal_pfaffians(m: Matrix) -> list:
     if m.rows % 2 == 0:
         raise ValueError("signed maximal-order Pfaffians need odd size")
     degree, vectors = _pfaffian_coefficients(m)
-    return [_as_ring_element(m, degree, v) for v in vectors]
+    return [m._element(degree, v) for v in vectors]
 
 
 def congruence_pfaffian_check(a: FieldMatrix, m: FieldMatrix) -> bool:
@@ -705,10 +657,7 @@ def denominator_lcm(m: Matrix) -> int:
     L = 1
     for row in m.entries:
         for e in row:
-            if isinstance(m, PolyMatrix):
-                for c in e.coeffs.values():
-                    if hasattr(c, "denominator"):
-                        L = math.lcm(L, c.denominator)
-            elif hasattr(e, "denominator"):
-                L = math.lcm(L, e.denominator)
+            for _, c in m._terms(e):
+                if hasattr(c, "denominator"):
+                    L = math.lcm(L, c.denominator)
     return L

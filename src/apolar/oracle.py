@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import FieldMatrix
 from .poly import (Basis, DualElement, Monomial, Polynomial, SYM_U,
-                   contract, evaluate, monomials_of_degree)
+                   contract, monomials_of_degree)
 from .scalars import QQ, Field, RationalField, Scalar
 
 # The prime of the modular ranks over Q: 2^61 - 1, the first of
@@ -285,7 +285,9 @@ class LefschetzReport:
 def wlp_test(phi: DualElement, ell: Polynomial) -> LefschetzReport:
     """Whether ell is a weak Lefschetz element for the quotient by ann(phi),
     for odd socle degree s: build the matrix phi(mu_i * ell * mu_j) over the
-    degree-(s-1)/2 monomial basis and test its determinant."""
+    degree-(s-1)/2 monomial basis and test its determinant.  That matrix is
+    the degree-(s-1)/2 catalecticant of ell(phi), because
+    (mu_i * ell * mu_j)(phi) = (ell(phi))(mu_i * mu_j)."""
     if ell.is_zero or ell.degree != 1:
         raise ValueError("ell must be a nonzero linear form")
     if ell.field != phi.field:
@@ -293,11 +295,8 @@ def wlp_test(phi: DualElement, ell: Polynomial) -> LefschetzReport:
     s = phi.degree
     if s % 2 == 0:
         raise ValueError(f"socle degree must be odd, got {s}")
-    basis = Basis(SYM_U, (s - 1) // 2)
-    mus = [Polynomial.monomial(phi.field, m) for m in basis]
-    half = [mu * ell for mu in mus]
-    matrix = FieldMatrix(phi.field,
-                         [[evaluate(phi, hi * mj) for mj in mus] for hi in half])
+    matrix = FieldMatrix(phi.field, _catalecticant(
+        contract(ell, phi).coeffs, phi.field.zero, s - 1, (s - 1) // 2))
     d = linalg.det(matrix)
     return LefschetzReport(ell, matrix, d, d != phi.field.zero)
 

@@ -150,6 +150,9 @@ class _CoeffMap:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def coefficient(self, m: Monomial) -> Scalar:
         return self.coeffs.get(m, self.field.zero)
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .linalg import FieldMatrix, PolyMatrix, block, hstack, times_variable
-from .poly import (Basis, DUAL_U, DUAL_U0, DualElement, Monomial, Polynomial,
-                   SYM_U, SYM_U0, X, contract)
+from .linalg import FieldMatrix, PolyMatrix, as_poly_matrix, block, hstack
+from .poly import (Basis, DUAL_U, DUAL_U0, DualElement, Polynomial, SYM_U,
+                   SYM_U0, X, contract)
 from .scalars import Field, Scalar
 
 
@@ -86,7 +86,11 @@ class LinearPresentation:
 
     @functools.cached_property
     def generators(self) -> List[Polynomial]:
-        """The explicit generator row, built on first use and then kept."""
+        """The explicit generator row, built on first use and then kept.
+        Raises ValueError when p is singular."""
+        if self.p_inv is None:
+            raise ValueError(f"p is singular (rank {self.p_rank}); "
+                             "explicit generators need an invertible p")
         return explicit_generators(self.phi, self.p_inv)
 
 
@@ -104,15 +108,12 @@ def _b2_lower_shift(field: Field, n: int) -> PolyMatrix:
     return PolyMatrix(field, 1, rows)
 
 
-def build_linear_presentation(phi: DualElement, n: Optional[int] = None,
+def build_linear_presentation(phi: DualElement,
                               with_pfaffian_row: bool = True) -> LinearPresentation:
     """Assemble the linear presentation of ann(x(phi)) when p is invertible;
     otherwise report the rank of p and stop (that outcome means the ideal is
-    not linearly presented)."""
-    inferred = _infer_n(phi)
-    if n is not None and n != inferred:
-        raise ValueError(f"degree {phi.degree} dual element needs n = {inferred}")
-    n = inferred
+    not linearly presented).  n is read off the degree 2n-1 of phi."""
+    n = _infer_n(phi)
     fld = phi.field
     p, r = build_p_r(phi, n)
     res = linalg.invert(p)
@@ -132,10 +133,10 @@ def build_linear_presentation(phi: DualElement, n: Optional[int] = None,
         [FieldMatrix.zeros(fld, n, 1), corner],
         [FieldMatrix.zeros(fld, 1, 1), FieldMatrix.zeros(fld, 1, n)],
     ])
-    A = times_variable(A_prime)
+    A = as_poly_matrix(A_prime).times_monomial(X)
     B2 = _b2_lower_shift(fld, n)
-    B = times_variable(B1) + B2
-    D = times_variable(D0 - D0.transpose())
+    B = as_poly_matrix(B1).times_monomial(X) + B2
+    D = as_poly_matrix(D0 - D0.transpose()).times_monomial(X)
     b2 = block([[A, B], [-B.transpose(), D]])
     b1 = None
     if with_pfaffian_row:
@@ -144,8 +145,7 @@ def build_linear_presentation(phi: DualElement, n: Optional[int] = None,
                               B0, B1, B2, D0, A, B, D, b2, b1)
 
 
-def explicit_generators(phi: DualElement,
-                        p_inv: Optional[FieldMatrix] = None) -> List[Polynomial]:
+def explicit_generators(phi: DualElement, p_inv: FieldMatrix) -> List[Polynomial]:
     """The 2n+1 degree-n generators of ann(x(phi)) written directly, without
     Pfaffians: first x * p^{-1}(nu) for nu running over the dual basis of the
     degree-(n-1) monomials in y, z; then mu - x * p^{-1}(mu(phi)) for mu
@@ -158,13 +158,6 @@ def explicit_generators(phi: DualElement,
     """
     n = _infer_n(phi)
     fld = phi.field
-    if p_inv is None:
-        p, _ = build_p_r(phi, n)
-        res = linalg.invert(p)
-        if not res.invertible:
-            raise ValueError(f"p is singular (rank {res.rank}); "
-                             "explicit generators need an invertible p")
-        p_inv = res.inverse
     mid = Basis(SYM_U, n - 1)
     x = Polynomial.variable(fld, "x")
     nus = p_inv.take_cols([mid.position[m] for m in Basis(DUAL_U0, n - 1)])
@@ -265,7 +258,7 @@ def build_quadratic_presentation(lin: LinearPresentation) -> QuadraticPresentati
             note="A' is singular: not quadratically presented provided the "
                  "socle-degree and Lefschetz hypotheses hold (not checked here)")
     c2 = (lin.B.transpose() @ res.inverse @ lin.B) \
-        + lin.D.times_monomial(Monomial(1, 0, 0))
+        + lin.D.times_monomial(X)
     c1 = PolyMatrix(fld, n, [linalg.signed_maximal_pfaffians(c2)])
     gens = lin.generators[n:]
     unit = proportionality_unit(c1.entries[0], gens)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from apolar import (FieldMatrix, Monomial, PolyMatrix, Polynomial, PrimeField,
-                    QQ, as_poly_matrix, block, congruence_pfaffian_check,
-                    denominator_lcm, det, hstack, invert, is_alternating,
-                    kernel, parse_polynomial, pfaffian, rank,
-                    signed_maximal_pfaffians, vstack)
+from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix,
+                    Polynomial, PrimeField, QQ, as_poly_matrix, block,
+                    congruence_pfaffian_check, denominator_lcm, det, hstack,
+                    invert, is_alternating, kernel, parse_polynomial, pfaffian,
+                    rank, signed_maximal_pfaffians, vstack)
+from apolar.poly import ONE
 
 GF = PrimeField(32003)
 
@@ -19,9 +20,9 @@ def qm(rows):
 def random_matrix(field, n, m, rng):
     if hasattr(field, "p"):
         return FieldMatrix(field, [[field.of(rng.randrange(field.p))
-                                    for _ in range(m)] for _ in range(n)])
+                                    for _ in range(m)] for _ in range(n)], m)
     return FieldMatrix(field, [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                                for _ in range(m)] for _ in range(n)])
+                                for _ in range(m)] for _ in range(n)], m)
 
 
 def random_alternating(field, n, rng):
@@ -264,3 +265,51 @@ def test_zero_row_poly_matrices_keep_their_column_count():
     assert z.times_monomial(Monomial(1, 0, 0)).cols == 3
     assert (z + z).cols == 3 and (-z).cols == 3 and z.scaled(2).cols == 3
     assert z != PolyMatrix.zeros(QQ, 1, 0, 0)
+
+
+def constant(field, c):
+    return Polynomial(field, 0, {ONE: c})
+
+
+@pytest.mark.parametrize("field", [QQ, GF])
+def test_promotion_commutes_with_shared_operations(field):
+    """as_poly_matrix maps each result on scalar matrices to the result on
+    the promoted operands; a mixed pair is promoted in either order."""
+    rng = random.Random(12)
+    lift = as_poly_matrix
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 3)]:
+        a = random_matrix(field, rows, cols, rng)
+        b = random_matrix(field, rows, cols, rng)
+        b = FieldMatrix(field, [[e if rng.random() < 0.5 else field.zero
+                                 for e in r] for r in b.entries], cols)
+        t = random_matrix(field, cols, 2, rng)
+        promoted = lift(a)
+        assert lift(promoted) is promoted
+        assert lift(a.transpose()) == lift(a).transpose()
+        assert lift(-a) == -lift(a)
+        for result, op, x, y in ((a + b, "__add__", a, b), (a - b, "__sub__", a, b),
+                                 (a @ t, "__matmul__", a, t), (b @ t, "__matmul__", b, t)):
+            for left, right in ((lift(x), lift(y)), (lift(x), y), (x, lift(y))):
+                assert getattr(left, op)(right) == lift(result)
+        keep_rows, keep_cols = list(range(rows))[::-2], list(range(cols))[::-2]
+        assert lift(a.deleted(rows=[0], cols=[cols - 1])) == \
+            lift(a).deleted(rows=[0], cols=[cols - 1])
+        assert lift(a.take_rows(keep_rows)) == lift(a).take_rows(keep_rows)
+        assert lift(a.take_cols(keep_cols)) == lift(a).take_cols(keep_cols)
+        assert lift(hstack(a, b)) == hstack(lift(a), lift(b))
+        assert lift(vstack(a, b)) == vstack(lift(a), lift(b))
+        for m in (a, b, FieldMatrix.zeros(field, rows, cols)):
+            assert m.is_zero() == lift(m).is_zero()
+            assert denominator_lcm(m) == denominator_lcm(lift(m))
+        with pytest.raises(TypeError, match="different kinds"):
+            hstack(a, lift(b))
+        with pytest.raises(TypeError, match="different kinds"):
+            vstack(lift(a), b)
+    for size in range(6):
+        m = random_alternating(field, size, rng)
+        assert pfaffian(lift(m)) == constant(field, pfaffian(m))
+        if size % 2:
+            assert signed_maximal_pfaffians(lift(m)) == \
+                [constant(field, e) for e in signed_maximal_pfaffians(m)]
+    assert not Polynomial.zero(field, 2) and not DualElement.zero(field, 2)
+    assert Polynomial.variable(field, "x") and constant(field, field.one)

@@ -104,8 +104,8 @@ def test_singular_p_reported():
     assert lin.b2 is None
     with pytest.raises(ValueError):
         build_quadratic_presentation(lin)
-    with pytest.raises(ValueError):
-        explicit_generators(phi)
+    with pytest.raises(ValueError, match="p is singular"):
+        lin.generators
 
 
 def test_explicit_generators_annihilate(n2):

@@ -8,13 +8,19 @@ holds homogeneous polynomials that all share one declared degree.  A sum or
 product that meets both kinds promotes the scalar operand with
 ``as_poly_matrix``; stacking refuses to mix them.
 
-Rank, kernel, determinant and inverse all come from one Gauss-Jordan routine
-that takes the first nonzero pivot in column order, so results are
+Every exact kernel runs on plain Python ints; scalars are boxed only at the
+API edge.  A product writes each operand as L M = sum_u u C_u, one int
+matrix C_u per monomial u (L = 1 over GF(p), the denominator LCM over Q),
+multiplies the slices with int dot products and boxes each coefficient of
+the result once.  Kernel, determinant and inverse come from one Gauss-Jordan
+routine that takes the first nonzero pivot in column order, so results are
 deterministic: the determinant is the product of the pivots times the sign
 of the row swaps, and the inverse is the right half of the reduced [m | I].
-Over GF(p) the routine runs on plain int residues (``_rref_mod``, which the
-Pfaffian kernel shares); over Q, on Fractions.  A zero-row matrix keeps its
-column count.
+Over GF(p) it runs on residues (``_rref_mod``, which the Pfaffian kernel
+shares); over Q, on rows scaled to integers, fraction-free (``_rref_int``,
+after Bareiss).  The RREF is unique, so both give the rational answer.  The
+rank takes the same loops forward only, on whichever of M and M^T has fewer
+rows.  A zero-row matrix keeps its column count.
 
 Pfaffians take one polynomial-time path for both kinds.
 Every call first checks that the matrix is strictly alternating (zero
@@ -43,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .poly import (Monomial, ONE, Polynomial, monomials_of_degree,
@@ -87,25 +94,51 @@ class Matrix:
         return self._like([[self.entries[i][j] for i in range(self.rows)]
                            for j in range(self.cols)], self.rows)
 
+    def _int_slices(self) -> Tuple[int, dict]:
+        """(L, slices) with L M = sum_u u C_u: one int matrix C_u for each
+        monomial u that occurs.  Over GF(p), L = 1 and C_u holds residues;
+        over Q, L = ``denominator_lcm`` and C_u holds integer numerators."""
+        L = denominator_lcm(self)
+        p = getattr(self.field, "p", None)
+        slices: dict = {}
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                for u, c in self._terms(e):
+                    s = slices.get(u)
+                    if s is None:
+                        s = slices[u] = [[0] * self.cols for _ in range(self.rows)]
+                    s[i][j] = c.value if p else c.numerator * (L // c.denominator)
+        return L, slices
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """(L_a A)(L_b B) = sum_(u,v) uv C_u D_v on plain ints; each
+        coefficient is boxed once, over L_a L_b."""
         a, b = self._promoted(other)
         if a.cols != b.rows:
             raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ "
                              f"{b.rows}x{b.cols}")
         degree = a.degree + b.degree
-        zero = a._zero(degree)
-        out = []
-        for row in a.entries:
-            out_row = []
-            for j in range(b.cols):
-                acc = zero
-                for x, b_row in zip(row, b.entries):
-                    y = b_row[j]
-                    if x and y:
-                        acc = acc + x * y
-                out_row.append(acc)
-            out.append(out_row)
-        return a._like(out, b.cols, degree)
+        la, a_slices = a._int_slices()
+        lb, b_slices = b._int_slices()
+        b_cols = [(v, list(zip(*d))) for v, d in b_slices.items()]
+        sums: dict = {}
+        for u, c in a_slices.items():
+            for v, d_cols in b_cols:
+                prod = [[sum(map(mul, row, col)) for col in d_cols] if any(row)
+                        else [0] * b.cols for row in c]
+                w = u * v
+                acc = sums.get(w)
+                sums[w] = prod if acc is None else [
+                    list(map(add, r1, r2)) for r1, r2 in zip(acc, prod)]
+        p = getattr(a.field, "p", None)
+        scale = la * lb
+        box = (lambda x: FpElement(x, p)) if p else (lambda x: Fraction(x, scale))
+        zero = a.field.zero
+        coeffs = [sums.get(w) for w in monomials_of_degree(degree)]
+        return a._like([[a._element(degree, [box(s[i][j]) if s else zero
+                                             for s in coeffs])
+                         for j in range(b.cols)] for i in range(a.rows)],
+                       b.cols, degree)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         a, b = self._promoted(other)
@@ -318,68 +351,118 @@ def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
 # ---------------------------------------------------------------------------
 # Gaussian elimination: rank, kernel, determinant, inverse.
 
-def _rref_mod(rows: List[List[int]], q: int
-              ) -> Tuple[List[List[int]], List[int], int]:
-    """``_rref`` on plain residues mod q: (rows, pivot columns, d mod q)."""
-    pivots: List[int] = []
-    d = 1
+def _pivot_steps(rows: List[list]):
+    """The pivot steps of an elimination on rows, in place: for each column
+    c in order with a nonzero entry in row r or below, r the number of
+    pivots so far, the first such row is swapped up to r and (r, c, swapped)
+    is yielded.  The caller clears column c below row r before the next
+    step, in its own arithmetic."""
     r = 0
     for c in range(len(rows[0]) if rows else 0):
         if r == len(rows):
-            break
+            return
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            d = -d
-        d = d * rows[r][c] % q
+        yield r, c, pr != r
+        r += 1
+
+
+def _rref_mod(rows: List[List[int]], q: int, full: bool = True
+              ) -> Tuple[List[List[int]], List[int], int]:
+    """``_rref`` on plain residues mod q, in place: (rows, pivot columns,
+    d mod q).  With ``full`` false only the rows below each pivot are
+    cleared, which leaves a row echelon form: enough for the rank."""
+    pivots: List[int] = []
+    d = 1
+    for r, c, swapped in _pivot_steps(rows):
+        d = (-d if swapped else d) * rows[r][c] % q
         inv = pow(rows[r][c], -1, q)
-        pivot_row = rows[r] = [e * inv % q for e in rows[r]]
-        for i, row in enumerate(rows):
+        # the pivot row is zero left of c, so only columns c.. change
+        tail = rows[r][c:] = [e * inv % q for e in rows[r][c:]]
+        for i in range(0 if full else r + 1, len(rows)):
+            row = rows[i]
             f = row[c]
             if f and i != r:
-                rows[i] = [(a - f * b) % q for a, b in zip(row, pivot_row)]
+                row[c:] = [(a - f * b) % q for a, b in zip(row[c:], tail)]
         pivots.append(c)
-        r += 1
     return rows, pivots, d % q
+
+
+def _rref_int(rows: List[List[int]], full: bool = True
+              ) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place (E. H. Bareiss,
+    Math. Comp. 22, 1968): (rows, pivot columns, d).  A pivot piv turns
+    every other row a into (piv a - a[c] pivot_row) // prev, prev the pivot
+    before it: an exact division, since every entry stays a minor of the
+    input.  Every pivot ends equal to the last, so the rows are that pivot
+    times the RREF, and d, the last pivot times the sign of the row swaps,
+    is the product of the pivots of the rational elimination times that
+    sign.  With ``full`` false only the rows below each pivot change."""
+    pivots: List[int] = []
+    sign = prev = 1
+    for r, c, swapped in _pivot_steps(rows):
+        if swapped:
+            sign = -sign
+        pivot_row = rows[r]
+        piv = pivot_row[c]
+        for i in range(0 if full else r + 1, len(rows)):
+            if i != r:
+                row = rows[i]
+                f = row[c]
+                # below the pivot row both rows are zero left of c
+                lo = 0 if i < r else c
+                row[lo:] = [(piv * a - f * b) // prev
+                            for a, b in zip(row[lo:], pivot_row[lo:])]
+        prev = piv
+        pivots.append(c)
+    return rows, pivots, sign * prev
+
+
+def _integer_rows(entries: List[List[Fraction]]
+                  ) -> Tuple[List[List[int]], int]:
+    """Each row times the LCM of its denominators, and the product of those
+    scales.  Scaling a row by a nonzero rational keeps the RREF."""
+    rows, total = [], 1
+    for r in entries:
+        s = math.lcm(*(e.denominator for e in r))
+        rows.append([e.numerator * (s // e.denominator) for e in r])
+        total *= s
+    return rows, total
 
 
 def _rref(entries: List[List[Scalar]], field: Field
           ) -> Tuple[List[List[Scalar]], List[int], Scalar]:
-    """Reduced row echelon form; returns (rows, pivot columns, d), where d is
-    the product of the pivots times the sign of the row swaps.  For a square
-    matrix of full rank, d is its determinant.  Over GF(p) the work runs on
-    plain residues in ``_rref_mod``; over Q it runs in place on Fractions."""
+    """Reduced row echelon form; returns (rows, pivot columns, d).  When the
+    rows are independent, d is the product of the pivots times the sign of
+    the row swaps; for a square matrix of full rank it is the determinant.
+    The work runs on plain ints: on residues in ``_rref_mod`` over GF(p),
+    and over Q on rows scaled to integers, in ``_rref_int``."""
     if isinstance(field, PrimeField):
         p = field.p
         red, pivots, d = _rref_mod([[e.value for e in r] for r in entries], p)
         return [[FpElement(e, p) for e in r] for r in red], pivots, FpElement(d, p)
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
-    zero = field.zero
-    d = field.one
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if entries[i][c] != zero), None)
-        if pr is None:
-            continue
-        if pr != r:
-            entries[r], entries[pr] = entries[pr], entries[r]
-            d = -d
-        d = d * entries[r][c]
-        inv = field.one / entries[r][c]
-        entries[r] = [e * inv for e in entries[r]]
-        for i in range(rows):
-            if i != r and entries[i][c] != zero:
-                f = entries[i][c]
-                entries[i] = [a - f * b for a, b in zip(entries[i], entries[r])]
-        pivots.append(c)
-        r += 1
-    return entries, pivots, d
+    rows, scale = _integer_rows(entries)
+    red, pivots, d = _rref_int(rows)
+    last = red[0][pivots[0]] if pivots else 1
+    return ([[Fraction(e, last) for e in r] for r in red], pivots,
+            Fraction(d, scale))
+
+
+def _shorter(rows: List[list]) -> List[list]:
+    """The rows, or the rows of the transpose when that has fewer; the rank
+    is the same."""
+    if rows and len(rows) > len(rows[0]):
+        return [list(c) for c in zip(*rows)]
+    return rows
+
+
+def _rank_mod(rows: List[List[int]], q: int) -> int:
+    """Rank of a residue matrix mod q by forward elimination; may
+    overwrite rows."""
+    return len(_rref_mod(_shorter(rows), q, full=False)[1])
 
 
 def _null_vector(red: List[list], pivots: List[int], f: int, zero, one) -> list:
@@ -393,8 +476,11 @@ def _null_vector(red: List[list], pivots: List[int], f: int, zero, one) -> list:
 
 
 def rank(m: FieldMatrix) -> int:
-    _, pivots, _ = _rref([list(r) for r in m.entries], m.field)
-    return len(pivots)
+    """By forward elimination on plain ints."""
+    if isinstance(m.field, PrimeField):
+        return _rank_mod([[e.value for e in r] for r in m.entries], m.field.p)
+    rows, _ = _integer_rows(_shorter(m.entries))
+    return len(_rref_int(rows, full=False)[1])
 
 
 def kernel(m: FieldMatrix) -> List[List[Scalar]]:
@@ -406,7 +492,7 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
     if m.rows == 0:
         return [[m.field.one if j == i else m.field.zero for j in range(m.cols)]
                 for i in range(m.cols)]
-    red, pivots, _ = _rref([list(r) for r in m.entries], m.field)
+    red, pivots, _ = _rref(m.entries, m.field)
     pivot_set = set(pivots)
     return [_null_vector(red, pivots, f, m.field.zero, m.field.one)
             for f in range(m.cols) if f not in pivot_set]
@@ -415,7 +501,7 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
 def det(m: FieldMatrix) -> Scalar:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, d = _rref([list(r) for r in m.entries], m.field)
+    _, pivots, d = _rref(m.entries, m.field)
     return d if len(pivots) == m.rows else m.field.zero
 
 

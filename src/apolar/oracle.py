@@ -80,10 +80,6 @@ def _exact_terms(polys: Sequence[Polynomial]) -> List[Tuple[int, Terms]]:
     return [(f.degree, list(f.coeffs.items())) for f in polys]
 
 
-def _rank_mod(rows: List[List[int]], q: int) -> int:
-    return len(linalg._rref_mod(rows, q)[1])
-
-
 def _exact_rank(fld: Field, rows: List[List[Scalar]]) -> int:
     return linalg.rank(FieldMatrix(fld, rows)) if rows else 0
 
@@ -244,8 +240,8 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
             if contained:
                 dim_ann = total
         elif modular and contained:
-            span_q = _rank_mod(_multiple_rows(gens_q, basis, 0), q)
-            ann_q = total - _rank_mod(_catalecticant(phi_q, 0, s, d), q)
+            span_q = linalg._rank_mod(_multiple_rows(gens_q, basis, 0), q)
+            ann_q = total - linalg._rank_mod(_catalecticant(phi_q, 0, s, d), q)
             if span_q == ann_q:
                 dim_span = dim_ann = span_q
         if dim_span is None:

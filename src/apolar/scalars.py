@@ -4,7 +4,8 @@ Every number in this package is either a ``fractions.Fraction`` or an
 ``FpElement``; there is no floating point anywhere.  A ``Field`` object
 (``QQ`` or ``PrimeField(p)``) constructs, parses and formats scalars and is
 carried by polynomials, dual elements and matrices so that mixed-field
-operations fail loudly instead of coercing.
+operations fail loudly instead of coercing.  Scalars are immutable, so each
+field stores its ``zero`` and ``one`` once and hands out the same objects.
 """
 
 from __future__ import annotations
@@ -150,17 +151,11 @@ class RationalField:
     """The field of rationals, backed by arbitrary-precision Fraction."""
 
     tag = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, n) -> Fraction:
         return Fraction(n)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def parse(self, text: str) -> Fraction:
         """Integers, num/den and decimals; exponent notation is refused,
@@ -199,6 +194,8 @@ class PrimeField:
         if p == 2 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
         self.p = p
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
 
     @property
     def tag(self) -> str:
@@ -211,14 +208,6 @@ class PrimeField:
                     f"denominator of {n} vanishes in GF({self.p})")
             return FpElement(n.numerator * pow(n.denominator, -1, self.p), self.p)
         return FpElement(int(n), self.p)
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
 
     def parse(self, text: str) -> FpElement:
         try:

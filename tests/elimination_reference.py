@@ -1,0 +1,103 @@
+"""Reference matrix product and Gauss-Jordan elimination on boxed scalars,
+one field operation at a time, for checking the plain-int kernels of
+``apolar.linalg`` against the straightforward loops.
+
+- ``reference_product(a, b)``: the triple loop over entries, for scalar and
+  form matrices alike (a mixed pair is promoted with ``as_poly_matrix``).
+- ``reference_rref(entries, field)``: the reduced row echelon form, with the
+  first nonzero pivot in column order, as (rows, pivot columns, d), d the
+  product of the pivots times the sign of the row swaps.
+- ``reference_rank``, ``reference_kernel``, ``reference_det`` and
+  ``reference_inverse`` read their answers off ``reference_rref``.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+from apolar import FieldMatrix, PolyMatrix, as_poly_matrix
+
+
+def reference_product(a, b):
+    if type(a) is not type(b):
+        a, b = as_poly_matrix(a), as_poly_matrix(b)
+    assert a.cols == b.rows
+    degree = a.degree + b.degree
+    zero = a._zero(degree)
+    out = []
+    for row in a.entries:
+        out_row = []
+        for j in range(b.cols):
+            acc = zero
+            for x, b_row in zip(row, b.entries):
+                y = b_row[j]
+                if x and y:
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    if isinstance(a, PolyMatrix):
+        return PolyMatrix(a.field, degree, out, b.cols)
+    return FieldMatrix(a.field, out, b.cols)
+
+
+def reference_rref(entries: List[list], field):
+    entries = [list(r) for r in entries]
+    rows = len(entries)
+    cols = len(entries[0]) if rows else 0
+    zero = field.zero
+    d = field.one
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if entries[i][c] != zero), None)
+        if pr is None:
+            continue
+        if pr != r:
+            entries[r], entries[pr] = entries[pr], entries[r]
+            d = -d
+        d = d * entries[r][c]
+        inv = field.one / entries[r][c]
+        entries[r] = [e * inv for e in entries[r]]
+        for i in range(rows):
+            if i != r and entries[i][c] != zero:
+                f = entries[i][c]
+                entries[i] = [a - f * b for a, b in zip(entries[i], entries[r])]
+        pivots.append(c)
+        r += 1
+    return entries, pivots, d
+
+
+def reference_rank(m: FieldMatrix) -> int:
+    return len(reference_rref(m.entries, m.field)[1])
+
+
+def reference_kernel(m: FieldMatrix) -> List[list]:
+    field = m.field
+    red, pivots, _ = reference_rref(m.entries, field)
+    out = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [field.zero] * m.cols
+        v[f] = field.one
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        out.append(v)
+    return out
+
+
+def reference_det(m: FieldMatrix):
+    _, pivots, d = reference_rref(m.entries, m.field)
+    return d if len(pivots) == m.rows else m.field.zero
+
+
+def reference_inverse(m: FieldMatrix) -> Optional[FieldMatrix]:
+    field, n = m.field, m.rows
+    aug = [list(r) + [field.one if j == i else field.zero for j in range(n)]
+           for i, r in enumerate(m.entries)]
+    red, pivots, _ = reference_rref(aug, field)
+    if sum(1 for c in pivots if c < n) < n:
+        return None
+    return FieldMatrix(field, [row[n:] for row in red], n)

@@ -1,0 +1,183 @@
+"""Property tests of the plain-int kernels of ``apolar.linalg`` against the
+boxed loops in ``elimination_reference``: the matrix product on scalar and
+form matrices of every shape and kind, the fraction-free Gauss-Jordan over
+Q, the eliminations over GF(32003) and GF(3), and the forward-only rank
+pass against the rank of the full reduction."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ, det,
+                    invert, kernel, linalg, rank)
+from apolar.poly import monomials_of_degree
+from elimination_reference import (reference_det, reference_inverse,
+                                   reference_kernel, reference_product,
+                                   reference_rank, reference_rref)
+
+FIELDS = (QQ, PrimeField(32003), PrimeField(3))
+SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def scalars(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    return st.builds(field.of, st.integers(0, field.p - 1))
+
+
+@st.composite
+def matrices(draw, field, rows, cols, degree=None):
+    """A FieldMatrix (degree None) or a PolyMatrix of the given degree,
+    dense or sparse."""
+    sparse = draw(st.booleans())
+
+    def entry():
+        if sparse and draw(st.integers(0, 2)):
+            return field.zero if degree is None else Polynomial.zero(field, degree)
+        if degree is None:
+            return draw(scalars(field))
+        monos = monomials_of_degree(degree)
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=len(monos)))
+        return Polynomial(field, degree, {m: draw(scalars(field)) for m in chosen})
+
+    entries = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if degree is None:
+        return FieldMatrix(field, entries, cols)
+    return PolyMatrix(field, degree, entries, cols)
+
+
+kinds = st.sampled_from([None, 0, 1, 2])
+
+
+@st.composite
+def products(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    a = draw(matrices(field, r, k, draw(kinds)))
+    b = draw(matrices(field, k, c, draw(kinds)))
+    return a, b
+
+
+@SETTINGS
+@given(products())
+def test_product_equals_the_boxed_triple_loop(pair):
+    a, b = pair
+    assert a @ b == reference_product(a, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 3, 2), (2, 3, 0), (2, 0, 3)])
+@pytest.mark.parametrize("kind_a,kind_b", [(None, None), (None, 1), (2, None),
+                                           (1, 1)])
+def test_product_of_empty_shapes(field, shape, kind_a, kind_b):
+    r, k, c = shape
+
+    def filled(rows, cols, degree):
+        e = field.of(2) if degree is None else Polynomial.monomial(
+            field, monomials_of_degree(degree)[-1], 2)
+        if degree is None:
+            return FieldMatrix(field, [[e] * cols for _ in range(rows)], cols)
+        return PolyMatrix(field, degree, [[e] * cols for _ in range(rows)], cols)
+
+    a, b = filled(r, k, kind_a), filled(k, c, kind_b)
+    out = a @ b
+    assert out == reference_product(a, b)
+    assert (out.rows, out.cols) == (r, c)
+
+
+@st.composite
+def square_or_not(draw, max_size=6):
+    """A FieldMatrix, often of deficient rank: a product (r x k)(k x c) with
+    k below both sides, or a copy of one row."""
+    field = draw(st.sampled_from(FIELDS))
+    r, c = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
+    if draw(st.booleans()):
+        c = r
+    m = draw(matrices(field, r, c))
+    shape = draw(st.integers(0, 2))
+    if shape == 1 and min(r, c) > 1:
+        k = draw(st.integers(1, min(r, c) - 1))
+        m = draw(matrices(field, r, k)) @ draw(matrices(field, k, c))
+    elif shape == 2 and r > 1:
+        m = FieldMatrix(field, m.entries[:-1] + [m.entries[0]], c)
+    return m
+
+
+@SETTINGS
+@given(square_or_not())
+def test_rref_equals_the_boxed_reduction(m):
+    red, pivots, d = linalg._rref(m.entries, m.field)
+    ref_red, ref_pivots, ref_d = reference_rref(m.entries, m.field)
+    assert pivots == ref_pivots
+    assert red == ref_red
+    assert all(type(e) is type(m.field.one) for r in red for e in r)
+    if len(pivots) == m.rows:
+        assert d == ref_d
+
+
+@SETTINGS
+@given(square_or_not())
+def test_rank_kernel_det_inverse_equal_the_reference(m):
+    assert rank(m) == reference_rank(m)
+    assert kernel(m) == reference_kernel(m)
+    if m.rows == m.cols:
+        assert det(m) == reference_det(m)
+        res = invert(m)
+        ref = reference_inverse(m)
+        assert res.inverse == ref
+        assert res.rank == (m.rows if ref is not None else reference_rank(m))
+
+
+@st.composite
+def residue_rows(draw):
+    q = draw(st.sampled_from([3, 32003, 2 ** 61 - 1]))
+    r, c = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rows = [[draw(st.integers(0, q - 1)) for _ in range(c)] for _ in range(r)]
+    k = draw(st.integers(1, 3))
+    if min(r, c) > k and draw(st.booleans()):
+        # rank at most k: every row a combination of the first k
+        coeffs = [[draw(st.integers(0, q - 1)) for _ in range(k)]
+                  for _ in range(r)]
+        rows = [[sum(x * rows[t][j] for t, x in enumerate(co)) % q
+                 for j in range(c)] for co in coeffs]
+    return rows, q
+
+
+@SETTINGS
+@given(residue_rows())
+def test_forward_rank_equals_the_full_reduction(case):
+    rows, q = case
+    full = len(linalg._rref_mod([list(r) for r in rows], q)[1])
+    assert linalg._rank_mod([list(r) for r in rows], q) == full
+    red, pivots, _ = linalg._rref_mod([list(r) for r in rows], q, full=False)
+    assert len(pivots) == full
+    for i, c in enumerate(pivots):
+        assert red[i][c] == 1 and all(row[c] == 0 for row in red[i + 1:])
+
+
+def recorded_heights(monkeypatch, name):
+    heights = []
+    inner = getattr(linalg, name)
+
+    def recording(rows, *args, **kwargs):
+        heights.append(len(rows))
+        return inner(rows, *args, **kwargs)
+    monkeypatch.setattr(linalg, name, recording)
+    return heights
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (4, 4)])
+def test_rank_eliminates_the_shorter_side(monkeypatch, shape):
+    r, c = shape
+    rows = [[(3 * i + j * j + 1) % 5 for j in range(c)] for i in range(r)]
+    expected = reference_rank(FieldMatrix(QQ, rows))
+    mod_heights = recorded_heights(monkeypatch, "_rref_mod")
+    int_heights = recorded_heights(monkeypatch, "_rref_int")
+    assert linalg._rank_mod([list(x) for x in rows], 32003) == expected
+    assert rank(FieldMatrix(PrimeField(32003), rows)) == expected
+    assert rank(FieldMatrix(QQ, [[Fraction(e, 1 + i) for e in x]
+                                 for i, x in enumerate(rows)])) == expected
+    assert mod_heights == [min(r, c)] * 2
+    assert int_heights == [min(r, c)]

@@ -29,22 +29,22 @@ def family():
 
 class Eliminations:
     """Records the field of each linalg.rank matrix and the modulus of each
-    linalg._rref_mod call."""
+    linalg._rank_mod call, the modular rank of the certificate."""
 
     def __init__(self, monkeypatch):
         self.fields = []
         self.moduli = []
-        rank, rref_mod = linalg.rank, linalg._rref_mod
+        rank, rank_mod = linalg.rank, linalg._rank_mod
 
         def counted_rank(m):
             self.fields.append(m.field)
             return rank(m)
 
-        def counted_rref_mod(rows, q):
+        def counted_rank_mod(rows, q):
             self.moduli.append(q)
-            return rref_mod(rows, q)
+            return rank_mod(rows, q)
         monkeypatch.setattr(linalg, "rank", counted_rank)
-        monkeypatch.setattr(linalg, "_rref_mod", counted_rref_mod)
+        monkeypatch.setattr(linalg, "_rank_mod", counted_rank_mod)
 
     @property
     def rational(self):

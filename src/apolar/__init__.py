@@ -2,7 +2,7 @@
 Gorenstein ideals given by Macaulay inverse systems in k[x, y, z]."""
 
 from .scalars import (DEFAULT_PRIME, FieldMismatchError, FpElement, PrimeField,
-                      QQ, RationalField, binomial, field_from_tag, multinomial)
+                      QQ, RationalField, field_from_tag)
 from .poly import (Basis, DUAL_U, DUAL_U0, DualElement, Monomial, Polynomial,
                    SYM_U, SYM_U0, contract, evaluate, format_terms,
                    monomials_of_degree, parse_linear_form, parse_polynomial,

@@ -16,11 +16,11 @@ the result once.  Kernel, determinant and inverse come from one Gauss-Jordan
 routine that takes the first nonzero pivot in column order, so results are
 deterministic: the determinant is the product of the pivots times the sign
 of the row swaps, and the inverse is the right half of the reduced [m | I].
-Over GF(p) it runs on residues (``_rref_mod``, which the Pfaffian kernel
-shares); over Q, on rows scaled to integers, fraction-free (``_rref_int``,
-after Bareiss).  The RREF is unique, so both give the rational answer.  The
-rank takes the same loops forward only, on whichever of M and M^T has fewer
-rows.  A zero-row matrix keeps its column count.
+Over GF(p) it runs on residues (``_rref_mod``); over Q, on rows scaled to
+integers, fraction-free (``_rref_int``, after Bareiss).  The RREF is
+unique, so both give the rational answer.  The rank takes the same loops
+forward only, on whichever of M and M^T has fewer rows.  A zero-row matrix
+keeps its column count.
 
 Pfaffians take one polynomial-time path for both kinds.
 Every call first checks that the matrix is strictly alternating (zero
@@ -30,11 +30,13 @@ D = (m // 2) d.  The kernel works on plain ints mod a prime q > D:
 
 - it evaluates the entries at the lattice points (1, a, b), a + b <= D, which
   are unisolvent for degree-D forms because 0, ..., D are distinct mod q;
-- at each point, skew-symmetric elimination with 2 x 2 pivots (O(m^3))
-  gives the Pfaffian; for odd m, one kernel vector and one Pfaffian of size
-  m - 1 give the whole signed row;
-- one Gauss-Jordan pass over [V | values], V the Vandermonde matrix of the
-  points, interpolates all the forms at once.
+- at each point, one skew-symmetric elimination with 2 x 2 pivots
+  (``_skew_mod``, O(m^3)) gives the Pfaffian as the signed product of its
+  pivots; for odd m it also gives the null vector, which that product
+  scales into the whole signed row;
+- Newton forward differences on the lattice and one table of
+  falling-factorial coefficients interpolate all the forms in O(D^3) vector
+  operations (``_interpolate_mod``), with no Vandermonde matrix.
 
 Over GF(p) with p > D, q = p.  Over Q, and over GF(p) with p <= D, the kernel
 runs on the integer matrix L M (L the denominator LCM; residues above the
@@ -465,16 +467,6 @@ def _rank_mod(rows: List[List[int]], q: int) -> int:
     return len(_rref_mod(_shorter(rows), q, full=False)[1])
 
 
-def _null_vector(red: List[list], pivots: List[int], f: int, zero, one) -> list:
-    """The null vector of a reduced matrix for its free column f: a 1 at f
-    and -red[r][f] at the r-th pivot column, zero elsewhere."""
-    v = [zero] * len(red[0])
-    v[f] = one
-    for r, c in enumerate(pivots):
-        v[c] = -red[r][f]
-    return v
-
-
 def rank(m: FieldMatrix) -> int:
     """By forward elimination on plain ints."""
     if isinstance(m.field, PrimeField):
@@ -486,16 +478,24 @@ def rank(m: FieldMatrix) -> int:
 def kernel(m: FieldMatrix) -> List[List[Scalar]]:
     """Basis of the right null space; empty iff full column rank.
 
-    Deterministic: one basis vector per free column, in column order, with a
-    1 in the free position.
+    Deterministic: one basis vector per free column f, in column order, with
+    a 1 at f, -red[r][f] at the r-th pivot column and zeros elsewhere.
     """
+    zero, one = m.field.zero, m.field.one
     if m.rows == 0:
-        return [[m.field.one if j == i else m.field.zero for j in range(m.cols)]
+        return [[one if j == i else zero for j in range(m.cols)]
                 for i in range(m.cols)]
     red, pivots, _ = _rref(m.entries, m.field)
     pivot_set = set(pivots)
-    return [_null_vector(red, pivots, f, m.field.zero, m.field.one)
-            for f in range(m.cols) if f not in pivot_set]
+    basis = []
+    for f in range(m.cols):
+        if f not in pivot_set:
+            v = [zero] * m.cols
+            v[f] = one
+            for r, c in enumerate(pivots):
+                v[c] = -red[r][f]
+            basis.append(v)
+    return basis
 
 
 def det(m: FieldMatrix) -> Scalar:
@@ -565,54 +565,134 @@ def _crt_primes():
         q -= 2
 
 
-def _pf_mod(a: List[List[int]], q: int) -> int:
-    """Pfaffian of an even-size alternating matrix of residues mod q by skew
-    elimination (destroys a).  Step k pivots on a[k][k+1], after moving the
-    first j > k with a[k][j] != 0 to index k+1 (a swap flips the sign), and
-    replaces the trailing block by its Schur complement
-    a[i][j] - (a[i][k+1] a[k][j] - a[i][k] a[k+1][j]) / a[k][k+1], so that
-    Pf(a) = a[k][k+1] Pf(complement).  A zero row ends it with Pf = 0."""
+def _swap(a: List[List[int]], perm: List[int], s: int, t: int) -> None:
+    """Swap indices s and t of a and perm; rows s and t carry their stored
+    multipliers with them."""
+    a[s], a[t] = a[t], a[s]
+    for row in a:
+        row[s], row[t] = row[t], row[s]
+    perm[s], perm[t] = perm[t], perm[s]
+
+
+def _skew_mod(a: List[List[int]], q: int) -> List[int]:
+    """[Pf(a)] for even m, and the signed maximal Pfaffians of a for odd m,
+    from one skew-symmetric elimination of the m x m alternating residue
+    matrix a mod q with 2 x 2 pivots (J. R. Bunch, Math. Comp. 38, 1982);
+    destroys a.
+
+    Step k moves the first j > k with a[k][j] != 0 to index k + 1 and
+    pivots on p = a[k][k+1]: each later row i takes u = a[i][k+1] / p and
+    w = a[i][k] / p, keeps the multipliers (u, -w) in its columns k, k + 1
+    and turns into a[i][j] - u a[k][j] + w a[k+1][j] right of them, the
+    Schur complement, which stays alternating.  Each swap of two indices
+    flips ``sign`` and is kept in ``perm``, so the permuted matrix is
+    L T L^T: L unit lower triangular with the multipliers below its
+    diagonal, T block diagonal with the blocks [[0, p], [-p, 0]].  A zero
+    row at step k makes Pf = 0 for even m.  For odd m the first zero row
+    is moved to the last index, one more swap; a second one means rank
+    < m - 1, where every maximal Pfaffian vanishes.
+
+    For odd m at rank m - 1, L^T x = e_last gives the null vector x of the
+    permuted matrix, so the signed row, which annihilates a, is lambda x
+    carried back through perm.  Its entry at f = perm[m - 1], where x is 1,
+    is lambda = (-1)^f Pf(a without f).  Without its last index the
+    permuted matrix has Pfaffian prod p, and it lists the other indices in
+    an order of sign sign (-1)^(m - 1 - f), since the m - 1 - f indices
+    above f all precede it.  As m - 1 is even, lambda = sign prod p."""
     m = len(a)
-    pf = 1
-    for k in range(0, m, 2):
-        j = next((j for j in range(k + 1, m) if a[k][j]), None)
+    odd = m % 2
+    perm = list(range(m))
+    sign = pf = 1
+    moved = False
+    k = 0
+    while k < m - odd:
+        row = a[k]
+        j = next((j for j in range(k + 1, m) if row[j]), None)
         if j is None:
-            return 0
+            if not odd or moved:
+                return [0] * (m if odd else 1)
+            moved = True
+            _swap(a, perm, k, m - 1)
+            sign = -sign
+            continue
         if j != k + 1:
-            a[k + 1], a[j] = a[j], a[k + 1]
-            for row in a:
-                row[k + 1], row[j] = row[j], row[k + 1]
-            pf = -pf
-        p = a[k][k + 1]
+            _swap(a, perm, k + 1, j)
+            sign = -sign
+        p = row[k + 1]
         pf = pf * p % q
         inv = pow(p, -1, q)
-        rk, rk1 = a[k][k + 2:], a[k + 1][k + 2:]
+        rk, rk1 = row[k + 2:], a[k + 1][k + 2:]
         for i in range(k + 2, m):
-            row = a[i]
-            u, w = row[k + 1] * inv % q, row[k] * inv % q
+            r = a[i]
+            u, w = r[k + 1] * inv % q, r[k] * inv % q
+            r[k], r[k + 1] = u, -w % q
             if u or w:
-                row[k + 2:] = [(x - u * y + w * z) % q
-                               for x, y, z in zip(row[k + 2:], rk, rk1)]
-    return pf % q
+                r[k + 2:] = [(x - u * y + w * z) % q
+                             for x, y, z in zip(r[k + 2:], rk, rk1)]
+        k += 2
+    lam = sign * pf % q
+    if not odd:
+        return [lam]
+    x = [0] * m
+    x[m - 1] = 1
+    for k in range(m - 3, -1, -2):
+        for s in (k + 1, k):
+            x[s] = -sum(a[t][s] * x[t] for t in range(k + 2, m)) % q
+    out = [0] * m
+    for t, i in enumerate(perm):
+        out[i] = lam * x[t] % q
+    return out
 
 
-def _signed_row_mod(a: List[List[int]], q: int) -> List[int]:
-    """The signed maximal-order Pfaffians of an odd-size alternating matrix
-    of residues mod q.  The row annihilates a, so when a has rank m - 1 it is
-    lambda times the kernel vector v with a 1 at the free column f, and
-    lambda is its f-th entry (-1)^f Pf(a without row/column f).  At lower
-    rank every maximal Pfaffian vanishes."""
-    m = len(a)
-    red, pivots, _ = _rref_mod([list(r) for r in a], q)
-    if len(pivots) < m - 1:
-        return [0] * m
-    f = next(c for c in range(m) if c not in pivots)
-    v = _null_vector(red, pivots, f, 0, 1)
-    lam = _pf_mod([[e for j, e in enumerate(row) if j != f]
-                   for i, row in enumerate(a) if i != f], q)
-    if f % 2:
-        lam = -lam
-    return [lam * e % q for e in v]
+def _interpolate_mod(grid: List[List[List[int]]], degree: int, q: int
+                     ) -> List[List[int]]:
+    """The coefficient vectors, on the degree-D monomials in the fixed
+    order, of the forms of degree D = ``degree`` whose values at (1, a, b)
+    are grid[b][a], a + b <= D, one form per position of the value lists;
+    q > D.  Destroys grid.
+
+    With f(y, z) the form at x = 1, forward differences along y in each row
+    b, then along z, leave the Newton coefficients Delta_y^i Delta_z^j f(0, 0)
+    of f = sum_(i+j<=D) Delta^(i,j) f(0, 0) C(y, i) C(z, j); row b needs
+    only its D - b + 1 points, since Delta_y^i f(0, b) uses a = 0, ..., i.
+    Each C(y, i) is y's falling factorial of order i over i!, and the table
+    of falling-factorial coefficients turns the result into monomial
+    coefficients: O(D^3) vector operations in all."""
+    D = degree
+
+    def differences(seq: list) -> list:
+        for level in range(1, len(seq)):
+            for t in range(len(seq) - 1, level - 1, -1):
+                seq[t] = [(x - y) % q for x, y in zip(seq[t], seq[t - 1])]
+        return seq
+
+    def combine(weights: List[int], vectors: List[List[int]]) -> List[int]:
+        return [sum(map(mul, weights, c)) % q for c in zip(*vectors)]
+
+    for row in grid:
+        differences(row)
+    inv_fact = [1]
+    falling = [[1]]
+    for i in range(1, D + 1):
+        inv_fact.append(inv_fact[-1] * pow(i, -1, q) % q)
+        prev = falling[-1] + [0]
+        falling.append([((prev[k - 1] if k else 0) - (i - 1) * prev[k]) % q
+                        for k in range(i + 1)])
+    # newton[i][j] = Delta_y^i Delta_z^j f(0, 0) / (i! j!)
+    newton = [[[x * inv_fact[i] * inv_fact[j] % q for x in v]
+               for j, v in enumerate(differences(
+                   [grid[b][i] for b in range(D + 1 - i)]))]
+              for i in range(D + 1)]
+    # by_y[k][j]: the coefficient of y^k times z's falling factorial of order j
+    by_y = [[combine([falling[i][k] for i in range(k, D + 1 - j)],
+                     [newton[i][j] for i in range(k, D + 1 - j)])
+             for j in range(D + 1 - k)] for k in range(D + 1)]
+    coeffs = {(k, l): combine([falling[j][l] for j in range(l, D + 1 - k)],
+                              [by_y[k][j] for j in range(l, D + 1 - k)])
+              for k in range(D + 1) for l in range(D + 1 - k)}
+    monos = monomials_of_degree(D)
+    return [[coeffs[t.b, t.c][r] for t in monos]
+            for r in range(len(grid[0][0]))]
 
 
 def _pfaffians_mod(terms, size: int, degree: int, q: int) -> List[List[int]]:
@@ -622,25 +702,23 @@ def _pfaffians_mod(terms, size: int, degree: int, q: int) -> List[List[int]]:
     sum k y^e z^f at the point (1, y, z), over the triples (e, f, k) in
     terms[i, j]: the y and z exponents and the coefficient of each term.
 
-    The values at the points (1, s_b, s_c), s running over the degree-D
-    monomials x^a y^(s_b) z^(s_c), are V times the coefficients, where
-    V[s][t] = s_b^(t_b) s_c^(t_c).  These points are unisolvent whenever
-    q > D, which the caller guarantees, so one Gauss-Jordan pass over
-    [V | values] leaves the coefficients of every form on the right."""
-    monos = monomials_of_degree(degree)
-    rows = []
-    for s in monos:
-        pb = [pow(s.b, e, q) for e in range(degree + 1)]
-        pc = [pow(s.c, e, q) for e in range(degree + 1)]
-        a = [[0] * size for _ in range(size)]
-        for (i, j), ts in terms.items():
-            v = sum(c * pb[eb] * pc[ec] for eb, ec, c in ts) % q
-            a[i][j], a[j][i] = v, -v % q
-        values = _signed_row_mod(a, q) if size % 2 else [_pf_mod(a, q)]
-        rows.append([pb[t.b] * pc[t.c] % q for t in monos] + values)
-    red, _, _ = _rref_mod(rows, q)
-    n = len(monos)
-    return [[row[n + r] for row in red] for r in range(len(rows[0]) - n)]
+    ``_skew_mod`` gives the values at the lattice points (1, a, b),
+    a + b <= D, which ``_interpolate_mod`` turns into coefficients; both
+    need q > D, which the caller guarantees."""
+    powers = [[pow(t, e, q) for e in range(degree + 1)]
+              for t in range(degree + 1)]
+    grid = []
+    for b in range(degree + 1):
+        pc = powers[b]
+        row = []
+        for pb in powers[:degree + 1 - b]:
+            a = [[0] * size for _ in range(size)]
+            for (i, j), ts in terms.items():
+                v = sum(c * pb[eb] * pc[ec] for eb, ec, c in ts) % q
+                a[i][j], a[j][i] = v, -v % q
+            row.append(_skew_mod(a, q))
+        grid.append(row)
+    return _interpolate_mod(grid, degree, q)
 
 
 def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[List[Scalar]]]:

@@ -10,7 +10,6 @@ field stores its ``zero`` and ``one`` once and hands out the same objects.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -251,18 +250,3 @@ def field_from_tag(tag: str) -> Field:
         return PrimeField(p)
     raise ValueError(f"bad field tag {tag!r} (expected 'Q' or 'Fp:<p>')")
 
-
-def binomial(n: int, k: int, field: Field = QQ) -> Scalar:
-    """C(n, k) embedded in the field; 0 when k > n or k < 0."""
-    if n < 0:
-        raise ValueError("binomial needs n >= 0")
-    if k < 0 or k > n:
-        return field.zero
-    return field.of(math.comb(n, k))
-
-
-def multinomial(n: int, a: int, b: int, c: int, field: Field = QQ) -> Scalar:
-    """n! / (a! b! c!) embedded in the field; requires a + b + c = n."""
-    if min(a, b, c) < 0 or a + b + c != n:
-        raise ValueError(f"multinomial needs a+b+c = n, got ({a},{b},{c}) for n={n}")
-    return field.of(math.comb(n, a) * math.comb(n - a, b))

@@ -5,12 +5,26 @@ import pytest
 
 from apolar import (DualElement, Monomial, Polynomial, PrimeField, QQ,
                     annihilator_degree, build_p_r, contract, family_phi,
-                    ideal_equality_check, monomials_of_degree, multinomial,
+                    ideal_equality_check, monomials_of_degree,
                     random_dual_element, summarize_ideal, wlp_test)
 
 import golden_family as golden
 
 GF = PrimeField(32003)
+
+
+def multinomial(n: int, a: int, b: int, c: int) -> int:
+    """n! / (a! b! c!); requires a + b + c = n."""
+    if min(a, b, c) < 0 or a + b + c != n:
+        raise ValueError(f"multinomial needs a+b+c = n, got ({a},{b},{c}) for n={n}")
+    return math.comb(n, a) * math.comb(n - a, b)
+
+
+def test_multinomial():
+    assert multinomial(3, 1, 1, 1) == 6
+    assert multinomial(3, 2, 1, 0) == 3
+    with pytest.raises(ValueError):
+        multinomial(3, 2, 2, 0)
 
 
 @pytest.fixture(scope="module")

@@ -1,18 +1,21 @@
-"""Property tests of the Pfaffian kernel against the memoized expansion in
-``pfaffian_reference``, on random alternating matrices of scalars and of
-forms of degree 0, 1 and 2: dense, sparse and rank-deficient, over Q,
-GF(32003), and GF(3) and GF(5), where the Pfaffian degree can reach p."""
+"""Tests of the Pfaffian kernel against the memoized expansion in
+``pfaffian_reference``: property tests on random alternating matrices of
+scalars and of forms of degree 0, 1 and 2 (dense, sparse and
+rank-deficient, over Q, GF(32003), and GF(3) and GF(5), where the Pfaffian
+degree can reach p), and fixed cases for each branch of the skew
+elimination and for the smallest primes the field path takes."""
 
 import random
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (FieldMatrix, FpElement, PolyMatrix, Polynomial,
                     PrimeField, QQ, as_poly_matrix, build_linear_presentation,
                     family_phi, linalg, pfaffian, proportionality_unit,
-                    random_dual_element, signed_maximal_pfaffians)
+                    random_dual_element, rank, signed_maximal_pfaffians)
 from apolar.poly import monomials_of_degree
 from pfaffian_reference import (reference_pfaffian,
                                 reference_signed_maximal_pfaffians)
@@ -138,6 +141,123 @@ def test_family_row_at_n6_needs_several_crt_primes(monkeypatch):
     lin = build_linear_presentation(family_phi(6), with_pfaffian_row=False)
     row = signed_maximal_pfaffians(lin.b2)
     assert len(moduli) > 1
+    assert row == reference_signed_maximal_pfaffians(lin.b2)
+
+
+def random_form(field, degree, rng):
+    """A scalar (degree None) or a form with small random coefficients."""
+    if degree is None:
+        return field.of(rng.randrange(-9, 10))
+    return Polynomial(field, degree, {m: field.of(rng.randrange(-9, 10))
+                                      for m in monomials_of_degree(degree)})
+
+
+def congruent(field, size, dependent, rng, degree=None):
+    """C^T B C for a random alternating B of size ``size - len(dependent)``
+    and a random C with ``size`` columns, whose column t, for t in
+    ``dependent``, is a random combination of the columns before it (zero
+    for t = 0), so row t of the result depends on the rows before it.  When
+    no swap moves it, the skew elimination meets such a row at an even
+    t < size - 1 as a zero row, and moves it last; at t = size - 1 it is
+    already last."""
+    inner = size - len(dependent)
+    zero = field.zero if degree is None else Polynomial.zero(field, degree)
+    rows = [[zero] * inner for _ in range(inner)]
+    for i in range(inner):
+        for j in range(i + 1, inner):
+            e = random_form(field, degree, rng)
+            rows[i][j], rows[j][i] = e, -e
+    b = FieldMatrix(field, rows, inner) if degree is None \
+        else PolyMatrix(field, degree, rows, inner)
+    cols = []
+    for t in range(size):
+        if t in dependent:
+            weights = [field.of(rng.randrange(-3, 4)) for _ in cols]
+            cols.append([sum((w * c[r] for w, c in zip(weights, cols)),
+                             field.zero) for r in range(inner)])
+        else:
+            cols.append([random_form(field, None, rng) for _ in range(inner)])
+    c = FieldMatrix(field, [list(r) for r in zip(*cols)], size)
+    if degree is not None:
+        c = as_poly_matrix(c)
+    return c.transpose() @ b @ c
+
+
+def is_zero_entry(e):
+    return e.is_zero if isinstance(e, Polynomial) else not e
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+@pytest.mark.parametrize("degree", [None, 1])
+@pytest.mark.parametrize("dependent", [0, 4, 8])
+def test_odd_rank_m_minus_1_with_the_dependent_index_first_middle_last(
+        field, degree, dependent):
+    rng = random.Random(100 * dependent + (degree or 0))
+    m = congruent(field, 9, {dependent}, rng, degree)
+    if degree is None:
+        assert rank(m) == 8
+    expected = reference_signed_maximal_pfaffians(m)
+    assert not is_zero_entry(expected[dependent])
+    assert signed_maximal_pfaffians(m) == expected
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+@pytest.mark.parametrize("degree", [None, 1])
+@pytest.mark.parametrize("dependent", [(0, 5), (3, 4), (2, 8)])
+def test_rank_m_minus_3_gives_the_zero_row(field, degree, dependent):
+    rng = random.Random(sum(dependent) + (degree or 0))
+    m = congruent(field, 9, set(dependent), rng, degree)
+    if degree is None:
+        assert rank(m) == 6
+    row = signed_maximal_pfaffians(m)
+    assert all(is_zero_entry(e) for e in row)
+    assert row == reference_signed_maximal_pfaffians(m)
+
+
+@pytest.mark.parametrize("field", [GF, QQ, PrimeField(3)])
+def test_size_one(field):
+    m = FieldMatrix(field, [[field.zero]])
+    assert signed_maximal_pfaffians(m) == [field.one]
+    assert pfaffian(m) == field.zero
+    forms = PolyMatrix(field, 2, [[Polynomial.zero(field, 2)]])
+    assert signed_maximal_pfaffians(forms) == \
+        reference_signed_maximal_pfaffians(forms)
+    assert pfaffian(forms) == reference_pfaffian(forms)
+
+
+@pytest.mark.parametrize("p, size, degree", [
+    (5, 9, 1), (5, 8, 1), (5, 5, 2), (7, 7, 2), (7, 12, 1), (7, 13, 1)])
+def test_forms_at_the_smallest_prime_above_the_pfaffian_degree(
+        monkeypatch, p, size, degree):
+    """D = (size // 2) degree = p - 1, so the kernel runs modulo p itself,
+    at every residue as a lattice coordinate."""
+    assert (size // 2) * degree == p - 1
+    moduli = record_moduli(monkeypatch)
+    field = PrimeField(p)
+    rng = random.Random(p * size)
+    for dependent in (set(), {size // 2}):
+        m = congruent(field, size, dependent, rng, degree)
+        moduli.clear()
+        if size % 2:
+            assert signed_maximal_pfaffians(m) == \
+                reference_signed_maximal_pfaffians(m)
+        else:
+            assert pfaffian(m) == reference_pfaffian(m)
+        assert moduli == [p]
+
+
+def test_the_pfaffian_row_runs_no_gauss_jordan(monkeypatch):
+    calls = []
+    original = linalg._rref_mod
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    lin = build_linear_presentation(family_phi(4), with_pfaffian_row=False)
+    monkeypatch.setattr(linalg, "_rref_mod", spy)
+    row = signed_maximal_pfaffians(lin.b2)
+    assert calls == []
     assert row == reference_signed_maximal_pfaffians(lin.b2)
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from apolar import (FieldMismatchError, FpElement, PrimeField, QQ, binomial,
-                    field_from_tag, multinomial)
+from apolar import (FieldMismatchError, FpElement, PrimeField, QQ,
+                    field_from_tag)
 from apolar.scalars import is_prime
 
 
@@ -108,17 +108,6 @@ def test_field_laws(field):
         assert a + (-a) == field.zero
         if a != field.zero:
             assert a * (field.one / a) == field.one
-
-
-def test_binomial_and_multinomial():
-    assert multinomial(3, 1, 1, 1) == 6
-    assert multinomial(3, 2, 1, 0) == 3
-    assert binomial(5, 2) == 10
-    assert binomial(3, 7) == 0
-    F = PrimeField(7)
-    assert multinomial(3, 1, 1, 1, field=F) == F.of(6)
-    with pytest.raises(ValueError):
-        multinomial(3, 2, 2, 0)
 
 
 def test_field_from_tag():

@@ -12,6 +12,20 @@ rational keeps the rank over Q, and reducing an integer matrix mod a prime
 can only lose rank.  So a modular rank is a lower bound for the rational
 one, and where the bounds meet, the degree is proven.  Any prime is sound; an
 unlucky one only sends that degree to the exact rational path.
+
+Above degree s + 2 - a no degree takes a rank, by this lemma (any field).
+Let J = ann(phi), s = deg phi and a the least degree with J_a != 0.  Then
+J_d = R_1 J_{d-1} for every d >= s + 3 - a, and the Hilbert function is
+h(d) = C(s - d + 2, 2) for s + 3 - a <= d <= s (0 above s).
+
+Proof.  Take psi of degree d with v(psi) in J_{d-1}^perp = R_e(phi) for each
+variable v, e = s - d + 1, say v(psi) = f_v(phi).  Then (w f_v - v f_w)(phi)
+= w(v(psi)) - v(w(psi)) = 0, and e + 1 < a gives J_{e+1} = 0, so
+w f_v = v f_w in R.  Koszul exactness gives f_v = v g for one g, so
+psi - g(phi) is killed by x, y and z, hence zero (d > 0), and psi = g(phi)
+lies in J_d^perp.  So (R_1 J_{d-1})^perp is inside J_d^perp, and J_d lies
+in R_1 J_{d-1}.  For h: cat_d is the transpose of cat_{s-d}, and J_{s-d} = 0
+because s - d < a.  So J has no minimal generator above s + 2 - a.
 """
 
 from __future__ import annotations
@@ -84,6 +98,16 @@ def _exact_rank(fld: Field, rows: List[List[Scalar]]) -> int:
     return linalg.rank(FieldMatrix(fld, rows)) if rows else 0
 
 
+def _tail_quotient_dim(s: int, a: Optional[int], d: int) -> Optional[int]:
+    """h(d) for ann(phi), phi of degree s and a the least degree of the
+    ideal, when d >= s + 3 - a: there the ideal is R_1 times its degree
+    d - 1 and h(d) = C(s - d + 2, 2), 0 above s (the lemma in the module
+    docstring).  None below that degree, or while a is not yet known."""
+    if a is None or d < s + 3 - a:
+        return None
+    return math.comb(max(s - d + 2, 0), 2)
+
+
 def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
     """Basis of the degree-d piece of ann(phi): the kernel of the evaluation
     map from degree-d polynomials to degree-(s-d) duals.  Above the socle
@@ -141,9 +165,10 @@ def summarize_ideal(phi: DualElement,
     degree by degree up to max_degree (default: socle degree + 1).
 
     The number of minimal generators in degree d is dim I_d minus the rank of
-    the span of x*f, y*f, z*f over a basis f of I_{d-1}.  That span lies in
-    I_d, so the count is 0, with no rank taken, when I_{d-1} is the whole of
-    degree d - 1, as it is for every d >= s + 2.
+    the span of x*f, y*f, z*f over a basis f of I_{d-1}.  With a the least
+    degree where I is nonzero, the count is 0, with no rank taken, for every
+    d >= s + 3 - a, because there I_d = R_1 I_{d-1} (the lemma in the module
+    docstring).
     """
     if phi.is_zero:
         raise ValueError("the zero functional has no annihilator summary")
@@ -158,6 +183,7 @@ def summarize_ideal(phi: DualElement,
     quotient_dims: List[int] = []
     generator_counts: List[int] = []
     kernels: List[List[Polynomial]] = []
+    a = None
     for d in range(max_degree + 1):
         ker = annihilator_degree(phi, d)
         basis = Basis(SYM_U, d)
@@ -167,12 +193,14 @@ def summarize_ideal(phi: DualElement,
         prev = kernels[d - 1] if d else []
         if not prev:
             count = len(ker)
-        elif quotient_dims[d - 1] == 0:
+        elif _tail_quotient_dim(s, a, d) is not None:
             count = 0
         else:
             count = len(ker) - _exact_rank(
                 fld, _multiple_rows(_exact_terms(prev), basis, fld.zero))
         generator_counts.append(count)
+        if a is None and ker:
+            a = d
     return GradedIdealSummary(s, max_degree, ideal_dims, quotient_dims,
                               generator_counts, kernels)
 
@@ -205,6 +233,14 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
     the span fills a degree it fills every higher one (x, y and z times it
     lie in the next span), and no rank is taken for it.
 
+    No rank is taken either at a degree d that passes three guards: d >=
+    s + 3 - a, for a the first degree where the annihilator J is nonzero;
+    the generators of degree <= d are all contained; and degree d - 1 is
+    "equal".  There (G)_d contains R_1 (G)_{d-1} = R_1 J_{d-1}, which is J_d
+    by the lemma in the module docstring, and lies inside J_d, so
+    dim_span = dim_ann = N - C(s - d + 2, 2) (N above s).  Every other
+    degree takes the path above, so a failing degree is never skipped.
+
     The default bound is socle degree + 1.  That bound certifies equality of
     the two ideals outright for generator degrees <= socle degree + 1: both
     ideals contain every form of degree > s (the annihilator because
@@ -230,12 +266,16 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
         phi_q = dict(_integer_terms(phi.coeffs, q))
     verdicts: List[DegreeVerdict] = []
     full = False
+    a = None
     for d in range(max_degree + 1):
         basis = Basis(SYM_U, d)
         total = len(basis)
         contained = all(ok for g, ok in zip(gens, annihilates) if g.degree <= d)
         dim_span = dim_ann = None
-        if full:
+        tail = _tail_quotient_dim(s, a, d)
+        if tail is not None and contained and verdicts[-1].equal:
+            dim_span = dim_ann = total - tail
+        elif full:
             dim_span = total
             if contained:
                 dim_ann = total
@@ -250,6 +290,8 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
         if dim_ann is None:
             dim_ann = total - _exact_rank(
                 fld, _catalecticant(phi.coeffs, fld.zero, s, d))
+        if a is None and dim_ann:
+            a = d
         full = dim_span == total
         verdicts.append(DegreeVerdict(d, dim_span, dim_ann, contained,
                                       contained and dim_span == dim_ann))

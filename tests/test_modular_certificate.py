@@ -71,12 +71,16 @@ def test_bad_prime_falls_back_to_the_exact_path(family, monkeypatch, n):
 
 
 def test_default_prime_makes_no_rational_rank_call(family, monkeypatch):
+    # s = 7 and ann(phi) starts in degree a = 4: degrees 0-5 take two
+    # modular ranks each, and degrees s + 3 - a = 6 to 8 follow from the
+    # degree below them without a rank
     phi, gens = family[4]
     calls = Eliminations(monkeypatch)
     verdicts = oracle.ideal_equality_check(gens, phi)
     assert all(v.equal for v in verdicts)
+    assert len(verdicts) == 9
     assert calls.fields == []
-    assert calls.moduli == [DEFAULT_PRIME] * 2 * len(verdicts)
+    assert calls.moduli == [DEFAULT_PRIME] * 12
 
 
 def test_a_non_member_never_takes_the_modular_path(monkeypatch):

@@ -5,14 +5,15 @@ negation, product, equality, row and column selection, the zero test, the
 text form and stacking.  Its two kinds differ only in their entries.  A
 FieldMatrix holds scalars, which count as forms of degree 0; a PolyMatrix
 holds homogeneous polynomials that all share one declared degree.  A sum or
-product that meets both kinds promotes the scalar operand with
-``as_poly_matrix``; stacking refuses to mix them.
+product that meets both kinds is a PolyMatrix; only the sum promotes the
+scalar operand with ``as_poly_matrix``, and stacking refuses to mix them.
 
 Every exact kernel runs on plain Python ints; scalars are boxed only at the
-API edge.  A product writes each operand as L M = sum_u u C_u, one int
-matrix C_u per monomial u (L = 1 over GF(p), the denominator LCM over Q),
-multiplies the slices with int dot products and boxes each coefficient of
-the result once.  Kernel, determinant and inverse come from one Gauss-Jordan
+API edge.  A product reads each operand, of either kind, as
+L M = sum_u u C_u, one int matrix C_u per monomial u (L = 1 over GF(p), the
+denominator LCM over Q), multiplies the slices with int dot products,
+tests each sum for zero (mod p over GF(p)) and boxes only the nonzero ones,
+once each.  Kernel, determinant and inverse come from one Gauss-Jordan
 routine that takes the first nonzero pivot in column order, so results are
 deterministic: the determinant is the product of the pivots times the sign
 of the row swaps, and the inverse is the right half of the reduced [m | I].
@@ -52,12 +53,33 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (Monomial, ONE, Polynomial, monomials_of_degree,
                    parse_polynomial)
 from .scalars import (Field, FieldMismatchError, FpElement, PrimeField, Scalar,
                       is_prime)
+
+
+def _boxed(field: Field, scale: int, monos: Sequence[Monomial],
+           by_mono: Iterable[Sequence[int]], count: int) -> List[dict]:
+    """The {monomial: scalar} maps of ``count`` entries, given one int
+    vector per monomial: by_mono[k][e] / scale is the coefficient of
+    monos[k] in entry e.  Only the coefficients that are nonzero in the field
+    are boxed, once each; over GF(p) the scale is 1 and the ints are reduced
+    mod p."""
+    p = getattr(field, "p", None)
+    maps: List[dict] = [{} for _ in range(count)]
+    for w, xs in zip(monos, by_mono):
+        if p:
+            for c, x in zip(maps, xs):
+                if x % p:
+                    c[w] = FpElement(x, p)
+        else:
+            for c, x in zip(maps, xs):
+                if x:
+                    c[w] = Fraction(x, scale)
+    return maps
 
 
 def _width(rows: List[list], cols: Optional[int]) -> int:
@@ -74,8 +96,8 @@ class Matrix:
     - ``_like(rows, cols, degree=self.degree)``: a matrix of the same kind;
     - ``_zero(degree)``: the zero entry of that degree;
     - ``_terms(entry)``: the entry's (monomial, coefficient) pairs;
-    - ``_element(degree, coeffs)``: the entry with the given coefficients on
-      the degree-``degree`` monomials in the fixed order.
+    - ``_element(degree, coeffs)``: the degree-``degree`` entry whose
+      nonzero coefficients are the {monomial: scalar} map ``coeffs``.
 
     Entries are zero exactly when they are falsy."""
 
@@ -85,12 +107,12 @@ class Matrix:
     rows: int
     cols: int
 
-    def _promoted(self, other: "Matrix") -> Tuple["Matrix", "Matrix"]:
+    def _kind(self, other: "Matrix") -> "Matrix":
+        """The operand whose kind the sum or product of self and other
+        takes: the PolyMatrix one, if either is."""
         if self.field != other.field:
             raise FieldMismatchError("matrices live in different fields")
-        if type(self) is not type(other):
-            return as_poly_matrix(self), as_poly_matrix(other)
-        return self, other
+        return other if isinstance(other, PolyMatrix) else self
 
     def transpose(self) -> "Matrix":
         return self._like([[self.entries[i][j] for i in range(self.rows)]
@@ -113,37 +135,36 @@ class Matrix:
         return L, slices
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """(L_a A)(L_b B) = sum_(u,v) uv C_u D_v on plain ints; each
+        """(L_a A)(L_b B) = sum_(u,v) uv C_u D_v on plain ints, with a
+        scalar operand read as its single slice C_1; each nonzero
         coefficient is boxed once, over L_a L_b."""
-        a, b = self._promoted(other)
-        if a.cols != b.rows:
-            raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ "
-                             f"{b.rows}x{b.cols}")
-        degree = a.degree + b.degree
-        la, a_slices = a._int_slices()
-        lb, b_slices = b._int_slices()
+        kind = self._kind(other)
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
+                             f"{other.rows}x{other.cols}")
+        degree = self.degree + other.degree
+        la, a_slices = self._int_slices()
+        lb, b_slices = other._int_slices()
         b_cols = [(v, list(zip(*d))) for v, d in b_slices.items()]
         sums: dict = {}
         for u, c in a_slices.items():
             for v, d_cols in b_cols:
                 prod = [[sum(map(mul, row, col)) for col in d_cols] if any(row)
-                        else [0] * b.cols for row in c]
+                        else [0] * other.cols for row in c]
                 w = u * v
                 acc = sums.get(w)
                 sums[w] = prod if acc is None else [
                     list(map(add, r1, r2)) for r1, r2 in zip(acc, prod)]
-        p = getattr(a.field, "p", None)
-        scale = la * lb
-        box = (lambda x: FpElement(x, p)) if p else (lambda x: Fraction(x, scale))
-        zero = a.field.zero
-        coeffs = [sums.get(w) for w in monomials_of_degree(degree)]
-        return a._like([[a._element(degree, [box(s[i][j]) if s else zero
-                                             for s in coeffs])
-                         for j in range(b.cols)] for i in range(a.rows)],
-                       b.cols, degree)
+        monos, tables = list(sums), list(sums.values())
+        entries = [[kind._element(degree, c) for c in _boxed(
+            kind.field, la * lb, monos, [t[i] for t in tables], other.cols)]
+                   for i in range(self.rows)]
+        return kind._like(entries, other.cols, degree)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        a, b = self._promoted(other)
+        a, b = self, other
+        if isinstance(self._kind(other), PolyMatrix):
+            a, b = as_poly_matrix(self), as_poly_matrix(other)
         if (a.rows, a.cols) != (b.rows, b.cols):
             raise ValueError("shape mismatch in matrix sum")
         if a.degree != b.degree:
@@ -219,8 +240,8 @@ class FieldMatrix(Matrix):
     def _terms(self, e: Scalar) -> List[Tuple[Monomial, Scalar]]:
         return [(ONE, e)] if e else []
 
-    def _element(self, degree: int, coeffs: List[Scalar]) -> Scalar:
-        return coeffs[0]
+    def _element(self, degree: int, coeffs: dict) -> Scalar:
+        return coeffs.get(ONE, self.field.zero)
 
     def scaled(self, s) -> "FieldMatrix":
         s = s if self.field.contains(s) else self.field.of(s)
@@ -279,18 +300,19 @@ class PolyMatrix(Matrix):
     def _terms(self, e: Polynomial):
         return e.coeffs.items()
 
-    def _element(self, degree: int, coeffs: List[Scalar]) -> Polynomial:
-        return Polynomial(self.field, degree,
-                          dict(zip(monomials_of_degree(degree), coeffs)))
+    def _element(self, degree: int, coeffs: dict) -> Polynomial:
+        return Polynomial(self.field, degree, coeffs)
 
     def scaled(self, s) -> "PolyMatrix":
         return self._like([[e.scaled(s) for e in r] for r in self.entries],
                           self.cols)
 
     def times_monomial(self, m: Monomial) -> "PolyMatrix":
-        factor = Polynomial.monomial(self.field, m)
-        return self._like([[e * factor for e in r] for r in self.entries],
-                          self.cols, self.degree + m.degree)
+        degree = self.degree + m.degree
+        return self._like([[self._element(degree, {u * m: c for u, c in
+                                                   e.coeffs.items()})
+                            for e in r] for r in self.entries],
+                          self.cols, degree)
 
     @classmethod
     def from_strings(cls, field: Field, degree: int,
@@ -721,10 +743,10 @@ def _pfaffians_mod(terms, size: int, degree: int, q: int) -> List[List[int]]:
     return _interpolate_mod(grid, degree, q)
 
 
-def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[List[Scalar]]]:
-    """(D, vectors): the coefficient vectors, on the degree-D monomials, of
-    Pf(m) for even size or of its signed maximal Pfaffians for odd size,
-    where D = (size // 2) * degree.
+def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[dict]]:
+    """(D, maps): the nonzero coefficients, as {monomial: scalar} maps on
+    the degree-D monomials, of Pf(m) for even size or of its signed maximal
+    Pfaffians for odd size, where D = (size // 2) * degree.
 
     Over GF(p) with p > D this is ``_pfaffians_mod`` with q = p.  Otherwise
     the integer matrix L m runs modulo primes below 2^61.  L clears the
@@ -736,7 +758,8 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[List[Scalar]]]:
     coefficient 1-norms of row i.  No coefficient can exceed it:
     ||Pf||_1 <= haf(B) <= sqrt(per(B)) <= sqrt(prod r_i) for B the matrix of
     entry 1-norms, and the same holds for every maximal minor.  The
-    symmetric residues, over L^(size // 2), are the exact coefficients."""
+    symmetric residues, over L^(size // 2), are the exact coefficients; L is
+    1 over GF(p), where they are reduced mod p."""
     field = m.field
     size = m.rows
     degree = (size // 2) * m.degree
@@ -746,12 +769,13 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[List[Scalar]]]:
             ts = [(mon.b, mon.c, c) for mon, c in m._terms(m.entries[i][j])]
             if ts:
                 terms[i, j] = ts
+    monos = monomials_of_degree(degree)
     p = getattr(field, "p", None)
     if p is not None and p > degree:
         lifted = {ij: [(b, c, x.value) for b, c, x in ts]
                   for ij, ts in terms.items()}
-        return degree, [[FpElement(x, p) for x in vec]
-                        for vec in _pfaffians_mod(lifted, size, degree, p)]
+        vecs = _pfaffians_mod(lifted, size, degree, p)
+        return degree, _boxed(field, 1, monos, zip(*vecs), len(vecs))
     L = denominator_lcm(m)
 
     def lift(x) -> int:
@@ -780,8 +804,9 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[List[Scalar]]]:
                         for xs, ys in zip(residues, vecs)]
         modulus *= q
     scale = L ** (size // 2)
-    return degree, [[field.of(Fraction(x - modulus if 2 * x > modulus else x,
-                                       scale)) for x in vec] for vec in residues]
+    signed = [[x - modulus if 2 * x > modulus else x for x in vec]
+              for vec in residues]
+    return degree, _boxed(field, scale, monos, zip(*signed), len(signed))
 
 
 def pfaffian(m: Matrix):

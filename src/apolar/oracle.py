@@ -38,7 +38,7 @@ from . import linalg
 from .linalg import FieldMatrix
 from .poly import (Basis, DualElement, Monomial, Polynomial, SYM_U,
                    contract, monomials_of_degree)
-from .scalars import QQ, Field, RationalField, Scalar
+from .scalars import QQ, Field, PrimeField, RationalField, Scalar
 
 # The prime of the modular ranks over Q: 2^61 - 1, the first of
 # linalg._crt_primes.
@@ -79,15 +79,47 @@ def _multiple_rows(gens: Sequence[Tuple[int, Terms]], basis: Basis,
     return rows
 
 
+def _integer_coeffs(coeffs: Dict[Monomial, Scalar],
+                    fld: Field) -> Dict[Monomial, int]:
+    """The coefficients as plain ints: over GF(p) the residues, over Q the
+    rationals times their common denominator."""
+    if isinstance(fld, PrimeField):
+        return {m: c.value for m, c in coeffs.items()}
+    L = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {m: c.numerator * (L // c.denominator) for m, c in coeffs.items()}
+
+
 def _integer_terms(coeffs: Dict[Monomial, Scalar], q: int) -> Terms:
     """The rational coefficients times their common denominator, mod q.
     Every row built from one such list is scaled by the same nonzero
     integer, which keeps its rank over Q; the scaled rows are integers, so
     their rank mod q is at most that rank, and no prime is bad for a
     denominator."""
-    L = math.lcm(*(c.denominator for c in coeffs.values()))
-    return [(m, c.numerator * (L // c.denominator) % q)
-            for m, c in coeffs.items()]
+    return [(m, c % q) for m, c in _integer_coeffs(coeffs, QQ).items()]
+
+
+def _annihilates(gens: Sequence[Polynomial], phi: DualElement) -> List[bool]:
+    """Whether g(phi) = 0, for each generator g, on plain ints: g(phi) is
+    zero iff sum_u c_u phi_(u v) = 0 for every monomial v of degree
+    s - deg g, u running over the monomials of g.  Over GF(p) the sums run
+    on residues and are tested mod p; over Q they run on g and phi each
+    scaled by its denominator LCM, a nonzero factor, and are tested exactly
+    against 0.  A generator of degree above s annihilates phi."""
+    fld, s = phi.field, phi.degree
+    p = getattr(fld, "p", None)
+    phi_int = _integer_coeffs(phi.coeffs, fld)
+
+    def annihilates(g: Polynomial) -> bool:
+        if g.degree > s:
+            return True
+        terms = _integer_coeffs(g.coeffs, fld).items()
+        for v in monomials_of_degree(s - g.degree):
+            x = sum(c * phi_int.get(u * v, 0) for u, c in terms)
+            if (x % p if p else x):
+                return False
+        return True
+
+    return [annihilates(g) for g in gens]
 
 
 def _exact_terms(polys: Sequence[Polynomial]) -> List[Tuple[int, Terms]]:
@@ -220,9 +252,11 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
 
     For each degree d the span of all monomial multiples of the generators is
     ranked against dim ann(phi)_d = N - rank(catalecticant), N the number of
-    degree-d monomials, and containment is checked by contracting each
-    generator against phi once (a multiple m*g then annihilates too,
-    because (m*g)(phi) = m(g(phi))).
+    degree-d monomials, and containment is checked once per generator g by
+    the integer test of ``_annihilates``: every coefficient of g(phi) is a
+    sum over the monomials of g, on plain ints, exact over Q (a multiple m*g
+    then annihilates too, because (m*g)(phi) = m(g(phi))).  The modular
+    ranks below never decide containment: a zero mod q is not a proof.
 
     Over Q, a degree whose generators are all contained first ranks both
     matrices mod q = ``CERTIFICATE_PRIME``.  Containment gives
@@ -257,7 +291,7 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
             raise ValueError("generators must be homogeneous polynomials")
         if g.field != fld:
             raise ValueError("generator field does not match phi")
-    annihilates = [g.degree > s or contract(g, phi).is_zero for g in gens]
+    annihilates = _annihilates(gens, phi)
     gens_exact = _exact_terms(gens)
     q = CERTIFICATE_PRIME
     modular = isinstance(fld, RationalField)

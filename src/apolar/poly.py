@@ -133,7 +133,7 @@ class _CoeffMap:
                     f"monomial {m} has degree {m.degree}, expected {degree}")
             if not field.contains(c):
                 c = field.of(c)
-            if c != field.zero:
+            if c:
                 clean[m] = c
         self.field = field
         self.degree = degree

@@ -2,7 +2,11 @@
 boxed loops in ``elimination_reference``: the matrix product on scalar and
 form matrices of every shape and kind, the fraction-free Gauss-Jordan over
 Q, the eliminations over GF(32003) and GF(3), and the forward-only rank
-pass against the rank of the full reduction."""
+pass against the rank of the full reduction.  Beyond equality with the
+reference, a product stores no zero coefficient, keeps the declared degree
+on zero entries, boxes int sums that vanish mod p to zero, and never
+promotes a scalar operand; ``times_monomial`` equals the product with a
+monomial."""
 
 from fractions import Fraction
 
@@ -11,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ, det,
                     invert, kernel, linalg, rank)
-from apolar.poly import monomials_of_degree
+from apolar.poly import Monomial, monomials_of_degree
 from elimination_reference import (reference_det, reference_inverse,
                                    reference_kernel, reference_product,
                                    reference_rank, reference_rref)
@@ -63,8 +67,64 @@ def products(draw):
 @SETTINGS
 @given(products())
 def test_product_equals_the_boxed_triple_loop(pair):
+    """Also: @ calls no as_poly_matrix, the result has the kind of the form
+    operand, and every entry of a form product has the declared degree,
+    zero or not, and stores only nonzero coefficients of the field's own
+    scalar type."""
     a, b = pair
-    assert a @ b == reference_product(a, b)
+    expected = reference_product(a, b)
+
+    def refuse(m):
+        raise AssertionError("as_poly_matrix called by @")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "as_poly_matrix", refuse)
+        out = a @ b
+    assert out == expected
+    assert type(out) is type(expected)
+    one = type(a.field.one)
+    for e in (e for r in out.entries for e in r):
+        if isinstance(out, PolyMatrix):
+            assert e.degree == out.degree
+            assert all(e.coeffs.values())
+            assert all(type(c) is one for c in e.coeffs.values())
+        else:
+            assert type(e) is one
+
+
+@pytest.mark.parametrize("degree", [None, 0, 1])
+def test_sums_that_vanish_mod_p_box_to_zero(degree):
+    """Over GF(3) the int sums 1 + 1 + 1 and 2 + 2 + 2 are nonzero
+    multiples of 3; their entries are zero, of the declared degree."""
+    f = PrimeField(3)
+    if degree is None:
+        a = FieldMatrix(f, [[1, 1, 1], [2, 2, 2]])
+    else:
+        m = monomials_of_degree(degree)[0]
+        a = PolyMatrix(f, degree, [[Polynomial.monomial(f, m, c)] * 3
+                                   for c in (1, 2)])
+    out = a @ FieldMatrix(f, [[1, 1]] * 3)
+    assert out.is_zero()
+    assert (out.rows, out.cols, out.degree) == (2, 2, degree or 0)
+    for e in (e for r in out.entries for e in r):
+        assert e == (f.zero if degree is None else Polynomial.zero(f, degree))
+
+
+@st.composite
+def shifted(draw):
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(matrices(field, draw(st.integers(0, 4)), draw(st.integers(0, 4)),
+                      draw(st.integers(0, 2))))
+    return m, Monomial(*(draw(st.integers(0, 2)) for _ in range(3)))
+
+
+@SETTINGS
+@given(shifted())
+def test_times_monomial_equals_the_product_with_the_monomial(case):
+    m, u = case
+    factor = Polynomial.monomial(m.field, u)
+    expected = PolyMatrix(m.field, m.degree + u.degree,
+                          [[e * factor for e in r] for r in m.entries], m.cols)
+    assert m.times_monomial(u) == expected
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -19,9 +19,10 @@ deterministic: the determinant is the product of the pivots times the sign
 of the row swaps, and the inverse is the right half of the reduced [m | I].
 Over GF(p) it runs on residues (``_rref_mod``); over Q, on rows scaled to
 integers, fraction-free (``_rref_int``, after Bareiss).  The RREF is
-unique, so both give the rational answer.  The rank takes the same loops
-forward only, on whichever of M and M^T has fewer rows.  A zero-row matrix
-keeps its column count.
+unique, so both give the rational answer.  The reduced rows stay ints:
+``kernel`` boxes only the free columns and ``invert`` only the right half.
+The rank takes the same loops forward only, on whichever of M and M^T has
+fewer rows.  A zero-row matrix keeps its column count.
 
 Pfaffians take one polynomial-time path for both kinds.
 Every call first checks that the matrix is strictly alternating (zero
@@ -29,12 +30,18 @@ diagonal, M + M^T = 0).  For an m x m matrix of degree-d forms, the Pfaffian
 (m even) and each maximal-order Pfaffian (m odd) is a form of degree
 D = (m // 2) d.  The kernel works on plain ints mod a prime q > D:
 
-- it evaluates the entries at the lattice points (1, a, b), a + b <= D, which
-  are unisolvent for degree-D forms because 0, ..., D are distinct mod q;
+- it evaluates the entries above the diagonal at the lattice points
+  (1, a, b), a + b <= D, which are unisolvent for degree-D forms because
+  0, ..., D are distinct mod q: the values are the sum, over the monomials
+  y^e z^f, of one int vector per monomial (over the nonzero positions)
+  times a^e b^f;
 - at each point, one skew-symmetric elimination with 2 x 2 pivots
   (``_skew_mod``, O(m^3)) gives the Pfaffian as the signed product of its
   pivots; for odd m it also gives the null vector, which that product
-  scales into the whole signed row;
+  scales into the whole signed row.  It stores and updates the triangle
+  above the diagonal only, as skew-symmetric L T L^T codes do (Bunch 1982;
+  M. Wimmer, ACM TOMS 38, 2012): the one below is its negation, and its
+  cells hold the multipliers;
 - Newton forward differences on the lattice and one table of
   falling-factorial coefficients interpolate all the forms in O(D^3) vector
   operations (``_interpolate_mod``), with no Vandermonde matrix.
@@ -53,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (Monomial, ONE, Polynomial, monomials_of_degree,
                    parse_polynomial)
@@ -458,21 +465,23 @@ def _integer_rows(entries: List[List[Fraction]]
 
 
 def _rref(entries: List[List[Scalar]], field: Field
-          ) -> Tuple[List[List[Scalar]], List[int], Scalar]:
-    """Reduced row echelon form; returns (rows, pivot columns, d).  When the
-    rows are independent, d is the product of the pivots times the sign of
-    the row swaps; for a square matrix of full rank it is the determinant.
-    The work runs on plain ints: on residues in ``_rref_mod`` over GF(p),
-    and over Q on rows scaled to integers, in ``_rref_int``."""
+          ) -> Tuple[List[List[int]], List[int], Scalar, Callable[[int], Scalar]]:
+    """Reduced row echelon form; returns (rows, pivot columns, d, box): the
+    reduced rows as ints, and the function that boxes one of them as the
+    field scalar it stands for, so that a caller boxes only the entries it
+    reads.  When the rows are independent, d is the product of the pivots
+    times the sign of the row swaps; for a square matrix of full rank it is
+    the determinant.  The work runs on plain ints: on residues in
+    ``_rref_mod`` over GF(p), and over Q on rows scaled to integers, in
+    ``_rref_int``, whose rows are the RREF times its last pivot."""
     if isinstance(field, PrimeField):
         p = field.p
         red, pivots, d = _rref_mod([[e.value for e in r] for r in entries], p)
-        return [[FpElement(e, p) for e in r] for r in red], pivots, FpElement(d, p)
+        return red, pivots, FpElement(d, p), lambda e: FpElement(e, p)
     rows, scale = _integer_rows(entries)
     red, pivots, d = _rref_int(rows)
     last = red[0][pivots[0]] if pivots else 1
-    return ([[Fraction(e, last) for e in r] for r in red], pivots,
-            Fraction(d, scale))
+    return red, pivots, Fraction(d, scale), lambda e: Fraction(e, last)
 
 
 def _shorter(rows: List[list]) -> List[list]:
@@ -507,7 +516,7 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
     if m.rows == 0:
         return [[one if j == i else zero for j in range(m.cols)]
                 for i in range(m.cols)]
-    red, pivots, _ = _rref(m.entries, m.field)
+    red, pivots, _, box = _rref(m.entries, m.field)
     pivot_set = set(pivots)
     basis = []
     for f in range(m.cols):
@@ -515,7 +524,7 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
             v = [zero] * m.cols
             v[f] = one
             for r, c in enumerate(pivots):
-                v[c] = -red[r][f]
+                v[c] = box(-red[r][f])
             basis.append(v)
     return basis
 
@@ -523,7 +532,7 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
 def det(m: FieldMatrix) -> Scalar:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, d = _rref(m.entries, m.field)
+    _, pivots, d, _ = _rref(m.entries, m.field)
     return d if len(pivots) == m.rows else m.field.zero
 
 
@@ -548,11 +557,12 @@ def invert(m: FieldMatrix) -> InversionResult:
     field = m.field
     aug = [list(r) + [field.one if j == i else field.zero for j in range(n)]
            for i, r in enumerate(m.entries)]
-    red, pivots, _ = _rref(aug, field)
+    red, pivots, _, box = _rref(aug, field)
     r = sum(1 for c in pivots if c < n)
     if r < n:
         return InversionResult(None, r)
-    return InversionResult(FieldMatrix(field, [row[n:] for row in red]), n)
+    return InversionResult(FieldMatrix(field, [[box(e) for e in row[n:]]
+                                               for row in red]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +597,24 @@ def _crt_primes():
         q -= 2
 
 
-def _swap(a: List[List[int]], perm: List[int], s: int, t: int) -> None:
-    """Swap indices s and t of a and perm; rows s and t carry their stored
-    multipliers with them."""
-    a[s], a[t] = a[t], a[s]
-    for row in a:
-        row[s], row[t] = row[t], row[s]
+def _swap(a: List[List[int]], k: int, perm: List[int], s: int, t: int) -> None:
+    """Swap indices s < t, both at least k, of perm and of the alternating
+    matrix that a stores above its diagonal, where the cells [:k] of each
+    row hold multipliers.  Rows s and t trade their multipliers; entry
+    (i, s) trades with (i, t) for k <= i < s; for s < j < t the pair
+    ((s, j), (j, t)) becomes (-(j, t), -(s, j)); (s, t) is negated; and
+    rows s and t trade their entries right of t.  Rows above k are done
+    and stay as they are."""
+    rs, rt = a[s], a[t]
+    rs[:k], rt[:k] = rt[:k], rs[:k]
+    for i in range(k, s):
+        r = a[i]
+        r[s], r[t] = r[t], r[s]
+    for j in range(s + 1, t):
+        r = a[j]
+        rs[j], r[t] = -r[t], -rs[j]
+    rs[t] = -rs[t]
+    rs[t + 1:], rt[t + 1:] = rt[t + 1:], rs[t + 1:]
     perm[s], perm[t] = perm[t], perm[s]
 
 
@@ -600,19 +622,20 @@ def _skew_mod(a: List[List[int]], q: int) -> List[int]:
     """[Pf(a)] for even m, and the signed maximal Pfaffians of a for odd m,
     from one skew-symmetric elimination of the m x m alternating residue
     matrix a mod q with 2 x 2 pivots (J. R. Bunch, Math. Comp. 38, 1982);
-    destroys a.
+    destroys a.  Only the entries a[i][j], i < j, are read: one below the
+    diagonal is -a[j][i], and the cells there hold the multipliers.
 
     Step k moves the first j > k with a[k][j] != 0 to index k + 1 and
-    pivots on p = a[k][k+1]: each later row i takes u = a[i][k+1] / p and
-    w = a[i][k] / p, keeps the multipliers (u, -w) in its columns k, k + 1
-    and turns into a[i][j] - u a[k][j] + w a[k+1][j] right of them, the
-    Schur complement, which stays alternating.  Each swap of two indices
-    flips ``sign`` and is kept in ``perm``, so the permuted matrix is
-    L T L^T: L unit lower triangular with the multipliers below its
-    diagonal, T block diagonal with the blocks [[0, p], [-p, 0]].  A zero
-    row at step k makes Pf = 0 for even m.  For odd m the first zero row
-    is moved to the last index, one more swap; a second one means rank
-    < m - 1, where every maximal Pfaffian vanishes.
+    pivots on p = a[k][k+1]: each later row i takes u = -a[k+1][i] / p and
+    w = -a[k][i] / p, keeps the multipliers (u, -w) in its columns k, k + 1
+    and turns into a[i][j] - u a[k][j] + w a[k+1][j] right of its diagonal,
+    the Schur complement, which stays alternating.  Each swap of two
+    indices (``_swap``) flips ``sign`` and is kept in ``perm``, so the
+    permuted matrix is L T L^T: L unit lower triangular with the
+    multipliers below its diagonal, T block diagonal with the blocks
+    [[0, p], [-p, 0]].  A zero row at step k makes Pf = 0 for even m.  For
+    odd m the first zero row is moved to the last index, one more swap; a
+    second one means rank < m - 1, where every maximal Pfaffian vanishes.
 
     For odd m at rank m - 1, L^T x = e_last gives the null vector x of the
     permuted matrix, so the signed row, which annihilates a, is lambda x
@@ -634,23 +657,23 @@ def _skew_mod(a: List[List[int]], q: int) -> List[int]:
             if not odd or moved:
                 return [0] * (m if odd else 1)
             moved = True
-            _swap(a, perm, k, m - 1)
+            _swap(a, k, perm, k, m - 1)
             sign = -sign
             continue
         if j != k + 1:
-            _swap(a, perm, k + 1, j)
+            _swap(a, k, perm, k + 1, j)
             sign = -sign
+        row1 = a[k + 1]
         p = row[k + 1]
         pf = pf * p % q
         inv = pow(p, -1, q)
-        rk, rk1 = row[k + 2:], a[k + 1][k + 2:]
         for i in range(k + 2, m):
             r = a[i]
-            u, w = r[k + 1] * inv % q, r[k] * inv % q
+            u, w = -row1[i] * inv % q, -row[i] * inv % q
             r[k], r[k + 1] = u, -w % q
             if u or w:
-                r[k + 2:] = [(x - u * y + w * z) % q
-                             for x, y, z in zip(r[k + 2:], rk, rk1)]
+                r[i + 1:] = [(x - u * y + w * z) % q for x, y, z in
+                             zip(r[i + 1:], row[i + 1:], row1[i + 1:])]
         k += 2
     lam = sign * pf % q
     if not odd:
@@ -717,27 +740,34 @@ def _interpolate_mod(grid: List[List[List[int]]], degree: int, q: int
             for r in range(len(grid[0][0]))]
 
 
-def _pfaffians_mod(terms, size: int, degree: int, q: int) -> List[List[int]]:
+def _pfaffians_mod(positions: List[Tuple[int, int]], slices: dict, size: int,
+                   degree: int, q: int) -> List[List[int]]:
     """Coefficient vectors mod q, on the degree-D monomials in the fixed
     order, of the Pfaffian (even size) or the signed maximal Pfaffians (odd
-    size) of the alternating matrix whose entry (i, j), i < j, has the value
-    sum k y^e z^f at the point (1, y, z), over the triples (e, f, k) in
-    terms[i, j]: the y and z exponents and the coefficient of each term.
+    size) of the alternating matrix whose entry positions[t] = (i, j),
+    i < j, has the value sum y^e z^f slices[e, f][t] at the point (1, y, z),
+    over the y and z exponents (e, f) of the slices; every other entry above
+    the diagonal is zero.
 
-    ``_skew_mod`` gives the values at the lattice points (1, a, b),
-    a + b <= D, which ``_interpolate_mod`` turns into coefficients; both
-    need q > D, which the caller guarantees."""
+    At each lattice point (1, a, b), a + b <= D, the slices combine into the
+    entry values, which fill the triangle above the diagonal, the only one
+    ``_skew_mod`` reads.  ``_interpolate_mod`` turns the values into
+    coefficients; both need q > D, which the caller guarantees."""
     powers = [[pow(t, e, q) for e in range(degree + 1)]
               for t in range(degree + 1)]
+    reduced = [(e, f, [x % q for x in v]) for (e, f), v in slices.items()]
     grid = []
     for b in range(degree + 1):
         pc = powers[b]
         row = []
         for pb in powers[:degree + 1 - b]:
+            values = [0] * len(positions)
+            for e, f, v in reduced:
+                w = pb[e] * pc[f]
+                values = [x + w * y for x, y in zip(values, v)]
             a = [[0] * size for _ in range(size)]
-            for (i, j), ts in terms.items():
-                v = sum(c * pb[eb] * pc[ec] for eb, ec, c in ts) % q
-                a[i][j], a[j][i] = v, -v % q
+            for (i, j), x in zip(positions, values):
+                a[i][j] = x % q
             row.append(_skew_mod(a, q))
         grid.append(row)
     return _interpolate_mod(grid, degree, q)
@@ -748,45 +778,39 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[dict]]:
     the degree-D monomials, of Pf(m) for even size or of its signed maximal
     Pfaffians for odd size, where D = (size // 2) * degree.
 
-    Over GF(p) with p > D this is ``_pfaffians_mod`` with q = p.  Otherwise
-    the integer matrix L m runs modulo primes below 2^61.  L clears the
-    denominators; over GF(p), residues are lifted to (-p/2, p/2), which
-    keeps the bound below small.  Only entries above the diagonal are lifted
-    and the kernel negates them below it, so the integer matrix is
-    alternating and reduces to m mod p.  The primes run until their product
-    exceeds twice the bound sqrt(prod_i max(1, r_i)), r_i the sum of the
-    coefficient 1-norms of row i.  No coefficient can exceed it:
-    ||Pf||_1 <= haf(B) <= sqrt(per(B)) <= sqrt(prod r_i) for B the matrix of
-    entry 1-norms, and the same holds for every maximal minor.  The
-    symmetric residues, over L^(size // 2), are the exact coefficients; L is
-    1 over GF(p), where they are reduced mod p."""
+    The entries above the diagonal are read off ``_int_slices`` as one int
+    vector per monomial over the nonzero positions.  Over GF(p) with p > D
+    this is ``_pfaffians_mod`` with q = p.  Otherwise the integer matrix
+    L m runs modulo primes below 2^61.  L clears the denominators; over
+    GF(p), residues are lifted to (-p/2, p/2), which keeps the bound below
+    small.  Only entries above the diagonal are lifted and the kernel reads
+    no other, so the integer matrix is alternating and reduces to m mod p.
+    The primes run until their product exceeds twice the bound
+    sqrt(prod_i max(1, r_i)), r_i the sum of the coefficient 1-norms of
+    row i.  No coefficient can exceed it: ||Pf||_1 <= haf(B) <= sqrt(per(B))
+    <= sqrt(prod r_i) for B the matrix of entry 1-norms, and the same holds
+    for every maximal minor.  The symmetric residues, over L^(size // 2),
+    are the exact coefficients; L is 1 over GF(p), where they are reduced
+    mod p."""
     field = m.field
     size = m.rows
     degree = (size // 2) * m.degree
-    terms = {}
-    for i in range(size):
-        for j in range(i + 1, size):
-            ts = [(mon.b, mon.c, c) for mon, c in m._terms(m.entries[i][j])]
-            if ts:
-                terms[i, j] = ts
     monos = monomials_of_degree(degree)
     p = getattr(field, "p", None)
+    L, by_mono = m._int_slices()
+    positions = [(i, j) for i in range(size) for j in range(i + 1, size)
+                 if m.entries[i][j]]
+    slices = {(u.b, u.c): [c[i][j] for i, j in positions]
+              for u, c in by_mono.items()}
     if p is not None and p > degree:
-        lifted = {ij: [(b, c, x.value) for b, c, x in ts]
-                  for ij, ts in terms.items()}
-        vecs = _pfaffians_mod(lifted, size, degree, p)
+        vecs = _pfaffians_mod(positions, slices, size, degree, p)
         return degree, _boxed(field, 1, monos, zip(*vecs), len(vecs))
-    L = denominator_lcm(m)
-
-    def lift(x) -> int:
-        if p is None:
-            return x.numerator * (L // x.denominator)
-        return x.value if 2 * x.value < p else x.value - p
-
-    lifted = {ij: [(b, c, lift(x)) for b, c, x in ts] for ij, ts in terms.items()}
+    if p is not None:
+        slices = {ef: [x if 2 * x < p else x - p for x in v]
+                  for ef, v in slices.items()}
     norms = [0] * size
-    for (i, j), ts in lifted.items():
-        s = sum(abs(x) for _, _, x in ts)
+    for (i, j), *xs in zip(positions, *slices.values()):
+        s = sum(map(abs, xs))
         norms[i] += s
         norms[j] += s
     bound = math.prod(max(1, r) for r in norms)
@@ -795,7 +819,7 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[dict]]:
     primes = _crt_primes()
     while modulus * modulus <= 4 * bound:
         q = next(primes)
-        vecs = _pfaffians_mod(lifted, size, degree, q)
+        vecs = _pfaffians_mod(positions, slices, size, degree, q)
         if modulus == 1:
             residues = vecs
         else:
@@ -843,6 +867,8 @@ def congruence_pfaffian_check(a: FieldMatrix, m: FieldMatrix) -> bool:
 
 def denominator_lcm(m: Matrix) -> int:
     """LCM of all rational coefficient denominators (1 for prime fields)."""
+    if isinstance(m.field, PrimeField):
+        return 1
     L = 1
     for row in m.entries:
         for e in row:

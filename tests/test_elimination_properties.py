@@ -6,7 +6,8 @@ pass against the rank of the full reduction.  Beyond equality with the
 reference, a product stores no zero coefficient, keeps the declared degree
 on zero entries, boxes int sums that vanish mod p to zero, and never
 promotes a scalar operand; ``times_monomial`` equals the product with a
-monomial."""
+monomial.  ``kernel`` and ``invert`` box only the entries of the reduced
+rows that they read."""
 
 from fractions import Fraction
 
@@ -168,7 +169,8 @@ def square_or_not(draw, max_size=6):
 @SETTINGS
 @given(square_or_not())
 def test_rref_equals_the_boxed_reduction(m):
-    red, pivots, d = linalg._rref(m.entries, m.field)
+    red, pivots, d, box = linalg._rref(m.entries, m.field)
+    red = [[box(e) for e in r] for r in red]
     ref_red, ref_pivots, ref_d = reference_rref(m.entries, m.field)
     assert pivots == ref_pivots
     assert red == ref_red
@@ -188,6 +190,38 @@ def test_rank_kernel_det_inverse_equal_the_reference(m):
         ref = reference_inverse(m)
         assert res.inverse == ref
         assert res.rank == (m.rows if ref is not None else reference_rank(m))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_kernel_and_invert_box_only_what_they_read(field, monkeypatch):
+    boxed = []
+    original = linalg._rref
+
+    def spy(entries, fld):
+        red, pivots, d, box = original(entries, fld)
+
+        def counting(e):
+            boxed.append(e)
+            return box(e)
+        return red, pivots, d, counting
+
+    monkeypatch.setattr(linalg, "_rref", spy)
+    # rank 3 with 7 columns: 4 free columns, 3 pivot entries each
+    thin = FieldMatrix(field, [[field.of(i * j % 5 + (i == j)) for j in range(3)]
+                               for i in range(4)])
+    wide = FieldMatrix(field, [[field.of((i + 2) ** j % 7) for j in range(7)]
+                               for i in range(3)])
+    m = thin @ wide
+    assert rank(m) == 3
+    basis = kernel(m)
+    assert len(basis) == 4 and len(boxed) == 4 * 3
+    assert basis == reference_kernel(m)
+    boxed.clear()
+    # unit upper triangular, so invertible in every field
+    sq = FieldMatrix(field, [[field.of(int(i == j) + (j > i) * (i + j))
+                              for j in range(5)] for i in range(5)])
+    assert invert(sq).inverse == reference_inverse(sq)
+    assert len(boxed) == 5 * 5
 
 
 @st.composite

@@ -233,6 +233,14 @@ def test_denominator_lcm():
     assert denominator_lcm(FieldMatrix.identity(GF, 2)) == 1
 
 
+@pytest.mark.parametrize("m", [
+    FieldMatrix.identity(GF, 3),
+    PolyMatrix(PrimeField(3), 1, [[parse_polynomial("x + 2y", PrimeField(3))]])])
+def test_denominator_lcm_reads_no_coefficient_over_a_prime_field(m):
+    m._terms = None  # a walk over the coefficients would call it
+    assert denominator_lcm(m) == 1
+
+
 def test_zero_row_matrices_keep_their_column_count():
     z = FieldMatrix.zeros(QQ, 0, 3)
     assert (z.rows, z.cols) == (0, 3)

@@ -3,8 +3,8 @@ Gorenstein ideals given by Macaulay inverse systems in k[x, y, z]."""
 
 from .scalars import (DEFAULT_PRIME, FieldMismatchError, FpElement, PrimeField,
                       QQ, RationalField, field_from_tag)
-from .poly import (Basis, DUAL_U, DUAL_U0, DualElement, Monomial, Polynomial,
-                   SYM_U, SYM_U0, contract, evaluate, format_terms,
+from .poly import (Basis, DualElement, Monomial, Polynomial, SYM_U, SYM_U0,
+                   catalecticant, contract, evaluate, format_terms,
                    monomials_of_degree, parse_linear_form, parse_polynomial,
                    random_dual_element, substitute)
 from .linalg import (FieldMatrix, InversionResult, Matrix, PolyMatrix,
@@ -17,8 +17,9 @@ from .resolution import (LinearPresentation, ProportionalityError,
                          build_p_r, build_quadratic_presentation,
                          claim_factorization_check, explicit_generators,
                          linear_betti, proportionality_unit, quadratic_betti,
-                         reduced_inverse_system, resolution_report,
-                         theta_conjugation_check, theta_matrices)
+                         reduced_inverse_system, reduced_presentation,
+                         resolution_report, theta_conjugation_check,
+                         theta_matrices)
 from .oracle import (DegreeVerdict, GradedIdealSummary, LefschetzReport,
                      annihilator_degree, family_phi, ideal_equality_check,
                      summarize_ideal, wlp_test)

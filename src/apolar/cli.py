@@ -180,8 +180,7 @@ def cmd_verify(args) -> int:
     except resolution.ProportionalityError:
         prop_ok = False
     ok &= _check("explicit generators = unit x Pfaffian row", prop_ok, lines)
-    lin_tilde = resolution.build_linear_presentation(
-        resolution.reduced_inverse_system(phi), with_pfaffian_row=False)
+    lin_tilde = resolution.reduced_presentation(lin)
     ok &= _check("conjugation by the reduction change of basis",
                  resolution.theta_conjugation_check(lin, lin_tilde, phi), lines)
     quad = resolution.build_quadratic_presentation(lin)

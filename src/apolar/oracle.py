@@ -37,26 +37,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import FieldMatrix
 from .poly import (Basis, DualElement, Monomial, Polynomial, SYM_U,
-                   contract, monomials_of_degree)
+                   catalecticant, contract, monomials_of_degree)
 from .scalars import QQ, Field, PrimeField, RationalField, Scalar
 
 # The prime of the modular ranks over Q: 2^61 - 1, the first of
 # linalg._crt_primes.
 CERTIFICATE_PRIME = 2 ** 61 - 1
-
-
-def _catalecticant(coeffs: Dict[Monomial, Scalar], zero, s: int,
-                   d: int) -> List[List[Scalar]]:
-    """Rows of the degree-d catalecticant of the degree-s functional with
-    coefficients ``coeffs`` (``zero`` where a monomial is missing): the
-    entry (mr, mc), mr of degree s - d and mc of degree d, is the
-    coefficient of mr * mc.  Its kernel is the degree-d annihilator; above
-    s it has no rows."""
-    if d > s:
-        return []
-    cols = monomials_of_degree(d)
-    return [[coeffs.get(mr * mc, zero) for mc in cols]
-            for mr in monomials_of_degree(s - d)]
 
 
 Terms = List[Tuple[Monomial, Scalar]]
@@ -150,8 +136,8 @@ def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
     cols = Basis(SYM_U, d)
     if d > phi.degree:
         return [Polynomial.monomial(fld, m) for m in cols]
-    matrix = FieldMatrix(fld, _catalecticant(phi.coeffs, fld.zero,
-                                             phi.degree, d))
+    matrix = FieldMatrix(fld, catalecticant(
+        phi.coeffs, monomials_of_degree(phi.degree - d), cols, fld.zero))
     return [Polynomial.from_coords(fld, cols, v) for v in linalg.kernel(matrix)]
 
 
@@ -304,6 +290,8 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
     for d in range(max_degree + 1):
         basis = Basis(SYM_U, d)
         total = len(basis)
+        # the rows of the degree-d catalecticant; above s it has none
+        cat_rows = monomials_of_degree(s - d) if d <= s else []
         contained = all(ok for g, ok in zip(gens, annihilates) if g.degree <= d)
         dim_span = dim_ann = None
         tail = _tail_quotient_dim(s, a, d)
@@ -315,7 +303,8 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
                 dim_ann = total
         elif modular and contained:
             span_q = linalg._rank_mod(_multiple_rows(gens_q, basis, 0), q)
-            ann_q = total - linalg._rank_mod(_catalecticant(phi_q, 0, s, d), q)
+            ann_q = total - linalg._rank_mod(
+                catalecticant(phi_q, cat_rows, basis, 0), q)
             if span_q == ann_q:
                 dim_span = dim_ann = span_q
         if dim_span is None:
@@ -323,7 +312,7 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
                                                        fld.zero))
         if dim_ann is None:
             dim_ann = total - _exact_rank(
-                fld, _catalecticant(phi.coeffs, fld.zero, s, d))
+                fld, catalecticant(phi.coeffs, cat_rows, basis, fld.zero))
         if a is None and dim_ann:
             a = d
         full = dim_span == total
@@ -367,8 +356,9 @@ def wlp_test(phi: DualElement, ell: Polynomial) -> LefschetzReport:
     s = phi.degree
     if s % 2 == 0:
         raise ValueError(f"socle degree must be odd, got {s}")
-    matrix = FieldMatrix(phi.field, _catalecticant(
-        contract(ell, phi).coeffs, phi.field.zero, s - 1, (s - 1) // 2))
+    mid = monomials_of_degree((s - 1) // 2)
+    matrix = FieldMatrix(phi.field, catalecticant(
+        contract(ell, phi).coeffs, mid, mid, phi.field.zero))
     d = linalg.det(matrix)
     return LefschetzReport(ell, matrix, d, d != phi.field.zero)
 

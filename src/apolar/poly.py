@@ -16,19 +16,17 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .scalars import Field, FieldMismatchError, Scalar, field_from_tag
 
 VARS = ("x", "y", "z")
 
-# Basis space names. SYM_U / DUAL_U index all monomials of a degree;
-# SYM_U0 / DUAL_U0 only the x-free ones.
+# Basis space names: SYM_U indexes all monomials of a degree, SYM_U0 only
+# the x-free ones.
 SYM_U = "SymU"
 SYM_U0 = "SymU0"
-DUAL_U = "DualU"
-DUAL_U0 = "DualU0"
-_SPACES = (SYM_U, SYM_U0, DUAL_U, DUAL_U0)
+_SPACES = (SYM_U, SYM_U0)
 
 # The largest degree an inverse-system record may declare, checked before any
 # basis is built.  Socle degree 63 is n = 32, where the catalecticant p of the
@@ -100,7 +98,7 @@ class Basis:
         self.space = space
         self.degree = degree
         self.monomials: Tuple[Monomial, ...] = tuple(
-            monomials_of_degree(degree, x_free=space in (SYM_U0, DUAL_U0)))
+            monomials_of_degree(degree, x_free=space == SYM_U0))
         self.position: Dict[Monomial, int] = {
             m: i for i, m in enumerate(self.monomials)}
 
@@ -138,6 +136,10 @@ class _CoeffMap:
         self.field = field
         self.degree = degree
         self.coeffs = clean
+
+    @classmethod
+    def zero(cls, field: Field, degree: int):
+        return cls(field, degree, {})
 
     def _check_same_kind(self, other):
         if type(other) is not type(self):
@@ -200,10 +202,6 @@ class Polynomial(_CoeffMap):
     explicit degree tag so degree preconditions stay checkable."""
 
     @classmethod
-    def zero(cls, field: Field, degree: int) -> "Polynomial":
-        return cls(field, degree, {})
-
-    @classmethod
     def monomial(cls, field: Field, m: Monomial, coeff=1) -> "Polynomial":
         return cls(field, m.degree, {m: field.of(coeff)})
 
@@ -253,10 +251,6 @@ class DualElement(_CoeffMap):
     basis: ``coeffs[m]`` is the coefficient of m*."""
 
     @classmethod
-    def zero(cls, field: Field, degree: int) -> "DualElement":
-        return cls(field, degree, {})
-
-    @classmethod
     def dual_monomial(cls, field: Field, m: Monomial, coeff=1) -> "DualElement":
         return cls(field, m.degree, {m: field.of(coeff)})
 
@@ -279,8 +273,9 @@ class DualElement(_CoeffMap):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DualElement":
-        """Validate and build a record; every defect raises ValueError, and
-        the degree is checked against MAX_DEGREE before anything is built."""
+        """Validate and build a record; every defect raises ValueError, such
+        as two keys "1,0,0" and "01,0,0" that name one monomial.  The degree
+        is checked against MAX_DEGREE before anything is built."""
         if not isinstance(data, dict):
             raise ValueError("malformed dual-element record: not a JSON object")
         try:
@@ -306,6 +301,8 @@ class DualElement(_CoeffMap):
                 raise ValueError(f"bad exponent triple {key!r}") from exc
             if min(m) < 0:
                 raise ValueError(f"negative exponent in {key!r}")
+            if m in coeffs:
+                raise ValueError(f"{key!r} names the monomial {m} again")
             if not isinstance(val, str):
                 raise ValueError(f"coefficient of {key!r} must be a string")
             coeffs[m] = field.parse(val)
@@ -338,6 +335,16 @@ def contract(u: Polynomial, w: DualElement) -> DualElement:
                 term = cu * cw
                 out[q] = term if prev is None else prev + term
     return DualElement(w.field, w.degree - u.degree, out)
+
+
+def catalecticant(coeffs: Dict[Monomial, Scalar], rows: Sequence[Monomial],
+                  cols: Sequence[Monomial], zero) -> List[List[Scalar]]:
+    """Rows of the catalecticant of the functional with coefficients
+    ``coeffs`` (``zero`` where a monomial is missing): the entry (mr, mc)
+    is the coefficient of mr * mc (Iarrobino-Kanev, LNM 1721, 1999).  For
+    rows of degree s - d and columns of degree d, its kernel is the
+    degree-d annihilator."""
+    return [[coeffs.get(mr * mc, zero) for mc in cols] for mr in rows]
 
 
 def evaluate(w: DualElement, u: Polynomial) -> Scalar:

@@ -2,15 +2,18 @@
 system.
 
 Given a dual element ``phi`` of odd degree 2n-1, the linear path resolves
-R/I for I = ann(x(phi)): two catalecticant matrices p and r are filled from
-coefficients of phi, and when p is invertible the alternating linear
-presentation matrix
+R/I for I = ann(x(phi)): two catalecticant matrices are read off the
+coefficients by ``poly.catalecticant``, p of x(phi) and r of phi, and when p
+is invertible the alternating linear presentation matrix
 
     b2 = [[ x*A' , x*B1 + B2 ],
           [ -(x*B1 + B2)^T , x*(D0 - D0^T) ]]
 
 is assembled from exact blocks of r^T p^{-1} r, r^T p^{-1} and p^{-1}.  The
-row of signed maximal-order Pfaffians of b2 generates I.
+row of signed maximal-order Pfaffians of b2 generates I, and so does the
+explicit row read off p^{-1} and r.  Dropping the pure y,z part of phi
+keeps p, so ``reduced_presentation`` builds the presentation of the
+reduction from the same p^{-1} and a rebuilt r.
 
 When n is even and A' is invertible, the quadratic path resolves
 R/J for J = ann(phi): c2 = B^T (A')^{-1} B + x*D is an alternating matrix of
@@ -29,8 +32,8 @@ from typing import List, Optional, Tuple
 
 from . import linalg
 from .linalg import FieldMatrix, PolyMatrix, as_poly_matrix, block, hstack
-from .poly import (Basis, DUAL_U, DUAL_U0, DualElement, Polynomial, SYM_U,
-                   SYM_U0, X, contract)
+from .poly import (Basis, DualElement, Polynomial, SYM_U, SYM_U0, X,
+                   catalecticant, contract)
 from .scalars import Field, Scalar
 
 
@@ -45,18 +48,21 @@ def _infer_n(phi: DualElement) -> int:
     return (phi.degree + 1) // 2
 
 
+def _cat_matrix(w: DualElement, rows, cols) -> FieldMatrix:
+    return FieldMatrix(w.field, catalecticant(w.coeffs, rows, cols, w.field.zero))
+
+
 def build_p_r(phi: DualElement, n: int) -> Tuple[FieldMatrix, FieldMatrix]:
     """The two catalecticant matrices of a degree-(2n-1) dual element:
-    p[i][j] = phi(x * m_i * m_j) over the degree-(n-1) monomial basis, and
-    r[i][j] = phi(m_i * m0_j) with m0_j running over the degree-n monomials
-    in y, z alone."""
+    p[i][j] = phi(x * m_i * m_j) over the degree-(n-1) monomial basis, the
+    degree-(n-1) catalecticant of x(phi); and r[i][j] = phi(m_i * m0_j) with
+    m0_j running over the degree-n monomials in y, z alone."""
     if phi.degree != 2 * n - 1:
         raise ValueError(f"expected degree {2 * n - 1}, got {phi.degree}")
     mid = Basis(SYM_U, n - 1)
-    outer = Basis(SYM_U0, n)
-    p = [[phi.coefficient(X * mi * mj) for mj in mid] for mi in mid]
-    r = [[phi.coefficient(mi * mo) for mo in outer] for mi in mid]
-    return FieldMatrix(phi.field, p), FieldMatrix(phi.field, r)
+    xphi = contract(Polynomial.variable(phi.field, "x"), phi)
+    return (_cat_matrix(xphi, mid, mid),
+            _cat_matrix(phi, mid, Basis(SYM_U0, n)))
 
 
 @dataclass
@@ -91,21 +97,16 @@ class LinearPresentation:
         if self.p_inv is None:
             raise ValueError(f"p is singular (rank {self.p_rank}); "
                              "explicit generators need an invertible p")
-        return explicit_generators(self.phi, self.p_inv)
+        return explicit_generators(self.p_inv, self.r)
 
 
 def _b2_lower_shift(field: Field, n: int) -> PolyMatrix:
     """The n x (n+1) constant-free block [z I_n | 0] - [0 | y I_n]."""
-    y = Polynomial.variable(field, "y")
-    z = Polynomial.variable(field, "z")
+    y, z = (Polynomial.variable(field, v) for v in "yz")
     zero = Polynomial.zero(field, 1)
-    rows = []
-    for i in range(n):
-        row = [zero] * (n + 1)
-        row[i] = z
-        row[i + 1] = row[i + 1] - y
-        rows.append(row)
-    return PolyMatrix(field, 1, rows)
+    return PolyMatrix(field, 1, [
+        [z if j == i else -y if j == i + 1 else zero for j in range(n + 1)]
+        for i in range(n)])
 
 
 def build_linear_presentation(phi: DualElement,
@@ -114,12 +115,31 @@ def build_linear_presentation(phi: DualElement,
     otherwise report the rank of p and stop (that outcome means the ideal is
     not linearly presented).  n is read off the degree 2n-1 of phi."""
     n = _infer_n(phi)
-    fld = phi.field
     p, r = build_p_r(phi, n)
     res = linalg.invert(p)
     if not res.invertible:
-        return LinearPresentation(n, fld, phi, p, r, res.rank, False)
-    p_inv = res.inverse
+        return LinearPresentation(n, phi.field, phi, p, r, res.rank, False)
+    return _assemble(phi, n, p, r, res.inverse, with_pfaffian_row)
+
+
+def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
+    """The linear presentation of ``reduced_inverse_system(lin.phi)``,
+    without its Pfaffian row, reusing p and p^{-1} of ``lin``: every entry
+    phi(x * m_i * m_j) of p is a coefficient on a monomial containing x,
+    and the reduction keeps those, so both presentations have the same p.
+    Only r is rebuilt.  Raises ValueError when p is singular."""
+    if not lin.linearly_presented:
+        raise ValueError(f"p is singular (rank {lin.p_rank}); "
+                         "the reduced presentation needs an invertible p")
+    n, tilde = lin.n, reduced_inverse_system(lin.phi)
+    r = _cat_matrix(tilde, Basis(SYM_U, n - 1), Basis(SYM_U0, n))
+    return _assemble(tilde, n, lin.p, r, lin.p_inv, False)
+
+
+def _assemble(phi: DualElement, n: int, p: FieldMatrix, r: FieldMatrix,
+              p_inv: FieldMatrix, with_pfaffian_row: bool) -> LinearPresentation:
+    """The exact blocks, b2 and (if asked) b1 from p, r and p^{-1}."""
+    fld = phi.field
     N = p.rows
     rtp = r.transpose() @ p_inv
     rtpr = rtp @ r
@@ -129,10 +149,8 @@ def build_linear_presentation(phi: DualElement,
     zero_col = FieldMatrix.zeros(fld, n, 1)
     B1 = hstack(zero_col, B0.deleted(rows=[n])) - hstack(B0.deleted(rows=[0]), zero_col)
     corner = p_inv.take_rows(range(N - n, N)).take_cols(range(N - n, N))
-    D0 = block([
-        [FieldMatrix.zeros(fld, n, 1), corner],
-        [FieldMatrix.zeros(fld, 1, 1), FieldMatrix.zeros(fld, 1, n)],
-    ])
+    D0 = block([[FieldMatrix.zeros(fld, n, 1), corner],
+                [FieldMatrix.zeros(fld, 1, n + 1)]])
     A = as_poly_matrix(A_prime).times_monomial(X)
     B2 = _b2_lower_shift(fld, n)
     B = as_poly_matrix(B1).times_monomial(X) + B2
@@ -145,31 +163,25 @@ def build_linear_presentation(phi: DualElement,
                               B0, B1, B2, D0, A, B, D, b2, b1)
 
 
-def explicit_generators(phi: DualElement, p_inv: FieldMatrix) -> List[Polynomial]:
+def explicit_generators(p_inv: FieldMatrix, r: FieldMatrix) -> List[Polynomial]:
     """The 2n+1 degree-n generators of ann(x(phi)) written directly, without
     Pfaffians: first x * p^{-1}(nu) for nu running over the dual basis of the
     degree-(n-1) monomials in y, z; then mu - x * p^{-1}(mu(phi)) for mu
-    running over the degree-n monomials in y, z.
-
-    The matrix p^{-1} acts through the coordinate identification of the
-    degree-(n-1) dual with degree-(n-1) polynomials given by the shared
-    monomial order, so the first n images are columns of p^{-1} and the rest
-    are one matrix product.  ``LinearPresentation.generators`` keeps this row.
-    """
-    n = _infer_n(phi)
-    fld = phi.field
+    running over the degree-n monomials in y, z.  On coordinates in the fixed
+    monomial order, where x-free monomials come last, the p^{-1}(nu) are the
+    last n columns of p^{-1}, and mu(phi) is the column phi(m_i * mu) of r,
+    so the p^{-1}(mu(phi)) are the columns of p^{-1} r.
+    ``LinearPresentation.generators`` keeps this row."""
+    fld = p_inv.field
+    n = r.cols - 1
+    N = p_inv.rows
     mid = Basis(SYM_U, n - 1)
     x = Polynomial.variable(fld, "x")
-    nus = p_inv.take_cols([mid.position[m] for m in Basis(DUAL_U0, n - 1)])
+    images = hstack(p_inv.take_cols(range(N - n, N)), p_inv @ r)
+    forms = [x * Polynomial.from_coords(fld, mid, col)
+             for col in images.transpose().entries]
     mus = [Polynomial.monomial(fld, m) for m in Basis(SYM_U0, n)]
-    dual = Basis(DUAL_U, n - 1)
-    w = FieldMatrix(fld, [contract(mu, phi).to_coords(dual) for mu in mus])
-    images = p_inv @ w.transpose()
-    gens = [x * Polynomial.from_coords(fld, mid, col)
-            for col in nus.transpose().entries]
-    gens += [mu - x * Polynomial.from_coords(fld, mid, col)
-             for mu, col in zip(mus, images.transpose().entries)]
-    return gens
+    return forms[:n] + [mu - f for mu, f in zip(mus, forms[n:])]
 
 
 def reduced_inverse_system(phi: DualElement) -> DualElement:
@@ -182,14 +194,12 @@ def reduced_inverse_system(phi: DualElement) -> DualElement:
 
 def theta_matrices(phi: DualElement) -> Tuple[FieldMatrix, FieldMatrix]:
     """The constant unipotent change-of-basis pair linking the presentations
-    built from phi and from its reduction.  The off-diagonal block is the
-    catalecticant of the dropped pure y,z part of phi."""
+    built from phi and from its reduction.  The off-diagonal block T, the
+    catalecticant of phi on x-free rows and columns, sees only the dropped
+    pure y,z part of phi; it is the last n rows of r."""
     n = _infer_n(phi)
     fld = phi.field
-    rows_mid = Basis(SYM_U0, n - 1)
-    cols_outer = Basis(SYM_U0, n)
-    T = FieldMatrix(fld, [[phi.coefficient(mi * mo) for mo in cols_outer]
-                          for mi in rows_mid])
+    T = _cat_matrix(phi, Basis(SYM_U0, n - 1), Basis(SYM_U0, n))
     eye_n = FieldMatrix.identity(fld, n)
     eye_n1 = FieldMatrix.identity(fld, n + 1)
     theta1 = block([[eye_n, -T],
@@ -314,37 +324,27 @@ def quadratic_betti(n: int) -> List[List[int]]:
     return [[0, 1], [n, n + 1], [n + 2, n + 1], [2 * n + 2, 1]]
 
 
+# The report's blocks in JSON order; one that was not built is left out.
+_REPORT_BLOCKS = ("p", "r", "p_inv", "A0", "A_prime", "B0", "B1", "B2", "D0",
+                  "A", "B", "D", "b2", "b1")
+
+
 def resolution_report(lin: LinearPresentation,
                       quad: Optional[QuadraticPresentation] = None) -> dict:
     """A JSON-ready record of one run: all named blocks, flags, the
     proportionality units and the graded Betti shapes."""
+    blocks = {name: getattr(lin, name).to_strings() for name in _REPORT_BLOCKS
+              if getattr(lin, name) is not None}
     out: dict = {
         "field": lin.field.tag,
         "n": lin.n,
         "inverse_system_degree": lin.phi.degree,
         "linearly_presented": lin.linearly_presented,
         "p_rank": lin.p_rank,
-        "blocks": {
-            "p": lin.p.to_strings(),
-            "r": lin.r.to_strings(),
-        },
+        "blocks": blocks,
     }
     if not lin.linearly_presented:
         return out
-    blocks = out["blocks"]
-    blocks["p_inv"] = lin.p_inv.to_strings()
-    blocks["A0"] = lin.A0.to_strings()
-    blocks["A_prime"] = lin.A_prime.to_strings()
-    blocks["B0"] = lin.B0.to_strings()
-    blocks["B1"] = lin.B1.to_strings()
-    blocks["B2"] = lin.B2.to_strings()
-    blocks["D0"] = lin.D0.to_strings()
-    blocks["A"] = lin.A.to_strings()
-    blocks["B"] = lin.B.to_strings()
-    blocks["D"] = lin.D.to_strings()
-    blocks["b2"] = lin.b2.to_strings()
-    if lin.b1 is not None:
-        blocks["b1"] = lin.b1.to_strings()
     explicit = lin.generators
     out["generators"] = {"explicit": [str(g) for g in explicit]}
     if lin.b1 is not None:

@@ -113,7 +113,7 @@ def test_criterion_3_golden_n6():
         assert (lin.b1 @ lin.b2).is_zero()
         assert is_alternating(quad.c2)
         assert (quad.c1 @ quad.c2).is_zero()
-        unit = proportionality_unit(explicit_generators(phi, lin.p_inv),
+        unit = proportionality_unit(explicit_generators(lin.p_inv, lin.r),
                                     lin.b1.entries[0])
         assert unit == golden.UNIT_EXPLICIT_VS_PFAFFIAN[6]
         assert claim_factorization_check(lin, quad)
@@ -174,7 +174,7 @@ def test_criterion_6_randomized_property_suite():
                 assert all(e.is_zero or e.degree == 1
                            for row in lin.b2.entries for e in row)
                 assert (lin.b1 @ lin.b2).is_zero()
-                proportionality_unit(explicit_generators(phi, lin.p_inv),
+                proportionality_unit(explicit_generators(lin.p_inv, lin.r),
                                      lin.b1.entries[0])
                 lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
                 assert theta_conjugation_check(lin, lin_tilde, phi)

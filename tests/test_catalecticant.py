@@ -1,0 +1,135 @@
+"""The one catalecticant builder and what the presentation reads off it.
+
+``poly.catalecticant`` fills p, r, the block T of ``theta_matrices`` and
+the oracle's matrices; ``explicit_generators`` reads r, and
+``reduced_presentation`` reuses p and p^{-1}.  These tests pin each of
+those readings against an independent construction: entries by
+``poly.evaluate``, the generator row by contraction (the formula the row
+was first written with), and the reduced presentation by a full rebuild."""
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from apolar import (Basis, DualElement, FieldMatrix,
+                    LinearPresentation, Monomial, Polynomial, PrimeField, QQ,
+                    SYM_U, SYM_U0, build_linear_presentation, build_p_r,
+                    catalecticant, contract, evaluate, explicit_generators,
+                    family_phi, invert, monomials_of_degree,
+                    random_dual_element, reduced_inverse_system,
+                    reduced_presentation, theta_matrices)
+from apolar.poly import MAX_DEGREE
+
+GF = PrimeField(32003)
+SETTINGS = settings(max_examples=25, deadline=None, database=None)
+
+
+@st.composite
+def inverse_systems(draw):
+    """A degree-(2n-1) inverse system over Q or GF(32003), n = 2..5."""
+    field = draw(st.sampled_from((QQ, GF)))
+    n = draw(st.integers(2, 5))
+    monos = monomials_of_degree(2 * n - 1)
+    values = draw(st.lists(st.integers(-20, 20), min_size=len(monos),
+                           max_size=len(monos)))
+    return n, DualElement(field, 2 * n - 1, dict(zip(monos, values)))
+
+
+def contraction_generators(phi, p_inv):
+    """The explicit generator row as first written: each mu(phi) by
+    contraction, read on the dual basis, then mapped by p^{-1}."""
+    n = (phi.degree + 1) // 2
+    fld = phi.field
+    mid = Basis(SYM_U, n - 1)
+    x = Polynomial.variable(fld, "x")
+    nus = p_inv.take_cols([mid.position[m] for m in Basis(SYM_U0, n - 1)])
+    mus = [Polynomial.monomial(fld, m) for m in Basis(SYM_U0, n)]
+    w = FieldMatrix(fld, [contract(mu, phi).to_coords(mid) for mu in mus])
+    images = p_inv @ w.transpose()
+    gens = [x * Polynomial.from_coords(fld, mid, col)
+            for col in nus.transpose().entries]
+    gens += [mu - x * Polynomial.from_coords(fld, mid, col)
+             for mu, col in zip(mus, images.transpose().entries)]
+    return gens
+
+
+def test_x_free_basis_is_the_tail_of_the_full_basis():
+    for d in range(MAX_DEGREE + 1):
+        assert Basis(SYM_U0, d).monomials == Basis(SYM_U, d).monomials[-(d + 1):]
+
+
+def test_catalecticant_reads_products_with_the_given_zero():
+    coeffs = {Monomial(2, 1, 0): 5, Monomial(0, 1, 2): 7}
+    rows = [Monomial(1, 0, 0), Monomial(0, 0, 1)]
+    cols = [Monomial(1, 1, 0), Monomial(0, 1, 1)]
+    assert catalecticant(coeffs, rows, cols, 0) == [[5, 0], [0, 7]]
+    assert catalecticant(coeffs, [], cols, 0) == []
+    assert catalecticant(coeffs, rows, [], None) == [[], []]
+
+
+@SETTINGS
+@given(inverse_systems())
+def test_p_r_and_t_match_evaluation(case):
+    n, phi = case
+    fld = phi.field
+    p, r = build_p_r(phi, n)
+    x = Polynomial.variable(fld, "x")
+    mid = [Polynomial.monomial(fld, m) for m in Basis(SYM_U, n - 1)]
+    outer = [Polynomial.monomial(fld, m) for m in Basis(SYM_U0, n)]
+    assert p.entries == [[evaluate(phi, x * mi * mj) for mj in mid]
+                         for mi in mid]
+    assert r.entries == [[evaluate(phi, mi * mo) for mo in outer]
+                         for mi in mid]
+    theta1, _ = theta_matrices(phi)
+    T = -theta1.take_rows(range(n)).take_cols(range(n, 2 * n + 1))
+    N = p.rows
+    assert T == r.take_rows(range(N - n, N))
+
+
+@SETTINGS
+@given(inverse_systems())
+def test_explicit_generators_from_r_equal_the_contraction_formula(case):
+    _, phi = case
+    p, r = build_p_r(phi, (phi.degree + 1) // 2)
+    res = invert(p)
+    assume(res.invertible)
+    assert explicit_generators(res.inverse, r) == \
+        contraction_generators(phi, res.inverse)
+
+
+def _presentation(kind, n):
+    """The family at n, or the first seeded GF(32003) input at n with an
+    invertible p; without the Pfaffian row, as the reduction has none."""
+    if kind == "family":
+        return build_linear_presentation(family_phi(n), with_pfaffian_row=False)
+    rng = random.Random(n)
+    while True:
+        phi = random_dual_element(GF, 2 * n - 1, rng)
+        lin = build_linear_presentation(phi, with_pfaffian_row=False)
+        if lin.linearly_presented:
+            return lin
+
+
+@pytest.mark.parametrize("kind, n", [("family", 2), ("family", 4), ("family", 6),
+                                     ("gf", 3), ("gf", 4), ("gf", 5), ("gf", 6)])
+def test_reduced_presentation_equals_the_rebuilt_one(kind, n):
+    lin = _presentation(kind, n)
+    reduced = reduced_presentation(lin)
+    rebuilt = build_linear_presentation(reduced_inverse_system(lin.phi),
+                                        with_pfaffian_row=False)
+    for f in dataclasses.fields(LinearPresentation):
+        assert getattr(reduced, f.name) == getattr(rebuilt, f.name), f.name
+    assert reduced.generators == rebuilt.generators
+    assert reduced.p is lin.p and reduced.p_inv is lin.p_inv
+
+
+def test_reduced_presentation_refuses_a_singular_p():
+    phi = DualElement(GF, 3, {Monomial(0, a, 3 - a): GF.of(a + 1)
+                              for a in range(4)})
+    lin = build_linear_presentation(phi)
+    assert not lin.linearly_presented
+    with pytest.raises(ValueError, match="singular"):
+        reduced_presentation(lin)
+

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from apolar import DualElement, family_phi
+from apolar import DualElement, family_phi, linalg
 from apolar.cli import main
 from apolar.poly import MAX_DEGREE
 
@@ -218,6 +218,26 @@ def test_malformed_json_or_bad_field_tag_exits_1(tmp_path, capsys, command, text
     path.write_text(text)
     assert main(_argv(command, path)) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["resolve", "verify", "oracle", "wlp"])
+def test_alias_keys_for_one_monomial_exit_1(tmp_path, capsys, command):
+    path = tmp_path / "alias.json"
+    path.write_text('{"field": "Q", "degree": 1, '
+                    '"coeffs": {"1,0,0": "1", "01,0,0": "2"}}')
+    assert main(_argv(command, path)) == 1
+    assert "names the monomial x again" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, sizes", [(4, [10, 4]), (5, [15])])
+def test_verify_inverts_p_once(tmp_path, capsys, monkeypatch, n, sizes):
+    # n = 4: p (10 x 10), then A' of the quadratic path; n = 5: p only
+    path = write_family(tmp_path, n)
+    invert, sizes_seen = linalg.invert, []
+    monkeypatch.setattr(linalg, "invert",
+                        lambda m: sizes_seen.append(m.rows) or invert(m))
+    assert main(["verify", str(path)]) == 0
+    assert sizes_seen == sizes
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])

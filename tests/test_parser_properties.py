@@ -128,3 +128,22 @@ def test_rational_exponent_notation_is_refused_without_building_it():
 def test_deeply_nested_json_is_a_value_error():
     with pytest.raises(ValueError):
         DualElement.from_json("[" * 100000 + "]" * 100000)
+
+
+@SETTINGS
+@given(forms(DualElement), st.data())
+def test_from_json_refuses_a_second_key_for_one_monomial(w, data):
+    a, b, c = data.draw(st.sampled_from(monomials_of_degree(w.degree)))
+    alias = data.draw(st.sampled_from([f"0{a},{b},{c}", f"{a},+{b},{c}",
+                                       f"{a},{b}, {c}"]))
+    record = w.to_json_dict()
+    record["coeffs"][f"{a},{b},{c}"] = "1"
+    record["coeffs"][alias] = "2"
+    with pytest.raises(ValueError, match="again"):
+        DualElement.from_json_dict(record)
+
+
+def test_alias_keys_do_not_overwrite_a_coefficient():
+    with pytest.raises(ValueError, match="'01,0,0' names the monomial x again"):
+        DualElement.from_json_dict(
+            {"field": "Q", "degree": 1, "coeffs": {"1,0,0": "1", "01,0,0": "2"}})

@@ -110,7 +110,7 @@ def test_singular_p_reported():
 
 def test_explicit_generators_annihilate(n2):
     phi, lin, _ = n2
-    gens = explicit_generators(phi, lin.p_inv)
+    gens = explicit_generators(lin.p_inv, lin.r)
     assert len(gens) == 5 and all(g.degree == 2 for g in gens)
     x = Polynomial.variable(QQ, "x")
     xphi = contract(x, phi)
@@ -126,7 +126,7 @@ def test_explicit_generators_annihilate(n2):
 
 def test_explicit_row_proportional_to_pfaffian_row(n2):
     phi, lin, _ = n2
-    gens = explicit_generators(phi, lin.p_inv)
+    gens = explicit_generators(lin.p_inv, lin.r)
     unit = proportionality_unit(gens, lin.b1.entries[0])
     assert unit == golden.UNIT_EXPLICIT_VS_PFAFFIAN[2]
 
@@ -207,7 +207,7 @@ def test_quadratic_n2(n2):
 
 def test_generators_are_the_explicit_row(n2):
     phi, lin, _ = n2
-    assert lin.generators == explicit_generators(phi, lin.p_inv)
+    assert lin.generators == explicit_generators(lin.p_inv, lin.r)
     assert lin.generators is lin.generators
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import random
 import sys
@@ -304,9 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -1,34 +1,47 @@
 """Dense exact matrices over a field and over the polynomial ring.
 
 ``Matrix`` holds the matrix algebra once: transpose, sum, difference,
-negation, product, equality, row and column selection, the zero test, the
-text form and stacking.  Its two kinds differ only in their entries.  A
-FieldMatrix holds scalars, which count as forms of degree 0; a PolyMatrix
-holds homogeneous polynomials that all share one declared degree.  A sum or
-product that meets both kinds is a PolyMatrix; only the sum promotes the
-scalar operand with ``as_poly_matrix``, and stacking refuses to mix them.
+negation, product, scaling, equality, row and column selection, the zero
+test, the text form and stacking.  Its two kinds differ only in their
+entries.  A FieldMatrix holds scalars, which count as forms of degree 0; a
+PolyMatrix holds homogeneous polynomials that all share one declared
+degree.  A sum or product that meets both kinds is a PolyMatrix; only the
+sum promotes the scalar operand with ``as_poly_matrix``, a re-tag that
+boxes nothing, and stacking refuses to mix them.
 
-Every exact kernel runs on plain Python ints; scalars are boxed only at the
-API edge.  A product reads each operand, of either kind, as
-L M = sum_u u C_u, one int matrix C_u per monomial u (L = 1 over GF(p), the
-denominator LCM over Q), multiplies the slices with int dot products,
-tests each sum for zero (mod p over GF(p)) and boxes only the nonzero ones,
-once each.  Kernel, determinant and inverse come from one Gauss-Jordan
-routine that takes the first nonzero pivot in column order, so results are
-deterministic: the determinant is the product of the pivots times the sign
-of the row swaps, and the inverse is the right half of the reduced [m | I].
-Over GF(p) it runs on residues (``_rref_mod``); over Q, on rows scaled to
-integers, fraction-free (``_rref_int``, after Bareiss).  The RREF is
-unique, so both give the rational answer.  The reduced rows stay ints:
-``kernel`` boxes only the free columns and ``invert`` only the right half.
-The rank takes the same loops forward only, on whichever of M and M^T has
-fewer rows.  A zero-row matrix keeps its column count.
+A matrix M stores plain ints: L M = sum_u u C_u, one int matrix C_u (a
+"slice") per monomial u that occurs, rows of ints.  Over GF(p), L = 1 and
+the slices hold residues in [0, p); over Q, L is the least common
+denominator of the entries, so gcd(L, every numerator) = 1.  No all-zero
+slice is kept, so the form is canonical and equality compares (field,
+degree, shape, L, slices).  The public constructors validate boxed entries
+and compute the slices once; every operation works on the slices and
+builds its result from ints, with no validation, taking the result back to
+the canonical form after every sum, product and selection.  The slices are
+never changed in place, so results share rows freely.  ``entries`` is a
+read-only view, boxed as ``Fraction``, ``FpElement`` or ``Polynomial`` on
+first read and then kept; ``to_strings`` boxes without keeping.
+
+A product multiplies the slices with int dot products: (L_a A)(L_b B) =
+sum_(u,v) uv C_u D_v over L_a L_b, made canonical.  Kernel, determinant and
+inverse come from one Gauss-Jordan routine on the int rows of L m
+(``_rref_ints``) that takes the first nonzero pivot in column order, so
+results are deterministic: the determinant is the product of the pivots
+times the sign of the row swaps, and the inverse is the right half of the
+reduced [L m | I].  Over GF(p) it runs on residues (``_rref_mod``); over Q,
+fraction-free (``_rref_int``, after Bareiss), where the rows end as the
+RREF times the last pivot.  The RREF is unique, so both give the rational
+answer.  The reduced rows stay ints: ``kernel`` boxes only the free
+columns, and ``invert`` returns its slices over the last pivot, boxing
+nothing.  The rank takes the same loops forward only, on whichever of M
+and M^T has fewer rows.  A zero-row matrix keeps its column count.
 
 Pfaffians take one polynomial-time path for both kinds.
-Every call first checks that the matrix is strictly alternating (zero
-diagonal, M + M^T = 0).  For an m x m matrix of degree-d forms, the Pfaffian
-(m even) and each maximal-order Pfaffian (m odd) is a form of degree
-D = (m // 2) d.  The kernel works on plain ints mod a prime q > D:
+Every call first checks, on the slices, that the matrix is strictly
+alternating (zero diagonal, M + M^T = 0).  For an m x m matrix of degree-d
+forms, the Pfaffian (m even) and each maximal-order Pfaffian (m odd) is a
+form of degree D = (m // 2) d.  The kernel works on plain ints mod a prime
+q > D:
 
 - it evaluates the entries above the diagonal at the lattice points
   (1, a, b), a + b <= D, which are unisolvent for degree-D forms because
@@ -47,11 +60,10 @@ D = (m // 2) d.  The kernel works on plain ints mod a prime q > D:
   operations (``_interpolate_mod``), with no Vandermonde matrix.
 
 Over GF(p) with p > D, q = p.  Over Q, and over GF(p) with p <= D, the kernel
-runs on the integer matrix L M (L the denominator LCM; residues above the
-diagonal lifted to (-p/2, p/2)) modulo primes below 2^61, combined by the
-CRT until their product exceeds twice sqrt(prod_i max(1, r_i)), r_i being
-the sum of the coefficient 1-norms of row i, which bounds every
-coefficient.
+runs on the integer matrix L M (residues above the diagonal lifted to
+(-p/2, p/2)) modulo primes below 2^61, combined by the CRT until their
+product exceeds twice sqrt(prod_i max(1, r_i)), r_i being the sum of the
+coefficient 1-norms of row i, which bounds every coefficient.
 """
 
 from __future__ import annotations
@@ -59,13 +71,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add, mul
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (Monomial, ONE, Polynomial, monomials_of_degree,
                    parse_polynomial)
 from .scalars import (Field, FieldMismatchError, FpElement, PrimeField, Scalar,
                       is_prime)
+
+Slices = Dict[Monomial, List[List[int]]]
 
 
 def _boxed(field: Field, scale: int, monos: Sequence[Monomial],
@@ -96,13 +111,31 @@ def _width(rows: List[list], cols: Optional[int]) -> int:
     return width
 
 
+def _int_slices(field: Field, boxed: dict) -> Tuple[int, Slices]:
+    """(L, slices) of the matrix whose coefficients of each monomial u are
+    the scalars boxed[u]: L the least common denominator, which leaves
+    gcd(L, all numerators) = 1, and all-zero slices dropped."""
+    if getattr(field, "p", None):
+        L, ints = 1, {u: [[e.value for e in r] for r in s]
+                      for u, s in boxed.items()}
+    else:
+        L = math.lcm(*(e.denominator for s in boxed.values() for r in s for e in r))
+        ints = {u: [[e.numerator * (L // e.denominator) for e in r] for r in s]
+                for u, s in boxed.items()}
+    return L, {u: s for u, s in ints.items() if any(map(any, s))}
+
+
+def _scaled_slice(s: List[List[int]], f: int) -> List[List[int]]:
+    return s if f == 1 else [[x * f for x in r] for r in s]
+
+
 class Matrix:
     """A rectangular matrix over one field whose entries are forms of one
-    degree.  Each kind supplies four hooks:
+    degree, stored as L M = sum_u u C_u (see the module docstring): the
+    attributes ``L`` and ``slices`` = {u: C_u}.  Each kind supplies two
+    hooks:
 
-    - ``_like(rows, cols, degree=self.degree)``: a matrix of the same kind;
     - ``_zero(degree)``: the zero entry of that degree;
-    - ``_terms(entry)``: the entry's (monomial, coefficient) pairs;
     - ``_element(degree, coeffs)``: the degree-``degree`` entry whose
       nonzero coefficients are the {monomial: scalar} map ``coeffs``.
 
@@ -110,9 +143,53 @@ class Matrix:
 
     field: Field
     degree: int
-    entries: list
     rows: int
     cols: int
+    L: int
+    slices: Slices
+
+    @classmethod
+    def _from_slices(cls, field: Field, degree: int, rows: int, cols: int,
+                     L: int, slices: Slices):
+        """The matrix with these canonical slices, built without any check."""
+        m = cls.__new__(cls)
+        m.field, m.degree, m.rows, m.cols = field, degree, rows, cols
+        m.L, m.slices, m._entries = L, slices, None
+        return m
+
+    def _result(self, degree: int, rows: int, cols: int, L: int,
+                slices: Slices, reduce: bool = False) -> "Matrix":
+        """A matrix of self's kind from slices taken to the canonical form:
+        over GF(p) the residues (reduced mod p first when ``reduce``) and
+        L = 1; over Q, L > 0 and L / g with every numerator divided by
+        g = gcd(L, all numerators).  All-zero slices are dropped."""
+        p = getattr(self.field, "p", None)
+        if p and reduce:
+            slices = {u: [[x % p for x in r] for r in s] for u, s in slices.items()}
+        slices = {u: s for u, s in slices.items() if any(map(any, s))}
+        if not p:
+            g = math.gcd(L, *chain.from_iterable(chain.from_iterable(slices.values())))
+            if L < 0:
+                g = -g
+            if g != 1:
+                slices = {u: [[x // g for x in r] for r in s]
+                          for u, s in slices.items()}
+            L //= g
+        return type(self)._from_slices(self.field, degree, rows, cols, L, slices)
+
+    @property
+    def entries(self) -> list:
+        """The boxed entries, a list of rows: built on first read and then
+        kept.  Read only; the matrix is its slices."""
+        if self._entries is None:
+            self._entries = self._box()
+        return self._entries
+
+    def _box(self) -> list:
+        monos, tables = list(self.slices), list(self.slices.values())
+        return [[self._element(self.degree, c) for c in _boxed(
+            self.field, self.L, monos, [t[i] for t in tables], self.cols)]
+                for i in range(self.rows)]
 
     def _kind(self, other: "Matrix") -> "Matrix":
         """The operand whose kind the sum or product of self and other
@@ -122,39 +199,20 @@ class Matrix:
         return other if isinstance(other, PolyMatrix) else self
 
     def transpose(self) -> "Matrix":
-        return self._like([[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)], self.rows)
-
-    def _int_slices(self) -> Tuple[int, dict]:
-        """(L, slices) with L M = sum_u u C_u: one int matrix C_u for each
-        monomial u that occurs.  Over GF(p), L = 1 and C_u holds residues;
-        over Q, L = ``denominator_lcm`` and C_u holds integer numerators."""
-        L = denominator_lcm(self)
-        p = getattr(self.field, "p", None)
-        slices: dict = {}
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                for u, c in self._terms(e):
-                    s = slices.get(u)
-                    if s is None:
-                        s = slices[u] = [[0] * self.cols for _ in range(self.rows)]
-                    s[i][j] = c.value if p else c.numerator * (L // c.denominator)
-        return L, slices
+        return type(self)._from_slices(
+            self.field, self.degree, self.cols, self.rows, self.L,
+            {u: [list(c) for c in zip(*s)] for u, s in self.slices.items()})
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """(L_a A)(L_b B) = sum_(u,v) uv C_u D_v on plain ints, with a
-        scalar operand read as its single slice C_1; each nonzero
-        coefficient is boxed once, over L_a L_b."""
+        scalar operand's single slice C_1, over L_a L_b."""
         kind = self._kind(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        degree = self.degree + other.degree
-        la, a_slices = self._int_slices()
-        lb, b_slices = other._int_slices()
-        b_cols = [(v, list(zip(*d))) for v, d in b_slices.items()]
-        sums: dict = {}
-        for u, c in a_slices.items():
+        b_cols = [(v, list(zip(*d))) for v, d in other.slices.items()]
+        sums: Slices = {}
+        for u, c in self.slices.items():
             for v, d_cols in b_cols:
                 prod = [[sum(map(mul, row, col)) for col in d_cols] if any(row)
                         else [0] * other.cols for row in c]
@@ -162,11 +220,8 @@ class Matrix:
                 acc = sums.get(w)
                 sums[w] = prod if acc is None else [
                     list(map(add, r1, r2)) for r1, r2 in zip(acc, prod)]
-        monos, tables = list(sums), list(sums.values())
-        entries = [[kind._element(degree, c) for c in _boxed(
-            kind.field, la * lb, monos, [t[i] for t in tables], other.cols)]
-                   for i in range(self.rows)]
-        return kind._like(entries, other.cols, degree)
+        return kind._result(self.degree + other.degree, self.rows, other.cols,
+                            self.L * other.L, sums, reduce=True)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         a, b = self, other
@@ -176,41 +231,64 @@ class Matrix:
             raise ValueError("shape mismatch in matrix sum")
         if a.degree != b.degree:
             raise ValueError("degree mismatch in matrix sum")
-        return a._like([[x + y for x, y in zip(r1, r2)]
-                        for r1, r2 in zip(a.entries, b.entries)], a.cols)
+        L = math.lcm(a.L, b.L)
+        fa, fb = L // a.L, L // b.L
+        out = {u: _scaled_slice(s, fa) for u, s in a.slices.items()}
+        for u, s in b.slices.items():
+            acc = out.get(u)
+            s = _scaled_slice(s, fb)
+            out[u] = s if acc is None else [list(map(add, r1, r2))
+                                            for r1, r2 in zip(acc, s)]
+        return a._result(a.degree, a.rows, a.cols, L, out, reduce=True)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return self._like([[-e for e in r] for r in self.entries], self.cols)
+        return self.scaled(-1)
+
+    def scaled(self, s) -> "Matrix":
+        """s times the matrix, for a scalar s of the field or an int."""
+        s = s if self.field.contains(s) else self.field.of(s)
+        if getattr(self.field, "p", None):
+            num, den = s.value, 1
+        else:
+            num, den = s.numerator, s.denominator
+        return self._result(self.degree, self.rows, self.cols, self.L * den,
+                            {u: _scaled_slice(c, num)
+                             for u, c in self.slices.items()}, reduce=True)
 
     def __eq__(self, other):
         return (type(other) is type(self) and other.field == self.field
-                and other.degree == self.degree and other.cols == self.cols
-                and other.entries == self.entries)
+                and other.degree == self.degree and other.rows == self.rows
+                and other.cols == self.cols and other.L == self.L
+                and other.slices == self.slices)
+
+    def _select(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The submatrix on these row and column indices, in this order."""
+        return self._result(self.degree, len(rows), len(cols), self.L,
+                            {u: [[s[i][j] for j in cols] for i in rows]
+                             for u, s in self.slices.items()})
 
     def deleted(self, rows: Sequence[int] = (), cols: Sequence[int] = ()) -> "Matrix":
         """Copy with the given 0-based rows and columns removed."""
         rs, cs = set(rows), set(cols)
-        keep = [j for j in range(self.cols) if j not in cs]
-        return self._like([[r[j] for j in keep]
-                           for i, r in enumerate(self.entries) if i not in rs],
-                          len(keep))
+        return self._select([i for i in range(self.rows) if i not in rs],
+                            [j for j in range(self.cols) if j not in cs])
 
     def take_cols(self, indices: Sequence[int]) -> "Matrix":
-        indices = list(indices)
-        return self._like([[r[j] for j in indices] for r in self.entries],
-                          len(indices))
+        return self._select(range(self.rows), list(indices))
 
     def take_rows(self, indices: Sequence[int]) -> "Matrix":
-        return self._like([self.entries[i] for i in indices], self.cols)
+        return self._select(list(indices), range(self.cols))
 
     def is_zero(self) -> bool:
-        return not any(e for r in self.entries for e in r)
+        return not self.slices
 
     def to_strings(self) -> List[List[str]]:
-        return [[str(e) for e in r] for r in self.entries]
+        """The entries as text; boxes them without keeping the boxing."""
+        entries = self._entries if self._entries is not None else self._box()
+        return [[str(e) for e in r] for r in entries]
 
 
 class FieldMatrix(Matrix):
@@ -222,38 +300,26 @@ class FieldMatrix(Matrix):
                  cols: Optional[int] = None):
         """``cols`` fixes the width; it is needed only when there are no
         rows, and is otherwise the length of the first row."""
-        rows = [list(r) for r in entries]
-        self.field = field
-        self.entries: List[List[Scalar]] = [
-            [e if field.contains(e) else field.of(e) for e in r] for r in rows]
-        self.rows = len(rows)
-        self.cols = _width(rows, cols)
+        rows = [[e if field.contains(e) else field.of(e) for e in r]
+                for r in entries]
+        self.field, self.rows, self.cols = field, len(rows), _width(rows, cols)
+        self.L, self.slices = _int_slices(field, {ONE: rows})
+        self._entries = rows
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "FieldMatrix":
-        return cls(field, [[field.one if i == j else field.zero
-                            for j in range(n)] for i in range(n)])
+        ints = [[int(i == j) for j in range(n)] for i in range(n)]
+        return cls._from_slices(field, 0, n, n, 1, {ONE: ints} if n else {})
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, [[field.zero] * cols for _ in range(rows)], cols)
-
-    def _like(self, rows, cols: int, degree: int = 0) -> "FieldMatrix":
-        return FieldMatrix(self.field, rows, cols)
+        return cls._from_slices(field, 0, rows, cols, 1, {})
 
     def _zero(self, degree: int) -> Scalar:
         return self.field.zero
 
-    def _terms(self, e: Scalar) -> List[Tuple[Monomial, Scalar]]:
-        return [(ONE, e)] if e else []
-
     def _element(self, degree: int, coeffs: dict) -> Scalar:
         return coeffs.get(ONE, self.field.zero)
-
-    def scaled(self, s) -> "FieldMatrix":
-        s = s if self.field.contains(s) else self.field.of(s)
-        return FieldMatrix(self.field, [[e * s for e in r] for r in self.entries],
-                           self.cols)
 
     @classmethod
     def from_strings(cls, field: Field, rows: Sequence[Sequence[str]]) -> "FieldMatrix":
@@ -271,69 +337,47 @@ class PolyMatrix(Matrix):
                  cols: Optional[int] = None):
         """``cols`` fixes the width, as for ``FieldMatrix``."""
         rows = [list(r) for r in entries]
-        self.cols = _width(rows, cols)
-        fixed: List[List[Polynomial]] = []
-        for r in rows:
-            row = []
-            for e in r:
+        width = _width(rows, cols)
+        boxed: dict = {}
+        for i, r in enumerate(rows):
+            for j, e in enumerate(r):
                 if not isinstance(e, Polynomial):
                     raise TypeError("PolyMatrix entries must be Polynomial")
                 if e.field != field:
                     raise FieldMismatchError("entry in a different field")
                 if e.is_zero:
-                    e = Polynomial.zero(field, degree)
+                    r[j] = Polynomial.zero(field, degree)
                 elif e.degree != degree:
                     raise ValueError(
                         f"entry of degree {e.degree} in a degree-{degree} matrix")
-                row.append(e)
-            fixed.append(row)
-        self.field = field
-        self.degree = degree
-        self.entries = fixed
-        self.rows = len(fixed)
+                for u, c in e.coeffs.items():
+                    if u not in boxed:
+                        boxed[u] = [[field.zero] * width for _ in rows]
+                    boxed[u][i][j] = c
+        self.field, self.degree, self.rows, self.cols = field, degree, len(rows), width
+        self.L, self.slices = _int_slices(field, boxed)
+        self._entries = rows
 
     @classmethod
     def zeros(cls, field: Field, degree: int, rows: int, cols: int) -> "PolyMatrix":
-        z = Polynomial.zero(field, degree)
-        return cls(field, degree, [[z] * cols for _ in range(rows)], cols)
-
-    def _like(self, rows, cols: int, degree: Optional[int] = None) -> "PolyMatrix":
-        return PolyMatrix(self.field, self.degree if degree is None else degree,
-                          rows, cols)
+        return cls._from_slices(field, degree, rows, cols, 1, {})
 
     def _zero(self, degree: int) -> Polynomial:
         return Polynomial.zero(self.field, degree)
 
-    def _terms(self, e: Polynomial):
-        return e.coeffs.items()
-
     def _element(self, degree: int, coeffs: dict) -> Polynomial:
-        return Polynomial(self.field, degree, coeffs)
-
-    def scaled(self, s) -> "PolyMatrix":
-        return self._like([[e.scaled(s) for e in r] for r in self.entries],
-                          self.cols)
+        return Polynomial._trusted(self.field, degree, coeffs)
 
     def times_monomial(self, m: Monomial) -> "PolyMatrix":
-        degree = self.degree + m.degree
-        return self._like([[self._element(degree, {u * m: c for u, c in
-                                                   e.coeffs.items()})
-                            for e in r] for r in self.entries],
-                          self.cols, degree)
+        return PolyMatrix._from_slices(
+            self.field, self.degree + m.degree, self.rows, self.cols, self.L,
+            {u * m: s for u, s in self.slices.items()})
 
     @classmethod
     def from_strings(cls, field: Field, degree: int,
                      rows: Sequence[Sequence[str]]) -> "PolyMatrix":
-        out = []
-        for r in rows:
-            row = []
-            for text in r:
-                p = parse_polynomial(text, field)
-                if p.is_zero:
-                    p = Polynomial.zero(field, degree)
-                row.append(p)
-            out.append(row)
-        return cls(field, degree, out)
+        return cls(field, degree, [[parse_polynomial(text, field) for text in r]
+                                   for r in rows])
 
     def __repr__(self):
         return (f"PolyMatrix({self.rows}x{self.cols}, degree {self.degree} "
@@ -341,13 +385,11 @@ class PolyMatrix(Matrix):
 
 
 def as_poly_matrix(m: Matrix) -> PolyMatrix:
-    """Promote a scalar matrix to a degree-0 polynomial matrix; a
-    PolyMatrix passes through unchanged."""
+    """Promote a scalar matrix to a degree-0 polynomial matrix, a re-tag of
+    its slices; a PolyMatrix passes through unchanged."""
     if isinstance(m, PolyMatrix):
         return m
-    f = m.field
-    return PolyMatrix(f, 0, [[Polynomial(f, 0, {ONE: e}) for e in r]
-                             for r in m.entries], m.cols)
+    return PolyMatrix._from_slices(m.field, 0, m.rows, m.cols, m.L, m.slices)
 
 
 def _stack_kind(mats: Sequence[Matrix]) -> Matrix:
@@ -364,15 +406,26 @@ def hstack(*mats: Matrix) -> Matrix:
     first = _stack_kind(mats)
     if any(m.rows != first.rows for m in mats):
         raise ValueError("row count mismatch in hstack")
-    rows = [[e for m in mats for e in m.entries[i]] for i in range(first.rows)]
-    return first._like(rows, sum(m.cols for m in mats))
+    return vstack(*[m.transpose() for m in mats]).transpose()
 
 
 def vstack(*mats: Matrix) -> Matrix:
+    """The rows of mats, all of one kind, over the LCM of their L: for each
+    monomial, each block's slice (scaled to the common L) or zeros.  The
+    LCM of canonical denominators keeps the form canonical, and a slice
+    that occurs is nonzero."""
     first = _stack_kind(mats)
     if any(m.cols != first.cols for m in mats):
         raise ValueError("column count mismatch in vstack")
-    return first._like([r for m in mats for r in m.entries], first.cols)
+    L = math.lcm(*(m.L for m in mats))
+    slices: Slices = {}
+    for u in dict.fromkeys(chain.from_iterable(m.slices for m in mats)):
+        slices[u] = [r for m in mats for r in (
+            _scaled_slice(m.slices[u], L // m.L) if u in m.slices
+            else [[0] * m.cols] * m.rows)]
+    return type(first)._from_slices(first.field, first.degree,
+                                    sum(m.rows for m in mats), first.cols, L,
+                                    slices)
 
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -403,8 +456,9 @@ def _pivot_steps(rows: List[list]):
 
 def _rref_mod(rows: List[List[int]], q: int, full: bool = True
               ) -> Tuple[List[List[int]], List[int], int]:
-    """``_rref`` on plain residues mod q, in place: (rows, pivot columns,
-    d mod q).  With ``full`` false only the rows below each pivot are
+    """Gauss-Jordan on plain residues mod q, in place: (rows, pivot
+    columns, d mod q), d the product of the pivots times the sign of the
+    row swaps.  With ``full`` false only the rows below each pivot are
     cleared, which leaves a row echelon form: enough for the rank."""
     pivots: List[int] = []
     d = 1
@@ -452,36 +506,33 @@ def _rref_int(rows: List[List[int]], full: bool = True
     return rows, pivots, sign * prev
 
 
-def _integer_rows(entries: List[List[Fraction]]
-                  ) -> Tuple[List[List[int]], int]:
-    """Each row times the LCM of its denominators, and the product of those
-    scales.  Scaling a row by a nonzero rational keeps the RREF."""
-    rows, total = [], 1
-    for r in entries:
-        s = math.lcm(*(e.denominator for e in r))
-        rows.append([e.numerator * (s // e.denominator) for e in r])
-        total *= s
-    return rows, total
-
-
-def _rref(entries: List[List[Scalar]], field: Field
-          ) -> Tuple[List[List[int]], List[int], Scalar, Callable[[int], Scalar]]:
-    """Reduced row echelon form; returns (rows, pivot columns, d, box): the
-    reduced rows as ints, and the function that boxes one of them as the
-    field scalar it stands for, so that a caller boxes only the entries it
-    reads.  When the rows are independent, d is the product of the pivots
-    times the sign of the row swaps; for a square matrix of full rank it is
-    the determinant.  The work runs on plain ints: on residues in
-    ``_rref_mod`` over GF(p), and over Q on rows scaled to integers, in
-    ``_rref_int``, whose rows are the RREF times its last pivot."""
+def _rref_ints(rows: List[List[int]], field: Field
+               ) -> Tuple[List[List[int]], List[int], int, int]:
+    """Gauss-Jordan on the int rows of L m, in place: residues over GF(p)
+    (``_rref_mod``), integers over Q (``_rref_int``).  Returns (rows, pivot
+    columns, d, last): the reduced rows are last times the RREF, last being
+    1 over GF(p) and the last pivot over Q, and d is the product of the
+    pivots of the rational elimination of these rows times the sign of the
+    row swaps (mod p over GF(p)); for a square matrix of full rank it is
+    det(L m)."""
     if isinstance(field, PrimeField):
-        p = field.p
-        red, pivots, d = _rref_mod([[e.value for e in r] for r in entries], p)
-        return red, pivots, FpElement(d, p), lambda e: FpElement(e, p)
-    rows, scale = _integer_rows(entries)
+        red, pivots, d = _rref_mod(rows, field.p)
+        return red, pivots, d, 1
     red, pivots, d = _rref_int(rows)
-    last = red[0][pivots[0]] if pivots else 1
-    return red, pivots, Fraction(d, scale), lambda e: Fraction(e, last)
+    return red, pivots, d, red[0][pivots[0]] if pivots else 1
+
+
+def _int_rows(m: FieldMatrix) -> List[List[int]]:
+    """A fresh copy of the rows of L m, for the in-place eliminations."""
+    s = m.slices.get(ONE)
+    return ([list(r) for r in s] if s is not None
+            else [[0] * m.cols for _ in range(m.rows)])
+
+
+def _scalar(field: Field, x: int, den: int) -> Scalar:
+    """The scalar x / den: a residue over GF(p), where den is 1."""
+    p = getattr(field, "p", None)
+    return FpElement(x, p) if p else Fraction(x, den)
 
 
 def _shorter(rows: List[list]) -> List[list]:
@@ -499,11 +550,10 @@ def _rank_mod(rows: List[List[int]], q: int) -> int:
 
 
 def rank(m: FieldMatrix) -> int:
-    """By forward elimination on plain ints."""
+    """By forward elimination on the int rows of L m."""
     if isinstance(m.field, PrimeField):
-        return _rank_mod([[e.value for e in r] for r in m.entries], m.field.p)
-    rows, _ = _integer_rows(_shorter(m.entries))
-    return len(_rref_int(rows, full=False)[1])
+        return _rank_mod(_int_rows(m), m.field.p)
+    return len(_rref_int(_shorter(_int_rows(m)), full=False)[1])
 
 
 def kernel(m: FieldMatrix) -> List[List[Scalar]]:
@@ -512,11 +562,12 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
     Deterministic: one basis vector per free column f, in column order, with
     a 1 at f, -red[r][f] at the r-th pivot column and zeros elsewhere.
     """
-    zero, one = m.field.zero, m.field.one
+    field = m.field
+    zero, one = field.zero, field.one
     if m.rows == 0:
         return [[one if j == i else zero for j in range(m.cols)]
                 for i in range(m.cols)]
-    red, pivots, _, box = _rref(m.entries, m.field)
+    red, pivots, _, last = _rref_ints(_int_rows(m), field)
     pivot_set = set(pivots)
     basis = []
     for f in range(m.cols):
@@ -524,16 +575,19 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
             v = [zero] * m.cols
             v[f] = one
             for r, c in enumerate(pivots):
-                v[c] = box(-red[r][f])
+                v[c] = _scalar(field, -red[r][f], last)
             basis.append(v)
     return basis
 
 
 def det(m: FieldMatrix) -> Scalar:
+    """From the int rows of L m: det m = det(L m) / L^n."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, d, _ = _rref(m.entries, m.field)
-    return d if len(pivots) == m.rows else m.field.zero
+    _, pivots, d, _ = _rref_ints(_int_rows(m), m.field)
+    if len(pivots) < m.rows:
+        return m.field.zero
+    return _scalar(m.field, d, m.L ** m.rows)
 
 
 @dataclass
@@ -550,33 +604,37 @@ class InversionResult:
 
 
 def invert(m: FieldMatrix) -> InversionResult:
-    """Gauss-Jordan on [m | I]: the right half of the result is m^{-1}."""
+    """Gauss-Jordan on [L m | I], whose reduced right half X is last times
+    (L m)^{-1}: m^{-1} = L X / last, stored as those slices, made
+    canonical.  Nothing is boxed."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    field = m.field
-    aug = [list(r) + [field.one if j == i else field.zero for j in range(n)]
-           for i, r in enumerate(m.entries)]
-    red, pivots, _, box = _rref(aug, field)
+    aug = [r + [int(j == i) for j in range(n)]
+           for i, r in enumerate(_int_rows(m))]
+    red, pivots, _, last = _rref_ints(aug, m.field)
     r = sum(1 for c in pivots if c < n)
     if r < n:
         return InversionResult(None, r)
-    return InversionResult(FieldMatrix(field, [[box(e) for e in row[n:]]
-                                               for row in red]), n)
+    right = _scaled_slice([row[n:] for row in red], m.L)
+    return InversionResult(m._result(0, n, n, last, {ONE: right}), n)
 
 
 # ---------------------------------------------------------------------------
 # Pfaffians.
 
 def assert_alternating(m: Matrix) -> None:
-    """Strict check: zero diagonal and M + M^T = 0."""
+    """Strict check: zero diagonal and M + M^T = 0, on the slices."""
     if m.rows != m.cols:
         raise ValueError("alternating matrix must be square")
+    p = getattr(m.field, "p", None)
+    tables = list(m.slices.values())
     for i in range(m.rows):
-        if m.entries[i][i]:
+        if any(s[i][i] for s in tables):
             raise ValueError(f"nonzero diagonal entry at ({i},{i})")
         for j in range(i + 1, m.cols):
-            if m.entries[i][j] + m.entries[j][i]:
+            if any((s[i][j] + s[j][i]) % p if p else s[i][j] + s[j][i]
+                   for s in tables):
                 raise ValueError(f"entries ({i},{j}) and ({j},{i}) do not cancel")
 
 
@@ -680,9 +738,13 @@ def _skew_mod(a: List[List[int]], q: int) -> List[int]:
         return [lam]
     x = [0] * m
     x[m - 1] = 1
+    # acc[s] = sum of a[t][s] x[t] over the rows t found so far, row by row
+    acc = a[m - 1][:m - 1]
     for k in range(m - 3, -1, -2):
-        for s in (k + 1, k):
-            x[s] = -sum(a[t][s] * x[t] for t in range(k + 2, m)) % q
+        y, z = -acc[k + 1] % q, -acc[k] % q
+        x[k + 1], x[k] = y, z
+        acc[:k] = [c + u * y + v * z
+                   for c, u, v in zip(acc[:k], a[k + 1][:k], a[k][:k])]
     out = [0] * m
     for t, i in enumerate(perm):
         out[i] = lam * x[t] % q
@@ -778,7 +840,7 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[dict]]:
     the degree-D monomials, of Pf(m) for even size or of its signed maximal
     Pfaffians for odd size, where D = (size // 2) * degree.
 
-    The entries above the diagonal are read off ``_int_slices`` as one int
+    The entries above the diagonal are read off the slices as one int
     vector per monomial over the nonzero positions.  Over GF(p) with p > D
     this is ``_pfaffians_mod`` with q = p.  Otherwise the integer matrix
     L m runs modulo primes below 2^61.  L clears the denominators; over
@@ -797,11 +859,11 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[dict]]:
     degree = (size // 2) * m.degree
     monos = monomials_of_degree(degree)
     p = getattr(field, "p", None)
-    L, by_mono = m._int_slices()
+    L, tables = m.L, m.slices.values()
     positions = [(i, j) for i in range(size) for j in range(i + 1, size)
-                 if m.entries[i][j]]
+                 if any(c[i][j] for c in tables)]
     slices = {(u.b, u.c): [c[i][j] for i, j in positions]
-              for u, c in by_mono.items()}
+              for u, c in m.slices.items()}
     if p is not None and p > degree:
         vecs = _pfaffians_mod(positions, slices, size, degree, p)
         return degree, _boxed(field, 1, monos, zip(*vecs), len(vecs))
@@ -866,13 +928,6 @@ def congruence_pfaffian_check(a: FieldMatrix, m: FieldMatrix) -> bool:
 
 
 def denominator_lcm(m: Matrix) -> int:
-    """LCM of all rational coefficient denominators (1 for prime fields)."""
-    if isinstance(m.field, PrimeField):
-        return 1
-    L = 1
-    for row in m.entries:
-        for e in row:
-            for _, c in m._terms(e):
-                if hasattr(c, "denominator"):
-                    L = math.lcm(L, c.denominator)
-    return L
+    """LCM of all rational coefficient denominators (1 for prime fields):
+    the stored L."""
+    return m.L

@@ -141,6 +141,15 @@ class _CoeffMap:
     def zero(cls, field: Field, degree: int):
         return cls(field, degree, {})
 
+    @classmethod
+    def _trusted(cls, field: Field, degree: int, coeffs: Dict[Monomial, Scalar]):
+        """The element with these coefficients, built without the checks of
+        the constructor: the caller guarantees that every monomial has the
+        degree and every coefficient is a nonzero scalar of the field."""
+        out = cls.__new__(cls)
+        out.field, out.degree, out.coeffs = field, degree, coeffs
+        return out
+
     def _check_same_kind(self, other):
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} with "

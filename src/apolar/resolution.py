@@ -170,18 +170,19 @@ def explicit_generators(p_inv: FieldMatrix, r: FieldMatrix) -> List[Polynomial]:
     running over the degree-n monomials in y, z.  On coordinates in the fixed
     monomial order, where x-free monomials come last, the p^{-1}(nu) are the
     last n columns of p^{-1}, and mu(phi) is the column phi(m_i * mu) of r,
-    so the p^{-1}(mu(phi)) are the columns of p^{-1} r.
-    ``LinearPresentation.generators`` keeps this row."""
+    so the p^{-1}(mu(phi)) are the columns of p^{-1} r.  The row is one
+    product, xm [p^{-1}[:, N-n:] | -p^{-1} r] + [0 | mu], xm being the row
+    of the x m_i.  ``LinearPresentation.generators`` keeps this row."""
     fld = p_inv.field
     n = r.cols - 1
     N = p_inv.rows
-    mid = Basis(SYM_U, n - 1)
-    x = Polynomial.variable(fld, "x")
-    images = hstack(p_inv.take_cols(range(N - n, N)), p_inv @ r)
-    forms = [x * Polynomial.from_coords(fld, mid, col)
-             for col in images.transpose().entries]
-    mus = [Polynomial.monomial(fld, m) for m in Basis(SYM_U0, n)]
-    return forms[:n] + [mu - f for mu, f in zip(mus, forms[n:])]
+    xm = PolyMatrix(fld, n, [[Polynomial.monomial(fld, X * m)
+                              for m in Basis(SYM_U, n - 1)]])
+    mus = PolyMatrix(fld, n, [[Polynomial.zero(fld, n)] * n
+                              + [Polynomial.monomial(fld, m)
+                                 for m in Basis(SYM_U0, n)]])
+    images = hstack(p_inv.take_cols(range(N - n, N)), -(p_inv @ r))
+    return list((xm @ images + mus).entries[0])
 
 
 def reduced_inverse_system(phi: DualElement) -> DualElement:
@@ -278,8 +279,8 @@ def build_quadratic_presentation(lin: LinearPresentation) -> QuadraticPresentati
 
 def proportionality_unit(row: List[Polynomial], base: List[Polynomial]) -> Scalar:
     """The unit u with row = u * base, found from the first nonzero entry and
-    verified on every coordinate; inconsistency is a hard error since it
-    signals a sign-convention bug."""
+    verified on every coordinate; inconsistency, and a zero u, are hard
+    errors since they signal a sign-convention bug or a vanished row."""
     if len(row) != len(base):
         raise ValueError("rows have different lengths")
     unit = None
@@ -290,6 +291,9 @@ def proportionality_unit(row: List[Polynomial], base: List[Polynomial]) -> Scala
             break
     if unit is None:
         raise ProportionalityError("base row is identically zero")
+    if not unit:
+        raise ProportionalityError("the unit is zero: the row vanishes where "
+                                   "the base row does not")
     for k, (rj, bj) in enumerate(zip(row, base)):
         if rj != bj.scaled(unit):
             raise ProportionalityError(

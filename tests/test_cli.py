@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import apolar
 from apolar import DualElement, family_phi, linalg
 from apolar.cli import main
 from apolar.poly import MAX_DEGREE
@@ -271,3 +276,44 @@ def test_resolve_singular_p_exits_2(tmp_path, capsys):
     path.write_text(XFREE_PHI)
     assert main(["resolve", str(path)]) == 2
     assert "p is singular" in capsys.readouterr().out
+
+
+def test_one_process_runs_many_commands_as_separate_processes_do(tmp_path,
+                                                                 capsys):
+    """``main`` builds its parser once per process; several calls with
+    different subcommands and flags, usage errors among them, print and
+    exit as the same commands do one per process."""
+    fam = tmp_path / "fam.json"
+    gf = tmp_path / "gf.json"
+    (tmp_path / "xfree.json").write_text(XFREE_PHI)
+    commands = [
+        ["example-family", "--n", "2", "--out", str(fam)],
+        ["example-family", "--n", "3", "--random", "--seed", "4",
+         "--field", "Fp:32003", "--out", str(gf)],
+        ["resolve", str(fam), "--clear-denominators"],
+        ["resolve", str(gf), "--mode", "quadratic", "--quiet"],
+        ["verify", str(fam), "--max-degree", "4"],
+        ["verify", str(gf)],
+        ["oracle", str(fam), "--max-degree", "-1"],
+        ["wlp", str(gf), "--ell", "y-z"],
+        ["resolve", str(tmp_path / "xfree.json")],
+        ["resolve", str(fam), "--mode", "cubic"],
+        ["oracle", str(gf), "--include-kernels"],
+    ]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(apolar.__file__).resolve().parents[1]))
+    separate = []
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "apolar.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+        separate.append((done.returncode, done.stdout))
+    together = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        together.append((code, capsys.readouterr().out))
+    assert [code for code, _ in together] == [0, 0, 0, 3, 0, 0, 1, 0, 2, 2, 0]
+    assert together == separate

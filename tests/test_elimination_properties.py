@@ -6,8 +6,8 @@ pass against the rank of the full reduction.  Beyond equality with the
 reference, a product stores no zero coefficient, keeps the declared degree
 on zero entries, boxes int sums that vanish mod p to zero, and never
 promotes a scalar operand; ``times_monomial`` equals the product with a
-monomial.  ``kernel`` and ``invert`` box only the entries of the reduced
-rows that they read."""
+monomial.  ``kernel`` boxes only the entries of the reduced rows that it
+reads, and ``invert`` boxes nothing until its entries are read."""
 
 from fractions import Fraction
 
@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ, det,
                     invert, kernel, linalg, rank)
+from apolar.scalars import FpElement
 from apolar.poly import Monomial, monomials_of_degree
 from elimination_reference import (reference_det, reference_inverse,
                                    reference_kernel, reference_product,
@@ -169,14 +170,18 @@ def square_or_not(draw, max_size=6):
 @SETTINGS
 @given(square_or_not())
 def test_rref_equals_the_boxed_reduction(m):
-    red, pivots, d, box = linalg._rref(m.entries, m.field)
-    red = [[box(e) for e in r] for r in red]
+    """The int-row entry point, on the rows of L m, leaves ints that are
+    exactly ``last`` times the RREF of m, and d = L^rows times the
+    reference d when the rows are independent."""
+    red, pivots, d, last = linalg._rref_ints(linalg._int_rows(m), m.field)
+    assert all(type(e) is int for r in red for e in r)
+    red = [[linalg._scalar(m.field, e, last) for e in r] for r in red]
     ref_red, ref_pivots, ref_d = reference_rref(m.entries, m.field)
     assert pivots == ref_pivots
     assert red == ref_red
     assert all(type(e) is type(m.field.one) for r in red for e in r)
     if len(pivots) == m.rows:
-        assert d == ref_d
+        assert linalg._scalar(m.field, d, m.L ** m.rows) == ref_d
 
 
 @SETTINGS
@@ -194,18 +199,21 @@ def test_rank_kernel_det_inverse_equal_the_reference(m):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_kernel_and_invert_box_only_what_they_read(field, monkeypatch):
+    """Every scalar that ``linalg`` boxes is built by its ``Fraction`` or
+    ``FpElement``; counting those calls shows that a product, ``rank`` and
+    ``invert`` box nothing, that ``kernel`` boxes exactly rank x free-column
+    entries, that ``.entries`` boxes the nonzero entries once and keeps
+    them, and that ``to_strings`` boxes without keeping."""
     boxed = []
-    original = linalg._rref
 
-    def spy(entries, fld):
-        red, pivots, d, box = original(entries, fld)
+    def counting(cls):
+        def build(*args):
+            boxed.append(args)
+            return cls(*args)
+        return build
 
-        def counting(e):
-            boxed.append(e)
-            return box(e)
-        return red, pivots, d, counting
-
-    monkeypatch.setattr(linalg, "_rref", spy)
+    monkeypatch.setattr(linalg, "Fraction", counting(Fraction))
+    monkeypatch.setattr(linalg, "FpElement", counting(FpElement))
     # rank 3 with 7 columns: 4 free columns, 3 pivot entries each
     thin = FieldMatrix(field, [[field.of(i * j % 5 + (i == j)) for j in range(3)]
                                for i in range(4)])
@@ -213,15 +221,27 @@ def test_kernel_and_invert_box_only_what_they_read(field, monkeypatch):
                                for i in range(3)])
     m = thin @ wide
     assert rank(m) == 3
+    assert boxed == []
     basis = kernel(m)
     assert len(basis) == 4 and len(boxed) == 4 * 3
-    assert basis == reference_kernel(m)
     boxed.clear()
+    assert basis == reference_kernel(m)
     # unit upper triangular, so invertible in every field
     sq = FieldMatrix(field, [[field.of(int(i == j) + (j > i) * (i + j))
                               for j in range(5)] for i in range(5)])
-    assert invert(sq).inverse == reference_inverse(sq)
-    assert len(boxed) == 5 * 5
+    boxed.clear()
+    inv = invert(sq).inverse
+    assert boxed == []
+    ref = reference_inverse(sq)
+    nonzero = sum(1 for r in ref.entries for e in r if e)
+    boxed.clear()
+    text = inv.to_strings()
+    assert inv.to_strings() == text
+    assert len(boxed) == 2 * nonzero
+    boxed.clear()
+    assert inv.entries == ref.entries
+    assert inv.entries is inv.entries and inv.to_strings() == text
+    assert len(boxed) == nonzero
 
 
 @st.composite

@@ -141,6 +141,18 @@ def test_proportionality_unit_detects_mismatch():
         proportionality_unit([x], [Polynomial.zero(QQ, 1)])
 
 
+@pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+def test_proportionality_unit_refuses_a_zero_unit(field):
+    """A vanished row is not proportional to a nonzero one with unit 0."""
+    x, y = (Polynomial.variable(field, v) for v in "xy")
+    zero = Polynomial.zero(field, 1)
+    with pytest.raises(ProportionalityError, match="unit is zero"):
+        proportionality_unit([zero, zero], [x, y])
+    with pytest.raises(ProportionalityError):
+        proportionality_unit([zero, y], [x, y])
+    assert proportionality_unit([zero, y.scaled(5)], [zero, y]) == field.of(5)
+
+
 def test_reduced_inverse_system(n2):
     phi, _, _ = n2
     tilde = reduced_inverse_system(phi)

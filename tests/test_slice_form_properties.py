@@ -1,0 +1,277 @@
+"""Property tests of the stored form of ``apolar.linalg.Matrix``, L M =
+sum_u u C_u: every operation against an elementwise reference on boxed
+entries, over Q, GF(3) and GF(32003), for both kinds and for shapes with
+0 rows or 0 columns.  Every result must also be canonical: L = 1 and
+residues in [0, p) over GF(p), L > 0 and gcd(L, all numerators) = 1 over
+Q, and no all-zero slice.  So equality, which compares the slices, does
+not depend on the route by which a matrix was computed."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ,
+                    as_poly_matrix, assert_alternating, block,
+                    denominator_lcm, hstack, linalg, vstack)
+from apolar.poly import ONE, Monomial, monomials_of_degree
+
+FIELDS = (QQ, PrimeField(3), PrimeField(32003))
+SETTINGS = settings(max_examples=120, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def scalars(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-30, 30),
+                         st.sampled_from([1, 2, 3, 4, 6, 12]))
+    return st.builds(field.of, st.integers(0, field.p - 1))
+
+
+def zero_of(field, degree):
+    return field.zero if degree is None else Polynomial.zero(field, degree)
+
+
+@st.composite
+def matrices(draw, field, rows, cols, degree):
+    """A FieldMatrix (degree None) or a PolyMatrix of that degree, dense or
+    sparse."""
+    sparse = draw(st.booleans())
+    monos = monomials_of_degree(degree or 0)
+
+    def entry():
+        if sparse and draw(st.integers(0, 2)):
+            return zero_of(field, degree)
+        if degree is None:
+            return draw(scalars(field))
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=len(monos)))
+        return Polynomial(field, degree, {m: draw(scalars(field)) for m in chosen})
+
+    return like(field, degree, [[entry() for _ in range(cols)]
+                                for _ in range(rows)], cols)
+
+
+def like(field, degree, entries, cols):
+    """The matrix of these boxed entries, through the public constructor."""
+    if degree is None:
+        return FieldMatrix(field, entries, cols)
+    return PolyMatrix(field, degree, entries, cols)
+
+
+def kind_degree(m):
+    return m.degree if isinstance(m, PolyMatrix) else None
+
+
+def assert_canonical(m):
+    p = getattr(m.field, "p", None)
+    assert m.L > 0
+    for u, s in m.slices.items():
+        assert u.degree == m.degree
+        assert len(s) == m.rows and all(len(r) == m.cols for r in s)
+        assert any(map(any, s)), "an all-zero slice is kept"
+        if p:
+            assert all(0 <= x < p for r in s for x in r)
+    if p:
+        assert m.L == 1
+    else:
+        nums = [x for s in m.slices.values() for r in s for x in r]
+        assert math.gcd(m.L, *nums) == 1
+    # the slices are those the public constructor computes from the entries
+    rebuilt = like(m.field, kind_degree(m), m.entries, m.cols)
+    assert (rebuilt.L, rebuilt.slices) == (m.L, m.slices)
+
+
+def assert_result(m, expected_entries):
+    """m is canonical and its boxed entries are the expected ones."""
+    assert_canonical(m)
+    assert (m.rows, m.cols) == (len(expected_entries),
+                                m.cols if not expected_entries
+                                else len(expected_entries[0]))
+    assert m.entries == expected_entries
+    assert m == like(m.field, kind_degree(m), expected_entries, m.cols)
+
+
+@st.composite
+def cases(draw, max_size=4):
+    """A field, a kind, and two matrices a, b of one shape and kind; either
+    side may be 0."""
+    field = draw(st.sampled_from(FIELDS))
+    degree = draw(st.sampled_from([None, 0, 1, 2]))
+    r, c = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
+    a = draw(matrices(field, r, c, degree))
+    b = draw(matrices(field, r, c, degree))
+    return field, degree, a, b
+
+
+@SETTINGS
+@given(cases(), st.data())
+def test_unary_operations_equal_the_entrywise_reference(case, data):
+    field, degree, a, _ = case
+    E = a.entries
+    r, c = a.rows, a.cols
+    assert_canonical(a)
+    assert_result(a.transpose(), [[E[i][j] for i in range(r)] for j in range(c)])
+    assert_result(-a, [[-e for e in row] for row in E])
+    s = data.draw(scalars(field))
+    assert_result(a.scaled(s), [[e * s if degree is None else e.scaled(s)
+                                 for e in row] for row in E])
+    drop_r = data.draw(st.sets(st.integers(0, max(r - 1, 0)))) if r else set()
+    drop_c = data.draw(st.sets(st.integers(0, max(c - 1, 0)))) if c else set()
+    kept = a.deleted(rows=sorted(drop_r), cols=sorted(drop_c))
+    assert_result(kept, [[e for j, e in enumerate(row) if j not in drop_c]
+                         for i, row in enumerate(E) if i not in drop_r])
+    assert kept.cols == c - len(drop_c)
+    pick_r = data.draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
+    pick_c = data.draw(st.lists(st.integers(0, c - 1), max_size=5)) if c else []
+    assert_result(a.take_rows(pick_r), [E[i] for i in pick_r])
+    assert a.take_rows(pick_r).cols == c
+    assert_result(a.take_cols(pick_c), [[row[j] for j in pick_c] for row in E])
+    assert a.is_zero() == (not any(e for row in E for e in row))
+    assert a.to_strings() == [[str(e) for e in row] for row in E]
+    coeffs = [e for row in E for e in row] if degree is None else \
+        [x for row in E for e in row for x in e.coeffs.values()]
+    assert denominator_lcm(a) == (1 if field is not QQ else
+                                  math.lcm(*(x.denominator for x in coeffs)))
+    promoted = as_poly_matrix(a)
+    if degree is None:
+        assert_result(promoted, [[Polynomial(field, 0, {ONE: e} if e else {})
+                                  for e in row] for row in E])
+    else:
+        assert promoted is a
+        u = data.draw(st.sampled_from(monomials_of_degree(1) + [ONE]))
+        factor = Polynomial.monomial(field, u)
+        shifted = a.times_monomial(u)
+        assert shifted.degree == degree + u.degree
+        assert_result(shifted, [[e * factor for e in row] for row in E])
+
+
+@SETTINGS
+@given(cases())
+def test_sums_equal_the_entrywise_reference(case):
+    field, degree, a, b = case
+    A, B = a.entries, b.entries
+    assert_result(a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)])
+    assert_result(a - b, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)])
+    if degree is None:
+        mixed = a + as_poly_matrix(b)
+        assert isinstance(mixed, PolyMatrix)
+        assert mixed == as_poly_matrix(a + b)
+
+
+@SETTINGS
+@given(cases(), st.data())
+def test_stacks_equal_the_entrywise_reference(case, data):
+    field, degree, a, b = case
+    r, c = a.rows, a.cols
+    wide = data.draw(matrices(field, r, data.draw(st.integers(0, 3)), degree))
+    tall = data.draw(matrices(field, data.draw(st.integers(0, 3)), c, degree))
+    corner = data.draw(matrices(field, tall.rows, wide.cols, degree))
+    A, W, T, C = a.entries, wide.entries, tall.entries, corner.entries
+    assert_result(hstack(a, wide, b), [x + y + z for x, y, z in
+                                       zip(A, W, b.entries)])
+    assert hstack(a, wide).cols == c + wide.cols
+    assert_result(vstack(a, tall, b), A + T + b.entries)
+    assert vstack(a, tall).cols == c
+    assert_result(block([[a, wide], [tall, corner]]),
+                  [x + y for x, y in zip(A, W)] + [x + y for x, y in zip(T, C)])
+
+
+@SETTINGS
+@given(cases(), st.data())
+def test_products_are_canonical(case, data):
+    field, degree, a, _ = case
+    other = data.draw(st.sampled_from([None, 0, 1]))
+    b = data.draw(matrices(field, a.cols, data.draw(st.integers(0, 4)), other))
+    assert_canonical(a @ b)
+
+
+@SETTINGS
+@given(cases(), st.data())
+def test_every_route_to_one_matrix_gives_an_equal_matrix(case, data):
+    field, degree, a, b = case
+    zero = a - a
+    assert zero.is_zero() and zero.slices == {} and zero.L == 1
+    assert zero == like(field, degree, [[zero_of(field, degree)] * a.cols
+                                        for _ in range(a.rows)], a.cols)
+    assert (a + b) - b == a
+    assert b + (a - b) == a
+    assert -(-a) == a
+    assert a.transpose().transpose() == a
+    assert hstack(a, b).take_cols(range(a.cols)) == a
+    assert vstack(b, a).deleted(rows=range(b.rows)) == a
+    s = data.draw(scalars(field))
+    if s:
+        assert a.scaled(s).scaled(1 / s) == a
+    if a.rows == a.cols:
+        # b + b^T and b - b^T cancel in their sum down to 2 b
+        assert (b + b.transpose()) + (b - b.transpose()) == b.scaled(2)
+
+
+@pytest.mark.parametrize("degree", [None, 1])
+def test_denominators_that_cancel_leave_the_least_common_one(degree):
+    """[1/2, 1/3] + [1/6, 2/3] = [2/3, 1]: L drops from 6 to 3, and
+    subtracting the second matrix again gives back L = 6."""
+    def m(*xs):
+        if degree is None:
+            return FieldMatrix(QQ, [list(map(Fraction, xs))])
+        u = Monomial(0, 1, 0)
+        return PolyMatrix(QQ, 1, [[Polynomial(QQ, 1, {u: Fraction(x)})
+                                   for x in xs]])
+    a, b = m("1/2", "1/3"), m("1/6", "2/3")
+    total = a + b
+    assert total.L == 3 and total == m("2/3", "1")
+    assert (total - b).L == 6 and total - b == a
+    assert (a.scaled(6)).L == 1 and a.scaled(6) == m(3, 2)
+    assert a.take_cols([1]).L == 3 and a.take_cols([1]) == m("1/3")
+
+
+def test_cancelled_monomials_leave_no_slice():
+    y, z = (Polynomial.variable(QQ, v) for v in "yz")
+    a = PolyMatrix(QQ, 1, [[y + z, z]])
+    b = PolyMatrix(QQ, 1, [[-z, -z]])
+    total = a + b
+    assert list(total.slices) == [Monomial(0, 1, 0)]
+    assert total == PolyMatrix(QQ, 1, [[y, Polynomial.zero(QQ, 1)]])
+
+
+def boxed_alternating_error(m):
+    """The first failure of the boxed check: zero diagonal and
+    M + M^T = 0, scanned row by row."""
+    E = m.entries
+    for i in range(m.rows):
+        if E[i][i]:
+            return f"nonzero diagonal entry at ({i},{i})"
+        for j in range(i + 1, m.cols):
+            if E[i][j] + E[j][i]:
+                return f"entries ({i},{j}) and ({j},{i}) do not cancel"
+    return None
+
+
+@st.composite
+def nearly_alternating(draw):
+    field = draw(st.sampled_from(FIELDS))
+    degree = draw(st.sampled_from([None, 0, 1]))
+    n = draw(st.integers(0, 5))
+    a = draw(matrices(field, n, n, degree))
+    m = a - a.transpose()
+    for _ in range(draw(st.integers(0, 2))):
+        if n:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            entries = [list(r) for r in m.entries]
+            entries[i][j] = draw(matrices(field, 1, 1, degree)).entries[0][0]
+            m = like(field, degree, entries, n)
+    return m
+
+
+@SETTINGS
+@given(nearly_alternating())
+def test_alternating_check_on_slices_equals_the_boxed_check(m):
+    expected = boxed_alternating_error(m)
+    if expected is None:
+        assert_alternating(m)
+    else:
+        with pytest.raises(ValueError) as err:
+            assert_alternating(m)
+        assert str(err.value) == expected
+    assert linalg.is_alternating(m) == (expected is None)

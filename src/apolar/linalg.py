@@ -20,7 +20,8 @@ builds its result from ints, with no validation, taking the result back to
 the canonical form after every sum, product and selection.  The slices are
 never changed in place, so results share rows freely.  ``entries`` is a
 read-only view, boxed as ``Fraction``, ``FpElement`` or ``Polynomial`` on
-first read and then kept; ``to_strings`` boxes without keeping.
+first read and then kept; ``to_strings`` reads the slices and boxes
+nothing.
 
 A product multiplies the slices with int dot products: (L_a A)(L_b B) =
 sum_(u,v) uv C_u D_v over L_a L_b, made canonical.  Kernel, determinant and
@@ -28,7 +29,8 @@ inverse come from one Gauss-Jordan routine on the int rows of L m
 (``_rref_ints``) that takes the first nonzero pivot in column order, so
 results are deterministic: the determinant is the product of the pivots
 times the sign of the row swaps, and the inverse is the right half of the
-reduced [L m | I].  Over GF(p) it runs on residues (``_rref_mod``); over Q,
+reduced [L m | I].  Over GF(p) it runs on residues, each row packed into
+one int once it is first updated (``residues.rref_mod``); over Q,
 fraction-free (``_rref_int``, after Bareiss), where the rows end as the
 RREF times the last pivot.  The RREF is unique, so both give the rational
 answer.  The reduced rows stay ints: ``kernel`` boxes only the free
@@ -45,19 +47,18 @@ q > D:
 
 - it evaluates the entries above the diagonal at the lattice points
   (1, a, b), a + b <= D, which are unisolvent for degree-D forms because
-  0, ..., D are distinct mod q: the values are the sum, over the monomials
-  y^e z^f, of one int vector per monomial (over the nonzero positions)
-  times a^e b^f;
-- at each point, one skew-symmetric elimination with 2 x 2 pivots
-  (``_skew_mod``, O(m^3)) gives the Pfaffian as the signed product of its
-  pivots; for odd m it also gives the null vector, which that product
-  scales into the whole signed row.  It stores and updates the triangle
-  above the diagonal only, as skew-symmetric L T L^T codes do (Bunch 1982;
+  0, ..., D are distinct mod q: each entry becomes one lane list, its
+  values at all the points;
+- one skew-symmetric elimination with 2 x 2 pivots (``_skew_mod``,
+  O(m^3) list operations) runs on all the points at once, as lanes, and
+  gives each point's Pfaffian as the signed product of its pivots; for
+  odd m it also gives the null vector, which that product scales into the
+  whole signed row.  It stores and updates the triangle above the
+  diagonal only, as skew-symmetric L T L^T codes do (Bunch 1982;
   M. Wimmer, ACM TOMS 38, 2012): the one below is its negation, and its
   cells hold the multipliers;
-- Newton forward differences on the lattice and one table of
-  falling-factorial coefficients interpolate all the forms in O(D^3) vector
-  operations (``_interpolate_mod``), with no Vandermonde matrix.
+- Newton forward differences on the lattice interpolate all the forms in
+  O(D^3) vector operations (``residues.interpolate_mod``).
 
 Over GF(p) with p > D, q = p.  Over Q, and over GF(p) with p <= D, the kernel
 runs on the integer matrix L M (residues above the diagonal lifted to
@@ -77,6 +78,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (Monomial, ONE, Polynomial, monomials_of_degree,
                    parse_polynomial)
+from .residues import interpolate_mod
+from .residues import rref_mod as _rref_mod
 from .scalars import (Field, FieldMismatchError, FpElement, PrimeField, Scalar,
                       is_prime)
 
@@ -132,12 +135,14 @@ def _scaled_slice(s: List[List[int]], f: int) -> List[List[int]]:
 class Matrix:
     """A rectangular matrix over one field whose entries are forms of one
     degree, stored as L M = sum_u u C_u (see the module docstring): the
-    attributes ``L`` and ``slices`` = {u: C_u}.  Each kind supplies two
+    attributes ``L`` and ``slices`` = {u: C_u}.  Each kind supplies three
     hooks:
 
     - ``_zero(degree)``: the zero entry of that degree;
     - ``_element(degree, coeffs)``: the degree-``degree`` entry whose
-      nonzero coefficients are the {monomial: scalar} map ``coeffs``.
+      nonzero coefficients are the {monomial: scalar} map ``coeffs``;
+    - ``_affixes(name)``: the texts around a coefficient in the term of
+      the monomial named ``name``.
 
     Entries are zero exactly when they are falsy."""
 
@@ -286,9 +291,24 @@ class Matrix:
         return not self.slices
 
     def to_strings(self) -> List[List[str]]:
-        """The entries as text; boxes them without keeping the boxing."""
-        entries = self._entries if self._entries is not None else self._box()
-        return [[str(e) for e in r] for r in entries]
+        """The entries as text, read off the slices: boxes nothing.  Each
+        monomial is named once, and x / L is written as the reduced
+        fraction (x / g) / (L / g), g = gcd(x, L)."""
+        L = self.L
+        monos = sorted(self.slices, key=Monomial.sort_key)
+        affixes = [self._affixes(str(u)) for u in monos]
+        tables = [self.slices[u] for u in monos]
+
+        def scalar(x: int) -> str:
+            g = math.gcd(x, L)
+            return str(x // g) if g == L else f"{x // g}/{L // g}"
+
+        fmt = str if L == 1 else scalar
+        return [[" + ".join([a + fmt(x) + b for (a, b), x in zip(affixes, col)
+                             if x]) or "0"
+                 for col in (zip(*[t[i] for t in tables]) if tables
+                             else [()] * self.cols)]
+                for i in range(self.rows)]
 
 
 class FieldMatrix(Matrix):
@@ -320,6 +340,9 @@ class FieldMatrix(Matrix):
 
     def _element(self, degree: int, coeffs: dict) -> Scalar:
         return coeffs.get(ONE, self.field.zero)
+
+    def _affixes(self, name: str) -> Tuple[str, str]:
+        return "", ""
 
     @classmethod
     def from_strings(cls, field: Field, rows: Sequence[Sequence[str]]) -> "FieldMatrix":
@@ -367,6 +390,9 @@ class PolyMatrix(Matrix):
 
     def _element(self, degree: int, coeffs: dict) -> Polynomial:
         return Polynomial._trusted(self.field, degree, coeffs)
+
+    def _affixes(self, name: str) -> Tuple[str, str]:
+        return "(", ")" + name
 
     def times_monomial(self, m: Monomial) -> "PolyMatrix":
         return PolyMatrix._from_slices(
@@ -452,28 +478,6 @@ def _pivot_steps(rows: List[list]):
             rows[r], rows[pr] = rows[pr], rows[r]
         yield r, c, pr != r
         r += 1
-
-
-def _rref_mod(rows: List[List[int]], q: int, full: bool = True
-              ) -> Tuple[List[List[int]], List[int], int]:
-    """Gauss-Jordan on plain residues mod q, in place: (rows, pivot
-    columns, d mod q), d the product of the pivots times the sign of the
-    row swaps.  With ``full`` false only the rows below each pivot are
-    cleared, which leaves a row echelon form: enough for the rank."""
-    pivots: List[int] = []
-    d = 1
-    for r, c, swapped in _pivot_steps(rows):
-        d = (-d if swapped else d) * rows[r][c] % q
-        inv = pow(rows[r][c], -1, q)
-        # the pivot row is zero left of c, so only columns c.. change
-        tail = rows[r][c:] = [e * inv % q for e in rows[r][c:]]
-        for i in range(0 if full else r + 1, len(rows)):
-            row = rows[i]
-            f = row[c]
-            if f and i != r:
-                row[c:] = [(a - f * b) % q for a, b in zip(row[c:], tail)]
-        pivots.append(c)
-    return rows, pivots, d % q
 
 
 def _rref_int(rows: List[List[int]], full: bool = True
@@ -655,14 +659,18 @@ def _crt_primes():
         q -= 2
 
 
-def _swap(a: List[List[int]], k: int, perm: List[int], s: int, t: int) -> None:
+def _neg(v: List[int]) -> List[int]:
+    return [-x for x in v]
+
+
+def _swap(a: List[list], k: int, perm: List[int], s: int, t: int) -> None:
     """Swap indices s < t, both at least k, of perm and of the alternating
-    matrix that a stores above its diagonal, where the cells [:k] of each
-    row hold multipliers.  Rows s and t trade their multipliers; entry
-    (i, s) trades with (i, t) for k <= i < s; for s < j < t the pair
-    ((s, j), (j, t)) becomes (-(j, t), -(s, j)); (s, t) is negated; and
-    rows s and t trade their entries right of t.  Rows above k are done
-    and stay as they are."""
+    matrix of lane lists that a stores above its diagonal, where the cells
+    [:k] of each row hold multipliers.  Rows s and t trade their
+    multipliers; entry (i, s) trades with (i, t) for k <= i < s; for
+    s < j < t the pair ((s, j), (j, t)) becomes (-(j, t), -(s, j)); (s, t)
+    is negated; and rows s and t trade their entries right of t.  Rows above
+    k are done and stay as they are."""
     rs, rt = a[s], a[t]
     rs[:k], rt[:k] = rt[:k], rs[:k]
     for i in range(k, s):
@@ -670,18 +678,20 @@ def _swap(a: List[List[int]], k: int, perm: List[int], s: int, t: int) -> None:
         r[s], r[t] = r[t], r[s]
     for j in range(s + 1, t):
         r = a[j]
-        rs[j], r[t] = -r[t], -rs[j]
-    rs[t] = -rs[t]
+        rs[j], r[t] = _neg(r[t]), _neg(rs[j])
+    rs[t] = _neg(rs[t])
     rs[t + 1:], rt[t + 1:] = rt[t + 1:], rs[t + 1:]
     perm[s], perm[t] = perm[t], perm[s]
 
 
-def _skew_mod(a: List[List[int]], q: int) -> List[int]:
-    """[Pf(a)] for even m, and the signed maximal Pfaffians of a for odd m,
-    from one skew-symmetric elimination of the m x m alternating residue
-    matrix a mod q with 2 x 2 pivots (J. R. Bunch, Math. Comp. 38, 1982);
-    destroys a.  Only the entries a[i][j], i < j, are read: one below the
-    diagonal is -a[j][i], and the cells there hold the multipliers.
+def _skew_mod(a: List[list], q: int) -> List[List[int]]:
+    """For each lane, [Pf] for even m and the signed maximal Pfaffians for
+    odd m, from one skew-symmetric elimination mod q with 2 x 2 pivots
+    (J. R. Bunch, Math. Comp. 38, 1982) of the m x m alternating matrices
+    that a holds as lane lists: cell (i, j) is the list of the entries
+    (i, j) of all lanes, at least one lane.  Destroys a.  Only the cells
+    above the diagonal are read for their values: one below is -a[j][i],
+    and the cells there hold the multipliers.
 
     Step k moves the first j > k with a[k][j] != 0 to index k + 1 and
     pivots on p = a[k][k+1]: each later row i takes u = -a[k+1][i] / p and
@@ -695,6 +705,13 @@ def _skew_mod(a: List[List[int]], q: int) -> List[int]:
     odd m the first zero row is moved to the last index, one more swap; a
     second one means rank < m - 1, where every maximal Pfaffian vanishes.
 
+    The lanes of a group share perm, sign and the moved flag, so every
+    update is one list operation over the group.  Where row k is zero in
+    some lanes at the first j any lane has nonzero, the group splits in
+    two, the lanes zero there and the others, and both run step k again;
+    each lane thus takes its own scalar pivot sequence.  The groups wait on
+    a worklist.
+
     For odd m at rank m - 1, L^T x = e_last gives the null vector x of the
     permuted matrix, so the signed row, which annihilates a, is lambda x
     carried back through perm.  Its entry at f = perm[m - 1], where x is 1,
@@ -704,102 +721,75 @@ def _skew_mod(a: List[List[int]], q: int) -> List[int]:
     above f all precede it.  As m - 1 is even, lambda = sign prod p."""
     m = len(a)
     odd = m % 2
-    perm = list(range(m))
-    sign = pf = 1
-    moved = False
-    k = 0
-    while k < m - odd:
-        row = a[k]
-        j = next((j for j in range(k + 1, m) if row[j]), None)
-        if j is None:
-            if not odd or moved:
-                return [0] * (m if odd else 1)
-            moved = True
-            _swap(a, k, perm, k, m - 1)
-            sign = -sign
-            continue
-        if j != k + 1:
-            _swap(a, k, perm, k + 1, j)
-            sign = -sign
-        row1 = a[k + 1]
-        p = row[k + 1]
-        pf = pf * p % q
-        inv = pow(p, -1, q)
-        for i in range(k + 2, m):
-            r = a[i]
-            u, w = -row1[i] * inv % q, -row[i] * inv % q
-            r[k], r[k + 1] = u, -w % q
-            if u or w:
-                r[i + 1:] = [(x - u * y + w * z) % q for x, y, z in
-                             zip(r[i + 1:], row[i + 1:], row1[i + 1:])]
-        k += 2
-    lam = sign * pf % q
-    if not odd:
-        return [lam]
-    x = [0] * m
-    x[m - 1] = 1
-    # acc[s] = sum of a[t][s] x[t] over the rows t found so far, row by row
-    acc = a[m - 1][:m - 1]
-    for k in range(m - 3, -1, -2):
-        y, z = -acc[k + 1] % q, -acc[k] % q
-        x[k + 1], x[k] = y, z
-        acc[:k] = [c + u * y + v * z
-                   for c, u, v in zip(acc[:k], a[k + 1][:k], a[k][:k])]
-    out = [0] * m
-    for t, i in enumerate(perm):
-        out[i] = lam * x[t] % q
+    count = len(a[0][0]) if m else 1
+    # a group that meets a zero row it cannot move leaves its lanes at zero
+    out = [[0] * (m if odd else 1) for _ in range(count)]
+    work = [(list(range(count)), a, list(range(m)), 1, False, [1] * count, 0)]
+    while work:
+        lanes, a, perm, sign, moved, pf, k = work.pop()
+        while k < m - odd:
+            row = a[k]
+            j = next((j for j in range(k + 1, m) if any(row[j])), None)
+            if j is None:
+                if not odd or moved:
+                    break
+                moved = True
+                _swap(a, k, perm, k, m - 1)
+                sign = -sign
+                continue
+            if not all(row[j]):
+                group = lanes, a, perm, sign, moved, pf, k
+                work += [_pick(group, row[j], f) for f in (False, True)]
+                break
+            if j != k + 1:
+                _swap(a, k, perm, k + 1, j)
+                sign = -sign
+            row1 = a[k + 1]
+            pf = [x * y % q for x, y in zip(pf, row[k + 1])]
+            inv = [pow(x, -1, q) for x in row[k + 1]]
+            for i in range(k + 2, m):
+                r = a[i]
+                # the multipliers u and -w
+                r[k] = u = [-x * y % q for x, y in zip(row1[i], inv)]
+                r[k + 1] = v = [x * y % q for x, y in zip(row[i], inv)]
+                if any(u) or any(v):
+                    for j in range(i + 1, m):
+                        r[j] = [(x - s * y - t * z) % q for x, y, z, s, t in
+                                zip(r[j], row[j], row1[j], u, v)]
+            # only the multipliers of the pivot rows are read again
+            del row[k:], row1[k:]
+            k += 2
+        else:
+            cols = [[sign * x % q for x in pf]]
+            if odd:
+                lam, x = cols[0], [[]] * (m - 1) + [[1] * len(lanes)]
+                # acc[s] = sum of a[t][s] x[t] over the rows t found so far
+                acc = a[m - 1][:m - 1]
+                for k in range(m - 3, -1, -2):
+                    x[k + 1] = y = [-c % q for c in acc[k + 1]]
+                    x[k] = z = [-c % q for c in acc[k]]
+                    acc[:k] = [[(c + s * e + t * f) % q for c, s, t, e, f in
+                                zip(cs, u, v, y, z)] for cs, u, v in
+                               zip(acc[:k], a[k + 1][:k], a[k][:k])]
+                cols = [[]] * m
+                for t, i in enumerate(perm):
+                    cols[i] = [e * f % q for e, f in zip(lam, x[t])]
+            for lane, vec in zip(lanes, zip(*cols)):
+                out[lane] = list(vec)
     return out
 
 
-def _interpolate_mod(grid: List[List[List[int]]], degree: int, q: int
-                     ) -> List[List[int]]:
-    """The coefficient vectors, on the degree-D monomials in the fixed
-    order, of the forms of degree D = ``degree`` whose values at (1, a, b)
-    are grid[b][a], a + b <= D, one form per position of the value lists;
-    q > D.  Destroys grid.
+def _pick(group: tuple, flags: List[int], nonzero: bool) -> tuple:
+    """The lane group (lanes, a, perm, sign, moved, pf, k) of ``_skew_mod``
+    on its lanes where bool(flags) is ``nonzero``, copied."""
+    lanes, a, perm, sign, moved, pf, k = group
+    ts = [t for t, f in enumerate(flags) if bool(f) is nonzero]
 
-    With f(y, z) the form at x = 1, forward differences along y in each row
-    b, then along z, leave the Newton coefficients Delta_y^i Delta_z^j f(0, 0)
-    of f = sum_(i+j<=D) Delta^(i,j) f(0, 0) C(y, i) C(z, j); row b needs
-    only its D - b + 1 points, since Delta_y^i f(0, b) uses a = 0, ..., i.
-    Each C(y, i) is y's falling factorial of order i over i!, and the table
-    of falling-factorial coefficients turns the result into monomial
-    coefficients: O(D^3) vector operations in all."""
-    D = degree
+    def sub(v: list) -> list:
+        return [v[t] for t in ts]
 
-    def differences(seq: list) -> list:
-        for level in range(1, len(seq)):
-            for t in range(len(seq) - 1, level - 1, -1):
-                seq[t] = [(x - y) % q for x, y in zip(seq[t], seq[t - 1])]
-        return seq
-
-    def combine(weights: List[int], vectors: List[List[int]]) -> List[int]:
-        return [sum(map(mul, weights, c)) % q for c in zip(*vectors)]
-
-    for row in grid:
-        differences(row)
-    inv_fact = [1]
-    falling = [[1]]
-    for i in range(1, D + 1):
-        inv_fact.append(inv_fact[-1] * pow(i, -1, q) % q)
-        prev = falling[-1] + [0]
-        falling.append([((prev[k - 1] if k else 0) - (i - 1) * prev[k]) % q
-                        for k in range(i + 1)])
-    # newton[i][j] = Delta_y^i Delta_z^j f(0, 0) / (i! j!)
-    newton = [[[x * inv_fact[i] * inv_fact[j] % q for x in v]
-               for j, v in enumerate(differences(
-                   [grid[b][i] for b in range(D + 1 - i)]))]
-              for i in range(D + 1)]
-    # by_y[k][j]: the coefficient of y^k times z's falling factorial of order j
-    by_y = [[combine([falling[i][k] for i in range(k, D + 1 - j)],
-                     [newton[i][j] for i in range(k, D + 1 - j)])
-             for j in range(D + 1 - k)] for k in range(D + 1)]
-    coeffs = {(k, l): combine([falling[j][l] for j in range(l, D + 1 - k)],
-                              [by_y[k][j] for j in range(l, D + 1 - k)])
-              for k in range(D + 1) for l in range(D + 1 - k)}
-    monos = monomials_of_degree(D)
-    return [[coeffs[t.b, t.c][r] for t in monos]
-            for r in range(len(grid[0][0]))]
+    return (sub(lanes), [list(map(sub, r)) for r in a], perm[:], sign, moved,
+            sub(pf), k)
 
 
 def _pfaffians_mod(positions: List[Tuple[int, int]], slices: dict, size: int,
@@ -811,28 +801,21 @@ def _pfaffians_mod(positions: List[Tuple[int, int]], slices: dict, size: int,
     over the y and z exponents (e, f) of the slices; every other entry above
     the diagonal is zero.
 
-    At each lattice point (1, a, b), a + b <= D, the slices combine into the
-    entry values, which fill the triangle above the diagonal, the only one
-    ``_skew_mod`` reads.  ``_interpolate_mod`` turns the values into
+    The lattice points (1, a, b), a + b <= D, are the lanes: each position's
+    lane list of values is sum c a^e b^f, built once, and one ``_skew_mod``
+    call runs them all.  ``interpolate_mod`` turns the values into
     coefficients; both need q > D, which the caller guarantees."""
-    powers = [[pow(t, e, q) for e in range(degree + 1)]
-              for t in range(degree + 1)]
-    reduced = [(e, f, [x % q for x in v]) for (e, f), v in slices.items()]
-    grid = []
-    for b in range(degree + 1):
-        pc = powers[b]
-        row = []
-        for pb in powers[:degree + 1 - b]:
-            values = [0] * len(positions)
-            for e, f, v in reduced:
-                w = pb[e] * pc[f]
-                values = [x + w * y for x, y in zip(values, v)]
-            a = [[0] * size for _ in range(size)]
-            for (i, j), x in zip(positions, values):
-                a[i][j] = x % q
-            row.append(_skew_mod(a, q))
-        grid.append(row)
-    return _interpolate_mod(grid, degree, q)
+    points = [(a, b) for b in range(degree + 1) for a in range(degree + 1 - b)]
+    zero = [0] * len(points)
+    a = [[zero] * size for _ in range(size)]
+    for (e, f), v in slices.items():
+        lane = [pow(y, e, q) * pow(z, f, q) for y, z in points]
+        for (i, j), c in zip(positions, v):
+            if c % q:
+                a[i][j] = [x + c * y for x, y in zip(a[i][j], lane)]
+    for i, j in positions:
+        a[i][j] = [x % q for x in a[i][j]]
+    return interpolate_mod(_skew_mod(a, q), degree, q)
 
 
 def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[dict]]:
@@ -876,18 +859,15 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[dict]]:
         norms[i] += s
         norms[j] += s
     bound = math.prod(max(1, r) for r in norms)
-    residues: List[List[int]] = []
+    residues = [[0] * len(monos)] * (size if size % 2 else 1)
     modulus = 1
     primes = _crt_primes()
     while modulus * modulus <= 4 * bound:
         q = next(primes)
-        vecs = _pfaffians_mod(positions, slices, size, degree, q)
-        if modulus == 1:
-            residues = vecs
-        else:
-            u = pow(modulus, -1, q)
-            residues = [[x + modulus * ((y - x) * u % q) for x, y in zip(xs, ys)]
-                        for xs, ys in zip(residues, vecs)]
+        u = pow(modulus, -1, q)
+        residues = [[x + modulus * ((y - x) * u % q) for x, y in zip(xs, ys)]
+                    for xs, ys in zip(residues, _pfaffians_mod(
+                        positions, slices, size, degree, q))]
         modulus *= q
     scale = L ** (size // 2)
     signed = [[x - modulus if 2 * x > modulus else x for x in vec]

@@ -99,8 +99,10 @@ def _annihilates(gens: Sequence[Polynomial], phi: DualElement) -> List[bool]:
         if g.degree > s:
             return True
         terms = _integer_coeffs(g.coeffs, fld).items()
-        for v in monomials_of_degree(s - g.degree):
-            x = sum(c * phi_int.get(u * v, 0) for u, c in terms)
+        # u v looked up as a plain exponent tuple, equal to its Monomial key
+        for va, vb, vc in monomials_of_degree(s - g.degree):
+            x = sum(c * phi_int.get((ua + va, ub + vb, uc + vc), 0)
+                    for (ua, ub, uc), c in terms)
             if (x % p if p else x):
                 return False
         return True
@@ -138,7 +140,8 @@ def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
         return [Polynomial.monomial(fld, m) for m in cols]
     matrix = FieldMatrix(fld, catalecticant(
         phi.coeffs, monomials_of_degree(phi.degree - d), cols, fld.zero))
-    return [Polynomial.from_coords(fld, cols, v) for v in linalg.kernel(matrix)]
+    return [Polynomial._trusted(fld, d, {u: c for u, c in zip(cols, v) if c})
+            for v in linalg.kernel(matrix)]
 
 
 @dataclass

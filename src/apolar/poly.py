@@ -352,8 +352,10 @@ def catalecticant(coeffs: Dict[Monomial, Scalar], rows: Sequence[Monomial],
     ``coeffs`` (``zero`` where a monomial is missing): the entry (mr, mc)
     is the coefficient of mr * mc (Iarrobino-Kanev, LNM 1721, 1999).  For
     rows of degree s - d and columns of degree d, its kernel is the
-    degree-d annihilator."""
-    return [[coeffs.get(mr * mc, zero) for mc in cols] for mr in rows]
+    degree-d annihilator.  The product is looked up as a plain exponent
+    tuple, which hashes and compares equal to the Monomial key."""
+    return [[coeffs.get((a + x, b + y, c + z), zero) for x, y, z in cols]
+            for a, b, c in rows]
 
 
 def evaluate(w: DualElement, u: Polynomial) -> Scalar:

@@ -91,13 +91,18 @@ class LinearPresentation:
     b1: Optional[PolyMatrix] = None
 
     @functools.cached_property
-    def generators(self) -> List[Polynomial]:
-        """The explicit generator row, built on first use and then kept.
-        Raises ValueError when p is singular."""
+    def generator_row(self) -> PolyMatrix:
+        """The explicit generator row as a 1 x (2n+1) matrix, built on first
+        use and then kept.  Raises ValueError when p is singular."""
         if self.p_inv is None:
             raise ValueError(f"p is singular (rank {self.p_rank}); "
                              "explicit generators need an invertible p")
-        return explicit_generators(self.p_inv, self.r)
+        return _generator_row(self.p_inv, self.r)
+
+    @functools.cached_property
+    def generators(self) -> List[Polynomial]:
+        """The entries of ``generator_row``, boxed once and then kept."""
+        return list(self.generator_row.entries[0])
 
 
 def _b2_lower_shift(field: Field, n: int) -> PolyMatrix:
@@ -172,7 +177,12 @@ def explicit_generators(p_inv: FieldMatrix, r: FieldMatrix) -> List[Polynomial]:
     last n columns of p^{-1}, and mu(phi) is the column phi(m_i * mu) of r,
     so the p^{-1}(mu(phi)) are the columns of p^{-1} r.  The row is one
     product, xm [p^{-1}[:, N-n:] | -p^{-1} r] + [0 | mu], xm being the row
-    of the x m_i.  ``LinearPresentation.generators`` keeps this row."""
+    of the x m_i.  ``LinearPresentation.generator_row`` keeps this row."""
+    return list(_generator_row(p_inv, r).entries[0])
+
+
+def _generator_row(p_inv: FieldMatrix, r: FieldMatrix) -> PolyMatrix:
+    """The row of ``explicit_generators`` as a 1 x (2n+1) matrix."""
     fld = p_inv.field
     n = r.cols - 1
     N = p_inv.rows
@@ -182,7 +192,7 @@ def explicit_generators(p_inv: FieldMatrix, r: FieldMatrix) -> List[Polynomial]:
                               + [Polynomial.monomial(fld, m)
                                  for m in Basis(SYM_U0, n)]])
     images = hstack(p_inv.take_cols(range(N - n, N)), -(p_inv @ r))
-    return list((xm @ images + mus).entries[0])
+    return xm @ images + mus
 
 
 def reduced_inverse_system(phi: DualElement) -> DualElement:
@@ -225,9 +235,7 @@ def theta_conjugation_check(lin_phi: LinearPresentation,
     theta1, theta2 = theta_matrices(phi)
     if theta1 @ lin_phi.b2 != lin_phitilde.b2 @ theta2:
         return False
-    fld, n = lin_phi.field, lin_phi.n
-    return (PolyMatrix(fld, n, [lin_phitilde.generators]) @ theta1
-            == PolyMatrix(fld, n, [lin_phi.generators]))
+    return lin_phitilde.generator_row @ theta1 == lin_phi.generator_row
 
 
 @dataclass
@@ -349,12 +357,12 @@ def resolution_report(lin: LinearPresentation,
     }
     if not lin.linearly_presented:
         return out
-    explicit = lin.generators
-    out["generators"] = {"explicit": [str(g) for g in explicit]}
+    texts = lin.generator_row.to_strings()[0]
+    out["generators"] = {"explicit": texts}
     if lin.b1 is not None:
         out["units"] = {
-            "explicit_vs_pfaffian_row":
-                lin.field.format(proportionality_unit(explicit, lin.b1.entries[0])),
+            "explicit_vs_pfaffian_row": lin.field.format(
+                proportionality_unit(lin.generators, lin.b1.entries[0])),
         }
     out["betti"] = {"linear": linear_betti(lin.n)}
     if quad is not None:
@@ -365,7 +373,8 @@ def resolution_report(lin: LinearPresentation,
         if quad.quadratically_presented:
             blocks["c2"] = quad.c2.to_strings()
             blocks["c1"] = quad.c1.to_strings()
-            out["generators"]["quadratic"] = [str(g) for g in quad.generators]
+            # the last n + 1 explicit generators
+            out["generators"]["quadratic"] = texts[lin.n:]
             out.setdefault("units", {})["pfaffian_row_vs_generators"] = \
                 lin.field.format(quad.unit)
             out["units"]["a_prime_pfaffian"] = lin.field.format(quad.a_prime_pfaffian)

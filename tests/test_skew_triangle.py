@@ -2,7 +2,9 @@
 
 ``linalg._skew_mod`` reads only the entries above the diagonal, so its
 output must not change when the diagonal and the triangle below it hold
-garbage.  The matrices are sparse, so the first nonzero entry of a row is
+garbage.  It takes each cell as a lane list, one entry per matrix of a
+batch; these tests run single matrices as one lane, and whole batches,
+where each lane must equal its one-lane run.  The matrices are sparse, so the first nonzero entry of a row is
 often more than one index past the pivot (a partner swap at distance > 1),
 and for odd sizes some have one dependent index, first, in the middle or
 last, which the elimination moves to the end.  ``_pfaffian_coefficients``
@@ -77,6 +79,20 @@ def cases(q):
                        with_dependent_index(size, t, q, rng, 0.6))
 
 
+def zero_at_step(size, k, q, rng):
+    """2 x 2 blocks on (0, 1), ..., (k - 2, k - 1), then a random alternating
+    block on k.. whose entry (k, k + 1) is zero: the elimination leaves row
+    k as it is until step k, where it has no pivot at k + 1."""
+    a = [[0] * size for _ in range(size)]
+    for i in range(0, k, 2):
+        a[i][i + 1] = rng.randrange(1, q)
+    for i in range(k, size):
+        for j in range(i + 1, size):
+            if (i, j) != (k, k + 1):
+                a[i][j] = rng.randrange(q)
+    return a
+
+
 def alternating_copy(a, q):
     m = len(a)
     return [[a[i][j] if i < j else -a[j][i] % q if i > j else 0
@@ -87,6 +103,17 @@ def with_garbage(a, q, rng):
     m = len(a)
     return [[a[i][j] if i < j else rng.randrange(q) for j in range(m)]
             for i in range(m)]
+
+
+def as_lanes(mats):
+    """The matrices, all of one size, as one matrix of lane lists."""
+    size = len(mats[0])
+    return [[[a[i][j] for a in mats] for j in range(size)] for i in range(size)]
+
+
+def skew_one_lane(a, q):
+    [out] = linalg._skew_mod(as_lanes([a]), q)
+    return out
 
 
 def boxed_reference(a, q):
@@ -111,8 +138,8 @@ def test_skew_elimination_reads_only_above_the_diagonal(q, monkeypatch):
     rng = random.Random(q + 1)
     for name, a in cases(q):
         expected = boxed_reference(a, q)
-        out = linalg._skew_mod(alternating_copy(a, q), q)
-        assert out == linalg._skew_mod(with_garbage(a, q, rng), q), name
+        out = skew_one_lane(alternating_copy(a, q), q)
+        assert out == skew_one_lane(with_garbage(a, q, rng), q), name
         assert [FpElement(x, q) for x in out] == expected, name
     # partner swaps at distance > 1, and odd sizes moving a zero row last
     assert any(t - s > 1 and s == k + 1 for _, k, s, t in swaps)
@@ -172,3 +199,44 @@ def test_forms_with_one_nonzero_entry(field):
     rows[0][2], rows[2][0] = e, -e
     for size in (3, 5):
         check(PolyMatrix(field, 2, [r[:size] for r in rows[:size]], size))
+
+
+@pytest.mark.parametrize("q", MODULI)
+def test_lanes_follow_their_own_pivots(q, monkeypatch):
+    """All the cases of one size from 1, plus sparser and all-zero matrices
+    and one that is zero at the pivot of each step, run as the lanes of one
+    batch (a 0 x 0 matrix holds no lane list, so it is one lane).  Each lane equals its one-lane run, every swap
+    kind occurs, and lanes split off at every pivot step."""
+    swaps, splits = [], []
+    original_swap, original_pick = linalg._swap, linalg._pick
+
+    def swap_spy(a, k, perm, s, t):
+        swaps.append((len(a), k, s, t))
+        return original_swap(a, k, perm, s, t)
+
+    def pick_spy(group, flags, nonzero):
+        splits.append((len(group[1]), group[-1]))
+        return original_pick(group, flags, nonzero)
+
+    rng = random.Random(q + 2)
+    by_size = {}
+    for _, a in cases(q):
+        if a:
+            by_size.setdefault(len(a), []).append(a)
+    for size, mats in by_size.items():
+        mats += [sparse_alternating(size, q, rng, d)
+                 for d in (0, 0.1, 0.3, 1, 1, 1)]
+        mats += [zero_at_step(size, k, q, rng) for k in range(0, size - 1, 2)]
+        expected = [skew_one_lane(a, q) for a in mats]
+        monkeypatch.setattr(linalg, "_swap", swap_spy)
+        monkeypatch.setattr(linalg, "_pick", pick_spy)
+        assert linalg._skew_mod(as_lanes(mats), q) == expected, size
+        monkeypatch.undo()
+    assert any(t - s > 1 and s == k + 1 for _, k, s, t in swaps)
+    assert any(m % 2 and k > 0 and s == k and t == m - 1
+               for m, k, s, t in swaps)
+    assert any(m % 2 and k == 0 and s == 0 and t == m - 1
+               for m, k, s, t in swaps)
+    for size in range(2, 14):
+        steps = set(range(0, size - 1 - size % 2, 2))
+        assert {k for m, k in splits if m == size} >= steps, size

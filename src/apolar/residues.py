@@ -16,6 +16,7 @@ from .poly import monomials_of_degree
 
 _WORD = (1 << 64) - 1
 
+
 def rref_mod(rows: List[List[int]], q: int, full: bool = True
              ) -> Tuple[List[List[int]], List[int], int]:
     """Gauss-Jordan on plain residues mod q, in place: (rows, pivot
@@ -35,7 +36,8 @@ def rref_mod(rows: List[List[int]], q: int, full: bool = True
     n, m = len(rows), len(rows[0]) if rows else 0
     bound = min(n, m) * (q - 1) ** 2 + q
     words = bound.bit_length() // 64 + 1
-    w, mask = 64 * words, (1 << 64 * words) - 1
+    w = 64 * words
+    mask = (1 << w) - 1
     assert bound >> (w - 1) == 0
     spread = ((q - 1).bit_length() + 63) // 64  # words per residue
 

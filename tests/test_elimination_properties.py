@@ -4,12 +4,12 @@ form matrices of every shape and kind, the fraction-free Gauss-Jordan over
 Q, the eliminations over GF(32003) and GF(3), the packed-row elimination
 mod 3, 32003 and 2^61 - 1 (including a row that takes every update, the
 worst case of its slot width), and the forward-only rank pass against the
-rank of the full reduction.  Beyond equality with the
-reference, a product stores no zero coefficient, keeps the declared degree
-on zero entries, boxes int sums that vanish mod p to zero, and never
-promotes a scalar operand; ``times_monomial`` equals the product with a
-monomial.  ``kernel`` boxes only the entries of the reduced rows that it
-reads, and ``invert`` boxes nothing until its entries are read."""
+rank of the full reduction.  Beyond equality with the reference, a product
+stores no zero coefficient, keeps the declared degree on zero entries,
+boxes int sums that vanish mod p to zero, and never promotes a scalar
+operand; ``times_monomial`` equals the product with a monomial.
+``kernel`` boxes only the entries of the reduced rows that it reads, and
+``invert`` boxes nothing until its entries are read."""
 
 from fractions import Fraction
 
@@ -294,8 +294,10 @@ def packed_cases(draw):
     if shape == "every-update":
         tail = draw(st.lists(residue, min_size=1, max_size=4))
         return every_update_rows(k, k - 1 + len(tail), q, tail), q
-    r, c = {"0x0": (0, 0), "1xk": (1, k), "kx1": (k, 1)}.get(
-        shape, (k, draw(st.integers(0, 9))))
+    if shape == "any":
+        r, c = k, draw(st.integers(0, 9))
+    else:
+        r, c = {"0x0": (0, 0), "1xk": (1, k), "kx1": (k, 1)}[shape]
     sparse = draw(st.booleans())
     return [[draw(residue) if not sparse or draw(st.booleans()) else 0
              for _ in range(c)] for _ in range(r)], q

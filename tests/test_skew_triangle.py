@@ -4,10 +4,11 @@
 output must not change when the diagonal and the triangle below it hold
 garbage.  It takes each cell as a lane list, one entry per matrix of a
 batch; these tests run single matrices as one lane, and whole batches,
-where each lane must equal its one-lane run.  The matrices are sparse, so the first nonzero entry of a row is
-often more than one index past the pivot (a partner swap at distance > 1),
-and for odd sizes some have one dependent index, first, in the middle or
-last, which the elimination moves to the end.  ``_pfaffian_coefficients``
+where each lane must equal its one-lane run.  The matrices are sparse, so
+the first nonzero entry of a row is often more than one index past the
+pivot (a partner swap at distance > 1), and for odd sizes some have one
+dependent index, first, in the middle or last, which the elimination moves
+to the end.  ``_pfaffian_coefficients``
 evaluates the entries from one int vector per monomial; the edge cases here
 are matrices with no nonzero entry above the diagonal, sizes 0 and 1, and
 scalar matrices, whose only monomial is 1.

@@ -8,8 +8,7 @@ from .poly import (Basis, DualElement, Monomial, Polynomial, SYM_U, SYM_U0,
                    monomials_of_degree, parse_linear_form, parse_polynomial,
                    random_dual_element, substitute)
 from .linalg import (FieldMatrix, InversionResult, Matrix, PolyMatrix,
-                     as_poly_matrix, assert_alternating, block,
-                     congruence_pfaffian_check, denominator_lcm, det, hstack,
+                     as_poly_matrix, assert_alternating, block, det, hstack,
                      invert, is_alternating, kernel, pfaffian, rank,
                      signed_maximal_pfaffians, vstack)
 from .resolution import (LinearPresentation, ProportionalityError,

@@ -24,7 +24,6 @@ import sys
 from typing import Optional
 
 from . import linalg, oracle, resolution
-from .linalg import denominator_lcm
 from .poly import (MAX_DEGREE, DualElement, Polynomial, contract,
                    parse_linear_form, random_dual_element)
 from .scalars import DEFAULT_PRIME, PrimeField, field_from_tag
@@ -62,7 +61,7 @@ def _write_json(data: dict, path: Optional[str], timestamp: bool) -> None:
 def _print_matrix(name: str, m, clear_denominators: bool) -> None:
     prefix = ""
     if clear_denominators:
-        L = denominator_lcm(m)
+        L = m.L
         if L != 1:
             m = m.scaled(L)
             prefix = f"1/{L} x "
@@ -171,12 +170,11 @@ def cmd_verify(args) -> int:
     fld = lin.field
     ok &= _check("b2 alternating", linalg.is_alternating(lin.b2), lines)
     ok &= _check("b2 entries homogeneous linear",
-                 lin.b2.degree == 1 and all(e.is_zero or e.degree == 1
-                                            for row in lin.b2.entries for e in row),
+                 lin.b2.degree == 1 and all(u.degree == 1 for u in lin.b2.slices),
                  lines)
     ok &= _check("b1 . b2 = 0", (lin.b1 @ lin.b2).is_zero(), lines)
     try:
-        resolution.proportionality_unit(lin.generators, lin.b1.entries[0])
+        resolution.proportionality_unit(lin.generator_row, lin.b1)
         prop_ok = True
     except resolution.ProportionalityError:
         prop_ok = False
@@ -188,15 +186,13 @@ def cmd_verify(args) -> int:
     if quad.quadratically_presented:
         ok &= _check("c2 alternating", linalg.is_alternating(quad.c2), lines)
         ok &= _check("c2 entries homogeneous quadratic",
-                     quad.c2.degree == 2 and all(e.is_zero or e.degree == 2
-                                                 for row in quad.c2.entries
-                                                 for e in row),
-                     lines)
+                     quad.c2.degree == 2
+                     and all(u.degree == 2 for u in quad.c2.slices), lines)
         ok &= _check("c1 . c2 = 0", (quad.c1 @ quad.c2).is_zero(), lines)
         ok &= _check("Pfaffian minor factorization",
                      resolution.claim_factorization_check(lin, quad), lines)
-        verdicts = oracle.ideal_equality_check(quad.generators, phi,
-                                               args.max_degree)
+        verdicts = oracle.ideal_equality_check(quad.generators.entries[0],
+                                               phi, args.max_degree)
         ok &= _check("Pfaffian generators of c2 generate ann(phi) "
                      f"(degrees 0..{verdicts[-1].degree})",
                      all(v.equal for v in verdicts), lines)
@@ -205,8 +201,7 @@ def cmd_verify(args) -> int:
         x = Polynomial.variable(fld, "x")
         xphi = contract(x, phi)
         bound = args.max_degree if args.max_degree is not None else 2 * n - 1
-        verdicts = oracle.ideal_equality_check(list(lin.b1.entries[0]), xphi,
-                                               bound)
+        verdicts = oracle.ideal_equality_check(lin.b1.entries[0], xphi, bound)
         ok &= _check("Pfaffian generators of b2 generate ann(x(phi)) "
                      f"(degrees 0..{verdicts[-1].degree})",
                      all(v.equal for v in verdicts), lines)

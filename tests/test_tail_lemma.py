@@ -102,7 +102,7 @@ def test_a_generator_of_degree_s_plus_2_minus_a_is_not_skipped(s):
 
 def _quadratic_generators(phi):
     lin = resolution.build_linear_presentation(phi)
-    return resolution.build_quadratic_presentation(lin).generators
+    return resolution.build_quadratic_presentation(lin).generators.entries[0]
 
 
 @pytest.mark.parametrize("phi", [

@@ -3,10 +3,9 @@ Gorenstein ideals given by Macaulay inverse systems in k[x, y, z]."""
 
 from .scalars import (DEFAULT_PRIME, FieldMismatchError, FpElement, PrimeField,
                       QQ, RationalField, field_from_tag)
-from .poly import (Basis, DualElement, Monomial, Polynomial, SYM_U, SYM_U0,
-                   catalecticant, contract, evaluate, format_terms,
-                   monomials_of_degree, parse_linear_form, parse_polynomial,
-                   random_dual_element, substitute)
+from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
+                   format_terms, monomials_of_degree, parse_linear_form,
+                   parse_polynomial, random_dual_element)
 from .linalg import (FieldMatrix, InversionResult, Matrix, PolyMatrix,
                      as_poly_matrix, assert_alternating, block, det, hstack,
                      invert, is_alternating, kernel, pfaffian, rank,

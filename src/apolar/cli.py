@@ -50,12 +50,14 @@ def _write_json(data: dict, path: Optional[str], timestamp: bool) -> None:
         data = dict(data)
         data["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-    text = json.dumps(data, indent=2) + "\n"
+    # written as it is encoded: the report is never held whole as one string
     if path is None or path == "-":
-        sys.stdout.write(text)
+        json.dump(data, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
 
 
 def _print_matrix(name: str, m, clear_denominators: bool) -> None:

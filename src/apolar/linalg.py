@@ -45,7 +45,7 @@ forms, the Pfaffian (m even) and each maximal-order Pfaffian (m odd) is a
 form of degree D = (m // 2) d.  The kernel works on plain ints mod a prime
 q > D:
 
-- it evaluates the entries above the diagonal at the lattice points
+- it takes the entries above the diagonal at the lattice points
   (1, a, b), a + b <= D, which are unisolvent for degree-D forms because
   0, ..., D are distinct mod q: each entry becomes one lane list, its
   values at all the points;
@@ -315,9 +315,18 @@ class FieldMatrix(Matrix):
         self._entries = rows
 
     @classmethod
+    def _from_ints(cls, field: Field, rows: List[List[int]],
+                   cols: int) -> "FieldMatrix":
+        """The matrix whose entries are these ints, built without any
+        check: L = 1, the residues in [0, p) over GF(p), and no slice for
+        an all-zero matrix."""
+        return cls._from_slices(field, 0, len(rows), cols, 1,
+                                {ONE: rows} if any(map(any, rows)) else {})
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "FieldMatrix":
-        ints = [[int(i == j) for j in range(n)] for i in range(n)]
-        return cls._from_slices(field, 0, n, n, 1, {ONE: ints} if n else {})
+        return cls._from_ints(field, [[int(i == j) for j in range(n)]
+                                      for i in range(n)], n)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
@@ -542,7 +551,7 @@ def rank(m: FieldMatrix) -> int:
 
 
 def kernel(m: FieldMatrix) -> List[List[Scalar]]:
-    """Basis of the right null space; empty iff full column rank.
+    """A basis of the right null space; empty iff full column rank.
 
     Deterministic: one basis vector per free column f, in column order, with
     a 1 at f, -red[r][f] at the r-th pivot column and zeros elsewhere.

@@ -6,10 +6,18 @@ Everything here is degree-by-degree linear algebra.  Nothing uses the
 structured presentation machinery, so these routines serve as an independent
 check of it.
 
+Every matrix is built on plain ints, from one int form per polynomial or
+dual element (``_int_form``): the residues over GF(p), and over Q the
+coefficients times their common denominator.  Each row is read off one
+form, so it is the boxed row times a nonzero factor, which keeps the rank
+and the kernel.  That one form feeds the containment sums, the rows mod
+``CERTIFICATE_PRIME`` and the exact rows, which ``linalg.rank`` and
+``linalg.kernel`` take as they are (``FieldMatrix._from_ints``); only the
+matrix that ``wlp_test`` reports is boxed.
+
 Over Q, the ideal-equality certificate first ranks its matrices modulo one
-prime, ``CERTIFICATE_PRIME``, on integer rows: scaling a row by a nonzero
-rational keeps the rank over Q, and reducing an integer matrix mod a prime
-can only lose rank.  So a modular rank is a lower bound for the rational
+prime, ``CERTIFICATE_PRIME``: reducing an integer matrix mod a prime can
+only lose rank.  So a modular rank is a lower bound for the rational
 one, and where the bounds meet, the degree is proven.  Any prime is sound; an
 unlucky one only sends that degree to the exact rational path.
 
@@ -36,8 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import FieldMatrix
-from .poly import (Basis, DualElement, Monomial, Polynomial, SYM_U,
-                   catalecticant, contract, monomials_of_degree)
+from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
+                   monomials_of_degree)
 from .scalars import QQ, Field, PrimeField, RationalField, Scalar
 
 # The prime of the modular ranks over Q: 2^61 - 1, the first of
@@ -45,77 +53,77 @@ from .scalars import QQ, Field, PrimeField, RationalField, Scalar
 CERTIFICATE_PRIME = 2 ** 61 - 1
 
 
-Terms = List[Tuple[Monomial, Scalar]]
-
-
-def _multiple_rows(gens: Sequence[Tuple[int, Terms]], basis: Basis,
-                   zero) -> List[List[Scalar]]:
-    """Coordinates on ``basis`` of every monomial multiple m * g, for each
-    (degree, terms) pair g of degree at most the basis degree: rows g by g,
-    m in the fixed monomial order."""
-    rows = []
-    for deg, terms in gens:
-        if deg > basis.degree:
-            continue
-        for m in monomials_of_degree(basis.degree - deg):
-            row = [zero] * len(basis)
-            for mon, c in terms:
-                row[basis.position[mon * m]] = c
-            rows.append(row)
-    return rows
+# A form on plain ints: (degree, {monomial: int coefficient}).
+IntForm = Tuple[int, Dict[Monomial, int]]
 
 
 def _integer_coeffs(coeffs: Dict[Monomial, Scalar],
                     fld: Field) -> Dict[Monomial, int]:
     """The coefficients as plain ints: over GF(p) the residues, over Q the
-    rationals times their common denominator."""
+    rationals times their common denominator.  A matrix whose rows are
+    each read off one such map has the rank and the kernel of the boxed
+    one, as every row is scaled by a nonzero factor."""
     if isinstance(fld, PrimeField):
         return {m: c.value for m, c in coeffs.items()}
     L = math.lcm(*(c.denominator for c in coeffs.values()))
     return {m: c.numerator * (L // c.denominator) for m, c in coeffs.items()}
 
 
-def _integer_terms(coeffs: Dict[Monomial, Scalar], q: int) -> Terms:
-    """The rational coefficients times their common denominator, mod q.
-    Every row built from one such list is scaled by the same nonzero
-    integer, which keeps its rank over Q; the scaled rows are integers, so
-    their rank mod q is at most that rank, and no prime is bad for a
-    denominator."""
-    return [(m, c % q) for m, c in _integer_coeffs(coeffs, QQ).items()]
+def _int_form(f: Polynomial | DualElement) -> IntForm:
+    """The int form of a polynomial or a dual element."""
+    return f.degree, _integer_coeffs(f.coeffs, f.field)
 
 
-def _annihilates(gens: Sequence[Polynomial], phi: DualElement) -> List[bool]:
-    """Whether g(phi) = 0, for each generator g, on plain ints: g(phi) is
-    zero iff sum_u c_u phi_(u v) = 0 for every monomial v of degree
-    s - deg g, u running over the monomials of g.  Over GF(p) the sums run
-    on residues and are tested mod p; over Q they run on g and phi each
-    scaled by its denominator LCM, a nonzero factor, and are tested exactly
-    against 0.  A generator of degree above s annihilates phi."""
-    fld, s = phi.field, phi.degree
-    p = getattr(fld, "p", None)
-    phi_int = _integer_coeffs(phi.coeffs, fld)
+def _multiple_rows(gens: Sequence[IntForm], monos: List[Monomial],
+                   q: Optional[int] = None) -> List[List[int]]:
+    """Coordinates on ``monos``, the monomials of one degree D, of every
+    monomial multiple m * g, for each int form g of degree at most D: rows
+    g by g, m in the fixed monomial order, reduced mod q when q is given."""
+    D = monos[0].degree
+    position = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for deg, coeffs in gens:
+        if deg > D:
+            continue
+        terms = [(u, c % q) for u, c in coeffs.items()] if q else coeffs.items()
+        for m in monomials_of_degree(D - deg):
+            row = [0] * len(monos)
+            for u, c in terms:
+                row[position[u * m]] = c
+            rows.append(row)
+    return rows
 
-    def annihilates(g: Polynomial) -> bool:
-        if g.degree > s:
+
+def _annihilates(gens: Sequence[IntForm], phi: IntForm,
+                 p: Optional[int]) -> List[bool]:
+    """Whether g(phi) = 0, for each int form g, on the int form of phi: g(phi)
+    is zero iff sum_u c_u phi_(u v) = 0 for every monomial v of degree
+    s - deg g, u running over the monomials of g.  Over GF(p) the forms
+    hold residues and the sums are tested mod p; over Q (p None) they hold
+    g and phi each scaled by its denominator LCM, a nonzero factor, and the
+    sums are tested exactly against 0.  A generator of degree above s
+    annihilates phi."""
+    s, phi_int = phi
+
+    def annihilates(deg: int, terms: Dict[Monomial, int]) -> bool:
+        if deg > s:
             return True
-        terms = _integer_coeffs(g.coeffs, fld).items()
         # u v looked up as a plain exponent tuple, equal to its Monomial key
-        for va, vb, vc in monomials_of_degree(s - g.degree):
+        for va, vb, vc in monomials_of_degree(s - deg):
             x = sum(c * phi_int.get((ua + va, ub + vb, uc + vc), 0)
-                    for (ua, ub, uc), c in terms)
+                    for (ua, ub, uc), c in terms.items())
             if (x % p if p else x):
                 return False
         return True
 
-    return [annihilates(g) for g in gens]
+    return [annihilates(deg, terms) for deg, terms in gens]
 
 
-def _exact_terms(polys: Sequence[Polynomial]) -> List[Tuple[int, Terms]]:
-    return [(f.degree, list(f.coeffs.items())) for f in polys]
-
-
-def _exact_rank(fld: Field, rows: List[List[Scalar]]) -> int:
-    return linalg.rank(FieldMatrix(fld, rows)) if rows else 0
+def _exact_rank(fld: Field, rows: List[List[int]]) -> int:
+    """The rank over ``fld`` of int rows read off int forms."""
+    if not rows:
+        return 0
+    return linalg.rank(FieldMatrix._from_ints(fld, rows, len(rows[0])))
 
 
 def _tail_quotient_dim(s: int, a: Optional[int], d: int) -> Optional[int]:
@@ -129,17 +137,18 @@ def _tail_quotient_dim(s: int, a: Optional[int], d: int) -> Optional[int]:
 
 
 def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
-    """Basis of the degree-d piece of ann(phi): the kernel of the evaluation
-    map from degree-d polynomials to degree-(s-d) duals.  Above the socle
-    degree the whole space annihilates."""
+    """A basis of the degree-d piece of ann(phi): the kernel of the map
+    g -> g(phi) from degree-d polynomials to degree-(s-d) duals, the
+    catalecticant.  Above the socle degree the whole space annihilates."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     fld = phi.field
-    cols = Basis(SYM_U, d)
+    cols = monomials_of_degree(d)
     if d > phi.degree:
         return [Polynomial.monomial(fld, m) for m in cols]
-    matrix = FieldMatrix(fld, catalecticant(
-        phi.coeffs, monomials_of_degree(phi.degree - d), cols, fld.zero))
+    matrix = FieldMatrix._from_ints(fld, catalecticant(
+        _integer_coeffs(phi.coeffs, fld), monomials_of_degree(phi.degree - d),
+        cols, 0), len(cols))
     return [Polynomial._trusted(fld, d, {u: c for u, c in zip(cols, v) if c})
             for v in linalg.kernel(matrix)]
 
@@ -207,10 +216,10 @@ def summarize_ideal(phi: DualElement,
     a = None
     for d in range(max_degree + 1):
         ker = annihilator_degree(phi, d)
-        basis = Basis(SYM_U, d)
+        monos = monomials_of_degree(d)
         kernels.append(ker)
         ideal_dims.append(len(ker))
-        quotient_dims.append(len(basis) - len(ker))
+        quotient_dims.append(len(monos) - len(ker))
         prev = kernels[d - 1] if d else []
         if not prev:
             count = len(ker)
@@ -218,7 +227,7 @@ def summarize_ideal(phi: DualElement,
             count = 0
         else:
             count = len(ker) - _exact_rank(
-                fld, _multiple_rows(_exact_terms(prev), basis, fld.zero))
+                fld, _multiple_rows([_int_form(f) for f in prev], monos))
         generator_counts.append(count)
         if a is None and ker:
             a = d
@@ -280,19 +289,19 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
             raise ValueError("generators must be homogeneous polynomials")
         if g.field != fld:
             raise ValueError("generator field does not match phi")
-    annihilates = _annihilates(gens, phi)
-    gens_exact = _exact_terms(gens)
+    p = getattr(fld, "p", None)
+    phi_int = _integer_coeffs(phi.coeffs, fld)
+    gens_int = [_int_form(g) for g in gens]
+    annihilates = _annihilates(gens_int, (s, phi_int), p)
     q = CERTIFICATE_PRIME
-    modular = isinstance(fld, RationalField)
-    if modular:
-        gens_q = [(g.degree, _integer_terms(g.coeffs, q)) for g in gens]
-        phi_q = dict(_integer_terms(phi.coeffs, q))
+    if p is None:
+        phi_q = {m: c % q for m, c in phi_int.items()}
     verdicts: List[DegreeVerdict] = []
     full = False
     a = None
     for d in range(max_degree + 1):
-        basis = Basis(SYM_U, d)
-        total = len(basis)
+        monos = monomials_of_degree(d)
+        total = len(monos)
         # the rows of the degree-d catalecticant; above s it has none
         cat_rows = monomials_of_degree(s - d) if d <= s else []
         contained = all(ok for g, ok in zip(gens, annihilates) if g.degree <= d)
@@ -304,18 +313,17 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
             dim_span = total
             if contained:
                 dim_ann = total
-        elif modular and contained:
-            span_q = linalg._rank_mod(_multiple_rows(gens_q, basis, 0), q)
+        elif p is None and contained:
+            span_q = linalg._rank_mod(_multiple_rows(gens_int, monos, q), q)
             ann_q = total - linalg._rank_mod(
-                catalecticant(phi_q, cat_rows, basis, 0), q)
+                catalecticant(phi_q, cat_rows, monos, 0), q)
             if span_q == ann_q:
                 dim_span = dim_ann = span_q
         if dim_span is None:
-            dim_span = _exact_rank(fld, _multiple_rows(gens_exact, basis,
-                                                       fld.zero))
+            dim_span = _exact_rank(fld, _multiple_rows(gens_int, monos))
         if dim_ann is None:
             dim_ann = total - _exact_rank(
-                fld, catalecticant(phi.coeffs, cat_rows, basis, fld.zero))
+                fld, catalecticant(phi_int, cat_rows, monos, 0))
         if a is None and dim_ann:
             a = d
         full = dim_span == total

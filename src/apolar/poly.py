@@ -7,9 +7,10 @@ monomial m is the coefficient of m*.  The ring acts on the dual by
 contraction: a monomial u sends m* to (m/u)* when u divides m and to 0
 otherwise, extended bilinearly.
 
-Every ordered basis in this package uses one fixed monomial order:
-x^a y^b z^c precedes x^A y^B z^C iff A < a, or A = a and B < b.  The pure
-y,z-monomials therefore always come last, ordered y^d, y^{d-1}z, ..., z^d.
+Every monomial list in this package (``monomials_of_degree``) uses one
+fixed order: x^a y^b z^c precedes x^A y^B z^C iff A < a, or A = a and
+B < b.  The pure y,z-monomials therefore always come last, ordered y^d,
+y^{d-1}z, ..., z^d.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 from .scalars import Field, FieldMismatchError, Scalar, field_from_tag
 
 VARS = ("x", "y", "z")
-
-# Basis space names: SYM_U indexes all monomials of a degree, SYM_U0 only
-# the x-free ones.
-SYM_U = "SymU"
-SYM_U0 = "SymU0"
-_SPACES = (SYM_U, SYM_U0)
 
 # The largest degree an inverse-system record may declare, checked before any
 # basis is built.  Socle degree 63 is n = 32, where the catalecticant p of the
@@ -85,34 +80,6 @@ def monomials_of_degree(degree: int, x_free: bool = False) -> List[Monomial]:
         for b in range(degree - a, -1, -1):
             out.append(Monomial(a, b, degree - a - b))
     return out
-
-
-class Basis:
-    """An ordered monomial basis with O(1) position lookup."""
-
-    def __init__(self, space: str, degree: int):
-        if space not in _SPACES:
-            raise ValueError(f"unknown space {space!r}")
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.space = space
-        self.degree = degree
-        self.monomials: Tuple[Monomial, ...] = tuple(
-            monomials_of_degree(degree, x_free=space == SYM_U0))
-        self.position: Dict[Monomial, int] = {
-            m: i for i, m in enumerate(self.monomials)}
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __getitem__(self, i: int) -> Monomial:
-        return self.monomials[i]
-
-    def __repr__(self):
-        return f"Basis({self.space}, {self.degree}, {len(self)} monomials)"
 
 
 class _CoeffMap:
@@ -200,10 +167,9 @@ class _CoeffMap:
         return hash((type(self).__name__, self.degree,
                      tuple(self.sorted_terms())))
 
-    def to_coords(self, basis: Basis) -> List[Scalar]:
-        if basis.degree != self.degree:
-            raise ValueError("basis degree mismatch")
-        return [self.coefficient(m) for m in basis]
+    def to_coords(self, monos: Sequence[Monomial]) -> List[Scalar]:
+        """The coefficients on a list of monomials."""
+        return [self.coefficient(m) for m in monos]
 
 
 class Polynomial(_CoeffMap):
@@ -223,12 +189,14 @@ class Polynomial(_CoeffMap):
         return cls.monomial(field, Monomial(*(1 if j == i else 0 for j in range(3))))
 
     @classmethod
-    def from_coords(cls, field: Field, basis: Basis,
+    def from_coords(cls, field: Field, monos: Sequence[Monomial],
                     coords: Iterable[Scalar]) -> "Polynomial":
+        """The polynomial with these coefficients on a nonempty list of
+        monomials of one degree."""
         coords = list(coords)
-        if len(coords) != len(basis):
+        if len(coords) != len(monos):
             raise ValueError("coordinate vector has wrong length")
-        return cls(field, basis.degree, dict(zip(basis.monomials, coords)))
+        return cls(field, monos[0].degree, dict(zip(monos, coords)))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_kind(other)
@@ -356,67 +324,6 @@ def catalecticant(coeffs: Dict[Monomial, Scalar], rows: Sequence[Monomial],
     tuple, which hashes and compares equal to the Monomial key."""
     return [[coeffs.get((a + x, b + y, c + z), zero) for x, y, z in cols]
             for a, b, c in rows]
-
-
-def evaluate(w: DualElement, u: Polynomial) -> Scalar:
-    """The pairing w(u) for equal degrees: sum of matching coefficient
-    products."""
-    if u.field != w.field:
-        raise FieldMismatchError("operands live in different fields")
-    if u.degree != w.degree:
-        raise ValueError(
-            f"cannot evaluate degree-{w.degree} dual on degree-{u.degree} polynomial")
-    small, large = (u.coeffs, w.coeffs) if len(u.coeffs) <= len(w.coeffs) \
-        else (w.coeffs, u.coeffs)
-    total = w.field.zero
-    for m, c in small.items():
-        other = large.get(m)
-        if other is not None:
-            total = total + c * other
-    return total
-
-
-def _det3(g: List[List[Scalar]]) -> Scalar:
-    return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
-
-
-def substitute(w: DualElement, g) -> DualElement:
-    """Precompose w with the degree-d extension of the linear change of
-    variables g (an invertible 3x3 matrix, column j = image of variable j):
-    the result sends every degree-d polynomial u to w(g . u).
-
-    Consequently the annihilator of the result is the g-preimage of the
-    annihilator of w.
-    """
-    rows = [list(r) for r in getattr(g, "entries", g)]
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise ValueError("change of variables must be a 3x3 matrix")
-    field = w.field
-    rows = [[c if field.contains(c) else field.of(c) for c in r] for r in rows]
-    if _det3(rows) == field.zero:
-        raise ValueError("change of variables is singular")
-    images = [
-        Polynomial(field, 1, {Monomial(*(1 if k == i else 0 for k in range(3))):
-                              rows[i][j] for i in range(3)})
-        for j in range(3)
-    ]
-    # Cache powers of each variable image; degree-d basis is small.
-    d = w.degree
-    powers = []
-    for img in images:
-        ps = [Polynomial(field, 0, {ONE: field.one})]
-        for _ in range(d):
-            ps.append(ps[-1] * img)
-        powers.append(ps)
-    out: Dict[Monomial, Scalar] = {}
-    for m in monomials_of_degree(d):
-        image = powers[0][m.a] * powers[1][m.b] * powers[2][m.c]
-        val = evaluate(w, image)
-        if val != field.zero:
-            out[m] = val
-    return DualElement(field, d, out)
 
 
 def random_dual_element(field: Field, degree: int, rng) -> DualElement:

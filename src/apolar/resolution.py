@@ -32,8 +32,8 @@ from typing import List, Optional, Tuple
 
 from . import linalg
 from .linalg import FieldMatrix, PolyMatrix, as_poly_matrix, block, hstack
-from .poly import (Basis, DualElement, Polynomial, SYM_U, SYM_U0, X,
-                   catalecticant, contract)
+from .poly import (DualElement, Polynomial, X, catalecticant, contract,
+                   monomials_of_degree)
 from .scalars import Field, Scalar
 
 
@@ -59,10 +59,10 @@ def build_p_r(phi: DualElement, n: int) -> Tuple[FieldMatrix, FieldMatrix]:
     m0_j running over the degree-n monomials in y, z alone."""
     if phi.degree != 2 * n - 1:
         raise ValueError(f"expected degree {2 * n - 1}, got {phi.degree}")
-    mid = Basis(SYM_U, n - 1)
+    mid = monomials_of_degree(n - 1)
     xphi = contract(Polynomial.variable(phi.field, "x"), phi)
     return (_cat_matrix(xphi, mid, mid),
-            _cat_matrix(phi, mid, Basis(SYM_U0, n)))
+            _cat_matrix(phi, mid, monomials_of_degree(n, x_free=True)))
 
 
 @dataclass
@@ -125,7 +125,8 @@ def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
         raise ValueError(f"p is singular (rank {lin.p_rank}); "
                          "the reduced presentation needs an invertible p")
     n, tilde = lin.n, reduced_inverse_system(lin.phi)
-    r = _cat_matrix(tilde, Basis(SYM_U, n - 1), Basis(SYM_U0, n))
+    r = _cat_matrix(tilde, monomials_of_degree(n - 1),
+                    monomials_of_degree(n, x_free=True))
     return _assemble(tilde, n, lin.p, r, lin.p_inv, False)
 
 
@@ -172,10 +173,10 @@ def explicit_generators(p_inv: FieldMatrix, rtp: FieldMatrix) -> PolyMatrix:
     n = rtp.rows - 1
     N = p_inv.rows
     xm = PolyMatrix(fld, n, [[Polynomial.monomial(fld, X * m)
-                              for m in Basis(SYM_U, n - 1)]])
+                              for m in monomials_of_degree(n - 1)]])
     mus = PolyMatrix(fld, n, [[Polynomial.zero(fld, n)] * n
                               + [Polynomial.monomial(fld, m)
-                                 for m in Basis(SYM_U0, n)]])
+                                 for m in monomials_of_degree(n, x_free=True)]])
     images = hstack(p_inv.take_cols(range(N - n, N)), -rtp.transpose())
     return xm @ images + mus
 
@@ -195,7 +196,8 @@ def theta_matrices(phi: DualElement) -> Tuple[FieldMatrix, FieldMatrix]:
     pure y,z part of phi; it is the last n rows of r."""
     n = _infer_n(phi)
     fld = phi.field
-    T = _cat_matrix(phi, Basis(SYM_U0, n - 1), Basis(SYM_U0, n))
+    T = _cat_matrix(phi, monomials_of_degree(n - 1, x_free=True),
+                    monomials_of_degree(n, x_free=True))
     eye_n = FieldMatrix.identity(fld, n)
     eye_n1 = FieldMatrix.identity(fld, n + 1)
     theta1 = block([[eye_n, -T],

@@ -7,17 +7,17 @@ phi.  Kept only as a reference for tests; nothing here is modular.
 from apolar import linalg
 from apolar.linalg import FieldMatrix
 from apolar.oracle import DegreeVerdict
-from apolar.poly import Basis, Polynomial, SYM_U, contract, monomials_of_degree
+from apolar.poly import Polynomial, contract, monomials_of_degree
 
 
 def annihilator_degree(phi, d):
     """Kernel basis of the degree-d catalecticant of phi."""
     fld = phi.field
-    cols = Basis(SYM_U, d)
+    cols = monomials_of_degree(d)
     s = phi.degree
     if d > s:
         return [Polynomial.monomial(fld, m) for m in cols]
-    rows = Basis(SYM_U, s - d)
+    rows = monomials_of_degree(s - d)
     matrix = FieldMatrix(fld, [[phi.coefficient(mr * mc) for mc in cols]
                                for mr in rows])
     return [Polynomial.from_coords(fld, cols, v) for v in linalg.kernel(matrix)]
@@ -31,7 +31,7 @@ def ideal_equality_check(gens, phi, max_degree=None):
     annihilates = [g.degree > s or contract(g, phi).is_zero for g in gens]
     verdicts = []
     for d in range(max_degree + 1):
-        basis = Basis(SYM_U, d)
+        basis = monomials_of_degree(d)
         stacked = []
         contained = True
         for g, ok in zip(gens, annihilates):
@@ -63,7 +63,7 @@ def generator_counts(phi, max_degree=None):
         if d == 0 or not kernels[d - 1]:
             counts.append(len(ker))
             continue
-        basis = Basis(SYM_U, d)
+        basis = monomials_of_degree(d)
         stacked = [(v * f).to_coords(basis)
                    for f in kernels[d - 1] for v in variables]
         counts.append(len(ker) - linalg.rank(FieldMatrix(fld, stacked)))

@@ -3,9 +3,10 @@
 ``poly.catalecticant`` fills p, r, the block T of ``theta_matrices`` and
 the oracle's matrices; ``explicit_generators`` reads r^T p^{-1}, and
 ``reduced_presentation`` reuses p and p^{-1}.  These tests pin each of
-those readings against an independent construction: entries by
-``poly.evaluate``, the generator row by contraction (the formula the row
-was first written with), and the reduced presentation by a full rebuild."""
+those readings against an independent construction: entries by the
+direct pairing of ``pairing_reference.evaluate``, the generator row by
+contraction (the formula the row was first written with), and the reduced
+presentation by a full rebuild."""
 
 import dataclasses
 import random
@@ -13,14 +14,15 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from apolar import (Basis, DualElement, FieldMatrix,
-                    LinearPresentation, Monomial, Polynomial, PrimeField, QQ,
-                    SYM_U, SYM_U0, build_linear_presentation, build_p_r,
-                    catalecticant, contract, evaluate, explicit_generators,
+from apolar import (DualElement, FieldMatrix, LinearPresentation, Monomial,
+                    Polynomial, PrimeField, QQ, build_linear_presentation,
+                    build_p_r, catalecticant, contract, explicit_generators,
                     family_phi, invert, monomials_of_degree,
                     random_dual_element, reduced_inverse_system,
                     reduced_presentation, theta_matrices)
 from apolar.poly import MAX_DEGREE
+
+from pairing_reference import evaluate
 
 GF = PrimeField(32003)
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -42,10 +44,12 @@ def contraction_generators(phi, p_inv):
     contraction, read on the dual basis, then mapped by p^{-1}."""
     n = (phi.degree + 1) // 2
     fld = phi.field
-    mid = Basis(SYM_U, n - 1)
+    mid = monomials_of_degree(n - 1)
     x = Polynomial.variable(fld, "x")
-    nus = p_inv.take_cols([mid.position[m] for m in Basis(SYM_U0, n - 1)])
-    mus = [Polynomial.monomial(fld, m) for m in Basis(SYM_U0, n)]
+    nus = p_inv.take_cols([mid.index(m)
+                           for m in monomials_of_degree(n - 1, x_free=True)])
+    mus = [Polynomial.monomial(fld, m)
+           for m in monomials_of_degree(n, x_free=True)]
     w = FieldMatrix(fld, [contract(mu, phi).to_coords(mid) for mu in mus])
     images = p_inv @ w.transpose()
     gens = [x * Polynomial.from_coords(fld, mid, col)
@@ -55,9 +59,10 @@ def contraction_generators(phi, p_inv):
     return gens
 
 
-def test_x_free_basis_is_the_tail_of_the_full_basis():
+def test_x_free_monomials_are_the_tail_of_all_monomials():
     for d in range(MAX_DEGREE + 1):
-        assert Basis(SYM_U0, d).monomials == Basis(SYM_U, d).monomials[-(d + 1):]
+        assert monomials_of_degree(d, x_free=True) == \
+            monomials_of_degree(d)[-(d + 1):]
 
 
 def test_catalecticant_reads_products_with_the_given_zero():
@@ -76,8 +81,9 @@ def test_p_r_and_t_match_evaluation(case):
     fld = phi.field
     p, r = build_p_r(phi, n)
     x = Polynomial.variable(fld, "x")
-    mid = [Polynomial.monomial(fld, m) for m in Basis(SYM_U, n - 1)]
-    outer = [Polynomial.monomial(fld, m) for m in Basis(SYM_U0, n)]
+    mid = [Polynomial.monomial(fld, m) for m in monomials_of_degree(n - 1)]
+    outer = [Polynomial.monomial(fld, m)
+             for m in monomials_of_degree(n, x_free=True)]
     assert p.entries == [[evaluate(phi, x * mi * mj) for mj in mid]
                          for mi in mid]
     assert r.entries == [[evaluate(phi, mi * mo) for mo in outer]

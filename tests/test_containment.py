@@ -1,5 +1,6 @@
 """Tests of the integer containment test of the ideal certificate,
-``oracle._annihilates``, against ``poly.contract``: property tests over Q
+``oracle._annihilates`` on the int forms of the generators and of phi,
+against ``poly.contract``: property tests over Q
 with denominators, over GF(32003) and over GF(3), with generators of degree
 0, of degree above the socle degree, zero generators and generators drawn
 from the annihilator itself; and fixed cases where a test mod the
@@ -11,13 +12,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (DualElement, Polynomial, PrimeField, QQ,
                     annihilator_degree, contract, ideal_equality_check)
-from apolar.oracle import CERTIFICATE_PRIME, _annihilates
+from apolar.oracle import CERTIFICATE_PRIME, _annihilates, _int_form
 from apolar.poly import Monomial, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(32003), PrimeField(3))
 SETTINGS = settings(max_examples=150, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 X, Y, Z = Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)
+
+
+def integer_test(gens, phi):
+    """``_annihilates`` on the int forms that the certificate builds."""
+    return _annihilates([_int_form(g) for g in gens], _int_form(phi),
+                        getattr(phi.field, "p", None))
 
 
 def scalars(field):
@@ -62,7 +69,7 @@ def test_integer_test_equals_the_contraction(case):
     gens, phi = case
     expected = [g.degree > phi.degree or contract(g, phi).is_zero
                 for g in gens]
-    assert _annihilates(gens, phi) == expected
+    assert integer_test(gens, phi) == expected
 
 
 def test_a_multiple_of_the_certificate_prime_is_not_zero():
@@ -73,7 +80,7 @@ def test_a_multiple_of_the_certificate_prime_is_not_zero():
     for phi in (DualElement(QQ, 1, {X: Fraction(1), Y: Fraction(q - 1)}),
                 DualElement(QQ, 1, {X: Fraction(1, 2), Y: Fraction(q - 1, 2)})):
         assert not contract(g, phi).is_zero
-        assert _annihilates([g], phi) == [False]
+        assert integer_test([g], phi) == [False]
         verdicts = ideal_equality_check([g], phi)
         assert [v.contained for v in verdicts] == [True, False, False]
         assert [v.equal for v in verdicts] == [True, False, False]
@@ -87,4 +94,4 @@ def test_unequal_denominators_are_cleared_before_the_sums():
     gens = [Polynomial(QQ, 1, {X: Fraction(2), Y: Fraction(-3)}),
             Polynomial(QQ, 1, {Z: Fraction(5, 7)}),
             Polynomial(QQ, 1, {X: Fraction(1), Y: Fraction(-1)})]
-    assert _annihilates(gens, phi) == [True, True, False]
+    assert integer_test(gens, phi) == [True, True, False]

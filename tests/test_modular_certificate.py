@@ -1,6 +1,7 @@
 """The one-prime certificate over Q: ranks mod CERTIFICATE_PRIME where they
-prove the answer, the exact rational path everywhere else.  Whatever the
-prime, the verdicts must equal the exact reference."""
+prove the answer, the exact rational path everywhere else; over GF(p) the
+exact path on residues.  Whatever the prime and the field, the verdicts
+must equal the exact reference."""
 
 from fractions import Fraction
 from unittest import mock
@@ -8,8 +9,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apolar import (DualElement, Monomial, Polynomial, QQ, family_phi, linalg,
-                    monomials_of_degree, oracle, resolution)
+from apolar import (DualElement, Monomial, Polynomial, PrimeField, QQ,
+                    family_phi, linalg, monomials_of_degree, oracle, resolution)
 
 import ideal_reference as reference
 
@@ -129,17 +130,61 @@ def test_a_filled_degree_fills_every_higher_one_without_ranks(family, monkeypatc
     assert summary.generator_counts[5:] == [0] * 8
 
 
-coefficient = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+@pytest.mark.parametrize("call", ["certificate-Q", "certificate-GF3",
+                                  "summary", "annihilator"])
+def test_the_oracle_boxes_no_matrix(family, monkeypatch, call):
+    """The oracle's rows are ints read off one int form per polynomial:
+    the validating FieldMatrix constructor, which boxes the entries only
+    for rank and kernel to unbox them, is never called, also where the
+    prime 2 sends the certificate to the exact ranks."""
+    phi, gens = family[2]
+    gf3 = PrimeField(3)
+    psi = DualElement(gf3, 3, {m: i % 3 for i, m in
+                               enumerate(monomials_of_degree(3))})
+    psi_gens = [f for d in range(1, 5)
+                for f in oracle.annihilator_degree(psi, d)]
+    run = {"certificate-Q": lambda: oracle.ideal_equality_check(gens, phi),
+           "certificate-GF3": lambda: oracle.ideal_equality_check(psi_gens, psi),
+           "summary": lambda: oracle.summarize_ideal(phi),
+           "annihilator": lambda: oracle.annihilator_degree(phi, 3)}[call]
+    monkeypatch.setattr(oracle, "CERTIFICATE_PRIME", 2)
+    exact, boxed = [], []
+    for name in ("rank", "kernel"):
+        def counted(m, elimination=getattr(linalg, name)):
+            exact.append(m.field)
+            return elimination(m)
+        monkeypatch.setattr(linalg, name, counted)
+    init = linalg.FieldMatrix.__init__
+
+    def spy(self, *args, **kwargs):
+        boxed.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(linalg.FieldMatrix, "__init__", spy)
+    run()
+    assert exact
+    assert boxed == []
+
+
+def coefficients(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    return st.integers(0, field.p - 1)
 
 
 @st.composite
 def phi_and_generators(draw):
+    """phi over Q, GF(3) or GF(32003), and generators drawn from its
+    annihilator, plus possibly one monomial: over Q the exact rows are
+    numerators over a common denominator, over GF(p) residues."""
+    field = draw(st.sampled_from((QQ, PrimeField(3), PrimeField(32003))))
+    coefficient = coefficients(field)
     s = draw(st.integers(3, 5))
     monos = monomials_of_degree(s)
     coeffs = draw(st.lists(coefficient, min_size=len(monos), max_size=len(monos)))
-    phi = DualElement(QQ, s, dict(zip(monos, coeffs)))
+    phi = DualElement(field, s, dict(zip(monos, coeffs)))
     if phi.is_zero:
-        phi = DualElement.dual_monomial(QQ, monos[draw(st.integers(0, len(monos) - 1))])
+        phi = DualElement.dual_monomial(
+            field, monos[draw(st.integers(0, len(monos) - 1))])
     bases = [reference.annihilator_degree(phi, d) for d in range(1, s + 2)]
     # at most ten basis elements keep the exact reference fast; the whole
     # lowest basis, when drawn, makes some degrees "equal"
@@ -149,7 +194,8 @@ def phi_and_generators(draw):
         gens += next(b for b in bases if b)
     if draw(st.booleans()):
         m = draw(st.sampled_from(monomials_of_degree(draw(st.integers(1, s)))))
-        gens.append(Polynomial.monomial(QQ, m, draw(coefficient.filter(bool))))
+        gens.append(Polynomial.monomial(field, m,
+                                        draw(coefficient.filter(bool))))
     return phi, draw(st.permutations(gens))
 
 

@@ -14,6 +14,7 @@ from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix, Polynomial,
                     resolution_report, theta_conjugation_check, theta_matrices)
 
 import golden_family as golden
+from pairing_reference import evaluate
 
 GF = PrimeField(32003)
 
@@ -38,9 +39,8 @@ def test_catalecticants_n2(n2):
 
 def test_p_entries_come_from_products(n2):
     # wiring check: entry (i, j) really is phi evaluated on x * m_i * m_j
-    from apolar import Basis, SYM_U, evaluate
     phi, lin, _ = n2
-    mid = Basis(SYM_U, 1)
+    mid = monomials_of_degree(1)
     x = Polynomial.variable(QQ, "x")
     for i, mi in enumerate(mid):
         for j, mj in enumerate(mid):

@@ -12,7 +12,6 @@ import pytest
 from apolar import (DualElement, FieldMatrix, Monomial, Polynomial, PrimeField,
                     QQ, contract, family_phi, linalg, monomials_of_degree,
                     oracle, random_dual_element, resolution)
-from apolar.poly import Basis, SYM_U
 
 import ideal_reference as reference
 
@@ -40,7 +39,7 @@ def _check_lemma(phi):
     a = next(d for d, ker in enumerate(kernels) if ker)
     variables = [Polynomial.variable(fld, v) for v in ("x", "y", "z")]
     for d in range(s + 3 - a, s + 2):
-        basis = Basis(SYM_U, d)
+        basis = monomials_of_degree(d)
         rows = [(v * f).to_coords(basis) for f in kernels[d - 1] for v in variables]
         assert linalg.rank(FieldMatrix(fld, rows)) == len(kernels[d])
         h = len(basis) - len(kernels[d])

@@ -9,7 +9,8 @@ Commands
     oracle           brute-force ideal summary (Hilbert function, generators)
 
 Exit codes: 0 success / all checks pass; 1 usage or input error; 2 the first
-catalecticant is singular (resolve) or some check failed (verify); 3 the
+catalecticant is singular (resolve), the explicit row fails b1 . b2 = 0
+(resolve, which then writes no report) or some check failed (verify); 3 the
 constant alternating block is singular in quadratic mode.
 """
 
@@ -114,6 +115,10 @@ def cmd_resolve(args) -> int:
             _write_json(resolution.resolution_report(lin), args.out,
                         timestamp=not args.no_timestamp)
         return 2
+    if lin.b1 is None:
+        print("b1 . b2 != 0: the explicit generator row does not annihilate "
+              "b2, so no Pfaffian row is proven")
+        return 2
     quad = None
     if args.mode in ("auto", "quadratic"):
         quad = resolution.build_quadratic_presentation(lin)
@@ -174,7 +179,9 @@ def cmd_verify(args) -> int:
     ok &= _check("b2 entries homogeneous linear",
                  lin.b2.degree == 1 and all(u.degree == 1 for u in lin.b2.slices),
                  lines)
-    ok &= _check("b1 . b2 = 0", (lin.b1 @ lin.b2).is_zero(), lines)
+    # b1 is built only once g b2 = 0, and then b1 b2 = eps_n g b2 = 0
+    if not _check("b1 . b2 = 0", lin.b1 is not None, lines):
+        return _conclude(lines, False)
     try:
         resolution.proportionality_unit(lin.generator_row, lin.b1)
         prop_ok = True
@@ -207,6 +214,10 @@ def cmd_verify(args) -> int:
         ok &= _check("Pfaffian generators of b2 generate ann(x(phi)) "
                      f"(degrees 0..{verdicts[-1].degree})",
                      all(v.equal for v in verdicts), lines)
+    return _conclude(lines, ok)
+
+
+def _conclude(lines: list, ok: bool) -> int:
     for line in lines:
         print(line)
     print("all checks passed" if ok else "some checks FAILED")

@@ -38,37 +38,10 @@ columns, and ``invert`` returns its slices over the last pivot, boxing
 nothing.  The rank takes the same loops forward only, on whichever of M
 and M^T has fewer rows.  A zero-row matrix keeps its column count.
 
-Pfaffians take one polynomial-time path for both kinds.
-Every call first checks, on the slices, that the matrix is strictly
-alternating (zero diagonal, M + M^T = 0).  For an m x m matrix of degree-d
-forms, the Pfaffian (m even) and each maximal-order Pfaffian (m odd) is a
-form of degree D = (m // 2) d.  The kernel works on plain ints mod a prime
-q > D:
-
-- it takes the entries above the diagonal at the lattice points
-  (1, a, b), a + b <= D, which are unisolvent for degree-D forms because
-  0, ..., D are distinct mod q: each entry becomes one lane list, its
-  values at all the points;
-- one skew-symmetric elimination with 2 x 2 pivots (``_skew_mod``,
-  O(m^3) list operations) runs on all the points at once, as lanes, and
-  gives each point's Pfaffian as the signed product of its pivots; for
-  odd m it also gives the null vector, which that product scales into the
-  whole signed row.  It stores and updates the triangle above the
-  diagonal only, as skew-symmetric L T L^T codes do (Bunch 1982;
-  M. Wimmer, ACM TOMS 38, 2012): the one below is its negation, and its
-  cells hold the multipliers;
-- Newton forward differences on the lattice interpolate all the forms in
-  O(D^3) vector operations (``residues.interpolate_mod``).
-
-The forms come back as one 1 x k matrix of the input's kind, built from
-their int coefficients and never boxed: the signed row itself, or the 1 x 1
-Pfaffian, whose one entry ``pfaffian`` reads.
-
-Over GF(p) with p > D, q = p.  Over Q, and over GF(p) with p <= D, the kernel
-runs on the integer matrix L M (residues above the diagonal lifted to
-(-p/2, p/2)) modulo primes below 2^61, combined by the CRT until their
-product exceeds twice sqrt(prod_i max(1, r_i)), r_i being the sum of the
-coefficient 1-norms of row i, which bounds every coefficient.
+``pfaffian`` takes the Pfaffian of an alternating matrix of scalars by one
+skew elimination with 2 x 2 pivots.  No Pfaffian of forms is computed:
+``resolution`` reads both Pfaffian rows off the explicit generator row and
+proves them by one product.
 """
 
 from __future__ import annotations
@@ -80,12 +53,9 @@ from itertools import chain
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (Monomial, ONE, Polynomial, monomials_of_degree,
-                   parse_polynomial)
-from .residues import interpolate_mod
+from .poly import Monomial, ONE, Polynomial, parse_polynomial
 from .residues import rref_mod as _rref_mod
-from .scalars import (Field, FieldMismatchError, FpElement, PrimeField, Scalar,
-                      is_prime)
+from .scalars import Field, FieldMismatchError, FpElement, PrimeField, Scalar
 
 Slices = Dict[Monomial, List[List[int]]]
 
@@ -640,245 +610,42 @@ def is_alternating(m: Matrix) -> bool:
     return True
 
 
-def _crt_primes():
-    """Proven primes counting down from 2^61 - 1, itself prime."""
-    q = 2 ** 61 - 1
-    while True:
-        if is_prime(q):
-            yield q
-        q -= 2
+def pfaffian(m: FieldMatrix) -> Scalar:
+    """Exact Pfaffian of an alternating matrix of scalars; sign fixed by
+    Pf([[0, a], [-a, 0]]) = a, and odd sizes give 0.  Raises ValueError on
+    a non-alternating matrix and TypeError on a PolyMatrix: the package
+    takes Pfaffians of constant matrices only (``resolution`` reads the
+    Pfaffian rows of its matrices of forms off the explicit row).
 
-
-def _neg(v: List[int]) -> List[int]:
-    return [-x for x in v]
-
-
-def _swap(a: List[list], k: int, perm: List[int], s: int, t: int) -> None:
-    """Swap indices s < t, both at least k, of perm and of the alternating
-    matrix of lane lists that a stores above its diagonal, where the cells
-    [:k] of each row hold multipliers.  Rows s and t trade their
-    multipliers; entry (i, s) trades with (i, t) for k <= i < s; for
-    s < j < t the pair ((s, j), (j, t)) becomes (-(j, t), -(s, j)); (s, t)
-    is negated; and rows s and t trade their entries right of t.  Rows above
-    k are done and stay as they are."""
-    rs, rt = a[s], a[t]
-    rs[:k], rt[:k] = rt[:k], rs[:k]
-    for i in range(k, s):
-        r = a[i]
-        r[s], r[t] = r[t], r[s]
-    for j in range(s + 1, t):
-        r = a[j]
-        rs[j], r[t] = _neg(r[t]), _neg(rs[j])
-    rs[t] = _neg(rs[t])
-    rs[t + 1:], rt[t + 1:] = rt[t + 1:], rs[t + 1:]
-    perm[s], perm[t] = perm[t], perm[s]
-
-
-def _skew_mod(a: List[list], q: int) -> List[List[int]]:
-    """For each lane, [Pf] for even m and the signed maximal Pfaffians for
-    odd m, from one skew-symmetric elimination mod q with 2 x 2 pivots
-    (J. R. Bunch, Math. Comp. 38, 1982) of the m x m alternating matrices
-    that a holds as lane lists: cell (i, j) is the list of the entries
-    (i, j) of all lanes, at least one lane.  Destroys a.  Only the cells
-    above the diagonal are read for their values: one below is -a[j][i],
-    and the cells there hold the multipliers.
-
-    Step k moves the first j > k with a[k][j] != 0 to index k + 1 and
-    pivots on p = a[k][k+1]: each later row i takes u = -a[k+1][i] / p and
-    w = -a[k][i] / p, keeps the multipliers (u, -w) in its columns k, k + 1
-    and turns into a[i][j] - u a[k][j] + w a[k+1][j] right of its diagonal,
-    the Schur complement, which stays alternating.  Each swap of two
-    indices (``_swap``) flips ``sign`` and is kept in ``perm``, so the
-    permuted matrix is L T L^T: L unit lower triangular with the
-    multipliers below its diagonal, T block diagonal with the blocks
-    [[0, p], [-p, 0]].  A zero row at step k makes Pf = 0 for even m.  For
-    odd m the first zero row is moved to the last index, one more swap; a
-    second one means rank < m - 1, where every maximal Pfaffian vanishes.
-
-    The lanes of a group share perm, sign and the moved flag, so every
-    update is one list operation over the group.  Where row k is zero in
-    some lanes at the first j any lane has nonzero, the group splits in
-    two, the lanes zero there and the others, and both run step k again;
-    each lane thus takes its own scalar pivot sequence.  The groups wait on
-    a worklist.
-
-    For odd m at rank m - 1, L^T x = e_last gives the null vector x of the
-    permuted matrix, so the signed row, which annihilates a, is lambda x
-    carried back through perm.  Its entry at f = perm[m - 1], where x is 1,
-    is lambda = (-1)^f Pf(a without f).  Without its last index the
-    permuted matrix has Pfaffian prod p, and it lists the other indices in
-    an order of sign sign (-1)^(m - 1 - f), since the m - 1 - f indices
-    above f all precede it.  As m - 1 is even, lambda = sign prod p."""
-    m = len(a)
-    odd = m % 2
-    count = len(a[0][0]) if m else 1
-    # a group that meets a zero row it cannot move leaves its lanes at zero
-    out = [[0] * (m if odd else 1) for _ in range(count)]
-    work = [(list(range(count)), a, list(range(m)), 1, False, [1] * count, 0)]
-    while work:
-        lanes, a, perm, sign, moved, pf, k = work.pop()
-        while k < m - odd:
-            row = a[k]
-            j = next((j for j in range(k + 1, m) if any(row[j])), None)
-            if j is None:
-                if not odd or moved:
-                    break
-                moved = True
-                _swap(a, k, perm, k, m - 1)
-                sign = -sign
-                continue
-            if not all(row[j]):
-                group = lanes, a, perm, sign, moved, pf, k
-                work += [_pick(group, row[j], f) for f in (False, True)]
-                break
-            if j != k + 1:
-                _swap(a, k, perm, k + 1, j)
-                sign = -sign
-            row1 = a[k + 1]
-            pf = [x * y % q for x, y in zip(pf, row[k + 1])]
-            inv = [pow(x, -1, q) for x in row[k + 1]]
-            for i in range(k + 2, m):
-                r = a[i]
-                # the multipliers u and -w
-                r[k] = u = [-x * y % q for x, y in zip(row1[i], inv)]
-                r[k + 1] = v = [x * y % q for x, y in zip(row[i], inv)]
-                if any(u) or any(v):
-                    for j in range(i + 1, m):
-                        r[j] = [(x - s * y - t * z) % q for x, y, z, s, t in
-                                zip(r[j], row[j], row1[j], u, v)]
-            # only the multipliers of the pivot rows are read again
-            del row[k:], row1[k:]
-            k += 2
-        else:
-            cols = [[sign * x % q for x in pf]]
-            if odd:
-                lam, x = cols[0], [[]] * (m - 1) + [[1] * len(lanes)]
-                # acc[s] = sum of a[t][s] x[t] over the rows t found so far
-                acc = a[m - 1][:m - 1]
-                for k in range(m - 3, -1, -2):
-                    x[k + 1] = y = [-c % q for c in acc[k + 1]]
-                    x[k] = z = [-c % q for c in acc[k]]
-                    acc[:k] = [[(c + s * e + t * f) % q for c, s, t, e, f in
-                                zip(cs, u, v, y, z)] for cs, u, v in
-                               zip(acc[:k], a[k + 1][:k], a[k][:k])]
-                cols = [[]] * m
-                for t, i in enumerate(perm):
-                    cols[i] = [e * f % q for e, f in zip(lam, x[t])]
-            for lane, vec in zip(lanes, zip(*cols)):
-                out[lane] = list(vec)
-    return out
-
-
-def _pick(group: tuple, flags: List[int], nonzero: bool) -> tuple:
-    """The lane group (lanes, a, perm, sign, moved, pf, k) of ``_skew_mod``
-    on its lanes where bool(flags) is ``nonzero``, copied."""
-    lanes, a, perm, sign, moved, pf, k = group
-    ts = [t for t, f in enumerate(flags) if bool(f) is nonzero]
-
-    def sub(v: list) -> list:
-        return [v[t] for t in ts]
-
-    return (sub(lanes), [list(map(sub, r)) for r in a], perm[:], sign, moved,
-            sub(pf), k)
-
-
-def _pfaffians_mod(positions: List[Tuple[int, int]], slices: dict, size: int,
-                   degree: int, q: int) -> List[List[int]]:
-    """Coefficient vectors mod q, on the degree-D monomials in the fixed
-    order, of the Pfaffian (even size) or the signed maximal Pfaffians (odd
-    size) of the alternating matrix whose entry positions[t] = (i, j),
-    i < j, has the value sum y^e z^f slices[e, f][t] at the point (1, y, z),
-    over the y and z exponents (e, f) of the slices; every other entry above
-    the diagonal is zero.
-
-    The lattice points (1, a, b), a + b <= D, are the lanes: each position's
-    lane list of values is sum c a^e b^f, built once, and one ``_skew_mod``
-    call runs them all.  ``interpolate_mod`` turns the values into
-    coefficients; both need q > D, which the caller guarantees."""
-    points = [(a, b) for b in range(degree + 1) for a in range(degree + 1 - b)]
-    zero = [0] * len(points)
-    a = [[zero] * size for _ in range(size)]
-    for (e, f), v in slices.items():
-        lane = [pow(y, e, q) * pow(z, f, q) for y, z in points]
-        for (i, j), c in zip(positions, v):
-            if c % q:
-                a[i][j] = [x + c * y for x, y in zip(a[i][j], lane)]
-    for i, j in positions:
-        a[i][j] = [x % q for x in a[i][j]]
-    return interpolate_mod(_skew_mod(a, q), degree, q)
-
-
-def _pfaffian_coefficients(m: Matrix) -> Matrix:
-    """The 1 x k matrix of m's kind holding Pf(m) (k = 1) for even size or
-    its signed maximal Pfaffians (k = size) for odd size: forms of degree
-    D = (size // 2) * degree, built from their int coefficient vectors.
-
-    The entries above the diagonal are read off the slices as one int
-    vector per monomial over the nonzero positions.  Over GF(p) with p > D
-    this is ``_pfaffians_mod`` with q = p.  Otherwise the integer matrix
-    L m runs modulo primes below 2^61.  L clears the denominators; over
-    GF(p), residues are lifted to (-p/2, p/2), which keeps the bound below
-    small.  Only entries above the diagonal are lifted and the kernel reads
-    no other, so the integer matrix is alternating and reduces to m mod p.
-    The primes run until their product exceeds twice the bound
-    sqrt(prod_i max(1, r_i)), r_i the sum of the coefficient 1-norms of
-    row i.  No coefficient can exceed it: ||Pf||_1 <= haf(B) <= sqrt(per(B))
-    <= sqrt(prod r_i) for B the matrix of entry 1-norms, and the same holds
-    for every maximal minor.  The symmetric residues, over L^(size // 2),
-    are the exact coefficients; L is 1 over GF(p), where they are reduced
-    mod p."""
-    size = m.rows
-    degree = (size // 2) * m.degree
-    monos = monomials_of_degree(degree)
-    p = getattr(m.field, "p", None)
-    tables = m.slices.values()
-    positions = [(i, j) for i in range(size) for j in range(i + 1, size)
-                 if any(c[i][j] for c in tables)]
-    slices = {(u.b, u.c): [c[i][j] for i, j in positions]
-              for u, c in m.slices.items()}
-    if p is not None and p > degree:
-        vecs = _pfaffians_mod(positions, slices, size, degree, p)
-    else:
-        if p is not None:
-            slices = {ef: [x if 2 * x < p else x - p for x in v]
-                      for ef, v in slices.items()}
-        norms = [0] * size
-        for (i, j), *xs in zip(positions, *slices.values()):
-            s = sum(map(abs, xs))
-            norms[i] += s
-            norms[j] += s
-        bound = math.prod(max(1, r) for r in norms)
-        residues = [[0] * len(monos)] * (size if size % 2 else 1)
-        modulus = 1
-        primes = _crt_primes()
-        while modulus * modulus <= 4 * bound:
-            q = next(primes)
-            u = pow(modulus, -1, q)
-            residues = [[x + modulus * ((y - x) * u % q) for x, y in zip(xs, ys)]
-                        for xs, ys in zip(residues, _pfaffians_mod(
-                            positions, slices, size, degree, q))]
-            modulus *= q
-        vecs = [[x - modulus if 2 * x > modulus else x for x in vec]
-                for vec in residues]
-    return m._result(degree, 1, len(vecs), m.L ** (size // 2),
-                     {u: [list(c)] for u, c in zip(monos, zip(*vecs))},
-                     reduce=True)
-
-
-def pfaffian(m: Matrix):
-    """Exact Pfaffian; sign fixed by Pf([[0, a], [-a, 0]]) = a.  Odd sizes
-    give 0.  Raises on non-alternating input."""
+    One skew elimination with 2 x 2 pivots (J. R. Bunch, Math. Comp. 38,
+    1982).  Step k swaps index k + 1 with the first j > k where a[k][j] is
+    nonzero, which negates Pf, and pivots on p = a[k][k+1]: by
+    Pf([[P, B], [-B^T, C]]) = Pf(P) Pf(C + B^T P^{-1} B) with Pf(P) = p,
+    what is left becomes a[i][j] + (a[k+1][i] a[k][j] - a[k][i] a[k+1][j]) / p.
+    A row with no such j has Pf = 0."""
+    if not isinstance(m, FieldMatrix):
+        raise TypeError("pfaffian takes a matrix of scalars")
     assert_alternating(m)
-    if m.rows % 2:
-        return m._zero((m.rows // 2) * m.degree)
-    return _pfaffian_coefficients(m).entries[0][0]
-
-
-def signed_maximal_pfaffians(m: Matrix) -> Matrix:
-    """For odd-size alternating M, the 1 x m row (M_1, ..., M_m), of M's
-    kind, with M_j = (-1)^(j+1) Pf(M with row and column j removed).  This
-    row annihilates M."""
-    assert_alternating(m)
-    if m.rows % 2 == 0:
-        raise ValueError("signed maximal-order Pfaffians need odd size")
-    return _pfaffian_coefficients(m)
+    size, zero = m.rows, m.field.zero
+    if size % 2:
+        return zero
+    a = [list(r) for r in m.entries]
+    pf = m.field.one
+    for k in range(0, size, 2):
+        j = next((j for j in range(k + 1, size) if a[k][j]), None)
+        if j is None:
+            return zero
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for r in a:
+                r[k + 1], r[j] = r[j], r[k + 1]
+            pf = -pf
+        r0, r1 = a[k], a[k + 1]
+        p = r0[k + 1]
+        pf *= p
+        for i in range(k + 2, size):
+            u, v = r1[i] / p, r0[i] / p
+            r = a[i]
+            for c in range(k + 2, size):
+                r[c] = r[c] + u * r0[c] - v * r1[c]
+    return pf

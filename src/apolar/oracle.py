@@ -48,8 +48,7 @@ from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
                    monomials_of_degree)
 from .scalars import QQ, Field, PrimeField, RationalField, Scalar
 
-# The prime of the modular ranks over Q: 2^61 - 1, the first of
-# linalg._crt_primes.
+# The prime of the modular ranks over Q: the Mersenne prime 2^61 - 1.
 CERTIFICATE_PRIME = 2 ** 61 - 1
 
 

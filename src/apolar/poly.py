@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .scalars import Field, FieldMismatchError, Scalar, field_from_tag
 
@@ -167,10 +167,6 @@ class _CoeffMap:
         return hash((type(self).__name__, self.degree,
                      tuple(self.sorted_terms())))
 
-    def to_coords(self, monos: Sequence[Monomial]) -> List[Scalar]:
-        """The coefficients on a list of monomials."""
-        return [self.coefficient(m) for m in monos]
-
 
 class Polynomial(_CoeffMap):
     """A homogeneous polynomial in x, y, z.  The zero polynomial keeps an
@@ -187,16 +183,6 @@ class Polynomial(_CoeffMap):
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
         return cls.monomial(field, Monomial(*(1 if j == i else 0 for j in range(3))))
-
-    @classmethod
-    def from_coords(cls, field: Field, monos: Sequence[Monomial],
-                    coords: Iterable[Scalar]) -> "Polynomial":
-        """The polynomial with these coefficients on a nonempty list of
-        monomials of one degree."""
-        coords = list(coords)
-        if len(coords) != len(monos):
-            raise ValueError("coordinate vector has wrong length")
-        return cls(field, monos[0].degree, dict(zip(monos, coords)))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_kind(other)

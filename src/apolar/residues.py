@@ -1,18 +1,12 @@
-"""Kernels on plain residues mod a prime q, with no matrix type: the
+"""The kernel on plain residues mod a prime q, with no matrix type: the
 Gauss-Jordan elimination of ``linalg`` over GF(p) and for the modular
-ranks (``rref_mod``, on rows packed into ints), and the interpolation of
-ternary forms from their values at the lattice points, the last step of
-the modular Pfaffian kernel (``interpolate_mod``).
+ranks (``rref_mod``, on rows packed into ints).
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import islice
-from operator import mul
 from typing import List, Tuple
-
-from .poly import monomials_of_degree
 
 _WORD = (1 << 64) - 1
 
@@ -91,56 +85,3 @@ def rref_mod(rows: List[List[int]], q: int, full: bool = True
     rows[:] = [x if type(x) is list else [v % q for v in unpack(x)]
                for x in rows]
     return rows, pivots, d % q
-
-
-def interpolate_mod(values: List[List[int]], degree: int, q: int
-                    ) -> List[List[int]]:
-    """The coefficient vectors, on the degree-D monomials in the fixed
-    order, of the forms of degree D = ``degree`` whose values at the points
-    (1, a, b), a + b <= D, taken by b and then by a, are the lists in
-    ``values``, one form per position of those lists; q > D.
-
-    With f(y, z) the form at x = 1, forward differences along y in each row
-    b, then along z, leave the Newton coefficients Delta_y^i Delta_z^j f(0, 0)
-    of f = sum_(i+j<=D) Delta^(i,j) f(0, 0) C(y, i) C(z, j); row b needs
-    only its D - b + 1 points, since Delta_y^i f(0, b) uses a = 0, ..., i.
-    Each C(y, i) is y's falling factorial of order i over i!, and the table
-    of falling-factorial coefficients turns the result into monomial
-    coefficients: O(D^3) vector operations in all."""
-    D = degree
-    it = iter(values)
-    grid = [list(islice(it, D + 1 - b)) for b in range(D + 1)]
-
-    def differences(seq: list) -> list:
-        for level in range(1, len(seq)):
-            for t in range(len(seq) - 1, level - 1, -1):
-                seq[t] = [(x - y) % q for x, y in zip(seq[t], seq[t - 1])]
-        return seq
-
-    def combine(weights: List[int], vectors: List[List[int]]) -> List[int]:
-        return [sum(map(mul, weights, c)) % q for c in zip(*vectors)]
-
-    for row in grid:
-        differences(row)
-    inv_fact = [1]
-    falling = [[1]]
-    for i in range(1, D + 1):
-        inv_fact.append(inv_fact[-1] * pow(i, -1, q) % q)
-        prev = falling[-1] + [0]
-        falling.append([((prev[k - 1] if k else 0) - (i - 1) * prev[k]) % q
-                        for k in range(i + 1)])
-    # newton[i][j] = Delta_y^i Delta_z^j f(0, 0) / (i! j!)
-    newton = [[[x * inv_fact[i] * inv_fact[j] % q for x in v]
-               for j, v in enumerate(differences(
-                   [grid[b][i] for b in range(D + 1 - i)]))]
-              for i in range(D + 1)]
-    # by_y[k][j]: the coefficient of y^k times z's falling factorial of order j
-    by_y = [[combine([falling[i][k] for i in range(k, D + 1 - j)],
-                     [newton[i][j] for i in range(k, D + 1 - j)])
-             for j in range(D + 1 - k)] for k in range(D + 1)]
-    coeffs = {(k, l): combine([falling[j][l] for j in range(l, D + 1 - k)],
-                              [by_y[k][j] for j in range(l, D + 1 - k)])
-              for k in range(D + 1) for l in range(D + 1 - k)}
-    monos = monomials_of_degree(D)
-    return [[coeffs[t.b, t.c][r] for t in monos]
-            for r in range(len(grid[0][0]))]

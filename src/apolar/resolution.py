@@ -19,6 +19,44 @@ When n is even and A' is invertible, the quadratic path resolves
 R/J for J = ann(phi): c2 = B^T (A')^{-1} B + x*D is an alternating matrix of
 quadratic forms whose signed maximal-order Pfaffians generate J.
 
+No Pfaffian of forms is computed: both Pfaffian rows are read off the
+explicit row g, proven by the one product g b2.  Let m = 2n + 1, b1 the row
+of the (-1)^j Pf(b2 without row and column j), c1 that of c2, and
+eps_n = (-1)^(n(n-1)/2).
+
+Lemma (any field).  If g b2 = 0, then b1 = eps_n g.  If moreover n is even
+and A' is invertible, then c1 = (eps_n / Pf(A')) g[n:], the last n + 1
+entries.
+
+Proof.  b1 b2 = 0, an identity of odd alternating matrices.  At the point
+(0, 1, 0) the blocks x A', x B1 and x (D0 - D0^T) vanish and
+B2 = [z I_n | 0] - [0 | y I_n] is [0 | -I_n], whatever phi is, so b2 is
+[[0, B2], [-B2^T, 0]], of rank m - 1.  A specialization cannot raise the
+rank, and an odd alternating matrix has rank at most m - 1, so b2 has rank
+m - 1 over K = k(x, y, z): its left kernel is a line, and g, nonzero, spans
+it.  So b1 = rho g for some rho in K.  The entries of g are coprime.  Those at
+mu = y^n and z^n are y^n - x h and z^n - x h'; a common factor f of degree
+>= 1 restricts at x = 0 to a common divisor of y^n and z^n, a constant,
+which is 0 as f is homogeneous; so x divides f, but x does not divide
+y^n - x h.  With rho = a / b in lowest terms, b divides every a g_j, so
+every g_j, and b is a unit: rho is a polynomial, and a constant, as b1 and
+g are forms of degree n.  At (0, 1, 0), g is e_n (y^n comes first among
+the mu), and b1_n = (-1)^n Pf([[0, -I_n], [I_n, 0]])
+= (-1)^n (-1)^(n(n-1)/2) det(-I_n) = eps_n.  So rho = eps_n.
+
+For c1, let D = x (D0 - D0^T), the lower right block of b2.  Then
+c2 / x = D + B^T (x A')^{-1} B is the Schur complement of x A' in b2, and
+(c2 / x) without row and column i is that of x A' in b2 without n + i.
+Pf([[P, Q], [-Q^T, S]]) = Pf(P) Pf(S + Q^T P^{-1} Q) gives
+Pf(b2 without n + i) = Pf(x A') Pf((c2 / x) without i)
+= Pf(A') Pf(c2 without i), and the signs (-1)^(n+i) and (-1)^i agree as n
+is even.  So b1[n:] = Pf(A') c1, and c1 = (eps_n / Pf(A')) g[n:].
+
+So no row that the product has not proven is output: when g b2 != 0, b1
+stays None and the quadratic path refuses to assemble.  When g b2 = 0, the
+proportionality and factorization checks of ``verify`` follow from the
+lemma; the oracle's ideal certificate stays the independent check.
+
 All index bookkeeping ("delete row n+1 and column 1", "rightmost n columns")
 is kept in one place here and pinned by unit tests against the n = 2 worked
 instance, since off-by-one deletions are the dominant bug risk.
@@ -69,7 +107,8 @@ def build_p_r(phi: DualElement, n: int) -> Tuple[FieldMatrix, FieldMatrix]:
 class LinearPresentation:
     """Everything the linear path produces: catalecticants, the exact blocks,
     the alternating presentation matrix b2, its Pfaffian row b1 and the
-    explicit generator row, a 1 x (2n+1) matrix."""
+    explicit generator row, a 1 x (2n+1) matrix.  b1 is None unless it was
+    asked for and proven by g b2 = 0 (see the module docstring)."""
 
     n: int
     field: Field
@@ -91,6 +130,11 @@ class LinearPresentation:
     b2: Optional[PolyMatrix] = None
     b1: Optional[PolyMatrix] = None
     generator_row: Optional[PolyMatrix] = None
+
+
+def _eps(n: int) -> int:
+    """The sign eps_n = (-1)^(n(n-1)/2) of b1 = eps_n g."""
+    return -1 if n * (n - 1) // 2 % 2 else 1
 
 
 def _b2_lower_shift(field: Field, n: int) -> PolyMatrix:
@@ -132,8 +176,8 @@ def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
 
 def _assemble(phi: DualElement, n: int, p: FieldMatrix, r: FieldMatrix,
               p_inv: FieldMatrix, with_pfaffian_row: bool) -> LinearPresentation:
-    """The exact blocks, b2, the explicit generator row and (if asked) b1
-    from p, r and p^{-1}."""
+    """The exact blocks, b2, the explicit generator row g and (if asked) b1
+    from p, r and p^{-1}: b1 = eps_n g once g b2 = 0, else None."""
     fld = phi.field
     N = p.rows
     rtp = r.transpose() @ p_inv
@@ -152,7 +196,9 @@ def _assemble(phi: DualElement, n: int, p: FieldMatrix, r: FieldMatrix,
     D = as_poly_matrix(D0 - D0.transpose()).times_monomial(X)
     b2 = block([[A, B], [-B.transpose(), D]])
     row = explicit_generators(p_inv, rtp)
-    b1 = linalg.signed_maximal_pfaffians(b2) if with_pfaffian_row else None
+    b1 = None
+    if with_pfaffian_row and (row @ b2).is_zero():
+        b1 = row.scaled(_eps(n))
     return LinearPresentation(n, fld, phi, p, r, N, True, p_inv, A0, A_prime,
                               B0, B1, B2, D0, A, B, D, b2, b1, row)
 
@@ -244,9 +290,11 @@ class QuadraticPresentation:
 
 
 def build_quadratic_presentation(lin: LinearPresentation) -> QuadraticPresentation:
-    """c2 = B^T (A')^{-1} B + x D when A' is invertible (n even); the signed
-    maximal-order Pfaffians of c2 and the last n+1 explicit generators are
-    two generator rows of ann(phi), matched by one reported unit."""
+    """c2 = B^T (A')^{-1} B + x D when A' is invertible (n even); its row of
+    signed maximal-order Pfaffians c1 = u g[n:], with the unit
+    u = eps_n / Pf(A') (see the module docstring), and the last n+1 explicit
+    generators g[n:] are two generator rows of ann(phi).  Raises ValueError
+    when c2 is assembled but ``lin`` has no proven b1."""
     if not lin.linearly_presented:
         raise ValueError("quadratic path needs a linearly presented input "
                          f"(p has rank {lin.p_rank})")
@@ -263,13 +311,16 @@ def build_quadratic_presentation(lin: LinearPresentation) -> QuadraticPresentati
             n, fld, False, res.rank,
             note="A' is singular: not quadratically presented provided the "
                  "socle-degree and Lefschetz hypotheses hold (not checked here)")
+    if lin.b1 is None:
+        raise ValueError("c1 is read off b1, which was not built or not "
+                         "proven: g b2 != 0")
     c2 = (lin.B.transpose() @ res.inverse @ lin.B) \
         + lin.D.times_monomial(X)
-    c1 = linalg.signed_maximal_pfaffians(c2)
+    pf = linalg.pfaffian(lin.A_prime)
+    unit = fld.of(_eps(n)) / pf
     gens = lin.generator_row.take_cols(range(n, 2 * n + 1))
-    unit = proportionality_unit(c1, gens)
-    return QuadraticPresentation(n, fld, True, n, "", c2, c1, gens, unit,
-                                 linalg.pfaffian(lin.A_prime))
+    return QuadraticPresentation(n, fld, True, n, "", c2, gens.scaled(unit),
+                                 gens, unit, pf)
 
 
 def proportionality_unit(row: PolyMatrix, base: PolyMatrix) -> Scalar:

@@ -9,6 +9,8 @@ from apolar.linalg import FieldMatrix
 from apolar.oracle import DegreeVerdict
 from apolar.poly import Polynomial, contract, monomials_of_degree
 
+from pairing_reference import from_coords, to_coords
+
 
 def annihilator_degree(phi, d):
     """Kernel basis of the degree-d catalecticant of phi."""
@@ -20,7 +22,7 @@ def annihilator_degree(phi, d):
     rows = monomials_of_degree(s - d)
     matrix = FieldMatrix(fld, [[phi.coefficient(mr * mc) for mc in cols]
                                for mr in rows])
-    return [Polynomial.from_coords(fld, cols, v) for v in linalg.kernel(matrix)]
+    return [from_coords(fld, cols, v) for v in linalg.kernel(matrix)]
 
 
 def ideal_equality_check(gens, phi, max_degree=None):
@@ -40,7 +42,7 @@ def ideal_equality_check(gens, phi, max_degree=None):
             if not ok:
                 contained = False
             for m in monomials_of_degree(d - g.degree):
-                stacked.append((Polynomial.monomial(fld, m) * g).to_coords(basis))
+                stacked.append(to_coords(Polynomial.monomial(fld, m) * g, basis))
         dim_span = linalg.rank(FieldMatrix(fld, stacked)) if stacked else 0
         dim_ann = len(annihilator_degree(phi, d))
         verdicts.append(DegreeVerdict(d, dim_span, dim_ann, contained,
@@ -64,7 +66,7 @@ def generator_counts(phi, max_degree=None):
             counts.append(len(ker))
             continue
         basis = monomials_of_degree(d)
-        stacked = [(v * f).to_coords(basis)
+        stacked = [to_coords(v * f, basis)
                    for f in kernels[d - 1] for v in variables]
         counts.append(len(ker) - linalg.rank(FieldMatrix(fld, stacked)))
     return counts

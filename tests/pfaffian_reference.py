@@ -1,6 +1,7 @@
 """Reference Pfaffians by memoized first-row expansion,
 Pf(M) = sum_{j>=2} (-1)^j M[1,j] Pf(M with rows/cols 1, j removed),
-for checking ``apolar.linalg`` against an independent algorithm.  The cost
+for checking ``linalg.pfaffian`` and the Pfaffian rows that ``resolution``
+reads off the explicit row against an independent algorithm.  The cost
 grows exponentially with the size, so it is meant for Pfaffians of order up
 to 12: even matrices up to 12 x 12, odd ones up to 13 x 13.
 

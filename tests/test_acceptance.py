@@ -22,8 +22,7 @@ from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix, Polynomial,
                     explicit_generators, family_phi, ideal_equality_check,
                     is_alternating, pfaffian, proportionality_unit,
                     random_dual_element, reduced_inverse_system,
-                    signed_maximal_pfaffians, summarize_ideal,
-                    theta_conjugation_check, wlp_test)
+                    summarize_ideal, theta_conjugation_check, wlp_test)
 
 import golden_family as golden
 from pfaffian_reference import congruence_pfaffian_check
@@ -217,7 +216,8 @@ def random_square(field, n, rng):
 
 def test_criterion_7_pfaffian_kernel():
     with criterion(7, "Pf^2 = det on >= 200 random alternating matrices "
-                      "(sizes 2-12, both fields), signed rows annihilate, "
+                      "(sizes 2-12, both fields), b1 . b2 = 0 and "
+                      "c1 . c2 = 0 on random inputs over Q, GF(3) and GF(7), "
                       "congruence identity on >= 100 trials"):
         rng = random.Random(77)
         trials = 0
@@ -228,12 +228,19 @@ def test_criterion_7_pfaffian_kernel():
                     assert pfaffian(m) ** 2 == det(m)
                     trials += 1
         assert trials >= 200
-        for size in (3, 5, 7, 9, 11):
-            for field in (QQ, GF):
-                for _ in range(2):
-                    m = random_alternating(field, size, rng)
-                    row = signed_maximal_pfaffians(m)
-                    assert (row @ m).is_zero()
+        rows = 0
+        for field in (QQ, PrimeField(3), PrimeField(7)):
+            for n in (2, 3, 4):
+                lin = build_linear_presentation(
+                    random_dual_element(field, 2 * n - 1, rng))
+                if not lin.linearly_presented:
+                    continue
+                assert (lin.b1 @ lin.b2).is_zero()
+                quad = build_quadratic_presentation(lin)
+                if quad.quadratically_presented:
+                    assert (quad.c1 @ quad.c2).is_zero()
+                rows += 1 + quad.quadratically_presented
+        assert rows >= 10
         congruence_trials = 0
         for field, size, reps in ((GF, 4, 40), (GF, 6, 40), (QQ, 4, 20)):
             for _ in range(reps):

@@ -22,7 +22,7 @@ from apolar import (DualElement, FieldMatrix, LinearPresentation, Monomial,
                     reduced_presentation, theta_matrices)
 from apolar.poly import MAX_DEGREE
 
-from pairing_reference import evaluate
+from pairing_reference import evaluate, from_coords, to_coords
 
 GF = PrimeField(32003)
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -50,11 +50,11 @@ def contraction_generators(phi, p_inv):
                            for m in monomials_of_degree(n - 1, x_free=True)])
     mus = [Polynomial.monomial(fld, m)
            for m in monomials_of_degree(n, x_free=True)]
-    w = FieldMatrix(fld, [contract(mu, phi).to_coords(mid) for mu in mus])
+    w = FieldMatrix(fld, [to_coords(contract(mu, phi), mid) for mu in mus])
     images = p_inv @ w.transpose()
-    gens = [x * Polynomial.from_coords(fld, mid, col)
+    gens = [x * from_coords(fld, mid, col)
             for col in nus.transpose().entries]
-    gens += [mu - x * Polynomial.from_coords(fld, mid, col)
+    gens += [mu - x * from_coords(fld, mid, col)
              for mu, col in zip(mus, images.transpose().entries)]
     return gens
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import apolar
-from apolar import DualElement, family_phi, linalg
+from apolar import (DualElement, Monomial, PolyMatrix, Polynomial, family_phi,
+                    linalg, resolution)
 from apolar.cli import main
 from apolar.poly import MAX_DEGREE
 
@@ -127,6 +128,44 @@ def test_verify_singular_p_exits_2(tmp_path, capsys):
     path = tmp_path / "xfree.json"
     path.write_text(XFREE_PHI)
     assert main(["verify", str(path)]) == 2
+
+
+def corrupting(original, where):
+    """``explicit_generators`` with 1 added to the x^n coefficient of one
+    entry of the row g: the first, the one at y^n or the last."""
+    def corrupted(p_inv, rtp):
+        g = original(p_inv, rtp)
+        n = g.degree
+        k = {"first": 0, "y^n": n, "last": 2 * n}[where]
+        entries = list(g.entries[0])
+        entries[k] = entries[k] + Polynomial.monomial(g.field, Monomial(n, 0, 0))
+        return PolyMatrix(g.field, n, [entries])
+    return corrupted
+
+
+@pytest.mark.parametrize("where", ["first", "y^n", "last"])
+@pytest.mark.parametrize("n, seed", [(2, None), (3, 5), (4, 1)])
+def test_a_corrupted_explicit_row_never_passes(tmp_path, capsys, monkeypatch,
+                                               n, seed, where):
+    """b1 is read off g only once g b2 = 0: with one coefficient of g
+    corrupted, ``verify`` fails that check and ``resolve`` writes no report;
+    neither exits 0."""
+    path = tmp_path / "phi.json"
+    random_args = [] if seed is None else ["--random", "--seed", str(seed)]
+    assert main(["example-family", "--n", str(n), *random_args,
+                 "--out", str(path)]) == 0
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(resolution, "explicit_generators",
+                        corrupting(resolution.explicit_generators, where))
+    report = tmp_path / "report.json"
+    assert main(["resolve", str(path), "--out", str(report)]) == 2
+    assert "b1 . b2 != 0" in capsys.readouterr().out
+    assert not report.exists()
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  b1 . b2 = 0" in out
+    assert "all checks passed" not in out
 
 
 def test_verify_negative_max_degree_exits_1(tmp_path, capsys):

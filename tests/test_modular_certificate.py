@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from apolar import (DualElement, Monomial, Polynomial, PrimeField, QQ,
                     family_phi, linalg, monomials_of_degree, oracle, resolution)
+from apolar.scalars import is_prime
 
 import ideal_reference as reference
 
@@ -57,8 +58,9 @@ class Eliminations:
         return len(self.fields) + len(self.moduli)
 
 
-def test_default_prime_is_the_first_crt_prime():
-    assert oracle.CERTIFICATE_PRIME == DEFAULT_PRIME == next(linalg._crt_primes())
+def test_certificate_prime_is_the_proven_prime_2_61_minus_1():
+    assert oracle.CERTIFICATE_PRIME == DEFAULT_PRIME
+    assert is_prime(DEFAULT_PRIME)
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -9,8 +9,8 @@ re-records the file:
     PYTHONPATH=src python tests/test_output_digests.py --record
 
 The inputs cover the family at n = 1-6, random GF(32003) systems at
-n = 2-8, small prime fields at or below the Pfaffian degree (the CRT path),
-a prime above 2^64, random rational systems and a singular p.
+n = 2-8, small prime fields at or below the Pfaffian degree, a prime
+above 2^64, random rational systems and a singular p.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""Tests of the Pfaffian kernel against the memoized expansion in
-``pfaffian_reference``: property tests on random alternating matrices of
-scalars and of forms of degree 0, 1 and 2 (dense, sparse and
-rank-deficient, over Q, GF(32003), and GF(3) and GF(5), where the Pfaffian
-degree can reach p), and fixed cases for each branch of the skew
-elimination and for the smallest primes the field path takes."""
+"""Tests of the Pfaffians against the memoized expansion in
+``pfaffian_reference``: ``linalg.pfaffian`` on random alternating matrices
+of scalars (dense, sparse and rank-deficient, over Q, GF(32003), GF(3) and
+GF(5)), and the Pfaffian rows b1 of b2 and c1 of c2, which ``resolution``
+reads off the explicit row, for n <= 6 over Q and four prime fields (GF(3)
+and GF(5) are fields at or below the Pfaffian degree) and, one Pfaffian of
+a constant matrix per entry, at a point for n = 8 and 10."""
 
 import random
 import time
@@ -12,16 +13,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from apolar import (FieldMatrix, FpElement, PolyMatrix, Polynomial,
-                    PrimeField, QQ, as_poly_matrix, build_linear_presentation,
-                    family_phi, linalg, pfaffian, proportionality_unit,
-                    random_dual_element, rank, signed_maximal_pfaffians)
-from apolar.poly import monomials_of_degree
+from apolar import (FieldMatrix, FpElement, PolyMatrix, PrimeField, QQ,
+                    build_linear_presentation, build_quadratic_presentation,
+                    family_phi, pfaffian, proportionality_unit,
+                    random_dual_element)
 from pfaffian_reference import (reference_pfaffian,
                                 reference_signed_maximal_pfaffians)
 
 GF = PrimeField(32003)
 FIELDS = (QQ, GF, PrimeField(3), PrimeField(5))
+ROW_FIELDS = (QQ, PrimeField(3), PrimeField(5), PrimeField(7), GF)
 SETTINGS = settings(max_examples=100, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -33,245 +34,131 @@ def scalars(field):
 
 
 @st.composite
-def entries(draw, field, degree, sparse):
-    """A form of the given degree (a scalar when degree is None)."""
-    if sparse and draw(st.integers(0, 3)):
-        return field.zero if degree is None else Polynomial.zero(field, degree)
-    if degree is None:
-        return draw(scalars(field))
-    monos = monomials_of_degree(degree)
-    chosen = draw(st.lists(st.sampled_from(monos), max_size=len(monos)))
-    return Polynomial(field, degree, {m: draw(scalars(field)) for m in chosen})
-
-
-@st.composite
-def alternating(draw, poly, max_size):
-    """An alternating FieldMatrix (poly False) or PolyMatrix; a third of the
+def alternating(draw, max_size):
+    """An alternating FieldMatrix, sparse in half the draws; a third of the
     draws are congruent images P^T A P of a smaller A, so of lower rank."""
     field = draw(st.sampled_from(FIELDS))
-    degree = draw(st.integers(0, 2)) if poly else None
     size = draw(st.integers(0, max_size))
     deficient = size > 2 and draw(st.integers(0, 2)) == 0
     inner = draw(st.integers(1, size - 1)) if deficient else size
     sparse = draw(st.booleans())
-    zero = field.zero if degree is None else Polynomial.zero(field, degree)
-    rows = [[zero] * inner for _ in range(inner)]
+    rows = [[field.zero] * inner for _ in range(inner)]
     for i in range(inner):
         for j in range(i + 1, inner):
-            e = draw(entries(field, degree, sparse))
+            if sparse and draw(st.integers(0, 3)):
+                continue
+            e = draw(scalars(field))
             rows[i][j], rows[j][i] = e, -e
-    m = FieldMatrix(field, rows, inner) if degree is None \
-        else PolyMatrix(field, degree, rows, inner)
+    m = FieldMatrix(field, rows, inner)
     if deficient:
         p = FieldMatrix(field, [[draw(scalars(field)) for _ in range(size)]
                                 for _ in range(inner)], size)
-        if poly:
-            p = as_poly_matrix(p)
         m = p.transpose() @ m @ p
     return m
 
 
-def assert_exact_coefficients(value, field):
-    coeffs = value.coeffs.values() if isinstance(value, Polynomial) else [value]
-    for c in coeffs:
-        if field is QQ:
-            assert type(c) is Fraction
-        else:
-            assert type(c) is FpElement and c.p == field.p
-
-
-def canonical_row(m, entries):
-    """The 1 x k matrix of m's kind that the public constructor builds from
-    the boxed Pfaffian row ``entries`` of m."""
-    if isinstance(m, PolyMatrix):
-        return PolyMatrix(m.field, (m.rows // 2) * m.degree, [entries])
-    return FieldMatrix(m.field, [entries])
-
-
-def check_against_reference(m):
+@SETTINGS
+@given(alternating(max_size=10))
+def test_scalar_pfaffians_match_the_expansion(m):
     pf = pfaffian(m)
     assert pf == reference_pfaffian(m)
-    assert_exact_coefficients(pf, m.field)
-    if m.rows % 2:
-        row = signed_maximal_pfaffians(m)
-        expected = reference_signed_maximal_pfaffians(m)
-        assert row.entries[0] == expected
-        for e in row.entries[0]:
-            assert_exact_coefficients(e, m.field)
-        # built from ints, the row is in the constructor's canonical form:
-        # == compares the kind, the degree, L and the slices
-        assert row == canonical_row(m, expected)
+    if m.field is QQ:
+        assert type(pf) is Fraction
+    else:
+        assert type(pf) is FpElement and pf.p == m.field.p
 
 
-@SETTINGS
-@given(alternating(poly=False, max_size=10))
-def test_scalar_pfaffians_match_the_expansion(m):
-    check_against_reference(m)
+@pytest.mark.parametrize("field", [QQ, GF, PrimeField(3)], ids=str)
+def test_pfaffian_swaps_a_distant_partner_and_stops_at_a_zero_row(field):
+    """Pf = a02 a13 (-1) + a03 a12 when a01 = 0: step 0 swaps index 2 in."""
+    a = {(0, 2): 2, (0, 3): 5, (1, 2): 7, (1, 3): 3}
+    rows = [[field.zero] * 4 for _ in range(4)]
+    for (i, j), v in a.items():
+        rows[i][j], rows[j][i] = field.of(v), -field.of(v)
+    assert pfaffian(FieldMatrix(field, rows)) == field.of(-2 * 3 + 5 * 7)
+    rows[0] = [field.zero] * 4
+    for r in rows:
+        r[0] = field.zero
+    assert pfaffian(FieldMatrix(field, rows)) == field.zero
+    assert pfaffian(FieldMatrix.zeros(field, 0, 0)) == field.one
+    assert pfaffian(FieldMatrix(field, [[field.zero]])) == field.zero
 
 
-@SETTINGS
-@given(alternating(poly=True, max_size=7))
-def test_polynomial_pfaffians_match_the_expansion(m):
-    check_against_reference(m)
+def presented(field, n, seed, quadratic):
+    """The first seeded random input of degree 2n - 1 over field with an
+    invertible p, and an invertible A' when ``quadratic``."""
+    rng = random.Random(seed)
+    while True:
+        lin = build_linear_presentation(
+            random_dual_element(field, 2 * n - 1, rng))
+        if not lin.linearly_presented:
+            continue
+        quad = build_quadratic_presentation(lin)
+        if quad.quadratically_presented or not quadratic:
+            return lin, quad
 
 
-def record_moduli(monkeypatch):
-    """The list that every later ``_pfaffians_mod`` call appends its q to."""
-    moduli = []
-    original = linalg._pfaffians_mod
-
-    def spy(*args):
-        moduli.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(linalg, "_pfaffians_mod", spy)
-    return moduli
+def check_rows(lin, quad):
+    """b1, and c1 when c2 was assembled, are the reference rows, in the
+    canonical form of the public constructor."""
+    n, fld = lin.n, lin.field
+    assert lin.b1 == PolyMatrix(fld, n, [reference_signed_maximal_pfaffians(lin.b2)])
+    if quad.quadratically_presented:
+        assert quad.c1 == PolyMatrix(
+            fld, n, [reference_signed_maximal_pfaffians(quad.c2)])
 
 
-def test_small_fields_below_the_pfaffian_degree_take_the_integer_path(monkeypatch):
-    """Over GF(3) a 7x7 matrix of quadrics has Pfaffian degree 6 >= 3, so the
-    kernel runs modulo 61-bit primes on centred lifts, never modulo 3."""
-    moduli = record_moduli(monkeypatch)
-    rng = random.Random(3)
-    for p in (3, 5):
-        field = PrimeField(p)
-        monos = monomials_of_degree(2)
-        rows = [[Polynomial.zero(field, 2)] * 7 for _ in range(7)]
-        for i in range(7):
-            for j in range(i + 1, 7):
-                e = Polynomial(field, 2,
-                               {m: field.of(rng.randrange(p)) for m in monos})
-                rows[i][j], rows[j][i] = e, -e
-        m = PolyMatrix(field, 2, rows)
-        moduli.clear()
-        assert signed_maximal_pfaffians(m).entries[0] == \
-            reference_signed_maximal_pfaffians(m)
-        assert moduli and min(moduli) > 2 ** 60
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+def test_pfaffian_rows_match_the_expansion(field, n):
+    for seed in range(2):
+        check_rows(*presented(field, n, 10 * n + seed, quadratic=n % 2 == 0))
 
 
-def test_family_row_at_n6_needs_several_crt_primes(monkeypatch):
-    moduli = record_moduli(monkeypatch)
-    lin = build_linear_presentation(family_phi(6), with_pfaffian_row=False)
-    row = signed_maximal_pfaffians(lin.b2)
-    assert len(moduli) > 1
-    assert row.entries[0] == reference_signed_maximal_pfaffians(lin.b2)
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_family_rows_match_the_expansion(n):
+    lin = build_linear_presentation(family_phi(n))
+    quad = build_quadratic_presentation(lin)
+    assert quad.quadratically_presented
+    check_rows(lin, quad)
 
 
-def random_form(field, degree, rng):
-    """A scalar (degree None) or a form with small random coefficients."""
-    if degree is None:
-        return field.of(rng.randrange(-9, 10))
-    return Polynomial(field, degree, {m: field.of(rng.randrange(-9, 10))
-                                      for m in monomials_of_degree(degree)})
+def at(m, point):
+    """The scalar matrix of m's entries at a point of the field."""
+    fld = m.field
+
+    def value(e):
+        total = fld.zero
+        for u, c in e.coeffs.items():
+            for v, k in zip(point, u):
+                c = c * v ** k
+            total = total + c
+        return total
+
+    return FieldMatrix(fld, [[value(e) for e in r] for r in m.entries], m.cols)
 
 
-def congruent(field, size, dependent, rng, degree=None):
-    """C^T B C for a random alternating B of size ``size - len(dependent)``
-    and a random C with ``size`` columns, whose column t, for t in
-    ``dependent``, is a random combination of the columns before it (zero
-    for t = 0), so row t of the result depends on the rows before it.  When
-    no swap moves it, the skew elimination meets such a row at an even
-    t < size - 1 as a zero row, and moves it last; at t = size - 1 it is
-    already last."""
-    inner = size - len(dependent)
-    zero = field.zero if degree is None else Polynomial.zero(field, degree)
-    rows = [[zero] * inner for _ in range(inner)]
-    for i in range(inner):
-        for j in range(i + 1, inner):
-            e = random_form(field, degree, rng)
-            rows[i][j], rows[j][i] = e, -e
-    b = FieldMatrix(field, rows, inner) if degree is None \
-        else PolyMatrix(field, degree, rows, inner)
-    cols = []
-    for t in range(size):
-        if t in dependent:
-            weights = [field.of(rng.randrange(-3, 4)) for _ in cols]
-            cols.append([sum((w * c[r] for w, c in zip(weights, cols)),
-                             field.zero) for r in range(inner)])
-        else:
-            cols.append([random_form(field, None, rng) for _ in range(inner)])
-    c = FieldMatrix(field, [list(r) for r in zip(*cols)], size)
-    if degree is not None:
-        c = as_poly_matrix(c)
-    return c.transpose() @ b @ c
+def check_rows_at(row, m, point):
+    """row_j(point) = (-1)^j Pf(m(point) without row and column j)."""
+    values = at(m, point)
+    signed = [pfaffian(values.deleted(rows=[j], cols=[j])) for j in range(m.rows)]
+    assert at(row, point).entries[0] == [-v if j % 2 else v
+                                         for j, v in enumerate(signed)]
 
 
-def is_zero_entry(e):
-    return e.is_zero if isinstance(e, Polynomial) else not e
-
-
-@pytest.mark.parametrize("field", [GF, QQ])
-@pytest.mark.parametrize("degree", [None, 1])
-@pytest.mark.parametrize("dependent", [0, 4, 8])
-def test_odd_rank_m_minus_1_with_the_dependent_index_first_middle_last(
-        field, degree, dependent):
-    rng = random.Random(100 * dependent + (degree or 0))
-    m = congruent(field, 9, {dependent}, rng, degree)
-    if degree is None:
-        assert rank(m) == 8
-    expected = reference_signed_maximal_pfaffians(m)
-    assert not is_zero_entry(expected[dependent])
-    assert signed_maximal_pfaffians(m).entries[0] == expected
-
-
-@pytest.mark.parametrize("field", [GF, QQ])
-@pytest.mark.parametrize("degree", [None, 1])
-@pytest.mark.parametrize("dependent", [(0, 5), (3, 4), (2, 8)])
-def test_rank_m_minus_3_gives_the_zero_row(field, degree, dependent):
-    rng = random.Random(sum(dependent) + (degree or 0))
-    m = congruent(field, 9, set(dependent), rng, degree)
-    if degree is None:
-        assert rank(m) == 6
-    row = signed_maximal_pfaffians(m).entries[0]
-    assert all(is_zero_entry(e) for e in row)
-    assert row == reference_signed_maximal_pfaffians(m)
-
-
-@pytest.mark.parametrize("field", [GF, QQ, PrimeField(3)])
-def test_size_one(field):
-    m = FieldMatrix(field, [[field.zero]])
-    assert signed_maximal_pfaffians(m).entries[0] == [field.one]
-    assert pfaffian(m) == field.zero
-    forms = PolyMatrix(field, 2, [[Polynomial.zero(field, 2)]])
-    assert signed_maximal_pfaffians(forms).entries[0] == \
-        reference_signed_maximal_pfaffians(forms)
-    assert pfaffian(forms) == reference_pfaffian(forms)
-
-
-@pytest.mark.parametrize("p, size, degree", [
-    (5, 9, 1), (5, 8, 1), (5, 5, 2), (7, 7, 2), (7, 12, 1), (7, 13, 1)])
-def test_forms_at_the_smallest_prime_above_the_pfaffian_degree(
-        monkeypatch, p, size, degree):
-    """D = (size // 2) degree = p - 1, so the kernel runs modulo p itself,
-    at every residue as a lattice coordinate."""
-    assert (size // 2) * degree == p - 1
-    moduli = record_moduli(monkeypatch)
-    field = PrimeField(p)
-    rng = random.Random(p * size)
-    for dependent in (set(), {size // 2}):
-        m = congruent(field, size, dependent, rng, degree)
-        moduli.clear()
-        if size % 2:
-            assert signed_maximal_pfaffians(m).entries[0] == \
-                reference_signed_maximal_pfaffians(m)
-        else:
-            assert pfaffian(m) == reference_pfaffian(m)
-        assert moduli == [p]
-
-
-def test_the_pfaffian_row_runs_no_gauss_jordan(monkeypatch):
-    calls = []
-    original = linalg._rref_mod
-
-    def spy(*args, **kwargs):
-        calls.append(len(args[0]))
-        return original(*args, **kwargs)
-
-    lin = build_linear_presentation(family_phi(4), with_pfaffian_row=False)
-    monkeypatch.setattr(linalg, "_rref_mod", spy)
-    row = signed_maximal_pfaffians(lin.b2)
-    assert calls == []
-    assert row.entries[0] == reference_signed_maximal_pfaffians(lin.b2)
+@pytest.mark.parametrize("kind, n", [("gf", 8), ("gf", 10), ("family", 8)])
+def test_pfaffian_rows_at_a_point(kind, n):
+    if kind == "family":
+        lin = build_linear_presentation(family_phi(n))
+        quad = build_quadratic_presentation(lin)
+        rng = random.Random(n)
+        point = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+    else:
+        lin, quad = presented(GF, n, n, quadratic=True)
+        rng = random.Random(n)
+        point = [GF.of(rng.randrange(1, GF.p)) for _ in range(3)]
+    check_rows_at(lin.b1, lin.b2, point)
+    check_rows_at(quad.c1, quad.c2, point)
 
 
 def test_resolve_at_n10_over_gf32003():

@@ -1,0 +1,87 @@
+"""Differential test against the seed package.
+
+``perfbench/reference/apolar`` is the package as it was when the benchmark
+was added.  ``benchlib.reference.load_reference`` imports it as
+``apolar_reference``, here with no bytecode written next to it.  On random
+inverse systems with n <= 4 over Q, GF(3), GF(5), GF(7), GF(101) and
+GF(32003), the commands below must give the same exit code, standard
+output and report bytes in both packages.
+
+The seed expands its Pfaffians by minors, exponentially in n, so n stays at
+most 4.  The module runs in under 10 s (7.4 s on a 2-core x86-64 VM).
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from apolar.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+from benchlib.reference import load_reference  # noqa: E402
+
+FIELDS = ("Q", "Fp:3", "Fp:5", "Fp:7", "Fp:101", "Fp:32003")
+COMMANDS = (["resolve", "--no-timestamp", "--out"],
+            ["resolve", "--clear-denominators", "--quiet"],
+            ["verify"])
+
+
+def random_phi(tag: str, n: int, rng: random.Random, sparse: bool) -> str:
+    """The JSON text of a random inverse system of degree 2n - 1, written
+    here rather than by either package; a sparse one drops each
+    coefficient with probability 1/2."""
+    d = 2 * n - 1
+    coeffs = {}
+    for a in range(d, -1, -1):
+        for b in range(d - a, -1, -1):
+            if sparse and rng.random() < 0.5:
+                continue
+            coeffs[f"{a},{b},{d - a - b}"] = (
+                f"{rng.randint(-20, 20)}/{rng.randint(1, 4)}" if tag == "Q"
+                else str(rng.randrange(int(tag[3:]))))
+    return json.dumps({"field": tag, "degree": d, "coeffs": coeffs})
+
+
+def cases():
+    """A dense and a sparse input per field and n."""
+    rng = random.Random(20230)
+    return [(f"{tag}-n{n}-{kind}", random_phi(tag, n, rng, kind == "sparse"))
+            for tag in FIELDS for n in range(1, 5)
+            for kind in ("dense", "sparse")]
+
+
+@pytest.fixture(scope="module")
+def seed_main():
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return load_reference(PERFBENCH).main
+    finally:
+        sys.dont_write_bytecode = saved
+
+
+def run(entry, argv, phi: Path, report: Path, capsys):
+    report.unlink(missing_ok=True)
+    args = [argv[0], str(phi), *argv[1:]]
+    if args[-1] == "--out":
+        args.append(str(report))
+    code = entry(args)
+    return (code, capsys.readouterr().out,
+            report.read_bytes() if report.exists() else None)
+
+
+@pytest.mark.parametrize("name, text", cases(), ids=[n for n, _ in cases()])
+def test_commands_match_the_seed_package(name, text, seed_main, tmp_path,
+                                         capsys):
+    phi, report = tmp_path / "phi.json", tmp_path / "report.json"
+    phi.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    for argv in COMMANDS:
+        assert run(main, argv, phi, report, capsys) == \
+            run(seed_main, argv, phi, report, capsys), argv[:2]

@@ -14,6 +14,7 @@ from apolar import (DualElement, FieldMatrix, Monomial, Polynomial, PrimeField,
                     oracle, random_dual_element, resolution)
 
 import ideal_reference as reference
+from pairing_reference import to_coords
 
 GF = PrimeField(32003)
 
@@ -40,7 +41,7 @@ def _check_lemma(phi):
     variables = [Polynomial.variable(fld, v) for v in ("x", "y", "z")]
     for d in range(s + 3 - a, s + 2):
         basis = monomials_of_degree(d)
-        rows = [(v * f).to_coords(basis) for f in kernels[d - 1] for v in variables]
+        rows = [to_coords(v * f, basis) for f in kernels[d - 1] for v in variables]
         assert linalg.rank(FieldMatrix(fld, rows)) == len(kernels[d])
         h = len(basis) - len(kernels[d])
         assert h == math.comb(s - d + 2, 2)

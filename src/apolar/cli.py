@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import json
+from json.encoder import encode_basestring_ascii
 import random
 import sys
 from typing import Optional
@@ -46,19 +46,54 @@ def _load_phi(path: str) -> DualElement:
         raise CliError(f"{path}: {exc}") from exc
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json(o, indent: str = "\n") -> str:
+    """The text ``json.dumps(o, indent=2)`` writes for a value built of
+    dicts with str keys, lists, str, int, bool and None, ``indent`` being
+    the line break and indentation at o's depth.  Strings go through
+    json's C encoder, and a list of str is written in one join.  Any other
+    type, a float or a tuple included (no report holds one), raises
+    TypeError."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or isinstance(o, bool):
+        return _LITERALS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if not isinstance(o, (list, dict)):
+        raise TypeError(f"Object of type {type(o).__name__} "
+                        "is not JSON serializable")
+    if not o:
+        return "[]" if isinstance(o, list) else "{}"
+    inner = indent + "  "
+    if isinstance(o, dict):
+        # a key that is not a str is refused by the encoder
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    items = (map(encode_basestring_ascii, o) if set(map(type, o)) == {str}
+             else [_json(v, inner) for v in o])
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _write_json(data: dict, path: Optional[str], timestamp: bool) -> None:
+    """The report as ``json.dump(data, fh, indent=2)`` writes it, and a
+    newline; a file that cannot be written is a CliError."""
     if timestamp:
         data = dict(data)
         data["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-    # written as it is encoded: the report is never held whole as one string
+    text = _json(data) + "\n"
     if path is None or path == "-":
-        json.dump(data, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _print_matrix(name: str, m, clear_denominators: bool) -> None:

@@ -21,17 +21,20 @@ the canonical form after every sum, product and selection.  The slices are
 never changed in place, so results share rows freely.  ``entries`` is a
 read-only view, boxed as ``Fraction``, ``FpElement`` or ``Polynomial`` on
 first read and then kept; ``to_strings`` reads the slices and boxes
-nothing.
+nothing, one pass over the entries per slice.
 
-A product multiplies the slices with int dot products: (L_a A)(L_b B) =
-sum_(u,v) uv C_u D_v over L_a L_b, made canonical.  Kernel, determinant and
-inverse come from one Gauss-Jordan routine on the int rows of L m
-(``_rref_ints``) that takes the first nonzero pivot in column order, so
-results are deterministic: the determinant is the product of the pivots
-times the sign of the row swaps, and the inverse is the right half of the
-reduced [L m | I].  Over GF(p) it runs on residues, each row packed into
-one int once it is first updated (``residues.rref_mod``); over Q,
-fraction-free (``_rref_int``, after Bareiss), where the rows end as the
+A product is (L_a A)(L_b B) = sum_(u,v) uv C_u D_v over L_a L_b, made
+canonical, by ``residues.product``: each row of each D_v is packed into
+one int, and a row of the result is a sum of those ints times the nonzero
+entries of the rows of C_u, unpacked and reduced once.
+
+Kernel, determinant and inverse come from one Gauss-Jordan routine on the
+int rows of L m (``_rref_ints``) that takes the first nonzero pivot in
+column order, so results are deterministic: the determinant is the product
+of the pivots times the sign of the row swaps, and the inverse is the right
+half of the reduced [L m | I].  Over GF(p) it runs on residues, each row
+packed into one int once it is first updated (``residues.rref_mod``); over
+Q, fraction-free (``_rref_int``, after Bareiss), where the rows end as the
 RREF times the last pivot.  The RREF is unique, so both give the rational
 answer.  The reduced rows stay ints: ``kernel`` boxes only the free
 columns, and ``invert`` returns its slices over the last pivot, boxing
@@ -50,11 +53,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Monomial, ONE, Polynomial, parse_polynomial
-from .residues import rref_mod as _rref_mod
+from .residues import product as _product, rref_mod as _rref_mod
 from .scalars import Field, FieldMismatchError, FpElement, PrimeField, Scalar
 
 Slices = Dict[Monomial, List[List[int]]]
@@ -167,24 +170,16 @@ class Matrix:
             {u: [list(c) for c in zip(*s)] for u, s in self.slices.items()})
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """(L_a A)(L_b B) = sum_(u,v) uv C_u D_v on plain ints, with a
-        scalar operand's single slice C_1, over L_a L_b."""
+        """(L_a A)(L_b B) = sum_(u,v) uv C_u D_v by ``residues.product``,
+        with a scalar operand's single slice C_1, over L_a L_b."""
         kind = self._kind(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        b_cols = [(v, list(zip(*d))) for v, d in other.slices.items()]
-        sums: Slices = {}
-        for u, c in self.slices.items():
-            for v, d_cols in b_cols:
-                prod = [[sum(map(mul, row, col)) for col in d_cols] if any(row)
-                        else [0] * other.cols for row in c]
-                w = u * v
-                acc = sums.get(w)
-                sums[w] = prod if acc is None else [
-                    list(map(add, r1, r2)) for r1, r2 in zip(acc, prod)]
         return kind._result(self.degree + other.degree, self.rows, other.cols,
-                            self.L * other.L, sums, reduce=True)
+                            self.L * other.L, _product(
+                                self.slices, other.slices, other.cols,
+                                getattr(self.field, "p", 0)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         a, b = self, other
@@ -251,22 +246,24 @@ class Matrix:
     def to_strings(self) -> List[List[str]]:
         """The entries as text, read off the slices: boxes nothing.  Each
         monomial is named once, and x / L is written as the reduced
-        fraction (x / g) / (L / g), g = gcd(x, L)."""
+        fraction (x / g) / (L / g), g = gcd(x, L).  The slices are read in
+        monomial order, each adding its nonzero terms to the texts of all
+        entries in one pass; an entry with no term is "0"."""
         L = self.L
-        monos = sorted(self.slices, key=Monomial.sort_key)
-        affixes = [self._affixes(str(u)) for u in monos]
-        tables = [self.slices[u] for u in monos]
 
         def scalar(x: int) -> str:
             g = math.gcd(x, L)
             return str(x // g) if g == L else f"{x // g}/{L // g}"
 
-        fmt = str if L == 1 else scalar
-        return [[" + ".join([a + fmt(x) + b for (a, b), x in zip(affixes, col)
-                             if x]) or "0"
-                 for col in (zip(*[t[i] for t in tables]) if tables
-                             else [()] * self.cols)]
-                for i in range(self.rows)]
+        texts = [[""] * self.cols] * self.rows
+        for u in sorted(self.slices, key=Monomial.sort_key):
+            a, b = self._affixes(str(u))
+            s = self.slices[u]
+            if L != 1:
+                s = [[x and scalar(x) for x in r] for r in s]
+            texts = [[(f"{t} + {a}{x}{b}" if t else f"{a}{x}{b}") if x else t
+                      for t, x in zip(ts, r)] for ts, r in zip(texts, s)]
+        return [[t or "0" for t in ts] for ts in texts]
 
 
 class FieldMatrix(Matrix):

@@ -1,14 +1,59 @@
-"""The kernel on plain residues mod a prime q, with no matrix type: the
-Gauss-Jordan elimination of ``linalg`` over GF(p) and for the modular
-ranks (``rref_mod``, on rows packed into ints).
+"""The kernels on plain ints, with no matrix type: the Gauss-Jordan
+elimination of ``linalg`` over GF(p) and for the modular ranks
+(``rref_mod``), and the product of int slices over GF(p) and Q
+(``product``).  Both work on rows packed into ints: column j of a row sits
+in the w-bit slot j of one int, w a whole number of 64-bit words
+(``slot_words``), laid out as bytes by ``pack`` and read back by
+``unpack``, so that a row update or a row times a scalar is one int
+operation, and reduction waits until a row is read whole
+(J.-G. Dumas, P. Giorgi, C. Pernet, ACM TOMS 35, 2008, delay the reduction
+the same way; J.-G. Dumas, L. Fousse, B. Salvy, J. Symb. Comput. 46, 2011,
+pack several residues per machine word).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from functools import partial
+from itertools import chain, compress
+from operator import mul
+from typing import Dict, List, Tuple
 
-_WORD = (1 << 64) - 1
+
+def slot_words(bound: int) -> int:
+    """The 64-bit words of a slot that holds every value of magnitude below
+    ``bound`` with a bit to spare, the sign bit of a signed sum."""
+    return bound.bit_length() // 64 + 1
+
+
+def pack(vals: List[int], words: int) -> bytes:
+    """The values as little-endian slots of ``words`` 64-bit words each, in
+    two's complement, so |v| < 2^(64 words - 1); ``int.from_bytes`` of the
+    slots of a row is one int with value j in slot j, a value v below 0
+    reading as v + 2^(64 words).  Built in C: by ``struct`` for one word,
+    or for values that all fit in the lowest word of their slot, and else
+    by ``int.to_bytes``."""
+    if words == 1:
+        return struct.pack(f"<{len(vals)}q", *vals)
+    if min(vals) >= 0 and not max(vals) >> 64:
+        spaced = [0] * (words * len(vals))
+        spaced[::words] = vals
+        return struct.pack(f"<{len(spaced)}Q", *spaced)
+    return b"".join(map(partial(int.to_bytes, length=8 * words,
+                                byteorder="little", signed=True), vals))
+
+
+def unpack(raw: bytes, words: int) -> List[int]:
+    """The values in the slots of ``words`` words of raw, read as two's
+    complement: the inverse of ``pack``."""
+    count = len(raw) // (8 * words)
+    a = struct.unpack(
+        f"<{count}q" if words == 1 else "<" + ("Q" * (words - 1) + "q") * count,
+        raw)
+    vals = list(a[words - 1::words])
+    for k in range(words - 2, -1, -1):
+        vals = [v << 64 | y for v, y in zip(vals, a[k::words])]
+    return vals
 
 
 def rref_mod(rows: List[List[int]], q: int, full: bool = True
@@ -18,40 +63,20 @@ def rref_mod(rows: List[List[int]], q: int, full: bool = True
     row swaps.  With ``full`` false only the rows below each pivot are
     cleared, which leaves a row echelon form: enough for the rank.
 
-    A row stays a list until its first update; from then on it is one int
-    with column j in the w-bit slot j, packed and unpacked as little-endian
-    64-bit words by ``struct`` and ``int.from_bytes``/``to_bytes``, all in
-    C.  Each update adds (q - f) t, t the scaled pivot row packed once per
-    step, so a slot only grows: from below q by at most (q - 1)^2 per
-    pivot, which w, whole 64-bit words, holds with a bit to spare
-    (J.-G. Dumas, P. Giorgi, C. Pernet, ACM TOMS 35, 2008, delay the
-    reduction the same way).  Reduction waits until a row is read whole:
-    as the next pivot row, which goes back to a list, or at the end."""
+    A row stays a list until its first update; from then on it is one
+    packed int.  Each update adds (q - f) t, t the scaled pivot row packed
+    once per step, so a slot only grows: from below q by at most (q - 1)^2
+    per pivot.  Reduction waits until a row is read whole: as the next
+    pivot row, which goes back to a list, or at the end."""
     n, m = len(rows), len(rows[0]) if rows else 0
     bound = min(n, m) * (q - 1) ** 2 + q
-    words = bound.bit_length() // 64 + 1
+    words = slot_words(bound)
     w = 64 * words
     mask = (1 << w) - 1
     assert bound >> (w - 1) == 0
-    spread = ((q - 1).bit_length() + 63) // 64  # words per residue
 
-    def pack(vals: List[int]) -> int:
-        if words > 1:
-            vals, spaced = [0] * (words * m), vals
-            for k in range(spread):
-                vals[k::words] = (spaced if spread == 1 else
-                                  [v >> 64 * k & _WORD for v in spaced])
-        return int.from_bytes(struct.pack(f"<{words * m}Q", *vals), "little")
-
-    def unpack(x: int, c: int = 0) -> List[int]:
-        """The raw slots c.. of x."""
-        n_words = words * (m - c)
-        a = struct.unpack(f"<{n_words}Q", (x >> c * w).to_bytes(8 * n_words,
-                                                                 "little"))
-        vals = list(a[words - 1::words])
-        for k in range(words - 2, -1, -1):
-            vals = [v << 64 | y for v, y in zip(vals, a[k::words])]
-        return vals
+    def to_int(vals: List[int]) -> int:
+        return int.from_bytes(pack(vals, words), "little")
 
     pivots: List[int] = []
     d = 1
@@ -73,15 +98,70 @@ def rref_mod(rows: List[List[int]], q: int, full: bool = True
         inv = pow(p, -1, q)
         # the pivot row is zero left of c
         rows[r] = row = [0] * c + [e * inv % q for e in (
-            x[c:] if type(x) is list else unpack(x, c))]
+            x[c:] if type(x) is list else unpack((x >> s).to_bytes(
+                8 * words * (m - c), "little"), words))]
         t = None
         for i in range(0 if full else r + 1, n):
             x = rows[i]
             f = x[c] if type(x) is list else (x >> s & mask) % q
             if f and i != r:
-                t = pack(row) if t is None else t
-                rows[i] = (pack(x) if type(x) is list else x) + (q - f) * t
+                t = to_int(row) if t is None else t
+                rows[i] = (to_int(x) if type(x) is list else x) + (q - f) * t
         pivots.append(c)
-    rows[:] = [x if type(x) is list else [v % q for v in unpack(x)]
-               for x in rows]
+    rows[:] = [x if type(x) is list else [v % q for v in unpack(
+        x.to_bytes(8 * words * m, "little"), words)] for x in rows]
     return rows, pivots, d % q
+
+
+def _magnitude(slices: Dict) -> int:
+    return max(map(abs, chain.from_iterable(chain.from_iterable(
+        slices.values()))))
+
+
+def product(a: Dict, b: Dict, cols: int, q: int = 0) -> Dict:
+    """sum_(u,v) uv A_u B_v for the int slices a = {u: A_u} and
+    b = {v: B_v}, B_v with ``cols`` columns: residues mod q, or exact
+    integers when q is 0.  The keys multiply with ``*``.
+
+    Each row k of each B_v is packed once into P_(v,k); row i of the slice
+    at uv gathers sum_k A_u[i][k] P_(v,k) over the nonzero A_u[i][k] only,
+    and over every pair (u, v) with that product, before all rows are
+    unpacked and reduced at once.  A slot then holds a sum of at most
+    k * pairs terms, each of magnitude at most max|A| max|B|, with the sign
+    bit spare.  Over GF(q) every value is at least 0, and max|A| max|B| is
+    (q - 1)^2.  Over Q, bias holds h = 2^(w-1) in every slot: flipping the
+    sign bits of a row packed in two's complement adds h to each slot, so
+    the signed row sum_j B[k][j] 2^(w j) is (x ^ bias) - bias, and a sum s
+    goes back to two's complement as (s + bias) ^ bias."""
+    groups: Dict = {}
+    for u, s in a.items():
+        for v in b:
+            groups.setdefault(u * v, []).append((s, v))
+    if not groups:
+        return {}
+    k = len(next(iter(b.values())))
+    bound = k * max(map(len, groups.values())) * (
+        (q - 1) ** 2 if q else _magnitude(a) * _magnitude(b))
+    words = slot_words(bound)
+    assert bound >> (64 * words - 1) == 0
+    h = 0 if q else 1 << (64 * words - 1)
+    bias = int.from_bytes(h.to_bytes(8 * words, "little") * cols, "little")
+    n = 8 * words * cols  # bytes of a packed row
+    packed = {}
+    for v, s in b.items():
+        raw = pack(list(chain.from_iterable(s)), words)
+        packed[v] = [(int.from_bytes(raw[i:i + n], "little") ^ bias) - bias
+                     for i in range(0, len(raw), n)]
+    sums: List[int] = []
+    for pairs in groups.values():
+        # row i of each A_u times the packed rows of its B_v, zeros skipped
+        sums += map(sum, zip(*[
+            [sum(map(mul, compress(r, r), compress(packed[v], r))) for r in s]
+            for s, v in pairs]))
+    flat = unpack(b"".join([((x + bias) ^ bias).to_bytes(n, "little")
+                            for x in sums]), words)
+    if q:
+        flat = [v % q for v in flat]
+    rows = [flat[i:i + cols] for i in range(0, len(flat), cols)]
+    r = len(rows) // len(groups)
+    return {uv: rows[i * r:(i + 1) * r] for i, uv in enumerate(groups)}

@@ -5,11 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import apolar
 from apolar import (DualElement, Monomial, PolyMatrix, Polynomial, family_phi,
                     linalg, resolution)
-from apolar.cli import main
+from apolar.cli import _json, main
 from apolar.poly import MAX_DEGREE
 
 # phi free of x: its catalecticant p is singular
@@ -253,6 +254,19 @@ def test_unreadable_file_exits_1(tmp_path, capsys, command):
         assert capsys.readouterr().err.startswith("error: cannot read")
 
 
+@pytest.mark.parametrize("command", ["resolve", "oracle", "wlp", "example-family"])
+def test_unwritable_report_path_exits_1(tmp_path, capsys, command):
+    """A report path in a missing directory, or a directory itself, is an
+    input error: exit code 1 and one line on stderr, with no traceback."""
+    phi = write_family(tmp_path, 2)
+    argv = (["example-family", "--n", "2"] if command == "example-family"
+            else _argv(command, phi) + ["--no-timestamp"])
+    capsys.readouterr()
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 @pytest.mark.parametrize("command", ["resolve", "verify", "oracle", "wlp"])
 @pytest.mark.parametrize("text", ["{broken", "[1, 2]",
                                   '{"field": "Fp:4", "degree": 1, "coeffs": {}}',
@@ -356,3 +370,39 @@ def test_one_process_runs_many_commands_as_separate_processes_do(tmp_path,
         together.append((code, capsys.readouterr().out))
     assert [code for code, _ in together] == [0, 0, 0, 3, 0, 0, 1, 0, 2, 2, 0]
     assert together == separate
+
+
+json_texts = (st.text(st.sampled_from('az "\\/\n\t\x00\x1f\x7f\xe9€\U0001f600'))
+              | st.text())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-2 ** 200, 2 ** 200) | json_texts,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(json_texts, inner, max_size=5),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(json_values)
+def test_report_writer_writes_what_json_dumps_writes(value):
+    """Nested dicts, lists, str (control characters, non-ASCII, astral),
+    int (big ones too), bool and None, empty containers included."""
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": [1, {2}]}, (1, 2), 1.5,
+                                   {"a": b"x"}, {1: "int key"}])
+def test_report_writer_refuses_other_types(value):
+    """A set raises TypeError, as in json; so do what json would write but
+    no report holds: tuples, floats and keys that are not str."""
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+def test_a_report_on_stdout_is_the_file_report(tmp_path, capsys):
+    path = write_family(tmp_path, 2)
+    capsys.readouterr()
+    assert main(["example-family", "--n", "2", "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert text == path.read_text() == json.dumps(
+        family_phi(2).to_json_dict(), indent=2) + "\n"

@@ -1,10 +1,14 @@
 """Property tests of the plain-int kernels of ``apolar.linalg`` against the
-boxed loops in ``elimination_reference``: the matrix product on scalar and
-form matrices of every shape and kind, the fraction-free Gauss-Jordan over
-Q, the eliminations over GF(32003) and GF(3), the packed-row elimination
-mod 3, 32003 and 2^61 - 1 (including a row that takes every update, the
-worst case of its slot width), and the forward-only rank pass against the
-rank of the full reduction.  Beyond equality with the reference, a product
+boxed loops in ``elimination_reference``: the packed matrix product on
+scalar and form matrices of every shape and kind, over GF(3), GF(32003),
+GF(2^61 - 1) and Q (numerators up to 2^130), with all-zero rows, rows of
+one nonzero entry and matrices with no slice, on sums that reach its slot
+bound, with a slot one bit narrower failing, and taking one big-int
+product per nonzero entry of the left operand; the fraction-free
+Gauss-Jordan over Q, the eliminations over GF(32003) and GF(3), the
+packed-row elimination mod 3, 32003 and 2^61 - 1 (including a row that
+takes every update, the worst case of its slot width), and the
+forward-only rank pass against the rank of the full reduction.  Beyond equality with the reference, a product
 stores no zero coefficient, keeps the declared degree on zero entries,
 boxes int sums that vanish mod p to zero, and never promotes a scalar
 operand; ``times_monomial`` equals the product with a monomial.
@@ -17,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ, det,
-                    invert, kernel, linalg, rank)
+                    invert, kernel, linalg, rank, residues)
 from apolar.scalars import FpElement
 from apolar.poly import Monomial, monomials_of_degree
 from elimination_reference import (reference_det, reference_inverse,
@@ -29,28 +33,47 @@ SETTINGS = settings(max_examples=150, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def scalars(field):
+def scalars(field, big=False):
+    """Scalars of the field; over Q with ``big``, numerators up to 2^130."""
     if field is QQ:
-        return st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+        top = 2 ** 130 if big else 40
+        return st.builds(Fraction, st.integers(-top, top), st.integers(1, 12))
     return st.builds(field.of, st.integers(0, field.p - 1))
 
 
 @st.composite
-def matrices(draw, field, rows, cols, degree=None):
-    """A FieldMatrix (degree None) or a PolyMatrix of the given degree,
-    dense or sparse."""
-    sparse = draw(st.booleans())
+def matrices(draw, field, rows, cols, degree=None, big=False):
+    """A FieldMatrix (degree None) or a PolyMatrix of the given degree:
+    dense, sparse, all zero (no slice at all), or row by row dense, zero or
+    with one nonzero entry of one monomial, the shape of the selector row
+    of ``explicit_generators``."""
+    shape = draw(st.sampled_from(["dense", "sparse", "zero", "rows"]))
+    zero = field.zero if degree is None else Polynomial.zero(field, degree)
+    monos = monomials_of_degree(degree or 0)
 
-    def entry():
-        if sparse and draw(st.integers(0, 2)):
-            return field.zero if degree is None else Polynomial.zero(field, degree)
+    def entry(kind):
+        if kind == "zero" or kind == "sparse" and draw(st.integers(0, 2)):
+            return zero
         if degree is None:
-            return draw(scalars(field))
-        monos = monomials_of_degree(degree)
+            return draw(scalars(field, big))
         chosen = draw(st.lists(st.sampled_from(monos), max_size=len(monos)))
-        return Polynomial(field, degree, {m: draw(scalars(field)) for m in chosen})
+        return Polynomial(field, degree, {m: draw(scalars(field, big))
+                                          for m in chosen})
 
-    entries = [[entry() for _ in range(cols)] for _ in range(rows)]
+    def one_nonzero():
+        c = draw(scalars(field, big).filter(bool))
+        return c if degree is None else Polynomial(
+            field, degree, {draw(st.sampled_from(monos)): c})
+
+    def row():
+        kind = draw(st.sampled_from(["dense", "zero", "one"])
+                    if shape == "rows" else st.just(shape))
+        r = [entry(kind) if kind != "one" else zero for _ in range(cols)]
+        if kind == "one" and cols:
+            r[draw(st.integers(0, cols - 1))] = one_nonzero()
+        return r
+
+    entries = [row() for _ in range(rows)]
     if degree is None:
         return FieldMatrix(field, entries, cols)
     return PolyMatrix(field, degree, entries, cols)
@@ -61,10 +84,14 @@ kinds = st.sampled_from([None, 0, 1, 2])
 
 @st.composite
 def products(draw):
-    field = draw(st.sampled_from(FIELDS))
+    """Operands over GF(3), GF(32003), GF(2^61 - 1) (two-word slots) and Q,
+    with numerators up to 2^130 in one case of two (slots of several
+    words, both signs)."""
+    field = draw(st.sampled_from(FIELDS + (PrimeField(2 ** 61 - 1),)))
+    big = field is QQ and draw(st.booleans())
     r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
-    a = draw(matrices(field, r, k, draw(kinds)))
-    b = draw(matrices(field, k, c, draw(kinds)))
+    a = draw(matrices(field, r, k, draw(kinds), big))
+    b = draw(matrices(field, k, c, draw(kinds), big))
     return a, b
 
 
@@ -93,6 +120,69 @@ def test_product_equals_the_boxed_triple_loop(pair):
             assert all(type(c) is one for c in e.coeffs.values())
         else:
             assert type(e) is one
+
+
+def test_a_slot_one_bit_narrower_fails(monkeypatch):
+    """2^32 times 2^31 over Q is 2^63, whose 64 bits and sign bit take two
+    words per slot.  Sized one bit narrower, for half the bound, the slot
+    is one word: the width assertion trips, or, with assertions stripped,
+    the biased sum 2^64 overflows its slot."""
+    a, b = FieldMatrix(QQ, [[2 ** 32]]), FieldMatrix(QQ, [[2 ** 31]])
+    expected = FieldMatrix(QQ, [[2 ** 63]])
+    assert a @ b == expected
+    words = residues.slot_words
+    assert words(2 ** 63) == 2 and words(2 ** 62) == 1
+    monkeypatch.setattr(residues, "slot_words", lambda bound: words(bound >> 1))
+    try:
+        out = a @ b
+    except (AssertionError, OverflowError):
+        return
+    assert out != expected
+
+
+def worst_case(case):
+    """Operands whose product reaches the slot bound
+    k * pairs * max|a| * max|b| of ``residues.product`` in one entry."""
+    if case == "GF(2^61 - 1)":
+        f = PrimeField(2 ** 61 - 1)
+        return (FieldMatrix(f, [[f.p - 1] * 128]),
+                FieldMatrix(f, [[f.p - 1]] * 128))
+    if case == "k terms":
+        return (FieldMatrix(QQ, [[2 ** 31, 2 ** 31]]),
+                FieldMatrix(QQ, [[2 ** 31], [2 ** 31]]))
+    x, y = (Polynomial.variable(QQ, v) for v in "xy")
+    form = x.scaled(2 ** 31) + y.scaled(2 ** 31)
+    return PolyMatrix(QQ, 1, [[form]]), PolyMatrix(QQ, 1, [[form]])
+
+
+@pytest.mark.parametrize("case", ["k terms", "two pairs", "GF(2^61 - 1)"])
+def test_sums_that_reach_the_slot_bound(case):
+    """2^31 2^31 + 2^31 2^31 = 2^63 over Q, as k = 2 terms or as the two
+    slice pairs (x, y) and (y, x) at xy, and 128 (q - 1)^2 > 2^128 at
+    q = 2^61 - 1: a slot sized without the factor k or pairs, or over Q
+    without the sign bit, is a word short for these sums."""
+    a, b = worst_case(case)
+    assert a @ b == reference_product(a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+def test_a_product_multiplies_only_the_nonzero_entries(field, monkeypatch):
+    """The selector row of ``explicit_generators``, the N degree-2
+    monomials in one row, times an N x 3 matrix: each of its N slices
+    holds a single 1, so the product takes N big-int products, one per
+    nonzero entry, where a dense product would take N^2."""
+    monos = monomials_of_degree(2)
+    xm = PolyMatrix(field, 2, [[Polynomial.monomial(field, m) for m in monos]])
+    images = FieldMatrix(field, [[i + j - 3 for j in range(3)]
+                                 for i in range(len(monos))])
+    calls = []
+
+    def counted(x, y):
+        calls.append(x)
+        return x * y
+    monkeypatch.setattr(residues, "mul", counted)
+    assert xm @ images == reference_product(xm, images)
+    assert calls == [1] * len(monos)
 
 
 @pytest.mark.parametrize("degree", [None, 0, 1])

@@ -5,10 +5,14 @@ was added.  ``benchlib.reference.load_reference`` imports it as
 ``apolar_reference``, here with no bytecode written next to it.  On random
 inverse systems with n <= 4 over Q, GF(3), GF(5), GF(7), GF(101) and
 GF(32003), the commands below must give the same exit code, standard
-output and report bytes in both packages.
+output and report bytes in both packages: ``resolve`` (with a report, and
+with its matrices printed over cleared denominators), ``verify``,
+``oracle --include-kernels`` and ``wlp --ell x+2*y``, the last two with a
+report, so every report shape is written by both JSON writers.
 
 The seed expands its Pfaffians by minors, exponentially in n, so n stays at
-most 4.  The module runs in under 10 s (7.4 s on a 2-core x86-64 VM).
+most 4.  The module runs in under 15 s (9.5-10.5 s on a 2-core x86-64 VM,
+against 7.4 s before ``oracle`` and ``wlp`` joined).
 """
 
 import json
@@ -29,7 +33,9 @@ from benchlib.reference import load_reference  # noqa: E402
 FIELDS = ("Q", "Fp:3", "Fp:5", "Fp:7", "Fp:101", "Fp:32003")
 COMMANDS = (["resolve", "--no-timestamp", "--out"],
             ["resolve", "--clear-denominators", "--quiet"],
-            ["verify"])
+            ["verify"],
+            ["oracle", "--include-kernels", "--no-timestamp", "--out"],
+            ["wlp", "--ell", "x+2*y", "--no-timestamp", "--out"])
 
 
 def random_phi(tag: str, n: int, rng: random.Random, sparse: bool) -> str:

@@ -8,7 +8,8 @@ Commands
     wlp              determinant test for a weak Lefschetz element
     oracle           brute-force ideal summary (Hilbert function, generators)
 
-Exit codes: 0 success / all checks pass; 1 usage or input error; 2 the first
+Exit codes: 0 success / all checks pass; 1 usage or input error, or a result
+with an int too long for ``str`` (then no report is written); 2 the first
 catalecticant is singular (resolve), the explicit row fails b1 . b2 = 0
 (resolve, which then writes no report) or some check failed (verify); 3 the
 constant alternating block is singular in quadratic mode.
@@ -17,6 +18,7 @@ constant alternating block is singular in quadratic mode.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 from json.encoder import encode_basestring_ascii
@@ -96,6 +98,16 @@ def _write_json(data: dict, path: Optional[str], timestamp: bool) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _as_text():
+    """``str`` of an int of more digits than ``sys.get_int_max_str_digits()``
+    raises ValueError: a CliError here, before any report file is opened."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"cannot write the result as text: {exc}") from exc
+
+
 def _print_matrix(name: str, m, clear_denominators: bool) -> None:
     prefix = ""
     if clear_denominators:
@@ -103,8 +115,9 @@ def _print_matrix(name: str, m, clear_denominators: bool) -> None:
         if L != 1:
             m = m.scaled(L)
             prefix = f"1/{L} x "
+    rows = m.to_strings()
     print(f"{name} = {prefix}[")
-    for row in m.to_strings():
+    for row in rows:
         print("  [" + ", ".join(row) + "]")
     print("]")
 
@@ -157,26 +170,24 @@ def cmd_resolve(args) -> int:
     quad = None
     if args.mode in ("auto", "quadratic"):
         quad = resolution.build_quadratic_presentation(lin)
-    print(f"n = {lin.n}, field {lin.field.tag}: linearly presented "
-          f"(p is {lin.p.rows}x{lin.p.cols}, invertible)")
-    if not args.quiet:
-        _print_matrix("p", lin.p, args.clear_denominators)
-        _print_matrix("r", lin.r, args.clear_denominators)
-        _print_matrix("A'", lin.A_prime, args.clear_denominators)
-        _print_matrix("B", lin.B, args.clear_denominators)
-        _print_matrix("D", lin.D, args.clear_denominators)
-        _print_matrix("b2", lin.b2, args.clear_denominators)
-    if quad is not None:
-        if quad.quadratically_presented:
-            print("quadratically presented: c2 assembled "
-                  f"({quad.c2.rows}x{quad.c2.cols}, quadratic entries)")
-            if not args.quiet:
-                _print_matrix("c2", quad.c2, args.clear_denominators)
-        else:
-            print(f"quadratic path: {quad.note} (rank {quad.a_prime_rank})")
-    if args.out:
-        _write_json(resolution.resolution_report(lin, quad), args.out,
-                    timestamp=not args.no_timestamp)
+    with _as_text():
+        print(f"n = {lin.n}, field {lin.field.tag}: linearly presented "
+              f"(p is {lin.p.rows}x{lin.p.cols}, invertible)")
+        if not args.quiet:
+            for name, m in (("p", lin.p), ("r", lin.r), ("A'", lin.A_prime),
+                            ("B", lin.B), ("D", lin.D), ("b2", lin.b2)):
+                _print_matrix(name, m, args.clear_denominators)
+        if quad is not None:
+            if quad.quadratically_presented:
+                print("quadratically presented: c2 assembled "
+                      f"({quad.c2.rows}x{quad.c2.cols}, quadratic entries)")
+                if not args.quiet:
+                    _print_matrix("c2", quad.c2, args.clear_denominators)
+            else:
+                print(f"quadratic path: {quad.note} (rank {quad.a_prime_rank})")
+        if args.out:
+            _write_json(resolution.resolution_report(lin, quad), args.out,
+                        timestamp=not args.no_timestamp)
     if args.mode == "quadratic" and (quad is None or not quad.quadratically_presented):
         return 3
     return 0
@@ -266,12 +277,13 @@ def cmd_wlp(args) -> int:
         report = oracle.wlp_test(phi, ell)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    print(f"ell = {report.ell} is a weak Lefschetz element: "
-          f"{'true' if report.verdict else 'false'} "
-          f"(det = {phi.field.format(report.determinant)})")
-    if args.out:
-        _write_json(report.to_json_dict(), args.out,
-                    timestamp=not args.no_timestamp)
+    with _as_text():
+        print(f"ell = {report.ell} is a weak Lefschetz element: "
+              f"{'true' if report.verdict else 'false'} "
+              f"(det = {phi.field.format(report.determinant)})")
+        if args.out:
+            _write_json(report.to_json_dict(), args.out,
+                        timestamp=not args.no_timestamp)
     return 0
 
 
@@ -289,8 +301,9 @@ def cmd_oracle(args) -> int:
           (", ".join(f"{g} in degree {d}" for d, g in gens.items()) or "none"))
     print(f"Gorenstein symmetric: {summary.gorenstein_symmetric}")
     if args.out:
-        _write_json(summary.to_json_dict(include_kernels=args.include_kernels),
-                    args.out, timestamp=not args.no_timestamp)
+        with _as_text():
+            _write_json(summary.to_json_dict(include_kernels=args.include_kernels),
+                        args.out, timestamp=not args.no_timestamp)
     return 0
 
 

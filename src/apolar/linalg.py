@@ -10,18 +10,19 @@ sum promotes the scalar operand with ``as_poly_matrix``, a re-tag that
 boxes nothing, and stacking refuses to mix them.
 
 A matrix M stores plain ints: L M = sum_u u C_u, one int matrix C_u (a
-"slice") per monomial u that occurs, rows of ints.  Over GF(p), L = 1 and
-the slices hold residues in [0, p); over Q, L is the least common
-denominator of the entries, so gcd(L, every numerator) = 1.  No all-zero
-slice is kept, so the form is canonical and equality compares (field,
-degree, shape, L, slices).  The public constructors validate boxed entries
-and compute the slices once; every operation works on the slices and
-builds its result from ints, with no validation, taking the result back to
-the canonical form after every sum, product and selection.  The slices are
+"slice") per monomial u that occurs, rows of ints, on the field's int
+encoding (``Field.to_ints``): over GF(p), L = 1 and the slices hold
+residues in [0, p); over Q, L is the least common denominator of the
+entries, so gcd(L, all ints) = 1.  No all-zero slice is kept, so the form
+is canonical and equality compares (field, degree, shape, L, slices).  The
+public constructors validate boxed entries and compute the slices once;
+``FieldMatrix._from_ints`` takes ints and their L.  Every operation builds
+its result from the slices, with no validation, taking it back to the
+canonical form after every sum, product and selection.  The slices are
 never changed in place, so results share rows freely.  ``entries`` is a
-read-only view, boxed as ``Fraction``, ``FpElement`` or ``Polynomial`` on
-first read and then kept; ``to_strings`` reads the slices and boxes
-nothing, one pass over the entries per slice.
+read-only view, each coefficient boxed by ``Field.from_int`` on first read
+and then kept; ``to_strings`` reads the slices and boxes nothing, one pass
+over the entries per slice.
 
 A product is (L_a A)(L_b B) = sum_(u,v) uv C_u D_v over L_a L_b, made
 canonical, by ``residues.product``: each row of each D_v is packed into
@@ -51,14 +52,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Monomial, ONE, Polynomial, parse_polynomial
 from .residues import product as _product, rref_mod as _rref_mod
-from .scalars import Field, FieldMismatchError, FpElement, PrimeField, Scalar
+from .scalars import Field, FieldMismatchError, Scalar
 
 Slices = Dict[Monomial, List[List[int]]]
 
@@ -72,15 +72,10 @@ def _width(rows: List[list], cols: Optional[int]) -> int:
 
 def _int_slices(field: Field, boxed: dict) -> Tuple[int, Slices]:
     """(L, slices) of the matrix whose coefficients of each monomial u are
-    the scalars boxed[u]: L the least common denominator, which leaves
-    gcd(L, all numerators) = 1, and all-zero slices dropped."""
-    if getattr(field, "p", None):
-        L, ints = 1, {u: [[e.value for e in r] for r in s]
-                      for u, s in boxed.items()}
-    else:
-        L = math.lcm(*(e.denominator for s in boxed.values() for r in s for e in r))
-        ints = {u: [[e.numerator * (L // e.denominator) for e in r] for r in s]
-                for u, s in boxed.items()}
+    the scalars boxed[u], on one ``field.to_ints``, zero slices dropped."""
+    L, flat = field.to_ints([e for s in boxed.values() for r in s for e in r])
+    flat = iter(flat)
+    ints = {u: [list(islice(flat, len(r))) for r in s] for u, s in boxed.items()}
     return L, {u: s for u, s in ints.items() if any(map(any, s))}
 
 
@@ -91,12 +86,12 @@ def _scaled_slice(s: List[List[int]], f: int) -> List[List[int]]:
 class Matrix:
     """A rectangular matrix over one field whose entries are forms of one
     degree, stored as L M = sum_u u C_u (see the module docstring): the
-    attributes ``L`` and ``slices`` = {u: C_u}.  Each kind supplies three
+    attributes ``L`` and ``slices`` = {u: C_u}.  Each kind supplies two
     hooks:
 
-    - ``_zero(degree)``: the zero entry of that degree;
     - ``_element(degree, coeffs)``: the degree-``degree`` entry whose
-      nonzero coefficients are the {monomial: scalar} map ``coeffs``;
+      nonzero coefficients are the {monomial: scalar} map ``coeffs``, the
+      zero entry when it is empty;
     - ``_affixes(name)``: the texts around a coefficient in the term of
       the monomial named ``name``.
 
@@ -128,7 +123,7 @@ class Matrix:
         if p and reduce:
             slices = {u: [[x % p for x in r] for r in s] for u, s in slices.items()}
         slices = {u: s for u, s in slices.items() if any(map(any, s))}
-        if not p:
+        if not p and L != 1:
             g = math.gcd(L, *chain.from_iterable(chain.from_iterable(slices.values())))
             if L < 0:
                 g = -g
@@ -150,11 +145,12 @@ class Matrix:
         """Each entry from the {monomial: scalar} map of its nonzero
         coefficients, each boxed once as x / L."""
         maps = [[{} for _ in range(self.cols)] for _ in range(self.rows)]
+        box, L = self.field.from_int, self.L
         for u, s in self.slices.items():
             for row, ints in zip(maps, s):
                 for c, x in zip(row, ints):
                     if x:
-                        c[u] = _scalar(self.field, x, self.L)
+                        c[u] = box(x, L)
         return [[self._element(self.degree, c) for c in row] for row in maps]
 
     def _kind(self, other: "Matrix") -> "Matrix":
@@ -207,11 +203,8 @@ class Matrix:
 
     def scaled(self, s) -> "Matrix":
         """s times the matrix, for a scalar s of the field or an int."""
-        s = s if self.field.contains(s) else self.field.of(s)
-        if getattr(self.field, "p", None):
-            num, den = s.value, 1
-        else:
-            num, den = s.numerator, s.denominator
+        den, (num,) = self.field.to_ints(
+            [s if self.field.contains(s) else self.field.of(s)])
         return self._result(self.degree, self.rows, self.cols, self.L * den,
                             {u: _scaled_slice(c, num)
                              for u, c in self.slices.items()}, reduce=True)
@@ -282,13 +275,12 @@ class FieldMatrix(Matrix):
         self._entries = rows
 
     @classmethod
-    def _from_ints(cls, field: Field, rows: List[List[int]],
-                   cols: int) -> "FieldMatrix":
-        """The matrix whose entries are these ints, built without any
-        check: L = 1, the residues in [0, p) over GF(p), and no slice for
-        an all-zero matrix."""
-        return cls._from_slices(field, 0, len(rows), cols, 1,
-                                {ONE: rows} if any(map(any, rows)) else {})
+    def _from_ints(cls, field: Field, rows: List[List[int]], cols: int,
+                   L: int = 1) -> "FieldMatrix":
+        """The matrix of the scalars x / L on the field's encoding, x the
+        ints of ``rows``, unchecked and made canonical by ``_result``."""
+        return cls.zeros(field, 0, cols)._result(0, len(rows), cols, L,
+                                                 {ONE: rows})
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "FieldMatrix":
@@ -298,9 +290,6 @@ class FieldMatrix(Matrix):
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
         return cls._from_slices(field, 0, rows, cols, 1, {})
-
-    def _zero(self, degree: int) -> Scalar:
-        return self.field.zero
 
     def _element(self, degree: int, coeffs: dict) -> Scalar:
         return coeffs.get(ONE, self.field.zero)
@@ -348,9 +337,6 @@ class PolyMatrix(Matrix):
     @classmethod
     def zeros(cls, field: Field, degree: int, rows: int, cols: int) -> "PolyMatrix":
         return cls._from_slices(field, degree, rows, cols, 1, {})
-
-    def _zero(self, degree: int) -> Polynomial:
-        return Polynomial.zero(self.field, degree)
 
     def _element(self, degree: int, coeffs: dict) -> Polynomial:
         return Polynomial._trusted(self.field, degree, coeffs)
@@ -476,7 +462,7 @@ def _rref_ints(rows: List[List[int]], field: Field
     pivots of the rational elimination of these rows times the sign of the
     row swaps (mod p over GF(p)); for a square matrix of full rank it is
     det(L m)."""
-    if isinstance(field, PrimeField):
+    if getattr(field, "p", None):
         red, pivots, d = _rref_mod(rows, field.p)
         return red, pivots, d, 1
     red, pivots, d = _rref_int(rows)
@@ -490,12 +476,6 @@ def _int_rows(m: FieldMatrix) -> List[List[int]]:
             else [[0] * m.cols for _ in range(m.rows)])
 
 
-def _scalar(field: Field, x: int, den: int) -> Scalar:
-    """The scalar x / den: a residue over GF(p), where den is 1."""
-    p = getattr(field, "p", None)
-    return FpElement(x, p) if p else Fraction(x, den)
-
-
 def _shorter(rows: List[list]) -> List[list]:
     """The rows, or the rows of the transpose when that has fewer; the rank
     is the same."""
@@ -505,14 +485,14 @@ def _shorter(rows: List[list]) -> List[list]:
 
 
 def _rank_mod(rows: List[List[int]], q: int) -> int:
-    """Rank of a residue matrix mod q by forward elimination; may
-    overwrite rows."""
-    return len(_rref_mod(_shorter(rows), q, full=False)[1])
+    """Rank mod q of a matrix of ints by forward elimination."""
+    return len(_rref_mod(_shorter([[x % q for x in r] for r in rows]), q,
+                         full=False)[1])
 
 
 def rank(m: FieldMatrix) -> int:
     """By forward elimination on the int rows of L m."""
-    if isinstance(m.field, PrimeField):
+    if getattr(m.field, "p", None):
         return _rank_mod(_int_rows(m), m.field.p)
     return len(_rref_int(_shorter(_int_rows(m)), full=False)[1])
 
@@ -524,19 +504,15 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
     a 1 at f, -red[r][f] at the r-th pivot column and zeros elsewhere.
     """
     field = m.field
-    zero, one = field.zero, field.one
-    if m.rows == 0:
-        return [[one if j == i else zero for j in range(m.cols)]
-                for i in range(m.cols)]
     red, pivots, _, last = _rref_ints(_int_rows(m), field)
     pivot_set = set(pivots)
     basis = []
     for f in range(m.cols):
         if f not in pivot_set:
-            v = [zero] * m.cols
-            v[f] = one
+            v = [field.zero] * m.cols
+            v[f] = field.one
             for r, c in enumerate(pivots):
-                v[c] = _scalar(field, -red[r][f], last)
+                v[c] = field.from_int(-red[r][f], last)
             basis.append(v)
     return basis
 
@@ -548,7 +524,7 @@ def det(m: FieldMatrix) -> Scalar:
     _, pivots, d, _ = _rref_ints(_int_rows(m), m.field)
     if len(pivots) < m.rows:
         return m.field.zero
-    return _scalar(m.field, d, m.L ** m.rows)
+    return m.field.from_int(d, m.L ** m.rows)
 
 
 @dataclass

@@ -7,13 +7,14 @@ structured presentation machinery, so these routines serve as an independent
 check of it.
 
 Every matrix is built on plain ints, from one int form per polynomial or
-dual element (``_int_form``): the residues over GF(p), and over Q the
-coefficients times their common denominator.  Each row is read off one
-form, so it is the boxed row times a nonzero factor, which keeps the rank
-and the kernel.  That one form feeds the containment sums, the rows mod
-``CERTIFICATE_PRIME`` and the exact rows, which ``linalg.rank`` and
-``linalg.kernel`` take as they are (``FieldMatrix._from_ints``); only the
-matrix that ``wlp_test`` reports is boxed.
+dual element (``_int_form``, on ``Field.to_ints``): the residues over GF(p),
+and over Q the coefficients times their common denominator.  Each row is
+read off one form, so it is the boxed row times a nonzero factor, which
+keeps the rank and the kernel.  That one form feeds the containment
+products (the coefficient rows of the generators of one degree times the
+catalecticant of phi), the rows mod ``CERTIFICATE_PRIME`` and the exact
+rows, which ``linalg.rank`` and ``linalg.kernel`` take as they are
+(``FieldMatrix._from_ints``); the ``wlp_test`` matrix keeps the denominator.
 
 Over Q, the ideal-equality certificate first ranks its matrices modulo one
 prime, ``CERTIFICATE_PRIME``: reducing an integer matrix mod a prime can
@@ -46,7 +47,8 @@ from . import linalg
 from .linalg import FieldMatrix
 from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
                    monomials_of_degree)
-from .scalars import QQ, Field, PrimeField, RationalField, Scalar
+from .residues import product
+from .scalars import QQ, Field, RationalField, Scalar
 
 # The prime of the modular ranks over Q: the Mersenne prime 2^61 - 1.
 CERTIFICATE_PRIME = 2 ** 61 - 1
@@ -56,38 +58,27 @@ CERTIFICATE_PRIME = 2 ** 61 - 1
 IntForm = Tuple[int, Dict[Monomial, int]]
 
 
-def _integer_coeffs(coeffs: Dict[Monomial, Scalar],
-                    fld: Field) -> Dict[Monomial, int]:
-    """The coefficients as plain ints: over GF(p) the residues, over Q the
-    rationals times their common denominator.  A matrix whose rows are
-    each read off one such map has the rank and the kernel of the boxed
-    one, as every row is scaled by a nonzero factor."""
-    if isinstance(fld, PrimeField):
-        return {m: c.value for m, c in coeffs.items()}
-    L = math.lcm(*(c.denominator for c in coeffs.values()))
-    return {m: c.numerator * (L // c.denominator) for m, c in coeffs.items()}
-
-
 def _int_form(f: Polynomial | DualElement) -> IntForm:
-    """The int form of a polynomial or a dual element."""
-    return f.degree, _integer_coeffs(f.coeffs, f.field)
+    """The int form of a polynomial or a dual element: its coefficients
+    on the field's encoding (``Field.to_ints``), without the factor L."""
+    _, ints = f.field.to_ints(list(f.coeffs.values()))
+    return f.degree, dict(zip(f.coeffs, ints))
 
 
-def _multiple_rows(gens: Sequence[IntForm], monos: List[Monomial],
-                   q: Optional[int] = None) -> List[List[int]]:
+def _multiple_rows(gens: Sequence[IntForm],
+                   monos: List[Monomial]) -> List[List[int]]:
     """Coordinates on ``monos``, the monomials of one degree D, of every
     monomial multiple m * g, for each int form g of degree at most D: rows
-    g by g, m in the fixed monomial order, reduced mod q when q is given."""
+    g by g, m in the fixed monomial order."""
     D = monos[0].degree
     position = {m: i for i, m in enumerate(monos)}
     rows = []
     for deg, coeffs in gens:
         if deg > D:
             continue
-        terms = [(u, c % q) for u, c in coeffs.items()] if q else coeffs.items()
         for m in monomials_of_degree(D - deg):
             row = [0] * len(monos)
-            for u, c in terms:
+            for u, c in coeffs.items():
                 row[position[u * m]] = c
             rows.append(row)
     return rows
@@ -96,26 +87,22 @@ def _multiple_rows(gens: Sequence[IntForm], monos: List[Monomial],
 def _annihilates(gens: Sequence[IntForm], phi: IntForm,
                  p: Optional[int]) -> List[bool]:
     """Whether g(phi) = 0, for each int form g, on the int form of phi: g(phi)
-    is zero iff sum_u c_u phi_(u v) = 0 for every monomial v of degree
-    s - deg g, u running over the monomials of g.  Over GF(p) the forms
-    hold residues and the sums are tested mod p; over Q (p None) they hold
-    g and phi each scaled by its denominator LCM, a nonzero factor, and the
-    sums are tested exactly against 0.  A generator of degree above s
-    annihilates phi."""
+    is the coefficient row of g times the catalecticant of phi with rows of
+    degree d = deg g, one product per d, each row tested for zero: mod p
+    over GF(p), where the forms hold residues, and exactly over Q (p None),
+    where they hold g and phi each times its denominator LCM, a nonzero
+    factor.  A generator of degree above s annihilates phi."""
     s, phi_int = phi
-
-    def annihilates(deg: int, terms: Dict[Monomial, int]) -> bool:
-        if deg > s:
-            return True
-        # u v looked up as a plain exponent tuple, equal to its Monomial key
-        for va, vb, vc in monomials_of_degree(s - deg):
-            x = sum(c * phi_int.get((ua + va, ub + vb, uc + vc), 0)
-                    for (ua, ub, uc), c in terms.items())
-            if (x % p if p else x):
-                return False
-        return True
-
-    return [annihilates(deg, terms) for deg, terms in gens]
+    out = [deg > s for deg, _ in gens]
+    for d in {deg for deg, _ in gens if deg <= s}:
+        idx = [i for i, (deg, _) in enumerate(gens) if deg == d]
+        monos, cols = monomials_of_degree(d), monomials_of_degree(s - d)
+        images = product({1: _multiple_rows([gens[i] for i in idx], monos)},
+                         {1: catalecticant(phi_int, monos, cols)},
+                         len(cols), p or 0)[1]
+        for i, image in zip(idx, images):
+            out[i] = not any(image)
+    return out
 
 
 def _exact_rank(fld: Field, rows: List[List[int]]) -> int:
@@ -146,8 +133,8 @@ def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
     if d > phi.degree:
         return [Polynomial.monomial(fld, m) for m in cols]
     matrix = FieldMatrix._from_ints(fld, catalecticant(
-        _integer_coeffs(phi.coeffs, fld), monomials_of_degree(phi.degree - d),
-        cols, 0), len(cols))
+        _int_form(phi)[1], monomials_of_degree(phi.degree - d), cols),
+        len(cols))
     return [Polynomial._trusted(fld, d, {u: c for u, c in zip(cols, v) if c})
             for v in linalg.kernel(matrix)]
 
@@ -289,12 +276,10 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
         if g.field != fld:
             raise ValueError("generator field does not match phi")
     p = getattr(fld, "p", None)
-    phi_int = _integer_coeffs(phi.coeffs, fld)
+    _, phi_int = _int_form(phi)
     gens_int = [_int_form(g) for g in gens]
     annihilates = _annihilates(gens_int, (s, phi_int), p)
     q = CERTIFICATE_PRIME
-    if p is None:
-        phi_q = {m: c % q for m, c in phi_int.items()}
     verdicts: List[DegreeVerdict] = []
     full = False
     a = None
@@ -313,16 +298,16 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
             if contained:
                 dim_ann = total
         elif p is None and contained:
-            span_q = linalg._rank_mod(_multiple_rows(gens_int, monos, q), q)
+            span_q = linalg._rank_mod(_multiple_rows(gens_int, monos), q)
             ann_q = total - linalg._rank_mod(
-                catalecticant(phi_q, cat_rows, monos, 0), q)
+                catalecticant(phi_int, cat_rows, monos), q)
             if span_q == ann_q:
                 dim_span = dim_ann = span_q
         if dim_span is None:
             dim_span = _exact_rank(fld, _multiple_rows(gens_int, monos))
         if dim_ann is None:
             dim_ann = total - _exact_rank(
-                fld, catalecticant(phi_int, cat_rows, monos, 0))
+                fld, catalecticant(phi_int, cat_rows, monos))
         if a is None and dim_ann:
             a = d
         full = dim_span == total
@@ -367,8 +352,10 @@ def wlp_test(phi: DualElement, ell: Polynomial) -> LefschetzReport:
     if s % 2 == 0:
         raise ValueError(f"socle degree must be odd, got {s}")
     mid = monomials_of_degree((s - 1) // 2)
-    matrix = FieldMatrix(phi.field, catalecticant(
-        contract(ell, phi).coeffs, mid, mid, phi.field.zero))
+    w = contract(ell, phi)
+    L, ints = w.field.to_ints(list(w.coeffs.values()))
+    matrix = FieldMatrix._from_ints(
+        w.field, catalecticant(dict(zip(w.coeffs, ints)), mid, mid), len(mid), L)
     d = linalg.det(matrix)
     return LefschetzReport(ell, matrix, d, d != phi.field.zero)
 

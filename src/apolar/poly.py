@@ -300,15 +300,15 @@ def contract(u: Polynomial, w: DualElement) -> DualElement:
     return DualElement(w.field, w.degree - u.degree, out)
 
 
-def catalecticant(coeffs: Dict[Monomial, Scalar], rows: Sequence[Monomial],
-                  cols: Sequence[Monomial], zero) -> List[List[Scalar]]:
-    """Rows of the catalecticant of the functional with coefficients
-    ``coeffs`` (``zero`` where a monomial is missing): the entry (mr, mc)
-    is the coefficient of mr * mc (Iarrobino-Kanev, LNM 1721, 1999).  For
-    rows of degree s - d and columns of degree d, its kernel is the
-    degree-d annihilator.  The product is looked up as a plain exponent
+def catalecticant(coeffs: Dict[Monomial, int], rows: Sequence[Monomial],
+                  cols: Sequence[Monomial]) -> List[List[int]]:
+    """Rows of the catalecticant of the functional with the int
+    coefficients ``coeffs`` (0 where a monomial is missing): the entry
+    (mr, mc) is the coefficient of mr * mc (Iarrobino-Kanev, LNM 1721,
+    1999).  For rows of degree s - d and columns of degree d, its kernel is
+    the degree-d annihilator.  The product is looked up as a plain exponent
     tuple, which hashes and compares equal to the Monomial key."""
-    return [[coeffs.get((a + x, b + y, c + z), zero) for x, y, z in cols]
+    return [[coeffs.get((a + x, b + y, c + z), 0) for x, y, z in cols]
             for a, b, c in rows]
 
 

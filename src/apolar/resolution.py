@@ -2,8 +2,8 @@
 system.
 
 Given a dual element ``phi`` of odd degree 2n-1, the linear path resolves
-R/I for I = ann(x(phi)): two catalecticant matrices are read off the
-coefficients by ``poly.catalecticant``, p of x(phi) and r of phi, and when p
+R/I for I = ann(x(phi)): two catalecticant matrices are read off the int
+form of phi by ``poly.catalecticant``, p of x(phi) and r of phi, and when p
 is invertible the alternating linear presentation matrix
 
     b2 = [[ x*A' , x*B1 + B2 ],
@@ -65,12 +65,11 @@ instance, since off-by-one deletions are the dominant bug risk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import linalg
 from .linalg import FieldMatrix, PolyMatrix, as_poly_matrix, block, hstack
-from .poly import (DualElement, Polynomial, X, catalecticant, contract,
+from .poly import (DualElement, Polynomial, X, catalecticant,
                    monomials_of_degree)
 from .scalars import Field, Scalar
 
@@ -86,21 +85,25 @@ def _infer_n(phi: DualElement) -> int:
     return (phi.degree + 1) // 2
 
 
-def _cat_matrix(w: DualElement, rows, cols) -> FieldMatrix:
-    return FieldMatrix(w.field, catalecticant(w.coeffs, rows, cols, w.field.zero))
+def _catalecticants(phi: DualElement, *shapes) -> List[FieldMatrix]:
+    """The catalecticants of phi on (rows, columns) pairs, from its int form."""
+    L, ints = phi.field.to_ints(list(phi.coeffs.values()))
+    coeffs = dict(zip(phi.coeffs, ints))
+    return [FieldMatrix._from_ints(phi.field, catalecticant(coeffs, rows, cols),
+                                   len(cols), L) for rows, cols in shapes]
 
 
 def build_p_r(phi: DualElement, n: int) -> Tuple[FieldMatrix, FieldMatrix]:
     """The two catalecticant matrices of a degree-(2n-1) dual element:
     p[i][j] = phi(x * m_i * m_j) over the degree-(n-1) monomial basis, the
-    degree-(n-1) catalecticant of x(phi); and r[i][j] = phi(m_i * m0_j) with
-    m0_j running over the degree-n monomials in y, z alone."""
+    catalecticant of phi on the rows x * m_i, which is the degree-(n-1)
+    catalecticant of x(phi); and r[i][j] = phi(m_i * m0_j) with m0_j
+    running over the degree-n monomials in y, z alone."""
     if phi.degree != 2 * n - 1:
         raise ValueError(f"expected degree {2 * n - 1}, got {phi.degree}")
     mid = monomials_of_degree(n - 1)
-    xphi = contract(Polynomial.variable(phi.field, "x"), phi)
-    return (_cat_matrix(xphi, mid, mid),
-            _cat_matrix(phi, mid, monomials_of_degree(n, x_free=True)))
+    return tuple(_catalecticants(phi, ([X * m for m in mid], mid),
+                                 (mid, monomials_of_degree(n, x_free=True))))
 
 
 @dataclass
@@ -169,8 +172,8 @@ def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
         raise ValueError(f"p is singular (rank {lin.p_rank}); "
                          "the reduced presentation needs an invertible p")
     n, tilde = lin.n, reduced_inverse_system(lin.phi)
-    r = _cat_matrix(tilde, monomials_of_degree(n - 1),
-                    monomials_of_degree(n, x_free=True))
+    r, = _catalecticants(tilde, (monomials_of_degree(n - 1),
+                                 monomials_of_degree(n, x_free=True)))
     return _assemble(tilde, n, lin.p, r, lin.p_inv, False)
 
 
@@ -242,8 +245,8 @@ def theta_matrices(phi: DualElement) -> Tuple[FieldMatrix, FieldMatrix]:
     pure y,z part of phi; it is the last n rows of r."""
     n = _infer_n(phi)
     fld = phi.field
-    T = _cat_matrix(phi, monomials_of_degree(n - 1, x_free=True),
-                    monomials_of_degree(n, x_free=True))
+    T, = _catalecticants(phi, (monomials_of_degree(n - 1, x_free=True),
+                               monomials_of_degree(n, x_free=True)))
     eye_n = FieldMatrix.identity(fld, n)
     eye_n1 = FieldMatrix.identity(fld, n + 1)
     theta1 = block([[eye_n, -T],
@@ -335,7 +338,7 @@ def proportionality_unit(row: PolyMatrix, base: PolyMatrix) -> Scalar:
     u, s = next(iter(base.slices.items()))
     j = next(j for j, x in enumerate(s[0]) if x)
     x_row = row.slices[u][0][j] if u in row.slices else 0
-    unit = base.field.of(Fraction(x_row * base.L, row.L * s[0][j]))
+    unit = base.field.from_int(x_row * base.L, row.L * s[0][j])
     if not unit:
         raise ProportionalityError("the unit is zero: the row vanishes where "
                                    "the base row does not")

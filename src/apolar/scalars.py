@@ -6,12 +6,17 @@ Every number in this package is either a ``fractions.Fraction`` or an
 carried by polynomials, dual elements and matrices so that mixed-field
 operations fail loudly instead of coercing.  Scalars are immutable, so each
 field stores its ``zero`` and ``one`` once and hands out the same objects.
+Each field owns the one int encoding of its scalars, which every matrix
+and int form is built on: ``to_ints`` writes scalars s as (L, ints), s =
+x / L, and ``from_int`` boxes x / L.  Over GF(p) the ints are the residues
+and L = 1; over Q, L is the least common denominator, so gcd(L, ints) = 1.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 DEFAULT_PRIME = 32003
 
@@ -172,6 +177,13 @@ class RationalField:
     def contains(self, s) -> bool:
         return isinstance(s, Fraction)
 
+    def to_ints(self, scalars: Sequence[Fraction]) -> Tuple[int, List[int]]:
+        L = math.lcm(*(s.denominator for s in scalars))
+        return L, [s.numerator * (L // s.denominator) for s in scalars]
+
+    def from_int(self, x: int, L: int) -> Fraction:
+        return Fraction(x, L)
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -219,6 +231,12 @@ class PrimeField:
 
     def contains(self, s) -> bool:
         return isinstance(s, FpElement) and s.p == self.p
+
+    def to_ints(self, scalars: Sequence[FpElement]) -> Tuple[int, List[int]]:
+        return 1, [s.value for s in scalars]
+
+    def from_int(self, x: int, L: int) -> FpElement:
+        return FpElement(x if L == 1 else x * pow(L, -1, self.p), self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

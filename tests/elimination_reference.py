@@ -23,7 +23,7 @@ def reference_product(a, b):
         a, b = as_poly_matrix(a), as_poly_matrix(b)
     assert a.cols == b.rows
     degree = a.degree + b.degree
-    zero = a._zero(degree)
+    zero = a._element(degree, {})
     out = []
     for row in a.entries:
         out_row = []

@@ -3,9 +3,12 @@ degree, the sum of the products of matching coefficients.  The package
 reads pairings off catalecticants; the tests check those entries, and the
 contraction, against this direct sum.  Also the coefficient vectors of
 forms on a list of monomials, and back, for the tests that build
-matrices entry by entry."""
+matrices entry by entry, and the catalecticants p, r, T, r~ and the
+``wlp_test`` matrix built as the package first built them: boxed
+coefficients, checked one by one by the ``FieldMatrix`` constructor."""
 
-from apolar import Polynomial
+from apolar import (FieldMatrix, Polynomial, contract, monomials_of_degree,
+                    reduced_inverse_system)
 
 
 def evaluate(w, u):
@@ -29,3 +32,30 @@ def from_coords(field, monos, coords):
     if len(coords) != len(monos):
         raise ValueError("coordinate vector has wrong length")
     return Polynomial(field, monos[0].degree, dict(zip(monos, coords)))
+
+
+def boxed_catalecticant(w, rows, cols):
+    """The matrix of the coefficients of w on the products rows x cols."""
+    return FieldMatrix(w.field, [[w.coefficient(a * b) for b in cols]
+                                 for a in rows], len(cols))
+
+
+def boxed_catalecticants(phi):
+    """p, r, T and r~ of a degree-(2n-1) phi: p that of x(phi) on the
+    degree-(n-1) monomials, r that of phi on those rows and the x-free
+    degree-n columns, T its x-free rows, r~ the r of the reduction."""
+    n = (phi.degree + 1) // 2
+    mid = monomials_of_degree(n - 1)
+    outer = monomials_of_degree(n, x_free=True)
+    xphi = contract(Polynomial.variable(phi.field, "x"), phi)
+    return (boxed_catalecticant(xphi, mid, mid),
+            boxed_catalecticant(phi, mid, outer),
+            boxed_catalecticant(phi, monomials_of_degree(n - 1, x_free=True),
+                                outer),
+            boxed_catalecticant(reduced_inverse_system(phi), mid, outer))
+
+
+def boxed_wlp_matrix(phi, ell):
+    """The catalecticant of ell(phi) on the degree-(s-1)/2 monomials."""
+    mid = monomials_of_degree((phi.degree - 1) // 2)
+    return boxed_catalecticant(contract(ell, phi), mid, mid)

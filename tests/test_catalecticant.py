@@ -10,6 +10,7 @@ presentation by a full rebuild."""
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,10 +20,11 @@ from apolar import (DualElement, FieldMatrix, LinearPresentation, Monomial,
                     build_p_r, catalecticant, contract, explicit_generators,
                     family_phi, invert, monomials_of_degree,
                     random_dual_element, reduced_inverse_system,
-                    reduced_presentation, theta_matrices)
+                    reduced_presentation, theta_matrices, wlp_test)
 from apolar.poly import MAX_DEGREE
 
-from pairing_reference import evaluate, from_coords, to_coords
+from pairing_reference import (boxed_catalecticants, boxed_wlp_matrix,
+                               evaluate, from_coords, to_coords)
 
 GF = PrimeField(32003)
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -69,9 +71,51 @@ def test_catalecticant_reads_products_with_the_given_zero():
     coeffs = {Monomial(2, 1, 0): 5, Monomial(0, 1, 2): 7}
     rows = [Monomial(1, 0, 0), Monomial(0, 0, 1)]
     cols = [Monomial(1, 1, 0), Monomial(0, 1, 1)]
-    assert catalecticant(coeffs, rows, cols, 0) == [[5, 0], [0, 7]]
-    assert catalecticant(coeffs, [], cols, 0) == []
-    assert catalecticant(coeffs, rows, [], None) == [[], []]
+    assert catalecticant(coeffs, rows, cols) == [[5, 0], [0, 7]]
+    assert catalecticant(coeffs, [], cols) == []
+    assert catalecticant(coeffs, rows, []) == [[], []]
+
+
+@st.composite
+def encoded_inverse_systems(draw):
+    """(n, phi, ell): phi of degree 2n - 1, n = 1..4, over Q with every
+    coefficient in (2/3)Z, so that a block whose entries are all integers
+    has its L reduced from 3 to 1, or over GF(3) or GF(32003); ell a
+    nonzero linear form."""
+    field = draw(st.sampled_from((QQ, PrimeField(3), GF)))
+    n = draw(st.integers(1, 4))
+    monos = monomials_of_degree(2 * n - 1)
+    scalar = (st.builds(lambda k: Fraction(2 * k, 3), st.integers(-20, 20))
+              if field is QQ else st.builds(field.of, st.integers(0, field.p - 1)))
+    values = draw(st.lists(scalar, min_size=len(monos), max_size=len(monos)))
+    ell = draw(st.lists(scalar, min_size=3, max_size=3).filter(any))
+    return (n, DualElement(field, 2 * n - 1, dict(zip(monos, values))),
+            Polynomial(field, 1, dict(zip(monomials_of_degree(1), ell))))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(encoded_inverse_systems())
+def test_int_built_catalecticants_equal_the_boxed_construction(case):
+    """p, r, T, r~ and the wlp matrix, read off the int form of phi, equal
+    the boxed construction of ``pairing_reference``, and each is in the
+    canonical form that the constructor builds from its entries."""
+    n, phi, ell = case
+    p, r = build_p_r(phi, n)
+    theta1, _ = theta_matrices(phi)
+    T = -theta1.take_rows(range(n)).take_cols(range(n, 2 * n + 1))
+    built = [p, r, T, wlp_test(phi, ell).matrix]
+    lin = build_linear_presentation(phi, with_pfaffian_row=False)
+    ref_p, ref_r, ref_T, ref_rt = boxed_catalecticants(phi)
+    refs = [ref_p, ref_r, ref_T, boxed_wlp_matrix(phi, ell)]
+    if lin.linearly_presented:
+        built.append(reduced_presentation(lin).r)
+        refs.append(ref_rt)
+    else:
+        assert build_p_r(reduced_inverse_system(phi), n)[1] == ref_rt
+    for m, ref in zip(built, refs):
+        assert m == ref
+    for m in built + [theta1]:
+        assert m == FieldMatrix(m.field, m.entries, m.cols)
 
 
 @SETTINGS

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -406,3 +408,43 @@ def test_a_report_on_stdout_is_the_file_report(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text == path.read_text() == json.dumps(
         family_phi(2).to_json_dict(), indent=2) + "\n"
+
+
+@pytest.fixture
+def huge_phi(tmp_path):
+    """An n = 2 phi over Q with 3000-digit numerators, under the default
+    limit of 4300 digits on int-to-str conversion: every coefficient
+    parses, but p^{-1}, c2 and the wlp determinant hold integers of more
+    digits than that."""
+    rng = random.Random(1)
+    phi = DualElement(apolar.QQ, 3, {
+        m: Fraction(rng.randrange(10 ** 2999, 10 ** 3000), rng.randrange(1, 10))
+        for m in apolar.monomials_of_degree(3)})
+    path = tmp_path / "huge.json"
+    path.write_text(phi.to_json())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield path
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [["resolve"], ["resolve", "--quiet", "--out"],
+                                  ["oracle", "--include-kernels", "--out"],
+                                  ["wlp", "--ell", "x", "--out"]],
+                         ids=" ".join)
+def test_an_integer_too_long_for_str_exits_1_without_a_report(
+        tmp_path, capsys, huge_phi, argv):
+    out = tmp_path / "report.json"
+    argv = argv + [str(out)] * (argv[-1] == "--out") + [str(huge_phi)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the result as text: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_commands_that_print_no_long_integer_pass_on_a_huge_phi(
+        capsys, huge_phi):
+    assert main(["resolve", "--quiet", str(huge_phi)]) == 0
+    assert main(["verify", str(huge_phi)]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")

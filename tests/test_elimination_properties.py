@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ, det,
                     invert, kernel, linalg, rank, residues)
-from apolar.scalars import FpElement
 from apolar.poly import Monomial, monomials_of_degree
 from elimination_reference import (reference_det, reference_inverse,
                                    reference_kernel, reference_product,
@@ -267,13 +266,13 @@ def test_rref_equals_the_boxed_reduction(m):
     reference d when the rows are independent."""
     red, pivots, d, last = linalg._rref_ints(linalg._int_rows(m), m.field)
     assert all(type(e) is int for r in red for e in r)
-    red = [[linalg._scalar(m.field, e, last) for e in r] for r in red]
+    red = [[m.field.from_int(e, last) for e in r] for r in red]
     ref_red, ref_pivots, ref_d = reference_rref(m.entries, m.field)
     assert pivots == ref_pivots
     assert red == ref_red
     assert all(type(e) is type(m.field.one) for r in red for e in r)
     if len(pivots) == m.rows:
-        assert linalg._scalar(m.field, d, m.L ** m.rows) == ref_d
+        assert m.field.from_int(d, m.L ** m.rows) == ref_d
 
 
 @SETTINGS
@@ -291,21 +290,19 @@ def test_rank_kernel_det_inverse_equal_the_reference(m):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_kernel_and_invert_box_only_what_they_read(field, monkeypatch):
-    """Every scalar that ``linalg`` boxes is built by its ``Fraction`` or
-    ``FpElement``; counting those calls shows that a product, ``rank`` and
+    """Every scalar that ``linalg`` boxes is built by the field's
+    ``from_int``; counting those calls shows that a product, ``rank`` and
     ``invert`` box nothing, that ``kernel`` boxes exactly rank x free-column
     entries, that ``.entries`` boxes the nonzero entries once and keeps
     them, and that ``to_strings`` boxes nothing."""
     boxed = []
+    from_int = type(field).from_int
 
-    def counting(cls):
-        def build(*args):
-            boxed.append(args)
-            return cls(*args)
-        return build
+    def counting(self, *args):
+        boxed.append(args)
+        return from_int(self, *args)
 
-    monkeypatch.setattr(linalg, "Fraction", counting(Fraction))
-    monkeypatch.setattr(linalg, "FpElement", counting(FpElement))
+    monkeypatch.setattr(type(field), "from_int", counting)
     # rank 3 with 7 columns: 4 free columns, 3 pivot entries each
     thin = FieldMatrix(field, [[field.of(i * j % 5 + (i == j)) for j in range(3)]
                                for i in range(4)])

@@ -1,12 +1,17 @@
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolar import (FieldMismatchError, FpElement, PrimeField, QQ,
                     field_from_tag)
-from apolar.scalars import is_prime
+from apolar.scalars import MILLER_RABIN_BOUND, is_prime
+
+LARGEST_PROVEN_PRIME = next(n for n in range(MILLER_RABIN_BOUND - 1, 2, -1)
+                            if is_prime(n))
 
 
 def test_rational_arithmetic():
@@ -117,3 +122,48 @@ def test_field_from_tag():
         field_from_tag("Fp:abc")
     with pytest.raises(ValueError):
         field_from_tag("R")
+
+
+ENCODING_FIELDS = (QQ, PrimeField(3), PrimeField(32003), PrimeField(2 ** 61 - 1),
+                   PrimeField(LARGEST_PROVEN_PRIME))
+
+
+@st.composite
+def scalar_lists(draw):
+    """A field and a list of its scalars: over Q with negative values, zero
+    and denominators, over GF(p) any residue."""
+    field = draw(st.sampled_from(ENCODING_FIELDS))
+    if field is QQ:
+        scalar = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                           st.integers(1, 10 ** 6))
+    else:
+        scalar = st.builds(field.of, st.integers(0, field.p - 1))
+    return field, draw(st.lists(scalar | st.just(field.zero), max_size=12))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(scalar_lists())
+def test_the_int_encoding_round_trips(case):
+    """from_int(x, L) gives back each scalar of to_ints; L = 1 over GF(p),
+    where the ints are the residues, and gcd(L, all ints) = 1 over Q."""
+    field, scalars = case
+    L, ints = field.to_ints(scalars)
+    assert len(ints) == len(scalars) and all(type(x) is int for x in ints)
+    back = [field.from_int(x, L) for x in ints]
+    assert back == scalars
+    assert all(field.contains(s) for s in back)
+    if field is QQ:
+        assert L >= 1 and math.gcd(L, *ints) == 1
+    else:
+        assert L == 1 and all(0 <= x < field.p for x in ints)
+
+
+@pytest.mark.parametrize("field", ENCODING_FIELDS, ids=repr)
+def test_the_int_encoding_of_no_scalar(field):
+    assert field.to_ints([]) == (1, [])
+
+
+def test_from_int_divides_by_L_in_every_field():
+    assert QQ.from_int(-4, 6) == Fraction(-2, 3)
+    F = PrimeField(7)
+    assert F.from_int(3, 5) == F.of(3) / F.of(5)

@@ -101,11 +101,16 @@ def _write_json(data: dict, path: Optional[str], timestamp: bool) -> None:
 @contextlib.contextmanager
 def _as_text():
     """``str`` of an int of more digits than ``sys.get_int_max_str_digits()``
-    raises ValueError: a CliError here, before any report file is opened."""
+    raises ValueError: a CliError here, before any report file is opened.
+    The message keeps Python's first clause and names the knobs a shell
+    user has, not the ``sys`` call."""
     try:
         yield
     except ValueError as exc:
-        raise CliError(f"cannot write the result as text: {exc}") from exc
+        raise CliError(
+            "cannot write the result as text: "
+            f"{str(exc).partition(';')[0]}; set PYTHONINTMAXSTRDIGITS or "
+            "pass -X int_max_str_digits to raise the limit") from exc
 
 
 def _print_matrix(name: str, m, clear_denominators: bool) -> None:

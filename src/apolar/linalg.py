@@ -5,9 +5,9 @@ negation, product, scaling, equality, row and column selection, the zero
 test, the text form and stacking.  Its two kinds differ only in their
 entries.  A FieldMatrix holds scalars, which count as forms of degree 0; a
 PolyMatrix holds homogeneous polynomials that all share one declared
-degree.  A sum or product that meets both kinds is a PolyMatrix; only the
-sum promotes the scalar operand with ``as_poly_matrix``, a re-tag that
-boxes nothing, and stacking refuses to mix them.
+degree.  A sum or product that meets both kinds is a PolyMatrix, built
+from the slices, which carry no kind; stacking refuses to mix them.
+``times_monomial(u)`` is u times a matrix of either kind, a PolyMatrix.
 
 A matrix M stores plain ints: L M = sum_u u C_u, one int matrix C_u (a
 "slice") per monomial u that occurs, rows of ints, on the field's int
@@ -56,7 +56,8 @@ from itertools import chain, islice
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import Monomial, ONE, Polynomial, parse_polynomial
+from .poly import (DualElement, Monomial, ONE, Polynomial, catalecticant,
+                   parse_polynomial)
 from .residues import product as _product, rref_mod as _rref_mod
 from .scalars import Field, FieldMismatchError, Scalar
 
@@ -178,22 +179,27 @@ class Matrix:
                                 getattr(self.field, "p", 0)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        a, b = self, other
-        if isinstance(self._kind(other), PolyMatrix):
-            a, b = as_poly_matrix(self), as_poly_matrix(other)
-        if (a.rows, a.cols) != (b.rows, b.cols):
+        kind = self._kind(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
-        if a.degree != b.degree:
+        if self.degree != other.degree:
             raise ValueError("degree mismatch in matrix sum")
-        L = math.lcm(a.L, b.L)
-        fa, fb = L // a.L, L // b.L
-        out = {u: _scaled_slice(s, fa) for u, s in a.slices.items()}
-        for u, s in b.slices.items():
+        L = math.lcm(self.L, other.L)
+        fa, fb = L // self.L, L // other.L
+        out = {u: _scaled_slice(s, fa) for u, s in self.slices.items()}
+        for u, s in other.slices.items():
             acc = out.get(u)
             s = _scaled_slice(s, fb)
             out[u] = s if acc is None else [list(map(add, r1, r2))
                                             for r1, r2 in zip(acc, s)]
-        return a._result(a.degree, a.rows, a.cols, L, out, reduce=True)
+        return kind._result(self.degree, self.rows, self.cols, L, out,
+                            reduce=True)
+
+    def times_monomial(self, m: Monomial) -> "PolyMatrix":
+        """m times the matrix, a PolyMatrix: each slice moves to u * m."""
+        return PolyMatrix._from_slices(
+            self.field, self.degree + m.degree, self.rows, self.cols, self.L,
+            {u * m: s for u, s in self.slices.items()})
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -344,11 +350,6 @@ class PolyMatrix(Matrix):
     def _affixes(self, name: str) -> Tuple[str, str]:
         return "(", ")" + name
 
-    def times_monomial(self, m: Monomial) -> "PolyMatrix":
-        return PolyMatrix._from_slices(
-            self.field, self.degree + m.degree, self.rows, self.cols, self.L,
-            {u * m: s for u, s in self.slices.items()})
-
     @classmethod
     def from_strings(cls, field: Field, degree: int,
                      rows: Sequence[Sequence[str]]) -> "PolyMatrix":
@@ -358,14 +359,6 @@ class PolyMatrix(Matrix):
     def __repr__(self):
         return (f"PolyMatrix({self.rows}x{self.cols}, degree {self.degree} "
                 f"over {self.field!r})")
-
-
-def as_poly_matrix(m: Matrix) -> PolyMatrix:
-    """Promote a scalar matrix to a degree-0 polynomial matrix, a re-tag of
-    its slices; a PolyMatrix passes through unchanged."""
-    if isinstance(m, PolyMatrix):
-        return m
-    return PolyMatrix._from_slices(m.field, 0, m.rows, m.cols, m.L, m.slices)
 
 
 def _stack_kind(mats: Sequence[Matrix]) -> Matrix:
@@ -406,6 +399,15 @@ def vstack(*mats: Matrix) -> Matrix:
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
     return vstack(*[hstack(*row) for row in grid])
+
+
+def catalecticants(phi: DualElement, *shapes) -> List[FieldMatrix]:
+    """The catalecticants of phi on (rows, columns) pairs of monomial lists,
+    read off one int form of phi (``Field.to_ints``) with its L."""
+    L, ints = phi.field.to_ints(list(phi.coeffs.values()))
+    coeffs = dict(zip(phi.coeffs, ints))
+    return [FieldMatrix._from_ints(phi.field, catalecticant(coeffs, rows, cols),
+                                   len(cols), L) for rows, cols in shapes]
 
 
 # ---------------------------------------------------------------------------

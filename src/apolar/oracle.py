@@ -13,8 +13,9 @@ read off one form, so it is the boxed row times a nonzero factor, which
 keeps the rank and the kernel.  That one form feeds the containment
 products (the coefficient rows of the generators of one degree times the
 catalecticant of phi), the rows mod ``CERTIFICATE_PRIME`` and the exact
-rows, which ``linalg.rank`` and ``linalg.kernel`` take as they are
-(``FieldMatrix._from_ints``); the ``wlp_test`` matrix keeps the denominator.
+rows, which ``linalg.rank`` takes as they are (``FieldMatrix._from_ints``).
+The annihilator kernels and the ``wlp_test`` matrix are catalecticants
+from ``linalg.catalecticants``, which keeps the denominator.
 
 Over Q, the ideal-equality certificate first ranks its matrices modulo one
 prime, ``CERTIFICATE_PRIME``: reducing an integer matrix mod a prime can
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import FieldMatrix
+from .linalg import FieldMatrix, catalecticants
 from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
                    monomials_of_degree)
 from .residues import product
@@ -132,9 +133,7 @@ def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
     cols = monomials_of_degree(d)
     if d > phi.degree:
         return [Polynomial.monomial(fld, m) for m in cols]
-    matrix = FieldMatrix._from_ints(fld, catalecticant(
-        _int_form(phi)[1], monomials_of_degree(phi.degree - d), cols),
-        len(cols))
+    matrix, = catalecticants(phi, (monomials_of_degree(phi.degree - d), cols))
     return [Polynomial._trusted(fld, d, {u: c for u, c in zip(cols, v) if c})
             for v in linalg.kernel(matrix)]
 
@@ -352,10 +351,7 @@ def wlp_test(phi: DualElement, ell: Polynomial) -> LefschetzReport:
     if s % 2 == 0:
         raise ValueError(f"socle degree must be odd, got {s}")
     mid = monomials_of_degree((s - 1) // 2)
-    w = contract(ell, phi)
-    L, ints = w.field.to_ints(list(w.coeffs.values()))
-    matrix = FieldMatrix._from_ints(
-        w.field, catalecticant(dict(zip(w.coeffs, ints)), mid, mid), len(mid), L)
+    matrix, = catalecticants(contract(ell, phi), (mid, mid))
     d = linalg.det(matrix)
     return LefschetzReport(ell, matrix, d, d != phi.field.zero)
 

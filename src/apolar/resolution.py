@@ -3,17 +3,18 @@ system.
 
 Given a dual element ``phi`` of odd degree 2n-1, the linear path resolves
 R/I for I = ann(x(phi)): two catalecticant matrices are read off the int
-form of phi by ``poly.catalecticant``, p of x(phi) and r of phi, and when p
-is invertible the alternating linear presentation matrix
+form of phi by ``linalg.catalecticants``, p of x(phi) and r of phi, and when
+p is invertible the alternating linear presentation matrix
 
     b2 = [[ x*A' , x*B1 + B2 ],
           [ -(x*B1 + B2)^T , x*(D0 - D0^T) ]]
 
-is assembled from exact blocks of r^T p^{-1} r, r^T p^{-1} and p^{-1}.  The
-row of signed maximal-order Pfaffians of b2 generates I, and so does the
-explicit row read off p^{-1} and r.  Dropping the pure y,z part of phi
-keeps p, so ``reduced_presentation`` builds the presentation of the
-reduction from the same p^{-1} and a rebuilt r.
+is assembled from exact blocks of r^T p^{-1} r, r^T p^{-1} and p^{-1}, each
+shifted by a monomial (``Matrix.times_monomial``), so no polynomial is
+boxed.  The row of signed maximal-order Pfaffians of b2 generates I, and
+so does the explicit row read off p^{-1} and r.  Dropping the pure y,z
+part of phi keeps p, so ``reduced_presentation`` builds the presentation
+of the reduction from the same p^{-1} and a rebuilt r.
 
 When n is even and A' is invertible, the quadratic path resolves
 R/J for J = ann(phi): c2 = B^T (A')^{-1} B + x*D is an alternating matrix of
@@ -68,9 +69,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .linalg import FieldMatrix, PolyMatrix, as_poly_matrix, block, hstack
-from .poly import (DualElement, Polynomial, X, catalecticant,
-                   monomials_of_degree)
+from .linalg import FieldMatrix, PolyMatrix, block, catalecticants, hstack
+from .poly import ONE, DualElement, X, Y, Z, monomials_of_degree
 from .scalars import Field, Scalar
 
 
@@ -85,14 +85,6 @@ def _infer_n(phi: DualElement) -> int:
     return (phi.degree + 1) // 2
 
 
-def _catalecticants(phi: DualElement, *shapes) -> List[FieldMatrix]:
-    """The catalecticants of phi on (rows, columns) pairs, from its int form."""
-    L, ints = phi.field.to_ints(list(phi.coeffs.values()))
-    coeffs = dict(zip(phi.coeffs, ints))
-    return [FieldMatrix._from_ints(phi.field, catalecticant(coeffs, rows, cols),
-                                   len(cols), L) for rows, cols in shapes]
-
-
 def build_p_r(phi: DualElement, n: int) -> Tuple[FieldMatrix, FieldMatrix]:
     """The two catalecticant matrices of a degree-(2n-1) dual element:
     p[i][j] = phi(x * m_i * m_j) over the degree-(n-1) monomial basis, the
@@ -102,8 +94,8 @@ def build_p_r(phi: DualElement, n: int) -> Tuple[FieldMatrix, FieldMatrix]:
     if phi.degree != 2 * n - 1:
         raise ValueError(f"expected degree {2 * n - 1}, got {phi.degree}")
     mid = monomials_of_degree(n - 1)
-    return tuple(_catalecticants(phi, ([X * m for m in mid], mid),
-                                 (mid, monomials_of_degree(n, x_free=True))))
+    return tuple(catalecticants(phi, ([X * m for m in mid], mid),
+                                (mid, monomials_of_degree(n, x_free=True))))
 
 
 @dataclass
@@ -142,11 +134,10 @@ def _eps(n: int) -> int:
 
 def _b2_lower_shift(field: Field, n: int) -> PolyMatrix:
     """The n x (n+1) constant-free block [z I_n | 0] - [0 | y I_n]."""
-    y, z = (Polynomial.variable(field, v) for v in "yz")
-    zero = Polynomial.zero(field, 1)
-    return PolyMatrix(field, 1, [
-        [z if j == i else -y if j == i + 1 else zero for j in range(n + 1)]
-        for i in range(n)])
+    eye = FieldMatrix.identity(field, n)
+    zero_col = FieldMatrix.zeros(field, n, 1)
+    return (hstack(eye, zero_col).times_monomial(Z)
+            - hstack(zero_col, eye).times_monomial(Y))
 
 
 def build_linear_presentation(phi: DualElement,
@@ -172,8 +163,8 @@ def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
         raise ValueError(f"p is singular (rank {lin.p_rank}); "
                          "the reduced presentation needs an invertible p")
     n, tilde = lin.n, reduced_inverse_system(lin.phi)
-    r, = _catalecticants(tilde, (monomials_of_degree(n - 1),
-                                 monomials_of_degree(n, x_free=True)))
+    r, = catalecticants(tilde, (monomials_of_degree(n - 1),
+                                monomials_of_degree(n, x_free=True)))
     return _assemble(tilde, n, lin.p, r, lin.p_inv, False)
 
 
@@ -193,10 +184,10 @@ def _assemble(phi: DualElement, n: int, p: FieldMatrix, r: FieldMatrix,
     corner = p_inv.take_rows(range(N - n, N)).take_cols(range(N - n, N))
     D0 = block([[FieldMatrix.zeros(fld, n, 1), corner],
                 [FieldMatrix.zeros(fld, 1, n + 1)]])
-    A = as_poly_matrix(A_prime).times_monomial(X)
+    A = A_prime.times_monomial(X)
     B2 = _b2_lower_shift(fld, n)
-    B = as_poly_matrix(B1).times_monomial(X) + B2
-    D = as_poly_matrix(D0 - D0.transpose()).times_monomial(X)
+    B = B1.times_monomial(X) + B2
+    D = (D0 - D0.transpose()).times_monomial(X)
     b2 = block([[A, B], [-B.transpose(), D]])
     row = explicit_generators(p_inv, rtp)
     b1 = None
@@ -215,19 +206,20 @@ def explicit_generators(p_inv: FieldMatrix, rtp: FieldMatrix) -> PolyMatrix:
     monomials come last, the p^{-1}(nu) are the last n columns of p^{-1},
     and mu(phi) is the column phi(m_i * mu) of r, so the p^{-1}(mu(phi))
     are the columns of p^{-1} r = (r^T p^{-1})^T, p being symmetric; rtp is
-    r^T p^{-1}.  The row is one product,
-    xm [p^{-1}[:, N-n:] | -rtp^T] + [0 | mu], xm being the row of the x m_i.
+    r^T p^{-1}.  So the row is sum_i u_i c_i, c_i row i of
+    [[p^{-1}[:, N-n:], -rtp^T], [0, I_{n+1}]] and u_i the i-th of
+    x m_1, ..., x m_N, mu_1, ..., mu_{n+1}: row i is the slice of u_i.
     ``LinearPresentation.generator_row`` keeps this row."""
     fld = p_inv.field
     n = rtp.rows - 1
     N = p_inv.rows
-    xm = PolyMatrix(fld, n, [[Polynomial.monomial(fld, X * m)
-                              for m in monomials_of_degree(n - 1)]])
-    mus = PolyMatrix(fld, n, [[Polynomial.zero(fld, n)] * n
-                              + [Polynomial.monomial(fld, m)
-                                 for m in monomials_of_degree(n, x_free=True)]])
-    images = hstack(p_inv.take_cols(range(N - n, N)), -rtp.transpose())
-    return xm @ images + mus
+    images = block([[p_inv.take_cols(range(N - n, N)), -rtp.transpose()],
+                    [FieldMatrix.zeros(fld, n + 1, n),
+                     FieldMatrix.identity(fld, n + 1)]])
+    monos = ([X * m for m in monomials_of_degree(n - 1)]
+             + monomials_of_degree(n, x_free=True))
+    return PolyMatrix._from_slices(fld, n, 1, 2 * n + 1, images.L, {
+        u: [c] for u, c in zip(monos, images.slices[ONE]) if any(c)})
 
 
 def reduced_inverse_system(phi: DualElement) -> DualElement:
@@ -245,8 +237,8 @@ def theta_matrices(phi: DualElement) -> Tuple[FieldMatrix, FieldMatrix]:
     pure y,z part of phi; it is the last n rows of r."""
     n = _infer_n(phi)
     fld = phi.field
-    T, = _catalecticants(phi, (monomials_of_degree(n - 1, x_free=True),
-                               monomials_of_degree(n, x_free=True)))
+    T, = catalecticants(phi, (monomials_of_degree(n - 1, x_free=True),
+                              monomials_of_degree(n, x_free=True)))
     eye_n = FieldMatrix.identity(fld, n)
     eye_n1 = FieldMatrix.identity(fld, n + 1)
     theta1 = block([[eye_n, -T],

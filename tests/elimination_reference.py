@@ -3,7 +3,7 @@ one field operation at a time, for checking the plain-int kernels of
 ``apolar.linalg`` against the straightforward loops.
 
 - ``reference_product(a, b)``: the triple loop over entries, for scalar and
-  form matrices alike (a mixed pair is promoted with ``as_poly_matrix``).
+  form matrices alike (a mixed pair is promoted with ``times_monomial(ONE)``).
 - ``reference_rref(entries, field)``: the reduced row echelon form, with the
   first nonzero pivot in column order, as (rows, pivot columns, d), d the
   product of the pivots times the sign of the row swaps.
@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from apolar import FieldMatrix, PolyMatrix, as_poly_matrix
+from apolar import FieldMatrix, PolyMatrix
+from apolar.poly import ONE
 
 
 def reference_product(a, b):
     if type(a) is not type(b):
-        a, b = as_poly_matrix(a), as_poly_matrix(b)
+        a, b = a.times_monomial(ONE), b.times_monomial(ONE)
     assert a.cols == b.rows
     degree = a.degree + b.degree
     zero = a._element(degree, {})

@@ -440,6 +440,8 @@ def test_an_integer_too_long_for_str_exits_1_without_a_report(
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write the result as text: ")
     assert err.count("\n") == 1
+    assert "PYTHONINTMAXSTRDIGITS" in err and "-X int_max_str_digits" in err
+    assert "set_int_max_str_digits" not in err
     assert not out.exists()
 
 

@@ -97,18 +97,12 @@ def products(draw):
 @SETTINGS
 @given(products())
 def test_product_equals_the_boxed_triple_loop(pair):
-    """Also: @ calls no as_poly_matrix, the result has the kind of the form
-    operand, and every entry of a form product has the declared degree,
-    zero or not, and stores only nonzero coefficients of the field's own
-    scalar type."""
+    """Also: the result has the kind of the form operand, and every entry
+    of a form product has the declared degree, zero or not, and stores only
+    nonzero coefficients of the field's own scalar type."""
     a, b = pair
     expected = reference_product(a, b)
-
-    def refuse(m):
-        raise AssertionError("as_poly_matrix called by @")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "as_poly_matrix", refuse)
-        out = a @ b
+    out = a @ b
     assert out == expected
     assert type(out) is type(expected)
     one = type(a.field.one)
@@ -166,10 +160,9 @@ def test_sums_that_reach_the_slot_bound(case):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
 def test_a_product_multiplies_only_the_nonzero_entries(field, monkeypatch):
-    """The selector row of ``explicit_generators``, the N degree-2
-    monomials in one row, times an N x 3 matrix: each of its N slices
-    holds a single 1, so the product takes N big-int products, one per
-    nonzero entry, where a dense product would take N^2."""
+    """The row of the N degree-2 monomials times an N x 3 matrix: each of
+    its N slices holds a single 1, so the product takes N big-int products,
+    one per nonzero entry, where a dense product would take N^2."""
     monos = monomials_of_degree(2)
     xm = PolyMatrix(field, 2, [[Polynomial.monomial(field, m) for m in monos]])
     images = FieldMatrix(field, [[i + j - 3 for j in range(3)]

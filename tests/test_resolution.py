@@ -12,6 +12,7 @@ from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix, Polynomial,
                     monomials_of_degree, proportionality_unit, quadratic_betti,
                     random_dual_element, reduced_inverse_system, resolution,
                     resolution_report, theta_conjugation_check, theta_matrices)
+from apolar.poly import _CoeffMap
 
 import golden_family as golden
 from pairing_reference import evaluate
@@ -252,23 +253,31 @@ def test_generators_are_the_explicit_row(n2, monkeypatch):
     pytest.param(random_dual_element(GF, 7, random.Random(4)), id="gf-4")])
 def test_presentations_and_report_box_no_polynomial(phi, monkeypatch):
     """Every Polynomial that a matrix boxes goes through
-    ``Polynomial._trusted``; the Pfaffian rows, the explicit row, the two
-    checks on them and the report all work on slices, so building both
-    presentations and the report calls it not once."""
-    boxed = []
-    original = Polynomial._trusted
+    ``Polynomial._trusted``, and every other one through
+    ``_CoeffMap.__init__``; the blocks of b2, the Pfaffian rows, the
+    explicit row, the two checks on them and the report all work on
+    slices, so building both presentations and the report calls neither
+    for a Polynomial."""
+    boxed, constructed = [], []
+    original, init = Polynomial._trusted, _CoeffMap.__init__
 
     def counting(cls, *args):
         boxed.append(args)
         return original(*args)
 
+    def counting_init(self, *args):
+        constructed.append(type(self))
+        init(self, *args)
+
     monkeypatch.setattr(Polynomial, "_trusted", classmethod(counting))
+    monkeypatch.setattr(_CoeffMap, "__init__", counting_init)
     lin = build_linear_presentation(phi)
     quad = build_quadratic_presentation(lin)
     assert quad.quadratically_presented
     assert claim_factorization_check(lin, quad)
     resolution_report(lin, quad)
     assert boxed == []
+    assert constructed.count(Polynomial) == 0
     # a read boxes each entry once, so the count above would see it
     assert len(lin.b1.entries[0]) == len(boxed) == lin.b1.cols
 

@@ -3,16 +3,17 @@
 ``perfbench/reference/apolar`` is the package as it was when the benchmark
 was added.  ``benchlib.reference.load_reference`` imports it as
 ``apolar_reference``, here with no bytecode written next to it.  On random
-inverse systems with n <= 4 over Q, GF(3), GF(5), GF(7), GF(101) and
-GF(32003), the commands below must give the same exit code, standard
-output and report bytes in both packages: ``resolve`` (with a report, and
-with its matrices printed over cleared denominators), ``verify``,
-``oracle --include-kernels`` and ``wlp --ell x+2*y``, the last two with a
-report, so every report shape is written by both JSON writers.
+inverse systems with n <= 4 over Q, GF(3), GF(5), GF(7), GF(101),
+GF(32003), GF(2^61 - 1) and GF(2^64 + 13), the commands below must give
+the same exit code, standard output and report bytes in both packages:
+``resolve`` (with a report, and with its matrices printed over cleared
+denominators), ``verify``, ``oracle --include-kernels`` and
+``wlp --ell x+2*y``, the last two with a report, so every report shape is
+written by both JSON writers.
 
 The seed expands its Pfaffians by minors, exponentially in n, so n stays at
-most 4.  The module runs in under 15 s (9.5-10.5 s on a 2-core x86-64 VM,
-against 7.4 s before ``oracle`` and ``wlp`` joined).
+most 4.  The module runs in under 15 s (10.0-13.5 s on a 2-core x86-64 VM,
+against 9.4-9.9 s before the two large primes joined).
 """
 
 import json
@@ -30,7 +31,8 @@ if str(PERFBENCH) not in sys.path:
 
 from benchlib.reference import load_reference  # noqa: E402
 
-FIELDS = ("Q", "Fp:3", "Fp:5", "Fp:7", "Fp:101", "Fp:32003")
+FIELDS = ("Q", "Fp:3", "Fp:5", "Fp:7", "Fp:101", "Fp:32003",
+          "Fp:2305843009213693951", "Fp:18446744073709551629")
 COMMANDS = (["resolve", "--no-timestamp", "--out"],
             ["resolve", "--clear-denominators", "--quiet"],
             ["verify"],

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ,
-                    as_poly_matrix, assert_alternating, block, hstack, linalg,
-                    vstack)
+                    assert_alternating, block, hstack, linalg, vstack)
 from apolar.poly import ONE, Monomial, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(3), PrimeField(32003))
@@ -133,12 +132,12 @@ def test_unary_operations_equal_the_entrywise_reference(case, data):
         [x for row in E for e in row for x in e.coeffs.values()]
     assert a.L == (1 if field is not QQ else
                    math.lcm(*(x.denominator for x in coeffs)))
-    promoted = as_poly_matrix(a)
+    promoted = a.times_monomial(ONE)
     if degree is None:
         assert_result(promoted, [[Polynomial(field, 0, {ONE: e} if e else {})
                                   for e in row] for row in E])
     else:
-        assert promoted is a
+        assert promoted == a
         u = data.draw(st.sampled_from(monomials_of_degree(1) + [ONE]))
         factor = Polynomial.monomial(field, u)
         shifted = a.times_monomial(u)
@@ -154,9 +153,9 @@ def test_sums_equal_the_entrywise_reference(case):
     assert_result(a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)])
     assert_result(a - b, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)])
     if degree is None:
-        mixed = a + as_poly_matrix(b)
+        mixed = a + b.times_monomial(ONE)
         assert isinstance(mixed, PolyMatrix)
-        assert mixed == as_poly_matrix(a + b)
+        assert mixed == (a + b).times_monomial(ONE)
 
 
 @SETTINGS

@@ -6,9 +6,9 @@ from .scalars import (DEFAULT_PRIME, FieldMismatchError, FpElement, PrimeField,
 from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
                    format_terms, monomials_of_degree, parse_linear_form,
                    parse_polynomial, random_dual_element)
-from .linalg import (FieldMatrix, InversionResult, Matrix, PolyMatrix,
-                     assert_alternating, block, det, hstack, invert,
-                     is_alternating, kernel, pfaffian, rank, vstack)
+from .linalg import (InversionResult, Matrix, assert_alternating, block, det,
+                     hstack, invert, is_alternating, kernel, pfaffian, rank,
+                     vstack)
 from .resolution import (LinearPresentation, ProportionalityError,
                          QuadraticPresentation, build_linear_presentation,
                          build_p_r, build_quadratic_presentation,

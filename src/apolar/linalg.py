@@ -1,13 +1,12 @@
-"""Dense exact matrices over a field and over the polynomial ring.
+"""Dense exact matrices over a field, whose entries are forms of one degree.
 
-``Matrix`` holds the matrix algebra once: transpose, sum, difference,
-negation, product, scaling, equality, row and column selection, the zero
-test, the text form and stacking.  Its two kinds differ only in their
-entries.  A FieldMatrix holds scalars, which count as forms of degree 0; a
-PolyMatrix holds homogeneous polynomials that all share one declared
-degree.  A sum or product that meets both kinds is a PolyMatrix, built
-from the slices, which carry no kind; stacking refuses to mix them.
-``times_monomial(u)`` is u times a matrix of either kind, a PolyMatrix.
+``Matrix`` is the one matrix class: a matrix over one field whose entries
+are homogeneous forms in x, y, z of one ``degree``, degree 0 meaning
+scalars.  It holds the algebra: transpose, sum, difference, negation,
+product, scaling, equality, row and column selection, the zero test, the
+text form and stacking.  Sums and stacking take one field and one degree;
+a product adds the degrees, and ``times_monomial(u)`` is u times the
+matrix, of degree ``degree + deg u``.
 
 A matrix M stores plain ints: L M = sum_u u C_u, one int matrix C_u (a
 "slice") per monomial u that occurs, rows of ints, on the field's int
@@ -15,8 +14,8 @@ encoding (``Field.to_ints``): over GF(p), L = 1 and the slices hold
 residues in [0, p); over Q, L is the least common denominator of the
 entries, so gcd(L, all ints) = 1.  No all-zero slice is kept, so the form
 is canonical and equality compares (field, degree, shape, L, slices).  The
-public constructors validate boxed entries and compute the slices once;
-``FieldMatrix._from_ints`` takes ints and their L.  Every operation builds
+constructor validates boxed entries and computes the slices once;
+``Matrix._from_ints`` takes ints and their L.  Every operation builds
 its result from the slices, with no validation, taking it back to the
 canonical form after every sum, product and selection.  The slices are
 never changed in place, so results share rows freely.  ``entries`` is a
@@ -41,6 +40,7 @@ answer.  The reduced rows stay ints: ``kernel`` boxes only the free
 columns, and ``invert`` returns its slices over the last pivot, boxing
 nothing.  The rank takes the same loops forward only, on whichever of M
 and M^T has fewer rows.  A zero-row matrix keeps its column count.
+Elimination takes matrices of scalars: it refuses degree >= 1.
 
 ``pfaffian`` takes the Pfaffian of an alternating matrix of scalars by one
 skew elimination with 2 x 2 pivots.  No Pfaffian of forms is computed:
@@ -86,16 +86,8 @@ def _scaled_slice(s: List[List[int]], f: int) -> List[List[int]]:
 
 class Matrix:
     """A rectangular matrix over one field whose entries are forms of one
-    degree, stored as L M = sum_u u C_u (see the module docstring): the
-    attributes ``L`` and ``slices`` = {u: C_u}.  Each kind supplies two
-    hooks:
-
-    - ``_element(degree, coeffs)``: the degree-``degree`` entry whose
-      nonzero coefficients are the {monomial: scalar} map ``coeffs``, the
-      zero entry when it is empty;
-    - ``_affixes(name)``: the texts around a coefficient in the term of
-      the monomial named ``name``.
-
+    ``degree``, degree 0 meaning scalars, stored as L M = sum_u u C_u (see
+    the module docstring): the attributes ``L`` and ``slices`` = {u: C_u}.
     Entries are zero exactly when they are falsy."""
 
     field: Field
@@ -105,20 +97,75 @@ class Matrix:
     L: int
     slices: Slices
 
+    def __init__(self, field: Field, entries: Sequence[Sequence],
+                 cols: Optional[int] = None, degree: int = 0):
+        """``cols`` fixes the width; it is needed only when there are no
+        rows, and is otherwise the length of the first row.  An entry is a
+        ``Polynomial`` of this degree or zero, or, at degree 0 only, a
+        scalar of the field or an int or Fraction that it takes."""
+        rows = [list(r) for r in entries]
+        width = _width(rows, cols)
+        boxed: dict = {}
+        for i, r in enumerate(rows):
+            for j, e in enumerate(r):
+                if isinstance(e, Polynomial):
+                    if e.field != field:
+                        raise FieldMismatchError("entry in a different field")
+                    if e and e.degree != degree:
+                        raise ValueError(
+                            f"entry of degree {e.degree} in a degree-{degree} matrix")
+                    terms = e.coeffs.items()
+                elif degree:
+                    raise TypeError(f"scalar entry in a degree-{degree} matrix")
+                else:
+                    terms = [(ONE, e if field.contains(e) else field.of(e))]
+                for u, c in terms:
+                    if u not in boxed:
+                        boxed[u] = [[field.zero] * width for _ in rows]
+                    boxed[u][i][j] = c
+        self.field, self.degree, self.rows, self.cols = field, degree, len(rows), width
+        self.L, self.slices = _int_slices(field, boxed)
+        self._entries = None
+
     @classmethod
     def _from_slices(cls, field: Field, degree: int, rows: int, cols: int,
-                     L: int, slices: Slices):
+                     L: int, slices: Slices) -> "Matrix":
         """The matrix with these canonical slices, built without any check."""
         m = cls.__new__(cls)
         m.field, m.degree, m.rows, m.cols = field, degree, rows, cols
         m.L, m.slices, m._entries = L, slices, None
         return m
 
+    @classmethod
+    def _from_ints(cls, field: Field, rows: List[List[int]], cols: int,
+                   L: int = 1) -> "Matrix":
+        """The matrix of the scalars x / L on the field's encoding, x the
+        ints of ``rows``, unchecked and made canonical by ``_result``."""
+        return cls.zeros(field, 0, cols)._result(0, len(rows), cols, L,
+                                                 {ONE: rows})
+
+    @classmethod
+    def zeros(cls, field: Field, rows: int, cols: int,
+              degree: int = 0) -> "Matrix":
+        return cls._from_slices(field, degree, rows, cols, 1, {})
+
+    @classmethod
+    def identity(cls, field: Field, n: int) -> "Matrix":
+        return cls._from_ints(field, [[int(i == j) for j in range(n)]
+                                      for i in range(n)], n)
+
+    @classmethod
+    def from_strings(cls, field: Field, rows: Sequence[Sequence[str]],
+                     degree: int = 0) -> "Matrix":
+        """Each entry by ``parse_polynomial``: a scalar is a form of degree 0."""
+        return cls(field, [[parse_polynomial(text, field) for text in r]
+                           for r in rows], degree=degree)
+
     def _result(self, degree: int, rows: int, cols: int, L: int,
                 slices: Slices, reduce: bool = False) -> "Matrix":
-        """A matrix of self's kind from slices taken to the canonical form:
-        over GF(p) the residues (reduced mod p first when ``reduce``) and
-        L = 1; over Q, L > 0 and L / g with every numerator divided by
+        """A matrix over self's field from slices taken to the canonical
+        form: over GF(p) the residues (reduced mod p first when ``reduce``)
+        and L = 1; over Q, L > 0 and L / g with every numerator divided by
         g = gcd(L, all numerators).  All-zero slices are dropped."""
         p = getattr(self.field, "p", None)
         if p and reduce:
@@ -132,7 +179,7 @@ class Matrix:
                 slices = {u: [[x // g for x in r] for r in s]
                           for u, s in slices.items()}
             L //= g
-        return type(self)._from_slices(self.field, degree, rows, cols, L, slices)
+        return self._from_slices(self.field, degree, rows, cols, L, slices)
 
     @property
     def entries(self) -> list:
@@ -144,7 +191,8 @@ class Matrix:
 
     def _box(self) -> list:
         """Each entry from the {monomial: scalar} map of its nonzero
-        coefficients, each boxed once as x / L."""
+        coefficients, each boxed once as x / L: a scalar at degree 0 and a
+        ``Polynomial`` above it, the one place an entry's type is decided."""
         maps = [[{} for _ in range(self.cols)] for _ in range(self.rows)]
         box, L = self.field.from_int, self.L
         for u, s in self.slices.items():
@@ -152,34 +200,33 @@ class Matrix:
                 for c, x in zip(row, ints):
                     if x:
                         c[u] = box(x, L)
-        return [[self._element(self.degree, c) for c in row] for row in maps]
-
-    def _kind(self, other: "Matrix") -> "Matrix":
-        """The operand whose kind the sum or product of self and other
-        takes: the PolyMatrix one, if either is."""
-        if self.field != other.field:
-            raise FieldMismatchError("matrices live in different fields")
-        return other if isinstance(other, PolyMatrix) else self
+        if self.degree:
+            return [[Polynomial._trusted(self.field, self.degree, c)
+                     for c in row] for row in maps]
+        zero = self.field.zero
+        return [[c.get(ONE, zero) for c in row] for row in maps]
 
     def transpose(self) -> "Matrix":
-        return type(self)._from_slices(
+        return self._from_slices(
             self.field, self.degree, self.cols, self.rows, self.L,
             {u: [list(c) for c in zip(*s)] for u, s in self.slices.items()})
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """(L_a A)(L_b B) = sum_(u,v) uv C_u D_v by ``residues.product``,
-        with a scalar operand's single slice C_1, over L_a L_b."""
-        kind = self._kind(other)
+        over L_a L_b, of degree the sum of the degrees."""
+        if self.field != other.field:
+            raise FieldMismatchError("matrices live in different fields")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        return kind._result(self.degree + other.degree, self.rows, other.cols,
+        return self._result(self.degree + other.degree, self.rows, other.cols,
                             self.L * other.L, _product(
                                 self.slices, other.slices, other.cols,
                                 getattr(self.field, "p", 0)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        kind = self._kind(other)
+        if self.field != other.field:
+            raise FieldMismatchError("matrices live in different fields")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
         if self.degree != other.degree:
@@ -192,12 +239,12 @@ class Matrix:
             s = _scaled_slice(s, fb)
             out[u] = s if acc is None else [list(map(add, r1, r2))
                                             for r1, r2 in zip(acc, s)]
-        return kind._result(self.degree, self.rows, self.cols, L, out,
+        return self._result(self.degree, self.rows, self.cols, L, out,
                             reduce=True)
 
-    def times_monomial(self, m: Monomial) -> "PolyMatrix":
-        """m times the matrix, a PolyMatrix: each slice moves to u * m."""
-        return PolyMatrix._from_slices(
+    def times_monomial(self, m: Monomial) -> "Matrix":
+        """m times the matrix: each slice moves to u * m."""
+        return self._from_slices(
             self.field, self.degree + m.degree, self.rows, self.cols, self.L,
             {u * m: s for u, s in self.slices.items()})
 
@@ -256,7 +303,7 @@ class Matrix:
 
         texts = [[""] * self.cols] * self.rows
         for u in sorted(self.slices, key=Monomial.sort_key):
-            a, b = self._affixes(str(u))
+            a, b = ("", "") if u == ONE else ("(", f"){u}")
             s = self.slices[u]
             if L != 1:
                 s = [[x and scalar(x) for x in r] for r in s]
@@ -264,126 +311,35 @@ class Matrix:
                       for t, x in zip(ts, r)] for ts, r in zip(texts, s)]
         return [[t or "0" for t in ts] for ts in texts]
 
-
-class FieldMatrix(Matrix):
-    """A rectangular matrix of scalars from one field."""
-
-    degree = 0
-
-    def __init__(self, field: Field, entries: Sequence[Sequence],
-                 cols: Optional[int] = None):
-        """``cols`` fixes the width; it is needed only when there are no
-        rows, and is otherwise the length of the first row."""
-        rows = [[e if field.contains(e) else field.of(e) for e in r]
-                for r in entries]
-        self.field, self.rows, self.cols = field, len(rows), _width(rows, cols)
-        self.L, self.slices = _int_slices(field, {ONE: rows})
-        self._entries = rows
-
-    @classmethod
-    def _from_ints(cls, field: Field, rows: List[List[int]], cols: int,
-                   L: int = 1) -> "FieldMatrix":
-        """The matrix of the scalars x / L on the field's encoding, x the
-        ints of ``rows``, unchecked and made canonical by ``_result``."""
-        return cls.zeros(field, 0, cols)._result(0, len(rows), cols, L,
-                                                 {ONE: rows})
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "FieldMatrix":
-        return cls._from_ints(field, [[int(i == j) for j in range(n)]
-                                      for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "FieldMatrix":
-        return cls._from_slices(field, 0, rows, cols, 1, {})
-
-    def _element(self, degree: int, coeffs: dict) -> Scalar:
-        return coeffs.get(ONE, self.field.zero)
-
-    def _affixes(self, name: str) -> Tuple[str, str]:
-        return "", ""
-
-    @classmethod
-    def from_strings(cls, field: Field, rows: Sequence[Sequence[str]]) -> "FieldMatrix":
-        return cls(field, [[field.parse(e) for e in r] for r in rows])
-
     def __repr__(self):
-        return f"FieldMatrix({self.rows}x{self.cols} over {self.field!r})"
-
-
-class PolyMatrix(Matrix):
-    """A rectangular matrix of homogeneous polynomials sharing one degree."""
-
-    def __init__(self, field: Field, degree: int,
-                 entries: Sequence[Sequence[Polynomial]],
-                 cols: Optional[int] = None):
-        """``cols`` fixes the width, as for ``FieldMatrix``."""
-        rows = [list(r) for r in entries]
-        width = _width(rows, cols)
-        boxed: dict = {}
-        for i, r in enumerate(rows):
-            for j, e in enumerate(r):
-                if not isinstance(e, Polynomial):
-                    raise TypeError("PolyMatrix entries must be Polynomial")
-                if e.field != field:
-                    raise FieldMismatchError("entry in a different field")
-                if e.is_zero:
-                    r[j] = Polynomial.zero(field, degree)
-                elif e.degree != degree:
-                    raise ValueError(
-                        f"entry of degree {e.degree} in a degree-{degree} matrix")
-                for u, c in e.coeffs.items():
-                    if u not in boxed:
-                        boxed[u] = [[field.zero] * width for _ in rows]
-                    boxed[u][i][j] = c
-        self.field, self.degree, self.rows, self.cols = field, degree, len(rows), width
-        self.L, self.slices = _int_slices(field, boxed)
-        self._entries = rows
-
-    @classmethod
-    def zeros(cls, field: Field, degree: int, rows: int, cols: int) -> "PolyMatrix":
-        return cls._from_slices(field, degree, rows, cols, 1, {})
-
-    def _element(self, degree: int, coeffs: dict) -> Polynomial:
-        return Polynomial._trusted(self.field, degree, coeffs)
-
-    def _affixes(self, name: str) -> Tuple[str, str]:
-        return "(", ")" + name
-
-    @classmethod
-    def from_strings(cls, field: Field, degree: int,
-                     rows: Sequence[Sequence[str]]) -> "PolyMatrix":
-        return cls(field, degree, [[parse_polynomial(text, field) for text in r]
-                                   for r in rows])
-
-    def __repr__(self):
-        return (f"PolyMatrix({self.rows}x{self.cols}, degree {self.degree} "
+        return (f"Matrix({self.rows}x{self.cols}, degree {self.degree} "
                 f"over {self.field!r})")
 
 
-def _stack_kind(mats: Sequence[Matrix]) -> Matrix:
+def _stacked(mats: Sequence[Matrix]) -> Matrix:
+    """The first of mats, once all are over its field and of its degree."""
     first = mats[0]
     for m in mats[1:]:
-        if type(m) is not type(first) or m.field != first.field:
-            raise TypeError("cannot stack matrices of different kinds/fields")
+        if m.field != first.field:
+            raise FieldMismatchError("cannot stack matrices over different fields")
         if m.degree != first.degree:
-            raise ValueError("cannot stack polynomial matrices of different degrees")
+            raise ValueError("cannot stack matrices of different degrees")
     return first
 
 
 def hstack(*mats: Matrix) -> Matrix:
-    first = _stack_kind(mats)
+    first = _stacked(mats)
     if any(m.rows != first.rows for m in mats):
         raise ValueError("row count mismatch in hstack")
     return vstack(*[m.transpose() for m in mats]).transpose()
 
 
 def vstack(*mats: Matrix) -> Matrix:
-    """The rows of mats, all of one kind, over the LCM of their L: for each
-    monomial, each block's slice (scaled to the common L) or zeros.  The
-    LCM of canonical denominators keeps the form canonical, and a slice
-    that occurs is nonzero."""
-    first = _stack_kind(mats)
+    """The rows of mats, of one field and degree, over the LCM of their L:
+    for each monomial, each block's slice (scaled to the common L) or
+    zeros.  The LCM of canonical denominators keeps the form canonical, and
+    a slice that occurs is nonzero."""
+    first = _stacked(mats)
     if any(m.cols != first.cols for m in mats):
         raise ValueError("column count mismatch in vstack")
     L = math.lcm(*(m.L for m in mats))
@@ -392,21 +348,20 @@ def vstack(*mats: Matrix) -> Matrix:
         slices[u] = [r for m in mats for r in (
             _scaled_slice(m.slices[u], L // m.L) if u in m.slices
             else [[0] * m.cols] * m.rows)]
-    return type(first)._from_slices(first.field, first.degree,
-                                    sum(m.rows for m in mats), first.cols, L,
-                                    slices)
+    return first._from_slices(first.field, first.degree,
+                              sum(m.rows for m in mats), first.cols, L, slices)
 
 
 def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
     return vstack(*[hstack(*row) for row in grid])
 
 
-def catalecticants(phi: DualElement, *shapes) -> List[FieldMatrix]:
+def catalecticants(phi: DualElement, *shapes) -> List[Matrix]:
     """The catalecticants of phi on (rows, columns) pairs of monomial lists,
     read off one int form of phi (``Field.to_ints``) with its L."""
     L, ints = phi.field.to_ints(list(phi.coeffs.values()))
     coeffs = dict(zip(phi.coeffs, ints))
-    return [FieldMatrix._from_ints(phi.field, catalecticant(coeffs, rows, cols),
+    return [Matrix._from_ints(phi.field, catalecticant(coeffs, rows, cols),
                                    len(cols), L) for rows, cols in shapes]
 
 
@@ -471,8 +426,11 @@ def _rref_ints(rows: List[List[int]], field: Field
     return red, pivots, d, red[0][pivots[0]] if pivots else 1
 
 
-def _int_rows(m: FieldMatrix) -> List[List[int]]:
-    """A fresh copy of the rows of L m, for the in-place eliminations."""
+def _int_rows(m: Matrix) -> List[List[int]]:
+    """A fresh copy of the rows of L m, for the in-place eliminations,
+    which take matrices of scalars only."""
+    if m.degree:
+        raise TypeError("elimination takes a matrix of scalars")
     s = m.slices.get(ONE)
     return ([list(r) for r in s] if s is not None
             else [[0] * m.cols for _ in range(m.rows)])
@@ -492,14 +450,14 @@ def _rank_mod(rows: List[List[int]], q: int) -> int:
                          full=False)[1])
 
 
-def rank(m: FieldMatrix) -> int:
+def rank(m: Matrix) -> int:
     """By forward elimination on the int rows of L m."""
     if getattr(m.field, "p", None):
         return _rank_mod(_int_rows(m), m.field.p)
     return len(_rref_int(_shorter(_int_rows(m)), full=False)[1])
 
 
-def kernel(m: FieldMatrix) -> List[List[Scalar]]:
+def kernel(m: Matrix) -> List[List[Scalar]]:
     """A basis of the right null space; empty iff full column rank.
 
     Deterministic: one basis vector per free column f, in column order, with
@@ -519,7 +477,7 @@ def kernel(m: FieldMatrix) -> List[List[Scalar]]:
     return basis
 
 
-def det(m: FieldMatrix) -> Scalar:
+def det(m: Matrix) -> Scalar:
     """From the int rows of L m: det m = det(L m) / L^n."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -534,7 +492,7 @@ class InversionResult:
     """Outcome of an exact inversion attempt.  Singularity is a meaningful
     result, not an exception: callers branch on ``invertible``."""
 
-    inverse: Optional[FieldMatrix]
+    inverse: Optional[Matrix]
     rank: int
 
     @property
@@ -542,7 +500,7 @@ class InversionResult:
         return self.inverse is not None
 
 
-def invert(m: FieldMatrix) -> InversionResult:
+def invert(m: Matrix) -> InversionResult:
     """Gauss-Jordan on [L m | I], whose reduced right half X is last times
     (L m)^{-1}: m^{-1} = L X / last, stored as those slices, made
     canonical.  Nothing is boxed."""
@@ -585,10 +543,10 @@ def is_alternating(m: Matrix) -> bool:
     return True
 
 
-def pfaffian(m: FieldMatrix) -> Scalar:
+def pfaffian(m: Matrix) -> Scalar:
     """Exact Pfaffian of an alternating matrix of scalars; sign fixed by
     Pf([[0, a], [-a, 0]]) = a, and odd sizes give 0.  Raises ValueError on
-    a non-alternating matrix and TypeError on a PolyMatrix: the package
+    a non-alternating matrix and TypeError at degree >= 1: the package
     takes Pfaffians of constant matrices only (``resolution`` reads the
     Pfaffian rows of its matrices of forms off the explicit row).
 
@@ -598,7 +556,7 @@ def pfaffian(m: FieldMatrix) -> Scalar:
     Pf([[P, B], [-B^T, C]]) = Pf(P) Pf(C + B^T P^{-1} B) with Pf(P) = p,
     what is left becomes a[i][j] + (a[k+1][i] a[k][j] - a[k][i] a[k+1][j]) / p.
     A row with no such j has Pf = 0."""
-    if not isinstance(m, FieldMatrix):
+    if m.degree:
         raise TypeError("pfaffian takes a matrix of scalars")
     assert_alternating(m)
     size, zero = m.rows, m.field.zero

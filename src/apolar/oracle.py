@@ -13,7 +13,7 @@ read off one form, so it is the boxed row times a nonzero factor, which
 keeps the rank and the kernel.  That one form feeds the containment
 products (the coefficient rows of the generators of one degree times the
 catalecticant of phi), the rows mod ``CERTIFICATE_PRIME`` and the exact
-rows, which ``linalg.rank`` takes as they are (``FieldMatrix._from_ints``).
+rows, which ``linalg.rank`` takes as they are (``Matrix._from_ints``).
 The annihilator kernels and the ``wlp_test`` matrix are catalecticants
 from ``linalg.catalecticants``, which keeps the denominator.
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import FieldMatrix, catalecticants
+from .linalg import Matrix, catalecticants
 from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
                    monomials_of_degree)
 from .residues import product
@@ -110,7 +110,7 @@ def _exact_rank(fld: Field, rows: List[List[int]]) -> int:
     """The rank over ``fld`` of int rows read off int forms."""
     if not rows:
         return 0
-    return linalg.rank(FieldMatrix._from_ints(fld, rows, len(rows[0])))
+    return linalg.rank(Matrix._from_ints(fld, rows, len(rows[0])))
 
 
 def _tail_quotient_dim(s: int, a: Optional[int], d: int) -> Optional[int]:
@@ -320,7 +320,7 @@ class LefschetzReport:
     """The multiplication-pairing determinant test for a linear form."""
 
     ell: Polynomial
-    matrix: FieldMatrix
+    matrix: Matrix
     determinant: Scalar
     verdict: bool
     note: str = ("a nonzero determinant also certifies that the annihilator "

@@ -11,7 +11,9 @@ p is invertible the alternating linear presentation matrix
 
 is assembled from exact blocks of r^T p^{-1} r, r^T p^{-1} and p^{-1}, each
 shifted by a monomial (``Matrix.times_monomial``), so no polynomial is
-boxed.  The row of signed maximal-order Pfaffians of b2 generates I, and
+boxed.  Every matrix here is a ``linalg.Matrix`` of forms of one degree:
+p, r, p^{-1} and the exact blocks have degree 0, b2 degree 1 and c2
+degree 2.  The row of signed maximal-order Pfaffians of b2 generates I, and
 so does the explicit row read off p^{-1} and r.  Dropping the pure y,z
 part of phi keeps p, so ``reduced_presentation`` builds the presentation
 of the reduction from the same p^{-1} and a rebuilt r.
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .linalg import FieldMatrix, PolyMatrix, block, catalecticants, hstack
+from .linalg import Matrix, block, catalecticants, hstack
 from .poly import ONE, DualElement, X, Y, Z, monomials_of_degree
 from .scalars import Field, Scalar
 
@@ -85,7 +87,7 @@ def _infer_n(phi: DualElement) -> int:
     return (phi.degree + 1) // 2
 
 
-def build_p_r(phi: DualElement, n: int) -> Tuple[FieldMatrix, FieldMatrix]:
+def build_p_r(phi: DualElement, n: int) -> Tuple[Matrix, Matrix]:
     """The two catalecticant matrices of a degree-(2n-1) dual element:
     p[i][j] = phi(x * m_i * m_j) over the degree-(n-1) monomial basis, the
     catalecticant of phi on the rows x * m_i, which is the degree-(n-1)
@@ -108,23 +110,23 @@ class LinearPresentation:
     n: int
     field: Field
     phi: DualElement
-    p: FieldMatrix
-    r: FieldMatrix
+    p: Matrix
+    r: Matrix
     p_rank: int
     linearly_presented: bool
-    p_inv: Optional[FieldMatrix] = None
-    A0: Optional[FieldMatrix] = None
-    A_prime: Optional[FieldMatrix] = None
-    B0: Optional[FieldMatrix] = None
-    B1: Optional[FieldMatrix] = None
-    B2: Optional[PolyMatrix] = None
-    D0: Optional[FieldMatrix] = None
-    A: Optional[PolyMatrix] = None
-    B: Optional[PolyMatrix] = None
-    D: Optional[PolyMatrix] = None
-    b2: Optional[PolyMatrix] = None
-    b1: Optional[PolyMatrix] = None
-    generator_row: Optional[PolyMatrix] = None
+    p_inv: Optional[Matrix] = None
+    A0: Optional[Matrix] = None
+    A_prime: Optional[Matrix] = None
+    B0: Optional[Matrix] = None
+    B1: Optional[Matrix] = None
+    B2: Optional[Matrix] = None
+    D0: Optional[Matrix] = None
+    A: Optional[Matrix] = None
+    B: Optional[Matrix] = None
+    D: Optional[Matrix] = None
+    b2: Optional[Matrix] = None
+    b1: Optional[Matrix] = None
+    generator_row: Optional[Matrix] = None
 
 
 def _eps(n: int) -> int:
@@ -132,10 +134,10 @@ def _eps(n: int) -> int:
     return -1 if n * (n - 1) // 2 % 2 else 1
 
 
-def _b2_lower_shift(field: Field, n: int) -> PolyMatrix:
+def _b2_lower_shift(field: Field, n: int) -> Matrix:
     """The n x (n+1) constant-free block [z I_n | 0] - [0 | y I_n]."""
-    eye = FieldMatrix.identity(field, n)
-    zero_col = FieldMatrix.zeros(field, n, 1)
+    eye = Matrix.identity(field, n)
+    zero_col = Matrix.zeros(field, n, 1)
     return (hstack(eye, zero_col).times_monomial(Z)
             - hstack(zero_col, eye).times_monomial(Y))
 
@@ -168,8 +170,8 @@ def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
     return _assemble(tilde, n, lin.p, r, lin.p_inv, False)
 
 
-def _assemble(phi: DualElement, n: int, p: FieldMatrix, r: FieldMatrix,
-              p_inv: FieldMatrix, with_pfaffian_row: bool) -> LinearPresentation:
+def _assemble(phi: DualElement, n: int, p: Matrix, r: Matrix,
+              p_inv: Matrix, with_pfaffian_row: bool) -> LinearPresentation:
     """The exact blocks, b2, the explicit generator row g and (if asked) b1
     from p, r and p^{-1}: b1 = eps_n g once g b2 = 0, else None."""
     fld = phi.field
@@ -179,11 +181,11 @@ def _assemble(phi: DualElement, n: int, p: FieldMatrix, r: FieldMatrix,
     A0 = rtpr.deleted(rows=[n], cols=[0])
     A_prime = A0 - A0.transpose()
     B0 = rtp.take_cols(range(N - n, N))
-    zero_col = FieldMatrix.zeros(fld, n, 1)
+    zero_col = Matrix.zeros(fld, n, 1)
     B1 = hstack(zero_col, B0.deleted(rows=[n])) - hstack(B0.deleted(rows=[0]), zero_col)
     corner = p_inv.take_rows(range(N - n, N)).take_cols(range(N - n, N))
-    D0 = block([[FieldMatrix.zeros(fld, n, 1), corner],
-                [FieldMatrix.zeros(fld, 1, n + 1)]])
+    D0 = block([[Matrix.zeros(fld, n, 1), corner],
+                [Matrix.zeros(fld, 1, n + 1)]])
     A = A_prime.times_monomial(X)
     B2 = _b2_lower_shift(fld, n)
     B = B1.times_monomial(X) + B2
@@ -197,7 +199,7 @@ def _assemble(phi: DualElement, n: int, p: FieldMatrix, r: FieldMatrix,
                               B0, B1, B2, D0, A, B, D, b2, b1, row)
 
 
-def explicit_generators(p_inv: FieldMatrix, rtp: FieldMatrix) -> PolyMatrix:
+def explicit_generators(p_inv: Matrix, rtp: Matrix) -> Matrix:
     """The 2n+1 degree-n generators of ann(x(phi)) written directly, without
     Pfaffians, as a 1 x (2n+1) matrix: first x * p^{-1}(nu) for nu running
     over the dual basis of the degree-(n-1) monomials in y, z; then
@@ -214,11 +216,11 @@ def explicit_generators(p_inv: FieldMatrix, rtp: FieldMatrix) -> PolyMatrix:
     n = rtp.rows - 1
     N = p_inv.rows
     images = block([[p_inv.take_cols(range(N - n, N)), -rtp.transpose()],
-                    [FieldMatrix.zeros(fld, n + 1, n),
-                     FieldMatrix.identity(fld, n + 1)]])
+                    [Matrix.zeros(fld, n + 1, n),
+                     Matrix.identity(fld, n + 1)]])
     monos = ([X * m for m in monomials_of_degree(n - 1)]
              + monomials_of_degree(n, x_free=True))
-    return PolyMatrix._from_slices(fld, n, 1, 2 * n + 1, images.L, {
+    return Matrix._from_slices(fld, n, 1, 2 * n + 1, images.L, {
         u: [c] for u, c in zip(monos, images.slices[ONE]) if any(c)})
 
 
@@ -230,7 +232,7 @@ def reduced_inverse_system(phi: DualElement) -> DualElement:
                        {m: c for m, c in phi.coeffs.items() if m.a > 0})
 
 
-def theta_matrices(phi: DualElement) -> Tuple[FieldMatrix, FieldMatrix]:
+def theta_matrices(phi: DualElement) -> Tuple[Matrix, Matrix]:
     """The constant unipotent change-of-basis pair linking the presentations
     built from phi and from its reduction.  The off-diagonal block T, the
     catalecticant of phi on x-free rows and columns, sees only the dropped
@@ -239,11 +241,11 @@ def theta_matrices(phi: DualElement) -> Tuple[FieldMatrix, FieldMatrix]:
     fld = phi.field
     T, = catalecticants(phi, (monomials_of_degree(n - 1, x_free=True),
                               monomials_of_degree(n, x_free=True)))
-    eye_n = FieldMatrix.identity(fld, n)
-    eye_n1 = FieldMatrix.identity(fld, n + 1)
+    eye_n = Matrix.identity(fld, n)
+    eye_n1 = Matrix.identity(fld, n + 1)
     theta1 = block([[eye_n, -T],
-                    [FieldMatrix.zeros(fld, n + 1, n), eye_n1]])
-    theta2 = block([[eye_n, FieldMatrix.zeros(fld, n, n + 1)],
+                    [Matrix.zeros(fld, n + 1, n), eye_n1]])
+    theta2 = block([[eye_n, Matrix.zeros(fld, n, n + 1)],
                     [T.transpose(), eye_n1]])
     return theta1, theta2
 
@@ -277,9 +279,9 @@ class QuadraticPresentation:
     quadratically_presented: bool
     a_prime_rank: int
     note: str = ""
-    c2: Optional[PolyMatrix] = None
-    c1: Optional[PolyMatrix] = None
-    generators: Optional[PolyMatrix] = None
+    c2: Optional[Matrix] = None
+    c1: Optional[Matrix] = None
+    generators: Optional[Matrix] = None
     unit: Optional[Scalar] = None
     a_prime_pfaffian: Optional[Scalar] = None
 
@@ -318,7 +320,7 @@ def build_quadratic_presentation(lin: LinearPresentation) -> QuadraticPresentati
                                  gens, unit, pf)
 
 
-def proportionality_unit(row: PolyMatrix, base: PolyMatrix) -> Scalar:
+def proportionality_unit(row: Matrix, base: Matrix) -> Scalar:
     """The unit u with row = u * base, for two 1 x k matrices: found from
     one nonzero coefficient of base and checked by one matrix comparison.
     Inconsistency, and a zero u, are hard errors since they signal a

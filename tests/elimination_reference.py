@@ -2,8 +2,9 @@
 one field operation at a time, for checking the plain-int kernels of
 ``apolar.linalg`` against the straightforward loops.
 
-- ``reference_product(a, b)``: the triple loop over entries, for scalar and
-  form matrices alike (a mixed pair is promoted with ``times_monomial(ONE)``).
+- ``reference_product(a, b)``: the triple loop over entries, for matrices
+  of any degrees (when the product has degree >= 1, a scalar entry c of a
+  degree-0 factor enters as the form c * 1).
 - ``reference_rref(entries, field)``: the reduced row echelon form, with the
   first nonzero pivot in column order, as (rows, pivot columns, d), d the
   product of the pivots times the sign of the row swaps.
@@ -15,30 +16,34 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from apolar import FieldMatrix, PolyMatrix
+from apolar import Matrix, Polynomial
 from apolar.poly import ONE
 
 
+def _entries(m, degree: int) -> List[list]:
+    """m's entries, scalars as forms of degree 0 when ``degree`` >= 1."""
+    if m.degree or not degree:
+        return m.entries
+    return [[Polynomial(m.field, 0, {ONE: e}) for e in r] for r in m.entries]
+
+
 def reference_product(a, b):
-    if type(a) is not type(b):
-        a, b = a.times_monomial(ONE), b.times_monomial(ONE)
     assert a.cols == b.rows
     degree = a.degree + b.degree
-    zero = a._element(degree, {})
+    zero = Polynomial.zero(a.field, degree) if degree else a.field.zero
+    b_entries = _entries(b, degree)
     out = []
-    for row in a.entries:
+    for row in _entries(a, degree):
         out_row = []
         for j in range(b.cols):
             acc = zero
-            for x, b_row in zip(row, b.entries):
+            for x, b_row in zip(row, b_entries):
                 y = b_row[j]
                 if x and y:
                     acc = acc + x * y
             out_row.append(acc)
         out.append(out_row)
-    if isinstance(a, PolyMatrix):
-        return PolyMatrix(a.field, degree, out, b.cols)
-    return FieldMatrix(a.field, out, b.cols)
+    return Matrix(a.field, out, b.cols, degree)
 
 
 def reference_rref(entries: List[list], field):
@@ -70,11 +75,11 @@ def reference_rref(entries: List[list], field):
     return entries, pivots, d
 
 
-def reference_rank(m: FieldMatrix) -> int:
+def reference_rank(m: Matrix) -> int:
     return len(reference_rref(m.entries, m.field)[1])
 
 
-def reference_kernel(m: FieldMatrix) -> List[list]:
+def reference_kernel(m: Matrix) -> List[list]:
     field = m.field
     red, pivots, _ = reference_rref(m.entries, field)
     out = []
@@ -89,16 +94,16 @@ def reference_kernel(m: FieldMatrix) -> List[list]:
     return out
 
 
-def reference_det(m: FieldMatrix):
+def reference_det(m: Matrix):
     _, pivots, d = reference_rref(m.entries, m.field)
     return d if len(pivots) == m.rows else m.field.zero
 
 
-def reference_inverse(m: FieldMatrix) -> Optional[FieldMatrix]:
+def reference_inverse(m: Matrix) -> Optional[Matrix]:
     field, n = m.field, m.rows
     aug = [list(r) + [field.one if j == i else field.zero for j in range(n)]
            for i, r in enumerate(m.entries)]
     red, pivots, _ = reference_rref(aug, field)
     if sum(1 for c in pivots if c < n) < n:
         return None
-    return FieldMatrix(field, [row[n:] for row in red], n)
+    return Matrix(field, [row[n:] for row in red], n)

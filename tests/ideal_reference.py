@@ -5,7 +5,7 @@ phi.  Kept only as a reference for tests; nothing here is modular.
 """
 
 from apolar import linalg
-from apolar.linalg import FieldMatrix
+from apolar.linalg import Matrix
 from apolar.oracle import DegreeVerdict
 from apolar.poly import Polynomial, contract, monomials_of_degree
 
@@ -20,7 +20,7 @@ def annihilator_degree(phi, d):
     if d > s:
         return [Polynomial.monomial(fld, m) for m in cols]
     rows = monomials_of_degree(s - d)
-    matrix = FieldMatrix(fld, [[phi.coefficient(mr * mc) for mc in cols]
+    matrix = Matrix(fld, [[phi.coefficient(mr * mc) for mc in cols]
                                for mr in rows])
     return [from_coords(fld, cols, v) for v in linalg.kernel(matrix)]
 
@@ -43,7 +43,7 @@ def ideal_equality_check(gens, phi, max_degree=None):
                 contained = False
             for m in monomials_of_degree(d - g.degree):
                 stacked.append(to_coords(Polynomial.monomial(fld, m) * g, basis))
-        dim_span = linalg.rank(FieldMatrix(fld, stacked)) if stacked else 0
+        dim_span = linalg.rank(Matrix(fld, stacked)) if stacked else 0
         dim_ann = len(annihilator_degree(phi, d))
         verdicts.append(DegreeVerdict(d, dim_span, dim_ann, contained,
                                       contained and dim_span == dim_ann))
@@ -68,5 +68,5 @@ def generator_counts(phi, max_degree=None):
         basis = monomials_of_degree(d)
         stacked = [to_coords(v * f, basis)
                    for f in kernels[d - 1] for v in variables]
-        counts.append(len(ker) - linalg.rank(FieldMatrix(fld, stacked)))
+        counts.append(len(ker) - linalg.rank(Matrix(fld, stacked)))
     return counts

@@ -5,9 +5,9 @@ contraction, against this direct sum.  Also the coefficient vectors of
 forms on a list of monomials, and back, for the tests that build
 matrices entry by entry, and the catalecticants p, r, T, r~ and the
 ``wlp_test`` matrix built as the package first built them: boxed
-coefficients, checked one by one by the ``FieldMatrix`` constructor."""
+coefficients, checked one by one by the ``Matrix`` constructor."""
 
-from apolar import (FieldMatrix, Polynomial, contract, monomials_of_degree,
+from apolar import (Matrix, Polynomial, contract, monomials_of_degree,
                     reduced_inverse_system)
 
 
@@ -36,7 +36,7 @@ def from_coords(field, monos, coords):
 
 def boxed_catalecticant(w, rows, cols):
     """The matrix of the coefficients of w on the products rows x cols."""
-    return FieldMatrix(w.field, [[w.coefficient(a * b) for b in cols]
+    return Matrix(w.field, [[w.coefficient(a * b) for b in cols]
                                  for a in rows], len(cols))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from apolar import PolyMatrix, Polynomial, assert_alternating, det, pfaffian
+from apolar import Polynomial, assert_alternating, det, pfaffian
 from apolar.poly import ONE
 
 MAX_ORDER = 12
@@ -24,13 +24,13 @@ def _is_zero(e) -> bool:
 
 
 def _ring_one(m):
-    if isinstance(m, PolyMatrix):
+    if m.degree:
         return Polynomial(m.field, 0, {ONE: m.field.one})
     return m.field.one
 
 
 def _ring_zero(m, degree: int):
-    if isinstance(m, PolyMatrix):
+    if m.degree:
         return Polynomial.zero(m.field, degree)
     return m.field.zero
 
@@ -43,7 +43,7 @@ def _pfaffian_on(m, indices: Tuple[int, ...], memo: Dict[Tuple[int, ...], object
     if cached is not None:
         return cached
     i0, rest = indices[0], indices[1:]
-    acc = _ring_zero(m, (len(indices) // 2) * getattr(m, "degree", 0))
+    acc = _ring_zero(m, (len(indices) // 2) * m.degree)
     for k, j in enumerate(rest):
         e = m.entries[i0][j]
         if _is_zero(e):
@@ -63,7 +63,7 @@ def _check(m, order: int) -> None:
 def reference_pfaffian(m):
     _check(m, m.rows)
     if m.rows % 2:
-        return _ring_zero(m, (m.rows // 2) * getattr(m, "degree", 0))
+        return _ring_zero(m, (m.rows // 2) * m.degree)
     return _pfaffian_on(m, tuple(range(m.rows)), {})
 
 

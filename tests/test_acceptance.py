@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix, Polynomial,
-                    PrimeField, QQ, annihilator_degree,
+from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
+                    QQ, annihilator_degree,
                     build_linear_presentation, build_p_r,
                     build_quadratic_presentation, claim_factorization_check,
                     contract, det,
@@ -68,17 +68,17 @@ def test_criterion_1_golden_n2():
         phi, lin, quad = build_family(2)
         p, r = build_p_r(phi, 2)
         elapsed = time.perf_counter() - t0
-        assert p == FieldMatrix(QQ, golden.P_N2)
-        assert r == FieldMatrix(QQ, golden.R_N2)
+        assert p == Matrix(QQ, golden.P_N2)
+        assert r == Matrix(QQ, golden.R_N2)
         assert lin.p == p and lin.r == r
         assert lin.p_inv.scaled(golden.P_INV_N2_FACTOR) == \
-            FieldMatrix(QQ, golden.P_INV_N2)
-        assert lin.A_prime == FieldMatrix(QQ, golden.A_PRIME_N2)
-        assert lin.B == PolyMatrix.from_strings(QQ, 1, golden.B_N2)
+            Matrix(QQ, golden.P_INV_N2)
+        assert lin.A_prime == Matrix(QQ, golden.A_PRIME_N2)
+        assert lin.B == Matrix.from_strings(QQ, golden.B_N2, 1)
         assert lin.D.scaled(golden.D_N2_FACTOR) == \
-            PolyMatrix.from_strings(QQ, 1, golden.D_N2)
+            Matrix.from_strings(QQ, golden.D_N2, 1)
         assert quad.c2.scaled(golden.C2_N2_FACTOR) == \
-            PolyMatrix.from_strings(QQ, 2, golden.C2_N2)
+            Matrix.from_strings(QQ, golden.C2_N2, 2)
         assert elapsed < 1.0, f"n=2 pipeline took {elapsed:.2f} s"
 
 
@@ -87,18 +87,18 @@ def test_criterion_2_golden_n4():
         t0 = time.perf_counter()
         phi, lin, quad = build_family(4)
         elapsed = time.perf_counter() - t0
-        assert lin.p == FieldMatrix(QQ, golden.P_N4)
+        assert lin.p == Matrix(QQ, golden.P_N4)
         assert lin.p_inv.scaled(golden.P_INV_N4_FACTOR) == \
-            FieldMatrix(QQ, golden.P_INV_N4)
-        assert lin.r == FieldMatrix(QQ, golden.R_N4)
+            Matrix(QQ, golden.P_INV_N4)
+        assert lin.r == Matrix(QQ, golden.R_N4)
         assert lin.A_prime.scaled(golden.A_PRIME_N4_FACTOR) == \
-            FieldMatrix(QQ, golden.A_PRIME_N4)
+            Matrix(QQ, golden.A_PRIME_N4)
         assert lin.B.scaled(golden.B_N4_FACTOR) == \
-            PolyMatrix.from_strings(QQ, 1, golden.B_N4)
+            Matrix.from_strings(QQ, golden.B_N4, 1)
         assert lin.D.scaled(golden.D_N4_FACTOR) == \
-            PolyMatrix.from_strings(QQ, 1, golden.D_N4)
+            Matrix.from_strings(QQ, golden.D_N4, 1)
         assert quad.c2.scaled(golden.C2_N4_FACTOR) == \
-            PolyMatrix.from_strings(QQ, 2, golden.C2_N4)
+            Matrix.from_strings(QQ, golden.C2_N4, 2)
         assert elapsed < 5.0, f"n=4 pipeline took {elapsed:.2f} s"
 
 
@@ -107,7 +107,7 @@ def test_criterion_3_golden_n6():
         t0 = time.perf_counter()
         phi, lin, quad = build_family(6)
         assert quad.c2.scaled(golden.C2_N6_FACTOR) == \
-            PolyMatrix.from_strings(QQ, 2, golden.C2_N6)
+            Matrix.from_strings(QQ, golden.C2_N6, 2)
         # the verify-pass work, dominated by the 13x13 Pfaffian minors of b2
         assert is_alternating(lin.b2)
         assert (lin.b1 @ lin.b2).is_zero()
@@ -203,14 +203,14 @@ def random_alternating(field, n, rng):
                 else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             m[i][j] = v
             m[j][i] = -v
-    return FieldMatrix(field, m)
+    return Matrix(field, m)
 
 
 def random_square(field, n, rng):
     if hasattr(field, "p"):
-        return FieldMatrix(field, [[field.of(rng.randrange(field.p))
+        return Matrix(field, [[field.of(rng.randrange(field.p))
                                     for _ in range(n)] for _ in range(n)])
-    return FieldMatrix(field, [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return Matrix(field, [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                 for _ in range(n)] for _ in range(n)])
 
 

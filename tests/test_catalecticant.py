@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from apolar import (DualElement, FieldMatrix, LinearPresentation, Monomial,
+from apolar import (DualElement, LinearPresentation, Matrix, Monomial,
                     Polynomial, PrimeField, QQ, build_linear_presentation,
                     build_p_r, catalecticant, contract, explicit_generators,
                     family_phi, invert, monomials_of_degree,
@@ -52,7 +52,7 @@ def contraction_generators(phi, p_inv):
                            for m in monomials_of_degree(n - 1, x_free=True)])
     mus = [Polynomial.monomial(fld, m)
            for m in monomials_of_degree(n, x_free=True)]
-    w = FieldMatrix(fld, [to_coords(contract(mu, phi), mid) for mu in mus])
+    w = Matrix(fld, [to_coords(contract(mu, phi), mid) for mu in mus])
     images = p_inv @ w.transpose()
     gens = [x * from_coords(fld, mid, col)
             for col in nus.transpose().entries]
@@ -115,7 +115,7 @@ def test_int_built_catalecticants_equal_the_boxed_construction(case):
     for m, ref in zip(built, refs):
         assert m == ref
     for m in built + [theta1]:
-        assert m == FieldMatrix(m.field, m.entries, m.cols)
+        assert m == Matrix(m.field, m.entries, m.cols)
 
 
 @SETTINGS

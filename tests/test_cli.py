@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import apolar
-from apolar import (DualElement, Monomial, PolyMatrix, Polynomial, family_phi,
+from apolar import (DualElement, Matrix, Monomial, Polynomial, family_phi,
                     linalg, resolution)
 from apolar.cli import _json, main
 from apolar.poly import MAX_DEGREE
@@ -142,7 +142,7 @@ def corrupting(original, where):
         k = {"first": 0, "y^n": n, "last": 2 * n}[where]
         entries = list(g.entries[0])
         entries[k] = entries[k] + Polynomial.monomial(g.field, Monomial(n, 0, 0))
-        return PolyMatrix(g.field, n, [entries])
+        return Matrix(g.field, [entries], degree=n)
     return corrupted
 
 

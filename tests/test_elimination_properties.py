@@ -1,6 +1,6 @@
 """Property tests of the plain-int kernels of ``apolar.linalg`` against the
 boxed loops in ``elimination_reference``: the packed matrix product on
-scalar and form matrices of every shape and kind, over GF(3), GF(32003),
+scalar and form matrices of every shape and degree, over GF(3), GF(32003),
 GF(2^61 - 1) and Q (numerators up to 2^130), with all-zero rows, rows of
 one nonzero entry and matrices with no slice, on sums that reach its slot
 bound, with a slot one bit narrower failing, and taking one big-int
@@ -10,8 +10,8 @@ packed-row elimination mod 3, 32003 and 2^61 - 1 (including a row that
 takes every update, the worst case of its slot width), and the
 forward-only rank pass against the rank of the full reduction.  Beyond equality with the reference, a product
 stores no zero coefficient, keeps the declared degree on zero entries,
-boxes int sums that vanish mod p to zero, and never promotes a scalar
-operand; ``times_monomial`` equals the product with a monomial.
+boxes int sums that vanish mod p to zero, and has the sum of the degrees
+of its operands; ``times_monomial`` equals the product with a monomial.
 ``kernel`` boxes only the entries of the reduced rows that it reads, and
 ``invert`` boxes nothing until its entries are read."""
 
@@ -20,8 +20,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ, det,
-                    invert, kernel, linalg, rank, residues)
+from apolar import (Matrix, Polynomial, PrimeField, QQ, det, invert, kernel,
+                    linalg, rank, residues)
 from apolar.poly import Monomial, monomials_of_degree
 from elimination_reference import (reference_det, reference_inverse,
                                    reference_kernel, reference_product,
@@ -41,19 +41,19 @@ def scalars(field, big=False):
 
 
 @st.composite
-def matrices(draw, field, rows, cols, degree=None, big=False):
-    """A FieldMatrix (degree None) or a PolyMatrix of the given degree:
-    dense, sparse, all zero (no slice at all), or row by row dense, zero or
-    with one nonzero entry of one monomial, the shape of the selector row
-    of ``explicit_generators``."""
+def matrices(draw, field, rows, cols, degree=0, big=False):
+    """A matrix of the given degree, of scalars at degree 0: dense, sparse,
+    all zero (no slice at all), or row by row dense, zero or with one
+    nonzero entry of one monomial, the shape of the selector row of
+    ``explicit_generators``."""
     shape = draw(st.sampled_from(["dense", "sparse", "zero", "rows"]))
-    zero = field.zero if degree is None else Polynomial.zero(field, degree)
-    monos = monomials_of_degree(degree or 0)
+    zero = Polynomial.zero(field, degree) if degree else field.zero
+    monos = monomials_of_degree(degree)
 
     def entry(kind):
         if kind == "zero" or kind == "sparse" and draw(st.integers(0, 2)):
             return zero
-        if degree is None:
+        if not degree:
             return draw(scalars(field, big))
         chosen = draw(st.lists(st.sampled_from(monos), max_size=len(monos)))
         return Polynomial(field, degree, {m: draw(scalars(field, big))
@@ -61,7 +61,7 @@ def matrices(draw, field, rows, cols, degree=None, big=False):
 
     def one_nonzero():
         c = draw(scalars(field, big).filter(bool))
-        return c if degree is None else Polynomial(
+        return c if not degree else Polynomial(
             field, degree, {draw(st.sampled_from(monos)): c})
 
     def row():
@@ -72,13 +72,10 @@ def matrices(draw, field, rows, cols, degree=None, big=False):
             r[draw(st.integers(0, cols - 1))] = one_nonzero()
         return r
 
-    entries = [row() for _ in range(rows)]
-    if degree is None:
-        return FieldMatrix(field, entries, cols)
-    return PolyMatrix(field, degree, entries, cols)
+    return Matrix(field, [row() for _ in range(rows)], cols, degree)
 
 
-kinds = st.sampled_from([None, 0, 1, 2])
+degrees = st.sampled_from([0, 1, 2])
 
 
 @st.composite
@@ -89,25 +86,25 @@ def products(draw):
     field = draw(st.sampled_from(FIELDS + (PrimeField(2 ** 61 - 1),)))
     big = field is QQ and draw(st.booleans())
     r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
-    a = draw(matrices(field, r, k, draw(kinds), big))
-    b = draw(matrices(field, k, c, draw(kinds), big))
+    a = draw(matrices(field, r, k, draw(degrees), big))
+    b = draw(matrices(field, k, c, draw(degrees), big))
     return a, b
 
 
 @SETTINGS
 @given(products())
 def test_product_equals_the_boxed_triple_loop(pair):
-    """Also: the result has the kind of the form operand, and every entry
-    of a form product has the declared degree, zero or not, and stores only
-    nonzero coefficients of the field's own scalar type."""
+    """Also: the result has the sum of the degrees of the operands, and
+    every entry of a form product has that degree, zero or not, and stores
+    only nonzero coefficients of the field's own scalar type."""
     a, b = pair
     expected = reference_product(a, b)
     out = a @ b
     assert out == expected
-    assert type(out) is type(expected)
+    assert out.degree == a.degree + b.degree
     one = type(a.field.one)
     for e in (e for r in out.entries for e in r):
-        if isinstance(out, PolyMatrix):
+        if out.degree:
             assert e.degree == out.degree
             assert all(e.coeffs.values())
             assert all(type(c) is one for c in e.coeffs.values())
@@ -120,8 +117,8 @@ def test_a_slot_one_bit_narrower_fails(monkeypatch):
     words per slot.  Sized one bit narrower, for half the bound, the slot
     is one word: the width assertion trips, or, with assertions stripped,
     the biased sum 2^64 overflows its slot."""
-    a, b = FieldMatrix(QQ, [[2 ** 32]]), FieldMatrix(QQ, [[2 ** 31]])
-    expected = FieldMatrix(QQ, [[2 ** 63]])
+    a, b = Matrix(QQ, [[2 ** 32]]), Matrix(QQ, [[2 ** 31]])
+    expected = Matrix(QQ, [[2 ** 63]])
     assert a @ b == expected
     words = residues.slot_words
     assert words(2 ** 63) == 2 and words(2 ** 62) == 1
@@ -138,14 +135,14 @@ def worst_case(case):
     k * pairs * max|a| * max|b| of ``residues.product`` in one entry."""
     if case == "GF(2^61 - 1)":
         f = PrimeField(2 ** 61 - 1)
-        return (FieldMatrix(f, [[f.p - 1] * 128]),
-                FieldMatrix(f, [[f.p - 1]] * 128))
+        return (Matrix(f, [[f.p - 1] * 128]),
+                Matrix(f, [[f.p - 1]] * 128))
     if case == "k terms":
-        return (FieldMatrix(QQ, [[2 ** 31, 2 ** 31]]),
-                FieldMatrix(QQ, [[2 ** 31], [2 ** 31]]))
+        return (Matrix(QQ, [[2 ** 31, 2 ** 31]]),
+                Matrix(QQ, [[2 ** 31], [2 ** 31]]))
     x, y = (Polynomial.variable(QQ, v) for v in "xy")
     form = x.scaled(2 ** 31) + y.scaled(2 ** 31)
-    return PolyMatrix(QQ, 1, [[form]]), PolyMatrix(QQ, 1, [[form]])
+    return Matrix(QQ, [[form]], degree=1), Matrix(QQ, [[form]], degree=1)
 
 
 @pytest.mark.parametrize("case", ["k terms", "two pairs", "GF(2^61 - 1)"])
@@ -164,8 +161,9 @@ def test_a_product_multiplies_only_the_nonzero_entries(field, monkeypatch):
     its N slices holds a single 1, so the product takes N big-int products,
     one per nonzero entry, where a dense product would take N^2."""
     monos = monomials_of_degree(2)
-    xm = PolyMatrix(field, 2, [[Polynomial.monomial(field, m) for m in monos]])
-    images = FieldMatrix(field, [[i + j - 3 for j in range(3)]
+    xm = Matrix(field, [[Polynomial.monomial(field, m) for m in monos]],
+                degree=2)
+    images = Matrix(field, [[i + j - 3 for j in range(3)]
                                  for i in range(len(monos))])
     calls = []
 
@@ -180,19 +178,20 @@ def test_a_product_multiplies_only_the_nonzero_entries(field, monkeypatch):
 @pytest.mark.parametrize("degree", [None, 0, 1])
 def test_sums_that_vanish_mod_p_box_to_zero(degree):
     """Over GF(3) the int sums 1 + 1 + 1 and 2 + 2 + 2 are nonzero
-    multiples of 3; their entries are zero, of the declared degree."""
+    multiples of 3; their entries are zero, of the declared degree, from
+    scalar entries (degree None) or from forms of degree 0 or 1."""
     f = PrimeField(3)
     if degree is None:
-        a = FieldMatrix(f, [[1, 1, 1], [2, 2, 2]])
+        a = Matrix(f, [[1, 1, 1], [2, 2, 2]])
     else:
         m = monomials_of_degree(degree)[0]
-        a = PolyMatrix(f, degree, [[Polynomial.monomial(f, m, c)] * 3
-                                   for c in (1, 2)])
-    out = a @ FieldMatrix(f, [[1, 1]] * 3)
+        a = Matrix(f, [[Polynomial.monomial(f, m, c)] * 3 for c in (1, 2)],
+                   degree=degree)
+    out = a @ Matrix(f, [[1, 1]] * 3)
     assert out.is_zero()
     assert (out.rows, out.cols, out.degree) == (2, 2, degree or 0)
     for e in (e for r in out.entries for e in r):
-        assert e == (f.zero if degree is None else Polynomial.zero(f, degree))
+        assert e == (Polynomial.zero(f, degree) if degree else f.zero)
 
 
 @st.composite
@@ -208,8 +207,9 @@ def shifted(draw):
 def test_times_monomial_equals_the_product_with_the_monomial(case):
     m, u = case
     factor = Polynomial.monomial(m.field, u)
-    expected = PolyMatrix(m.field, m.degree + u.degree,
-                          [[e * factor for e in r] for r in m.entries], m.cols)
+    expected = Matrix(m.field, [[e * factor if m.degree else factor.scaled(e)
+                                 for e in r] for r in m.entries],
+                      m.cols, m.degree + u.degree)
     assert m.times_monomial(u) == expected
 
 
@@ -218,14 +218,14 @@ def test_times_monomial_equals_the_product_with_the_monomial(case):
 @pytest.mark.parametrize("kind_a,kind_b", [(None, None), (None, 1), (2, None),
                                            (1, 1)])
 def test_product_of_empty_shapes(field, shape, kind_a, kind_b):
+    """Each operand of scalar entries (None) or of forms of a degree."""
     r, k, c = shape
 
     def filled(rows, cols, degree):
         e = field.of(2) if degree is None else Polynomial.monomial(
             field, monomials_of_degree(degree)[-1], 2)
-        if degree is None:
-            return FieldMatrix(field, [[e] * cols for _ in range(rows)], cols)
-        return PolyMatrix(field, degree, [[e] * cols for _ in range(rows)], cols)
+        return Matrix(field, [[e] * cols for _ in range(rows)], cols,
+                      degree or 0)
 
     a, b = filled(r, k, kind_a), filled(k, c, kind_b)
     out = a @ b
@@ -235,8 +235,8 @@ def test_product_of_empty_shapes(field, shape, kind_a, kind_b):
 
 @st.composite
 def square_or_not(draw, max_size=6):
-    """A FieldMatrix, often of deficient rank: a product (r x k)(k x c) with
-    k below both sides, or a copy of one row."""
+    """A matrix of scalars, often of deficient rank: a product (r x k)(k x c)
+    with k below both sides, or a copy of one row."""
     field = draw(st.sampled_from(FIELDS))
     r, c = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
     if draw(st.booleans()):
@@ -247,7 +247,7 @@ def square_or_not(draw, max_size=6):
         k = draw(st.integers(1, min(r, c) - 1))
         m = draw(matrices(field, r, k)) @ draw(matrices(field, k, c))
     elif shape == 2 and r > 1:
-        m = FieldMatrix(field, m.entries[:-1] + [m.entries[0]], c)
+        m = Matrix(field, m.entries[:-1] + [m.entries[0]], c)
     return m
 
 
@@ -297,9 +297,9 @@ def test_kernel_and_invert_box_only_what_they_read(field, monkeypatch):
 
     monkeypatch.setattr(type(field), "from_int", counting)
     # rank 3 with 7 columns: 4 free columns, 3 pivot entries each
-    thin = FieldMatrix(field, [[field.of(i * j % 5 + (i == j)) for j in range(3)]
+    thin = Matrix(field, [[field.of(i * j % 5 + (i == j)) for j in range(3)]
                                for i in range(4)])
-    wide = FieldMatrix(field, [[field.of((i + 2) ** j % 7) for j in range(7)]
+    wide = Matrix(field, [[field.of((i + 2) ** j % 7) for j in range(7)]
                                for i in range(3)])
     m = thin @ wide
     assert rank(m) == 3
@@ -309,7 +309,7 @@ def test_kernel_and_invert_box_only_what_they_read(field, monkeypatch):
     boxed.clear()
     assert basis == reference_kernel(m)
     # unit upper triangular, so invertible in every field
-    sq = FieldMatrix(field, [[field.of(int(i == j) + (j > i) * (i + j))
+    sq = Matrix(field, [[field.of(int(i == j) + (j > i) * (i + j))
                               for j in range(5)] for i in range(5)])
     boxed.clear()
     inv = invert(sq).inverse
@@ -429,12 +429,12 @@ def recorded_heights(monkeypatch, name):
 def test_rank_eliminates_the_shorter_side(monkeypatch, shape):
     r, c = shape
     rows = [[(3 * i + j * j + 1) % 5 for j in range(c)] for i in range(r)]
-    expected = reference_rank(FieldMatrix(QQ, rows))
+    expected = reference_rank(Matrix(QQ, rows))
     mod_heights = recorded_heights(monkeypatch, "_rref_mod")
     int_heights = recorded_heights(monkeypatch, "_rref_int")
     assert linalg._rank_mod([list(x) for x in rows], 32003) == expected
-    assert rank(FieldMatrix(PrimeField(32003), rows)) == expected
-    assert rank(FieldMatrix(QQ, [[Fraction(e, 1 + i) for e in x]
+    assert rank(Matrix(PrimeField(32003), rows)) == expected
+    assert rank(Matrix(QQ, [[Fraction(e, 1 + i) for e in x]
                                  for i, x in enumerate(rows)])) == expected
     assert mod_heights == [min(r, c)] * 2
     assert int_heights == [min(r, c)]

@@ -136,7 +136,7 @@ def test_a_filled_degree_fills_every_higher_one_without_ranks(family, monkeypatc
                                   "summary", "annihilator"])
 def test_the_oracle_boxes_no_matrix(family, monkeypatch, call):
     """The oracle's rows are ints read off one int form per polynomial:
-    the validating FieldMatrix constructor, which boxes the entries only
+    the validating Matrix constructor, which boxes the entries only
     for rank and kernel to unbox them, is never called, also where the
     prime 2 sends the certificate to the exact ranks."""
     phi, gens = family[2]
@@ -156,12 +156,12 @@ def test_the_oracle_boxes_no_matrix(family, monkeypatch, call):
             exact.append(m.field)
             return elimination(m)
         monkeypatch.setattr(linalg, name, counted)
-    init = linalg.FieldMatrix.__init__
+    init = linalg.Matrix.__init__
 
     def spy(self, *args, **kwargs):
         boxed.append(args)
         init(self, *args, **kwargs)
-    monkeypatch.setattr(linalg.FieldMatrix, "__init__", spy)
+    monkeypatch.setattr(linalg.Matrix, "__init__", spy)
     run()
     assert exact
     assert boxed == []

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from apolar import (FieldMatrix, FpElement, PolyMatrix, PrimeField, QQ,
+from apolar import (FpElement, Matrix, PrimeField, QQ,
                     build_linear_presentation, build_quadratic_presentation,
                     family_phi, pfaffian, proportionality_unit,
                     random_dual_element)
@@ -35,7 +35,7 @@ def scalars(field):
 
 @st.composite
 def alternating(draw, max_size):
-    """An alternating FieldMatrix, sparse in half the draws; a third of the
+    """An alternating Matrix, sparse in half the draws; a third of the
     draws are congruent images P^T A P of a smaller A, so of lower rank."""
     field = draw(st.sampled_from(FIELDS))
     size = draw(st.integers(0, max_size))
@@ -49,9 +49,9 @@ def alternating(draw, max_size):
                 continue
             e = draw(scalars(field))
             rows[i][j], rows[j][i] = e, -e
-    m = FieldMatrix(field, rows, inner)
+    m = Matrix(field, rows, inner)
     if deficient:
-        p = FieldMatrix(field, [[draw(scalars(field)) for _ in range(size)]
+        p = Matrix(field, [[draw(scalars(field)) for _ in range(size)]
                                 for _ in range(inner)], size)
         m = p.transpose() @ m @ p
     return m
@@ -75,13 +75,13 @@ def test_pfaffian_swaps_a_distant_partner_and_stops_at_a_zero_row(field):
     rows = [[field.zero] * 4 for _ in range(4)]
     for (i, j), v in a.items():
         rows[i][j], rows[j][i] = field.of(v), -field.of(v)
-    assert pfaffian(FieldMatrix(field, rows)) == field.of(-2 * 3 + 5 * 7)
+    assert pfaffian(Matrix(field, rows)) == field.of(-2 * 3 + 5 * 7)
     rows[0] = [field.zero] * 4
     for r in rows:
         r[0] = field.zero
-    assert pfaffian(FieldMatrix(field, rows)) == field.zero
-    assert pfaffian(FieldMatrix.zeros(field, 0, 0)) == field.one
-    assert pfaffian(FieldMatrix(field, [[field.zero]])) == field.zero
+    assert pfaffian(Matrix(field, rows)) == field.zero
+    assert pfaffian(Matrix.zeros(field, 0, 0)) == field.one
+    assert pfaffian(Matrix(field, [[field.zero]])) == field.zero
 
 
 def presented(field, n, seed, quadratic):
@@ -102,10 +102,11 @@ def check_rows(lin, quad):
     """b1, and c1 when c2 was assembled, are the reference rows, in the
     canonical form of the public constructor."""
     n, fld = lin.n, lin.field
-    assert lin.b1 == PolyMatrix(fld, n, [reference_signed_maximal_pfaffians(lin.b2)])
+    assert lin.b1 == Matrix(fld, [reference_signed_maximal_pfaffians(lin.b2)],
+                            degree=n)
     if quad.quadratically_presented:
-        assert quad.c1 == PolyMatrix(
-            fld, n, [reference_signed_maximal_pfaffians(quad.c2)])
+        assert quad.c1 == Matrix(
+            fld, [reference_signed_maximal_pfaffians(quad.c2)], degree=n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -135,7 +136,7 @@ def at(m, point):
             total = total + c
         return total
 
-    return FieldMatrix(fld, [[value(e) for e in r] for r in m.entries], m.cols)
+    return Matrix(fld, [[value(e) for e in r] for r in m.entries], m.cols)
 
 
 def check_rows_at(row, m, point):

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from apolar import (DualElement, FieldMatrix, Monomial, PolyMatrix, Polynomial,
-                    PrimeField, ProportionalityError, QQ, build_linear_presentation,
+from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
+                    ProportionalityError, QQ, build_linear_presentation,
                     build_p_r, build_quadratic_presentation,
                     claim_factorization_check, contract, explicit_generators,
                     family_phi, is_alternating, linear_betti,
@@ -31,8 +31,8 @@ def n2():
 def test_catalecticants_n2(n2):
     phi, lin, _ = n2
     p, r = build_p_r(phi, 2)
-    assert p == FieldMatrix(QQ, golden.P_N2)
-    assert r == FieldMatrix(QQ, golden.R_N2)
+    assert p == Matrix(QQ, golden.P_N2)
+    assert r == Matrix(QQ, golden.R_N2)
     assert p == lin.p and r == lin.r
     # symmetric by construction
     assert p == p.transpose()
@@ -60,10 +60,10 @@ def test_catalecticants_of_zero():
 def test_linear_blocks_n2(n2):
     _, lin, _ = n2
     assert lin.linearly_presented
-    assert lin.p_inv.scaled(golden.P_INV_N2_FACTOR) == FieldMatrix(QQ, golden.P_INV_N2)
-    assert lin.A_prime == FieldMatrix(QQ, golden.A_PRIME_N2)
-    assert lin.B == PolyMatrix.from_strings(QQ, 1, golden.B_N2)
-    assert lin.D.scaled(golden.D_N2_FACTOR) == PolyMatrix.from_strings(QQ, 1, golden.D_N2)
+    assert lin.p_inv.scaled(golden.P_INV_N2_FACTOR) == Matrix(QQ, golden.P_INV_N2)
+    assert lin.A_prime == Matrix(QQ, golden.A_PRIME_N2)
+    assert lin.B == Matrix.from_strings(QQ, golden.B_N2, 1)
+    assert lin.D.scaled(golden.D_N2_FACTOR) == Matrix.from_strings(QQ, golden.D_N2, 1)
 
 
 def test_shapes_follow_n(seeded_rng=random.Random(20)):
@@ -135,7 +135,7 @@ def test_explicit_row_proportional_to_pfaffian_row(n2):
 
 
 def linear_row(*forms):
-    return PolyMatrix(forms[0].field, 1, [forms])
+    return Matrix(forms[0].field, [forms], degree=1)
 
 
 def test_proportionality_unit_detects_mismatch():
@@ -182,8 +182,8 @@ def test_theta_identity_when_reduction_is_trivial():
     phi = random_dual_element(GF, 3, rng)
     tilde = reduced_inverse_system(phi)
     theta1, theta2 = theta_matrices(tilde)  # rho = 0 for a reduced system
-    assert theta1 == FieldMatrix.identity(GF, 5)
-    assert theta2 == FieldMatrix.identity(GF, 5)
+    assert theta1 == Matrix.identity(GF, 5)
+    assert theta2 == Matrix.identity(GF, 5)
     lin = build_linear_presentation(tilde)
     if lin.linearly_presented:
         assert theta_conjugation_check(lin, lin, tilde)
@@ -223,7 +223,7 @@ def test_quadratic_n2(n2):
     assert is_alternating(quad.c2)
     assert quad.c2.degree == 2
     assert quad.c2.scaled(golden.C2_N2_FACTOR) == \
-        PolyMatrix.from_strings(QQ, 2, golden.C2_N2)
+        Matrix.from_strings(QQ, golden.C2_N2, 2)
     assert (quad.c1 @ quad.c2).is_zero()
     assert quad.a_prime_pfaffian == 6
     assert claim_factorization_check(lin, quad)
@@ -318,7 +318,7 @@ def test_quadratic_refuses_odd_n():
 def test_quadratic_reports_singular_a_prime(n2):
     import dataclasses
     _, lin, _ = n2
-    doctored = dataclasses.replace(lin, A_prime=FieldMatrix.zeros(QQ, 2, 2))
+    doctored = dataclasses.replace(lin, A_prime=Matrix.zeros(QQ, 2, 2))
     quad = build_quadratic_presentation(doctored)
     assert not quad.quadratically_presented
     assert quad.a_prime_rank == 0
@@ -331,7 +331,7 @@ def test_corrupted_c2_breaks_the_complex(n2):
     bad = [row[:] for row in quad.c2.entries]
     bad[0][1] = bad[0][1] + Polynomial.monomial(QQ, Monomial(2, 0, 0))
     bad[1][0] = -bad[0][1]
-    corrupted = PolyMatrix(QQ, 2, bad)
+    corrupted = Matrix(QQ, bad, degree=2)
     assert not (quad.c1 @ corrupted).is_zero()
 
 
@@ -347,9 +347,9 @@ def test_resolution_report_round_trip(n2):
     assert report["betti"]["quadratic"] == quadratic_betti(2)
     assert report["units"]["a_prime_pfaffian"] == "6"
     # serialized blocks parse back to the originals
-    assert FieldMatrix.from_strings(QQ, report["blocks"]["p"]) == lin.p
-    assert PolyMatrix.from_strings(QQ, 2, report["blocks"]["c2"]) == quad.c2
-    assert PolyMatrix.from_strings(QQ, 1, report["blocks"]["b2"]) == lin.b2
+    assert Matrix.from_strings(QQ, report["blocks"]["p"]) == lin.p
+    assert Matrix.from_strings(QQ, report["blocks"]["c2"], 2) == quad.c2
+    assert Matrix.from_strings(QQ, report["blocks"]["b2"], 1) == lin.b2
 
 
 def test_report_on_singular_p():

@@ -1,9 +1,9 @@
 """Property tests of the stored form of ``apolar.linalg.Matrix``, L M =
 sum_u u C_u: every operation against an elementwise reference on boxed
-entries, over Q, GF(3) and GF(32003), for both kinds and for shapes with
-0 rows or 0 columns.  Every result must also be canonical: L = 1 and
-residues in [0, p) over GF(p), L > 0 and gcd(L, all numerators) = 1 over
-Q, and no all-zero slice.  So equality, which compares the slices, does
+entries, over Q, GF(3) and GF(32003), for scalars (degree 0) and forms of
+degrees 1 and 2, and for shapes with 0 rows or 0 columns.  Every result
+must also be canonical: L = 1 and residues in [0, p) over GF(p), L > 0 and
+gcd(L, all numerators) = 1 over Q, and no all-zero slice.  So equality, which compares the slices, does
 not depend on the route by which a matrix was computed."""
 
 import math
@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from apolar import (FieldMatrix, PolyMatrix, Polynomial, PrimeField, QQ,
-                    assert_alternating, block, hstack, linalg, vstack)
-from apolar.poly import ONE, Monomial, monomials_of_degree
+from apolar import (Matrix, Polynomial, PrimeField, QQ, assert_alternating,
+                    block, hstack, linalg, vstack)
+from apolar.poly import ONE, X, Monomial, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(3), PrimeField(32003))
 SETTINGS = settings(max_examples=120, deadline=None, database=None,
@@ -29,37 +29,25 @@ def scalars(field):
 
 
 def zero_of(field, degree):
-    return field.zero if degree is None else Polynomial.zero(field, degree)
+    return Polynomial.zero(field, degree) if degree else field.zero
 
 
 @st.composite
 def matrices(draw, field, rows, cols, degree):
-    """A FieldMatrix (degree None) or a PolyMatrix of that degree, dense or
-    sparse."""
+    """A matrix of that degree, of scalars at degree 0, dense or sparse."""
     sparse = draw(st.booleans())
-    monos = monomials_of_degree(degree or 0)
+    monos = monomials_of_degree(degree)
 
     def entry():
         if sparse and draw(st.integers(0, 2)):
             return zero_of(field, degree)
-        if degree is None:
+        if not degree:
             return draw(scalars(field))
         chosen = draw(st.lists(st.sampled_from(monos), max_size=len(monos)))
         return Polynomial(field, degree, {m: draw(scalars(field)) for m in chosen})
 
-    return like(field, degree, [[entry() for _ in range(cols)]
-                                for _ in range(rows)], cols)
-
-
-def like(field, degree, entries, cols):
-    """The matrix of these boxed entries, through the public constructor."""
-    if degree is None:
-        return FieldMatrix(field, entries, cols)
-    return PolyMatrix(field, degree, entries, cols)
-
-
-def kind_degree(m):
-    return m.degree if isinstance(m, PolyMatrix) else None
+    return Matrix(field, [[entry() for _ in range(cols)] for _ in range(rows)],
+                  cols, degree)
 
 
 def assert_canonical(m):
@@ -77,7 +65,7 @@ def assert_canonical(m):
         nums = [x for s in m.slices.values() for r in s for x in r]
         assert math.gcd(m.L, *nums) == 1
     # the slices are those the public constructor computes from the entries
-    rebuilt = like(m.field, kind_degree(m), m.entries, m.cols)
+    rebuilt = Matrix(m.field, m.entries, m.cols, m.degree)
     assert (rebuilt.L, rebuilt.slices) == (m.L, m.slices)
 
 
@@ -88,15 +76,15 @@ def assert_result(m, expected_entries):
                                 m.cols if not expected_entries
                                 else len(expected_entries[0]))
     assert m.entries == expected_entries
-    assert m == like(m.field, kind_degree(m), expected_entries, m.cols)
+    assert m == Matrix(m.field, expected_entries, m.cols, m.degree)
 
 
 @st.composite
 def cases(draw, max_size=4):
-    """A field, a kind, and two matrices a, b of one shape and kind; either
-    side may be 0."""
+    """A field, a degree, and two matrices a, b of one shape and degree;
+    either side may be 0."""
     field = draw(st.sampled_from(FIELDS))
-    degree = draw(st.sampled_from([None, 0, 1, 2]))
+    degree = draw(st.sampled_from([0, 1, 2]))
     r, c = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
     a = draw(matrices(field, r, c, degree))
     b = draw(matrices(field, r, c, degree))
@@ -113,7 +101,7 @@ def test_unary_operations_equal_the_entrywise_reference(case, data):
     assert_result(a.transpose(), [[E[i][j] for i in range(r)] for j in range(c)])
     assert_result(-a, [[-e for e in row] for row in E])
     s = data.draw(scalars(field))
-    assert_result(a.scaled(s), [[e * s if degree is None else e.scaled(s)
+    assert_result(a.scaled(s), [[e.scaled(s) if degree else e * s
                                  for e in row] for row in E])
     drop_r = data.draw(st.sets(st.integers(0, max(r - 1, 0)))) if r else set()
     drop_c = data.draw(st.sets(st.integers(0, max(c - 1, 0)))) if c else set()
@@ -128,21 +116,17 @@ def test_unary_operations_equal_the_entrywise_reference(case, data):
     assert_result(a.take_cols(pick_c), [[row[j] for j in pick_c] for row in E])
     assert a.is_zero() == (not any(e for row in E for e in row))
     assert a.to_strings() == [[str(e) for e in row] for row in E]
-    coeffs = [e for row in E for e in row] if degree is None else \
-        [x for row in E for e in row for x in e.coeffs.values()]
+    coeffs = [x for row in E for e in row for x in e.coeffs.values()] \
+        if degree else [e for row in E for e in row]
     assert a.L == (1 if field is not QQ else
                    math.lcm(*(x.denominator for x in coeffs)))
-    promoted = a.times_monomial(ONE)
-    if degree is None:
-        assert_result(promoted, [[Polynomial(field, 0, {ONE: e} if e else {})
-                                  for e in row] for row in E])
-    else:
-        assert promoted == a
-        u = data.draw(st.sampled_from(monomials_of_degree(1) + [ONE]))
-        factor = Polynomial.monomial(field, u)
-        shifted = a.times_monomial(u)
-        assert shifted.degree == degree + u.degree
-        assert_result(shifted, [[e * factor for e in row] for row in E])
+    assert a.times_monomial(ONE) == a
+    u = data.draw(st.sampled_from(monomials_of_degree(1)))
+    factor = Polynomial.monomial(field, u)
+    shifted = a.times_monomial(u)
+    assert shifted.degree == degree + 1
+    assert_result(shifted, [[e * factor if degree else factor.scaled(e)
+                             for e in row] for row in E])
 
 
 @SETTINGS
@@ -152,10 +136,8 @@ def test_sums_equal_the_entrywise_reference(case):
     A, B = a.entries, b.entries
     assert_result(a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)])
     assert_result(a - b, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)])
-    if degree is None:
-        mixed = a + b.times_monomial(ONE)
-        assert isinstance(mixed, PolyMatrix)
-        assert mixed == (a + b).times_monomial(ONE)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        a + b.times_monomial(X)
 
 
 @SETTINGS
@@ -174,13 +156,17 @@ def test_stacks_equal_the_entrywise_reference(case, data):
     assert vstack(a, tall).cols == c
     assert_result(block([[a, wide], [tall, corner]]),
                   [x + y for x, y in zip(A, W)] + [x + y for x, y in zip(T, C)])
+    with pytest.raises(ValueError, match="different degrees"):
+        hstack(a, wide.times_monomial(X))
+    with pytest.raises(ValueError, match="different degrees"):
+        vstack(a.times_monomial(X), tall)
 
 
 @SETTINGS
 @given(cases(), st.data())
 def test_products_are_canonical(case, data):
     field, degree, a, _ = case
-    other = data.draw(st.sampled_from([None, 0, 1]))
+    other = data.draw(st.sampled_from([0, 1]))
     b = data.draw(matrices(field, a.cols, data.draw(st.integers(0, 4)), other))
     assert_canonical(a @ b)
 
@@ -191,8 +177,8 @@ def test_every_route_to_one_matrix_gives_an_equal_matrix(case, data):
     field, degree, a, b = case
     zero = a - a
     assert zero.is_zero() and zero.slices == {} and zero.L == 1
-    assert zero == like(field, degree, [[zero_of(field, degree)] * a.cols
-                                        for _ in range(a.rows)], a.cols)
+    assert zero == Matrix(field, [[zero_of(field, degree)] * a.cols
+                                  for _ in range(a.rows)], a.cols, degree)
     assert (a + b) - b == a
     assert b + (a - b) == a
     assert -(-a) == a
@@ -210,13 +196,14 @@ def test_every_route_to_one_matrix_gives_an_equal_matrix(case, data):
 @pytest.mark.parametrize("degree", [None, 1])
 def test_denominators_that_cancel_leave_the_least_common_one(degree):
     """[1/2, 1/3] + [1/6, 2/3] = [2/3, 1]: L drops from 6 to 3, and
-    subtracting the second matrix again gives back L = 6."""
+    subtracting the second matrix again gives back L = 6; on scalar entries
+    (degree None) and on forms of degree 1."""
     def m(*xs):
         if degree is None:
-            return FieldMatrix(QQ, [list(map(Fraction, xs))])
+            return Matrix(QQ, [list(map(Fraction, xs))])
         u = Monomial(0, 1, 0)
-        return PolyMatrix(QQ, 1, [[Polynomial(QQ, 1, {u: Fraction(x)})
-                                   for x in xs]])
+        return Matrix(QQ, [[Polynomial(QQ, 1, {u: Fraction(x)}) for x in xs]],
+                      degree=1)
     a, b = m("1/2", "1/3"), m("1/6", "2/3")
     total = a + b
     assert total.L == 3 and total == m("2/3", "1")
@@ -227,11 +214,11 @@ def test_denominators_that_cancel_leave_the_least_common_one(degree):
 
 def test_cancelled_monomials_leave_no_slice():
     y, z = (Polynomial.variable(QQ, v) for v in "yz")
-    a = PolyMatrix(QQ, 1, [[y + z, z]])
-    b = PolyMatrix(QQ, 1, [[-z, -z]])
+    a = Matrix(QQ, [[y + z, z]], degree=1)
+    b = Matrix(QQ, [[-z, -z]], degree=1)
     total = a + b
     assert list(total.slices) == [Monomial(0, 1, 0)]
-    assert total == PolyMatrix(QQ, 1, [[y, Polynomial.zero(QQ, 1)]])
+    assert total == Matrix(QQ, [[y, Polynomial.zero(QQ, 1)]], degree=1)
 
 
 def boxed_alternating_error(m):
@@ -250,7 +237,7 @@ def boxed_alternating_error(m):
 @st.composite
 def nearly_alternating(draw):
     field = draw(st.sampled_from(FIELDS))
-    degree = draw(st.sampled_from([None, 0, 1]))
+    degree = draw(st.sampled_from([0, 1]))
     n = draw(st.integers(0, 5))
     a = draw(matrices(field, n, n, degree))
     m = a - a.transpose()
@@ -259,7 +246,7 @@ def nearly_alternating(draw):
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
             entries = [list(r) for r in m.entries]
             entries[i][j] = draw(matrices(field, 1, 1, degree)).entries[0][0]
-            m = like(field, degree, entries, n)
+            m = Matrix(field, entries, n, degree)
     return m
 
 

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from apolar import (DualElement, FieldMatrix, Monomial, Polynomial, PrimeField,
+from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
                     QQ, contract, family_phi, linalg, monomials_of_degree,
                     oracle, random_dual_element, resolution)
 
@@ -42,7 +42,7 @@ def _check_lemma(phi):
     for d in range(s + 3 - a, s + 2):
         basis = monomials_of_degree(d)
         rows = [to_coords(v * f, basis) for f in kernels[d - 1] for v in variables]
-        assert linalg.rank(FieldMatrix(fld, rows)) == len(kernels[d])
+        assert linalg.rank(Matrix(fld, rows)) == len(kernels[d])
         h = len(basis) - len(kernels[d])
         assert h == math.comb(s - d + 2, 2)
         assert oracle._tail_quotient_dim(s, a, d) == h

@@ -23,10 +23,10 @@ only lose rank.  So a modular rank is a lower bound for the rational
 one, and where the bounds meet, the degree is proven.  Any prime is sound; an
 unlucky one only sends that degree to the exact rational path.
 
-Above degree s + 2 - a no degree takes a rank, by this lemma (any field).
-Let J = ann(phi), s = deg phi and a the least degree with J_a != 0.  Then
-J_d = R_1 J_{d-1} for every d >= s + 3 - a, and the Hilbert function is
-h(d) = C(s - d + 2, 2) for s + 3 - a <= d <= s (0 above s).
+Above degree s + 2 - a no degree takes a rank, by the tail lemma (any
+field).  Let J = ann(phi), s = deg phi and a the least degree with
+J_a != 0.  Then J_d = R_1 J_{d-1} for every d >= s + 3 - a, and the Hilbert
+function is h(d) = C(s - d + 2, 2) for s + 3 - a <= d <= s (0 above s).
 
 Proof.  Take psi of degree d with v(psi) in J_{d-1}^perp = R_e(phi) for each
 variable v, e = s - d + 1, say v(psi) = f_v(phi).  Then (w f_v - v f_w)(phi)
@@ -36,6 +36,18 @@ psi - g(phi) is killed by x, y and z, hence zero (d > 0), and psi = g(phi)
 lies in J_d^perp.  So (R_1 J_{d-1})^perp is inside J_d^perp, and J_d lies
 in R_1 J_{d-1}.  For h: cat_d is the transpose of cat_{s-d}, and J_{s-d} = 0
 because s - d < a.  So J has no minimal generator above s + 2 - a.
+
+Below the first generator degree no degree takes a rank, and above s - a0
+no degree takes a catalecticant rank, by the head lemma (any field).  Let
+a0 >= 1 and suppose J_{a0-1} = 0, that is, cat_{a0-1} has full column rank.
+Then J_d = 0 for every d < a0, and dim J_d = C(d + 2, 2) - C(s - d + 2, 2)
+for every d > s - a0 (C(d + 2, 2) above s).
+
+Proof.  If f != 0 lies in J_d with d < a0, then x^(a0-1-d) f != 0 lies in
+J_{a0-1}, since J is an ideal and R a domain.  For d > s - a0, s - d < a0,
+so J_{s-d} = 0 and cat_{s-d} is injective; cat_d is its transpose, so
+cat_d has full row rank C(s - d + 2, 2), and J_d, its kernel, has the
+dimension above.  Above s, cat_d has no rows and J_d is everything.
 """
 
 from __future__ import annotations
@@ -113,14 +125,47 @@ def _exact_rank(fld: Field, rows: List[List[int]]) -> int:
     return linalg.rank(Matrix._from_ints(fld, rows, len(rows[0])))
 
 
+def _cat_rows(phi: Dict[Monomial, int], s: int, d: int) -> List[List[int]]:
+    """The int rows of cat_d of the int form phi of degree s: one row per
+    monomial of degree s - d, one column per monomial of degree d.  Above s
+    it has no rows."""
+    rows = monomials_of_degree(s - d) if d <= s else []
+    return catalecticant(phi, rows, monomials_of_degree(d))
+
+
+def _top_quotient_dim(s: int, d: int) -> int:
+    """h(d) = C(s - d + 2, 2), 0 above s, for ann(phi), phi of degree s, at
+    a degree d where J_{s-d} = 0: cat_d is the transpose of cat_{s-d}, which
+    is then injective, so cat_d has full row rank."""
+    return math.comb(max(s - d + 2, 0), 2)
+
+
 def _tail_quotient_dim(s: int, a: Optional[int], d: int) -> Optional[int]:
     """h(d) for ann(phi), phi of degree s and a the least degree of the
     ideal, when d >= s + 3 - a: there the ideal is R_1 times its degree
-    d - 1 and h(d) = C(s - d + 2, 2), 0 above s (the lemma in the module
-    docstring).  None below that degree, or while a is not yet known."""
+    d - 1 and h(d) = C(s - d + 2, 2), 0 above s (the tail lemma in the
+    module docstring).  None below that degree, or while a is not yet
+    known."""
     if a is None or d < s + 3 - a:
         return None
-    return math.comb(max(s - d + 2, 0), 2)
+    return _top_quotient_dim(s, d)
+
+
+def _head_degree(phi_int: Dict[Monomial, int], s: int,
+                 gens: Sequence[IntForm], p: Optional[int]) -> Optional[int]:
+    """a0, the least degree of the int forms ``gens``, when one rank proves
+    J_{a0-1} = 0 for J = ann(phi), phi of degree s: the rank of cat_{a0-1}
+    equals its column count, mod ``CERTIFICATE_PRIME`` over Q (p None; a
+    lower bound for the rational rank, which the column count bounds
+    above) and mod p, exactly, over GF(p).  None when there is no
+    generator, when a0 = 0, or when the rank falls short (the head lemma in
+    the module docstring)."""
+    a0 = min((deg for deg, _ in gens), default=0)
+    if a0 == 0:
+        return None
+    rank = linalg._rank_mod(_cat_rows(phi_int, s, a0 - 1),
+                            p or CERTIFICATE_PRIME)
+    return a0 if rank == math.comb(a0 + 1, 2) else None
 
 
 def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
@@ -182,8 +227,8 @@ def summarize_ideal(phi: DualElement,
     The number of minimal generators in degree d is dim I_d minus the rank of
     the span of x*f, y*f, z*f over a basis f of I_{d-1}.  With a the least
     degree where I is nonzero, the count is 0, with no rank taken, for every
-    d >= s + 3 - a, because there I_d = R_1 I_{d-1} (the lemma in the module
-    docstring).
+    d >= s + 3 - a, because there I_d = R_1 I_{d-1} (the tail lemma in the
+    module docstring).
     """
     if phi.is_zero:
         raise ValueError("the zero functional has no annihilator summary")
@@ -254,9 +299,20 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
     s + 3 - a, for a the first degree where the annihilator J is nonzero;
     the generators of degree <= d are all contained; and degree d - 1 is
     "equal".  There (G)_d contains R_1 (G)_{d-1} = R_1 J_{d-1}, which is J_d
-    by the lemma in the module docstring, and lies inside J_d, so
-    dim_span = dim_ann = N - C(s - d + 2, 2) (N above s).  Every other
-    degree takes the path above, so a failing degree is never skipped.
+    by the tail lemma in the module docstring, and lies inside J_d, so
+    dim_span = dim_ann = N - C(s - d + 2, 2) (N above s).
+
+    The bottom degrees take no rank either, and the top ones no
+    catalecticant rank, once one rank proves the head lemma's hypothesis:
+    with a0 the least generator degree, cat_{a0-1} has full column rank
+    (mod q over Q, exactly over GF(p)).  Then every degree d < a0 has
+    dim_span = dim_ann = 0 (no generator reaches it, and J_d = 0), and every
+    degree d > s - a0 has the exact dim_ann = N - C(s - d + 2, 2), so a
+    span rank mod q that meets it proves the degree under containment.
+    Only the band a0 <= d <= s - a0 ranks its catalecticant.  Without a
+    generator, with a0 = 0, or when the head rank falls short, this lemma
+    settles nothing.  Every degree that no lemma settles takes the path
+    above, so a failing degree is never skipped.
 
     The default bound is socle degree + 1.  That bound certifies equality of
     the two ideals outright for generator degrees <= socle degree + 1: both
@@ -279,34 +335,39 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
     gens_int = [_int_form(g) for g in gens]
     annihilates = _annihilates(gens_int, (s, phi_int), p)
     q = CERTIFICATE_PRIME
+    head = _head_degree(phi_int, s, gens_int, p)
     verdicts: List[DegreeVerdict] = []
     full = False
     a = None
     for d in range(max_degree + 1):
-        monos = monomials_of_degree(d)
-        total = len(monos)
-        # the rows of the degree-d catalecticant; above s it has none
-        cat_rows = monomials_of_degree(s - d) if d <= s else []
+        total = math.comb(d + 2, 2)
         contained = all(ok for g, ok in zip(gens, annihilates) if g.degree <= d)
         dim_span = dim_ann = None
+        if head is not None and d > s - head:
+            dim_ann = total - _top_quotient_dim(s, d)
         tail = _tail_quotient_dim(s, a, d)
-        if tail is not None and contained and verdicts[-1].equal:
+        if head is not None and d < head:
+            # no generator has degree <= d, and J_d = 0
+            dim_span = dim_ann = 0
+        elif tail is not None and contained and verdicts[-1].equal:
             dim_span = dim_ann = total - tail
         elif full:
             dim_span = total
             if contained:
                 dim_ann = total
         elif p is None and contained:
-            span_q = linalg._rank_mod(_multiple_rows(gens_int, monos), q)
-            ann_q = total - linalg._rank_mod(
-                catalecticant(phi_int, cat_rows, monos), q)
+            span_q = linalg._rank_mod(
+                _multiple_rows(gens_int, monomials_of_degree(d)), q)
+            ann_q = dim_ann
+            if ann_q is None:
+                ann_q = total - linalg._rank_mod(_cat_rows(phi_int, s, d), q)
             if span_q == ann_q:
                 dim_span = dim_ann = span_q
         if dim_span is None:
-            dim_span = _exact_rank(fld, _multiple_rows(gens_int, monos))
+            dim_span = _exact_rank(
+                fld, _multiple_rows(gens_int, monomials_of_degree(d)))
         if dim_ann is None:
-            dim_ann = total - _exact_rank(
-                fld, catalecticant(phi_int, cat_rows, monos))
+            dim_ann = total - _exact_rank(fld, _cat_rows(phi_int, s, d))
         if a is None and dim_ann:
             a = d
         full = dim_span == total

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apolar import (DualElement, Monomial, Polynomial, PrimeField, QQ,
+from apolar import (DualElement, Monomial, Polynomial, PrimeField, QQ, cli,
                     family_phi, linalg, monomials_of_degree, oracle, resolution)
 from apolar.scalars import is_prime
 
@@ -75,16 +75,43 @@ def test_bad_prime_falls_back_to_the_exact_path(family, monkeypatch, n):
 
 
 def test_default_prime_makes_no_rational_rank_call(family, monkeypatch):
-    # s = 7 and ann(phi) starts in degree a = 4: degrees 0-5 take two
-    # modular ranks each, and degrees s + 3 - a = 6 to 8 follow from the
-    # degree below them without a rank
+    # s = 7 and the generators start in degree a0 = 4: one modular rank of
+    # cat_3 proves J_3 = 0, so degrees 0-3 take no rank (the head lemma) and
+    # dim J_d is exact above s - a0 = 3.  Degrees 4 and 5 take one span rank
+    # each, and degrees s + 3 - a = 6 to 8 follow from the degree below
+    # them without a rank (the tail lemma)
     phi, gens = family[4]
     calls = Eliminations(monkeypatch)
     verdicts = oracle.ideal_equality_check(gens, phi)
     assert all(v.equal for v in verdicts)
     assert len(verdicts) == 9
     assert calls.fields == []
-    assert calls.moduli == [DEFAULT_PRIME] * 12
+    assert calls.moduli == [DEFAULT_PRIME] * 3
+
+
+@pytest.mark.parametrize("n,ranks", [(4, 3), (5, 2)])
+def test_verify_certifies_the_family_from_one_head_rank(tmp_path, monkeypatch,
+                                                        capsys, n, ranks):
+    # both paths of verify start their generators in degree a0 = n, and
+    # s - a0 < a0 (s = 2n - 1 for phi at n = 4, s = 2n - 2 for x(phi) at
+    # n = 5): the head rank of cat_{n-1}, then span ranks at n and n + 1 on
+    # the quadratic path and at n on the linear one, where the tail starts
+    # in degree n + 1
+    path = tmp_path / "phi.json"
+    assert cli.main(["example-family", "--n", str(n), "--out", str(path)]) == 0
+    certificate = oracle.ideal_equality_check
+    seen = []
+
+    def counted(*args, **kwargs):
+        calls = Eliminations(monkeypatch)
+        verdicts = certificate(*args, **kwargs)
+        seen.append((list(calls.fields), list(calls.moduli)))
+        return verdicts
+    monkeypatch.setattr(oracle, "ideal_equality_check", counted)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert seen == [([], [DEFAULT_PRIME] * ranks)]
 
 
 def test_a_non_member_never_takes_the_modular_path(monkeypatch):

@@ -1,13 +1,17 @@
-"""The tail lemma of the oracle: with J = ann(phi), s = deg phi and a the
-least degree of J, J_d = R_1 J_{d-1} and h(d) = C(s - d + 2, 2) for every
-d >= s + 3 - a.  It is checked here by brute force, and the certificate and
-the generator counts that skip their ranks on it are checked against the
-exact references in the degrees around its boundary."""
+"""The two lemmas of the oracle, with J = ann(phi), s = deg phi and a the
+least degree of J.  Tail: J_d = R_1 J_{d-1} and h(d) = C(s - d + 2, 2) for
+every d >= s + 3 - a.  Head: if J_{a0-1} = 0, then J_d = 0 for d < a0 and
+h(d) = C(s - d + 2, 2) for d > s - a0.  Both are checked here by brute force,
+and the certificate and the generator counts that skip their ranks on them
+are checked against the exact references, around the lemmas' boundaries and
+on random generator sets."""
 
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
                     QQ, contract, family_phi, linalg, monomials_of_degree,
@@ -51,6 +55,40 @@ def _check_lemma(phi):
     assert oracle.summarize_ideal(phi).generator_counts == \
         reference.generator_counts(phi)
     return a
+
+
+def _check_head_lemma(phi):
+    """For every a0, with generators starting in degree a0: the head rank
+    holds exactly when J_{a0-1} = 0, and then J_d = 0 below a0 and dim J_d
+    = C(d + 2, 2) - C(s - d + 2, 2) above s - a0."""
+    fld, s = phi.field, phi.degree
+    kernels = [reference.annihilator_degree(phi, d) for d in range(s + 2)]
+    a = next(d for d, ker in enumerate(kernels) if ker)
+    _, phi_int = oracle._int_form(phi)
+    for a0 in range(1, s + 3):
+        gens = [oracle._int_form(Polynomial.monomial(fld, Monomial(a0, 0, 0)))]
+        head = oracle._head_degree(phi_int, s, gens, getattr(fld, "p", None))
+        assert head == (a0 if a0 <= a else None)
+        if head is None:
+            continue
+        assert not any(kernels[:a0])
+        for d in range(s - a0 + 1, s + 2):
+            assert len(kernels[d]) == \
+                math.comb(d + 2, 2) - oracle._top_quotient_dim(s, d)
+    return a
+
+
+@pytest.mark.parametrize("fld", [QQ, GF], ids=str)
+@pytest.mark.parametrize("s", range(1, 10))
+@pytest.mark.parametrize("density", [1.0, 0.3])
+def test_head_lemma_on_random_phi(fld, s, density):
+    _check_head_lemma(_random_phi(fld, s, density))
+
+
+@pytest.mark.parametrize("exps", [(1, 2, 3), (0, 3, 4), (0, 0, 5), (2, 2, 2)])
+def test_head_lemma_on_monomials(exps):
+    phi = DualElement.dual_monomial(QQ, Monomial(*exps))
+    assert _check_head_lemma(phi) == min(exps) + 1
 
 
 @pytest.mark.parametrize("fld", [QQ, GF], ids=str)
@@ -146,3 +184,92 @@ def test_generator_counts_take_no_rank_in_the_tail(monkeypatch):
     summary = oracle.summarize_ideal(family_phi(4))
     assert summary.generator_counts == [0, 0, 0, 0, 5, 0, 0, 0, 0]
     assert fields == [QQ]
+
+
+FIELDS = (QQ, PrimeField(3), PrimeField(7), GF)
+
+
+@st.composite
+def mutated_generators(draw):
+    """phi of degree s = 2n - 1, n = 1-4, over Q, GF(3), GF(7) or
+    GF(32003), and the bases of J_n and J_{n+1}, which generate J when phi
+    is general; then maybe some generators dropped, one corrupted by an
+    added term, and one extra form of degree n - 1 (a constant at n = 1)."""
+    fld = draw(st.sampled_from(FIELDS), label="field")
+    n = draw(st.integers(1, 4), label="n")
+    phi = random_dual_element(fld, 2 * n - 1,
+                              random.Random(draw(st.integers(0, 10 ** 6))))
+    if phi.is_zero:
+        phi = DualElement.dual_monomial(fld, Monomial(2 * n - 1, 0, 0))
+    gens = [g for d in (n, n + 1) for g in oracle.annihilator_degree(phi, d)]
+    scalar = st.integers(1, 20) if fld is QQ else st.integers(1, fld.p - 1)
+    if gens and draw(st.booleans(), label="drop"):
+        keep = draw(st.lists(st.booleans(), min_size=len(gens),
+                             max_size=len(gens)))
+        gens = [g for g, k in zip(gens, keep) if k]
+    if gens and draw(st.booleans(), label="corrupt"):
+        i = draw(st.integers(0, len(gens) - 1))
+        m = draw(st.sampled_from(monomials_of_degree(gens[i].degree)))
+        gens[i] = gens[i] + Polynomial.monomial(fld, m, draw(scalar))
+    if draw(st.booleans(), label="extra"):
+        monos = monomials_of_degree(n - 1)
+        coeffs = draw(st.lists(scalar, min_size=len(monos), max_size=len(monos)))
+        gens.append(Polynomial(fld, n - 1, {m: fld.of(c)
+                                            for m, c in zip(monos, coeffs)}))
+    return phi, [g for g in gens if not g.is_zero]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(mutated_generators())
+def test_certificate_with_the_head_lemma_equals_the_reference(case):
+    phi, gens = case
+    exact = reference.ideal_equality_check(gens, phi)
+    for q in (oracle.CERTIFICATE_PRIME, 2):
+        with mock.patch.object(oracle, "CERTIFICATE_PRIME", q):
+            assert oracle.ideal_equality_check(gens, phi) == exact
+
+
+def _ranked_catalecticants(monkeypatch):
+    """The degrees d of every cat_d the certificate builds to rank, in order."""
+    ranked = []
+    cat_rows = oracle._cat_rows
+
+    def spy(phi, s, d):
+        ranked.append(d)
+        return cat_rows(phi, s, d)
+    monkeypatch.setattr(oracle, "_cat_rows", spy)
+    return ranked
+
+
+def test_a_short_head_rank_falls_back_and_fails(monkeypatch):
+    # family n = 4: J starts in degree 4, so generators from degree 5 on
+    # have J_{a0-1} = J_4 != 0; the head rank falls short, degree 4 takes
+    # its catalecticant rank and fails with dim_ann = dim J_4 = 5
+    phi = family_phi(4)
+    gens = oracle.annihilator_degree(phi, 5)
+    _, phi_int = oracle._int_form(phi)
+    assert oracle._head_degree(phi_int, 7, [oracle._int_form(g) for g in gens],
+                               None) is None
+    ranked = _ranked_catalecticants(monkeypatch)
+    verdicts = oracle.ideal_equality_check(gens, phi)
+    assert verdicts == reference.ideal_equality_check(gens, phi)
+    assert [v.degree for v in verdicts if not v.equal] == [4]
+    assert (verdicts[4].dim_span, verdicts[4].dim_annihilator) == (0, 5)
+    assert ranked[0] == 4 and set(range(5)) <= set(ranked)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF], ids=str)
+@pytest.mark.parametrize("s", range(1, 8))
+def test_every_degree_of_a_non_empty_band_is_ranked(fld, s, monkeypatch):
+    # ann((x^s)*) = (y, z, x^(s+1)): a0 = 1, the head rank is cat_0, and the
+    # band [a0, s - a0] = [1, s - 1] keeps its catalecticant ranks; there
+    # dim J_d = C(d + 2, 2) - 1, not the C(d + 2, 2) - C(s - d + 2, 2) of the
+    # degrees above it
+    phi = DualElement.dual_monomial(fld, Monomial(s, 0, 0))
+    y, z = (Polynomial.variable(fld, v) for v in ("y", "z"))
+    gens = [y, z, Polynomial.monomial(fld, Monomial(s + 1, 0, 0))]
+    ranked = _ranked_catalecticants(monkeypatch)
+    verdicts = oracle.ideal_equality_check(gens, phi)
+    assert verdicts == reference.ideal_equality_check(gens, phi)
+    assert all(v.equal for v in verdicts)
+    assert ranked == list(range(s))

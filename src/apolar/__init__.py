@@ -9,14 +9,12 @@ from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
 from .linalg import (InversionResult, Matrix, assert_alternating, block, det,
                      hstack, invert, is_alternating, kernel, pfaffian, rank,
                      vstack)
-from .resolution import (LinearPresentation, ProportionalityError,
-                         QuadraticPresentation, build_linear_presentation,
-                         build_p_r, build_quadratic_presentation,
-                         claim_factorization_check, explicit_generators,
-                         linear_betti, proportionality_unit, quadratic_betti,
-                         reduced_inverse_system, reduced_presentation,
-                         resolution_report, theta_conjugation_check,
-                         theta_matrices)
+from .resolution import (LinearPresentation, QuadraticPresentation,
+                         build_linear_presentation, build_p_r,
+                         build_quadratic_presentation, explicit_generators,
+                         linear_betti, quadratic_betti, reduced_inverse_system,
+                         reduced_presentation, resolution_report,
+                         theta_conjugation_check, theta_matrices)
 from .oracle import (DegreeVerdict, GradedIdealSummary, LefschetzReport,
                      annihilator_degree, family_phi, ideal_equality_check,
                      summarize_ideal, wlp_test)

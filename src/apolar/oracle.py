@@ -52,9 +52,10 @@ dimension above.  Above s, cat_d has no rows and J_d is everything.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Matrix, catalecticants
@@ -69,6 +70,9 @@ CERTIFICATE_PRIME = 2 ** 61 - 1
 
 # A form on plain ints: (degree, {monomial: int coefficient}).
 IntForm = Tuple[int, Dict[Monomial, int]]
+
+# d -> the int rows of cat_d of one int form phi (``_cat_rows``).
+CatRows = Callable[[int], List[List[int]]]
 
 
 def _int_form(f: Polynomial | DualElement) -> IntForm:
@@ -97,22 +101,22 @@ def _multiple_rows(gens: Sequence[IntForm],
     return rows
 
 
-def _annihilates(gens: Sequence[IntForm], phi: IntForm,
+def _annihilates(gens: Sequence[IntForm], s: int, cat_rows: CatRows,
                  p: Optional[int]) -> List[bool]:
-    """Whether g(phi) = 0, for each int form g, on the int form of phi: g(phi)
-    is the coefficient row of g times the catalecticant of phi with rows of
-    degree d = deg g, one product per d, each row tested for zero: mod p
-    over GF(p), where the forms hold residues, and exactly over Q (p None),
-    where they hold g and phi each times its denominator LCM, a nonzero
-    factor.  A generator of degree above s annihilates phi."""
-    s, phi_int = phi
+    """Whether g(phi) = 0, for each int form g, phi of degree s with
+    ``cat_rows(e)`` the int rows of its cat_e: g(phi) is the coefficient
+    row of g times cat_{s-d}, whose rows have degree d = deg g, one product
+    per d, each row tested for zero: mod p over GF(p), where the forms hold
+    residues, and exactly over Q (p None), where they hold g and phi each
+    times its denominator LCM, a nonzero factor.  A generator of degree
+    above s annihilates phi."""
     out = [deg > s for deg, _ in gens]
     for d in {deg for deg, _ in gens if deg <= s}:
         idx = [i for i, (deg, _) in enumerate(gens) if deg == d]
-        monos, cols = monomials_of_degree(d), monomials_of_degree(s - d)
+        monos = monomials_of_degree(d)
         images = product({1: _multiple_rows([gens[i] for i in idx], monos)},
-                         {1: catalecticant(phi_int, monos, cols)},
-                         len(cols), p or 0)[1]
+                         {1: cat_rows(s - d)}, math.comb(s - d + 2, 2),
+                         p or 0)[1]
         for i, image in zip(idx, images):
             out[i] = not any(image)
     return out
@@ -151,20 +155,19 @@ def _tail_quotient_dim(s: int, a: Optional[int], d: int) -> Optional[int]:
     return _top_quotient_dim(s, d)
 
 
-def _head_degree(phi_int: Dict[Monomial, int], s: int,
-                 gens: Sequence[IntForm], p: Optional[int]) -> Optional[int]:
+def _head_degree(cat_rows: CatRows, gens: Sequence[IntForm],
+                 p: Optional[int]) -> Optional[int]:
     """a0, the least degree of the int forms ``gens``, when one rank proves
-    J_{a0-1} = 0 for J = ann(phi), phi of degree s: the rank of cat_{a0-1}
-    equals its column count, mod ``CERTIFICATE_PRIME`` over Q (p None; a
-    lower bound for the rational rank, which the column count bounds
-    above) and mod p, exactly, over GF(p).  None when there is no
-    generator, when a0 = 0, or when the rank falls short (the head lemma in
-    the module docstring)."""
+    J_{a0-1} = 0 for J = ann(phi), ``cat_rows(e)`` the int rows of cat_e of
+    phi: the rank of cat_{a0-1} equals its column count, mod
+    ``CERTIFICATE_PRIME`` over Q (p None; a lower bound for the rational
+    rank, which the column count bounds above) and mod p, exactly, over
+    GF(p).  None when there is no generator, when a0 = 0, or when the rank
+    falls short (the head lemma in the module docstring)."""
     a0 = min((deg for deg, _ in gens), default=0)
     if a0 == 0:
         return None
-    rank = linalg._rank_mod(_cat_rows(phi_int, s, a0 - 1),
-                            p or CERTIFICATE_PRIME)
+    rank = linalg._rank_mod(cat_rows(a0 - 1), p or CERTIFICATE_PRIME)
     return a0 if rank == math.comb(a0 + 1, 2) else None
 
 
@@ -332,10 +335,14 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
             raise ValueError("generator field does not match phi")
     p = getattr(fld, "p", None)
     _, phi_int = _int_form(phi)
+    # each cat_d is built once, for the containment products and the ranks,
+    # which copy its rows before they eliminate
+    cat_rows = functools.lru_cache(maxsize=None)(
+        functools.partial(_cat_rows, phi_int, s))
     gens_int = [_int_form(g) for g in gens]
-    annihilates = _annihilates(gens_int, (s, phi_int), p)
+    annihilates = _annihilates(gens_int, s, cat_rows, p)
     q = CERTIFICATE_PRIME
-    head = _head_degree(phi_int, s, gens_int, p)
+    head = _head_degree(cat_rows, gens_int, p)
     verdicts: List[DegreeVerdict] = []
     full = False
     a = None
@@ -360,14 +367,14 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
                 _multiple_rows(gens_int, monomials_of_degree(d)), q)
             ann_q = dim_ann
             if ann_q is None:
-                ann_q = total - linalg._rank_mod(_cat_rows(phi_int, s, d), q)
+                ann_q = total - linalg._rank_mod(cat_rows(d), q)
             if span_q == ann_q:
                 dim_span = dim_ann = span_q
         if dim_span is None:
             dim_span = _exact_rank(
                 fld, _multiple_rows(gens_int, monomials_of_degree(d)))
         if dim_ann is None:
-            dim_ann = total - _exact_rank(fld, _cat_rows(phi_int, s, d))
+            dim_ann = total - _exact_rank(fld, cat_rows(d))
         if a is None and dim_ann:
             a = d
         full = dim_span == total

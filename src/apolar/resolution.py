@@ -57,8 +57,9 @@ is even.  So b1[n:] = Pf(A') c1, and c1 = (eps_n / Pf(A')) g[n:].
 
 So no row that the product has not proven is output: when g b2 != 0, b1
 stays None and the quadratic path refuses to assemble.  When g b2 = 0, the
-proportionality and factorization checks of ``verify`` follow from the
-lemma; the oracle's ideal certificate stays the independent check.
+lemma gives g = eps_n b1, the report's unit explicit_vs_pfaffian_row, and
+b1[n:] = Pf(A') c1, so ``verify`` recomputes neither; the oracle's ideal
+certificate stays the independent check.
 
 All index bookkeeping ("delete row n+1 and column 1", "rightmost n columns")
 is kept in one place here and pinned by unit tests against the n = 2 worked
@@ -74,10 +75,6 @@ from . import linalg
 from .linalg import Matrix, block, catalecticants, hstack
 from .poly import ONE, DualElement, X, Y, Z, monomials_of_degree
 from .scalars import Field, Scalar
-
-
-class ProportionalityError(ValueError):
-    """Two generator rows that must agree up to one global unit do not."""
 
 
 def _infer_n(phi: DualElement) -> int:
@@ -320,47 +317,6 @@ def build_quadratic_presentation(lin: LinearPresentation) -> QuadraticPresentati
                                  gens, unit, pf)
 
 
-def proportionality_unit(row: Matrix, base: Matrix) -> Scalar:
-    """The unit u with row = u * base, for two 1 x k matrices: found from
-    one nonzero coefficient of base and checked by one matrix comparison.
-    Inconsistency, and a zero u, are hard errors since they signal a
-    sign-convention bug or a vanished row."""
-    if row.cols != base.cols:
-        raise ValueError("rows have different lengths")
-    if base.is_zero():
-        raise ProportionalityError("base row is identically zero")
-    u, s = next(iter(base.slices.items()))
-    j = next(j for j, x in enumerate(s[0]) if x)
-    x_row = row.slices[u][0][j] if u in row.slices else 0
-    unit = base.field.from_int(x_row * base.L, row.L * s[0][j])
-    if not unit:
-        raise ProportionalityError("the unit is zero: the row vanishes where "
-                                   "the base row does not")
-    scaled = base.scaled(unit)
-    if row != scaled:
-        k = next(k for k in range(base.cols)
-                 if row.take_cols([k]) != scaled.take_cols([k]))
-        raise ProportionalityError(
-            f"rows are not proportional: entry {k} breaks the unit {unit}")
-    return unit
-
-
-def claim_factorization_check(lin: LinearPresentation,
-                              quad: QuadraticPresentation) -> bool:
-    """For each i, the Pfaffian of b2 with row/column n+i removed must equal
-    Pf(A') times the Pfaffian of c2 with row/column i removed, as an identity
-    of degree-n forms.  The signs (-1)^(n+i) and (-1)^i of the Pfaffian rows
-    agree because n is even, so this reads b1[n:] = Pf(A') * c1 off the
-    rows already built; no Pfaffian is recomputed."""
-    if quad.c2 is None:
-        raise ValueError("quadratic presentation was not assembled")
-    if lin.b1 is None:
-        raise ValueError("linear presentation was built without its Pfaffian row")
-    n = lin.n
-    return lin.b1.take_cols(range(n, 2 * n + 1)) == \
-        quad.c1.scaled(quad.a_prime_pfaffian)
-
-
 def linear_betti(n: int) -> List[List[int]]:
     """(degree, rank) pairs of the resolution shape in the linear case."""
     return [[0, 1], [n, 2 * n + 1], [n + 1, 2 * n + 1], [2 * n + 1, 1]]
@@ -378,8 +334,9 @@ _REPORT_BLOCKS = ("p", "r", "p_inv", "A0", "A_prime", "B0", "B1", "B2", "D0",
 
 def resolution_report(lin: LinearPresentation,
                       quad: Optional[QuadraticPresentation] = None) -> dict:
-    """A JSON-ready record of one run: all named blocks, flags, the
-    proportionality units and the graded Betti shapes."""
+    """A JSON-ready record of one run: all named blocks, flags, the units
+    of the lemma (eps_n, eps_n / Pf(A') and Pf(A')) and the graded Betti
+    shapes."""
     blocks = {name: getattr(lin, name).to_strings() for name in _REPORT_BLOCKS
               if getattr(lin, name) is not None}
     out: dict = {
@@ -397,7 +354,7 @@ def resolution_report(lin: LinearPresentation,
     if lin.b1 is not None:
         out["units"] = {
             "explicit_vs_pfaffian_row": lin.field.format(
-                proportionality_unit(lin.generator_row, lin.b1)),
+                lin.field.of(_eps(lin.n))),
         }
     out["betti"] = {"linear": linear_betti(lin.n)}
     if quad is not None:

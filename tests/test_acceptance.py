@@ -17,12 +17,11 @@ import pytest
 from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
                     QQ, annihilator_degree,
                     build_linear_presentation, build_p_r,
-                    build_quadratic_presentation, claim_factorization_check,
-                    contract, det,
+                    build_quadratic_presentation, contract, det,
                     explicit_generators, family_phi, ideal_equality_check,
-                    is_alternating, pfaffian, proportionality_unit,
-                    random_dual_element, reduced_inverse_system,
-                    summarize_ideal, theta_conjugation_check, wlp_test)
+                    is_alternating, pfaffian, random_dual_element,
+                    reduced_inverse_system, summarize_ideal,
+                    theta_conjugation_check, wlp_test)
 
 import golden_family as golden
 from pfaffian_reference import congruence_pfaffian_check
@@ -114,9 +113,10 @@ def test_criterion_3_golden_n6():
         assert is_alternating(quad.c2)
         assert (quad.c1 @ quad.c2).is_zero()
         rtp = lin.r.transpose() @ lin.p_inv
-        unit = proportionality_unit(explicit_generators(lin.p_inv, rtp), lin.b1)
-        assert unit == golden.UNIT_EXPLICIT_VS_PFAFFIAN[6]
-        assert claim_factorization_check(lin, quad)
+        assert explicit_generators(lin.p_inv, rtp) == \
+            lin.b1.scaled(golden.UNIT_EXPLICIT_VS_PFAFFIAN[6])
+        assert lin.b1.take_cols(range(6, 13)) == \
+            quad.c1.scaled(quad.a_prime_pfaffian)
         lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
         assert theta_conjugation_check(lin, lin_tilde, phi)
         elapsed = time.perf_counter() - t0
@@ -175,7 +175,9 @@ def test_criterion_6_randomized_property_suite():
                            for row in lin.b2.entries for e in row)
                 assert (lin.b1 @ lin.b2).is_zero()
                 rtp = lin.r.transpose() @ lin.p_inv
-                proportionality_unit(explicit_generators(lin.p_inv, rtp), lin.b1)
+                eps = (-1) ** (n * (n - 1) // 2)
+                assert explicit_generators(lin.p_inv, rtp) == \
+                    lin.b1.scaled(eps)
                 lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
                 assert theta_conjugation_check(lin, lin_tilde, phi)
                 if n % 2 == 1:
@@ -191,7 +193,8 @@ def test_criterion_6_randomized_property_suite():
                         assert all(e.is_zero or e.degree == 2
                                    for row in quad.c2.entries for e in row)
                         assert (quad.c1 @ quad.c2).is_zero()
-                        assert claim_factorization_check(lin, quad)
+                        assert lin.b1.take_cols(range(n, 2 * n + 1)) == \
+                            quad.c1.scaled(quad.a_prime_pfaffian)
         assert presented >= 100, f"only {presented} instances had invertible p"
 
 

@@ -152,13 +152,17 @@ def test_a_corrupted_explicit_row_never_passes(tmp_path, capsys, monkeypatch,
                                                n, seed, where):
     """b1 is read off g only once g b2 = 0: with one coefficient of g
     corrupted, ``verify`` fails that check and ``resolve`` writes no report;
-    neither exits 0."""
+    neither exits 0.  The two lines the lemma gives under a proven b1 are
+    not printed."""
     path = tmp_path / "phi.json"
     random_args = [] if seed is None else ["--random", "--seed", str(seed)]
     assert main(["example-family", "--n", str(n), *random_args,
                  "--out", str(path)]) == 0
     assert main(["verify", str(path)]) == 0
-    capsys.readouterr()
+    lemma_lines = ["explicit generators = unit x Pfaffian row",
+                   "Pfaffian minor factorization"][:1 + (n % 2 == 0)]
+    out = capsys.readouterr().out
+    assert all(f"PASS  {line}" in out for line in lemma_lines)
     monkeypatch.setattr(resolution, "explicit_generators",
                         corrupting(resolution.explicit_generators, where))
     report = tmp_path / "report.json"
@@ -169,6 +173,7 @@ def test_a_corrupted_explicit_row_never_passes(tmp_path, capsys, monkeypatch,
     out = capsys.readouterr().out
     assert "FAIL  b1 . b2 = 0" in out
     assert "all checks passed" not in out
+    assert not any(line in out for line in lemma_lines)
 
 
 def test_verify_negative_max_degree_exits_1(tmp_path, capsys):

@@ -6,13 +6,14 @@ with denominators, over GF(32003) and over GF(3), with generators of degree
 from the annihilator itself; and fixed cases where a test mod the
 certificate prime, or one on unscaled numerators, would answer wrongly."""
 
+import functools
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (DualElement, Polynomial, PrimeField, QQ,
                     annihilator_degree, contract, ideal_equality_check)
-from apolar.oracle import CERTIFICATE_PRIME, _annihilates, _int_form
+from apolar.oracle import CERTIFICATE_PRIME, _annihilates, _cat_rows, _int_form
 from apolar.poly import Monomial, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(32003), PrimeField(3))
@@ -23,7 +24,9 @@ X, Y, Z = Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)
 
 def integer_test(gens, phi):
     """``_annihilates`` on the int forms that the certificate builds."""
-    return _annihilates([_int_form(g) for g in gens], _int_form(phi),
+    s, phi_int = _int_form(phi)
+    return _annihilates([_int_form(g) for g in gens], s,
+                        functools.partial(_cat_rows, phi_int, s),
                         getattr(phi.field, "p", None))
 
 

@@ -114,6 +114,28 @@ def test_verify_certifies_the_family_from_one_head_rank(tmp_path, monkeypatch,
     assert seen == [([], [DEFAULT_PRIME] * ranks)]
 
 
+@pytest.mark.parametrize("n,builds", [(4, 1), (5, 2), (6, 1)])
+def test_verify_builds_each_catalecticant_once(tmp_path, monkeypatch, capsys,
+                                               n, builds):
+    # on the quadratic path (n even, s = 2n - 1) the containment product
+    # and the head rank both read cat_{n-1}, one build; on the linear path
+    # (n = 5, s = 2n - 2) they read cat_{n-2} and cat_{n-1}
+    path = tmp_path / "phi.json"
+    assert cli.main(["example-family", "--n", str(n), "--out", str(path)]) == 0
+    catalecticant = oracle.catalecticant
+    built = []
+
+    def counted(phi, rows, cols):
+        built.append((len(rows), len(cols)))
+        return catalecticant(phi, rows, cols)
+    monkeypatch.setattr(oracle, "catalecticant", counted)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert len(built) == builds
+    assert len(set(built)) == builds
+
+
 def test_a_non_member_never_takes_the_modular_path(monkeypatch):
     # mod 2 the catalecticants of 2 (x^2)* vanish, so dim ann_2(1) = 3 would
     # match the span of y, z and the non-member x; that span fills degree 1,

@@ -5,11 +5,10 @@ import random
 import pytest
 
 from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
-                    ProportionalityError, QQ, build_linear_presentation,
-                    build_p_r, build_quadratic_presentation,
-                    claim_factorization_check, contract, explicit_generators,
-                    family_phi, is_alternating, linear_betti,
-                    monomials_of_degree, proportionality_unit, quadratic_betti,
+                    QQ, build_linear_presentation, build_p_r,
+                    build_quadratic_presentation, contract,
+                    explicit_generators, family_phi, is_alternating,
+                    linear_betti, monomials_of_degree, quadratic_betti,
                     random_dual_element, reduced_inverse_system, resolution,
                     resolution_report, theta_conjugation_check, theta_matrices)
 from apolar.poly import _CoeffMap
@@ -130,39 +129,8 @@ def test_explicit_generators_annihilate(n2):
 
 def test_explicit_row_proportional_to_pfaffian_row(n2):
     phi, lin, _ = n2
-    unit = proportionality_unit(explicit_row(lin), lin.b1)
-    assert unit == golden.UNIT_EXPLICIT_VS_PFAFFIAN[2]
-
-
-def linear_row(*forms):
-    return Matrix(forms[0].field, [forms], degree=1)
-
-
-def test_proportionality_unit_detects_mismatch():
-    x = Polynomial.variable(QQ, "x")
-    y = Polynomial.variable(QQ, "y")
-    assert proportionality_unit(linear_row(x.scaled(3), y.scaled(3)),
-                                linear_row(x, y)) == 3
-    with pytest.raises(ProportionalityError, match="entry 1 breaks the unit 3"):
-        proportionality_unit(linear_row(x.scaled(3), y.scaled(2)),
-                             linear_row(x, y))
-    with pytest.raises(ProportionalityError):
-        proportionality_unit(linear_row(x), linear_row(Polynomial.zero(QQ, 1)))
-    with pytest.raises(ValueError, match="different lengths"):
-        proportionality_unit(linear_row(x), linear_row(x, y))
-
-
-@pytest.mark.parametrize("field", [QQ, GF], ids=repr)
-def test_proportionality_unit_refuses_a_zero_unit(field):
-    """A vanished row is not proportional to a nonzero one with unit 0."""
-    x, y = (Polynomial.variable(field, v) for v in "xy")
-    zero = Polynomial.zero(field, 1)
-    with pytest.raises(ProportionalityError, match="unit is zero"):
-        proportionality_unit(linear_row(zero, zero), linear_row(x, y))
-    with pytest.raises(ProportionalityError):
-        proportionality_unit(linear_row(zero, y), linear_row(x, y))
-    assert proportionality_unit(linear_row(zero, y.scaled(5)),
-                                linear_row(zero, y)) == field.of(5)
+    assert explicit_row(lin) == \
+        lin.b1.scaled(golden.UNIT_EXPLICIT_VS_PFAFFIAN[2])
 
 
 def test_reduced_inverse_system(n2):
@@ -226,7 +194,8 @@ def test_quadratic_n2(n2):
         Matrix.from_strings(QQ, golden.C2_N2, 2)
     assert (quad.c1 @ quad.c2).is_zero()
     assert quad.a_prime_pfaffian == 6
-    assert claim_factorization_check(lin, quad)
+    assert lin.b1.take_cols(range(2, 5)) == \
+        quad.c1.scaled(quad.a_prime_pfaffian)
 
 
 def test_generators_are_the_explicit_row(n2, monkeypatch):
@@ -255,9 +224,9 @@ def test_presentations_and_report_box_no_polynomial(phi, monkeypatch):
     """Every Polynomial that a matrix boxes goes through
     ``Polynomial._trusted``, and every other one through
     ``_CoeffMap.__init__``; the blocks of b2, the Pfaffian rows, the
-    explicit row, the two checks on them and the report all work on
-    slices, so building both presentations and the report calls neither
-    for a Polynomial."""
+    explicit row, the factorization b1[n:] = Pf(A') c1 and the report
+    all work on slices, so building both presentations and the report
+    calls neither for a Polynomial."""
     boxed, constructed = [], []
     original, init = Polynomial._trusted, _CoeffMap.__init__
 
@@ -274,7 +243,9 @@ def test_presentations_and_report_box_no_polynomial(phi, monkeypatch):
     lin = build_linear_presentation(phi)
     quad = build_quadratic_presentation(lin)
     assert quad.quadratically_presented
-    assert claim_factorization_check(lin, quad)
+    n = lin.n
+    assert lin.b1.take_cols(range(n, 2 * n + 1)) == \
+        quad.c1.scaled(quad.a_prime_pfaffian)
     resolution_report(lin, quad)
     assert boxed == []
     assert constructed.count(Polynomial) == 0
@@ -282,13 +253,16 @@ def test_presentations_and_report_box_no_polynomial(phi, monkeypatch):
     assert len(lin.b1.entries[0]) == len(boxed) == lin.b1.cols
 
 
-def test_claim_factorization_catches_scaled_c1(n2):
-    phi, lin, quad = n2
-    assert not claim_factorization_check(
-        lin, dataclasses.replace(quad, c1=quad.c1.scaled(2)))
+@pytest.mark.parametrize("phi", [
+    pytest.param(family_phi(2), id="family-2"),
+    pytest.param(random_dual_element(GF, 7, random.Random(4)), id="gf-4")])
+def test_quadratic_path_refuses_an_unproven_b1(phi):
+    """c1 is read off b1, so without a proven b1 there is no c1."""
+    assert build_quadratic_presentation(
+        build_linear_presentation(phi)).quadratically_presented
     bare = build_linear_presentation(phi, with_pfaffian_row=False)
-    with pytest.raises(ValueError):
-        claim_factorization_check(bare, quad)
+    with pytest.raises(ValueError, match="not proven"):
+        build_quadratic_presentation(bare)
 
 
 def test_theta_conjugation_needs_the_phi_of_its_presentation(n2):
@@ -316,7 +290,6 @@ def test_quadratic_refuses_odd_n():
 
 
 def test_quadratic_reports_singular_a_prime(n2):
-    import dataclasses
     _, lin, _ = n2
     doctored = dataclasses.replace(lin, A_prime=Matrix.zeros(QQ, 2, 2))
     quad = build_quadratic_presentation(doctored)

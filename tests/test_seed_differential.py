@@ -9,7 +9,11 @@ the same exit code, standard output and report bytes in both packages:
 ``resolve`` (with a report, and with its matrices printed over cleared
 denominators), ``verify``, ``oracle --include-kernels`` and
 ``wlp --ell x+2*y``, the last two with a report, so every report shape is
-written by both JSON writers.
+written by both JSON writers.  On malformed files, and on two well-formed
+ones that no presentation exists for, ``resolve --quiet``, ``verify``,
+``oracle`` and ``wlp --ell x`` must give the same exit code and standard
+output.  The one expected divergence is a JSON-number coefficient: the seed
+raised AttributeError on it, this package exits 1.
 
 The seed expands its Pfaffians by minors, exponentially in n, so n stays at
 most 4.  The module runs in under 15 s (10.0-13.5 s on a 2-core x86-64 VM,
@@ -93,3 +97,55 @@ def test_commands_match_the_seed_package(name, text, seed_main, tmp_path,
     for argv in COMMANDS:
         assert run(main, argv, phi, report, capsys) == \
             run(seed_main, argv, phi, report, capsys), argv[:2]
+
+
+MALFORMED_COMMANDS = (["resolve", "--quiet"], ["verify"], ["oracle"],
+                      ["wlp", "--ell", "x"])
+
+
+def record(field="Q", degree=3, coeffs='{"3,0,0": "1"}') -> str:
+    return f'{{"field": "{field}", "degree": {degree}, "coeffs": {coeffs}}}'
+
+
+# name: (file text, exit codes of MALFORMED_COMMANDS)
+MALFORMED = {
+    "bad-json": (record()[:-1], (1, 1, 1, 1)),
+    "top-level-list": (f"[{record()}]", (1, 1, 1, 1)),
+    "no-degree": ('{"field": "Q", "coeffs": {"3,0,0": "1"}}', (1, 1, 1, 1)),
+    # an even degree has no presentation; its annihilator is still summed up
+    "even-degree": (record(degree=2, coeffs='{"2,0,0": "1", "0,1,1": "3"}'),
+                    (1, 1, 0, 1)),
+    "Fp:4": (record(field="Fp:4"), (1, 1, 1, 1)),
+    "unknown-field": (record(field="R"), (1, 1, 1, 1)),
+    "wrong-degree-monomial": (record(coeffs='{"2,0,0": "1"}'), (1, 1, 1, 1)),
+    "negative-exponent": (record(coeffs='{"4,-1,0": "1"}'), (1, 1, 1, 1)),
+    "zero-denominator": (record(coeffs='{"3,0,0": "1/0"}'), (1, 1, 1, 1)),
+    # phi = 0: p is singular, and ell(phi) = 0 pairs to a zero determinant
+    "empty-coeffs": (record(coeffs="{}"), (2, 2, 1, 0)),
+    # past Python's int-string limit, so json refuses it before any basis
+    "huge-degree": (record(degree="1" + "0" * 5000), (1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_files_match_the_seed_package(name, seed_main, tmp_path,
+                                                capsys):
+    text, codes = MALFORMED[name]
+    phi, report = tmp_path / "phi.json", tmp_path / "report.json"
+    phi.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    for argv, code in zip(MALFORMED_COMMANDS, codes):
+        ours = run(main, argv, phi, report, capsys)
+        assert ours == run(seed_main, argv, phi, report, capsys), argv[:1]
+        assert ours[0] == code, argv[:1]
+
+
+def test_a_json_number_coefficient_exits_1_where_the_seed_raised(
+        seed_main, tmp_path, capsys):
+    phi, report = tmp_path / "phi.json", tmp_path / "report.json"
+    phi.write_text(record(coeffs='{"3,0,0": 1.5}'), encoding="utf-8")
+    capsys.readouterr()
+    for argv in MALFORMED_COMMANDS:
+        assert run(main, argv, phi, report, capsys) == (1, "", None)
+        with pytest.raises(AttributeError):
+            seed_main([argv[0], str(phi), *argv[1:]])

@@ -6,6 +6,7 @@ and the certificate and the generator counts that skip their ranks on them
 are checked against the exact references, around the lemmas' boundaries and
 on random generator sets."""
 
+import functools
 import math
 import random
 from unittest import mock
@@ -65,9 +66,10 @@ def _check_head_lemma(phi):
     kernels = [reference.annihilator_degree(phi, d) for d in range(s + 2)]
     a = next(d for d, ker in enumerate(kernels) if ker)
     _, phi_int = oracle._int_form(phi)
+    cat_rows = functools.partial(oracle._cat_rows, phi_int, s)
     for a0 in range(1, s + 3):
         gens = [oracle._int_form(Polynomial.monomial(fld, Monomial(a0, 0, 0)))]
-        head = oracle._head_degree(phi_int, s, gens, getattr(fld, "p", None))
+        head = oracle._head_degree(cat_rows, gens, getattr(fld, "p", None))
         assert head == (a0 if a0 <= a else None)
         if head is None:
             continue
@@ -230,14 +232,31 @@ def test_certificate_with_the_head_lemma_equals_the_reference(case):
 
 
 def _ranked_catalecticants(monkeypatch):
-    """The degrees d of every cat_d the certificate builds to rank, in order."""
-    ranked = []
+    """The degrees d of every cat_d the certificate ranks, in order.  One
+    build of cat_d serves the containment product and the ranks, so a rank
+    is told by the identity of the rows it is given."""
+    ranked, built = [], []
     cat_rows = oracle._cat_rows
+    rank_mod, exact_rank = linalg._rank_mod, oracle._exact_rank
 
-    def spy(phi, s, d):
-        ranked.append(d)
-        return cat_rows(phi, s, d)
-    monkeypatch.setattr(oracle, "_cat_rows", spy)
+    def build(phi, s, d):
+        rows = cat_rows(phi, s, d)
+        built.append((rows, d))
+        return rows
+
+    def seen(rows):
+        ranked.extend(d for b, d in built if b is rows)
+
+    def spy_rank_mod(rows, q):
+        seen(rows)
+        return rank_mod(rows, q)
+
+    def spy_exact_rank(fld, rows):
+        seen(rows)
+        return exact_rank(fld, rows)
+    monkeypatch.setattr(oracle, "_cat_rows", build)
+    monkeypatch.setattr(linalg, "_rank_mod", spy_rank_mod)
+    monkeypatch.setattr(oracle, "_exact_rank", spy_exact_rank)
     return ranked
 
 
@@ -248,7 +267,8 @@ def test_a_short_head_rank_falls_back_and_fails(monkeypatch):
     phi = family_phi(4)
     gens = oracle.annihilator_degree(phi, 5)
     _, phi_int = oracle._int_form(phi)
-    assert oracle._head_degree(phi_int, 7, [oracle._int_form(g) for g in gens],
+    cat_rows = functools.partial(oracle._cat_rows, phi_int, 7)
+    assert oracle._head_degree(cat_rows, [oracle._int_form(g) for g in gens],
                                None) is None
     ranked = _ranked_catalecticants(monkeypatch)
     verdicts = oracle.ideal_equality_check(gens, phi)

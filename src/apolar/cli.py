@@ -229,7 +229,6 @@ def cmd_verify(args) -> int:
         print(f"FAIL  p invertible (rank {lin.p_rank} of {lin.p.rows}); "
               "nothing to verify")
         return 2
-    n = lin.n
     fld = lin.field
     ok &= _check("b2 alternating", linalg.is_alternating(lin.b2), lines)
     ok &= _check("b2 entries homogeneous linear",
@@ -261,8 +260,8 @@ def cmd_verify(args) -> int:
         lines.append(f"SKIP  quadratic path: {quad.note}")
         x = Polynomial.variable(fld, "x")
         xphi = contract(x, phi)
-        bound = args.max_degree if args.max_degree is not None else 2 * n - 1
-        verdicts = oracle.ideal_equality_check(lin.b1.entries[0], xphi, bound)
+        verdicts = oracle.ideal_equality_check(lin.b1.entries[0], xphi,
+                                               args.max_degree)
         ok &= _check("Pfaffian generators of b2 generate ann(x(phi)) "
                      f"(degrees 0..{verdicts[-1].degree})",
                      all(v.equal for v in verdicts), lines)

@@ -23,10 +23,10 @@ only lose rank.  So a modular rank is a lower bound for the rational
 one, and where the bounds meet, the degree is proven.  Any prime is sound; an
 unlucky one only sends that degree to the exact rational path.
 
-Above degree s + 2 - a no degree takes a rank, by the tail lemma (any
-field).  Let J = ann(phi), s = deg phi and a the least degree with
-J_a != 0.  Then J_d = R_1 J_{d-1} for every d >= s + 3 - a, and the Hilbert
-function is h(d) = C(s - d + 2, 2) for s + 3 - a <= d <= s (0 above s).
+The tail lemma (any field).  Let J = ann(phi), s = deg phi and a the
+least degree with J_a != 0.  Then J_d = R_1 J_{d-1} for every
+d >= s + 3 - a, and the Hilbert function is h(d) = C(s - d + 2, 2) for
+s + 3 - a <= d <= s (0 above s).
 
 Proof.  Take psi of degree d with v(psi) in J_{d-1}^perp = R_e(phi) for each
 variable v, e = s - d + 1, say v(psi) = f_v(phi).  Then (w f_v - v f_w)(phi)
@@ -37,11 +37,10 @@ lies in J_d^perp.  So (R_1 J_{d-1})^perp is inside J_d^perp, and J_d lies
 in R_1 J_{d-1}.  For h: cat_d is the transpose of cat_{s-d}, and J_{s-d} = 0
 because s - d < a.  So J has no minimal generator above s + 2 - a.
 
-Below the first generator degree no degree takes a rank, and above s - a0
-no degree takes a catalecticant rank, by the head lemma (any field).  Let
-a0 >= 1 and suppose J_{a0-1} = 0, that is, cat_{a0-1} has full column rank.
-Then J_d = 0 for every d < a0, and dim J_d = C(d + 2, 2) - C(s - d + 2, 2)
-for every d > s - a0 (C(d + 2, 2) above s).
+The head lemma (any field).  Let a0 >= 1 and suppose J_{a0-1} = 0, that
+is, cat_{a0-1} has full column rank.  Then J_d = 0 for every d < a0, so
+a >= a0, and dim J_d = C(d + 2, 2) - C(s - d + 2, 2) for every d > s - a0
+(C(d + 2, 2) above s).
 
 Proof.  If f != 0 lies in J_d with d < a0, then x^(a0-1-d) f != 0 lies in
 J_{a0-1}, since J is an ideal and R a domain.  For d > s - a0, s - d < a0,
@@ -157,18 +156,22 @@ def _tail_quotient_dim(s: int, a: Optional[int], d: int) -> Optional[int]:
 
 def _head_degree(cat_rows: CatRows, gens: Sequence[IntForm],
                  p: Optional[int]) -> Optional[int]:
-    """a0, the least degree of the int forms ``gens``, when one rank proves
+    """a0, the least degree of the int forms ``gens``, exactly when
     J_{a0-1} = 0 for J = ann(phi), ``cat_rows(e)`` the int rows of cat_e of
-    phi: the rank of cat_{a0-1} equals its column count, mod
-    ``CERTIFICATE_PRIME`` over Q (p None; a lower bound for the rational
-    rank, which the column count bounds above) and mod p, exactly, over
-    GF(p).  None when there is no generator, when a0 = 0, or when the rank
-    falls short (the head lemma in the module docstring)."""
+    phi: when cat_{a0-1} has full column rank.  Over GF(p) its rank mod p is
+    exact.  Over Q (p None) its rank mod ``CERTIFICATE_PRIME``, a lower
+    bound for the rational rank that the column count bounds above, proves
+    it when full, and one exact rank decides when it falls short.  None
+    when there is no generator, when a0 = 0, or when J_{a0-1} != 0 (the
+    head lemma in the module docstring)."""
     a0 = min((deg for deg, _ in gens), default=0)
     if a0 == 0:
         return None
-    rank = linalg._rank_mod(cat_rows(a0 - 1), p or CERTIFICATE_PRIME)
-    return a0 if rank == math.comb(a0 + 1, 2) else None
+    rows, cols = cat_rows(a0 - 1), math.comb(a0 + 1, 2)
+    full = linalg._rank_mod(rows, p or CERTIFICATE_PRIME) == cols
+    if not full and p is None:
+        full = _exact_rank(QQ, rows) == cols
+    return a0 if full else None
 
 
 def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
@@ -281,41 +284,34 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
                          max_degree: Optional[int] = None) -> List[DegreeVerdict]:
     """Compare the ideal generated by gens with ann(phi) degree by degree.
 
-    For each degree d the span of all monomial multiples of the generators is
-    ranked against dim ann(phi)_d = N - rank(catalecticant), N the number of
-    degree-d monomials, and containment is checked once per generator g by
-    the integer test of ``_annihilates``: every coefficient of g(phi) is a
-    sum over the monomials of g, on plain ints, exact over Q (a multiple m*g
-    then annihilates too, because (m*g)(phi) = m(g(phi))).  The modular
-    ranks below never decide containment: a zero mod q is not a proof.
+    At each degree d the span of all monomial multiples of the generators is
+    compared with J_d, J = ann(phi), of dimension dim_ann = N - rank(cat_d),
+    N the number of degree-d monomials.  Containment is checked once per
+    generator g by the integer test of ``_annihilates``, exact over Q (a
+    multiple m*g then annihilates too, because (m*g)(phi) = m(g(phi))); no
+    modular rank ever decides it, since a zero mod q is not a proof.
 
-    Over Q, a degree whose generators are all contained first ranks both
-    matrices mod q = ``CERTIFICATE_PRIME``.  Containment gives
-    rank_q(span) <= rank_Q(span) <= dim ann_Q = N - rank_Q(cat)
-    <= N - rank_q(cat), so when the two ends agree the degree is "equal"
-    and both numbers are exact.  Every other degree, and every degree over
-    GF(p), takes the exact ranks, so the verdicts do not depend on q.  Once
-    the span fills a degree it fills every higher one (x, y and z times it
-    lie in the next span), and no rank is taken for it.
+    One rank first proves the head: head = a0, the least generator degree,
+    exactly when J_{a0-1} = 0 (``_head_degree``).  Each degree then reads
+    head alone:
 
-    No rank is taken either at a degree d that passes three guards: d >=
-    s + 3 - a, for a the first degree where the annihilator J is nonzero;
-    the generators of degree <= d are all contained; and degree d - 1 is
-    "equal".  There (G)_d contains R_1 (G)_{d-1} = R_1 J_{d-1}, which is J_d
-    by the tail lemma in the module docstring, and lies inside J_d, so
-    dim_span = dim_ann = N - C(s - d + 2, 2) (N above s).
+    - d < head: dim_span = dim_ann = 0, since no generator reaches d and
+      J_d = 0 (the head lemma in the module docstring);
+    - d > s - head: dim_ann = N - C(s - d + 2, 2), with no rank (head
+      lemma); and if moreover d >= s + 3 - head, the generators of degree
+      <= d are all contained and degree d - 1 is "equal", then dim_span =
+      dim_ann: the span contains R_1 J_{d-1}, which is J_d by the tail
+      lemma (sound with a0 for a, since the head gives a >= a0);
+    - over Q, under containment, each number still open is ranked mod
+      q = ``CERTIFICATE_PRIME``: rank_q(span) <= rank_Q(span) <= dim ann_Q
+      <= N - rank_q(cat), so when the two ends meet the degree is "equal"
+      and both numbers are exact;
+    - every number still open takes its exact rank.
 
-    The bottom degrees take no rank either, and the top ones no
-    catalecticant rank, once one rank proves the head lemma's hypothesis:
-    with a0 the least generator degree, cat_{a0-1} has full column rank
-    (mod q over Q, exactly over GF(p)).  Then every degree d < a0 has
-    dim_span = dim_ann = 0 (no generator reaches it, and J_d = 0), and every
-    degree d > s - a0 has the exact dim_ann = N - C(s - d + 2, 2), so a
-    span rank mod q that meets it proves the degree under containment.
-    Only the band a0 <= d <= s - a0 ranks its catalecticant.  Without a
-    generator, with a0 = 0, or when the head rank falls short, this lemma
-    settles nothing.  Every degree that no lemma settles takes the path
-    above, so a failing degree is never skipped.
+    head is None without a generator, with a0 = 0, or when J_{a0-1} != 0
+    (then degree a0 - 1, which no generator reaches, fails); no lemma
+    applies, and every degree takes the ranks.  So a failing degree is
+    never skipped, and the verdicts do not depend on q.
 
     The default bound is socle degree + 1.  That bound certifies equality of
     the two ideals outright for generator degrees <= socle degree + 1: both
@@ -344,25 +340,17 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
     q = CERTIFICATE_PRIME
     head = _head_degree(cat_rows, gens_int, p)
     verdicts: List[DegreeVerdict] = []
-    full = False
-    a = None
     for d in range(max_degree + 1):
         total = math.comb(d + 2, 2)
         contained = all(ok for g, ok in zip(gens, annihilates) if g.degree <= d)
         dim_span = dim_ann = None
-        if head is not None and d > s - head:
-            dim_ann = total - _top_quotient_dim(s, d)
-        tail = _tail_quotient_dim(s, a, d)
         if head is not None and d < head:
-            # no generator has degree <= d, and J_d = 0
             dim_span = dim_ann = 0
-        elif tail is not None and contained and verdicts[-1].equal:
-            dim_span = dim_ann = total - tail
-        elif full:
-            dim_span = total
-            if contained:
-                dim_ann = total
-        elif p is None and contained:
+        elif head is not None and d > s - head:
+            dim_ann = total - _top_quotient_dim(s, d)
+            if d >= s + 3 - head and contained and verdicts[-1].equal:
+                dim_span = dim_ann
+        if dim_span is None and p is None and contained:
             span_q = linalg._rank_mod(
                 _multiple_rows(gens_int, monomials_of_degree(d)), q)
             ann_q = dim_ann
@@ -375,9 +363,6 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
                 fld, _multiple_rows(gens_int, monomials_of_degree(d)))
         if dim_ann is None:
             dim_ann = total - _exact_rank(fld, cat_rows(d))
-        if a is None and dim_ann:
-            a = d
-        full = dim_span == total
         verdicts.append(DegreeVerdict(d, dim_span, dim_ann, contained,
                                       contained and dim_span == dim_ann))
     return verdicts

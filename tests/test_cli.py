@@ -1,3 +1,4 @@
+import datetime
 import json
 import os
 import random
@@ -176,6 +177,21 @@ def test_a_corrupted_explicit_row_never_passes(tmp_path, capsys, monkeypatch,
     assert not any(line in out for line in lemma_lines)
 
 
+def test_a_wrong_theta_fails_the_conjugation_check(tmp_path, capsys,
+                                                   monkeypatch):
+    path = write_family(tmp_path, 2)
+    theta_matrices = resolution.theta_matrices
+
+    def wrong(phi):
+        theta1, theta2 = theta_matrices(phi)
+        return theta1.scaled(2), theta2
+    monkeypatch.setattr(resolution, "theta_matrices", wrong)
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL  conjugation by the reduction change of basis" in out
+    assert out[-1] == "some checks FAILED"
+
+
 def test_verify_negative_max_degree_exits_1(tmp_path, capsys):
     path = write_family(tmp_path, 2)
     assert main(["verify", str(path), "--max-degree", "-1"]) == 1
@@ -218,6 +234,25 @@ def test_oracle_include_kernels(tmp_path):
                  "--include-kernels"]) == 0
     report = json.loads(rp.read_text())
     assert len(report["kernels"][2]) == 3
+
+
+@pytest.mark.parametrize("argv", [["resolve", "--quiet"], ["wlp", "--ell", "x"],
+                                  ["oracle"]], ids=lambda argv: argv[0])
+def test_a_report_without_no_timestamp_ends_with_its_utc_time(tmp_path, argv):
+    path = write_family(tmp_path, 2)
+    stamped, plain = tmp_path / "stamped.json", tmp_path / "plain.json"
+    command = [argv[0], str(path), *argv[1:], "--out"]
+    before = datetime.datetime.now(datetime.timezone.utc)
+    assert main([*command, str(stamped)]) == 0
+    after = datetime.datetime.now(datetime.timezone.utc)
+    assert main([*command, str(plain), "--no-timestamp"]) == 0
+    report = json.loads(stamped.read_text())
+    assert list(report)[-1] == "generated_at"
+    when = datetime.datetime.fromisoformat(report.pop("generated_at"))
+    assert when.utcoffset() == datetime.timedelta(0)
+    assert before <= when <= after
+    expected = json.loads(plain.read_text())
+    assert report == expected and list(report) == list(expected)
 
 
 def test_oracle_negative_max_degree_exits_1(tmp_path, capsys):

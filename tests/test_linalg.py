@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField, QQ,
-                    block, det, hstack, invert, is_alternating, kernel,
-                    linalg, parse_polynomial, pfaffian, rank, vstack)
+from apolar import (DualElement, FieldMismatchError, Matrix, Monomial,
+                    Polynomial, PrimeField, QQ, block, det, hstack, invert,
+                    is_alternating, kernel, linalg, parse_polynomial,
+                    pfaffian, rank, vstack)
 from apolar.poly import ONE, X
 from pfaffian_reference import congruence_pfaffian_check
 
 GF = PrimeField(32003)
+F7 = PrimeField(7)
 
 
 def qm(rows):
@@ -334,3 +336,35 @@ def test_promotion_commutes_with_shared_operations(field):
         assert is_alternating(lift(m))
     assert not Polynomial.zero(field, 2) and not DualElement.zero(field, 2)
     assert Polynomial.variable(field, "x") and constant(field, field.one)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: qm([[1, 2]]) @ Matrix(F7, [[1], [2]]), FieldMismatchError,
+     "matrices live in different fields"),
+    (lambda: qm([[1, 2]]) @ qm([[1, 2]]), ValueError,
+     r"shape mismatch: 1x2 @ 1x2"),
+    (lambda: qm([[1, 2]]) + Matrix(F7, [[1, 2]]), FieldMismatchError,
+     "matrices live in different fields"),
+    (lambda: qm([[1, 2]]) + qm([[1], [2]]), ValueError,
+     "shape mismatch in matrix sum"),
+    (lambda: hstack(qm([[1]]), Matrix(F7, [[1]])), FieldMismatchError,
+     "cannot stack matrices over different fields"),
+    (lambda: vstack(qm([[1]]), Matrix(F7, [[1]])), FieldMismatchError,
+     "cannot stack matrices over different fields"),
+    (lambda: hstack(qm([[1]]), qm([[1], [2]])), ValueError,
+     "row count mismatch in hstack"),
+    (lambda: vstack(qm([[1]]), qm([[1, 2]])), ValueError,
+     "column count mismatch in vstack"),
+    (lambda: det(qm([[1, 2]])), ValueError,
+     "determinant of a non-square matrix"),
+    (lambda: invert(qm([[1, 2]])), ValueError,
+     "inverse of a non-square matrix"),
+    (lambda: linalg.assert_alternating(qm([[0, 1]])), ValueError,
+     "alternating matrix must be square"),
+], ids=["matmul-fields", "matmul-shapes", "add-fields", "add-shapes",
+        "hstack-fields", "vstack-fields", "hstack-rows", "vstack-columns",
+        "det-non-square", "invert-non-square", "alternating-non-square"])
+def test_linalg_refusals(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert type(raised.value) is error

@@ -114,6 +114,56 @@ def test_verify_certifies_the_family_from_one_head_rank(tmp_path, monkeypatch,
     assert seen == [([], [DEFAULT_PRIME] * ranks)]
 
 
+# the family, and seeded random inputs over GF(32003) and over Q
+VERIFY_INPUTS = ([("family", n, []) for n in range(1, 9)]
+                 + [("GF", n, ["--random", "--field", "Fp:32003", "--seed", "2"])
+                    for n in range(1, 9)]
+                 + [("Q", n, ["--random", "--field", "Q", "--seed", "5"])
+                    for n in range(1, 7)])
+
+
+@pytest.mark.parametrize("kind,n,extra", VERIFY_INPUTS,
+                         ids=[f"{kind}-{n}" for kind, n, _ in VERIFY_INPUTS])
+def test_verify_proves_the_head_from_one_modular_rank(tmp_path, monkeypatch,
+                                                      capsys, kind, n, extra):
+    # p is invertible on both paths of verify, so J_{n-1} = 0 and the head
+    # is n: one rank of cat_{n-1} mod q (mod p over GF(p)) proves it, with
+    # no exact rank.  Then one rank at each degree of [n, s + 2 - n]: n and
+    # n + 1 on the quadratic path (n even, s = 2n - 1), n on the linear
+    # path (s = 2n - 2); the tail lemma does the degrees above.  Ranks are
+    # told by the certificate's own calls: the eliminations inside an exact
+    # rank are not counted
+    path = tmp_path / "phi.json"
+    assert cli.main(["example-family", "--n", str(n), *extra,
+                     "--out", str(path)]) == 0
+    ranks, stack = [], []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def spied(*args, **kwargs):
+            if (name in ("_rank_mod", "_exact_rank")
+                    and "ideal_equality_check" in stack
+                    and "_exact_rank" not in stack):
+                ranks.append((name, "_head_degree" in stack))
+            stack.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                stack.pop()
+        monkeypatch.setattr(module, name, spied)
+    for module, name in [(oracle, "ideal_equality_check"),
+                         (oracle, "_head_degree"), (oracle, "_exact_rank"),
+                         (linalg, "_rank_mod")]:
+        spy(module, name)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert ranks[0] == ("_rank_mod", True)
+    assert [head for _, head in ranks].count(True) == 1
+    assert len(ranks) == (3 if n % 2 == 0 else 2)
+
+
 @pytest.mark.parametrize("n,builds", [(4, 1), (5, 2), (6, 1)])
 def test_verify_builds_each_catalecticant_once(tmp_path, monkeypatch, capsys,
                                                n, builds):

@@ -187,3 +187,19 @@ def test_family_phi_rejects_prime_field():
         family_phi(2, field=GF)
     with pytest.raises(ValueError):
         family_phi(0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda phi: ideal_equality_check([DualElement.zero(QQ, 1)], phi),
+     "generators must be homogeneous polynomials"),
+    (lambda phi: ideal_equality_check([Polynomial.variable(GF, "x")], phi),
+     "generator field does not match phi"),
+    (lambda phi: wlp_test(phi, Polynomial.variable(GF, "x")),
+     "ell and phi live in different fields"),
+    (lambda phi: annihilator_degree(phi, -1), "degree must be nonnegative"),
+], ids=["generator-not-a-polynomial", "generator-field", "ell-field",
+        "negative-degree"])
+def test_oracle_refusals(call, message):
+    with pytest.raises(ValueError, match=message) as raised:
+        call(family_phi(2))
+    assert type(raised.value) is ValueError

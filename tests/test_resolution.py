@@ -185,6 +185,35 @@ def test_theta_conjugation_rejects_mismatched_inputs(n2):
         theta_conjugation_check(lin, other, phi)
 
 
+def test_theta_conjugation_fails_on_a_changed_b2_or_row(n2):
+    # one entry of b2~ changed fails Theta1 b2 = b2~ Theta2; the row of phi~
+    # doubled passes it and fails the row comparison
+    phi, lin, _ = n2
+    lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
+    entries = lin_tilde.b2.entries
+    entries[0][1] = entries[0][1] + Polynomial.variable(QQ, "x")
+    changed = Matrix(QQ, entries, degree=1)
+    assert changed != lin_tilde.b2
+    assert not theta_conjugation_check(
+        lin, dataclasses.replace(lin_tilde, b2=changed), phi)
+    theta1, theta2 = theta_matrices(phi)
+    assert theta1 @ lin.b2 == lin_tilde.b2 @ theta2
+    assert not theta_conjugation_check(
+        lin, dataclasses.replace(
+            lin_tilde, generator_row=lin_tilde.generator_row.scaled(2)), phi)
+
+
+def test_theta_conjugation_refuses_a_singular_p():
+    phi = DualElement(GF, 3, {Monomial(0, a, 3 - a): GF.of(a + 1)
+                              for a in range(4)})
+    lin = build_linear_presentation(phi)
+    lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
+    assert not (lin.linearly_presented or lin_tilde.linearly_presented)
+    with pytest.raises(ValueError,
+                       match="both presentations must have invertible p"):
+        theta_conjugation_check(lin, lin_tilde, phi)
+
+
 def test_quadratic_n2(n2):
     _, lin, quad = n2
     assert quad.quadratically_presented

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apolar import (FieldMismatchError, FpElement, PrimeField, QQ,
+from apolar import (FieldMismatchError, FpElement, Matrix, PrimeField, QQ,
                     field_from_tag)
 from apolar.scalars import MILLER_RABIN_BOUND, is_prime
 
@@ -167,3 +167,12 @@ def test_from_int_divides_by_L_in_every_field():
     assert QQ.from_int(-4, 6) == Fraction(-2, 3)
     F = PrimeField(7)
     assert F.from_int(3, 5) == F.of(3) / F.of(5)
+
+
+def test_a_prime_field_reads_fractions_through_the_inverse_denominator():
+    F = PrimeField(7)
+    assert F.of(Fraction(1, 2)) == 4
+    with pytest.raises(ZeroDivisionError, match="denominator of 1/7 vanishes"):
+        F.of(Fraction(1, 7))
+    assert FpElement(3, 7) == 10
+    assert Matrix(F, [[Fraction(1, 2)]]).entries == [[4]]

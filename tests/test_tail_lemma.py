@@ -278,6 +278,33 @@ def test_a_short_head_rank_falls_back_and_fails(monkeypatch):
     assert ranked[0] == 4 and set(range(5)) <= set(ranked)
 
 
+def test_a_head_rank_short_mod_q_is_decided_exactly(monkeypatch):
+    # the coefficient q of (x^3)* vanishes mod q, and the x column of cat_1
+    # reads only that coefficient: rank 2 mod q, 3 over Q.  So J_1 = 0, and
+    # the exact rank proves the head a0 = 2 that the modular one misses
+    q = oracle.CERTIFICATE_PRIME
+    phi = DualElement(QQ, 3, {Monomial(3, 0, 0): QQ.of(q),
+                              Monomial(0, 3, 0): QQ.one,
+                              Monomial(0, 0, 3): QQ.one})
+    _, phi_int = oracle._int_form(phi)
+    assert linalg._rank_mod(oracle._cat_rows(phi_int, 3, 1), q) == 2
+    assert _check_head_lemma(phi) == 2
+    gens = [g for d in (2, 3) for g in oracle.annihilator_degree(phi, d)]
+    ranked = _ranked_catalecticants(monkeypatch)
+    verdicts = oracle.ideal_equality_check(gens, phi)
+    assert verdicts == reference.ideal_equality_check(gens, phi)
+    assert all(v.equal for v in verdicts)
+    assert ranked == [1, 1]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("s", range(1, 8))
+def test_the_head_is_exact_whatever_the_prime(q, s):
+    with mock.patch.object(oracle, "CERTIFICATE_PRIME", q):
+        _check_head_lemma(_random_phi(QQ, s, 1.0))
+        _check_head_lemma(family_phi((s + 1) // 2))
+
+
 @pytest.mark.parametrize("fld", [QQ, GF], ids=str)
 @pytest.mark.parametrize("s", range(1, 8))
 def test_every_degree_of_a_non_empty_band_is_ranked(fld, s, monkeypatch):

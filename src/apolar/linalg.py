@@ -28,18 +28,18 @@ canonical, by ``residues.product``: each row of each D_v is packed into
 one int, and a row of the result is a sum of those ints times the nonzero
 entries of the rows of C_u, unpacked and reduced once.
 
-Kernel, determinant and inverse come from one Gauss-Jordan routine on the
-int rows of L m (``_rref_ints``) that takes the first nonzero pivot in
-column order, so results are deterministic: the determinant is the product
-of the pivots times the sign of the row swaps, and the inverse is the right
-half of the reduced [L m | I].  Over GF(p) it runs on residues, each row
-packed into one int once it is first updated (``residues.rref_mod``); over
-Q, fraction-free (``_rref_int``, after Bareiss), where the rows end as the
-RREF times the last pivot.  The RREF is unique, so both give the rational
-answer.  The reduced rows stay ints: ``kernel`` boxes only the free
-columns, and ``invert`` returns its slices over the last pivot, boxing
-nothing.  The rank takes the same loops forward only, on whichever of M
-and M^T has fewer rows.  A zero-row matrix keeps its column count.
+Kernel and inverse come from the RREF of the int rows of L m
+(``_rref_ints``), first nonzero pivot in column order, so results are
+deterministic; the inverse is the right half of the reduced [L m | I].
+Over GF(p) it is Gauss-Jordan on packed residues (``residues.rref_mod``);
+over Q it is lifted from residues and proven by one exact product
+(``residues.rref_lift``), or else fraction-free (``_rref_int``, after
+Bareiss).  Either way the rows end as the unique RREF times one
+denominator.  The determinant is the product of the pivots times the
+sign of the row swaps.  The reduced rows stay ints: ``kernel`` boxes only
+the free columns, and ``invert`` returns slices, boxing nothing.  The
+rank takes the same loops forward only, on whichever of M and M^T has
+fewer rows.  A zero-row matrix keeps its column count.
 Elimination takes matrices of scalars: it refuses degree >= 1.
 
 ``pfaffian`` takes the Pfaffian of an alternating matrix of scalars by one
@@ -58,7 +58,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import (DualElement, Monomial, ONE, Polynomial, catalecticant,
                    parse_polynomial)
-from .residues import product as _product, rref_mod as _rref_mod
+from .residues import (product as _product, rref_lift as _rref_lift,
+                       rref_mod as _rref_mod)
 from .scalars import Field, FieldMismatchError, Scalar
 
 Slices = Dict[Monomial, List[List[int]]]
@@ -411,19 +412,17 @@ def _rref_int(rows: List[List[int]], full: bool = True
 
 
 def _rref_ints(rows: List[List[int]], field: Field
-               ) -> Tuple[List[List[int]], List[int], int, int]:
-    """Gauss-Jordan on the int rows of L m, in place: residues over GF(p)
-    (``_rref_mod``), integers over Q (``_rref_int``).  Returns (rows, pivot
-    columns, d, last): the reduced rows are last times the RREF, last being
-    1 over GF(p) and the last pivot over Q, and d is the product of the
-    pivots of the rational elimination of these rows times the sign of the
-    row swaps (mod p over GF(p)); for a square matrix of full rank it is
-    det(L m)."""
+               ) -> Tuple[List[List[int]], List[int], int]:
+    """(rows, pivot columns, last) for the int rows of L m, the rows last
+    times the RREF: mod p in place (``_rref_mod``), last = 1; over Q by
+    ``_rref_lift``, or else fraction-free in place (``_rref_int``)."""
     if getattr(field, "p", None):
-        red, pivots, d = _rref_mod(rows, field.p)
-        return red, pivots, d, 1
-    red, pivots, d = _rref_int(rows)
-    return red, pivots, d, red[0][pivots[0]] if pivots else 1
+        return _rref_mod(rows, field.p)[:2] + (1,)
+    lifted = _rref_lift(rows)
+    if lifted is not None:
+        return lifted
+    red, pivots, _ = _rref_int(rows)
+    return red, pivots, red[0][pivots[0]] if pivots else 1
 
 
 def _int_rows(m: Matrix) -> List[List[int]]:
@@ -464,7 +463,7 @@ def kernel(m: Matrix) -> List[List[Scalar]]:
     a 1 at f, -red[r][f] at the r-th pivot column and zeros elsewhere.
     """
     field = m.field
-    red, pivots, _, last = _rref_ints(_int_rows(m), field)
+    red, pivots, last = _rref_ints(_int_rows(m), field)
     pivot_set = set(pivots)
     basis = []
     for f in range(m.cols):
@@ -481,7 +480,9 @@ def det(m: Matrix) -> Scalar:
     """From the int rows of L m: det m = det(L m) / L^n."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, d, _ = _rref_ints(_int_rows(m), m.field)
+    p = getattr(m.field, "p", None)
+    rows = _int_rows(m)
+    _, pivots, d = _rref_mod(rows, p) if p else _rref_int(rows)
     if len(pivots) < m.rows:
         return m.field.zero
     return m.field.from_int(d, m.L ** m.rows)
@@ -509,7 +510,7 @@ def invert(m: Matrix) -> InversionResult:
     n = m.rows
     aug = [r + [int(j == i) for j in range(n)]
            for i, r in enumerate(_int_rows(m))]
-    red, pivots, _, last = _rref_ints(aug, m.field)
+    red, pivots, last = _rref_ints(aug, m.field)
     r = sum(1 for c in pivots if c < n)
     if r < n:
         return InversionResult(None, r)

@@ -73,6 +73,9 @@ IntForm = Tuple[int, Dict[Monomial, int]]
 # d -> the int rows of cat_d of one int form phi (``_cat_rows``).
 CatRows = Callable[[int], List[List[int]]]
 
+# d -> a rank of cat_d, mod q or exact (``_cat_ranks``).
+CatRank = Callable[[int], int]
+
 
 def _int_form(f: Polynomial | DualElement) -> IntForm:
     """The int form of a polynomial or a dual element: its coefficients
@@ -136,6 +139,18 @@ def _cat_rows(phi: Dict[Monomial, int], s: int, d: int) -> List[List[int]]:
     return catalecticant(phi, rows, monomials_of_degree(d))
 
 
+def _cat_ranks(cat_rows: CatRows, fld: Field) -> Tuple[CatRank, CatRank]:
+    """(rank mod q, exact rank) of cat_d, each taken at most once per d,
+    q = p over GF(p), where both are the one rank mod p, and
+    ``CERTIFICATE_PRIME`` over Q."""
+    cache = functools.lru_cache(maxsize=None)
+    p = getattr(fld, "p", None)
+    q = p or CERTIFICATE_PRIME
+    rank_q = cache(lambda d: linalg._rank_mod(cat_rows(d), q))
+    return rank_q, rank_q if p else cache(
+        lambda d: _exact_rank(fld, cat_rows(d)))
+
+
 def _top_quotient_dim(s: int, d: int) -> int:
     """h(d) = C(s - d + 2, 2), 0 above s, for ann(phi), phi of degree s, at
     a degree d where J_{s-d} = 0: cat_d is the transpose of cat_{s-d}, which
@@ -154,23 +169,21 @@ def _tail_quotient_dim(s: int, a: Optional[int], d: int) -> Optional[int]:
     return _top_quotient_dim(s, d)
 
 
-def _head_degree(cat_rows: CatRows, gens: Sequence[IntForm],
-                 p: Optional[int]) -> Optional[int]:
+def _head_degree(rank_q: CatRank, rank: CatRank,
+                 gens: Sequence[IntForm]) -> Optional[int]:
     """a0, the least degree of the int forms ``gens``, exactly when
-    J_{a0-1} = 0 for J = ann(phi), ``cat_rows(e)`` the int rows of cat_e of
-    phi: when cat_{a0-1} has full column rank.  Over GF(p) its rank mod p is
-    exact.  Over Q (p None) its rank mod ``CERTIFICATE_PRIME``, a lower
-    bound for the rational rank that the column count bounds above, proves
-    it when full, and one exact rank decides when it falls short.  None
-    when there is no generator, when a0 = 0, or when J_{a0-1} != 0 (the
-    head lemma in the module docstring)."""
+    J_{a0-1} = 0 for J = ann(phi): when cat_{a0-1} of phi has full column
+    rank, by the ranks of ``_cat_ranks``.  Over GF(p) its rank mod p is
+    exact.  Over Q its rank mod q, a lower bound for the rational rank that
+    the column count bounds above, proves it when full, and the exact rank
+    decides when it falls short.  None when there is no generator, when
+    a0 = 0, or when J_{a0-1} != 0 (the head lemma in the module
+    docstring)."""
     a0 = min((deg for deg, _ in gens), default=0)
     if a0 == 0:
         return None
-    rows, cols = cat_rows(a0 - 1), math.comb(a0 + 1, 2)
-    full = linalg._rank_mod(rows, p or CERTIFICATE_PRIME) == cols
-    if not full and p is None:
-        full = _exact_rank(QQ, rows) == cols
+    cols = math.comb(a0 + 1, 2)
+    full = rank_q(a0 - 1) == cols or rank(a0 - 1) == cols
     return a0 if full else None
 
 
@@ -332,13 +345,15 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
     p = getattr(fld, "p", None)
     _, phi_int = _int_form(phi)
     # each cat_d is built once, for the containment products and the ranks,
-    # which copy its rows before they eliminate
+    # which copy its rows before they eliminate; each of its ranks is taken
+    # once, for the head and the loop
     cat_rows = functools.lru_cache(maxsize=None)(
         functools.partial(_cat_rows, phi_int, s))
+    cat_rank_q, cat_rank = _cat_ranks(cat_rows, fld)
     gens_int = [_int_form(g) for g in gens]
     annihilates = _annihilates(gens_int, s, cat_rows, p)
     q = CERTIFICATE_PRIME
-    head = _head_degree(cat_rows, gens_int, p)
+    head = _head_degree(cat_rank_q, cat_rank, gens_int)
     verdicts: List[DegreeVerdict] = []
     for d in range(max_degree + 1):
         total = math.comb(d + 2, 2)
@@ -355,14 +370,14 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
                 _multiple_rows(gens_int, monomials_of_degree(d)), q)
             ann_q = dim_ann
             if ann_q is None:
-                ann_q = total - linalg._rank_mod(cat_rows(d), q)
+                ann_q = total - cat_rank_q(d)
             if span_q == ann_q:
                 dim_span = dim_ann = span_q
         if dim_span is None:
             dim_span = _exact_rank(
                 fld, _multiple_rows(gens_int, monomials_of_degree(d)))
         if dim_ann is None:
-            dim_ann = total - _exact_rank(fld, cat_rows(d))
+            dim_ann = total - cat_rank(d)
         verdicts.append(DegreeVerdict(d, dim_span, dim_ann, contained,
                                       contained and dim_span == dim_ann))
     return verdicts

@@ -1,23 +1,44 @@
 """The kernels on plain ints, with no matrix type: the Gauss-Jordan
 elimination of ``linalg`` over GF(p) and for the modular ranks
-(``rref_mod``), and the product of int slices over GF(p) and Q
-(``product``).  Both work on rows packed into ints: column j of a row sits
-in the w-bit slot j of one int, w a whole number of 64-bit words
-(``slot_words``), laid out as bytes by ``pack`` and read back by
-``unpack``, so that a row update or a row times a scalar is one int
-operation, and reduction waits until a row is read whole
-(J.-G. Dumas, P. Giorgi, C. Pernet, ACM TOMS 35, 2008, delay the reduction
-the same way; J.-G. Dumas, L. Fousse, B. Salvy, J. Symb. Comput. 46, 2011,
-pack several residues per machine word).
+(``rref_mod``), the product of int slices over GF(p) and Q (``product``),
+and the RREF over Q lifted from residues (``rref_lift``).  The first two
+work on rows packed into ints: column j of a row sits in the w-bit slot j
+of one int, w a whole number of 64-bit words (``slot_words``), laid out as
+bytes by ``pack`` and read back by ``unpack``, so that a row update or a
+row times a scalar is one int operation, and reduction waits until a row
+is read whole (J.-G. Dumas, P. Giorgi, C. Pernet, ACM TOMS 35, 2008, delay
+the reduction the same way; J.-G. Dumas, L. Fousse, B. Salvy, J. Symb.
+Comput. 46, 2011, pack several residues per machine word).
+
+The lift.  ``rref_lift`` runs ``rref_mod`` on an int matrix A modulo the
+``LIFT_PRIMES`` in turn, combines the entries of the reduced rows at the
+non-pivot columns by CRT, and rational-reconstructs them over one common
+denominator D (P. S. Wang, SYMSAC 1981; M. Monagan, ISSAC 2004).  A
+candidate counts only once one exact product proves it: the vector of
+each non-pivot column f, D at f and minus the candidate at the pivot
+columns before f, must lie in the kernel of A.  Then every non-pivot
+column is a rational combination of earlier pivot columns, which are
+independent over Q because they are modulo q; so the pivots are those of
+the rational RREF, and the candidate, as the unique such combination, is
+its entries.  The lift answers None when the pivots differ between two
+primes or no candidate passes within the primes; ``linalg`` then takes the
+fraction-free path.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from functools import partial
 from itertools import chain, compress
 from operator import mul
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+# The primes of ``rref_lift``, the largest below 2^28: a slot of ``rref_mod``
+# holds min(rows, cols) (q - 1)^2 + q in one 64-bit word for fewer than 128
+# rows.  Past the last one the lift gives up.
+LIFT_PRIMES = (268435399, 268435367, 268435361, 268435337, 268435331,
+               268435313)
 
 
 def slot_words(bound: int) -> int:
@@ -165,3 +186,88 @@ def product(a: Dict, b: Dict, cols: int, q: int = 0) -> Dict:
     rows = [flat[i:i + cols] for i in range(0, len(flat), cols)]
     r = len(rows) // len(groups)
     return {uv: rows[i * r:(i + 1) * r] for i, uv in enumerate(groups)}
+
+
+def _rational(y: int, M: int, N: int) -> Optional[Tuple[int, int]]:
+    """(a, b) with a = b y mod M, |a| <= N and 0 < b <= N, by the
+    half-extended Euclid on (M, y), stopped at the first remainder within
+    N; None when its cofactor is not.  With 2 N^2 < M there is at most one
+    such a / b in lowest terms."""
+    r0, r1, t0, t1 = M, y % M, 0, 1
+    while r1 > N:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if not 0 < abs(t1) <= N:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(U: List[List[int]], M: int
+                 ) -> Optional[Tuple[List[List[int]], int]]:
+    """(F, D), D > 0, with F = D U mod M, or None.  An entry u whose
+    y = u D mod M lies within N = isqrt(M / 2) of 0 is taken as it is; any
+    other is reconstructed as a / b with |a|, b <= N, and b then multiplies
+    D and every entry so far."""
+    N = math.isqrt(M // 2)
+    D = 1
+    out: List[List[int]] = []
+    for row in U:
+        new: List[int] = []
+        out.append(new)
+        for u in row:
+            y = u * D % M
+            if N < y < M - N:
+                ab = _rational(y, M, N)
+                if ab is None:
+                    return None
+                y, b = ab
+                D *= b
+                for r in out:
+                    r[:] = [x * b for x in r]
+            elif y > N:
+                y -= M
+            new.append(y)
+    return out, D
+
+
+def rref_lift(rows: List[List[int]]
+              ) -> Optional[Tuple[List[List[int]], List[int], int]]:
+    """(D R, pivot columns, D) for R the RREF over Q of the int rows, or
+    None: the lift of the module docstring.  The rows are not changed."""
+    if not rows or not rows[0]:
+        return rows, [], 1
+    cols = len(rows[0])
+    M = 1
+    for q in LIFT_PRIMES:
+        red, piv, _ = rref_mod([[x % q for x in r] for r in rows], q)
+        if M == 1:
+            pivots, taken = piv, set(piv)
+            free = [j for j in range(cols) if j not in taken]
+            U = [[r[j] for j in free] for r in red[:len(pivots)]]
+        elif piv != pivots:
+            return None
+        else:
+            inv = pow(M, -1, q)
+            U = [[u + M * ((r[j] - u) * inv % q) for u, j in zip(ur, free)]
+                 for ur, r in zip(U, red)]
+        M *= q
+        candidate = _reconstruct(U, M)
+        if candidate is None:
+            continue
+        F, D = candidate
+        # with no free column the rank mod q, a lower bound, is full
+        if free:
+            V = [[0] * len(free) for _ in range(cols)]
+            for j, f in enumerate(free):
+                V[f][j] = D
+            for c, x in zip(pivots, F):
+                V[c] = [-v for v in x]
+            if any(map(any, product({1: rows}, {1: V}, len(free))[1])):
+                continue
+        out = [[0] * cols for _ in rows]
+        for row, c, x in zip(out, pivots, F):
+            row[c] = D
+            for f, v in zip(free, x):
+                row[f] = v
+        return out, pivots, D
+    return None

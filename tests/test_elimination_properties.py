@@ -255,9 +255,11 @@ def square_or_not(draw, max_size=6):
 @given(square_or_not())
 def test_rref_equals_the_boxed_reduction(m):
     """The int-row entry point, on the rows of L m, leaves ints that are
-    exactly ``last`` times the RREF of m, and d = L^rows times the
-    reference d when the rows are independent."""
-    red, pivots, d, last = linalg._rref_ints(linalg._int_rows(m), m.field)
+    exactly ``last`` times the RREF of m (over Q the lifted RREF, or the
+    fraction-free one when the lift gives up), and the d of the elimination
+    that ``det`` takes is L^rows times the reference d when the rows are
+    independent."""
+    red, pivots, last = linalg._rref_ints(linalg._int_rows(m), m.field)
     assert all(type(e) is int for r in red for e in r)
     red = [[m.field.from_int(e, last) for e in r] for r in red]
     ref_red, ref_pivots, ref_d = reference_rref(m.entries, m.field)
@@ -265,6 +267,9 @@ def test_rref_equals_the_boxed_reduction(m):
     assert red == ref_red
     assert all(type(e) is type(m.field.one) for r in red for e in r)
     if len(pivots) == m.rows:
+        p = getattr(m.field, "p", None)
+        rows = linalg._int_rows(m)
+        _, _, d = linalg._rref_mod(rows, p) if p else linalg._rref_int(rows)
         assert m.field.from_int(d, m.L ** m.rows) == ref_d
 
 

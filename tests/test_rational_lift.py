@@ -1,0 +1,277 @@
+"""The rational RREF lifted from residues (``residues.rref_lift``) against
+the fraction-free elimination (``linalg._rref_int``, after Bareiss).
+
+Over Q, ``linalg.kernel`` and ``linalg.invert`` take the lift, which
+eliminates modulo ``residues.LIFT_PRIMES``, reconstructs the entries over
+one denominator and keeps a candidate only when one exact product proves
+it.  Every way the lift can give up ends in ``_rref_int``: pivots that
+differ between two primes (a matrix singular modulo the first prime, or a
+kernel pivot that moves), and no proven candidate within the primes (a
+corrupted reconstruction, or entries too large for the last prime).  In
+every case the answer is byte for byte the fraction-free one."""
+
+import ast
+import math
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+import apolar
+from apolar import Matrix, QQ, cli, invert, kernel, linalg, residues
+from apolar.scalars import is_prime
+
+SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+Q0 = residues.LIFT_PRIMES[0]
+# a prime above isqrt(prod(LIFT_PRIMES) / 2), the largest numerator or
+# denominator the lift can reconstruct
+BIG = 2 ** 127 - 1
+
+
+def fractions(bits):
+    top = 2 ** bits
+    return st.builds(Fraction, st.integers(-top, top),
+                     st.integers(1, 2 ** (bits // 2) + 1))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense, sparse, rank-deficient (a product through k < min(r, c)) or
+    with a repeated row, with entries of 3 to 100 bits, so that the lift
+    takes one prime, several, or gives up."""
+    r = draw(st.integers(1, 5))
+    c = r if draw(st.booleans()) else draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)),
+                      fractions(draw(st.sampled_from([3, 16, 40, 100]))))
+
+    def block(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    rows = block(r, c)
+    shape = draw(st.integers(0, 2))
+    if shape == 1 and min(r, c) > 1:
+        k = draw(st.integers(1, min(r, c) - 1))
+        a, b = block(r, k), block(k, c)
+        rows = [[sum(x * y for x, y in zip(ra, cb)) for cb in zip(*b)]
+                for ra in a]
+    elif shape == 2 and r > 1:
+        rows[-1] = rows[0]
+    return Matrix(QQ, rows)
+
+
+def bareiss(rows):
+    """(red / last, pivots) of the fraction-free elimination."""
+    red, pivots, _ = linalg._rref_int([list(r) for r in rows])
+    last = red[0][pivots[0]] if pivots else 1
+    return [[Fraction(x, last) for x in r] for r in red], pivots
+
+
+def without_lift(fn, m):
+    with mock.patch.object(linalg, "_rref_lift", lambda rows: None):
+        return fn(m)
+
+
+def assert_same_inverse(res, ref):
+    assert res.rank == ref.rank
+    assert (res.inverse is None) == (ref.inverse is None)
+    if ref.inverse is not None:
+        assert res.inverse.L == ref.inverse.L
+        assert res.inverse.slices == ref.inverse.slices
+        assert res.inverse.to_strings() == ref.inverse.to_strings()
+
+
+class RrefIntCalls:
+    """Counts the ``_rref_int`` calls, and those made inside ``invert``."""
+
+    def __init__(self, monkeypatch):
+        self.all = self.from_invert = 0
+        inner, outer = linalg._rref_int, linalg.invert
+        depth = [0]
+
+        def counted(*args, **kwargs):
+            self.all += 1
+            self.from_invert += depth[0] > 0
+            return inner(*args, **kwargs)
+
+        def inverting(m):
+            depth[0] += 1
+            try:
+                return outer(m)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(linalg, "_rref_int", counted)
+        monkeypatch.setattr(linalg, "invert", inverting)
+
+
+def primes_taken(monkeypatch):
+    """The moduli of the ``rref_mod`` calls the lift makes."""
+    taken = []
+    inner = residues.rref_mod
+
+    def counted(rows, q, full=True):
+        taken.append(q)
+        return inner(rows, q, full)
+    monkeypatch.setattr(residues, "rref_mod", counted)
+    return taken
+
+
+@SETTINGS
+@given(rational_matrices())
+def test_the_lift_equals_bareiss(m):
+    rows = linalg._int_rows(m)
+    copy = [list(r) for r in rows]
+    lifted = residues.rref_lift(rows)
+    assert rows == copy
+    ref_red, ref_pivots = bareiss(rows)
+    if lifted is not None:
+        red, pivots, D = lifted
+        assert D > 0 and pivots == ref_pivots
+        assert [[Fraction(x, D) for x in r] for r in red] == ref_red
+    assert kernel(m) == without_lift(kernel, m)
+    if m.rows == m.cols:
+        assert_same_inverse(invert(m), without_lift(invert, m))
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+    min_size=k, max_size=k)))
+def test_an_inverse_past_the_last_prime_falls_back(rows):
+    # m = A diag(BIG, 1, ...) has the first row of A^-1 over BIG as the
+    # first row of its inverse, and BIG is a prime past every bound of the
+    # lift: no candidate can be right, so none passes
+    assume(len(bareiss(rows)[1]) == len(rows))
+    m = Matrix(QQ, [[r[0] * BIG] + r[1:] for r in rows])
+    calls = []
+    inner = linalg._rref_int
+    with mock.patch.object(linalg, "_rref_int",
+                           lambda rows: calls.append(1) or inner(rows)):
+        res = invert(m)
+    assert calls == [1]
+    assert_same_inverse(res, without_lift(invert, m))
+
+
+def test_denominators_past_one_prime_take_two(monkeypatch):
+    # 1 / a with a ~ 2^20 is past the bound of one 28-bit prime, 2^13.5,
+    # and within that of two
+    a = 2 ** 20 + 7
+    taken = primes_taken(monkeypatch)
+    m = Matrix(QQ, [[a, 1], [0, 1]])
+    res = invert(m)
+    assert taken == list(residues.LIFT_PRIMES[:2])
+    assert res.inverse == Matrix(QQ, [[Fraction(1, a), Fraction(-1, a)],
+                                      [0, 1]])
+
+
+def test_a_matrix_singular_mod_the_first_prime_falls_back(monkeypatch):
+    # diag(q0, 1) is singular mod q0, so the pivots of [p | I] mod q0 are
+    # columns 1 and 2, and mod the next prime 0 and 1
+    calls = RrefIntCalls(monkeypatch)
+    taken = primes_taken(monkeypatch)
+    m = Matrix(QQ, [[Q0, 0], [0, 1]])
+    assert residues.rref_lift(linalg._int_rows(m)) is None
+    assert taken == list(residues.LIFT_PRIMES[:2])
+    res = linalg.invert(m)
+    assert calls.from_invert == 1
+    assert res.rank == 2
+    assert res.inverse == Matrix(QQ, [[Fraction(1, Q0), 0], [0, 1]])
+
+
+def test_a_singular_matrix_keeps_its_exact_rank():
+    m = Matrix(QQ, [[1, 2, 3], [2, 4, 6], [Fraction(1, 3), 0, 1]])
+    res = invert(m)
+    assert (res.inverse, res.rank) == (None, 2)
+    assert_same_inverse(res, without_lift(invert, m))
+
+
+def test_a_corrupted_reconstruction_is_rejected(monkeypatch):
+    # every candidate has one entry off by one: the exact product check
+    # refuses each, and after the last prime the elimination falls back
+    checks = []
+    reconstruct, product = residues._reconstruct, residues.product
+
+    def corrupted(U, M):
+        out = reconstruct(U, M)
+        if out is not None:
+            out[0][0][0] += 1
+        return out
+
+    def checked(a, b, cols, q=0):
+        out = product(a, b, cols, q)
+        checks.append(any(map(any, out[1])))
+        return out
+    monkeypatch.setattr(residues, "_reconstruct", corrupted)
+    monkeypatch.setattr(residues, "product", checked)
+    m = Matrix(QQ, [[2, 1, 0], [1, 3, 1], [0, 1, Fraction(5, 7)]])
+    ref = without_lift(invert, m)
+    calls = RrefIntCalls(monkeypatch)
+    assert_same_inverse(linalg.invert(m), ref)
+    assert checks == [True] * len(residues.LIFT_PRIMES)
+    assert calls.from_invert == 1
+
+
+def test_a_kernel_pivot_that_moves_falls_back(monkeypatch):
+    # [[q0, 1]]: over Q the pivot is column 0, mod q0 it is column 1, whose
+    # candidate [1, 0] fails the check; the next prime moves the pivot
+    calls = RrefIntCalls(monkeypatch)
+    m = Matrix(QQ, [[Q0, 1]])
+    assert residues.rref_lift(linalg._int_rows(m)) is None
+    assert kernel(m) == [[Fraction(-1, Q0), Fraction(1)]]
+    assert calls.all == 1
+
+
+def test_a_kernel_entry_past_the_last_prime_falls_back(monkeypatch):
+    assert math.prod(residues.LIFT_PRIMES) < 2 * BIG ** 2
+    calls = RrefIntCalls(monkeypatch)
+    m = Matrix(QQ, [[BIG, 1, 0], [0, 0, 1]])
+    assert residues.rref_lift(linalg._int_rows(m)) is None
+    assert kernel(m) == [[Fraction(-1, BIG), Fraction(1), Fraction(0)]]
+    assert calls.all == 1
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (2, 2)])
+def test_empty_and_zero_matrices_are_lifted(monkeypatch, rows, cols):
+    # no prime without an entry, and one for a zero matrix
+    taken = primes_taken(monkeypatch)
+    calls = RrefIntCalls(monkeypatch)
+    m = Matrix.zeros(QQ, rows, cols)
+    assert kernel(m) == [[Fraction(int(i == j)) for i in range(cols)]
+                         for j in range(cols)]
+    assert calls.all == 0
+    assert len(taken) == (1 if rows and cols else 0)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_on_the_family_inverts_without_bareiss(tmp_path, monkeypatch,
+                                                      capsys, n):
+    path = tmp_path / "phi.json"
+    assert cli.main(["example-family", "--n", str(n), "--out", str(path)]) == 0
+    calls = RrefIntCalls(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert calls.from_invert == 0
+
+
+@pytest.mark.parametrize("q", residues.LIFT_PRIMES)
+def test_the_lift_primes_are_proven_and_keep_one_word_slots(q):
+    # rref_mod on fewer than 128 rows bounds a slot by 127 (q - 1)^2 + q
+    assert q < 2 ** 28 and is_prime(q)
+    assert residues.slot_words(127 * (q - 1) ** 2 + q) == 1
+
+
+def test_residues_imports_nothing_from_the_package():
+    # the plain-int kernels take no Matrix, Field or Fraction
+    path = Path(apolar.__file__).parent / "residues.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "struct" in imported
+    assert not [name for name in imported
+                if name.startswith((".", "apolar", "fractions"))]

@@ -69,7 +69,7 @@ def _check_head_lemma(phi):
     cat_rows = functools.partial(oracle._cat_rows, phi_int, s)
     for a0 in range(1, s + 3):
         gens = [oracle._int_form(Polynomial.monomial(fld, Monomial(a0, 0, 0)))]
-        head = oracle._head_degree(cat_rows, gens, getattr(fld, "p", None))
+        head = oracle._head_degree(*oracle._cat_ranks(cat_rows, fld), gens)
         assert head == (a0 if a0 <= a else None)
         if head is None:
             continue
@@ -231,10 +231,11 @@ def test_certificate_with_the_head_lemma_equals_the_reference(case):
             assert oracle.ideal_equality_check(gens, phi) == exact
 
 
-def _ranked_catalecticants(monkeypatch):
-    """The degrees d of every cat_d the certificate ranks, in order.  One
-    build of cat_d serves the containment product and the ranks, so a rank
-    is told by the identity of the rows it is given."""
+def _ranked_catalecticants(monkeypatch, kinds=None):
+    """The degrees d of every cat_d the certificate ranks, in order, and
+    (d, "mod q" or "exact") appended to ``kinds`` when given.  One build of
+    cat_d serves the containment product and the ranks, so a rank is told
+    by the identity of the rows it is given."""
     ranked, built = [], []
     cat_rows = oracle._cat_rows
     rank_mod, exact_rank = linalg._rank_mod, oracle._exact_rank
@@ -244,15 +245,19 @@ def _ranked_catalecticants(monkeypatch):
         built.append((rows, d))
         return rows
 
-    def seen(rows):
-        ranked.extend(d for b, d in built if b is rows)
+    def seen(rows, kind):
+        for b, d in built:
+            if b is rows:
+                ranked.append(d)
+                if kinds is not None:
+                    kinds.append((d, kind))
 
     def spy_rank_mod(rows, q):
-        seen(rows)
+        seen(rows, "mod q")
         return rank_mod(rows, q)
 
     def spy_exact_rank(fld, rows):
-        seen(rows)
+        seen(rows, "exact")
         return exact_rank(fld, rows)
     monkeypatch.setattr(oracle, "_cat_rows", build)
     monkeypatch.setattr(linalg, "_rank_mod", spy_rank_mod)
@@ -268,14 +273,31 @@ def test_a_short_head_rank_falls_back_and_fails(monkeypatch):
     gens = oracle.annihilator_degree(phi, 5)
     _, phi_int = oracle._int_form(phi)
     cat_rows = functools.partial(oracle._cat_rows, phi_int, 7)
-    assert oracle._head_degree(cat_rows, [oracle._int_form(g) for g in gens],
-                               None) is None
+    assert oracle._head_degree(*oracle._cat_ranks(cat_rows, QQ),
+                               [oracle._int_form(g) for g in gens]) is None
     ranked = _ranked_catalecticants(monkeypatch)
     verdicts = oracle.ideal_equality_check(gens, phi)
     assert verdicts == reference.ideal_equality_check(gens, phi)
     assert [v.degree for v in verdicts if not v.equal] == [4]
     assert (verdicts[4].dim_span, verdicts[4].dim_annihilator) == (0, 5)
     assert ranked[0] == 4 and set(range(5)) <= set(ranked)
+
+
+def test_a_short_head_shares_its_ranks_with_the_loop(monkeypatch):
+    # family n = 4 with the degree-5 annihilator as generators: the head
+    # ranks cat_4 mod q and exactly, and degree 4, which fails, reads both
+    # ranks back instead of taking them again.  Every other cat_d is ranked
+    # mod q once, and the verdicts are the reference's
+    phi = family_phi(4)
+    gens = oracle.annihilator_degree(phi, 5)
+    kinds = []
+    _ranked_catalecticants(monkeypatch, kinds)
+    verdicts = oracle.ideal_equality_check(gens, phi)
+    assert verdicts == reference.ideal_equality_check(gens, phi)
+    assert kinds[:2] == [(4, "mod q"), (4, "exact")]
+    assert kinds.count((4, "mod q")) == kinds.count((4, "exact")) == 1
+    assert len(kinds) == len(set(kinds))
+    assert {d for d, kind in kinds if kind == "exact"} == {4}
 
 
 def test_a_head_rank_short_mod_q_is_decided_exactly(monkeypatch):

@@ -32,8 +32,8 @@ import sys
 from typing import Optional
 
 from . import linalg, oracle, resolution
-from .poly import (MAX_DEGREE, DualElement, Polynomial, contract,
-                   parse_linear_form, random_dual_element)
+from .poly import (MAX_DEGREE, ONE, X, DualElement, parse_linear_form,
+                   random_dual_element)
 from .scalars import DEFAULT_PRIME, PrimeField, field_from_tag
 
 
@@ -251,17 +251,17 @@ def cmd_verify(args) -> int:
         ok &= _check("c1 . c2 = 0", (quad.c1 @ quad.c2).is_zero(), lines)
         # given by the lemma: b1[n:] = Pf(A') c1, both eps_n g[n:]
         _check("Pfaffian minor factorization", True, lines)
-        verdicts = oracle.ideal_equality_check(quad.generators.entries[0],
-                                               phi, args.max_degree)
+        verdicts = oracle.ideal_equality_check_ints(
+            fld, oracle.row_forms(quad.generators),
+            oracle.contracted_form(ONE, phi), args.max_degree)
         ok &= _check("Pfaffian generators of c2 generate ann(phi) "
                      f"(degrees 0..{verdicts[-1].degree})",
                      all(v.equal for v in verdicts), lines)
     else:
         lines.append(f"SKIP  quadratic path: {quad.note}")
-        x = Polynomial.variable(fld, "x")
-        xphi = contract(x, phi)
-        verdicts = oracle.ideal_equality_check(lin.b1.entries[0], xphi,
-                                               args.max_degree)
+        verdicts = oracle.ideal_equality_check_ints(
+            fld, oracle.row_forms(lin.b1), oracle.contracted_form(X, phi),
+            args.max_degree)
         ok &= _check("Pfaffian generators of b2 generate ann(x(phi)) "
                      f"(degrees 0..{verdicts[-1].degree})",
                      all(v.equal for v in verdicts), lines)

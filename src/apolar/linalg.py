@@ -37,8 +37,8 @@ over Q it is lifted from residues and proven by one exact product
 Bareiss).  Either way the rows end as the unique RREF times one
 denominator.  The determinant is the product of the pivots times the
 sign of the row swaps.  The reduced rows stay ints: ``kernel`` boxes only
-the free columns, and ``invert`` returns slices, boxing nothing.  The
-rank takes the same loops forward only, on whichever of M and M^T has
+the nonzero coordinates, and ``invert`` returns slices, boxing nothing.
+The rank takes the same loops forward only, on whichever of M and M^T has
 fewer rows.  A zero-row matrix keeps its column count.
 Elimination takes matrices of scalars: it refuses degree >= 1.
 
@@ -471,7 +471,8 @@ def kernel(m: Matrix) -> List[List[Scalar]]:
             v = [field.zero] * m.cols
             v[f] = field.one
             for r, c in enumerate(pivots):
-                v[c] = field.from_int(-red[r][f], last)
+                if red[r][f]:
+                    v[c] = field.from_int(-red[r][f], last)
             basis.append(v)
     return basis
 
@@ -563,7 +564,7 @@ def pfaffian(m: Matrix) -> Scalar:
     size, zero = m.rows, m.field.zero
     if size % 2:
         return zero
-    a = [list(r) for r in m.entries]
+    a = [[m.field.from_int(x, m.L) for x in r] for r in _int_rows(m)]
     pf = m.field.one
     for k in range(0, size, 2):
         j = next((j for j in range(k + 1, size) if a[k][j]), None)

@@ -21,7 +21,14 @@ Over Q, the ideal-equality certificate first ranks its matrices modulo one
 prime, ``CERTIFICATE_PRIME``: reducing an integer matrix mod a prime can
 only lose rank.  So a modular rank is a lower bound for the rational
 one, and where the bounds meet, the degree is proven.  Any prime is sound; an
-unlucky one only sends that degree to the exact rational path.
+unlucky one only sends that degree to the exact rational path.  The prime
+is ``residues.LIFT_PRIMES[0]`` = 268435399, the largest below 2^28, so that
+a slot of ``residues.rref_mod`` is one 64-bit word for fewer than 128 rows.
+
+``verify`` calls the certificate on int forms (``ideal_equality_check_ints``):
+the columns of its generator row read off the slices (``row_forms``), and
+phi or x(phi) read off the int form of phi (``contracted_form``), so
+neither is boxed.
 
 The tail lemma (any field).  Let J = ann(phi), s = deg phi and a the
 least degree with J_a != 0.  Then J_d = R_1 J_{d-1} for every
@@ -60,11 +67,11 @@ from . import linalg
 from .linalg import Matrix, catalecticants
 from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
                    monomials_of_degree)
-from .residues import product
+from .residues import LIFT_PRIMES, product
 from .scalars import QQ, Field, RationalField, Scalar
 
-# The prime of the modular ranks over Q: the Mersenne prime 2^61 - 1.
-CERTIFICATE_PRIME = 2 ** 61 - 1
+# The prime of the modular ranks over Q (the module docstring says why).
+CERTIFICATE_PRIME = LIFT_PRIMES[0]
 
 
 # A form on plain ints: (degree, {monomial: int coefficient}).
@@ -332,32 +339,64 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
     contraction lands below degree zero, the span because at degree s + 1 it
     already equals the full space whenever the verdict there is "equal"), and
     neither acquires new generators above s + 1.
+
+    The check runs on the int forms of gens and phi
+    (``ideal_equality_check_ints``).
     """
     fld = phi.field
-    s = phi.degree
-    if max_degree is None:
-        max_degree = s + 1
     for g in gens:
         if not isinstance(g, Polynomial):
             raise ValueError("generators must be homogeneous polynomials")
         if g.field != fld:
             raise ValueError("generator field does not match phi")
+    return ideal_equality_check_ints(fld, [_int_form(g) for g in gens],
+                                     _int_form(phi), max_degree)
+
+
+def row_forms(row: Matrix) -> List[IntForm]:
+    """The int forms of the entries of a 1 x m matrix of forms, column by
+    column, read off its slices: each entry times the matrix's L."""
+    forms: List[Dict[Monomial, int]] = [{} for _ in range(row.cols)]
+    for u, (ints,) in row.slices.items():
+        for form, c in zip(forms, ints):
+            if c:
+                form[u] = c
+    return [(row.degree, form) for form in forms]
+
+
+def contracted_form(u: Monomial, phi: DualElement) -> IntForm:
+    """The int form of u(phi) for a monomial u, read off that of phi: the
+    coefficient of m in u(phi) is phi's coefficient of u * m."""
+    s, coeffs = _int_form(phi)
+    return s - u.degree, {m.quotient(u): c for m, c in coeffs.items()
+                          if u.divides(m)}
+
+
+def ideal_equality_check_ints(fld: Field, gens: Sequence[IntForm],
+                              phi: IntForm, max_degree: Optional[int] = None
+                              ) -> List[DegreeVerdict]:
+    """``ideal_equality_check`` on int forms over fld (``_int_form``,
+    ``row_forms``, ``contracted_form``): over GF(p) the residues in [0, p),
+    over Q each form times any nonzero integer, which keeps every verdict,
+    since a row read off one form is the boxed row times that factor."""
+    s, phi_int = phi
+    if max_degree is None:
+        max_degree = s + 1
     p = getattr(fld, "p", None)
-    _, phi_int = _int_form(phi)
     # each cat_d is built once, for the containment products and the ranks,
     # which copy its rows before they eliminate; each of its ranks is taken
     # once, for the head and the loop
     cat_rows = functools.lru_cache(maxsize=None)(
         functools.partial(_cat_rows, phi_int, s))
     cat_rank_q, cat_rank = _cat_ranks(cat_rows, fld)
-    gens_int = [_int_form(g) for g in gens]
-    annihilates = _annihilates(gens_int, s, cat_rows, p)
+    annihilates = _annihilates(gens, s, cat_rows, p)
     q = CERTIFICATE_PRIME
-    head = _head_degree(cat_rank_q, cat_rank, gens_int)
+    head = _head_degree(cat_rank_q, cat_rank, gens)
     verdicts: List[DegreeVerdict] = []
     for d in range(max_degree + 1):
         total = math.comb(d + 2, 2)
-        contained = all(ok for g, ok in zip(gens, annihilates) if g.degree <= d)
+        contained = all(ok for (deg, _), ok in zip(gens, annihilates)
+                        if deg <= d)
         dim_span = dim_ann = None
         if head is not None and d < head:
             dim_span = dim_ann = 0
@@ -367,7 +406,7 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
                 dim_span = dim_ann
         if dim_span is None and p is None and contained:
             span_q = linalg._rank_mod(
-                _multiple_rows(gens_int, monomials_of_degree(d)), q)
+                _multiple_rows(gens, monomials_of_degree(d)), q)
             ann_q = dim_ann
             if ann_q is None:
                 ann_q = total - cat_rank_q(d)
@@ -375,7 +414,7 @@ def ideal_equality_check(gens: List[Polynomial], phi: DualElement,
                 dim_span = dim_ann = span_q
         if dim_span is None:
             dim_span = _exact_rank(
-                fld, _multiple_rows(gens_int, monomials_of_degree(d)))
+                fld, _multiple_rows(gens, monomials_of_degree(d)))
         if dim_ann is None:
             dim_ann = total - cat_rank(d)
         verdicts.append(DegreeVerdict(d, dim_span, dim_ann, contained,

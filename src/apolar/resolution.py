@@ -9,11 +9,13 @@ p is invertible the alternating linear presentation matrix
     b2 = [[ x*A' , x*B1 + B2 ],
           [ -(x*B1 + B2)^T , x*(D0 - D0^T) ]]
 
-is assembled from exact blocks of r^T p^{-1} r, r^T p^{-1} and p^{-1}, each
-shifted by a monomial (``Matrix.times_monomial``), so no polynomial is
-boxed.  Every matrix here is a ``linalg.Matrix`` of forms of one degree:
-p, r, p^{-1} and the exact blocks have degree 0, b2 degree 1 and c2
-degree 2.  The row of signed maximal-order Pfaffians of b2 generates I, and
+is written by index (``_assemble``): A0, A', B0, B1 and D0 are slices of
+the int rows of r^T p^{-1} r, r^T p^{-1} and p^{-1} over one common L, the
+slice of b2 at x is [[A', B1], [-B1^T, D0 - D0^T]], and those at y and z
+hold the constant shift B2, so no polynomial is boxed and no block
+operation runs.  Every matrix here is a ``linalg.Matrix`` of forms of one
+degree: p, r, p^{-1} and the exact blocks have degree 0, b2 degree 1 and
+c2 degree 2.  The row of signed maximal-order Pfaffians of b2 generates I, and
 so does the explicit row read off p^{-1} and r.  Dropping the pure y,z
 part of phi keeps p, so ``reduced_presentation`` builds the presentation
 of the reduction from the same p^{-1} and a rebuilt r.
@@ -68,11 +70,13 @@ instance, since off-by-one deletions are the dominant bug risk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import sub
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .linalg import Matrix, block, catalecticants, hstack
+from .linalg import Matrix, block, catalecticants
 from .poly import ONE, DualElement, X, Y, Z, monomials_of_degree
 from .scalars import Field, Scalar
 
@@ -131,14 +135,6 @@ def _eps(n: int) -> int:
     return -1 if n * (n - 1) // 2 % 2 else 1
 
 
-def _b2_lower_shift(field: Field, n: int) -> Matrix:
-    """The n x (n+1) constant-free block [z I_n | 0] - [0 | y I_n]."""
-    eye = Matrix.identity(field, n)
-    zero_col = Matrix.zeros(field, n, 1)
-    return (hstack(eye, zero_col).times_monomial(Z)
-            - hstack(zero_col, eye).times_monomial(Y))
-
-
 def build_linear_presentation(phi: DualElement,
                               with_pfaffian_row: bool = True) -> LinearPresentation:
     """Assemble the linear presentation of ann(x(phi)) when p is invertible;
@@ -167,33 +163,76 @@ def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
     return _assemble(tilde, n, lin.p, r, lin.p_inv, False)
 
 
+def _rows_over(m: Matrix, L: int) -> List[List[int]]:
+    """The int rows of L m, for a matrix m of scalars whose L divides L:
+    zero rows where m has no slice."""
+    s = m.slices.get(ONE)
+    if s is None:
+        return [[0] * m.cols for _ in range(m.rows)]
+    f = L // m.L
+    return s if f == 1 else [[x * f for x in r] for r in s]
+
+
+def _alternating(P: List[List[int]], Q: List[List[int]],
+                 S: List[List[int]]) -> List[List[int]]:
+    """The int rows of [[P, Q], [-Q^T, S]]."""
+    return ([a + b for a, b in zip(P, Q)]
+            + [[-x for x in c] + d for c, d in zip(zip(*Q), S)])
+
+
+def _minus_transpose(M: List[List[int]]) -> List[List[int]]:
+    return [list(map(sub, r, c)) for r, c in zip(M, zip(*M))]
+
+
 def _assemble(phi: DualElement, n: int, p: Matrix, r: Matrix,
               p_inv: Matrix, with_pfaffian_row: bool) -> LinearPresentation:
     """The exact blocks, b2, the explicit generator row g and (if asked) b1
-    from p, r and p^{-1}: b1 = eps_n g once g b2 = 0, else None."""
-    fld = phi.field
+    from p, r and p^{-1}: b1 = eps_n g once g b2 = 0, else None.
+
+    Every block is written by index into the int rows of r^T p^{-1} r,
+    r^T p^{-1} and p^{-1} over one common L, and made canonical once (A0,
+    B0 and D0 copy canonical entries, so only the blocks with a difference
+    or a sign are reduced mod p): A0 is r^T p^{-1} r without row n and
+    column 0, A' = A0 - A0^T, B0 the last n columns of r^T p^{-1},
+    B1 = [0 | B0 without row n] - [B0 without row 0 | 0], and
+    D0 = [[0, the last n x n corner of p^{-1}], [0, 0]].  The slice of b2
+    at x is [[A', B1], [-B1^T, D0 - D0^T]], and those at z and y hold the
+    constant shift B2 = z [I_n | 0] - y [0 | I_n] and -B2^T."""
     N = p.rows
     rtp = r.transpose() @ p_inv
     rtpr = rtp @ r
-    A0 = rtpr.deleted(rows=[n], cols=[0])
-    A_prime = A0 - A0.transpose()
-    B0 = rtp.take_cols(range(N - n, N))
-    zero_col = Matrix.zeros(fld, n, 1)
-    B1 = hstack(zero_col, B0.deleted(rows=[n])) - hstack(B0.deleted(rows=[0]), zero_col)
-    corner = p_inv.take_rows(range(N - n, N)).take_cols(range(N - n, N))
-    D0 = block([[Matrix.zeros(fld, n, 1), corner],
-                [Matrix.zeros(fld, 1, n + 1)]])
-    A = A_prime.times_monomial(X)
-    B2 = _b2_lower_shift(fld, n)
-    B = B1.times_monomial(X) + B2
-    D = (D0 - D0.transpose()).times_monomial(X)
-    b2 = block([[A, B], [-B.transpose(), D]])
+    L = math.lcm(rtpr.L, rtp.L, p_inv.L)
+    P, Q, S = (_rows_over(m, L) for m in (rtpr, rtp, p_inv))
+    A0 = [row[1:] for row in P[:n]]
+    Ap = _minus_transpose(A0)
+    B0 = [row[N - n:] for row in Q]
+    B1 = [list(map(sub, [0] + lo, hi + [0])) for lo, hi in zip(B0, B0[1:])]
+    D0 = [[0] + row[N - n:] for row in S[N - n:]] + [[0] * (n + 1)]
+    Dx = _minus_transpose(D0)
+    shift = {Z: [[L * (j == i) for j in range(n + 1)] for i in range(n)],
+             Y: [[-L * (j == i + 1) for j in range(n + 1)] for i in range(n)]}
+    b2 = {X: _alternating(Ap, B1, Dx)}
+    for u, s in shift.items():
+        b2[u] = _alternating([[0] * n for _ in range(n)], s,
+                             [[0] * (n + 1) for _ in range(n + 1)])
+
+    def made(degree: int, rows: int, cols: int, slices,
+             reduce: bool = True) -> Matrix:
+        return p._result(degree, rows, cols, L, slices, reduce)
+    A_prime = made(0, n, n, {ONE: Ap})
+    b2 = made(1, 2 * n + 1, 2 * n + 1, b2)
     row = explicit_generators(p_inv, rtp)
     b1 = None
     if with_pfaffian_row and (row @ b2).is_zero():
         b1 = row.scaled(_eps(n))
-    return LinearPresentation(n, fld, phi, p, r, N, True, p_inv, A0, A_prime,
-                              B0, B1, B2, D0, A, B, D, b2, b1, row)
+    return LinearPresentation(
+        n, phi.field, phi, p, r, N, True, p_inv,
+        A0=made(0, n, n, {ONE: A0}, False), A_prime=A_prime,
+        B0=made(0, n + 1, n, {ONE: B0}, False),
+        B1=made(0, n, n + 1, {ONE: B1}), B2=made(1, n, n + 1, shift),
+        D0=made(0, n + 1, n + 1, {ONE: D0}, False),
+        A=A_prime.times_monomial(X), B=made(1, n, n + 1, {X: B1, **shift}),
+        D=made(1, n + 1, n + 1, {X: Dx}), b2=b2, b1=b1, generator_row=row)
 
 
 def explicit_generators(p_inv: Matrix, rtp: Matrix) -> Matrix:

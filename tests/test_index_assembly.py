@@ -1,0 +1,114 @@
+"""The presentation blocks written by index equal the block algebra.
+
+``resolution._assemble`` and ``explicit_generators`` write every block by
+index into the int rows of r^T p^{-1} r, r^T p^{-1} and p^{-1}.  The
+reference here builds the same blocks the way the package built them
+before, from ``Matrix`` operations alone: ``deleted``, ``take_cols``,
+``hstack``, ``block``, negation and subtraction.  Both must give the same
+canonical matrices (L and slices), for phi and for its reduction, over Q
+and over small and large prime fields, at n = 1 and wherever r^T p^{-1} r
+or r is zero."""
+
+import random
+
+import pytest
+
+from apolar import (DualElement, Matrix, Monomial, PrimeField, QQ,
+                    build_linear_presentation, family_phi,
+                    random_dual_element, reduced_presentation)
+from apolar.linalg import block, hstack
+from apolar.poly import ONE, X, Y, Z, monomials_of_degree
+
+FIELDS = (QQ, PrimeField(3), PrimeField(32003), PrimeField(2 ** 61 - 1))
+
+
+def reference_blocks(fld, n, p, r, p_inv):
+    """Every block of the linear presentation by the block algebra."""
+    N = p.rows
+    rtp = r.transpose() @ p_inv
+    rtpr = rtp @ r
+    A0 = rtpr.deleted(rows=[n], cols=[0])
+    A_prime = A0 - A0.transpose()
+    B0 = rtp.take_cols(range(N - n, N))
+    zero_col = Matrix.zeros(fld, n, 1)
+    B1 = (hstack(zero_col, B0.deleted(rows=[n]))
+          - hstack(B0.deleted(rows=[0]), zero_col))
+    corner = p_inv.take_rows(range(N - n, N)).take_cols(range(N - n, N))
+    D0 = block([[Matrix.zeros(fld, n, 1), corner],
+                [Matrix.zeros(fld, 1, n + 1)]])
+    A = A_prime.times_monomial(X)
+    eye = Matrix.identity(fld, n)
+    B2 = (hstack(eye, zero_col).times_monomial(Z)
+          - hstack(zero_col, eye).times_monomial(Y))
+    B = B1.times_monomial(X) + B2
+    D = (D0 - D0.transpose()).times_monomial(X)
+    b2 = block([[A, B], [-B.transpose(), D]])
+    images = block([[p_inv.take_cols(range(N - n, N)), -rtp.transpose()],
+                    [Matrix.zeros(fld, n + 1, n), Matrix.identity(fld, n + 1)]])
+    monos = ([X * m for m in monomials_of_degree(n - 1)]
+             + monomials_of_degree(n, x_free=True))
+    row = Matrix._from_slices(fld, n, 1, 2 * n + 1, images.L, {
+        u: [c] for u, c in zip(monos, images.slices.get(ONE, [])) if any(c)})
+    return {"A0": A0, "A_prime": A_prime, "B0": B0, "B1": B1, "B2": B2,
+            "D0": D0, "A": A, "B": B, "D": D, "b2": b2,
+            "generator_row": row}
+
+
+def assert_blocks_match(lin):
+    expected = reference_blocks(lin.field, lin.n, lin.p, lin.r, lin.p_inv)
+    for name, ref in expected.items():
+        got = getattr(lin, name)
+        assert (got.degree, got.rows, got.cols, got.L, got.slices) == (
+            ref.degree, ref.rows, ref.cols, ref.L, ref.slices), name
+        assert got.to_strings() == ref.to_strings(), name
+
+
+def phi_of(fld, degree, coeffs):
+    return DualElement(fld, degree, {Monomial(*m): fld.of(c)
+                                     for m, c in coeffs.items()})
+
+
+# phi with r = 0 (n = 1, phi = x*) or with r^T p^{-1} r = 0 and r != 0
+SPARSE = [
+    (QQ, 1, {(1, 0, 0): 1}),
+    (PrimeField(3), 1, {(1, 0, 0): 2}),
+    (QQ, 3, {(3, 0, 0): 2, (2, 0, 1): 2, (1, 2, 0): 2}),
+    (QQ, 5, {(3, 0, 2): 1, (2, 2, 1): 2, (1, 4, 0): 1}),
+    (PrimeField(3), 3, {(2, 1, 0): 2, (1, 0, 2): 2}),
+    (PrimeField(32003), 5, {(3, 1, 1): 1, (2, 2, 1): -1, (2, 1, 2): -1}),
+    (PrimeField(2 ** 61 - 1), 3, {(3, 0, 0): 2, (2, 0, 1): 2, (1, 2, 0): 2}),
+]
+
+
+@pytest.mark.parametrize("fld,degree,coeffs", SPARSE,
+                         ids=[f"{f.tag}-{d}-{i}" for i, (f, d, _)
+                              in enumerate(SPARSE)])
+def test_zero_products_keep_their_shapes(fld, degree, coeffs):
+    lin = build_linear_presentation(phi_of(fld, degree, coeffs))
+    assert lin.linearly_presented
+    assert (lin.r.transpose() @ lin.p_inv @ lin.r).is_zero()
+    assert lin.r.is_zero() == (degree == 1)
+    assert_blocks_match(lin)
+    assert_blocks_match(reduced_presentation(lin))
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.tag)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_index_blocks_equal_the_block_algebra(fld, n):
+    seen = 0
+    for seed in range(4):
+        phi = random_dual_element(fld, 2 * n - 1, random.Random(seed))
+        lin = build_linear_presentation(phi)
+        if not lin.linearly_presented:
+            continue
+        seen += 1
+        assert_blocks_match(lin)
+        assert_blocks_match(reduced_presentation(lin))
+    assert seen
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_index_blocks_of_the_family(n):
+    lin = build_linear_presentation(family_phi(n))
+    assert_blocks_match(lin)
+    assert_blocks_match(reduced_presentation(lin))

@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from apolar import (DualElement, Monomial, Polynomial, PrimeField, QQ, cli,
                     family_phi, linalg, monomials_of_degree, oracle, resolution)
+from apolar.residues import LIFT_PRIMES
 from apolar.scalars import is_prime
 
 import ideal_reference as reference
 
-DEFAULT_PRIME = 2 ** 61 - 1
+DEFAULT_PRIME = LIFT_PRIMES[0]
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +59,13 @@ class Eliminations:
         return len(self.fields) + len(self.moduli)
 
 
-def test_certificate_prime_is_the_proven_prime_2_61_minus_1():
-    assert oracle.CERTIFICATE_PRIME == DEFAULT_PRIME
+def test_certificate_prime_is_the_first_lift_prime():
+    # the largest prime below 2^28: a slot of rref_mod is one 64-bit word
+    # below 128 rows
+    assert oracle.CERTIFICATE_PRIME == DEFAULT_PRIME == 268435399
     assert is_prime(DEFAULT_PRIME)
+    assert not any(map(is_prime, range(DEFAULT_PRIME + 1, 2 ** 28)))
+    assert 127 * (DEFAULT_PRIME - 1) ** 2 + DEFAULT_PRIME < 2 ** 63
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -99,7 +104,7 @@ def test_verify_certifies_the_family_from_one_head_rank(tmp_path, monkeypatch,
     # in degree n + 1
     path = tmp_path / "phi.json"
     assert cli.main(["example-family", "--n", str(n), "--out", str(path)]) == 0
-    certificate = oracle.ideal_equality_check
+    certificate = oracle.ideal_equality_check_ints
     seen = []
 
     def counted(*args, **kwargs):
@@ -107,7 +112,7 @@ def test_verify_certifies_the_family_from_one_head_rank(tmp_path, monkeypatch,
         verdicts = certificate(*args, **kwargs)
         seen.append((list(calls.fields), list(calls.moduli)))
         return verdicts
-    monkeypatch.setattr(oracle, "ideal_equality_check", counted)
+    monkeypatch.setattr(oracle, "ideal_equality_check_ints", counted)
     capsys.readouterr()
     assert cli.main(["verify", str(path)]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")
@@ -143,7 +148,7 @@ def test_verify_proves_the_head_from_one_modular_rank(tmp_path, monkeypatch,
 
         def spied(*args, **kwargs):
             if (name in ("_rank_mod", "_exact_rank")
-                    and "ideal_equality_check" in stack
+                    and "ideal_equality_check_ints" in stack
                     and "_exact_rank" not in stack):
                 ranks.append((name, "_head_degree" in stack))
             stack.append(name)
@@ -152,7 +157,7 @@ def test_verify_proves_the_head_from_one_modular_rank(tmp_path, monkeypatch,
             finally:
                 stack.pop()
         monkeypatch.setattr(module, name, spied)
-    for module, name in [(oracle, "ideal_equality_check"),
+    for module, name in [(oracle, "ideal_equality_check_ints"),
                          (oracle, "_head_degree"), (oracle, "_exact_rank"),
                          (linalg, "_rank_mod")]:
         spy(module, name)

@@ -3,10 +3,11 @@
 ``Matrix`` is the one matrix class: a matrix over one field whose entries
 are homogeneous forms in x, y, z of one ``degree``, degree 0 meaning
 scalars.  It holds the algebra: transpose, sum, difference, negation,
-product, scaling, equality, row and column selection, the zero test, the
-text form and stacking.  Sums and stacking take one field and one degree;
-a product adds the degrees, and ``times_monomial(u)`` is u times the
-matrix, of degree ``degree + deg u``.
+product, scaling, equality, column selection, the zero test and the text
+form.  Sums take one field and one degree; a product adds the degrees, and
+``times_monomial(u)`` is u times the matrix, of degree ``degree + deg u``.
+Nothing is stacked: a matrix made of blocks is written by index into int
+rows and made canonical once.
 
 A matrix M stores plain ints: L M = sum_u u C_u, one int matrix C_u (a
 "slice") per monomial u that occurs, rows of ints, on the field's int
@@ -56,8 +57,7 @@ from itertools import chain, islice
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (DualElement, Monomial, ONE, Polynomial, catalecticant,
-                   parse_polynomial)
+from .poly import DualElement, Monomial, ONE, Polynomial, catalecticant
 from .residues import (product as _product, rref_lift as _rref_lift,
                        rref_mod as _rref_mod)
 from .scalars import Field, FieldMismatchError, Scalar
@@ -141,26 +141,11 @@ class Matrix:
     def _from_ints(cls, field: Field, rows: List[List[int]], cols: int,
                    L: int = 1) -> "Matrix":
         """The matrix of the scalars x / L on the field's encoding, x the
-        ints of ``rows``, unchecked and made canonical by ``_result``."""
-        return cls.zeros(field, 0, cols)._result(0, len(rows), cols, L,
-                                                 {ONE: rows})
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int,
-              degree: int = 0) -> "Matrix":
-        return cls._from_slices(field, degree, rows, cols, 1, {})
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._from_ints(field, [[int(i == j) for j in range(n)]
-                                      for i in range(n)], n)
-
-    @classmethod
-    def from_strings(cls, field: Field, rows: Sequence[Sequence[str]],
-                     degree: int = 0) -> "Matrix":
-        """Each entry by ``parse_polynomial``: a scalar is a form of degree 0."""
-        return cls(field, [[parse_polynomial(text, field) for text in r]
-                           for r in rows], degree=degree)
+        ints of ``rows``, unchecked and made canonical by ``_result``,
+        which does not reduce them: over GF(p) they must already be
+        residues in [0, p)."""
+        m = cls._from_slices(field, 0, len(rows), cols, L, {ONE: rows})
+        return m._result(0, m.rows, cols, L, m.slices)
 
     def _result(self, degree: int, rows: int, cols: int, L: int,
                 slices: Slices, reduce: bool = False) -> "Matrix":
@@ -275,17 +260,8 @@ class Matrix:
                             {u: [[s[i][j] for j in cols] for i in rows]
                              for u, s in self.slices.items()})
 
-    def deleted(self, rows: Sequence[int] = (), cols: Sequence[int] = ()) -> "Matrix":
-        """Copy with the given 0-based rows and columns removed."""
-        rs, cs = set(rows), set(cols)
-        return self._select([i for i in range(self.rows) if i not in rs],
-                            [j for j in range(self.cols) if j not in cs])
-
     def take_cols(self, indices: Sequence[int]) -> "Matrix":
         return self._select(range(self.rows), list(indices))
-
-    def take_rows(self, indices: Sequence[int]) -> "Matrix":
-        return self._select(list(indices), range(self.cols))
 
     def is_zero(self) -> bool:
         return not self.slices
@@ -315,46 +291,6 @@ class Matrix:
     def __repr__(self):
         return (f"Matrix({self.rows}x{self.cols}, degree {self.degree} "
                 f"over {self.field!r})")
-
-
-def _stacked(mats: Sequence[Matrix]) -> Matrix:
-    """The first of mats, once all are over its field and of its degree."""
-    first = mats[0]
-    for m in mats[1:]:
-        if m.field != first.field:
-            raise FieldMismatchError("cannot stack matrices over different fields")
-        if m.degree != first.degree:
-            raise ValueError("cannot stack matrices of different degrees")
-    return first
-
-
-def hstack(*mats: Matrix) -> Matrix:
-    first = _stacked(mats)
-    if any(m.rows != first.rows for m in mats):
-        raise ValueError("row count mismatch in hstack")
-    return vstack(*[m.transpose() for m in mats]).transpose()
-
-
-def vstack(*mats: Matrix) -> Matrix:
-    """The rows of mats, of one field and degree, over the LCM of their L:
-    for each monomial, each block's slice (scaled to the common L) or
-    zeros.  The LCM of canonical denominators keeps the form canonical, and
-    a slice that occurs is nonzero."""
-    first = _stacked(mats)
-    if any(m.cols != first.cols for m in mats):
-        raise ValueError("column count mismatch in vstack")
-    L = math.lcm(*(m.L for m in mats))
-    slices: Slices = {}
-    for u in dict.fromkeys(chain.from_iterable(m.slices for m in mats)):
-        slices[u] = [r for m in mats for r in (
-            _scaled_slice(m.slices[u], L // m.L) if u in m.slices
-            else [[0] * m.cols] * m.rows)]
-    return first._from_slices(first.field, first.degree,
-                              sum(m.rows for m in mats), first.cols, L, slices)
-
-
-def block(grid: Sequence[Sequence[Matrix]]) -> Matrix:
-    return vstack(*[hstack(*row) for row in grid])
 
 
 def catalecticants(phi: DualElement, *shapes) -> List[Matrix]:

@@ -18,7 +18,10 @@ degree: p, r, p^{-1} and the exact blocks have degree 0, b2 degree 1 and
 c2 degree 2.  The row of signed maximal-order Pfaffians of b2 generates I, and
 so does the explicit row read off p^{-1} and r.  Dropping the pure y,z
 part of phi keeps p, so ``reduced_presentation`` builds the presentation
-of the reduction from the same p^{-1} and a rebuilt r.
+of the reduction from the same p^{-1} and a rebuilt r; the two are
+conjugate by a constant unipotent pair Theta whose off-diagonal block T is
+the last n rows of r (``theta_conjugation_check``).  No matrix in this
+module is stacked from blocks: each is written by index into int rows.
 
 When n is even and A' is invertible, the quadratic path resolves
 R/J for J = ann(phi): c2 = B^T (A')^{-1} B + x*D is an alternating matrix of
@@ -76,7 +79,7 @@ from operator import sub
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .linalg import Matrix, block, catalecticants
+from .linalg import Matrix, catalecticants
 from .poly import ONE, DualElement, X, Y, Z, monomials_of_degree
 from .scalars import Field, Scalar
 
@@ -244,20 +247,23 @@ def explicit_generators(p_inv: Matrix, rtp: Matrix) -> Matrix:
     monomials come last, the p^{-1}(nu) are the last n columns of p^{-1},
     and mu(phi) is the column phi(m_i * mu) of r, so the p^{-1}(mu(phi))
     are the columns of p^{-1} r = (r^T p^{-1})^T, p being symmetric; rtp is
-    r^T p^{-1}.  So the row is sum_i u_i c_i, c_i row i of
-    [[p^{-1}[:, N-n:], -rtp^T], [0, I_{n+1}]] and u_i the i-th of
-    x m_1, ..., x m_N, mu_1, ..., mu_{n+1}: row i is the slice of u_i.
+    r^T p^{-1}.  So the row is sum_i u_i c_i, u_i the i-th of
+    x m_1, ..., x m_N, mu_1, ..., mu_{n+1}, and c_i its slice, written by
+    index into the int rows S of p^{-1} and Q of rtp over one common L:
+    c_i = S[i][N-n:] + [-Q[j][i] for each j] for i < N, and
+    c_{N+k} = [0] * n + L e_k; the row is made canonical once.
     ``LinearPresentation.generator_row`` keeps this row."""
-    fld = p_inv.field
     n = rtp.rows - 1
     N = p_inv.rows
-    images = block([[p_inv.take_cols(range(N - n, N)), -rtp.transpose()],
-                    [Matrix.zeros(fld, n + 1, n),
-                     Matrix.identity(fld, n + 1)]])
+    L = math.lcm(p_inv.L, rtp.L)
+    S, Q = _rows_over(p_inv, L), _rows_over(rtp, L)
+    images = ([s[N - n:] + [-q[i] for q in Q] for i, s in enumerate(S)]
+              + [[0] * n + [L * (j == k) for j in range(n + 1)]
+                 for k in range(n + 1)])
     monos = ([X * m for m in monomials_of_degree(n - 1)]
              + monomials_of_degree(n, x_free=True))
-    return Matrix._from_slices(fld, n, 1, 2 * n + 1, images.L, {
-        u: [c] for u, c in zip(monos, images.slices[ONE]) if any(c)})
+    return p_inv._result(n, 1, 2 * n + 1, L,
+                         {u: [c] for u, c in zip(monos, images)}, reduce=True)
 
 
 def reduced_inverse_system(phi: DualElement) -> DualElement:
@@ -268,24 +274,6 @@ def reduced_inverse_system(phi: DualElement) -> DualElement:
                        {m: c for m, c in phi.coeffs.items() if m.a > 0})
 
 
-def theta_matrices(phi: DualElement) -> Tuple[Matrix, Matrix]:
-    """The constant unipotent change-of-basis pair linking the presentations
-    built from phi and from its reduction.  The off-diagonal block T, the
-    catalecticant of phi on x-free rows and columns, sees only the dropped
-    pure y,z part of phi; it is the last n rows of r."""
-    n = _infer_n(phi)
-    fld = phi.field
-    T, = catalecticants(phi, (monomials_of_degree(n - 1, x_free=True),
-                              monomials_of_degree(n, x_free=True)))
-    eye_n = Matrix.identity(fld, n)
-    eye_n1 = Matrix.identity(fld, n + 1)
-    theta1 = block([[eye_n, -T],
-                    [Matrix.zeros(fld, n + 1, n), eye_n1]])
-    theta2 = block([[eye_n, Matrix.zeros(fld, n, n + 1)],
-                    [T.transpose(), eye_n1]])
-    return theta1, theta2
-
-
 def theta_conjugation_check(lin_phi: LinearPresentation,
                             lin_phitilde: LinearPresentation,
                             phi: DualElement) -> bool:
@@ -293,12 +281,25 @@ def theta_conjugation_check(lin_phi: LinearPresentation,
     reduction are conjugate: Theta1 . b2 = b2~ . Theta2, and the explicit
     generator row of phi equals the reduced row composed with Theta1.
     Raises ValueError unless the presentations were built from phi and from
-    its reduction."""
+    its reduction.
+
+    Theta1 = [[I_n, -T], [0, I_(n+1)]] and Theta2 = [[I_n, 0], [T^T, I_(n+1)]]
+    are the constant unipotent change of basis.  T, the catalecticant of phi
+    on x-free rows and columns, sees only the dropped pure y,z part of phi;
+    it is the last n rows of r, so both are written by index into the int
+    rows of r over its L and made canonical once."""
     if lin_phi.phi != phi or lin_phitilde.phi != reduced_inverse_system(phi):
         raise ValueError("presentations were not built from phi and its reduction")
     if not (lin_phi.linearly_presented and lin_phitilde.linearly_presented):
         raise ValueError("both presentations must have invertible p")
-    theta1, theta2 = theta_matrices(phi)
+    n, r = lin_phi.n, lin_phi.r
+    m, L = 2 * n + 1, r.L
+    T = _rows_over(r, L)[r.rows - n:]
+    eye = [[L * (j == i) for j in range(m)] for i in range(m)]
+    upper = [e[:n] + [-x for x in t] for e, t in zip(eye, T)] + eye[n:]
+    lower = eye[:n] + [list(c) + e[n:] for c, e in zip(zip(*T), eye[n:])]
+    theta1, theta2 = (r._result(0, m, m, L, {ONE: rows}, reduce=True)
+                      for rows in (upper, lower))
     if theta1 @ lin_phi.b2 != lin_phitilde.b2 @ theta2:
         return False
     return lin_phitilde.generator_row @ theta1 == lin_phi.generator_row

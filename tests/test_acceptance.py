@@ -73,11 +73,11 @@ def test_criterion_1_golden_n2():
         assert lin.p_inv.scaled(golden.P_INV_N2_FACTOR) == \
             Matrix(QQ, golden.P_INV_N2)
         assert lin.A_prime == Matrix(QQ, golden.A_PRIME_N2)
-        assert lin.B == Matrix.from_strings(QQ, golden.B_N2, 1)
+        assert lin.B == golden.parsed(QQ, golden.B_N2, 1)
         assert lin.D.scaled(golden.D_N2_FACTOR) == \
-            Matrix.from_strings(QQ, golden.D_N2, 1)
+            golden.parsed(QQ, golden.D_N2, 1)
         assert quad.c2.scaled(golden.C2_N2_FACTOR) == \
-            Matrix.from_strings(QQ, golden.C2_N2, 2)
+            golden.parsed(QQ, golden.C2_N2, 2)
         assert elapsed < 1.0, f"n=2 pipeline took {elapsed:.2f} s"
 
 
@@ -93,11 +93,11 @@ def test_criterion_2_golden_n4():
         assert lin.A_prime.scaled(golden.A_PRIME_N4_FACTOR) == \
             Matrix(QQ, golden.A_PRIME_N4)
         assert lin.B.scaled(golden.B_N4_FACTOR) == \
-            Matrix.from_strings(QQ, golden.B_N4, 1)
+            golden.parsed(QQ, golden.B_N4, 1)
         assert lin.D.scaled(golden.D_N4_FACTOR) == \
-            Matrix.from_strings(QQ, golden.D_N4, 1)
+            golden.parsed(QQ, golden.D_N4, 1)
         assert quad.c2.scaled(golden.C2_N4_FACTOR) == \
-            Matrix.from_strings(QQ, golden.C2_N4, 2)
+            golden.parsed(QQ, golden.C2_N4, 2)
         assert elapsed < 5.0, f"n=4 pipeline took {elapsed:.2f} s"
 
 
@@ -106,7 +106,7 @@ def test_criterion_3_golden_n6():
         t0 = time.perf_counter()
         phi, lin, quad = build_family(6)
         assert quad.c2.scaled(golden.C2_N6_FACTOR) == \
-            Matrix.from_strings(QQ, golden.C2_N6, 2)
+            golden.parsed(QQ, golden.C2_N6, 2)
         # the verify-pass work, dominated by the 13x13 Pfaffian minors of b2
         assert is_alternating(lin.b2)
         assert (lin.b1 @ lin.b2).is_zero()

@@ -1,8 +1,9 @@
 """The one catalecticant builder and what the presentation reads off it.
 
-``poly.catalecticant`` fills p, r, the block T of ``theta_matrices`` and
-the oracle's matrices; ``explicit_generators`` reads r^T p^{-1}, and
-``reduced_presentation`` reuses p and p^{-1}.  These tests pin each of
+``poly.catalecticant`` fills p, r and the oracle's matrices; the last n
+rows of r are the block T that ``theta_conjugation_check`` reads,
+``explicit_generators`` reads r^T p^{-1}, and ``reduced_presentation``
+reuses p and p^{-1}.  These tests pin each of
 those readings against an independent construction: entries by the
 direct pairing of ``pairing_reference.evaluate``, the generator row by
 contraction (the formula the row was first written with), and the reduced
@@ -20,7 +21,7 @@ from apolar import (DualElement, LinearPresentation, Matrix, Monomial,
                     build_p_r, catalecticant, contract, explicit_generators,
                     family_phi, invert, monomials_of_degree,
                     random_dual_element, reduced_inverse_system,
-                    reduced_presentation, theta_matrices, wlp_test)
+                    reduced_presentation, wlp_test)
 from apolar.poly import MAX_DEGREE
 
 from pairing_reference import (boxed_catalecticants, boxed_wlp_matrix,
@@ -96,13 +97,13 @@ def encoded_inverse_systems(draw):
 @settings(max_examples=150, deadline=None, database=None)
 @given(encoded_inverse_systems())
 def test_int_built_catalecticants_equal_the_boxed_construction(case):
-    """p, r, T, r~ and the wlp matrix, read off the int form of phi, equal
-    the boxed construction of ``pairing_reference``, and each is in the
-    canonical form that the constructor builds from its entries."""
+    """p, r, its last n rows T, r~ and the wlp matrix, read off the int
+    form of phi, equal the boxed construction of ``pairing_reference``, and
+    each is in the canonical form that the constructor builds from its
+    entries."""
     n, phi, ell = case
     p, r = build_p_r(phi, n)
-    theta1, _ = theta_matrices(phi)
-    T = -theta1.take_rows(range(n)).take_cols(range(n, 2 * n + 1))
+    T = r._select(range(r.rows - n, r.rows), range(n + 1))
     built = [p, r, T, wlp_test(phi, ell).matrix]
     lin = build_linear_presentation(phi, with_pfaffian_row=False)
     ref_p, ref_r, ref_T, ref_rt = boxed_catalecticants(phi)
@@ -114,7 +115,7 @@ def test_int_built_catalecticants_equal_the_boxed_construction(case):
         assert build_p_r(reduced_inverse_system(phi), n)[1] == ref_rt
     for m, ref in zip(built, refs):
         assert m == ref
-    for m in built + [theta1]:
+    for m in built:
         assert m == Matrix(m.field, m.entries, m.cols)
 
 
@@ -132,10 +133,11 @@ def test_p_r_and_t_match_evaluation(case):
                          for mi in mid]
     assert r.entries == [[evaluate(phi, mi * mo) for mo in outer]
                          for mi in mid]
-    theta1, _ = theta_matrices(phi)
-    T = -theta1.take_rows(range(n)).take_cols(range(n, 2 * n + 1))
-    N = p.rows
-    assert T == r.take_rows(range(N - n, N))
+    # T, the last n rows of r, is the catalecticant on x-free rows
+    x_free = [Polynomial.monomial(fld, m)
+              for m in monomials_of_degree(n - 1, x_free=True)]
+    assert r.entries[r.rows - n:] == [[evaluate(phi, mi * mo) for mo in outer]
+                                      for mi in x_free]
 
 
 @SETTINGS

@@ -179,17 +179,30 @@ def test_a_corrupted_explicit_row_never_passes(tmp_path, capsys, monkeypatch,
 
 def test_a_wrong_theta_fails_the_conjugation_check(tmp_path, capsys,
                                                    monkeypatch):
-    path = write_family(tmp_path, 2)
-    theta_matrices = resolution.theta_matrices
+    """T, the last n rows of r, doubled once b2 is built: the check reads
+    the wrong T and fails, over Q and over GF(32003)."""
+    gf = tmp_path / "gf.json"
+    assert main(["example-family", "--n", "2", "--random", "--seed", "3",
+                 "--field", "Fp:32003", "--out", str(gf)]) == 0
+    paths = [write_family(tmp_path, 2), gf]
+    for path in paths:
+        assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    reduced_presentation = resolution.reduced_presentation
 
-    def wrong(phi):
-        theta1, theta2 = theta_matrices(phi)
-        return theta1.scaled(2), theta2
-    monkeypatch.setattr(resolution, "theta_matrices", wrong)
-    assert main(["verify", str(path)]) == 2
-    out = capsys.readouterr().out.splitlines()
-    assert "FAIL  conjugation by the reduction change of basis" in out
-    assert out[-1] == "some checks FAILED"
+    def wrong(lin):
+        tilde = reduced_presentation(lin)
+        r = lin.r
+        lin.r = Matrix(r.field, [[e + e for e in row] if i >= r.rows - lin.n
+                                 else row for i, row in enumerate(r.entries)],
+                       r.cols)
+        return tilde
+    monkeypatch.setattr(resolution, "reduced_presentation", wrong)
+    for path in paths:
+        assert main(["verify", str(path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL  conjugation by the reduction change of basis" in out
+        assert out[-1] == "some checks FAILED"
 
 
 def test_verify_negative_max_degree_exits_1(tmp_path, capsys):

@@ -2,12 +2,12 @@
 
 ``resolution._assemble`` and ``explicit_generators`` write every block by
 index into the int rows of r^T p^{-1} r, r^T p^{-1} and p^{-1}.  The
-reference here builds the same blocks the way the package built them
-before, from ``Matrix`` operations alone: ``deleted``, ``take_cols``,
-``hstack``, ``block``, negation and subtraction.  Both must give the same
-canonical matrices (L and slices), for phi and for its reduction, over Q
-and over small and large prime fields, at n = 1 and wherever r^T p^{-1} r
-or r is zero."""
+reference here builds the same blocks from ``Matrix`` operations and boxed
+entries: selection, transpose, negation, subtraction, and a grid of blocks
+joined entry by entry (``block``, a test helper: the package stacks
+nothing).  Both must give the same canonical matrices (L and slices), for
+phi and for its reduction, over Q and over small and large prime fields, at
+n = 1 and wherever r^T p^{-1} r or r is zero."""
 
 import random
 
@@ -16,10 +16,27 @@ import pytest
 from apolar import (DualElement, Matrix, Monomial, PrimeField, QQ,
                     build_linear_presentation, family_phi,
                     random_dual_element, reduced_presentation)
-from apolar.linalg import block, hstack
 from apolar.poly import ONE, X, Y, Z, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(3), PrimeField(32003), PrimeField(2 ** 61 - 1))
+
+
+def block(grid):
+    """The matrix of a grid of blocks of one field and degree, joined entry
+    by entry."""
+    first = grid[0][0]
+    rows = [sum((m.entries[i] for m in row), []) for row in grid
+            for i in range(row[0].rows)]
+    return Matrix(first.field, rows, sum(m.cols for m in grid[0]),
+                  first.degree)
+
+
+def zeros(fld, rows, cols):
+    return Matrix(fld, [[0] * cols for _ in range(rows)], cols)
+
+
+def eye(fld, n):
+    return Matrix(fld, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
 def reference_blocks(fld, n, p, r, p_inv):
@@ -27,24 +44,22 @@ def reference_blocks(fld, n, p, r, p_inv):
     N = p.rows
     rtp = r.transpose() @ p_inv
     rtpr = rtp @ r
-    A0 = rtpr.deleted(rows=[n], cols=[0])
+    A0 = rtpr._select(range(n), range(1, n + 1))
     A_prime = A0 - A0.transpose()
     B0 = rtp.take_cols(range(N - n, N))
-    zero_col = Matrix.zeros(fld, n, 1)
-    B1 = (hstack(zero_col, B0.deleted(rows=[n]))
-          - hstack(B0.deleted(rows=[0]), zero_col))
-    corner = p_inv.take_rows(range(N - n, N)).take_cols(range(N - n, N))
-    D0 = block([[Matrix.zeros(fld, n, 1), corner],
-                [Matrix.zeros(fld, 1, n + 1)]])
+    zero_col = zeros(fld, n, 1)
+    B1 = (block([[zero_col, B0._select(range(n), range(n))]])
+          - block([[B0._select(range(1, n + 1), range(n)), zero_col]]))
+    corner = p_inv._select(range(N - n, N), range(N - n, N))
+    D0 = block([[zeros(fld, n, 1), corner], [zeros(fld, 1, n + 1)]])
     A = A_prime.times_monomial(X)
-    eye = Matrix.identity(fld, n)
-    B2 = (hstack(eye, zero_col).times_monomial(Z)
-          - hstack(zero_col, eye).times_monomial(Y))
+    B2 = (block([[eye(fld, n), zero_col]]).times_monomial(Z)
+          - block([[zero_col, eye(fld, n)]]).times_monomial(Y))
     B = B1.times_monomial(X) + B2
     D = (D0 - D0.transpose()).times_monomial(X)
     b2 = block([[A, B], [-B.transpose(), D]])
     images = block([[p_inv.take_cols(range(N - n, N)), -rtp.transpose()],
-                    [Matrix.zeros(fld, n + 1, n), Matrix.identity(fld, n + 1)]])
+                    [zeros(fld, n + 1, n), eye(fld, n + 1)]])
     monos = ([X * m for m in monomials_of_degree(n - 1)]
              + monomials_of_degree(n, x_free=True))
     row = Matrix._from_slices(fld, n, 1, 2 * n + 1, images.L, {

@@ -19,6 +19,7 @@ from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField, QQ,
 from apolar.poly import ONE, X
 
 import ideal_reference as reference
+from golden_family import parsed
 
 FIELDS = (QQ, PrimeField(3), PrimeField(32003))
 
@@ -99,7 +100,7 @@ def test_the_x_shift_is_the_contraction_by_x(field, data):
 
 
 def test_row_forms_read_each_column():
-    row = Matrix.from_strings(QQ, [["1/2*x^2 - y*z", "0", "z^2"]], degree=2)
+    row = parsed(QQ, [["1/2*x^2 - y*z", "0", "z^2"]], degree=2)
     assert row.L == 2
     assert oracle.row_forms(row) == [
         (2, {Monomial(2, 0, 0): 1, Monomial(0, 1, 1): -2}), (2, {}),

@@ -3,7 +3,9 @@
 A matrix of scalars is a matrix of forms of degree 0, so the package has
 one matrix class, whose ``degree`` says all that a kind would say.  No
 subclass of ``Matrix`` exists, no module names the two kinds it replaced,
-and no module switches on the type of a matrix with ``isinstance``."""
+and no module switches on the type of a matrix with ``isinstance``.  And
+the package builds no matrix by block algebra: every matrix made of blocks
+is written by index, so no stacking helper is left to call."""
 
 import ast
 import inspect
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import apolar
-from apolar import linalg
+from apolar import linalg, resolution
 
 SOURCES = sorted(Path(apolar.__file__).parent.glob("*.py"))
 FORBIDDEN = re.compile(r"\b(Field|Poly)Matrix\b")
@@ -44,3 +46,13 @@ def test_module_switches_on_no_matrix_kind(path):
              and call.func.id == "isinstance" and len(call.args) == 2
              and _names_matrix(call.args[1])]
     assert hits == [], f"{path.name} names a matrix kind:\n" + "\n".join(hits)
+
+
+def test_no_block_algebra_is_left():
+    for module in (apolar, linalg):
+        for name in ("block", "hstack", "vstack"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name in ("zeros", "identity", "deleted", "take_rows", "from_strings"):
+        assert not hasattr(linalg.Matrix, name), f"Matrix.{name}"
+    assert not hasattr(resolution, "theta_matrices")
+    assert not hasattr(apolar, "theta_matrices")

@@ -79,7 +79,7 @@ def test_pfaffian_swaps_a_distant_partner_and_stops_at_a_zero_row(field):
     for r in rows:
         r[0] = field.zero
     assert pfaffian(Matrix(field, rows)) == field.zero
-    assert pfaffian(Matrix.zeros(field, 0, 0)) == field.one
+    assert pfaffian(Matrix(field, [], cols=0)) == field.one
     assert pfaffian(Matrix(field, [[field.zero]])) == field.zero
 
 
@@ -141,7 +141,10 @@ def at(m, point):
 def check_rows_at(row, m, point):
     """row_j(point) = (-1)^j Pf(m(point) without row and column j)."""
     values = at(m, point)
-    signed = [pfaffian(values.deleted(rows=[j], cols=[j])) for j in range(m.rows)]
+    signed = []
+    for j in range(m.rows):
+        keep = [i for i in range(m.rows) if i != j]
+        signed.append(pfaffian(values._select(keep, keep)))
     assert at(row, point).entries[0] == [-v if j % 2 else v
                                          for j, v in enumerate(signed)]
 

@@ -236,7 +236,7 @@ def test_empty_and_zero_matrices_are_lifted(monkeypatch, rows, cols):
     # no prime without an entry, and one for a zero matrix
     taken = primes_taken(monkeypatch)
     calls = RrefIntCalls(monkeypatch)
-    m = Matrix.zeros(QQ, rows, cols)
+    m = Matrix(QQ, [[0] * cols for _ in range(rows)], cols=cols)
     assert kernel(m) == [[Fraction(int(i == j)) for i in range(cols)]
                          for j in range(cols)]
     assert calls.all == 0

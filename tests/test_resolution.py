@@ -10,7 +10,7 @@ from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
                     explicit_generators, family_phi, is_alternating,
                     linear_betti, monomials_of_degree, quadratic_betti,
                     random_dual_element, reduced_inverse_system, resolution,
-                    resolution_report, theta_conjugation_check, theta_matrices)
+                    resolution_report, theta_conjugation_check)
 from apolar.poly import _CoeffMap
 
 import golden_family as golden
@@ -61,8 +61,8 @@ def test_linear_blocks_n2(n2):
     assert lin.linearly_presented
     assert lin.p_inv.scaled(golden.P_INV_N2_FACTOR) == Matrix(QQ, golden.P_INV_N2)
     assert lin.A_prime == Matrix(QQ, golden.A_PRIME_N2)
-    assert lin.B == Matrix.from_strings(QQ, golden.B_N2, 1)
-    assert lin.D.scaled(golden.D_N2_FACTOR) == Matrix.from_strings(QQ, golden.D_N2, 1)
+    assert lin.B == golden.parsed(QQ, golden.B_N2, 1)
+    assert lin.D.scaled(golden.D_N2_FACTOR) == golden.parsed(QQ, golden.D_N2, 1)
 
 
 def test_shapes_follow_n(seeded_rng=random.Random(20)):
@@ -145,16 +145,41 @@ def test_reduced_inverse_system(n2):
     assert reduced_inverse_system(only_xfree).is_zero
 
 
+def thetas(lin):
+    """Theta1 = [[I, -T], [0, I]] and Theta2 = [[I, 0], [T^T, I]] from the
+    boxed entries of T, the last n rows of r."""
+    n, fld = lin.n, lin.field
+    T = lin.r.entries[lin.r.rows - n:]
+    m = 2 * n + 1
+
+    def one(i, j):
+        return fld.one if i == j else fld.zero
+    theta1 = [[-T[i][j - n] if i < n <= j else one(i, j) for j in range(m)]
+              for i in range(m)]
+    theta2 = [[T[j][i - n] if j < n <= i else one(i, j) for j in range(m)]
+              for i in range(m)]
+    return Matrix(fld, theta1), Matrix(fld, theta2)
+
+
+def with_t_doubled(lin):
+    """lin with the last n rows of r, the block T of Theta, doubled."""
+    r = lin.r
+    rows = [[e + e for e in row] if i >= r.rows - lin.n else row
+            for i, row in enumerate(r.entries)]
+    return dataclasses.replace(lin, r=Matrix(lin.field, rows, r.cols))
+
+
 def test_theta_identity_when_reduction_is_trivial():
     rng = random.Random(21)
     phi = random_dual_element(GF, 3, rng)
     tilde = reduced_inverse_system(phi)
-    theta1, theta2 = theta_matrices(tilde)  # rho = 0 for a reduced system
-    assert theta1 == Matrix.identity(GF, 5)
-    assert theta2 == Matrix.identity(GF, 5)
     lin = build_linear_presentation(tilde)
-    if lin.linearly_presented:
-        assert theta_conjugation_check(lin, lin, tilde)
+    assert lin.linearly_presented
+    # rho = 0 for a reduced system: T, the last n rows of r, is zero
+    theta1, theta2 = thetas(lin)
+    identity = Matrix(GF, [[int(i == j) for j in range(5)] for i in range(5)])
+    assert theta1 == theta2 == identity
+    assert theta_conjugation_check(lin, lin, tilde)
 
 
 def test_theta_conjugation_family(n2):
@@ -196,11 +221,30 @@ def test_theta_conjugation_fails_on_a_changed_b2_or_row(n2):
     assert changed != lin_tilde.b2
     assert not theta_conjugation_check(
         lin, dataclasses.replace(lin_tilde, b2=changed), phi)
-    theta1, theta2 = theta_matrices(phi)
+    theta1, theta2 = thetas(lin)
     assert theta1 @ lin.b2 == lin_tilde.b2 @ theta2
     assert not theta_conjugation_check(
         lin, dataclasses.replace(
             lin_tilde, generator_row=lin_tilde.generator_row.scaled(2)), phi)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), GF], ids=str)
+def test_theta_conjugation_fails_on_a_wrong_t(field):
+    """T doubled in r after b2 is built: Theta no longer conjugates."""
+    rng = random.Random(24)
+    checked = 0
+    while checked < 3:
+        phi = random_dual_element(field, 3, rng)
+        lin = build_linear_presentation(phi)
+        if not lin.linearly_presented:
+            continue
+        T = lin.r._select(range(1, 3), range(3))
+        if T.is_zero():
+            continue
+        lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
+        assert theta_conjugation_check(lin, lin_tilde, phi)
+        assert not theta_conjugation_check(with_t_doubled(lin), lin_tilde, phi)
+        checked += 1
 
 
 def test_theta_conjugation_refuses_a_singular_p():
@@ -220,7 +264,7 @@ def test_quadratic_n2(n2):
     assert is_alternating(quad.c2)
     assert quad.c2.degree == 2
     assert quad.c2.scaled(golden.C2_N2_FACTOR) == \
-        Matrix.from_strings(QQ, golden.C2_N2, 2)
+        golden.parsed(QQ, golden.C2_N2, 2)
     assert (quad.c1 @ quad.c2).is_zero()
     assert quad.a_prime_pfaffian == 6
     assert lin.b1.take_cols(range(2, 5)) == \
@@ -320,7 +364,7 @@ def test_quadratic_refuses_odd_n():
 
 def test_quadratic_reports_singular_a_prime(n2):
     _, lin, _ = n2
-    doctored = dataclasses.replace(lin, A_prime=Matrix.zeros(QQ, 2, 2))
+    doctored = dataclasses.replace(lin, A_prime=Matrix(QQ, [[0, 0], [0, 0]]))
     quad = build_quadratic_presentation(doctored)
     assert not quad.quadratically_presented
     assert quad.a_prime_rank == 0
@@ -349,9 +393,9 @@ def test_resolution_report_round_trip(n2):
     assert report["betti"]["quadratic"] == quadratic_betti(2)
     assert report["units"]["a_prime_pfaffian"] == "6"
     # serialized blocks parse back to the originals
-    assert Matrix.from_strings(QQ, report["blocks"]["p"]) == lin.p
-    assert Matrix.from_strings(QQ, report["blocks"]["c2"], 2) == quad.c2
-    assert Matrix.from_strings(QQ, report["blocks"]["b2"], 1) == lin.b2
+    assert golden.parsed(QQ, report["blocks"]["p"]) == lin.p
+    assert golden.parsed(QQ, report["blocks"]["c2"], 2) == quad.c2
+    assert golden.parsed(QQ, report["blocks"]["b2"], 1) == lin.b2
 
 
 def test_report_on_singular_p():

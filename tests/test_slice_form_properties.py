@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (Matrix, Polynomial, PrimeField, QQ, assert_alternating,
-                    block, hstack, linalg, vstack)
+                    linalg)
 from apolar.poly import ONE, X, Monomial, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(3), PrimeField(32003))
@@ -103,16 +103,12 @@ def test_unary_operations_equal_the_entrywise_reference(case, data):
     s = data.draw(scalars(field))
     assert_result(a.scaled(s), [[e.scaled(s) if degree else e * s
                                  for e in row] for row in E])
-    drop_r = data.draw(st.sets(st.integers(0, max(r - 1, 0)))) if r else set()
-    drop_c = data.draw(st.sets(st.integers(0, max(c - 1, 0)))) if c else set()
-    kept = a.deleted(rows=sorted(drop_r), cols=sorted(drop_c))
-    assert_result(kept, [[e for j, e in enumerate(row) if j not in drop_c]
-                         for i, row in enumerate(E) if i not in drop_r])
-    assert kept.cols == c - len(drop_c)
     pick_r = data.draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
     pick_c = data.draw(st.lists(st.integers(0, c - 1), max_size=5)) if c else []
-    assert_result(a.take_rows(pick_r), [E[i] for i in pick_r])
-    assert a.take_rows(pick_r).cols == c
+    assert_result(a._select(pick_r, range(c)), [E[i] for i in pick_r])
+    assert a._select(pick_r, pick_c).cols == len(pick_c)
+    assert_result(a._select(pick_r, pick_c), [[E[i][j] for j in pick_c]
+                                              for i in pick_r])
     assert_result(a.take_cols(pick_c), [[row[j] for j in pick_c] for row in E])
     assert a.is_zero() == (not any(e for row in E for e in row))
     assert a.to_strings() == [[str(e) for e in row] for row in E]
@@ -142,28 +138,6 @@ def test_sums_equal_the_entrywise_reference(case):
 
 @SETTINGS
 @given(cases(), st.data())
-def test_stacks_equal_the_entrywise_reference(case, data):
-    field, degree, a, b = case
-    r, c = a.rows, a.cols
-    wide = data.draw(matrices(field, r, data.draw(st.integers(0, 3)), degree))
-    tall = data.draw(matrices(field, data.draw(st.integers(0, 3)), c, degree))
-    corner = data.draw(matrices(field, tall.rows, wide.cols, degree))
-    A, W, T, C = a.entries, wide.entries, tall.entries, corner.entries
-    assert_result(hstack(a, wide, b), [x + y + z for x, y, z in
-                                       zip(A, W, b.entries)])
-    assert hstack(a, wide).cols == c + wide.cols
-    assert_result(vstack(a, tall, b), A + T + b.entries)
-    assert vstack(a, tall).cols == c
-    assert_result(block([[a, wide], [tall, corner]]),
-                  [x + y for x, y in zip(A, W)] + [x + y for x, y in zip(T, C)])
-    with pytest.raises(ValueError, match="different degrees"):
-        hstack(a, wide.times_monomial(X))
-    with pytest.raises(ValueError, match="different degrees"):
-        vstack(a.times_monomial(X), tall)
-
-
-@SETTINGS
-@given(cases(), st.data())
 def test_products_are_canonical(case, data):
     field, degree, a, _ = case
     other = data.draw(st.sampled_from([0, 1]))
@@ -183,8 +157,8 @@ def test_every_route_to_one_matrix_gives_an_equal_matrix(case, data):
     assert b + (a - b) == a
     assert -(-a) == a
     assert a.transpose().transpose() == a
-    assert hstack(a, b).take_cols(range(a.cols)) == a
-    assert vstack(b, a).deleted(rows=range(b.rows)) == a
+    assert a.take_cols(range(a.cols)) == a
+    assert a._select(range(a.rows), range(a.cols)) == a
     s = data.draw(scalars(field))
     if s:
         assert a.scaled(s).scaled(1 / s) == a

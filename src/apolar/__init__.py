@@ -7,7 +7,7 @@ from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
                    format_terms, monomials_of_degree, parse_linear_form,
                    parse_polynomial, random_dual_element)
 from .linalg import (InversionResult, Matrix, assert_alternating, det, invert,
-                     is_alternating, kernel, pfaffian, rank)
+                     is_alternating, kernel, pfaffian, rank, solve)
 from .resolution import (LinearPresentation, QuadraticPresentation,
                          build_linear_presentation, build_p_r,
                          build_quadratic_presentation, explicit_generators,

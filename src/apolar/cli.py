@@ -163,7 +163,7 @@ def cmd_example_family(args) -> int:
 def cmd_resolve(args) -> int:
     phi = _load_phi(args.phi)
     try:
-        lin = resolution.build_linear_presentation(phi)
+        lin = resolution.build_linear_presentation(phi, with_inverse=True)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if not lin.linearly_presented:
@@ -243,6 +243,8 @@ def cmd_verify(args) -> int:
     ok &= _check("conjugation by the reduction change of basis",
                  resolution.theta_conjugation_check(lin, lin_tilde, phi), lines)
     quad = resolution.build_quadratic_presentation(lin)
+    # the exact elimination of p proves J_{n-1} = 0 for both certificates:
+    # p is cat_{n-1} of x(phi), and a row-submatrix of cat_{n-1} of phi
     if quad.quadratically_presented:
         ok &= _check("c2 alternating", linalg.is_alternating(quad.c2), lines)
         ok &= _check("c2 entries homogeneous quadratic",
@@ -253,7 +255,8 @@ def cmd_verify(args) -> int:
         _check("Pfaffian minor factorization", True, lines)
         verdicts = oracle.ideal_equality_check_ints(
             fld, oracle.row_forms(quad.generators),
-            oracle.contracted_form(ONE, phi), args.max_degree)
+            oracle.contracted_form(ONE, phi), args.max_degree,
+            zero_degree=lin.n - 1)
         ok &= _check("Pfaffian generators of c2 generate ann(phi) "
                      f"(degrees 0..{verdicts[-1].degree})",
                      all(v.equal for v in verdicts), lines)
@@ -261,7 +264,7 @@ def cmd_verify(args) -> int:
         lines.append(f"SKIP  quadratic path: {quad.note}")
         verdicts = oracle.ideal_equality_check_ints(
             fld, oracle.row_forms(lin.b1), oracle.contracted_form(X, phi),
-            args.max_degree)
+            args.max_degree, zero_degree=lin.n - 1)
         ok &= _check("Pfaffian generators of b2 generate ann(x(phi)) "
                      f"(degrees 0..{verdicts[-1].degree})",
                      all(v.equal for v in verdicts), lines)

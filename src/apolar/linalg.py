@@ -29,19 +29,20 @@ canonical, by ``residues.product``: each row of each D_v is packed into
 one int, and a row of the result is a sum of those ints times the nonzero
 entries of the rows of C_u, unpacked and reduced once.
 
-Kernel and inverse come from the RREF of the int rows of L m
-(``_rref_ints``), first nonzero pivot in column order, so results are
-deterministic; the inverse is the right half of the reduced [L m | I].
-Over GF(p) it is Gauss-Jordan on packed residues (``residues.rref_mod``);
-over Q it is lifted from residues and proven by one exact product
-(``residues.rref_lift``), or else fraction-free (``_rref_int``, after
-Bareiss).  Either way the rows end as the unique RREF times one
-denominator.  The determinant is the product of the pivots times the
-sign of the row swaps.  The reduced rows stay ints: ``kernel`` boxes only
-the nonzero coordinates, and ``invert`` returns slices, boxing nothing.
-The rank takes the same loops forward only, on whichever of M and M^T has
-fewer rows.  A zero-row matrix keeps its column count.
-Elimination takes matrices of scalars: it refuses degree >= 1.
+Kernel and solve come from the RREF of int rows (``_rref_ints``), first
+nonzero pivot in column order, so results are deterministic: ``solve``
+reads m^{-1} b off the reduced [m | b], scaled to ints, and ``invert`` is
+the solve against I.  Over GF(p) it is Gauss-Jordan on packed residues
+(``residues.rref_mod``); over Q it is lifted from residues and proven by
+one exact product (``residues.rref_lift``), or else, and below
+``BAREISS_BELOW`` rows, fraction-free (``_rref_int``, after Bareiss).
+Either way the rows end as the unique RREF times one denominator.  The
+determinant is the product of the pivots times the sign of the row
+swaps.  The reduced rows stay ints: ``kernel`` boxes only the nonzero
+coordinates, and ``solve`` returns slices, boxing nothing.  The rank
+takes the same loops forward only, on whichever of M and M^T has fewer
+rows.  A zero-row matrix keeps its column count.  Elimination takes
+matrices of scalars: it refuses degree >= 1.
 
 ``pfaffian`` takes the Pfaffian of an alternating matrix of scalars by one
 skew elimination with 2 x 2 pivots.  No Pfaffian of forms is computed:
@@ -57,7 +58,8 @@ from itertools import chain, islice
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import DualElement, Monomial, ONE, Polynomial, catalecticant
+from .poly import (DualElement, Monomial, ONE, Polynomial, catalecticant,
+                   dense)
 from .residues import (product as _product, rref_lift as _rref_lift,
                        rref_mod as _rref_mod)
 from .scalars import Field, FieldMismatchError, Scalar
@@ -144,16 +146,16 @@ class Matrix:
         ints of ``rows``, unchecked and made canonical by ``_result``,
         which does not reduce them: over GF(p) they must already be
         residues in [0, p)."""
-        m = cls._from_slices(field, 0, len(rows), cols, L, {ONE: rows})
-        return m._result(0, m.rows, cols, L, m.slices)
+        return cls._result(field, 0, len(rows), cols, L, {ONE: rows})
 
-    def _result(self, degree: int, rows: int, cols: int, L: int,
+    @classmethod
+    def _result(cls, field: Field, degree: int, rows: int, cols: int, L: int,
                 slices: Slices, reduce: bool = False) -> "Matrix":
-        """A matrix over self's field from slices taken to the canonical
+        """A matrix over the field from slices taken to the canonical
         form: over GF(p) the residues (reduced mod p first when ``reduce``)
         and L = 1; over Q, L > 0 and L / g with every numerator divided by
         g = gcd(L, all numerators).  All-zero slices are dropped."""
-        p = getattr(self.field, "p", None)
+        p = getattr(field, "p", None)
         if p and reduce:
             slices = {u: [[x % p for x in r] for r in s] for u, s in slices.items()}
         slices = {u: s for u, s in slices.items() if any(map(any, s))}
@@ -165,7 +167,7 @@ class Matrix:
                 slices = {u: [[x // g for x in r] for r in s]
                           for u, s in slices.items()}
             L //= g
-        return self._from_slices(self.field, degree, rows, cols, L, slices)
+        return cls._from_slices(field, degree, rows, cols, L, slices)
 
     @property
     def entries(self) -> list:
@@ -205,8 +207,8 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        return self._result(self.degree + other.degree, self.rows, other.cols,
-                            self.L * other.L, _product(
+        return self._result(self.field, self.degree + other.degree, self.rows,
+                            other.cols, self.L * other.L, _product(
                                 self.slices, other.slices, other.cols,
                                 getattr(self.field, "p", 0)))
 
@@ -225,8 +227,8 @@ class Matrix:
             s = _scaled_slice(s, fb)
             out[u] = s if acc is None else [list(map(add, r1, r2))
                                             for r1, r2 in zip(acc, s)]
-        return self._result(self.degree, self.rows, self.cols, L, out,
-                            reduce=True)
+        return self._result(self.field, self.degree, self.rows, self.cols, L,
+                            out, reduce=True)
 
     def times_monomial(self, m: Monomial) -> "Matrix":
         """m times the matrix: each slice moves to u * m."""
@@ -244,8 +246,8 @@ class Matrix:
         """s times the matrix, for a scalar s of the field or an int."""
         den, (num,) = self.field.to_ints(
             [s if self.field.contains(s) else self.field.of(s)])
-        return self._result(self.degree, self.rows, self.cols, self.L * den,
-                            {u: _scaled_slice(c, num)
+        return self._result(self.field, self.degree, self.rows, self.cols,
+                            self.L * den, {u: _scaled_slice(c, num)
                              for u, c in self.slices.items()}, reduce=True)
 
     def __eq__(self, other):
@@ -256,8 +258,8 @@ class Matrix:
 
     def _select(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The submatrix on these row and column indices, in this order."""
-        return self._result(self.degree, len(rows), len(cols), self.L,
-                            {u: [[s[i][j] for j in cols] for i in rows]
+        return self._result(self.field, self.degree, len(rows), len(cols),
+                            self.L, {u: [[s[i][j] for j in cols] for i in rows]
                              for u, s in self.slices.items()})
 
     def take_cols(self, indices: Sequence[int]) -> "Matrix":
@@ -294,12 +296,14 @@ class Matrix:
 
 
 def catalecticants(phi: DualElement, *shapes) -> List[Matrix]:
-    """The catalecticants of phi on (rows, columns) pairs of monomial lists,
-    read off one int form of phi (``Field.to_ints``) with its L."""
+    """The catalecticants of phi on (rows, column degree d, x_free) shapes
+    (``poly.catalecticant``), read off one dense int form of phi
+    (``Field.to_ints``) with its L."""
     L, ints = phi.field.to_ints(list(phi.coeffs.values()))
-    coeffs = dict(zip(phi.coeffs, ints))
-    return [Matrix._from_ints(phi.field, catalecticant(coeffs, rows, cols),
-                                   len(cols), L) for rows, cols in shapes]
+    coeffs = dense(dict(zip(phi.coeffs, ints)), phi.degree)
+    return [Matrix._from_ints(phi.field, catalecticant(coeffs, rows, d, x_free),
+                              d + 1 if x_free else (d + 1) * (d + 2) // 2, L)
+            for rows, d, x_free in shapes]
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +351,21 @@ def _rref_int(rows: List[List[int]], full: bool = True
     return rows, pivots, sign * prev
 
 
+BAREISS_BELOW = 8
+
+
 def _rref_ints(rows: List[List[int]], field: Field
                ) -> Tuple[List[List[int]], List[int], int]:
     """(rows, pivot columns, last) for the int rows of L m, the rows last
     times the RREF: mod p in place (``_rref_mod``), last = 1; over Q by
-    ``_rref_lift``, or else fraction-free in place (``_rref_int``)."""
+    ``_rref_lift`` from ``BAREISS_BELOW`` rows on, or else fraction-free in
+    place (``_rref_int``).  That crossover is read off [m | I] for the
+    family's m, lift against Bareiss, best of 5 on a 2-core VM: A' 2 x 2
+    46 / 7 us, p 6 x 6 129 / 59 us, A' 6 x 6 133 / 80 us, A' 8 x 8 184 /
+    199 us, p 10 x 10 251 / 293 us, p 21 x 21 849 / 3200 us."""
     if getattr(field, "p", None):
         return _rref_mod(rows, field.p)[:2] + (1,)
-    lifted = _rref_lift(rows)
+    lifted = _rref_lift(rows) if len(rows) >= BAREISS_BELOW else None
     if lifted is not None:
         return lifted
     red, pivots, _ = _rref_int(rows)
@@ -438,21 +449,35 @@ class InversionResult:
         return self.inverse is not None
 
 
-def invert(m: Matrix) -> InversionResult:
-    """Gauss-Jordan on [L m | I], whose reduced right half X is last times
-    (L m)^{-1}: m^{-1} = L X / last, stored as those slices, made
-    canonical.  Nothing is boxed."""
+def solve(m: Matrix, b: Matrix) -> Tuple[int, Optional[Matrix]]:
+    """(rank of m, m^{-1} b, or None when m is singular) for a square m and
+    a b of scalars with as many rows, by one Gauss-Jordan on
+    [L_b L m | L_m L b] = L_m L_b [m | b]: its pivots in the first m.rows
+    columns count the rank of m, and when they are all there its reduced
+    right half X is last times m^{-1} b, stored as those slices over last,
+    made canonical.  Nothing is boxed."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
+    if b.field != m.field:
+        raise FieldMismatchError("matrices live in different fields")
+    if b.rows != m.rows:
+        raise ValueError("shape mismatch in a solve")
     n = m.rows
-    aug = [r + [int(j == i) for j in range(n)]
-           for i, r in enumerate(_int_rows(m))]
+    aug = [r + s for r, s in zip(_scaled_slice(_int_rows(m), b.L),
+                                 _scaled_slice(_int_rows(b), m.L))]
     red, pivots, last = _rref_ints(aug, m.field)
     r = sum(1 for c in pivots if c < n)
     if r < n:
-        return InversionResult(None, r)
-    right = _scaled_slice([row[n:] for row in red], m.L)
-    return InversionResult(m._result(0, n, n, last, {ONE: right}), n)
+        return r, None
+    return n, Matrix._result(m.field, 0, n, b.cols, last,
+                             {ONE: [row[n:] for row in red]})
+
+
+def invert(m: Matrix) -> InversionResult:
+    """``solve`` against the identity."""
+    eye = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    rank, inverse = solve(m, Matrix._from_ints(m.field, eye, m.rows))
+    return InversionResult(inverse, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,14 @@ a slot of ``residues.rref_mod`` is one 64-bit word for fewer than 128 rows.
 ``verify`` calls the certificate on int forms (``ideal_equality_check_ints``):
 the columns of its generator row read off the slices (``row_forms``), and
 phi or x(phi) read off the int form of phi (``contracted_form``), so
-neither is boxed.
+neither is boxed.  It also passes a proven head: p, which it has
+eliminated exactly and found invertible, is cat_{n-1} of x(phi) on the
+linear path and a row-submatrix of cat_{n-1} of phi on the quadratic one,
+so J_{n-1} = 0 and the head takes no rank.  That is a rank fact about
+cat_{n-1}, not a presentation formula, so the certificate stays
+independent of what it checks.  Catalecticant rows and the rows of
+monomial multiples are written by index in the fixed monomial order
+(``poly.catalecticant``, ``_multiple_rows``).
 
 The tail lemma (any field).  Let J = ann(phi), s = deg phi and a the
 least degree with J_a != 0.  Then J_d = R_1 J_{d-1} for every
@@ -66,7 +73,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import Matrix, catalecticants
 from .poly import (DualElement, Monomial, Polynomial, catalecticant, contract,
-                   monomials_of_degree)
+                   dense, monomials_of_degree, position)
 from .residues import LIFT_PRIMES, product
 from .scalars import QQ, Field, RationalField, Scalar
 
@@ -91,22 +98,23 @@ def _int_form(f: Polynomial | DualElement) -> IntForm:
     return f.degree, dict(zip(f.coeffs, ints))
 
 
-def _multiple_rows(gens: Sequence[IntForm],
-                   monos: List[Monomial]) -> List[List[int]]:
-    """Coordinates on ``monos``, the monomials of one degree D, of every
-    monomial multiple m * g, for each int form g of degree at most D: rows
-    g by g, m in the fixed monomial order."""
-    D = monos[0].degree
-    position = {m: i for i, m in enumerate(monos)}
+def _multiple_rows(gens: Sequence[IntForm], D: int) -> List[List[int]]:
+    """Coordinates on the monomials of degree D of every monomial multiple
+    m * g, for each int form g of degree at most D: rows g by g, m in the
+    fixed monomial order, where the multipliers with b' + c' = k come in
+    one run, c' = 0, ..., k.  By index (``poly.position``): u = x^a y^b z^c
+    times m sits at T(b + c + k) + c + c'."""
+    size = (D + 1) * (D + 2) // 2
     rows = []
     for deg, coeffs in gens:
-        if deg > D:
-            continue
-        for m in monomials_of_degree(D - deg):
-            row = [0] * len(monos)
-            for u, c in coeffs.items():
-                row[position[u * m]] = c
-            rows.append(row)
+        for k in range(D - deg + 1):
+            starts = [(position((0, b + k, c)), x)
+                      for (_, b, c), x in coeffs.items()]
+            for j in range(k + 1):
+                row = [0] * size
+                for o, x in starts:
+                    row[o + j] = x
+                rows.append(row)
     return rows
 
 
@@ -122,8 +130,7 @@ def _annihilates(gens: Sequence[IntForm], s: int, cat_rows: CatRows,
     out = [deg > s for deg, _ in gens]
     for d in {deg for deg, _ in gens if deg <= s}:
         idx = [i for i, (deg, _) in enumerate(gens) if deg == d]
-        monos = monomials_of_degree(d)
-        images = product({1: _multiple_rows([gens[i] for i in idx], monos)},
+        images = product({1: _multiple_rows([gens[i] for i in idx], d)},
                          {1: cat_rows(s - d)}, math.comb(s - d + 2, 2),
                          p or 0)[1]
         for i, image in zip(idx, images):
@@ -138,12 +145,12 @@ def _exact_rank(fld: Field, rows: List[List[int]]) -> int:
     return linalg.rank(Matrix._from_ints(fld, rows, len(rows[0])))
 
 
-def _cat_rows(phi: Dict[Monomial, int], s: int, d: int) -> List[List[int]]:
-    """The int rows of cat_d of the int form phi of degree s: one row per
-    monomial of degree s - d, one column per monomial of degree d.  Above s
-    it has no rows."""
+def _cat_rows(phi: List[int], s: int, d: int) -> List[List[int]]:
+    """The int rows of cat_d of phi of degree s, given by its dense int
+    coefficients (``poly.dense``): one row per monomial of degree s - d,
+    one column per monomial of degree d.  Above s it has no rows."""
     rows = monomials_of_degree(s - d) if d <= s else []
-    return catalecticant(phi, rows, monomials_of_degree(d))
+    return catalecticant(phi, rows, d)
 
 
 def _cat_ranks(cat_rows: CatRows, fld: Field) -> Tuple[CatRank, CatRank]:
@@ -176,10 +183,13 @@ def _tail_quotient_dim(s: int, a: Optional[int], d: int) -> Optional[int]:
     return _top_quotient_dim(s, d)
 
 
-def _head_degree(rank_q: CatRank, rank: CatRank,
-                 gens: Sequence[IntForm]) -> Optional[int]:
+def _head_degree(rank_q: CatRank, rank: CatRank, gens: Sequence[IntForm],
+                 zero_degree: Optional[int] = None) -> Optional[int]:
     """a0, the least degree of the int forms ``gens``, exactly when
-    J_{a0-1} = 0 for J = ann(phi): when cat_{a0-1} of phi has full column
+    J_{a0-1} = 0 for J = ann(phi).  With a proven J_k = 0 at
+    k = ``zero_degree`` >= a0 - 1 that holds with no rank, since J is an
+    ideal of a domain: x^(k-a0+1) f != 0 would lie in J_k for f != 0 in
+    J_{a0-1}.  Otherwise it holds when cat_{a0-1} of phi has full column
     rank, by the ranks of ``_cat_ranks``.  Over GF(p) its rank mod p is
     exact.  Over Q its rank mod q, a lower bound for the rational rank that
     the column count bounds above, proves it when full, and the exact rank
@@ -189,6 +199,8 @@ def _head_degree(rank_q: CatRank, rank: CatRank,
     a0 = min((deg for deg, _ in gens), default=0)
     if a0 == 0:
         return None
+    if zero_degree is not None and a0 - 1 <= zero_degree:
+        return a0
     cols = math.comb(a0 + 1, 2)
     full = rank_q(a0 - 1) == cols or rank(a0 - 1) == cols
     return a0 if full else None
@@ -204,7 +216,8 @@ def annihilator_degree(phi: DualElement, d: int) -> List[Polynomial]:
     cols = monomials_of_degree(d)
     if d > phi.degree:
         return [Polynomial.monomial(fld, m) for m in cols]
-    matrix, = catalecticants(phi, (monomials_of_degree(phi.degree - d), cols))
+    matrix, = catalecticants(phi, (monomials_of_degree(phi.degree - d), d,
+                                   False))
     return [Polynomial._trusted(fld, d, {u: c for u, c in zip(cols, v) if c})
             for v in linalg.kernel(matrix)]
 
@@ -272,10 +285,9 @@ def summarize_ideal(phi: DualElement,
     a = None
     for d in range(max_degree + 1):
         ker = annihilator_degree(phi, d)
-        monos = monomials_of_degree(d)
         kernels.append(ker)
         ideal_dims.append(len(ker))
-        quotient_dims.append(len(monos) - len(ker))
+        quotient_dims.append(math.comb(d + 2, 2) - len(ker))
         prev = kernels[d - 1] if d else []
         if not prev:
             count = len(ker)
@@ -283,7 +295,7 @@ def summarize_ideal(phi: DualElement,
             count = 0
         else:
             count = len(ker) - _exact_rank(
-                fld, _multiple_rows([_int_form(f) for f in prev], monos))
+                fld, _multiple_rows([_int_form(f) for f in prev], d))
         generator_counts.append(count)
         if a is None and ker:
             a = d
@@ -373,12 +385,19 @@ def contracted_form(u: Monomial, phi: DualElement) -> IntForm:
 
 
 def ideal_equality_check_ints(fld: Field, gens: Sequence[IntForm],
-                              phi: IntForm, max_degree: Optional[int] = None
+                              phi: IntForm, max_degree: Optional[int] = None,
+                              zero_degree: Optional[int] = None
                               ) -> List[DegreeVerdict]:
     """``ideal_equality_check`` on int forms over fld (``_int_form``,
     ``row_forms``, ``contracted_form``): over GF(p) the residues in [0, p),
     over Q each form times any nonzero integer, which keeps every verdict,
-    since a row read off one form is the boxed row times that factor."""
+    since a row read off one form is the boxed row times that factor.
+
+    ``zero_degree``, when given, is a degree k at which the caller has
+    proven J_k = 0: a rank fact about cat_k of phi (full column rank), not
+    a presentation formula, so the certificate stays independent of what
+    it checks.  The head then takes no rank when a0 - 1 <= k
+    (``_head_degree``); otherwise it is ranked as without the fact."""
     s, phi_int = phi
     if max_degree is None:
         max_degree = s + 1
@@ -387,11 +406,11 @@ def ideal_equality_check_ints(fld: Field, gens: Sequence[IntForm],
     # which copy its rows before they eliminate; each of its ranks is taken
     # once, for the head and the loop
     cat_rows = functools.lru_cache(maxsize=None)(
-        functools.partial(_cat_rows, phi_int, s))
+        functools.partial(_cat_rows, dense(phi_int, s), s))
     cat_rank_q, cat_rank = _cat_ranks(cat_rows, fld)
     annihilates = _annihilates(gens, s, cat_rows, p)
     q = CERTIFICATE_PRIME
-    head = _head_degree(cat_rank_q, cat_rank, gens)
+    head = _head_degree(cat_rank_q, cat_rank, gens, zero_degree)
     verdicts: List[DegreeVerdict] = []
     for d in range(max_degree + 1):
         total = math.comb(d + 2, 2)
@@ -405,16 +424,14 @@ def ideal_equality_check_ints(fld: Field, gens: Sequence[IntForm],
             if d >= s + 3 - head and contained and verdicts[-1].equal:
                 dim_span = dim_ann
         if dim_span is None and p is None and contained:
-            span_q = linalg._rank_mod(
-                _multiple_rows(gens, monomials_of_degree(d)), q)
+            span_q = linalg._rank_mod(_multiple_rows(gens, d), q)
             ann_q = dim_ann
             if ann_q is None:
                 ann_q = total - cat_rank_q(d)
             if span_q == ann_q:
                 dim_span = dim_ann = span_q
         if dim_span is None:
-            dim_span = _exact_rank(
-                fld, _multiple_rows(gens, monomials_of_degree(d)))
+            dim_span = _exact_rank(fld, _multiple_rows(gens, d))
         if dim_ann is None:
             dim_ann = total - cat_rank(d)
         verdicts.append(DegreeVerdict(d, dim_span, dim_ann, contained,
@@ -457,8 +474,9 @@ def wlp_test(phi: DualElement, ell: Polynomial) -> LefschetzReport:
     s = phi.degree
     if s % 2 == 0:
         raise ValueError(f"socle degree must be odd, got {s}")
-    mid = monomials_of_degree((s - 1) // 2)
-    matrix, = catalecticants(contract(ell, phi), (mid, mid))
+    k = (s - 1) // 2
+    matrix, = catalecticants(contract(ell, phi),
+                             (monomials_of_degree(k), k, False))
     d = linalg.det(matrix)
     return LefschetzReport(ell, matrix, d, d != phi.field.zero)
 

@@ -300,16 +300,43 @@ def contract(u: Polynomial, w: DualElement) -> DualElement:
     return DualElement(w.field, w.degree - u.degree, out)
 
 
-def catalecticant(coeffs: Dict[Monomial, int], rows: Sequence[Monomial],
-                  cols: Sequence[Monomial]) -> List[List[int]]:
-    """Rows of the catalecticant of the functional with the int
-    coefficients ``coeffs`` (0 where a monomial is missing): the entry
-    (mr, mc) is the coefficient of mr * mc (Iarrobino-Kanev, LNM 1721,
-    1999).  For rows of degree s - d and columns of degree d, its kernel is
-    the degree-d annihilator.  The product is looked up as a plain exponent
-    tuple, which hashes and compares equal to the Monomial key."""
-    return [[coeffs.get((a + x, b + y, c + z), 0) for x, y, z in cols]
-            for a, b, c in rows]
+def position(m: Tuple[int, int, int]) -> int:
+    """The index of m = x^a y^b z^c in ``monomials_of_degree(a + b + c)``:
+    T(b + c) + c, T(k) = k (k + 1) / 2, as the T(b + c) monomials with a
+    higher power of x come first, then y^(b+c), ..., z^(b+c)."""
+    _, b, c = m
+    return (b + c) * (b + c + 1) // 2 + c
+
+
+def dense(coeffs: Dict[Monomial, int], degree: int) -> List[int]:
+    """The int coefficients ``coeffs`` of one degree as a list in the fixed
+    order, 0 where a monomial is missing."""
+    out = [0] * ((degree + 1) * (degree + 2) // 2)
+    for m, x in coeffs.items():
+        out[position(m)] = x
+    return out
+
+
+def catalecticant(phi: List[int], rows: Sequence[Monomial], d: int,
+                  x_free: bool = False) -> List[List[int]]:
+    """Rows of the catalecticant of the functional of degree s whose int
+    coefficients are ``phi`` (``dense``): the entry (mr, mc) is the
+    coefficient of mr * mc (Iarrobino-Kanev, LNM 1721, 1999), mr running
+    over ``rows``, of degree s - d, and mc over the degree-d monomials
+    (x-free ones only if asked).  For those rows its kernel is the degree-d
+    annihilator.  By index: the columns with b' + c' = k form one run,
+    c' = 0, ..., k, and x^a y^b z^c times them sits at T(b + c + k) + c + c'
+    (``position``), so a row is d + 1 contiguous runs of phi, the x-free
+    columns its last."""
+    runs = (d,) if x_free else range(d + 1)
+    out = []
+    for _, b, c in rows:
+        row: List[int] = []
+        for k in runs:
+            o = position((0, b + k, c))
+            row += phi[o:o + k + 1]
+        out.append(row)
+    return out
 
 
 def random_dual_element(field: Field, degree: int, rng) -> DualElement:

@@ -9,18 +9,24 @@ p is invertible the alternating linear presentation matrix
     b2 = [[ x*A' , x*B1 + B2 ],
           [ -(x*B1 + B2)^T , x*(D0 - D0^T) ]]
 
-is written by index (``_assemble``): A0, A', B0, B1 and D0 are slices of
-the int rows of r^T p^{-1} r, r^T p^{-1} and p^{-1} over one common L, the
-slice of b2 at x is [[A', B1], [-B1^T, D0 - D0^T]], and those at y and z
-hold the constant shift B2, so no polynomial is boxed and no block
-operation runs.  Every matrix here is a ``linalg.Matrix`` of forms of one
-degree: p, r, p^{-1} and the exact blocks have degree 0, b2 degree 1 and
-c2 degree 2.  The row of signed maximal-order Pfaffians of b2 generates I, and
-so does the explicit row read off p^{-1} and r.  Dropping the pure y,z
-part of phi keeps p, so ``reduced_presentation`` builds the presentation
-of the reduction from the same p^{-1} and a rebuilt r; the two are
-conjugate by a constant unipotent pair Theta whose off-diagonal block T is
-the last n rows of r (``theta_conjugation_check``).  No matrix in this
+is written by index (``_assemble``).  It reads p^{-1} only through
+p^{-1} [r | E], E the last n columns of I_N, N = n(n+1)/2: A0, A', B0, B1
+and D0 are slices of the int rows of r^T p^{-1} r and p^{-1} [r | E] over
+one common L (r^T p^{-1} is (p^{-1} r)^T, p being symmetric), the slice of
+b2 at x is [[A', B1], [-B1^T, D0 - D0^T]], and those at y and z hold the
+constant shift B2, so no polynomial is boxed and no block operation runs.
+``verify`` takes p^{-1} [r | E] from one elimination of [p | r | E]
+(``linalg.solve``), which also gives the rank of p, and never inverts p;
+``resolve``, whose report writes p^{-1}, reads it off p^{-1}.  Every
+matrix here is a ``linalg.Matrix`` of forms of one degree: p, r, p^{-1}
+and the exact blocks have degree 0, b2 degree 1 and c2 degree 2.  The row
+of signed maximal-order Pfaffians of b2 generates I, and so does the
+explicit row read off p^{-1} [r | E].  Dropping the pure y,z part of phi
+keeps p and sets T, the last n rows of r, to zero, so
+``reduced_presentation`` builds the presentation of the reduction from p
+and p^{-1} r~ = p^{-1} r - (p^{-1} E) T, with no elimination; the two are
+conjugate by a constant unipotent pair Theta whose off-diagonal block is
+T (``theta_conjugation_check``).  No matrix in this
 module is stacked from blocks: each is written by index into int rows.
 
 When n is even and A' is invertible, the quadratic path resolves
@@ -100,13 +106,14 @@ def build_p_r(phi: DualElement, n: int) -> Tuple[Matrix, Matrix]:
     if phi.degree != 2 * n - 1:
         raise ValueError(f"expected degree {2 * n - 1}, got {phi.degree}")
     mid = monomials_of_degree(n - 1)
-    return tuple(catalecticants(phi, ([X * m for m in mid], mid),
-                                (mid, monomials_of_degree(n, x_free=True))))
+    return tuple(catalecticants(phi, ([X * m for m in mid], n - 1, False),
+                                (mid, n, True)))
 
 
 @dataclass
 class LinearPresentation:
-    """Everything the linear path produces: catalecticants, the exact blocks,
+    """Everything the linear path produces: catalecticants, p^{-1} r and
+    p^{-1} E (and p^{-1} itself only when asked for), the exact blocks,
     the alternating presentation matrix b2, its Pfaffian row b1 and the
     explicit generator row, a 1 x (2n+1) matrix.  b1 is None unless it was
     asked for and proven by g b2 = 0 (see the module docstring)."""
@@ -119,6 +126,8 @@ class LinearPresentation:
     p_rank: int
     linearly_presented: bool
     p_inv: Optional[Matrix] = None
+    p_inv_r: Optional[Matrix] = None
+    p_inv_e: Optional[Matrix] = None
     A0: Optional[Matrix] = None
     A_prime: Optional[Matrix] = None
     B0: Optional[Matrix] = None
@@ -138,32 +147,54 @@ def _eps(n: int) -> int:
     return -1 if n * (n - 1) // 2 % 2 else 1
 
 
-def build_linear_presentation(phi: DualElement,
-                              with_pfaffian_row: bool = True) -> LinearPresentation:
+def build_linear_presentation(phi: DualElement, with_pfaffian_row: bool = True,
+                              with_inverse: bool = False) -> LinearPresentation:
     """Assemble the linear presentation of ann(x(phi)) when p is invertible;
     otherwise report the rank of p and stop (that outcome means the ideal is
-    not linearly presented).  n is read off the degree 2n-1 of phi."""
+    not linearly presented).  n is read off the degree 2n-1 of phi.  The
+    blocks read p^{-1} only through p^{-1} r and p^{-1} E: one
+    ``linalg.solve`` against [r | E], or ``with_inverse``, for a report that
+    writes p^{-1}, read off p^{-1}."""
     n = _infer_n(phi)
     p, r = build_p_r(phi, n)
-    res = linalg.invert(p)
-    if not res.invertible:
-        return LinearPresentation(n, phi.field, phi, p, r, res.rank, False)
-    return _assemble(phi, n, p, r, res.inverse, with_pfaffian_row)
+    N, L, p_inv = p.rows, r.L, None
+    if with_inverse:
+        res = linalg.invert(p)
+        rank, p_inv = res.rank, res.inverse
+    else:
+        rank, solved = linalg.solve(p, Matrix._from_ints(phi.field, [
+            row + [L * (i - N + n == j) for j in range(n)]
+            for i, row in enumerate(_rows_over(r, L))], 2 * n + 1, L))
+    if rank < N:
+        return LinearPresentation(n, phi.field, phi, p, r, rank, False)
+    if p_inv is None:
+        p_inv_r = solved.take_cols(range(n + 1))
+        p_inv_e = solved.take_cols(range(n + 1, 2 * n + 1))
+    else:
+        # p^{-1} r is the transpose of r^T p^{-1}, p being symmetric
+        p_inv_r = (r.transpose() @ p_inv).transpose()
+        p_inv_e = p_inv.take_cols(range(N - n, N))
+    return _assemble(phi, n, p, r, p_inv_r, p_inv_e, p_inv, with_pfaffian_row)
 
 
 def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
     """The linear presentation of ``reduced_inverse_system(lin.phi)``,
-    without its Pfaffian row, reusing p and p^{-1} of ``lin``: every entry
-    phi(x * m_i * m_j) of p is a coefficient on a monomial containing x,
-    and the reduction keeps those, so both presentations have the same p.
-    Only r is rebuilt.  Raises ValueError when p is singular."""
+    without its Pfaffian row, from p, r, p^{-1} r and p^{-1} E of ``lin``:
+    every entry phi(x * m_i * m_j) of p is a coefficient on a monomial
+    containing x, and the reduction keeps those, so both presentations have
+    the same p.  The reduced r~ is r with its last n rows, T, set to zero,
+    as those are the x-free rows, so p^{-1} r~ = p^{-1} r - (p^{-1} E) T:
+    no elimination.  Raises ValueError when p is singular."""
     if not lin.linearly_presented:
         raise ValueError(f"p is singular (rank {lin.p_rank}); "
                          "the reduced presentation needs an invertible p")
-    n, tilde = lin.n, reduced_inverse_system(lin.phi)
-    r, = catalecticants(tilde, (monomials_of_degree(n - 1),
-                                monomials_of_degree(n, x_free=True)))
-    return _assemble(tilde, n, lin.p, r, lin.p_inv, False)
+    n, N, r = lin.n, lin.p.rows, lin.r
+    r_tilde = Matrix._from_ints(r.field, _rows_over(r, r.L)[:N - n]
+                                + [[0] * (n + 1)] * n, n + 1, r.L)
+    T = r._select(range(N - n, N), range(n + 1))
+    return _assemble(reduced_inverse_system(lin.phi), n, lin.p, r_tilde,
+                     lin.p_inv_r - lin.p_inv_e @ T, lin.p_inv_e, lin.p_inv,
+                     False)
 
 
 def _rows_over(m: Matrix, L: int) -> List[List[int]]:
@@ -188,29 +219,32 @@ def _minus_transpose(M: List[List[int]]) -> List[List[int]]:
 
 
 def _assemble(phi: DualElement, n: int, p: Matrix, r: Matrix,
-              p_inv: Matrix, with_pfaffian_row: bool) -> LinearPresentation:
+              p_inv_r: Matrix, p_inv_e: Matrix, p_inv: Optional[Matrix],
+              with_pfaffian_row: bool) -> LinearPresentation:
     """The exact blocks, b2, the explicit generator row g and (if asked) b1
-    from p, r and p^{-1}: b1 = eps_n g once g b2 = 0, else None.
+    from p, r, p^{-1} r and p^{-1} E: b1 = eps_n g once g b2 = 0, else None.
 
     Every block is written by index into the int rows of r^T p^{-1} r,
-    r^T p^{-1} and p^{-1} over one common L, and made canonical once (A0,
+    p^{-1} r and p^{-1} E over one common L, and made canonical once (A0,
     B0 and D0 copy canonical entries, so only the blocks with a difference
     or a sign are reduced mod p): A0 is r^T p^{-1} r without row n and
-    column 0, A' = A0 - A0^T, B0 the last n columns of r^T p^{-1},
+    column 0, A' = A0 - A0^T, B0 the last n columns of r^T p^{-1}, the
+    transpose of the last n rows of p^{-1} r,
     B1 = [0 | B0 without row n] - [B0 without row 0 | 0], and
-    D0 = [[0, the last n x n corner of p^{-1}], [0, 0]].  The slice of b2
-    at x is [[A', B1], [-B1^T, D0 - D0^T]], and those at z and y hold the
-    constant shift B2 = z [I_n | 0] - y [0 | I_n] and -B2^T."""
+    D0 = [[0, the last n x n corner of p^{-1}], [0, 0]], that corner being
+    the last n rows of p^{-1} E.  The slice of b2 at x is
+    [[A', B1], [-B1^T, D0 - D0^T]], and those at z and y hold the constant
+    shift B2 = z [I_n | 0] - y [0 | I_n] and -B2^T."""
     N = p.rows
-    rtp = r.transpose() @ p_inv
-    rtpr = rtp @ r
-    L = math.lcm(rtpr.L, rtp.L, p_inv.L)
-    P, Q, S = (_rows_over(m, L) for m in (rtpr, rtp, p_inv))
+    rtpr = r.transpose() @ p_inv_r
+    L = math.lcm(rtpr.L, p_inv_r.L, p_inv_e.L)
+    P = _rows_over(rtpr, L)
     A0 = [row[1:] for row in P[:n]]
     Ap = _minus_transpose(A0)
-    B0 = [row[N - n:] for row in Q]
+    B0 = [list(c) for c in zip(*_rows_over(p_inv_r, L)[N - n:])]
     B1 = [list(map(sub, [0] + lo, hi + [0])) for lo, hi in zip(B0, B0[1:])]
-    D0 = [[0] + row[N - n:] for row in S[N - n:]] + [[0] * (n + 1)]
+    D0 = ([[0] + row for row in _rows_over(p_inv_e, L)[N - n:]]
+          + [[0] * (n + 1)])
     Dx = _minus_transpose(D0)
     shift = {Z: [[L * (j == i) for j in range(n + 1)] for i in range(n)],
              Y: [[-L * (j == i + 1) for j in range(n + 1)] for i in range(n)]}
@@ -221,15 +255,15 @@ def _assemble(phi: DualElement, n: int, p: Matrix, r: Matrix,
 
     def made(degree: int, rows: int, cols: int, slices,
              reduce: bool = True) -> Matrix:
-        return p._result(degree, rows, cols, L, slices, reduce)
+        return Matrix._result(phi.field, degree, rows, cols, L, slices, reduce)
     A_prime = made(0, n, n, {ONE: Ap})
     b2 = made(1, 2 * n + 1, 2 * n + 1, b2)
-    row = explicit_generators(p_inv, rtp)
+    row = explicit_generators(p_inv_r, p_inv_e)
     b1 = None
     if with_pfaffian_row and (row @ b2).is_zero():
         b1 = row.scaled(_eps(n))
     return LinearPresentation(
-        n, phi.field, phi, p, r, N, True, p_inv,
+        n, phi.field, phi, p, r, N, True, p_inv, p_inv_r, p_inv_e,
         A0=made(0, n, n, {ONE: A0}, False), A_prime=A_prime,
         B0=made(0, n + 1, n, {ONE: B0}, False),
         B1=made(0, n, n + 1, {ONE: B1}), B2=made(1, n, n + 1, shift),
@@ -238,32 +272,29 @@ def _assemble(phi: DualElement, n: int, p: Matrix, r: Matrix,
         D=made(1, n + 1, n + 1, {X: Dx}), b2=b2, b1=b1, generator_row=row)
 
 
-def explicit_generators(p_inv: Matrix, rtp: Matrix) -> Matrix:
+def explicit_generators(p_inv_r: Matrix, p_inv_e: Matrix) -> Matrix:
     """The 2n+1 degree-n generators of ann(x(phi)) written directly, without
     Pfaffians, as a 1 x (2n+1) matrix: first x * p^{-1}(nu) for nu running
     over the dual basis of the degree-(n-1) monomials in y, z; then
     mu - x * p^{-1}(mu(phi)) for mu running over the degree-n monomials in
     y, z.  On coordinates in the fixed monomial order, where x-free
-    monomials come last, the p^{-1}(nu) are the last n columns of p^{-1},
-    and mu(phi) is the column phi(m_i * mu) of r, so the p^{-1}(mu(phi))
-    are the columns of p^{-1} r = (r^T p^{-1})^T, p being symmetric; rtp is
-    r^T p^{-1}.  So the row is sum_i u_i c_i, u_i the i-th of
-    x m_1, ..., x m_N, mu_1, ..., mu_{n+1}, and c_i its slice, written by
-    index into the int rows S of p^{-1} and Q of rtp over one common L:
-    c_i = S[i][N-n:] + [-Q[j][i] for each j] for i < N, and
-    c_{N+k} = [0] * n + L e_k; the row is made canonical once.
+    monomials come last, the p^{-1}(nu) are the columns of p^{-1} E, E the
+    last n columns of I, and mu(phi) is the column phi(m_i * mu) of r, so
+    the p^{-1}(mu(phi)) are the columns of p^{-1} r.  So the row is
+    sum_i u_i c_i, u_i the i-th of x m_1, ..., x m_N, mu_1, ..., mu_{n+1},
+    and c_i its slice, written by index into the int rows R of p^{-1} r and
+    W of p^{-1} E over one common L: c_i = W[i] + [-x for x in R[i]] for
+    i < N, and c_{N+k} = [0] * n + L e_k; the row is made canonical once.
     ``LinearPresentation.generator_row`` keeps this row."""
-    n = rtp.rows - 1
-    N = p_inv.rows
-    L = math.lcm(p_inv.L, rtp.L)
-    S, Q = _rows_over(p_inv, L), _rows_over(rtp, L)
-    images = ([s[N - n:] + [-q[i] for q in Q] for i, s in enumerate(S)]
+    n, L = p_inv_e.cols, math.lcm(p_inv_r.L, p_inv_e.L)
+    images = ([w + [-x for x in v] for v, w in zip(_rows_over(p_inv_r, L),
+                                                  _rows_over(p_inv_e, L))]
               + [[0] * n + [L * (j == k) for j in range(n + 1)]
                  for k in range(n + 1)])
     monos = ([X * m for m in monomials_of_degree(n - 1)]
              + monomials_of_degree(n, x_free=True))
-    return p_inv._result(n, 1, 2 * n + 1, L,
-                         {u: [c] for u, c in zip(monos, images)}, reduce=True)
+    return Matrix._result(p_inv_r.field, n, 1, 2 * n + 1, L,
+                          {u: [c] for u, c in zip(monos, images)}, reduce=True)
 
 
 def reduced_inverse_system(phi: DualElement) -> DualElement:
@@ -298,8 +329,8 @@ def theta_conjugation_check(lin_phi: LinearPresentation,
     eye = [[L * (j == i) for j in range(m)] for i in range(m)]
     upper = [e[:n] + [-x for x in t] for e, t in zip(eye, T)] + eye[n:]
     lower = eye[:n] + [list(c) + e[n:] for c, e in zip(zip(*T), eye[n:])]
-    theta1, theta2 = (r._result(0, m, m, L, {ONE: rows}, reduce=True)
-                      for rows in (upper, lower))
+    theta1, theta2 = (Matrix._result(r.field, 0, m, m, L, {ONE: rows},
+                                     reduce=True) for rows in (upper, lower))
     if theta1 @ lin_phi.b2 != lin_phitilde.b2 @ theta2:
         return False
     return lin_phitilde.generator_row @ theta1 == lin_phi.generator_row

@@ -5,7 +5,9 @@ contraction, against this direct sum.  Also the coefficient vectors of
 forms on a list of monomials, and back, for the tests that build
 matrices entry by entry, and the catalecticants p, r, T, r~ and the
 ``wlp_test`` matrix built as the package first built them: boxed
-coefficients, checked one by one by the ``Matrix`` constructor."""
+coefficients, checked one by one by the ``Matrix`` constructor.  And the
+int catalecticant as the package built it before it read rows by index:
+one dict lookup per entry (``catalecticant_by_lookup``)."""
 
 from apolar import (Matrix, Polynomial, contract, monomials_of_degree,
                     reduced_inverse_system)
@@ -32,6 +34,15 @@ def from_coords(field, monos, coords):
     if len(coords) != len(monos):
         raise ValueError("coordinate vector has wrong length")
     return Polynomial(field, monos[0].degree, dict(zip(monos, coords)))
+
+
+def catalecticant_by_lookup(coeffs, rows, cols):
+    """The int rows of the catalecticant of the functional with the int
+    coefficients ``coeffs`` ({monomial: int}, 0 where one is missing): the
+    entry (mr, mc) is the coefficient of mr * mc, looked up as an exponent
+    tuple, which hashes and compares equal to the Monomial key."""
+    return [[coeffs.get((a + x, b + y, c + z), 0) for x, y, z in cols]
+            for a, b, c in rows]
 
 
 def boxed_catalecticant(w, rows, cols):

@@ -19,7 +19,7 @@ from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
                     build_linear_presentation, build_p_r,
                     build_quadratic_presentation, contract, det,
                     explicit_generators, family_phi, ideal_equality_check,
-                    is_alternating, pfaffian, random_dual_element,
+                    invert, is_alternating, pfaffian, random_dual_element,
                     reduced_inverse_system, summarize_ideal,
                     theta_conjugation_check, wlp_test)
 
@@ -70,7 +70,7 @@ def test_criterion_1_golden_n2():
         assert p == Matrix(QQ, golden.P_N2)
         assert r == Matrix(QQ, golden.R_N2)
         assert lin.p == p and lin.r == r
-        assert lin.p_inv.scaled(golden.P_INV_N2_FACTOR) == \
+        assert invert(lin.p).inverse.scaled(golden.P_INV_N2_FACTOR) == \
             Matrix(QQ, golden.P_INV_N2)
         assert lin.A_prime == Matrix(QQ, golden.A_PRIME_N2)
         assert lin.B == golden.parsed(QQ, golden.B_N2, 1)
@@ -87,7 +87,7 @@ def test_criterion_2_golden_n4():
         phi, lin, quad = build_family(4)
         elapsed = time.perf_counter() - t0
         assert lin.p == Matrix(QQ, golden.P_N4)
-        assert lin.p_inv.scaled(golden.P_INV_N4_FACTOR) == \
+        assert invert(lin.p).inverse.scaled(golden.P_INV_N4_FACTOR) == \
             Matrix(QQ, golden.P_INV_N4)
         assert lin.r == Matrix(QQ, golden.R_N4)
         assert lin.A_prime.scaled(golden.A_PRIME_N4_FACTOR) == \
@@ -112,8 +112,7 @@ def test_criterion_3_golden_n6():
         assert (lin.b1 @ lin.b2).is_zero()
         assert is_alternating(quad.c2)
         assert (quad.c1 @ quad.c2).is_zero()
-        rtp = lin.r.transpose() @ lin.p_inv
-        assert explicit_generators(lin.p_inv, rtp) == \
+        assert explicit_generators(lin.p_inv_r, lin.p_inv_e) == \
             lin.b1.scaled(golden.UNIT_EXPLICIT_VS_PFAFFIAN[6])
         assert lin.b1.take_cols(range(6, 13)) == \
             quad.c1.scaled(quad.a_prime_pfaffian)
@@ -174,9 +173,8 @@ def test_criterion_6_randomized_property_suite():
                 assert all(e.is_zero or e.degree == 1
                            for row in lin.b2.entries for e in row)
                 assert (lin.b1 @ lin.b2).is_zero()
-                rtp = lin.r.transpose() @ lin.p_inv
                 eps = (-1) ** (n * (n - 1) // 2)
-                assert explicit_generators(lin.p_inv, rtp) == \
+                assert explicit_generators(lin.p_inv_r, lin.p_inv_e) == \
                     lin.b1.scaled(eps)
                 lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
                 assert theta_conjugation_check(lin, lin_tilde, phi)

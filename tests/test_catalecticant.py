@@ -1,13 +1,15 @@
 """The one catalecticant builder and what the presentation reads off it.
 
-``poly.catalecticant`` fills p, r and the oracle's matrices; the last n
+``poly.catalecticant`` fills p, r and the oracle's matrices, reading each
+row by index as contiguous runs of phi's dense coefficients; the last n
 rows of r are the block T that ``theta_conjugation_check`` reads,
-``explicit_generators`` reads r^T p^{-1}, and ``reduced_presentation``
-reuses p and p^{-1}.  These tests pin each of
-those readings against an independent construction: entries by the
-direct pairing of ``pairing_reference.evaluate``, the generator row by
-contraction (the formula the row was first written with), and the reduced
-presentation by a full rebuild."""
+``explicit_generators`` reads p^{-1} [r | E], and ``reduced_presentation``
+reuses p and that solve.  These tests pin each of those readings against
+an independent construction: the index formula against the position in
+``monomials_of_degree``, the rows against one dict lookup per entry,
+entries by the direct pairing of ``pairing_reference.evaluate``, the
+generator row by contraction (the formula the row was first written
+with), and the reduced presentation by a full rebuild."""
 
 import dataclasses
 import random
@@ -22,10 +24,11 @@ from apolar import (DualElement, LinearPresentation, Matrix, Monomial,
                     family_phi, invert, monomials_of_degree,
                     random_dual_element, reduced_inverse_system,
                     reduced_presentation, wlp_test)
-from apolar.poly import MAX_DEGREE
+from apolar.poly import MAX_DEGREE, dense, position
 
 from pairing_reference import (boxed_catalecticants, boxed_wlp_matrix,
-                               evaluate, from_coords, to_coords)
+                               catalecticant_by_lookup, evaluate, from_coords,
+                               to_coords)
 
 GF = PrimeField(32003)
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -68,13 +71,35 @@ def test_x_free_monomials_are_the_tail_of_all_monomials():
             monomials_of_degree(d)[-(d + 1):]
 
 
+def test_the_index_formula_is_the_position_in_the_fixed_order():
+    for d in range(MAX_DEGREE + 1):
+        monos = monomials_of_degree(d)
+        assert [position(m) for m in monos] == list(range(len(monos)))
+
+
 def test_catalecticant_reads_products_with_the_given_zero():
     coeffs = {Monomial(2, 1, 0): 5, Monomial(0, 1, 2): 7}
     rows = [Monomial(1, 0, 0), Monomial(0, 0, 1)]
-    cols = [Monomial(1, 1, 0), Monomial(0, 1, 1)]
-    assert catalecticant(coeffs, rows, cols) == [[5, 0], [0, 7]]
-    assert catalecticant(coeffs, [], cols) == []
-    assert catalecticant(coeffs, rows, []) == [[], []]
+    phi = dense(coeffs, 3)
+    assert phi == [0, 5, 0, 0, 0, 0, 0, 0, 7, 0]
+    # columns x^2, xy, xz, y^2, yz, z^2
+    assert catalecticant(phi, rows, 2) == [[0, 5, 0, 0, 0, 0],
+                                           [0, 0, 0, 0, 7, 0]]
+    assert catalecticant(phi, rows, 2, x_free=True) == [[0, 0, 0], [0, 7, 0]]
+    assert catalecticant(phi, [], 2) == []
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 12).flatmap(lambda s: st.tuples(
+    st.just(s), st.integers(0, s), st.booleans(),
+    st.lists(st.integers(-5, 5), min_size=(s + 1) * (s + 2) // 2,
+             max_size=(s + 1) * (s + 2) // 2))))
+def test_catalecticant_by_index_equals_one_lookup_per_entry(case):
+    s, d, x_free, values = case
+    coeffs = {m: v for m, v in zip(monomials_of_degree(s), values) if v}
+    rows = monomials_of_degree(s - d)
+    assert catalecticant(dense(coeffs, s), rows, d, x_free) == \
+        catalecticant_by_lookup(coeffs, rows, monomials_of_degree(d, x_free))
 
 
 @st.composite
@@ -144,12 +169,10 @@ def test_p_r_and_t_match_evaluation(case):
 @given(inverse_systems())
 def test_explicit_generators_from_r_equal_the_contraction_formula(case):
     _, phi = case
-    p, r = build_p_r(phi, (phi.degree + 1) // 2)
-    res = invert(p)
-    assume(res.invertible)
-    rtp = r.transpose() @ res.inverse
-    assert explicit_generators(res.inverse, rtp).entries[0] == \
-        contraction_generators(phi, res.inverse)
+    lin = build_linear_presentation(phi, with_pfaffian_row=False)
+    assume(lin.linearly_presented)
+    assert explicit_generators(lin.p_inv_r, lin.p_inv_e).entries[0] == \
+        contraction_generators(phi, invert(lin.p).inverse)
 
 
 def _presentation(kind, n):

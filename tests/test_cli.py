@@ -137,8 +137,8 @@ def test_verify_singular_p_exits_2(tmp_path, capsys):
 def corrupting(original, where):
     """``explicit_generators`` with 1 added to the x^n coefficient of one
     entry of the row g: the first, the one at y^n or the last."""
-    def corrupted(p_inv, rtp):
-        g = original(p_inv, rtp)
+    def corrupted(p_inv_r, p_inv_e):
+        g = original(p_inv_r, p_inv_e)
         n = g.degree
         k = {"first": 0, "y^n": n, "last": 2 * n}[where]
         entries = list(g.entries[0])
@@ -342,9 +342,10 @@ def test_alias_keys_for_one_monomial_exit_1(tmp_path, capsys, command):
     assert "names the monomial x again" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n, sizes", [(4, [10, 4]), (5, [15])])
-def test_verify_inverts_p_once(tmp_path, capsys, monkeypatch, n, sizes):
-    # n = 4: p (10 x 10), then A' of the quadratic path; n = 5: p only
+@pytest.mark.parametrize("n, sizes", [(4, [4]), (5, [])])
+def test_verify_inverts_only_a_prime(tmp_path, capsys, monkeypatch, n, sizes):
+    # p is never inverted, only solved for p^{-1} [r | E]; n = 4: A' of the
+    # quadratic path; n = 5: nothing
     path = write_family(tmp_path, n)
     invert, sizes_seen = linalg.invert, []
     monkeypatch.setattr(linalg, "invert",
@@ -384,6 +385,30 @@ def test_resolve_singular_p_exits_2(tmp_path, capsys):
     path.write_text(XFREE_PHI)
     assert main(["resolve", str(path)]) == 2
     assert "p is singular" in capsys.readouterr().out
+
+
+# phi whose p has a rank strictly between 0 and N; at n = 4 the rational p
+# has 10 rows, so its solve takes the lift
+SINGULAR = [(3, {(5, 0, 0): 1}), (3, {(5, 0, 0): 1, (3, 2, 0): 2, (1, 2, 2): -3}),
+            (4, {(7, 0, 0): 1, (1, 6, 0): 1, (2, 2, 3): 5, (3, 1, 3): 7})]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+@pytest.mark.parametrize("n, terms", SINGULAR)
+def test_a_singular_p_prints_its_rank(tmp_path, capsys, field, n, terms):
+    fld = apolar.field_from_tag(field)
+    phi = DualElement(fld, 2 * n - 1, {Monomial(*m): fld.of(c)
+                                       for m, c in terms.items()})
+    path = tmp_path / "phi.json"
+    path.write_text(phi.to_json())
+    p = apolar.build_p_r(phi, n)[0]
+    k, N = apolar.rank(p), p.rows
+    assert 0 < k < N
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        f"FAIL  p invertible (rank {k} of {N}); nothing to verify\n")
+    assert main(["resolve", str(path)]) == 2
+    assert capsys.readouterr().out.startswith(f"p is singular (rank {k} of {N})")
 
 
 def test_one_process_runs_many_commands_as_separate_processes_do(tmp_path,

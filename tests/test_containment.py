@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from apolar import (DualElement, Polynomial, PrimeField, QQ,
                     annihilator_degree, contract, ideal_equality_check)
 from apolar.oracle import CERTIFICATE_PRIME, _annihilates, _cat_rows, _int_form
-from apolar.poly import Monomial, monomials_of_degree
+from apolar.poly import Monomial, dense, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(32003), PrimeField(3))
 SETTINGS = settings(max_examples=150, deadline=None, database=None,
@@ -26,7 +26,7 @@ def integer_test(gens, phi):
     """``_annihilates`` on the int forms that the certificate builds."""
     s, phi_int = _int_form(phi)
     return _annihilates([_int_form(g) for g in gens], s,
-                        functools.partial(_cat_rows, phi_int, s),
+                        functools.partial(_cat_rows, dense(phi_int, s), s),
                         getattr(phi.field, "p", None))
 
 

@@ -286,6 +286,19 @@ def test_rank_kernel_det_inverse_equal_the_reference(m):
         assert res.rank == (m.rows if ref is not None else reference_rank(m))
 
 
+@SETTINGS
+@given(square_or_not(max_size=9).filter(lambda m: m.rows == m.cols),
+       st.data())
+def test_a_solve_is_the_inverse_times_the_right_side(m, data):
+    """solve(m, b) = (rank m, m^{-1} b), None when m is singular, for a b
+    of up to 3 columns, over Q from 8 rows on by the lift."""
+    b = data.draw(matrices(m.field, m.rows, data.draw(st.integers(0, 3))))
+    ref = reference_inverse(m)
+    rank_m, solved = linalg.solve(m, b)
+    assert rank_m == (m.rows if ref is not None else reference_rank(m))
+    assert solved == (None if ref is None else ref @ b)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_kernel_and_invert_box_only_what_they_read(field, monkeypatch):
     """Every scalar that ``linalg`` boxes is built by the field's

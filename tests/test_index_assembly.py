@@ -1,20 +1,23 @@
-"""The presentation blocks written by index equal the block algebra.
+"""The presentation blocks written by index equal the block algebra, and
+those from one solve equal those from the inverse.
 
 ``resolution._assemble`` and ``explicit_generators`` write every block by
-index into the int rows of r^T p^{-1} r, r^T p^{-1} and p^{-1}.  The
-reference here builds the same blocks from ``Matrix`` operations and boxed
-entries: selection, transpose, negation, subtraction, and a grid of blocks
-joined entry by entry (``block``, a test helper: the package stacks
-nothing).  Both must give the same canonical matrices (L and slices), for
-phi and for its reduction, over Q and over small and large prime fields, at
-n = 1 and wherever r^T p^{-1} r or r is zero."""
+index into the int rows of r^T p^{-1} r and of p^{-1} [r | E], E the last
+n columns of I, which ``verify`` takes from one solve and ``resolve`` reads
+off p^{-1}.  The reference here builds the same blocks from p^{-1} by
+``Matrix`` operations and boxed entries: selection, transpose, negation,
+subtraction, and a grid of blocks joined entry by entry (``block``, a test
+helper: the package stacks nothing).  All must give the same canonical
+matrices (L and slices), for phi and for its reduction, over Q and over
+small and large prime fields, at n = 1 and wherever r^T p^{-1} r or r is
+zero."""
 
 import random
 
 import pytest
 
 from apolar import (DualElement, Matrix, Monomial, PrimeField, QQ,
-                    build_linear_presentation, family_phi,
+                    build_linear_presentation, family_phi, invert,
                     random_dual_element, reduced_presentation)
 from apolar.poly import ONE, X, Y, Z, monomials_of_degree
 
@@ -70,7 +73,8 @@ def reference_blocks(fld, n, p, r, p_inv):
 
 
 def assert_blocks_match(lin):
-    expected = reference_blocks(lin.field, lin.n, lin.p, lin.r, lin.p_inv)
+    expected = reference_blocks(lin.field, lin.n, lin.p, lin.r,
+                                invert(lin.p).inverse)
     for name, ref in expected.items():
         got = getattr(lin, name)
         assert (got.degree, got.rows, got.cols, got.L, got.slices) == (
@@ -101,7 +105,7 @@ SPARSE = [
 def test_zero_products_keep_their_shapes(fld, degree, coeffs):
     lin = build_linear_presentation(phi_of(fld, degree, coeffs))
     assert lin.linearly_presented
-    assert (lin.r.transpose() @ lin.p_inv @ lin.r).is_zero()
+    assert (lin.r.transpose() @ invert(lin.p).inverse @ lin.r).is_zero()
     assert lin.r.is_zero() == (degree == 1)
     assert_blocks_match(lin)
     assert_blocks_match(reduced_presentation(lin))
@@ -127,3 +131,44 @@ def test_index_blocks_of_the_family(n):
     lin = build_linear_presentation(family_phi(n))
     assert_blocks_match(lin)
     assert_blocks_match(reduced_presentation(lin))
+
+
+SOLVED = ("A0", "A_prime", "B0", "B1", "B2", "D0", "A", "B", "D", "b2", "b1",
+          "generator_row", "p_inv_r", "p_inv_e")
+
+
+def assert_solve_equals_inverse(phi):
+    """The presentation and its reduction from one solve, as ``verify``
+    builds them, equal those read off p^{-1}, as ``resolve`` builds them;
+    only the latter keeps p^{-1}."""
+    lin = build_linear_presentation(phi)
+    ref = build_linear_presentation(phi, with_inverse=True)
+    assert lin.linearly_presented and ref.linearly_presented
+    assert lin.p_inv is None and ref.p_inv == invert(lin.p).inverse
+    for name in SOLVED:
+        assert getattr(lin, name) == getattr(ref, name), name
+    tilde, ref_tilde = reduced_presentation(lin), reduced_presentation(ref)
+    for name in SOLVED + ("r",):
+        assert getattr(tilde, name) == getattr(ref_tilde, name), name
+
+
+@pytest.mark.parametrize("fld,degree,coeffs", SPARSE,
+                         ids=[f"{f.tag}-{d}-{i}" for i, (f, d, _)
+                              in enumerate(SPARSE)])
+def test_the_solve_equals_the_inverse_on_zero_products(fld, degree, coeffs):
+    assert_solve_equals_inverse(phi_of(fld, degree, coeffs))
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.tag)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_solve_equals_the_inverse(fld, n):
+    seen = 0
+    for seed in range(4):
+        phi = random_dual_element(fld, 2 * n - 1, random.Random(seed))
+        if build_linear_presentation(phi).linearly_presented:
+            seen += 1
+            assert_solve_equals_inverse(phi)
+    if fld is QQ:
+        seen += 1
+        assert_solve_equals_inverse(family_phi(n))
+    assert seen

@@ -224,7 +224,7 @@ F3_BUILDS = {
     "zeros": lambda: Matrix(F3, [], cols=3, degree=1),
     "catalecticant": lambda: linalg.catalecticants(
         DualElement(F3, 2, {Monomial(1, 1, 0): 2}),
-        ([Monomial(1, 0, 0)], [Monomial(0, 1, 0)]))[0],
+        ([Monomial(1, 0, 0)], 1, False))[0],
     "sum": lambda: F3_ROW + F3_ROW,
     "product": lambda: F3_ROW.transpose() @ F3_ROW,
     "scaled": lambda: F3_ROW.scaled(2),
@@ -331,10 +331,17 @@ def test_promotion_commutes_with_shared_operations(field):
      "determinant of a non-square matrix"),
     (lambda: invert(qm([[1, 2]])), ValueError,
      "inverse of a non-square matrix"),
+    (lambda: linalg.solve(qm([[1]]), Matrix(F7, [[1]])), FieldMismatchError,
+     "matrices live in different fields"),
+    (lambda: linalg.solve(qm([[1]]), qm([[1], [2]])), ValueError,
+     "shape mismatch in a solve"),
+    (lambda: linalg.solve(qm([[1]]), qm([[1]]).times_monomial(X)), TypeError,
+     "elimination takes a matrix of scalars"),
     (lambda: linalg.assert_alternating(qm([[0, 1]])), ValueError,
      "alternating matrix must be square"),
 ], ids=["matmul-fields", "matmul-shapes", "add-fields", "add-shapes",
-        "det-non-square", "invert-non-square", "alternating-non-square"])
+        "det-non-square", "invert-non-square", "solve-fields", "solve-rows",
+        "solve-forms", "alternating-non-square"])
 def test_linalg_refusals(call, error, message):
     with pytest.raises(error, match=message) as raised:
         call()

@@ -94,14 +94,14 @@ def test_default_prime_makes_no_rational_rank_call(family, monkeypatch):
     assert calls.moduli == [DEFAULT_PRIME] * 3
 
 
-@pytest.mark.parametrize("n,ranks", [(4, 3), (5, 2)])
-def test_verify_certifies_the_family_from_one_head_rank(tmp_path, monkeypatch,
-                                                        capsys, n, ranks):
+@pytest.mark.parametrize("n,ranks", [(4, 2), (5, 1)])
+def test_verify_certifies_the_family_with_no_head_rank(tmp_path, monkeypatch,
+                                                       capsys, n, ranks):
     # both paths of verify start their generators in degree a0 = n, and
     # s - a0 < a0 (s = 2n - 1 for phi at n = 4, s = 2n - 2 for x(phi) at
-    # n = 5): the head rank of cat_{n-1}, then span ranks at n and n + 1 on
-    # the quadratic path and at n on the linear one, where the tail starts
-    # in degree n + 1
+    # n = 5): the head is proven by p's elimination, with no rank; then
+    # span ranks at n and n + 1 on the quadratic path and at n on the
+    # linear one, where the tail starts in degree n + 1
     path = tmp_path / "phi.json"
     assert cli.main(["example-family", "--n", str(n), "--out", str(path)]) == 0
     certificate = oracle.ideal_equality_check_ints
@@ -132,8 +132,8 @@ VERIFY_INPUTS = ([("family", n, []) for n in range(1, 9)]
 def test_verify_proves_the_head_from_one_modular_rank(tmp_path, monkeypatch,
                                                       capsys, kind, n, extra):
     # p is invertible on both paths of verify, so J_{n-1} = 0 and the head
-    # is n: one rank of cat_{n-1} mod q (mod p over GF(p)) proves it, with
-    # no exact rank.  Then one rank at each degree of [n, s + 2 - n]: n and
+    # is n: p's elimination proves it, and no rank is taken under
+    # _head_degree.  Then one rank at each degree of [n, s + 2 - n]: n and
     # n + 1 on the quadratic path (n even, s = 2n - 1), n on the linear
     # path (s = 2n - 2); the tail lemma does the degrees above.  Ranks are
     # told by the certificate's own calls: the eliminations inside an exact
@@ -164,25 +164,24 @@ def test_verify_proves_the_head_from_one_modular_rank(tmp_path, monkeypatch,
     capsys.readouterr()
     assert cli.main(["verify", str(path)]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")
-    assert ranks[0] == ("_rank_mod", True)
-    assert [head for _, head in ranks].count(True) == 1
-    assert len(ranks) == (3 if n % 2 == 0 else 2)
+    assert [head for _, head in ranks].count(True) == 0
+    assert len(ranks) == (2 if n % 2 == 0 else 1)
 
 
-@pytest.mark.parametrize("n,builds", [(4, 1), (5, 2), (6, 1)])
+@pytest.mark.parametrize("n,builds", [(4, 1), (5, 1), (6, 1)])
 def test_verify_builds_each_catalecticant_once(tmp_path, monkeypatch, capsys,
                                                n, builds):
-    # on the quadratic path (n even, s = 2n - 1) the containment product
-    # and the head rank both read cat_{n-1}, one build; on the linear path
-    # (n = 5, s = 2n - 2) they read cat_{n-2} and cat_{n-1}
+    # the containment product reads cat_{s-n}: cat_{n-1} on the quadratic
+    # path (n even, s = 2n - 1), cat_{n-2} on the linear path (n = 5,
+    # s = 2n - 2); the head is proven without a catalecticant
     path = tmp_path / "phi.json"
     assert cli.main(["example-family", "--n", str(n), "--out", str(path)]) == 0
     catalecticant = oracle.catalecticant
     built = []
 
-    def counted(phi, rows, cols):
-        built.append((len(rows), len(cols)))
-        return catalecticant(phi, rows, cols)
+    def counted(phi, rows, d, x_free=False):
+        built.append((len(rows), d))
+        return catalecticant(phi, rows, d, x_free)
     monkeypatch.setattr(oracle, "catalecticant", counted)
     capsys.readouterr()
     assert cli.main(["verify", str(path)]) == 0

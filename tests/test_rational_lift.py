@@ -8,7 +8,12 @@ it.  Every way the lift can give up ends in ``_rref_int``: pivots that
 differ between two primes (a matrix singular modulo the first prime, or a
 kernel pivot that moves), and no proven candidate within the primes (a
 corrupted reconstruction, or entries too large for the last prime).  In
-every case the answer is byte for byte the fraction-free one."""
+every case the answer is byte for byte the fraction-free one.
+
+``linalg`` skips the lift below ``BAREISS_BELOW`` rows, where Bareiss is
+faster; the small matrices here take the lift all the same, as the
+threshold is lowered to 0 for this module, except where a test pins the
+threshold itself."""
 
 import ast
 import math
@@ -29,6 +34,13 @@ Q0 = residues.LIFT_PRIMES[0]
 # a prime above isqrt(prod(LIFT_PRIMES) / 2), the largest numerator or
 # denominator the lift can reconstruct
 BIG = 2 ** 127 - 1
+CROSSOVER = linalg.BAREISS_BELOW
+
+
+@pytest.fixture(autouse=True, scope="module")
+def lift_from_zero_rows():
+    with mock.patch.object(linalg, "BAREISS_BELOW", 0):
+        yield
 
 
 def fractions(bits):
@@ -244,15 +256,30 @@ def test_empty_and_zero_matrices_are_lifted(monkeypatch, rows, cols):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_verify_on_the_family_inverts_without_bareiss(tmp_path, monkeypatch,
-                                                      capsys, n):
+def test_verify_on_the_family_lifts_only_the_solve_of_p(tmp_path, monkeypatch,
+                                                        capsys, n):
+    # p, 10 x 10 at n = 4 and 15 x 15 at n = 5, is solved by the lift with
+    # no Bareiss; A' at n = 4, 4 x 4 and below the crossover, by Bareiss
+    # with no lift prime
+    monkeypatch.setattr(linalg, "BAREISS_BELOW", CROSSOVER)
     path = tmp_path / "phi.json"
     assert cli.main(["example-family", "--n", str(n), "--out", str(path)]) == 0
     calls = RrefIntCalls(monkeypatch)
+    taken = primes_taken(monkeypatch)
+    solves, solve = [], linalg.solve
+
+    def spied(m, b):
+        before = len(taken), calls.all
+        out = solve(m, b)
+        solves.append((m.rows, len(taken) > before[0], calls.all - before[1]))
+        return out
+    monkeypatch.setattr(linalg, "solve", spied)
     capsys.readouterr()
     assert cli.main(["verify", str(path)]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")
-    assert calls.from_invert == 0
+    N = n * (n + 1) // 2
+    assert solves == [(N, True, 0)] + ([(4, False, 1)] if n == 4 else [])
+    assert CROSSOVER > 4 and N >= CROSSOVER
 
 
 @pytest.mark.parametrize("q", residues.LIFT_PRIMES)

@@ -7,7 +7,7 @@ import pytest
 from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
                     QQ, build_linear_presentation, build_p_r,
                     build_quadratic_presentation, contract,
-                    explicit_generators, family_phi, is_alternating,
+                    explicit_generators, family_phi, invert, is_alternating,
                     linear_betti, monomials_of_degree, quadratic_betti,
                     random_dual_element, reduced_inverse_system, resolution,
                     resolution_report, theta_conjugation_check)
@@ -59,7 +59,8 @@ def test_catalecticants_of_zero():
 def test_linear_blocks_n2(n2):
     _, lin, _ = n2
     assert lin.linearly_presented
-    assert lin.p_inv.scaled(golden.P_INV_N2_FACTOR) == Matrix(QQ, golden.P_INV_N2)
+    assert invert(lin.p).inverse.scaled(golden.P_INV_N2_FACTOR) == \
+        Matrix(QQ, golden.P_INV_N2)
     assert lin.A_prime == Matrix(QQ, golden.A_PRIME_N2)
     assert lin.B == golden.parsed(QQ, golden.B_N2, 1)
     assert lin.D.scaled(golden.D_N2_FACTOR) == golden.parsed(QQ, golden.D_N2, 1)
@@ -108,7 +109,7 @@ def test_singular_p_reported():
 
 
 def explicit_row(lin):
-    return explicit_generators(lin.p_inv, lin.r.transpose() @ lin.p_inv)
+    return explicit_generators(lin.p_inv_r, lin.p_inv_e)
 
 
 def test_explicit_generators_annihilate(n2):

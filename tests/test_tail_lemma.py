@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
                     QQ, contract, family_phi, linalg, monomials_of_degree,
                     oracle, random_dual_element, resolution)
+from apolar.poly import dense
 
 import ideal_reference as reference
 from pairing_reference import to_coords
@@ -66,7 +67,7 @@ def _check_head_lemma(phi):
     kernels = [reference.annihilator_degree(phi, d) for d in range(s + 2)]
     a = next(d for d, ker in enumerate(kernels) if ker)
     _, phi_int = oracle._int_form(phi)
-    cat_rows = functools.partial(oracle._cat_rows, phi_int, s)
+    cat_rows = functools.partial(oracle._cat_rows, dense(phi_int, s), s)
     for a0 in range(1, s + 3):
         gens = [oracle._int_form(Polynomial.monomial(fld, Monomial(a0, 0, 0)))]
         head = oracle._head_degree(*oracle._cat_ranks(cat_rows, fld), gens)
@@ -272,7 +273,7 @@ def test_a_short_head_rank_falls_back_and_fails(monkeypatch):
     phi = family_phi(4)
     gens = oracle.annihilator_degree(phi, 5)
     _, phi_int = oracle._int_form(phi)
-    cat_rows = functools.partial(oracle._cat_rows, phi_int, 7)
+    cat_rows = functools.partial(oracle._cat_rows, dense(phi_int, 7), 7)
     assert oracle._head_degree(*oracle._cat_ranks(cat_rows, QQ),
                                [oracle._int_form(g) for g in gens]) is None
     ranked = _ranked_catalecticants(monkeypatch)
@@ -309,7 +310,7 @@ def test_a_head_rank_short_mod_q_is_decided_exactly(monkeypatch):
                               Monomial(0, 3, 0): QQ.one,
                               Monomial(0, 0, 3): QQ.one})
     _, phi_int = oracle._int_form(phi)
-    assert linalg._rank_mod(oracle._cat_rows(phi_int, 3, 1), q) == 2
+    assert linalg._rank_mod(oracle._cat_rows(dense(phi_int, 3), 3, 1), q) == 2
     assert _check_head_lemma(phi) == 2
     gens = [g for d in (2, 3) for g in oracle.annihilator_degree(phi, d)]
     ranked = _ranked_catalecticants(monkeypatch)
@@ -342,3 +343,31 @@ def test_every_degree_of_a_non_empty_band_is_ranked(fld, s, monkeypatch):
     assert verdicts == reference.ideal_equality_check(gens, phi)
     assert all(v.equal for v in verdicts)
     assert ranked == list(range(s))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(mutated_generators(), st.data())
+def test_a_proven_zero_degree_changes_no_verdict(case, data):
+    # J_k = 0 holds for every k below a, the least degree of J; given as a
+    # proven fact it replaces the head rank exactly when a0 - 1 <= k, a0
+    # the least generator degree, and is ignored (the head is ranked) when
+    # every generator has degree above k + 1
+    phi, gens = case
+    fld, s = phi.field, phi.degree
+    a = next(d for d in range(s + 2) if reference.annihilator_degree(phi, d))
+    k = data.draw(st.integers(0, a - 1), label="k")
+    forms, phi_int = [oracle._int_form(g) for g in gens], oracle._int_form(phi)
+    ranked = []
+    head_degree = oracle._head_degree
+
+    def spied(rank_q, rank, gens, zero_degree=None):
+        return head_degree(lambda d: ranked.append(d) or rank_q(d),
+                           lambda d: ranked.append(d) or rank(d),
+                           gens, zero_degree)
+    without = oracle.ideal_equality_check_ints(fld, forms, phi_int)
+    with mock.patch.object(oracle, "_head_degree", spied):
+        proven = oracle.ideal_equality_check_ints(fld, forms, phi_int,
+                                                  zero_degree=k)
+    assert proven == without == reference.ideal_equality_check(gens, phi)
+    a0 = min((g.degree for g in gens), default=0)
+    assert (ranked == []) == (a0 == 0 or a0 - 1 <= k)

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import datetime
 import functools
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 import random
 import sys
@@ -60,9 +61,12 @@ def _json(o, indent: str = "\n") -> str:
     """The text ``json.dumps(o, indent=2)`` writes for a value built of
     dicts with str keys, lists, str, int, bool and None, ``indent`` being
     the line break and indentation at o's depth.  Strings go through
-    json's C encoder, and a list of str is written in one join.  Any other
-    type, a float or a tuple included (no report holds one), raises
-    TypeError."""
+    json's C encoder, but for a string s of printable ASCII with no '"'
+    and no '\\' it writes '"' + s + '"': so a list of such strings, or a
+    list of nonempty lists of them (a report matrix's rows), is written
+    in joins alone, the strings checked at once on their concatenation.
+    Any other list goes item by item.  Any other type, a float or a tuple
+    included (no report holds one), raises TypeError."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None or isinstance(o, bool):
@@ -80,9 +84,27 @@ def _json(o, indent: str = "\n") -> str:
         items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
                  for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    items = (map(encode_basestring_ascii, o) if set(map(type, o)) == {str}
+    kinds = set(map(type, o))
+    if kinds == {str} or kinds == {list} and all(o):
+        try:
+            s = "".join(o if kinds == {str} else chain.from_iterable(o))
+        except TypeError:  # a row holds something other than a str
+            s = '"'  # so not plain
+        if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+            if kinds == {str}:
+                return _plain_row(o, indent)
+            return ("[" + inner + ("," + inner).join(
+                [_plain_row(r, inner) for r in o]) + indent + "]")
+    items = (map(encode_basestring_ascii, o) if kinds == {str}
              else [_json(v, inner) for v in o])
     return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _plain_row(o: list, indent: str) -> str:
+    """``_json`` of a list of str that its encoder writes as they are,
+    between quotes."""
+    inner = indent + "  "
+    return "[" + inner + '"' + ('",' + inner + '"').join(o) + '"' + indent + "]"
 
 
 def _write_json(data: dict, path: Optional[str], timestamp: bool) -> None:

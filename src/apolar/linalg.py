@@ -21,13 +21,14 @@ its result from the slices, with no validation, taking it back to the
 canonical form after every sum, product and selection.  The slices are
 never changed in place, so results share rows freely.  ``entries`` is a
 read-only view, each coefficient boxed by ``Field.from_int`` on first read
-and then kept; ``to_strings`` reads the slices and boxes nothing, one pass
-over the entries per slice.
+and then kept; ``to_strings`` reads the slices and boxes nothing: a matrix
+of scalars one map per row, a matrix of forms one join per entry.
 
 A product is (L_a A)(L_b B) = sum_(u,v) uv C_u D_v over L_a L_b, made
-canonical, by ``residues.product``: each row of each D_v is packed into
-one int, and a row of the result is a sum of those ints times the nonzero
-entries of the rows of C_u, unpacked and reduced once.
+canonical, by ``residues.product``: ints packed along the rows of each D_v
+or along the monomials uv of the result, whichever takes fewer big-int
+multiply-adds, one per nonzero entry of C_u or of D_v, summed and then
+unpacked and reduced once.
 
 Kernel and solve come from the RREF of int rows (``_rref_ints``), first
 nonzero pivot in column order, so results are deterministic: ``solve``
@@ -269,26 +270,28 @@ class Matrix:
         return not self.slices
 
     def to_strings(self) -> List[List[str]]:
-        """The entries as text, read off the slices: boxes nothing.  Each
-        monomial is named once, and x / L is written as the reduced
-        fraction (x / g) / (L / g), g = gcd(x, L).  The slices are read in
-        monomial order, each adding its nonzero terms to the texts of all
-        entries in one pass; an entry with no term is "0"."""
+        """The entries as text, read off the slices: boxes nothing.  x / L
+        is written as the reduced fraction (x / g) / (L / g),
+        g = gcd(x, L).  A matrix of scalars writes each row in one map; a
+        matrix of forms joins the nonzero terms of each entry in one list,
+        the monomials in order, each named once.  An entry with no term is
+        "0"."""
         L = self.L
 
         def scalar(x: int) -> str:
             g = math.gcd(x, L)
             return str(x // g) if g == L else f"{x // g}/{L // g}"
-
-        texts = [[""] * self.cols] * self.rows
-        for u in sorted(self.slices, key=Monomial.sort_key):
-            a, b = ("", "") if u == ONE else ("(", f"){u}")
-            s = self.slices[u]
-            if L != 1:
-                s = [[x and scalar(x) for x in r] for r in s]
-            texts = [[(f"{t} + {a}{x}{b}" if t else f"{a}{x}{b}") if x else t
-                      for t, x in zip(ts, r)] for ts, r in zip(texts, s)]
-        return [[t or "0" for t in ts] for ts in texts]
+        text = str if L == 1 else scalar
+        if not self.slices:
+            return [["0"] * self.cols for _ in range(self.rows)]
+        if ONE in self.slices:  # the only slice of a matrix of scalars
+            return [list(map(text, r)) for r in self.slices[ONE]]
+        order = sorted(self.slices, key=Monomial.sort_key)
+        names = [f"){u}" for u in order]
+        coeffs = zip(*[chain.from_iterable(self.slices[u]) for u in order])
+        flat = [" + ".join([f"({text(x)}{name}" for x, name in zip(xs, names)
+                            if x]) or "0" for xs in coeffs]
+        return [flat[i:i + self.cols] for i in range(0, len(flat), self.cols)]
 
     def __repr__(self):
         return (f"Matrix({self.rows}x{self.cols}, degree {self.degree} "

@@ -40,7 +40,9 @@ class Monomial(NamedTuple):
         return self.a + self.b + self.c
 
     def __mul__(self, other: "Monomial") -> "Monomial":  # type: ignore[override]
-        return Monomial(self.a + other.a, self.b + other.b, self.c + other.c)
+        # tuple.__new__ skips the Python frame of the NamedTuple constructor
+        return tuple.__new__(Monomial, (self.a + other.a, self.b + other.b,
+                                        self.c + other.c))
 
     def divides(self, other: "Monomial") -> bool:
         return self.a <= other.a and self.b <= other.b and self.c <= other.c
@@ -53,15 +55,8 @@ class Monomial(NamedTuple):
         return (-self.a, -self.b)
 
     def __str__(self) -> str:
-        if self.degree == 0:
-            return "1"
-        parts = []
-        for v, e in zip(VARS, self):
-            if e == 1:
-                parts.append(v)
-            elif e > 1:
-                parts.append(f"{v}^{e}")
-        return "".join(parts)
+        return "".join([v if e == 1 else f"{v}^{e}"
+                        for v, e in zip(VARS, self) if e]) or "1"
 
 
 X = Monomial(1, 0, 0)

@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
 from typing import List, Optional, Tuple
 
 from . import linalg
@@ -379,13 +379,38 @@ def build_quadratic_presentation(lin: LinearPresentation) -> QuadraticPresentati
     if lin.b1 is None:
         raise ValueError("c1 is read off b1, which was not built or not "
                          "proven: g b2 != 0")
-    c2 = (lin.B.transpose() @ res.inverse @ lin.B) \
-        + lin.D.times_monomial(X)
+    c2 = _c2(lin, res.inverse)
     pf = linalg.pfaffian(lin.A_prime)
     unit = fld.of(_eps(n)) / pf
     gens = lin.generator_row.take_cols(range(n, 2 * n + 1))
     return QuadraticPresentation(n, fld, True, n, "", c2, gens.scaled(unit),
                                  gens, unit, pf)
+
+
+def _c2(lin: LinearPresentation, inv: Matrix) -> Matrix:
+    """c2 = B^T M B + x D, M = A'^{-1}, from the two products K = M B1 and
+    B1^T K, written by index.  B = x B1 + y S_y + z S_z with the shift
+    blocks S_y = -[0 | I_n] and S_z = [I_n | 0] of ``_assemble``, and M is
+    alternating, as A' is.  So the slice at x^2 is B1^T K + D0 - D0^T,
+    that at xv is S_v^T K - (S_v^T K)^T, those at y^2 and z^2 are M moved
+    one row and column down or not, and that at yz is
+    S_y^T M S_z + S_z^T M S_y = P^T - P, P = -S_y^T M S_z being M moved
+    one row down."""
+    n = lin.n
+    K = inv @ lin.B1
+    BtK = lin.B1.transpose() @ K
+    L = math.lcm(K.L, BtK.L, inv.L, lin.D0.L)
+    M, Kr = _rows_over(inv, L), _rows_over(K, L)
+    zero = [[0] * (n + 1)]
+    slices = {
+        X * X: [list(map(add, r, d)) for r, d in zip(
+            _rows_over(BtK, L), _minus_transpose(_rows_over(lin.D0, L)))],
+        X * Y: _minus_transpose(list(zip(*zero + Kr))),
+        X * Z: _minus_transpose(Kr + zero),
+        Y * Y: zero + [[0] + r for r in M],
+        Y * Z: _minus_transpose(list(zip(*zero + [r + [0] for r in M]))),
+        Z * Z: [r + [0] for r in M] + zero}
+    return Matrix._result(lin.field, 2, n + 1, n + 1, L, slices, reduce=True)
 
 
 def linear_betti(n: int) -> List[List[int]]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import apolar
 from apolar import (DualElement, Matrix, Monomial, Polynomial, family_phi,
-                    linalg, resolution)
+                    linalg, residues, resolution)
 from apolar.cli import _json, main
 from apolar.poly import MAX_DEGREE
 
@@ -135,26 +135,30 @@ def test_verify_singular_p_exits_2(tmp_path, capsys):
 
 
 def corrupting(original, where):
-    """``explicit_generators`` with 1 added to the x^n coefficient of one
-    entry of the row g: the first, the one at y^n or the last."""
+    """``explicit_generators`` with 1 added to one coefficient of the row
+    g: at x^n, in a row of p^{-1} E (the first entry) or of p^{-1} r (the
+    one at y^n or the last), or at y^n in the entry at y^n, the mu column."""
     def corrupted(p_inv_r, p_inv_e):
         g = original(p_inv_r, p_inv_e)
         n = g.degree
-        k = {"first": 0, "y^n": n, "last": 2 * n}[where]
+        k = {"first": 0, "y^n": n, "last": 2 * n, "mu": n}[where]
+        u = Monomial(0, n, 0) if where == "mu" else Monomial(n, 0, 0)
         entries = list(g.entries[0])
-        entries[k] = entries[k] + Polynomial.monomial(g.field, Monomial(n, 0, 0))
+        entries[k] = entries[k] + Polynomial.monomial(g.field, u)
         return Matrix(g.field, [entries], degree=n)
     return corrupted
 
 
-@pytest.mark.parametrize("where", ["first", "y^n", "last"])
-@pytest.mark.parametrize("n, seed", [(2, None), (3, 5), (4, 1)])
+@pytest.mark.parametrize("where", ["first", "y^n", "last", "mu"])
+@pytest.mark.parametrize("n, seed", [(2, None), (3, None), (4, None), (3, 5),
+                                     (4, 1)])
 def test_a_corrupted_explicit_row_never_passes(tmp_path, capsys, monkeypatch,
                                                n, seed, where):
     """b1 is read off g only once g b2 = 0: with one coefficient of g
-    corrupted, ``verify`` fails that check and ``resolve`` writes no report;
-    neither exits 0.  The two lines the lemma gives under a proven b1 are
-    not printed."""
+    corrupted, over Q (the family) or GF(32003) (seeded), ``verify`` fails
+    that check and ``resolve`` writes no report; neither exits 0.  The two
+    lines the lemma gives under a proven b1 are not printed.  The product
+    g b2 is the one packed along the monomials of the result."""
     path = tmp_path / "phi.json"
     random_args = [] if seed is None else ["--random", "--seed", str(seed)]
     assert main(["example-family", "--n", str(n), *random_args,
@@ -166,10 +170,17 @@ def test_a_corrupted_explicit_row_never_passes(tmp_path, capsys, monkeypatch,
     assert all(f"PASS  {line}" in out for line in lemma_lines)
     monkeypatch.setattr(resolution, "explicit_generators",
                         corrupting(resolution.explicit_generators, where))
+    by_monomials, right_sides = residues._by_monomials, []
+
+    def spied(a, b, cols, q):
+        right_sides.append((len(b), cols))
+        return by_monomials(a, b, cols, q)
+    monkeypatch.setattr(residues, "_by_monomials", spied)
     report = tmp_path / "report.json"
     assert main(["resolve", str(path), "--out", str(report)]) == 2
     assert "b1 . b2 != 0" in capsys.readouterr().out
     assert not report.exists()
+    assert (3, 2 * n + 1) in right_sides
     assert main(["verify", str(path)]) == 2
     out = capsys.readouterr().out
     assert "FAIL  b1 . b2 = 0" in out
@@ -468,6 +479,17 @@ def test_report_writer_writes_what_json_dumps_writes(value):
     """Nested dicts, lists, str (control characters, non-ASCII, astral),
     int (big ones too), bool and None, empty containers included."""
     assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("odd", ['"', "\\", "\x7f", "\xe9", "\n"])
+@pytest.mark.parametrize("at", [0, 2])
+def test_one_string_to_escape_sends_a_list_item_by_item(odd, at):
+    """A list of plain strings, or a list of rows of them, with one string
+    that the encoder escapes, is written as json.dumps writes it."""
+    row = ["1", "(2)x", "-3/4"]
+    row[at] = row[at] + odd
+    for value in (row, [["0", "1"], row], {"m": [row, ["5"]]}):
+        assert _json(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, {"a": [1, {2}]}, (1, 2), 1.5,

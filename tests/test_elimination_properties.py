@@ -1,10 +1,12 @@
 """Property tests of the plain-int kernels of ``apolar.linalg`` against the
-boxed loops in ``elimination_reference``: the packed matrix product on
-scalar and form matrices of every shape and degree, over GF(3), GF(32003),
-GF(2^61 - 1) and Q (numerators up to 2^130), with all-zero rows, rows of
-one nonzero entry and matrices with no slice, on sums that reach its slot
-bound, with a slot one bit narrower failing, and taking one big-int
-product per nonzero entry of the left operand; the fraction-free
+boxed loops in ``elimination_reference``: the packed matrix product, and
+each of its two packings, on scalar and form matrices of every shape and
+degree, over GF(3), GF(32003), GF(2^61 - 1) and Q (numerators up to
+2^130), with all-zero rows, rows of one nonzero entry and matrices with no
+slice, on int slices with int keys and all-zero slices, on sums that reach
+its slot bound, with a slot one bit narrower failing, taking one big-int
+product per nonzero entry of the left operand when that packing costs
+fewer, and the packing with fewer multiply-adds; the fraction-free
 Gauss-Jordan over Q, the eliminations over GF(32003) and GF(3), the
 packed-row elimination mod 3, 32003 and 2^61 - 1 (including a row that
 takes every update, the worst case of its slot width), and the
@@ -15,6 +17,7 @@ of its operands; ``times_monomial`` equals the product with a monomial.
 ``kernel`` boxes only the entries of the reduced rows that it reads, and
 ``invert`` boxes nothing until its entries are read."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (Matrix, Polynomial, PrimeField, QQ, det, invert, kernel,
                     linalg, rank, residues)
-from apolar.poly import Monomial, monomials_of_degree
+from apolar.poly import Monomial, monomials_of_degree, random_dual_element
+from apolar.resolution import build_linear_presentation
 from elimination_reference import (reference_det, reference_inverse,
                                    reference_kernel, reference_product,
                                    reference_rank, reference_rref)
@@ -91,16 +95,32 @@ def products(draw):
     return a, b
 
 
+PACKINGS = (residues._by_rows, residues._by_monomials)
+
+
+def through_each_packing(a, b):
+    """a @ b by each packing of ``residues.product``, called directly; none
+    when an operand has no slice, which ``product`` answers at once."""
+    if not (a.slices and b.slices):
+        return []
+    q = getattr(a.field, "p", 0)
+    return [Matrix._result(a.field, a.degree + b.degree, a.rows, b.cols,
+                           a.L * b.L, packing(a.slices, b.slices, b.cols, q))
+            for packing in PACKINGS]
+
+
 @SETTINGS
 @given(products())
 def test_product_equals_the_boxed_triple_loop(pair):
-    """Also: the result has the sum of the degrees of the operands, and
-    every entry of a form product has that degree, zero or not, and stores
-    only nonzero coefficients of the field's own scalar type."""
+    """Also: so does each packing of ``residues.product`` on every draw;
+    the result has the sum of the degrees of the operands, and every entry
+    of a form product has that degree, zero or not, and stores only
+    nonzero coefficients of the field's own scalar type."""
     a, b = pair
     expected = reference_product(a, b)
     out = a @ b
     assert out == expected
+    assert all(m == expected for m in through_each_packing(a, b))
     assert out.degree == a.degree + b.degree
     one = type(a.field.one)
     for e in (e for r in out.entries for e in r):
@@ -150,9 +170,12 @@ def test_sums_that_reach_the_slot_bound(case):
     """2^31 2^31 + 2^31 2^31 = 2^63 over Q, as k = 2 terms or as the two
     slice pairs (x, y) and (y, x) at xy, and 128 (q - 1)^2 > 2^128 at
     q = 2^61 - 1: a slot sized without the factor k or pairs, or over Q
-    without the sign bit, is a word short for these sums."""
+    without the sign bit, is a word short for these sums, in either
+    packing."""
     a, b = worst_case(case)
-    assert a @ b == reference_product(a, b)
+    expected = reference_product(a, b)
+    assert a @ b == expected
+    assert through_each_packing(a, b) == [expected] * len(PACKINGS)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
@@ -173,6 +196,86 @@ def test_a_product_multiplies_only_the_nonzero_entries(field, monkeypatch):
     monkeypatch.setattr(residues, "mul", counted)
     assert xm @ images == reference_product(xm, images)
     assert calls == [1] * len(monos)
+
+
+@st.composite
+def int_slices(draw):
+    """Int slices as ``rref_lift`` passes them, keyed by ints, here 1, 2, 3
+    and 6 so that products meet (1 * 6 = 2 * 3 = 6 * 1), all-zero slices
+    kept: residues mod 3 or 2^61 - 1, or integers up to 2^130 (q = 0)."""
+    q = draw(st.sampled_from([0, 3, 2 ** 61 - 1]))
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.integers(0, q - 1) if q else st.integers(-2 ** 130, 2 ** 130)
+
+    def slices(rows, cols):
+        keys = draw(st.lists(st.sampled_from([1, 2, 3, 6]), min_size=1,
+                             max_size=3, unique=True))
+        fill = [draw(st.sampled_from(["zero", "sparse", "dense"]))
+                for _ in keys]
+        return {u: [[draw(entry) if f == "dense" or f == "sparse"
+                     and draw(st.booleans()) else 0 for _ in range(cols)]
+                    for _ in range(rows)] for u, f in zip(keys, fill)}
+    return slices(r, k), slices(k, c), c, q
+
+
+@SETTINGS
+@given(int_slices())
+def test_both_packings_on_int_keys_and_zero_slices(case):
+    """Each packing and ``product`` equal the triple loop on ints, one
+    slice per product of keys, all-zero ones included."""
+    a, b, c, q = case
+    expected: dict = {}
+    for u, A in a.items():
+        for v, B in b.items():
+            out = expected.setdefault(u * v, [[0] * c for _ in A])
+            for row, arow in zip(out, A):
+                row[:] = [x + sum(y * z for y, z in zip(arow, col))
+                          for x, col in zip(row, zip(*B))]
+    if q:
+        expected = {u: [[x % q for x in r] for r in s]
+                    for u, s in expected.items()}
+    for packing in PACKINGS:
+        assert packing(a, b, c, q) == expected
+    assert residues.product(a, b, c, q) == expected
+
+
+def test_each_product_takes_the_packing_with_fewer_multiply_adds(
+        monkeypatch):
+    """At GF(32003) n = 8 the explicit row g (45 slices of one row) times
+    b2 (3 slices of 17 x 17) takes the monomials, 304 multiply-adds against
+    1863 along rows, and r^T p^{-1} (9 x 36 times 36 x 36, one slice each)
+    the rows, 324 against 11664; every product of ``resolve`` there, and a
+    2 x 2 times a 2 x 2 of three nonzero entries (4 against 2 x 3), takes
+    the packing with fewer, and a 1 x 2 times a 2 x 2 of two (2 against 2)
+    the rows, as on every tie."""
+    taken = []
+
+    def spying(packing):
+        def spied(a, b, cols, q):
+            taken.append((a, b, packing.__name__))
+            return packing(a, b, cols, q)
+        return spied
+    for packing in PACKINGS:
+        monkeypatch.setattr(residues, packing.__name__, spying(packing))
+    field = PrimeField(32003)
+    phi = random_dual_element(field, 15, random.Random(1))
+    lin = build_linear_presentation(phi, with_inverse=True)
+    assert lin.b1 is not None
+    shapes = [(len(a), len(next(iter(a.values()))), len(b),
+               len(next(iter(b.values()))[0]), name) for a, b, name in taken]
+    assert (45, 1, 3, 17, "_by_monomials") in shapes
+    assert (1, 9, 1, 36, "_by_rows") in shapes
+    residues.product({1: [[1, 2], [3, 4]]}, {1: [[1, 0], [2, 3]]}, 2)
+    assert taken[-1][2] == "_by_rows"
+    residues.product({1: [[1, 2]]}, {1: [[1, 0], [2, 0]]}, 2)
+    assert taken[-1][2] == "_by_rows"
+
+    def nonzeros(slices):
+        return sum(x != 0 for s in slices.values() for r in s for x in r)
+    for a, b, name in taken:
+        rows = len(b) * nonzeros(a)
+        monomials = len(next(iter(a.values()))) * nonzeros(b)
+        assert name == ("_by_monomials" if monomials < rows else "_by_rows")
 
 
 @pytest.mark.parametrize("degree", [None, 0, 1])

@@ -6,6 +6,7 @@ must also be canonical: L = 1 and residues in [0, p) over GF(p), L > 0 and
 gcd(L, all numerators) = 1 over Q, and no all-zero slice.  So equality, which compares the slices, does
 not depend on the route by which a matrix was computed."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from apolar import (Matrix, Polynomial, PrimeField, QQ, assert_alternating,
                     linalg)
+from apolar.cli import _json
 from apolar.poly import ONE, X, Monomial, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(3), PrimeField(32003))
@@ -123,6 +125,23 @@ def test_unary_operations_equal_the_entrywise_reference(case, data):
     assert shifted.degree == degree + 1
     assert_result(shifted, [[e * factor if degree else factor.scaled(e)
                              for e in row] for row in E])
+
+
+@SETTINGS
+@given(cases())
+def test_every_text_takes_the_one_join_path_of_the_report(case):
+    """``cli._json`` writes a list of strings in one join when their
+    concatenation is printable ASCII with no '"' and no '\\'.  Every text
+    of ``to_strings`` is such a string, over Q (negative fractions),
+    GF(3) and GF(32003), at degrees 0 to 2, zero matrices included; the
+    report writer then writes what ``json.dumps`` writes."""
+    _, _, a, b = case
+    for m in (a, b, a - a):
+        texts = m.to_strings()
+        joined = "".join(t for row in texts for t in row)
+        assert joined.isascii() and joined.isprintable()
+        assert '"' not in joined and "\\" not in joined
+        assert _json(texts) == json.dumps(texts, indent=2)
 
 
 @SETTINGS

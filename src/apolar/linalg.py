@@ -32,18 +32,20 @@ unpacked and reduced once.
 
 Kernel and solve come from the RREF of int rows (``_rref_ints``), first
 nonzero pivot in column order, so results are deterministic: ``solve``
-reads m^{-1} b off the reduced [m | b], scaled to ints, and ``invert`` is
-the solve against I.  Over GF(p) it is Gauss-Jordan on packed residues
-(``residues.rref_mod``); over Q it is lifted from residues and proven by
-one exact product (``residues.rref_lift``), or else, and below
-``BAREISS_BELOW`` rows, fraction-free (``_rref_int``, after Bareiss).
-Either way the rows end as the unique RREF times one denominator.  The
-determinant is the product of the pivots times the sign of the row
-swaps.  The reduced rows stay ints: ``kernel`` boxes only the nonzero
-coordinates, and ``solve`` returns slices, boxing nothing.  The rank
-takes the same loops forward only, on whichever of M and M^T has fewer
-rows.  A zero-row matrix keeps its column count.  Elimination takes
-matrices of scalars: it refuses degree >= 1.
+reads m^{-1} b off the reduced [m | b], scaled to ints.  Over GF(p) it is
+Gauss-Jordan on packed residues (``residues.rref_mod``); over Q it is
+lifted from residues and proven by one exact product
+(``residues.rref_lift``), or else, and below ``BAREISS_BELOW`` rows,
+fraction-free (``_rref_int``, after Bareiss).  Either way the rows end as
+the unique RREF times one denominator.  ``invert`` runs no [m | I] but
+Gauss-Jordan in place at width N (``residues.invert_mod``, lifted over Q
+by ``residues.invert_lift``), and the solve against I only when that
+gives None.  The determinant is the product of the pivots times the sign
+of the row swaps.  The reduced rows stay ints: ``kernel``
+boxes only the nonzero coordinates, and ``solve`` returns slices, boxing
+nothing.  The rank takes the same loops forward only, on whichever of M
+and M^T has fewer rows.  A zero-row matrix keeps its column count.
+Elimination takes matrices of scalars: it refuses degree >= 1.
 
 ``pfaffian`` takes the Pfaffian of an alternating matrix of scalars by one
 skew elimination with 2 x 2 pivots.  No Pfaffian of forms is computed:
@@ -61,8 +63,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import (DualElement, Monomial, ONE, Polynomial, catalecticant,
                    dense)
-from .residues import (product as _product, rref_lift as _rref_lift,
-                       rref_mod as _rref_mod)
+from .residues import (invert_lift as _invert_lift,
+                       invert_mod as _invert_mod, product as _product,
+                       rref_lift as _rref_lift, rref_mod as _rref_mod)
 from .scalars import Field, FieldMismatchError, Scalar
 
 Slices = Dict[Monomial, List[List[int]]]
@@ -365,7 +368,12 @@ def _rref_ints(rows: List[List[int]], field: Field
     place (``_rref_int``).  That crossover is read off [m | I] for the
     family's m, lift against Bareiss, best of 5 on a 2-core VM: A' 2 x 2
     46 / 7 us, p 6 x 6 129 / 59 us, A' 6 x 6 133 / 80 us, A' 8 x 8 184 /
-    199 us, p 10 x 10 251 / 293 us, p 21 x 21 849 / 3200 us."""
+    199 us, p 10 x 10 251 / 293 us, p 21 x 21 849 / 3200 us.  ``invert``
+    keeps it for its lift in place (``residues.invert_lift``), against
+    Bareiss on [m | I], best of 300 interleaved calls on the same VM:
+    A' 2 x 2 37 / 17 us, p 6 x 6 103 / 78 us, A' 6 x 6 115 / 99 us,
+    A' 8 x 8 163 / 224 us, p 10 x 10 186 / 290 us, p 21 x 21 627 /
+    2977 us; it also routes the solve of [p | r | E] in ``verify``."""
     if getattr(field, "p", None):
         return _rref_mod(rows, field.p)[:2] + (1,)
     lifted = _rref_lift(rows) if len(rows) >= BAREISS_BELOW else None
@@ -477,7 +485,23 @@ def solve(m: Matrix, b: Matrix) -> Tuple[int, Optional[Matrix]]:
 
 
 def invert(m: Matrix) -> InversionResult:
-    """``solve`` against the identity."""
+    """m^{-1} by Gauss-Jordan in place on the int rows of L m, at width N:
+    over GF(p) by ``residues.invert_mod``, over Q from ``BAREISS_BELOW``
+    rows on lifted to m^{-1} = F / D (``residues.invert_lift``).  When that
+    gives None (m singular, a prime dividing det(L m), or no proven
+    candidate) and below ``BAREISS_BELOW`` rows over Q, it is ``solve``
+    against the identity, whose pivots count the rank."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    rows, p = _int_rows(m), getattr(m.field, "p", None)
+    F, D = None, 1
+    if p:
+        F = _invert_mod(rows, p)
+    elif m.rows >= BAREISS_BELOW:
+        F, D = _invert_lift(rows, m.L) or (None, 1)
+    if F is not None:
+        return InversionResult(Matrix._result(m.field, 0, m.rows, m.rows, D,
+                                              {ONE: F}), m.rows)
     eye = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
     rank, inverse = solve(m, Matrix._from_ints(m.field, eye, m.rows))
     return InversionResult(inverse, rank)

@@ -1,7 +1,9 @@
 """The kernels on plain ints, with no matrix type: the Gauss-Jordan
 elimination of ``linalg`` over GF(p) and for the modular ranks
-(``rref_mod``), the product of int slices over GF(p) and Q (``product``),
-and the RREF over Q lifted from residues (``rref_lift``).  The first two
+(``rref_mod``), the inverse by Gauss-Jordan in place (``invert_mod``), the
+product of int slices over GF(p) and Q (``product``), and the RREF and the
+inverse over Q lifted from residues (``rref_lift``, ``invert_lift``).  The
+first three
 work on vectors packed into ints: entry j sits in the w-bit slot j of one
 int, w a whole number of 64-bit words (``slot_words``), laid out as bytes
 by ``pack`` and read back by ``unpack``, so that a row update or a vector
@@ -20,6 +22,18 @@ against 1863 multiply-adds, and r^T p^{-1} the rows, 324 against 11664:
 by each packing called alone, 0.44 against 0.58 ms and 0.14 against
 0.93 ms, the minimum of 60 interleaved calls on a 2-core VM.
 
+The inverse.  ``invert_mod`` works at width N, where ``rref_mod`` on
+[m | I] works at 2N: each cleared column c stores column c of the inverse.
+With p the pivot, inv = p^{-1} mod q and f the entry of another row at c,
+a row update is that of ``rref_mod``, x + (q - f) t, t the pivot row
+scaled by inv, so the slot bound stays N (q - 1)^2 + q; only slot c of t
+holds (1 + inv) mod q, and f + (q - f)(1 + inv) = q + (q - f) inv leaves
+-f inv mod q there, the entry of the inverse.  The stored pivot row holds
+inv at c.  On GF(32003), the 36 x 36 p at n = 8 takes 0.86 ms against
+1.39 ms for ``rref_mod`` on [p | I], and the family's 78 x 78 p at n = 12
+4.1 against 7.2 ms per lift prime (the minimum of 20-60 calls on a 2-core
+VM).
+
 The lift.  ``rref_lift`` runs ``rref_mod`` on an int matrix A modulo the
 ``LIFT_PRIMES`` in turn, combines the entries of the reduced rows at the
 non-pivot columns by CRT, and rational-reconstructs them over one common
@@ -32,7 +46,12 @@ independent over Q because they are modulo q; so the pivots are those of
 the rational RREF, and the candidate, as the unique such combination, is
 its entries.  The lift answers None when the pivots differ between two
 primes or no candidate passes within the primes; ``linalg`` then takes the
-fraction-free path.
+fraction-free path.  ``invert_lift`` runs the same loop (``_lift``) on the
+residues of ``invert_mod``, times L for the int rows of L m, so that it
+reconstructs the entries of m^{-1}, as ``rref_lift`` does on [L m | L I]:
+a candidate F over D counts only once (L m) F = D L I holds exactly,
+which makes F / D the inverse of m; a matrix singular modulo a prime
+answers None at once.
 """
 
 from __future__ import annotations
@@ -313,44 +332,136 @@ def _reconstruct(U: List[List[int]], M: int
     return out, D
 
 
+def invert_mod(rows: List[List[int]], q: int) -> Optional[List[List[int]]]:
+    """The inverse mod q of the square matrix of residues ``rows``, in
+    place, or None when a column has no pivot mod q: Gauss-Jordan at width
+    N, column c once cleared holding column c of the inverse (the module
+    docstring).  A row stays a list until its first update, as in
+    ``rref_mod``.  The row swaps, composed, are undone on the columns at
+    the end."""
+    n = len(rows)
+    bound = n * (q - 1) ** 2 + q
+    words = slot_words(bound)
+    w, size = 64 * words, 8 * words * n
+    assert bound >> (w - 1) == 0
+    mask = (1 << w) - 1
+    order = list(range(n))
+    for c in range(n):
+        s = c * w
+        for i in range(c, n):
+            x = rows[i]
+            p = x[c] if type(x) is list else (x >> s & mask) % q
+            if p:
+                break
+        else:
+            return None
+        if i != c:
+            rows[c], rows[i] = x, rows[c]
+            order[c], order[i] = order[i], order[c]
+        inv = pow(p, -1, q)
+        row = [e * inv % q for e in (x if type(x) is list else unpack(
+            x.to_bytes(size, "little"), words))]
+        row[c] = (1 + inv) % q
+        t = None
+        for i in range(n):
+            x = rows[i]
+            f = x[c] if type(x) is list else (x >> s & mask) % q
+            if f and i != c:
+                if t is None:
+                    t = int.from_bytes(pack(row, words), "little")
+                rows[i] = (int.from_bytes(pack(x, words), "little")
+                           if type(x) is list else x) + (q - f) * t
+        row[c] = inv
+        rows[c] = row
+    rows[:] = [x if type(x) is list else [v % q for v in unpack(
+        x.to_bytes(size, "little"), words)] for x in rows]
+    if order != sorted(order):
+        # row k was row order[k]: column order[k] of the inverse is column k
+        back = sorted(range(n), key=order.__getitem__)
+        rows[:] = [[r[k] for k in back] for r in rows]
+    return rows
+
+
+def _lift(reduced, proven):
+    """The loop of the lift: for each of the ``LIFT_PRIMES`` q in turn,
+    ``reduced(q)``, rows of residues mod q or None to give up, combined by
+    CRT with those of the primes before and reconstructed over one common
+    denominator; the first candidate (F, D) that ``proven(F, D)`` accepts,
+    or None."""
+    M = 1
+    for q in LIFT_PRIMES:
+        V = reduced(q)
+        if V is None:
+            return None
+        if M == 1:
+            U = V
+        else:
+            inv = pow(M, -1, q)
+            U = [[u + M * ((v - u) * inv % q) for u, v in zip(ur, vr)]
+                 for ur, vr in zip(U, V)]
+        M *= q
+        candidate = _reconstruct(U, M)
+        if candidate is not None and proven(*candidate):
+            return candidate
+    return None
+
+
 def rref_lift(rows: List[List[int]]
               ) -> Optional[Tuple[List[List[int]], List[int], int]]:
     """(D R, pivot columns, D) for R the RREF over Q of the int rows, or
-    None: the lift of the module docstring.  The rows are not changed."""
+    None: the lift of the module docstring, on the entries of the reduced
+    rows at the non-pivot columns.  The rows are not changed."""
     if not rows or not rows[0]:
         return rows, [], 1
     cols = len(rows[0])
-    M = 1
-    for q in LIFT_PRIMES:
+    pivots: List[int] = []
+    free: List[int] = []
+
+    def reduced(q: int) -> Optional[List[List[int]]]:
         red, piv, _ = rref_mod([[x % q for x in r] for r in rows], q)
-        if M == 1:
-            pivots, taken = piv, set(piv)
-            free = [j for j in range(cols) if j not in taken]
-            U = [[r[j] for j in free] for r in red[:len(pivots)]]
+        if q == LIFT_PRIMES[0]:
+            pivots[:], taken = piv, set(piv)
+            free[:] = [j for j in range(cols) if j not in taken]
         elif piv != pivots:
             return None
-        else:
-            inv = pow(M, -1, q)
-            U = [[u + M * ((r[j] - u) * inv % q) for u, j in zip(ur, free)]
-                 for ur, r in zip(U, red)]
-        M *= q
-        candidate = _reconstruct(U, M)
-        if candidate is None:
-            continue
-        F, D = candidate
+        return [[r[j] for j in free] for r in red[:len(pivots)]]
+
+    def proven(F: List[List[int]], D: int) -> bool:
         # with no free column the rank mod q, a lower bound, is full
-        if free:
-            V = [[0] * len(free) for _ in range(cols)]
-            for j, f in enumerate(free):
-                V[f][j] = D
-            for c, x in zip(pivots, F):
-                V[c] = [-v for v in x]
-            if any(map(any, product({1: rows}, {1: V}, len(free))[1])):
-                continue
-        out = [[0] * cols for _ in rows]
-        for row, c, x in zip(out, pivots, F):
-            row[c] = D
-            for f, v in zip(free, x):
-                row[f] = v
-        return out, pivots, D
-    return None
+        if not free:
+            return True
+        V = [[0] * len(free) for _ in range(cols)]
+        for j, f in enumerate(free):
+            V[f][j] = D
+        for c, x in zip(pivots, F):
+            V[c] = [-v for v in x]
+        return not any(map(any, product({1: rows}, {1: V}, len(free))[1]))
+
+    lifted = _lift(reduced, proven)
+    if lifted is None:
+        return None
+    F, D = lifted
+    out = [[0] * cols for _ in rows]
+    for row, c, x in zip(out, pivots, F):
+        row[c] = D
+        for f, v in zip(free, x):
+            row[f] = v
+    return out, pivots, D
+
+
+def invert_lift(rows: List[List[int]], L: int
+                ) -> Optional[Tuple[List[List[int]], int]]:
+    """(F, D), D > 0, with rows F = D L I, so that F / D is the inverse over
+    Q of m when the square int rows are L m, or None: ``invert_mod`` lifted
+    as ``rref_lift`` lifts ``rref_mod``, on the entries of m^{-1} that
+    ``rref_lift`` reads off [L m | L I], and None at once for rows singular
+    modulo a prime.  The rows are not changed."""
+    n = len(rows)
+
+    def reduced(q: int) -> Optional[List[List[int]]]:
+        F = invert_mod([[x % q for x in r] for r in rows], q)
+        if F is None or L == 1:
+            return F
+        return [[x * L % q for x in r] for r in F]
+    return _lift(reduced, lambda F, D: product({1: rows}, {1: F}, n)[1] == [
+        [D * L * (i == j) for j in range(n)] for i in range(n)])

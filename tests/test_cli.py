@@ -365,6 +365,33 @@ def test_verify_inverts_only_a_prime(tmp_path, capsys, monkeypatch, n, sizes):
     assert sizes_seen == sizes
 
 
+@pytest.mark.parametrize("n, args", [
+    (8, ["--random", "--seed", "1", "--field", "Fp:32003"]), (4, [])],
+    ids=["GF(32003)", "family"])
+def test_resolve_eliminates_nothing_wider_than_p(tmp_path, capsys,
+                                                 monkeypatch, n, args):
+    # p^{-1} in place at width N, over GF(p) or at each lift prime; A'
+    # at width n, or by Bareiss on the 2n-wide [A' | I]; no [p | I]
+    path = tmp_path / "phi.json"
+    assert main(["example-family", "--n", str(n), *args, "--out",
+                 str(path)]) == 0
+    widths = []
+    for module, names in ((linalg, ["_rref_mod", "_invert_mod", "_rref_int"]),
+                          (residues, ["rref_mod", "invert_mod"])):
+        for name in names:
+            def spied(rows, *args, name=name, inner=getattr(module, name)):
+                widths.append((name.lstrip("_"), len(rows[0]) if rows else 0))
+                return inner(rows, *args)
+            monkeypatch.setattr(module, name, spied)
+    capsys.readouterr()
+    assert main(["resolve", str(path), "--quiet", "--no-timestamp", "--out",
+                 str(tmp_path / "report.json")]) == 0
+    N = n * (n + 1) // 2
+    assert f"(p is {N}x{N}, invertible)" in capsys.readouterr().out
+    assert ("invert_mod", N) in widths
+    assert max(width for _, width in widths) <= N
+
+
 @pytest.mark.parametrize("command", ["verify", "oracle"])
 def test_max_degree_above_the_bound_exits_1(tmp_path, capsys, command):
     path = write_family(tmp_path, 2)

@@ -9,7 +9,10 @@ product per nonzero entry of the left operand when that packing costs
 fewer, and the packing with fewer multiply-adds; the fraction-free
 Gauss-Jordan over Q, the eliminations over GF(32003) and GF(3), the
 packed-row elimination mod 3, 32003 and 2^61 - 1 (including a row that
-takes every update, the worst case of its slot width), and the
+takes every update, the worst case of its slot width), the inverse in
+place mod the same primes against the right half of the RREF of [m | I]
+(empty, 1 x 1, sparse, pivots that all need a swap, singular, and a row
+whose slots need three words), and the
 forward-only rank pass against the rank of the full reduction.  Beyond equality with the reference, a product
 stores no zero coefficient, keeps the declared degree on zero entries,
 boxes int sums that vanish mod p to zero, and has the sum of the degrees
@@ -536,6 +539,78 @@ def test_a_row_whose_slots_outgrow_two_words():
     assert pivots == list(range(66))
     assert red[:-1] == rows[:-1]
     assert red[-1] == [0] * 65 + [x * pow(5, -1, q) % q for x in tail]
+
+
+def right_half_of_the_rref(rows, q):
+    """The right half of the RREF of [m | I] mod q, or None when its
+    pivots do not fill the first N columns."""
+    n = len(rows)
+    red, pivots, _ = linalg._rref_mod(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)],
+        q)
+    return [r[n:] for r in red] if pivots[:n] == list(range(n)) else None
+
+
+@st.composite
+def square_residues(draw):
+    """Square matrices of residues: 0 x 0 and 1 x 1, dense or sparse, a
+    scaled permutation or the antidiagonal, whose pivots need swaps, of
+    rank below N (a row a combination of the others, or a zero column), or
+    of the ``every_update_rows`` shape."""
+    q = draw(st.sampled_from([3, 32003, 2 ** 61 - 1]))
+    shape = draw(st.sampled_from(["0x0", "1x1", "dense", "sparse",
+                                  "permutation", "antidiagonal", "deficient",
+                                  "every-update"]))
+    n = {"0x0": 0, "1x1": 1}[shape] if "x" in shape else draw(
+        st.integers(2, 9))
+    residue, unit = st.integers(0, q - 1), st.integers(1, q - 1)
+    if shape == "every-update":
+        return every_update_rows(n, n, q, [draw(unit)]), q, False
+    if shape in ("permutation", "antidiagonal"):
+        perm = (draw(st.permutations(range(n))) if shape == "permutation"
+                else range(n - 1, -1, -1))
+        return [[draw(unit) if j == k else 0 for j in range(n)]
+                for k in perm], q, False
+    sparse = shape == "sparse"
+    rows = [[draw(residue) if not sparse or draw(st.booleans()) else 0
+             for _ in range(n)] for _ in range(n)]
+    if shape == "deficient":
+        k, x = draw(st.integers(0, n - 1)), draw(residue)
+        if draw(st.booleans()):
+            others = rows[:k] + rows[k + 1:]
+            rows[k] = [(x * u + v) % q
+                       for u, v in zip(others[0], others[-1])]
+        else:
+            for r in rows:
+                r[k] = 0
+    return rows, q, shape == "deficient"
+
+
+@SETTINGS
+@given(square_residues())
+def test_the_inverse_in_place_is_the_right_half_of_the_rref(case):
+    """``invert_mod`` at q = 3, 32003 and 2^61 - 1 against the RREF of
+    [m | I] mod q: the same inverse, every entry a residue, or None exactly
+    when m is singular mod q, as every rank-deficient m is."""
+    rows, q, deficient = case
+    ref = right_half_of_the_rref(rows, q)
+    assert residues.invert_mod([list(r) for r in rows], q) == ref
+    assert ref is None or not deficient
+    if ref is not None:
+        assert all(type(x) is int and 0 <= x < q for r in ref for x in r)
+
+
+def test_an_inverse_whose_slots_outgrow_two_words():
+    """At q = 2^61 - 1 the last row of the 66 x 66 ``every_update_rows``
+    takes 65 updates by (q - 1)^2 in its last slot, past 2^128: the slots
+    need three words."""
+    q = 2 ** 61 - 1
+    rows = every_update_rows(66, 66, q, [5])
+    assert residues.slot_words(66 * (q - 1) ** 2 + q) == 3
+    inverse = residues.invert_mod([list(r) for r in rows], q)
+    assert inverse == right_half_of_the_rref(rows, q)
+    assert residues.product({1: rows}, {1: inverse}, 66, q)[1] == [
+        [int(i == j) for j in range(66)] for i in range(66)]
 
 
 def recorded_heights(monkeypatch, name):

@@ -1,14 +1,19 @@
-"""The rational RREF lifted from residues (``residues.rref_lift``) against
-the fraction-free elimination (``linalg._rref_int``, after Bareiss).
+"""The rational RREF and inverse lifted from residues
+(``residues.rref_lift``, ``residues.invert_lift``) against the
+fraction-free elimination (``linalg._rref_int``, after Bareiss).
 
-Over Q, ``linalg.kernel`` and ``linalg.invert`` take the lift, which
-eliminates modulo ``residues.LIFT_PRIMES``, reconstructs the entries over
-one denominator and keeps a candidate only when one exact product proves
-it.  Every way the lift can give up ends in ``_rref_int``: pivots that
-differ between two primes (a matrix singular modulo the first prime, or a
-kernel pivot that moves), and no proven candidate within the primes (a
-corrupted reconstruction, or entries too large for the last prime).  In
-every case the answer is byte for byte the fraction-free one.
+Over Q, ``linalg.kernel`` takes the RREF lift and ``linalg.invert`` the
+inverse lift, which eliminate modulo ``residues.LIFT_PRIMES`` (the
+inverse in place, at width N, by ``invert_mod``), reconstruct the entries
+over one denominator and keep a candidate only when one exact product
+proves it.  Every way the lifts can give up ends in ``_rref_int``: pivots
+that differ between two primes or an inverse singular modulo one (a
+matrix singular modulo the first prime, or a kernel pivot that moves),
+and no proven candidate within the primes (a corrupted reconstruction, or
+entries too large for the last prime).  ``invert`` takes the solve of
+[m | I] when its lift gives up, and a singular matrix reports the rank of
+``linalg.rank``.  In every case the answer is byte for byte the
+fraction-free one.
 
 ``linalg`` skips the lift below ``BAREISS_BELOW`` rows, where Bareiss is
 faster; the small matrices here take the lift all the same, as the
@@ -17,6 +22,7 @@ threshold itself."""
 
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -81,7 +87,8 @@ def bareiss(rows):
 
 
 def without_lift(fn, m):
-    with mock.patch.object(linalg, "_rref_lift", lambda rows: None):
+    with mock.patch.object(linalg, "_rref_lift", lambda rows: None), \
+            mock.patch.object(linalg, "_invert_lift", lambda rows, L: None):
         return fn(m)
 
 
@@ -117,16 +124,16 @@ class RrefIntCalls:
         monkeypatch.setattr(linalg, "invert", inverting)
 
 
-def primes_taken(monkeypatch):
-    """The moduli of the ``rref_mod`` calls the lift makes."""
-    taken = []
-    inner = residues.rref_mod
-
-    def counted(rows, q, full=True):
-        taken.append(q)
-        return inner(rows, q, full)
-    monkeypatch.setattr(residues, "rref_mod", counted)
-    return taken
+def eliminations(monkeypatch):
+    """(kernel, modulus, width) of each ``rref_mod`` and ``invert_mod``
+    call that the lifts make, in order."""
+    calls = []
+    for name in ("rref_mod", "invert_mod"):
+        def counted(rows, q, *args, name=name, inner=getattr(residues, name)):
+            calls.append((name, q, len(rows[0]) if rows else 0))
+            return inner(rows, q, *args)
+        monkeypatch.setattr(residues, name, counted)
+    return calls
 
 
 @SETTINGS
@@ -169,10 +176,10 @@ def test_denominators_past_one_prime_take_two(monkeypatch):
     # 1 / a with a ~ 2^20 is past the bound of one 28-bit prime, 2^13.5,
     # and within that of two
     a = 2 ** 20 + 7
-    taken = primes_taken(monkeypatch)
+    taken = eliminations(monkeypatch)
     m = Matrix(QQ, [[a, 1], [0, 1]])
     res = invert(m)
-    assert taken == list(residues.LIFT_PRIMES[:2])
+    assert taken == [("invert_mod", q, 2) for q in residues.LIFT_PRIMES[:2]]
     assert res.inverse == Matrix(QQ, [[Fraction(1, a), Fraction(-1, a)],
                                       [0, 1]])
 
@@ -181,10 +188,10 @@ def test_a_matrix_singular_mod_the_first_prime_falls_back(monkeypatch):
     # diag(q0, 1) is singular mod q0, so the pivots of [p | I] mod q0 are
     # columns 1 and 2, and mod the next prime 0 and 1
     calls = RrefIntCalls(monkeypatch)
-    taken = primes_taken(monkeypatch)
+    taken = eliminations(monkeypatch)
     m = Matrix(QQ, [[Q0, 0], [0, 1]])
     assert residues.rref_lift(linalg._int_rows(m)) is None
-    assert taken == list(residues.LIFT_PRIMES[:2])
+    assert [q for _, q, _ in taken] == list(residues.LIFT_PRIMES[:2])
     res = linalg.invert(m)
     assert calls.from_invert == 1
     assert res.rank == 2
@@ -220,7 +227,8 @@ def test_a_corrupted_reconstruction_is_rejected(monkeypatch):
     ref = without_lift(invert, m)
     calls = RrefIntCalls(monkeypatch)
     assert_same_inverse(linalg.invert(m), ref)
-    assert checks == [True] * len(residues.LIFT_PRIMES)
+    # the lift of the inverse, then that of [m | I] in the fallback solve
+    assert checks == [True] * 2 * len(residues.LIFT_PRIMES)
     assert calls.from_invert == 1
 
 
@@ -246,13 +254,100 @@ def test_a_kernel_entry_past_the_last_prime_falls_back(monkeypatch):
 @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (2, 2)])
 def test_empty_and_zero_matrices_are_lifted(monkeypatch, rows, cols):
     # no prime without an entry, and one for a zero matrix
-    taken = primes_taken(monkeypatch)
+    taken = eliminations(monkeypatch)
     calls = RrefIntCalls(monkeypatch)
     m = Matrix(QQ, [[0] * cols for _ in range(rows)], cols=cols)
     assert kernel(m) == [[Fraction(int(i == j)) for i in range(cols)]
                          for j in range(cols)]
     assert calls.all == 0
     assert len(taken) == (1 if rows and cols else 0)
+
+
+def unit_triangular(n, lower):
+    """1 on the diagonal and small ints below it or above it: det 1."""
+    return [[int(i == j) + ((i + 2 * j) % 5 if (j < i if lower else j > i)
+                            else 0) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_an_inverse_from_the_crossover_on_takes_only_the_kernel_in_place(
+        monkeypatch, n):
+    # the family's p, 10 x 10 and 15 x 15: invert_mod at each prime the
+    # lift takes, no elimination of the 2N-wide [p | I] and no Bareiss
+    monkeypatch.setattr(linalg, "BAREISS_BELOW", CROSSOVER)
+    p = apolar.resolution.build_p_r(apolar.family_phi(n), n)[0]
+    N = p.rows
+    ref = without_lift(invert, p)
+    taken = eliminations(monkeypatch)
+    calls = RrefIntCalls(monkeypatch)
+    res = invert(p)
+    assert N >= CROSSOVER and taken and calls.all == 0
+    assert taken == [("invert_mod", q, N)
+                     for q in residues.LIFT_PRIMES[:len(taken)]]
+    assert_same_inverse(res, ref)
+
+
+def test_the_inverse_lift_reconstructs_the_inverse_of_m_not_of_l_m(
+        monkeypatch):
+    # m = W^{-1} for an int W with entries within 50 and det about 2^44:
+    # the int rows of m are L m with L about 2^44, so (L m)^{-1} = W / L
+    # would take four primes, but m^{-1} = W, as [L m | L I] gives it, one
+    monkeypatch.setattr(linalg, "BAREISS_BELOW", CROSSOVER)
+    rng = random.Random(0)
+    W = Matrix(QQ, [[rng.randint(-50, 50) for _ in range(8)]
+                    for _ in range(8)])
+    m = without_lift(invert, W).inverse
+    assert m.L > 2 ** 43
+    taken = eliminations(monkeypatch)
+    assert invert(m).inverse == W
+    assert taken == [("invert_mod", Q0, 8)]
+
+
+def test_an_inverse_singular_mod_the_first_prime_falls_back(monkeypatch):
+    # det m = q0: invert_mod gives None at q0, and the fallback solve of
+    # [m | I] still finds the exact inverse, as its lift does not
+    monkeypatch.setattr(linalg, "BAREISS_BELOW", CROSSOVER)
+    lower, upper = unit_triangular(8, True), unit_triangular(8, False)
+    m = (Matrix(QQ, lower) @ Matrix(QQ, [[int(i == j) * (Q0 if i == 3 else 1)
+                                          for j in range(8)] for i in range(8)])
+         @ Matrix(QQ, upper))
+    assert linalg.det(m) == Q0
+    taken = eliminations(monkeypatch)
+    calls = RrefIntCalls(monkeypatch)
+    res = linalg.invert(m)
+    assert taken[0] == ("invert_mod", Q0, 8)
+    assert [kernel for kernel, _, _ in taken[1:]] == ["rref_mod"] * 2
+    assert calls.from_invert == 1
+    assert res.rank == 8 and m @ res.inverse == Matrix(QQ, [
+        [int(i == j) for j in range(8)] for i in range(8)])
+
+
+@SETTINGS
+@given(st.sampled_from([QQ, apolar.PrimeField(32003)]), st.integers(1, 9),
+       st.data())
+def test_a_singular_inverse_reports_the_rank(field, n, data):
+    # a product through k < n: rank at most k, with the rank of rank()
+    k = data.draw(st.integers(0, n - 1))
+    entry = st.integers(-5, 5)
+    a, b = [Matrix(field, [[data.draw(entry) for _ in range(c)]
+                           for _ in range(r)], cols=c)
+            for r, c in ((n, k), (k, n))]
+    m = a @ b
+    res = invert(m)
+    assert (res.inverse, res.rank) == (None, apolar.rank(m))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Matrix(QQ, [[1, 2]] * 8), ValueError),
+    (lambda: Matrix(QQ, unit_triangular(8, True)).times_monomial(
+        apolar.Monomial(1, 0, 0)), TypeError)], ids=["non-square", "forms"])
+def test_invert_refuses_before_any_elimination(monkeypatch, build, error):
+    m = build()
+    taken = eliminations(monkeypatch)
+    calls = RrefIntCalls(monkeypatch)
+    with pytest.raises(error):
+        invert(m)
+    assert taken == [] and calls.all == 0
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -265,7 +360,7 @@ def test_verify_on_the_family_lifts_only_the_solve_of_p(tmp_path, monkeypatch,
     path = tmp_path / "phi.json"
     assert cli.main(["example-family", "--n", str(n), "--out", str(path)]) == 0
     calls = RrefIntCalls(monkeypatch)
-    taken = primes_taken(monkeypatch)
+    taken = eliminations(monkeypatch)
     solves, solve = [], linalg.solve
 
     def spied(m, b):

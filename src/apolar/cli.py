@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import datetime
 import functools
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 import random
 import sys
@@ -55,6 +54,8 @@ def _load_phi(path: str) -> DualElement:
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
+# deletes what json writes as it is: printable ASCII but '"' and '\\'
+_PLAIN = bytes(sorted(set(range(32, 127)) - {ord('"'), ord("\\")}))
 
 
 def _json(o, indent: str = "\n") -> str:
@@ -64,7 +65,8 @@ def _json(o, indent: str = "\n") -> str:
     json's C encoder, but for a string s of printable ASCII with no '"'
     and no '\\' it writes '"' + s + '"': so a list of such strings, or a
     list of nonempty lists of them (a report matrix's rows), is written
-    in joins alone, the strings checked at once on their concatenation.
+    in joins alone, the strings checked at once on their concatenation
+    (by rows): ASCII, and all deleted by one ``bytes.translate``.
     Any other list goes item by item.  Any other type, a float or a tuple
     included (no report holds one), raises TypeError."""
     if isinstance(o, str):
@@ -85,16 +87,18 @@ def _json(o, indent: str = "\n") -> str:
                  for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     kinds = set(map(type, o))
-    if kinds == {str} or kinds == {list} and all(o):
+    # rows of str by their first items: Betti shapes go item by item
+    rows = kinds == {list} and all(o) and {type(r[0]) for r in o} == {str}
+    if kinds == {str} or rows:
         try:
-            s = "".join(o if kinds == {str} else chain.from_iterable(o))
-        except TypeError:  # a row holds something other than a str
-            s = '"'  # so not plain
-        if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-            if kinds == {str}:
-                return _plain_row(o, indent)
-            return ("[" + inner + ("," + inner).join(
-                [_plain_row(r, inner) for r in o]) + indent + "]")
+            s = "".join(map("".join, o) if rows else o)
+        except TypeError:  # a later item of a row is not a str
+            s = "\0"
+        if s.isascii() and not s.encode().translate(None, _PLAIN):
+            if rows:
+                return ("[" + inner + ("," + inner).join(
+                    [_plain_row(r, inner) for r in o]) + indent + "]")
+            return _plain_row(o, indent)
     items = (map(encode_basestring_ascii, o) if kinds == {str}
              else [_json(v, inner) for v in o])
     return "[" + inner + ("," + inner).join(items) + indent + "]"

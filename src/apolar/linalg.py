@@ -22,7 +22,9 @@ canonical form after every sum, product and selection.  The slices are
 never changed in place, so results share rows freely.  ``entries`` is a
 read-only view, each coefficient boxed by ``Field.from_int`` on first read
 and then kept; ``to_strings`` reads the slices and boxes nothing: a matrix
-of scalars one map per row, a matrix of forms one join per entry.
+of scalars one map per row, a matrix of forms one list of terms per slice,
+one join per entry.  An entry's text depends on no other entry and not on
+L, so a block's texts are a slice of its matrix's.
 
 A product is (L_a A)(L_b B) = sum_(u,v) uv C_u D_v over L_a L_b, made
 canonical, by ``residues.product``: ints packed along the rows of each D_v
@@ -37,11 +39,10 @@ Gauss-Jordan on packed residues (``residues.rref_mod``); over Q it is
 lifted from residues and proven by one exact product
 (``residues.rref_lift``), or else, and below ``BAREISS_BELOW`` rows,
 fraction-free (``_rref_int``, after Bareiss).  Either way the rows end as
-the unique RREF times one denominator.  ``invert`` runs no [m | I] but
-Gauss-Jordan in place at width N (``residues.invert_mod``, lifted over Q
-by ``residues.invert_lift``), and the solve against I only when that
-gives None.  The determinant is the product of the pivots times the sign
-of the row swaps.  The reduced rows stay ints: ``kernel``
+the unique RREF times one denominator.  ``invert`` is Gauss-Jordan in
+place at width N (``residues.invert_mod``, lifted over Q by
+``residues.invert_lift``).  The determinant is the product of the pivots
+times the sign of the row swaps.  The reduced rows stay ints: ``kernel``
 boxes only the nonzero coordinates, and ``solve`` returns slices, boxing
 nothing.  The rank takes the same loops forward only, on whichever of M
 and M^T has fewer rows.  A zero-row matrix keeps its column count.
@@ -274,11 +275,11 @@ class Matrix:
 
     def to_strings(self) -> List[List[str]]:
         """The entries as text, read off the slices: boxes nothing.  x / L
-        is written as the reduced fraction (x / g) / (L / g),
-        g = gcd(x, L).  A matrix of scalars writes each row in one map; a
-        matrix of forms joins the nonzero terms of each entry in one list,
-        the monomials in order, each named once.  An entry with no term is
-        "0"."""
+        is written as the reduced fraction (x / g) / (L / g), g = gcd(x, L),
+        a form's terms in the global monomial order: an entry's text is
+        canonical, whatever L and the other entries.  Scalars: one map per
+        row; forms: one list of terms per slice, each monomial named once,
+        then one join of each entry's nonzero terms."""
         L = self.L
 
         def scalar(x: int) -> str:
@@ -289,11 +290,10 @@ class Matrix:
             return [["0"] * self.cols for _ in range(self.rows)]
         if ONE in self.slices:  # the only slice of a matrix of scalars
             return [list(map(text, r)) for r in self.slices[ONE]]
-        order = sorted(self.slices, key=Monomial.sort_key)
-        names = [f"){u}" for u in order]
-        coeffs = zip(*[chain.from_iterable(self.slices[u]) for u in order])
-        flat = [" + ".join([f"({text(x)}{name}" for x, name in zip(xs, names)
-                            if x]) or "0" for xs in coeffs]
+        slices = sorted(self.slices.items(), reverse=True)  # global order
+        terms = [[x and f"({text(x)}{name}" for x in chain.from_iterable(s)]
+                 for name, s in [(f"){u}", s) for u, s in slices]]
+        flat = [" + ".join(filter(None, ts)) or "0" for ts in zip(*terms)]
         return [flat[i:i + self.cols] for i in range(0, len(flat), self.cols)]
 
     def __repr__(self):
@@ -366,14 +366,13 @@ def _rref_ints(rows: List[List[int]], field: Field
     times the RREF: mod p in place (``_rref_mod``), last = 1; over Q by
     ``_rref_lift`` from ``BAREISS_BELOW`` rows on, or else fraction-free in
     place (``_rref_int``).  That crossover is read off [m | I] for the
-    family's m, lift against Bareiss, best of 5 on a 2-core VM: A' 2 x 2
-    46 / 7 us, p 6 x 6 129 / 59 us, A' 6 x 6 133 / 80 us, A' 8 x 8 184 /
-    199 us, p 10 x 10 251 / 293 us, p 21 x 21 849 / 3200 us.  ``invert``
-    keeps it for its lift in place (``residues.invert_lift``), against
-    Bareiss on [m | I], best of 300 interleaved calls on the same VM:
-    A' 2 x 2 37 / 17 us, p 6 x 6 103 / 78 us, A' 6 x 6 115 / 99 us,
-    A' 8 x 8 163 / 224 us, p 10 x 10 186 / 290 us, p 21 x 21 627 /
-    2977 us; it also routes the solve of [p | r | E] in ``verify``."""
+    family's m, lift / Bareiss in us, best of 5 on a 2-core VM: A' 2x2
+    46/7, p 6x6 129/59, A' 6x6 133/80, A' 8x8 184/199, p 10x10 251/293,
+    p 21x21 849/3200.  ``invert`` keeps it for its lift in place
+    (``residues.invert_lift``), against Bareiss on [m | I], best of 300
+    interleaved calls on the same VM: 37/17, 103/78, 115/99, 163/224,
+    186/290, 627/2977 on the same m; it also routes ``verify``'s solve of
+    [p | r | E]."""
     if getattr(field, "p", None):
         return _rref_mod(rows, field.p)[:2] + (1,)
     lifted = _rref_lift(rows) if len(rows) >= BAREISS_BELOW else None
@@ -439,8 +438,7 @@ def det(m: Matrix) -> Scalar:
     """From the int rows of L m: det m = det(L m) / L^n."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    p = getattr(m.field, "p", None)
-    rows = _int_rows(m)
+    p, rows = getattr(m.field, "p", None), _int_rows(m)
     _, pivots, d = _rref_mod(rows, p) if p else _rref_int(rows)
     if len(pivots) < m.rows:
         return m.field.zero
@@ -486,24 +484,26 @@ def solve(m: Matrix, b: Matrix) -> Tuple[int, Optional[Matrix]]:
 
 def invert(m: Matrix) -> InversionResult:
     """m^{-1} by Gauss-Jordan in place on the int rows of L m, at width N:
-    over GF(p) by ``residues.invert_mod``, over Q from ``BAREISS_BELOW``
-    rows on lifted to m^{-1} = F / D (``residues.invert_lift``).  When that
-    gives None (m singular, a prime dividing det(L m), or no proven
-    candidate) and below ``BAREISS_BELOW`` rows over Q, it is ``solve``
-    against the identity, whose pivots count the rank."""
+    ``residues.invert_mod`` over GF(p); over Q from ``BAREISS_BELOW`` rows
+    on, lifted (``residues.invert_lift``), or Bareiss on [L m | L I] past
+    the last lift prime.  Else ``solve`` against I, which gives the rank."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    rows, p = _int_rows(m), getattr(m.field, "p", None)
+    n, rows, p = m.rows, _int_rows(m), getattr(m.field, "p", None)
     F, D = None, 1
     if p:
         F = _invert_mod(rows, p)
-    elif m.rows >= BAREISS_BELOW:
-        F, D = _invert_lift(rows, m.L) or (None, 1)
+    elif n >= BAREISS_BELOW:
+        lifted = _invert_lift(rows, m.L)
+        if lifted == ():  # a lift of [m | I] would fail the same way
+            red = _rref_int([r + [m.L * (i == j) for j in range(n)]
+                             for i, r in enumerate(rows)])[0]
+            lifted = [r[n:] for r in red], red[0][0]
+        F, D = lifted or (None, 1)
     if F is not None:
-        return InversionResult(Matrix._result(m.field, 0, m.rows, m.rows, D,
-                                              {ONE: F}), m.rows)
-    eye = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
-    rank, inverse = solve(m, Matrix._from_ints(m.field, eye, m.rows))
+        return InversionResult(Matrix._result(m.field, 0, n, n, D, {ONE: F}), n)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    rank, inverse = solve(m, Matrix._from_ints(m.field, eye, n))
     return InversionResult(inverse, rank)
 
 

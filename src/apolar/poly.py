@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .scalars import Field, FieldMismatchError, Scalar, field_from_tag
@@ -54,6 +55,7 @@ class Monomial(NamedTuple):
     def sort_key(self) -> Tuple[int, int]:
         return (-self.a, -self.b)
 
+    @lru_cache(maxsize=None)  # the report names each monomial many times
     def __str__(self) -> str:
         return "".join([v if e == 1 else f"{v}^{e}"
                         for v, e in zip(VARS, self) if e]) or "1"
@@ -233,7 +235,9 @@ class DualElement(_CoeffMap):
     def from_json_dict(cls, data: dict) -> "DualElement":
         """Validate and build a record; every defect raises ValueError, such
         as two keys "1,0,0" and "01,0,0" that name one monomial.  The degree
-        is checked against MAX_DEGREE before anything is built."""
+        is checked against MAX_DEGREE before anything is built, then each
+        coefficient in one pass: key and scalar defects in key order first,
+        the first monomial of another degree after them."""
         if not isinstance(data, dict):
             raise ValueError("malformed dual-element record: not a JSON object")
         try:
@@ -249,12 +253,13 @@ class DualElement(_CoeffMap):
         if not isinstance(raw, dict):
             raise ValueError("coeffs must be a JSON object")
         coeffs: Dict[Monomial, Scalar] = {}
+        parse, off = field.parse, False
         for key, val in raw.items():
             parts = key.split(",")
             if len(parts) != 3:
                 raise ValueError(f"bad exponent triple {key!r}")
             try:
-                m = Monomial(*(int(p) for p in parts))
+                m = tuple.__new__(Monomial, map(int, parts))
             except ValueError as exc:
                 raise ValueError(f"bad exponent triple {key!r}") from exc
             if min(m) < 0:
@@ -263,8 +268,12 @@ class DualElement(_CoeffMap):
                 raise ValueError(f"{key!r} names the monomial {m} again")
             if not isinstance(val, str):
                 raise ValueError(f"coefficient of {key!r} must be a string")
-            coeffs[m] = field.parse(val)
-        return cls(field, degree, coeffs)
+            coeffs[m] = parse(val)
+            off = off or sum(m) != degree
+        if off:  # the constructor names the first monomial of another degree
+            return cls(field, degree, coeffs)
+        return cls._trusted(field, degree,
+                            {m: c for m, c in coeffs.items() if c})
 
     @classmethod
     def from_json(cls, text: str) -> "DualElement":

@@ -50,8 +50,8 @@ fraction-free path.  ``invert_lift`` runs the same loop (``_lift``) on the
 residues of ``invert_mod``, times L for the int rows of L m, so that it
 reconstructs the entries of m^{-1}, as ``rref_lift`` does on [L m | L I]:
 a candidate F over D counts only once (L m) F = D L I holds exactly,
-which makes F / D the inverse of m; a matrix singular modulo a prime
-answers None at once.
+which makes F / D the inverse of m; it answers None at once for a
+matrix singular modulo a prime, and () past the last prime.
 """
 
 from __future__ import annotations
@@ -387,7 +387,7 @@ def _lift(reduced, proven):
     ``reduced(q)``, rows of residues mod q or None to give up, combined by
     CRT with those of the primes before and reconstructed over one common
     denominator; the first candidate (F, D) that ``proven(F, D)`` accepts,
-    or None."""
+    None as soon as ``reduced`` gives None, or () past the last prime."""
     M = 1
     for q in LIFT_PRIMES:
         V = reduced(q)
@@ -403,7 +403,7 @@ def _lift(reduced, proven):
         candidate = _reconstruct(U, M)
         if candidate is not None and proven(*candidate):
             return candidate
-    return None
+    return ()
 
 
 def rref_lift(rows: List[List[int]]
@@ -438,7 +438,7 @@ def rref_lift(rows: List[List[int]]
         return not any(map(any, product({1: rows}, {1: V}, len(free))[1]))
 
     lifted = _lift(reduced, proven)
-    if lifted is None:
+    if not lifted:
         return None
     F, D = lifted
     out = [[0] * cols for _ in rows]
@@ -454,8 +454,8 @@ def invert_lift(rows: List[List[int]], L: int
     """(F, D), D > 0, with rows F = D L I, so that F / D is the inverse over
     Q of m when the square int rows are L m, or None: ``invert_mod`` lifted
     as ``rref_lift`` lifts ``rref_mod``, on the entries of m^{-1} that
-    ``rref_lift`` reads off [L m | L I], and None at once for rows singular
-    modulo a prime.  The rows are not changed."""
+    ``rref_lift`` reads off [L m | L I]: None at once for rows singular
+    modulo a prime and () past the last prime.  The rows are not changed."""
     n = len(rows)
 
     def reduced(q: int) -> Optional[List[List[int]]]:

@@ -261,7 +261,7 @@ def _assemble(phi: DualElement, n: int, p: Matrix, r: Matrix,
     row = explicit_generators(p_inv_r, p_inv_e)
     b1 = None
     if with_pfaffian_row and (row @ b2).is_zero():
-        b1 = row.scaled(_eps(n))
+        b1 = row if _eps(n) == 1 else row.scaled(-1)
     return LinearPresentation(
         n, phi.field, phi, p, r, N, True, p_inv, p_inv_r, p_inv_e,
         A0=made(0, n, n, {ONE: A0}, False), A_prime=A_prime,
@@ -432,9 +432,17 @@ def resolution_report(lin: LinearPresentation,
                       quad: Optional[QuadraticPresentation] = None) -> dict:
     """A JSON-ready record of one run: all named blocks, flags, the units
     of the lemma (eps_n, eps_n / Pf(A') and Pf(A')) and the graded Betti
-    shapes."""
-    blocks = {name: getattr(lin, name).to_strings() for name in _REPORT_BLOCKS
-              if getattr(lin, name) is not None}
+    shapes.  An entry's text depends on no other (``Matrix.to_strings``),
+    so A, B and D are cut from the texts of b2 = [[A, B], [-B^T, D]], and
+    b1's are g's when b1 is g: each text is written once."""
+    cut: dict = {}
+    if lin.linearly_presented:
+        n, b2, g = lin.n, lin.b2.to_strings(), lin.generator_row.to_strings()
+        cut = {"A": [r[:n] for r in b2[:n]], "B": [r[n:] for r in b2[:n]],
+               "D": [r[n:] for r in b2[n:]], "b2": b2,
+               "b1": g if lin.b1 is lin.generator_row else None}
+    blocks = {name: cut.get(name) or getattr(lin, name).to_strings()
+              for name in _REPORT_BLOCKS if getattr(lin, name) is not None}
     out: dict = {
         "field": lin.field.tag,
         "n": lin.n,
@@ -445,8 +453,7 @@ def resolution_report(lin: LinearPresentation,
     }
     if not lin.linearly_presented:
         return out
-    texts = lin.generator_row.to_strings()[0]
-    out["generators"] = {"explicit": texts}
+    out["generators"] = {"explicit": g[0]}
     if lin.b1 is not None:
         out["units"] = {
             "explicit_vs_pfaffian_row": lin.field.format(
@@ -462,7 +469,7 @@ def resolution_report(lin: LinearPresentation,
             blocks["c2"] = quad.c2.to_strings()
             blocks["c1"] = quad.c1.to_strings()
             # the last n + 1 explicit generators
-            out["generators"]["quadratic"] = texts[lin.n:]
+            out["generators"]["quadratic"] = g[0][lin.n:]
             out.setdefault("units", {})["pfaffian_row_vs_generators"] = \
                 lin.field.format(quad.unit)
             out["units"]["a_prime_pfaffian"] = lin.field.format(quad.a_prime_pfaffian)

@@ -508,6 +508,23 @@ def test_report_writer_writes_what_json_dumps_writes(value):
     assert _json(value) == json.dumps(value, indent=2)
 
 
+row_texts = st.text(st.sampled_from(
+    'x(1) +/~ "\\\x00\x1f\x7f\x80\xe9\u2028\U0001f600'), max_size=4)
+report_cells = row_texts | st.integers(-5, 5) | st.none()
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(st.lists(row_texts, min_size=1, max_size=4), max_size=4)
+       | st.lists(st.lists(report_cells, max_size=4), max_size=4)
+       | st.lists(row_texts, max_size=6))
+def test_report_rows_are_written_as_json_dumps_writes_them(value):
+    """Lists of str and lists of rows, the shapes the report's matrices and
+    generator rows take, with '"', '\\', DEL, other control characters and
+    non-ASCII text, and rows of ints (a Betti shape), None or a mix."""
+    assert _json(value) == json.dumps(value, indent=2)
+    assert _json({"m": value}) == json.dumps({"m": value}, indent=2)
+
+
 @pytest.mark.parametrize("odd", ['"', "\\", "\x7f", "\xe9", "\n"])
 @pytest.mark.parametrize("at", [0, 2])
 def test_one_string_to_escape_sends_a_list_item_by_item(odd, at):

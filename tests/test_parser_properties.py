@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from apolar import (DualElement, Polynomial, PrimeField, QQ, field_from_tag,
                     parse_polynomial)
-from apolar.poly import MAX_DEGREE, monomials_of_degree
+from apolar.poly import MAX_DEGREE, Monomial, monomials_of_degree
 
 FIELDS = (QQ, PrimeField(3), PrimeField(32003))
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -147,3 +147,86 @@ def test_alias_keys_do_not_overwrite_a_coefficient():
     with pytest.raises(ValueError, match="'01,0,0' names the monomial x again"):
         DualElement.from_json_dict(
             {"field": "Q", "degree": 1, "coeffs": {"1,0,0": "1", "01,0,0": "2"}})
+
+
+def two_pass_from_json_dict(data):
+    """``DualElement.from_json_dict`` as it was built before it went to one
+    pass, for a record whose field and degree are well formed: the key and
+    scalar checks in one loop, then the constructor's degree check, in key
+    order, and its drop of the zero coefficients."""
+    field, degree = field_from_tag(data["field"]), data["degree"]
+    coeffs = {}
+    for key, val in data["coeffs"].items():
+        parts = key.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"bad exponent triple {key!r}")
+        try:
+            m = Monomial(*(int(p) for p in parts))
+        except ValueError as exc:
+            raise ValueError(f"bad exponent triple {key!r}") from exc
+        if min(m) < 0:
+            raise ValueError(f"negative exponent in {key!r}")
+        if m in coeffs:
+            raise ValueError(f"{key!r} names the monomial {m} again")
+        if not isinstance(val, str):
+            raise ValueError(f"coefficient of {key!r} must be a string")
+        coeffs[m] = field.parse(val)
+    return DualElement(field, degree, coeffs)
+
+
+def defects(degree, keys):
+    """One (key, value) that the parser refuses, or a zero coefficient; an
+    alias names one of ``keys``, the monomials already in the record."""
+    wrong = monomials_of_degree(degree + 1) + (
+        monomials_of_degree(degree - 1) if degree else [])
+    kinds = [
+        st.tuples(st.sampled_from(["1,2", "1,2,3,4", "x,0,0", "1,,2", ""]),
+                  st.just("1")),
+        st.tuples(st.just(f"-1,{degree + 1},0"), st.just("1")),
+        st.tuples(st.sampled_from(wrong).map(lambda m: f"{m.a},{m.b},{m.c}"),
+                  st.sampled_from(["1", "0", "2"])),
+        st.tuples(st.just(f"{degree},0,0"),
+                  st.sampled_from([1, None, [1], 2.5])),
+        st.tuples(st.just(f"0,{degree},0"),
+                  st.sampled_from(["abc", "1e5", "1/0", "", "0"])),
+    ]
+    if keys:
+        kinds.append(st.sampled_from(keys).map(
+            lambda m: (f"0{m.a},{m.b},{m.c}", "1")))
+    return st.one_of(kinds)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(forms(DualElement), st.data())
+def test_one_pass_parser_raises_what_the_two_pass_one_raised(w, data):
+    """One or two defects (a bad or negative triple, a monomial of another
+    degree, a coefficient that is no string or no scalar, an alias of an
+    earlier key) or zero coefficients, put anywhere in a record's key
+    order: the one-pass parser raises the message that the two-pass
+    reference raises, in its precedence, or builds what it builds."""
+    record = w.to_json_dict()
+    items = list(record["coeffs"].items())
+    zeroed = (data.draw(st.sets(st.integers(0, len(items) - 1)))
+              if items else ())
+    items = [(k, "0" if i in zeroed else v) for i, (k, v) in enumerate(items)]
+    for _ in range(data.draw(st.integers(1, 2))):
+        at = data.draw(st.integers(0, len(items)))
+        keys = [Monomial(*map(int, k.split(","))) for k, _ in items[:at]
+                if k.count(",") == 2 and all(p.strip("-").isdigit()
+                                             for p in k.split(","))]
+        key, value = data.draw(defects(w.degree, keys))
+        if key in dict(items):
+            continue
+        items.insert(at, (key, value))
+    record["coeffs"] = dict(items)
+    try:
+        expected = two_pass_from_json_dict(record)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            DualElement.from_json_dict(record)
+        assert str(got.value) == str(exc)
+    else:
+        got = DualElement.from_json_dict(record)
+        assert got == expected and got.coeffs == expected.coeffs
+        assert all(got.coeffs.values())
+        assert all(type(m) is Monomial for m in got.coeffs)

@@ -227,8 +227,9 @@ def test_a_corrupted_reconstruction_is_rejected(monkeypatch):
     ref = without_lift(invert, m)
     calls = RrefIntCalls(monkeypatch)
     assert_same_inverse(linalg.invert(m), ref)
-    # the lift of the inverse, then that of [m | I] in the fallback solve
-    assert checks == [True] * 2 * len(residues.LIFT_PRIMES)
+    # the lift of the inverse alone: invertible modulo every prime, so no
+    # lift of [m | I] follows, only the fraction-free elimination
+    assert checks == [True] * len(residues.LIFT_PRIMES)
     assert calls.from_invert == 1
 
 

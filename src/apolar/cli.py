@@ -265,9 +265,8 @@ def cmd_verify(args) -> int:
         return _conclude(lines, False)
     # given by the lemma of the ``resolution`` docstring: b1 = eps_n g
     _check("explicit generators = unit x Pfaffian row", True, lines)
-    lin_tilde = resolution.reduced_presentation(lin)
     ok &= _check("conjugation by the reduction change of basis",
-                 resolution.theta_conjugation_check(lin, lin_tilde, phi), lines)
+                 resolution.theta_conjugation_check(lin), lines)
     quad = resolution.build_quadratic_presentation(lin)
     # the exact elimination of p proves J_{n-1} = 0 for both certificates:
     # p is cat_{n-1} of x(phi), and a row-submatrix of cat_{n-1} of phi

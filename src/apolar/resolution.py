@@ -22,12 +22,12 @@ matrix here is a ``linalg.Matrix`` of forms of one degree: p, r, p^{-1}
 and the exact blocks have degree 0, b2 degree 1 and c2 degree 2.  The row
 of signed maximal-order Pfaffians of b2 generates I, and so does the
 explicit row read off p^{-1} [r | E].  Dropping the pure y,z part of phi
-keeps p and sets T, the last n rows of r, to zero, so
-``reduced_presentation`` builds the presentation of the reduction from p
-and p^{-1} r~ = p^{-1} r - (p^{-1} E) T, with no elimination; the two are
-conjugate by a constant unipotent pair Theta whose off-diagonal block is
-T (``theta_conjugation_check``).  No matrix in this
-module is stacked from blocks: each is written by index into int rows.
+keeps p and sets T, the last n rows of r, to zero, so the reduction's
+p^{-1} r~ = p^{-1} r - (p^{-1} E) T needs no elimination (``_reduction``);
+the two presentations are conjugate by a constant unipotent pair Theta
+whose off-diagonal block is T, which ``theta_conjugation_check`` proves
+slice by slice on int rows.  No matrix in this module is stacked from
+blocks: each is written by index into int rows.
 
 When n is even and A' is invertible, the quadratic path resolves
 R/J for J = ann(phi): c2 = B^T (A')^{-1} B + x*D is an alternating matrix of
@@ -81,13 +81,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, sub
 from typing import List, Optional, Tuple
 
 from . import linalg
 from .linalg import Matrix, catalecticants
 from .poly import ONE, DualElement, X, Y, Z, monomials_of_degree
+from .residues import product
 from .scalars import Field, Scalar
+
+Rows = List[List[int]]
 
 
 def _infer_n(phi: DualElement) -> int:
@@ -182,22 +186,39 @@ def reduced_presentation(lin: LinearPresentation) -> LinearPresentation:
     without its Pfaffian row, from p, r, p^{-1} r and p^{-1} E of ``lin``:
     every entry phi(x * m_i * m_j) of p is a coefficient on a monomial
     containing x, and the reduction keeps those, so both presentations have
-    the same p.  The reduced r~ is r with its last n rows, T, set to zero,
-    as those are the x-free rows, so p^{-1} r~ = p^{-1} r - (p^{-1} E) T:
-    no elimination.  Raises ValueError when p is singular."""
+    the same p, and r~ and p^{-1} r~ are read off ``_reduction``.  Raises
+    ValueError when p is singular."""
+    q, Lr, r_tilde, T, L, R, W, WT = _reduction(lin)
+    fld, n = lin.field, lin.n
+    return _assemble(reduced_inverse_system(lin.phi), n, lin.p,
+                     Matrix._from_ints(fld, r_tilde, n + 1, Lr),
+                     Matrix._from_ints(fld, R, n + 1, L), lin.p_inv_e,
+                     lin.p_inv, False)
+
+
+def _reduction(lin: LinearPresentation) -> tuple:
+    """(q, L_r, r~, T, L, R~, W, W T), the reduction of ``lin`` as int
+    rows, q the field's modulus (0 over Q), R~ and W residues over GF(q).
+    r~, r with its x-free last n rows T set to zero, and T are over L_r,
+    r's L.  W T, of W = p^{-1} E over the common L_0 of p^{-1} r and
+    p^{-1} E, is over L = L_0 L_r, and so are W and R~, the rows of
+    p^{-1} r~ = p^{-1} r - (p^{-1} E) T.  Raises ValueError when p is
+    singular."""
     if not lin.linearly_presented:
         raise ValueError(f"p is singular (rank {lin.p_rank}); "
-                         "the reduced presentation needs an invertible p")
-    n, N, r = lin.n, lin.p.rows, lin.r
-    r_tilde = Matrix._from_ints(r.field, _rows_over(r, r.L)[:N - n]
-                                + [[0] * (n + 1)] * n, n + 1, r.L)
-    T = r._select(range(N - n, N), range(n + 1))
-    return _assemble(reduced_inverse_system(lin.phi), n, lin.p, r_tilde,
-                     lin.p_inv_r - lin.p_inv_e @ T, lin.p_inv_e, lin.p_inv,
-                     False)
+                         "the reduction needs an invertible p")
+    n, r, q = lin.n, lin.r, getattr(lin.field, "p", 0)
+    L0 = math.lcm(lin.p_inv_r.L, lin.p_inv_e.L)
+    L, rows = L0 * r.L, _rows_over(r, r.L)
+    T = rows[len(rows) - n:]
+    WT = product({ONE: _rows_over(lin.p_inv_e, L0)}, {ONE: T}, n + 1, q)[ONE]
+    R = [[(a - b) % q if q else a - b for a, b in zip(y, w)]
+         for y, w in zip(_rows_over(lin.p_inv_r, L), WT)]
+    return (q, r.L, rows[:len(rows) - n] + [[0] * (n + 1)] * n, T, L, R,
+            _rows_over(lin.p_inv_e, L), WT)
 
 
-def _rows_over(m: Matrix, L: int) -> List[List[int]]:
+def _rows_over(m: Matrix, L: int) -> Rows:
     """The int rows of L m, for a matrix m of scalars whose L divides L:
     zero rows where m has no slice."""
     s = m.slices.get(ONE)
@@ -207,15 +228,48 @@ def _rows_over(m: Matrix, L: int) -> List[List[int]]:
     return s if f == 1 else [[x * f for x in r] for r in s]
 
 
-def _alternating(P: List[List[int]], Q: List[List[int]],
-                 S: List[List[int]]) -> List[List[int]]:
+def _alternating(P: Rows, Q: Rows, S: Rows) -> Rows:
     """The int rows of [[P, Q], [-Q^T, S]]."""
     return ([a + b for a, b in zip(P, Q)]
             + [[-x for x in c] + d for c, d in zip(zip(*Q), S)])
 
 
-def _minus_transpose(M: List[List[int]]) -> List[List[int]]:
+def _minus_transpose(M: Rows) -> Rows:
     return [list(map(sub, r, c)) for r, c in zip(M, zip(*M))]
+
+
+def _blocks(q: int, n: int, r: Rows, Lr: int, R: Rows, W: Rows,
+            L: int) -> tuple:
+    """(L', A0, A', B0, B1, D0, D0 - D0^T, shift, b2): the exact blocks and
+    b2's slices as int rows over L' = L_r L, from those of r over L_r and
+    of R = p^{-1} r and W = p^{-1} E over L, all residues over GF(q), q > 0
+    (q = 0 over Q): A0, B0 and D0 stay residues, the other blocks may hold
+    negatives.
+
+    A0 is r^T p^{-1} r without row n and column 0, A' = A0 - A0^T, B0 the
+    last n columns of r^T p^{-1}, the transpose of the last n rows of
+    p^{-1} r, B1 = [0 | B0 without row n] - [B0 without row 0 | 0], and
+    D0 = [[0, the last n x n corner of p^{-1}], [0, 0]], that corner being
+    the last n rows of p^{-1} E.  The slice of b2 at x is
+    [[A', B1], [-B1^T, D0 - D0^T]], and those at z and y hold the constant
+    shift B2 = z [I_n | 0] - y [0 | I_n] and -B2^T."""
+    N = len(R)
+    P = product({ONE: [list(c) for c in zip(*r)]}, {ONE: R}, n + 1, q)[ONE]
+    if Lr != 1:
+        R, W = ([[x * Lr for x in row] for row in M] for M in (R, W))
+        L *= Lr
+    A0 = [row[1:] for row in P[:n]]
+    Ap = _minus_transpose(A0)
+    B0 = [list(c) for c in zip(*R[N - n:])]
+    B1 = [list(map(sub, [0] + lo, hi + [0])) for lo, hi in zip(B0, B0[1:])]
+    D0 = [[0] + row for row in W[N - n:]] + [[0] * (n + 1)]
+    Dx = _minus_transpose(D0)
+    shift = {Z: [[L * (j == i) for j in range(n + 1)] for i in range(n)],
+             Y: [[-L * (j == i + 1) for j in range(n + 1)] for i in range(n)]}
+    b2 = {X: _alternating(Ap, B1, Dx), **{
+        u: _alternating([[0] * n] * n, s, [[0] * (n + 1)] * (n + 1))
+        for u, s in shift.items()}}
+    return L, A0, Ap, B0, B1, D0, Dx, shift, b2
 
 
 def _assemble(phi: DualElement, n: int, p: Matrix, r: Matrix,
@@ -224,34 +278,14 @@ def _assemble(phi: DualElement, n: int, p: Matrix, r: Matrix,
     """The exact blocks, b2, the explicit generator row g and (if asked) b1
     from p, r, p^{-1} r and p^{-1} E: b1 = eps_n g once g b2 = 0, else None.
 
-    Every block is written by index into the int rows of r^T p^{-1} r,
-    p^{-1} r and p^{-1} E over one common L, and made canonical once (A0,
-    B0 and D0 copy canonical entries, so only the blocks with a difference
-    or a sign are reduced mod p): A0 is r^T p^{-1} r without row n and
-    column 0, A' = A0 - A0^T, B0 the last n columns of r^T p^{-1}, the
-    transpose of the last n rows of p^{-1} r,
-    B1 = [0 | B0 without row n] - [B0 without row 0 | 0], and
-    D0 = [[0, the last n x n corner of p^{-1}], [0, 0]], that corner being
-    the last n rows of p^{-1} E.  The slice of b2 at x is
-    [[A', B1], [-B1^T, D0 - D0^T]], and those at z and y hold the constant
-    shift B2 = z [I_n | 0] - y [0 | I_n] and -B2^T."""
-    N = p.rows
-    rtpr = r.transpose() @ p_inv_r
-    L = math.lcm(rtpr.L, p_inv_r.L, p_inv_e.L)
-    P = _rows_over(rtpr, L)
-    A0 = [row[1:] for row in P[:n]]
-    Ap = _minus_transpose(A0)
-    B0 = [list(c) for c in zip(*_rows_over(p_inv_r, L)[N - n:])]
-    B1 = [list(map(sub, [0] + lo, hi + [0])) for lo, hi in zip(B0, B0[1:])]
-    D0 = ([[0] + row for row in _rows_over(p_inv_e, L)[N - n:]]
-          + [[0] * (n + 1)])
-    Dx = _minus_transpose(D0)
-    shift = {Z: [[L * (j == i) for j in range(n + 1)] for i in range(n)],
-             Y: [[-L * (j == i + 1) for j in range(n + 1)] for i in range(n)]}
-    b2 = {X: _alternating(Ap, B1, Dx)}
-    for u, s in shift.items():
-        b2[u] = _alternating([[0] * n for _ in range(n)], s,
-                             [[0] * (n + 1) for _ in range(n + 1)])
+    Every block is written by index into int rows over one common L
+    (``_blocks``) and made canonical once (A0, B0 and D0 copy canonical
+    entries, so only the blocks with a difference or a sign are reduced
+    mod p)."""
+    L0 = math.lcm(p_inv_r.L, p_inv_e.L)
+    L, A0, Ap, B0, B1, D0, Dx, shift, b2 = _blocks(
+        getattr(phi.field, "p", 0), n, _rows_over(r, r.L), r.L,
+        _rows_over(p_inv_r, L0), _rows_over(p_inv_e, L0), L0)
 
     def made(degree: int, rows: int, cols: int, slices,
              reduce: bool = True) -> Matrix:
@@ -263,7 +297,7 @@ def _assemble(phi: DualElement, n: int, p: Matrix, r: Matrix,
     if with_pfaffian_row and (row @ b2).is_zero():
         b1 = row if _eps(n) == 1 else row.scaled(-1)
     return LinearPresentation(
-        n, phi.field, phi, p, r, N, True, p_inv, p_inv_r, p_inv_e,
+        n, phi.field, phi, p, r, p.rows, True, p_inv, p_inv_r, p_inv_e,
         A0=made(0, n, n, {ONE: A0}, False), A_prime=A_prime,
         B0=made(0, n + 1, n, {ONE: B0}, False),
         B1=made(0, n, n + 1, {ONE: B1}), B2=made(1, n, n + 1, shift),
@@ -282,19 +316,24 @@ def explicit_generators(p_inv_r: Matrix, p_inv_e: Matrix) -> Matrix:
     last n columns of I, and mu(phi) is the column phi(m_i * mu) of r, so
     the p^{-1}(mu(phi)) are the columns of p^{-1} r.  So the row is
     sum_i u_i c_i, u_i the i-th of x m_1, ..., x m_N, mu_1, ..., mu_{n+1},
-    and c_i its slice, written by index into the int rows R of p^{-1} r and
-    W of p^{-1} E over one common L: c_i = W[i] + [-x for x in R[i]] for
-    i < N, and c_{N+k} = [0] * n + L e_k; the row is made canonical once.
+    and c_i its slice (``_explicit_row``).
     ``LinearPresentation.generator_row`` keeps this row."""
-    n, L = p_inv_e.cols, math.lcm(p_inv_r.L, p_inv_e.L)
-    images = ([w + [-x for x in v] for v, w in zip(_rows_over(p_inv_r, L),
-                                                  _rows_over(p_inv_e, L))]
-              + [[0] * n + [L * (j == k) for j in range(n + 1)]
-                 for k in range(n + 1)])
+    L = math.lcm(p_inv_r.L, p_inv_e.L)
+    return _explicit_row(p_inv_r.field, p_inv_e.cols, _rows_over(p_inv_r, L),
+                         _rows_over(p_inv_e, L), L)
+
+
+def _explicit_row(field: Field, n: int, R: Rows, W: Rows, L: int) -> Matrix:
+    """The explicit row from the int rows R of p^{-1} r and W of p^{-1} E
+    over L, made canonical once: its slice at the i-th monomial is
+    c_i = W[i] + [-x for x in R[i]] for i < N, and
+    c_{N+k} = [0] * n + L e_k."""
     monos = ([X * m for m in monomials_of_degree(n - 1)]
              + monomials_of_degree(n, x_free=True))
-    return Matrix._result(p_inv_r.field, n, 1, 2 * n + 1, L,
-                          {u: [c] for u, c in zip(monos, images)}, reduce=True)
+    return Matrix._result(field, n, 1, 2 * n + 1, L, {u: [c] for u, c in zip(
+        monos, [w + [-x for x in v] for v, w in zip(R, W)]
+        + [[0] * n + [L * (j == k) for j in range(n + 1)]
+           for k in range(n + 1)])}, reduce=True)
 
 
 def reduced_inverse_system(phi: DualElement) -> DualElement:
@@ -305,35 +344,52 @@ def reduced_inverse_system(phi: DualElement) -> DualElement:
                        {m: c for m, c in phi.coeffs.items() if m.a > 0})
 
 
-def theta_conjugation_check(lin_phi: LinearPresentation,
-                            lin_phitilde: LinearPresentation,
-                            phi: DualElement) -> bool:
-    """Verify that the two presentations built from phi and from its
-    reduction are conjugate: Theta1 . b2 = b2~ . Theta2, and the explicit
-    generator row of phi equals the reduced row composed with Theta1.
-    Raises ValueError unless the presentations were built from phi and from
-    its reduction.
+def theta_conjugation_check(lin: LinearPresentation) -> bool:
+    """Verify that the presentations of phi and of its reduction are
+    conjugate, Theta1 b2 = b2~ Theta2 and g~ Theta1 = g: b2 and the explicit
+    row g are read off ``lin``, b2~ and g~ written from its ``_reduction``.
+    Raises ValueError when p is singular.
 
-    Theta1 = [[I_n, -T], [0, I_(n+1)]] and Theta2 = [[I_n, 0], [T^T, I_(n+1)]]
-    are the constant unipotent change of basis.  T, the catalecticant of phi
-    on x-free rows and columns, sees only the dropped pure y,z part of phi;
-    it is the last n rows of r, so both are written by index into the int
-    rows of r over its L and made canonical once."""
-    if lin_phi.phi != phi or lin_phitilde.phi != reduced_inverse_system(phi):
-        raise ValueError("presentations were not built from phi and its reduction")
-    if not (lin_phi.linearly_presented and lin_phitilde.linearly_presented):
-        raise ValueError("both presentations must have invertible p")
-    n, r = lin_phi.n, lin_phi.r
-    m, L = 2 * n + 1, r.L
-    T = _rows_over(r, L)[r.rows - n:]
-    eye = [[L * (j == i) for j in range(m)] for i in range(m)]
-    upper = [e[:n] + [-x for x in t] for e, t in zip(eye, T)] + eye[n:]
-    lower = eye[:n] + [list(c) + e[n:] for c, e in zip(zip(*T), eye[n:])]
-    theta1, theta2 = (Matrix._result(r.field, 0, m, m, L, {ONE: rows},
-                                     reduce=True) for rows in (upper, lower))
-    if theta1 @ lin_phi.b2 != lin_phitilde.b2 @ theta2:
+    Theta1 = I - [[0, T], [0, 0]] and Theta2 = I + [[0, 0], [T^T, 0]], T
+    the last n rows of r, are constant, so the slice at u of Theta1 b2 is
+    Theta1 b2_u: the identities hold exactly when, for every slice u,
+
+        b2_u - [T b2_u[n:]; 0] = b2~_u + [b2~_u[:, n:] T^T | 0]  and
+        g~_u - [0 | g~_u[:n] T] = g_u,
+
+    the slices of the full products term by term, so this is the same
+    check, made on int rows with no Theta, no second presentation and no
+    product of forms.  b2~ is alternating by construction, so the right
+    side is the transpose of -(b2~_u + [T b2~_u[n:]; 0]): T b2_u[n:] and
+    T b2~_u[n:] for all u are one product of T with the slices side by
+    side, exact as b2~ holds negatives.  g~_u[:n] is the row of W = p^{-1} E
+    at an x monomial u and zero at the others, so g~[:n] T is the
+    reduction's W T.  Each side is made canonical once, which reduces it
+    mod q over GF(q), and compared as a matrix."""
+    q, Lr, r_tilde, T, L, R, W, WT = _reduction(lin)
+    n, m, fld = lin.n, 2 * lin.n + 1, lin.field
+    Lt, *_, tilde = _blocks(q, n, r_tilde, Lr, R, W, L)
+    zero = [[0] * m] * m
+    S = ([lin.b2.slices.get(u, zero) for u in (X, Y, Z)]
+         + [tilde[u] for u in (X, Y, Z)])
+    TS = product({ONE: T}, {ONE: [
+        list(chain.from_iterable(s[n + i] for s in S)) for i in range(n + 1)]},
+        6 * m)[ONE]
+    # Lr b2_u - [T b2_u[n:]; 0], and -Lr b2~_u - [T b2~_u[n:]; 0], the
+    # transpose of the other side
+    left, right = {}, {}
+    for k, s in enumerate(S):
+        a, side = (Lr, left) if k < 3 else (-Lr, right)
+        t = [row[k * m:(k + 1) * m] for row in TS] + zero
+        side[(X, Y, Z)[k % 3]] = [[a * x - y for x, y in zip(*rows)]
+                                  for rows in zip(s, t)]
+    if (Matrix._result(fld, 1, m, m, Lr * lin.b2.L, left, True)
+            != Matrix._result(fld, 1, m, m, Lr * Lt, right, True).transpose()):
         return False
-    return lin_phitilde.generator_row @ theta1 == lin_phi.generator_row
+    # g~_u - [0 | g~_u[:n] T] is [W[i] | -R~[i] - (W T)[i]] at the i-th x
+    # monomial u, the explicit slice of R~ + W T, and g~_u at the others
+    return lin.generator_row == _explicit_row(
+        fld, n, [list(map(add, a, b)) for a, b in zip(R, WT)], W, L)
 
 
 @dataclass

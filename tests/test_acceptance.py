@@ -7,6 +7,7 @@ matrices for the colon-ideal family at n = 2, 4, 6 with runtime caps;
 criteria 4-8 are oracle certifications and randomized property suites.
 """
 
+import dataclasses
 import random
 import time
 from contextlib import contextmanager
@@ -14,19 +15,33 @@ from fractions import Fraction
 
 import pytest
 
-from apolar import (DualElement, Matrix, Monomial, Polynomial, PrimeField,
-                    QQ, annihilator_degree,
+from apolar import (DualElement, LinearPresentation, Matrix, Monomial,
+                    Polynomial, PrimeField, QQ, annihilator_degree,
                     build_linear_presentation, build_p_r,
                     build_quadratic_presentation, contract, det,
                     explicit_generators, family_phi, ideal_equality_check,
                     invert, is_alternating, pfaffian, random_dual_element,
-                    reduced_inverse_system, summarize_ideal,
-                    theta_conjugation_check, wlp_test)
+                    reduced_inverse_system, reduced_presentation,
+                    summarize_ideal, theta_conjugation_check, wlp_test)
 
 import golden_family as golden
 from pfaffian_reference import congruence_pfaffian_check
+from theta_reference import theta_conjugation_reference
 
 GF = PrimeField(32003)
+
+
+def assert_conjugate_to_its_reduction(phi, lin):
+    """The conjugation check on lin; the reduction it reads equal, block by
+    block, to the presentation built independently from the reduced phi;
+    and the full-product reference on lin and that presentation."""
+    assert theta_conjugation_check(lin)
+    reduced = reduced_presentation(lin)
+    rebuilt = build_linear_presentation(reduced_inverse_system(phi))
+    for f in dataclasses.fields(LinearPresentation):
+        if f.name != "b1":  # the reduction is built without it
+            assert getattr(reduced, f.name) == getattr(rebuilt, f.name), f.name
+    assert theta_conjugation_reference(lin, rebuilt)
 
 
 @contextmanager
@@ -116,8 +131,7 @@ def test_criterion_3_golden_n6():
             lin.b1.scaled(golden.UNIT_EXPLICIT_VS_PFAFFIAN[6])
         assert lin.b1.take_cols(range(6, 13)) == \
             quad.c1.scaled(quad.a_prime_pfaffian)
-        lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
-        assert theta_conjugation_check(lin, lin_tilde, phi)
+        assert_conjugate_to_its_reduction(phi, lin)
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"n=6 pipeline took {elapsed:.2f} s"
 
@@ -176,8 +190,7 @@ def test_criterion_6_randomized_property_suite():
                 eps = (-1) ** (n * (n - 1) // 2)
                 assert explicit_generators(lin.p_inv_r, lin.p_inv_e) == \
                     lin.b1.scaled(eps)
-                lin_tilde = build_linear_presentation(reduced_inverse_system(phi))
-                assert theta_conjugation_check(lin, lin_tilde, phi)
+                assert_conjugate_to_its_reduction(phi, lin)
                 if n % 2 == 1:
                     assert pfaffian(lin.A_prime) == GF.zero
                     assert det(lin.A_prime) == GF.zero

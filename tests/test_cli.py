@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -199,21 +200,64 @@ def test_a_wrong_theta_fails_the_conjugation_check(tmp_path, capsys,
     for path in paths:
         assert main(["verify", str(path)]) == 0
     capsys.readouterr()
-    reduced_presentation = resolution.reduced_presentation
+    build = resolution.build_linear_presentation
 
-    def wrong(lin):
-        tilde = reduced_presentation(lin)
+    def wrong(phi):
+        lin = build(phi)
         r = lin.r
         lin.r = Matrix(r.field, [[e + e for e in row] if i >= r.rows - lin.n
                                  else row for i, row in enumerate(r.entries)],
                        r.cols)
-        return tilde
-    monkeypatch.setattr(resolution, "reduced_presentation", wrong)
+        return lin
+    monkeypatch.setattr(resolution, "build_linear_presentation", wrong)
     for path in paths:
         assert main(["verify", str(path)]) == 2
         out = capsys.readouterr().out.splitlines()
         assert "FAIL  conjugation by the reduction change of basis" in out
         assert out[-1] == "some checks FAILED"
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_verify_builds_no_second_presentation(tmp_path, capsys, monkeypatch,
+                                              field):
+    """verify builds the explicit row once and the reduction's presentation
+    never, and its conjugation check multiplies no matrix of forms: on the
+    family at n = 4 and on a random GF(32003) input, stdout unchanged."""
+    path = tmp_path / "phi.json"
+    extra = [] if field == "Q" else ["--random", "--seed", "3"]
+    assert main(["example-family", "--n", "4", "--field", field, *extra,
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    expected = capsys.readouterr().out
+    assert expected.endswith("all checks passed\n")
+    calls, products, inside = Counter(), [], []
+
+    def spy(name):
+        original = getattr(resolution, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(resolution, name, counted)
+    for name in ("reduced_presentation", "explicit_generators",
+                 "theta_conjugation_check"):
+        spy(name)
+    matmul = Matrix.__matmul__
+
+    def product(a, b):
+        if "theta_conjugation_check" in inside:
+            products.append((a.degree, b.degree))
+        return matmul(a, b)
+    monkeypatch.setattr(Matrix, "__matmul__", product)
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == {"explicit_generators": 1, "theta_conjugation_check": 1}
+    assert all(max(degrees) == 0 for degrees in products)
 
 
 def test_verify_negative_max_degree_exits_1(tmp_path, capsys):

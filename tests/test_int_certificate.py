@@ -63,7 +63,7 @@ def rows_and_phi(draw):
     return phi, row, perturbed
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, database=None)
 @given(rows_and_phi())
 def test_int_forms_give_the_boxed_and_the_reference_verdicts(case):
     phi, row, perturbed = case
@@ -83,7 +83,7 @@ def test_int_forms_give_the_boxed_and_the_reference_verdicts(case):
     assert shifted == reference.ideal_equality_check(entries, xphi)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, database=None)
 @given(st.sampled_from(FIELDS), st.data())
 def test_the_x_shift_is_the_contraction_by_x(field, data):
     s = data.draw(st.integers(1, 6))

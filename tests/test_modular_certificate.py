@@ -304,7 +304,7 @@ def phi_and_generators(draw):
     return phi, draw(st.permutations(gens))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, database=None)
 @given(phi_and_generators())
 def test_verdicts_equal_the_exact_reference_for_any_prime(case):
     phi, gens = case
